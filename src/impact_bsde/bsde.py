@@ -21,6 +21,13 @@ fixed points coincide with the explicit solution.  Contraction of that map
 holds only when the terminal data are small in the integrand norm; the
 iteration therefore reports distances and ratios as first-class output and
 treats non-convergence as data, not as an error.
+
+Each iteration is one fused pass: forward over the tree keeping only the
+current slice of the drift sums, then leaf to root, slice by slice, taking
+child means and child differences (the new integrands) and advancing the
+integrand norm of the new iterate and of its distance to the old one.  No
+full martingale tree, stacked copy or difference list is stored per
+iteration; the memory held is the two integrand pairs plus one slice.
 """
 
 from __future__ import annotations
@@ -39,7 +46,8 @@ from .lattice import (
     stochastic_exponential,
     stochastic_integral,
 )
-from .norms import h_bmo_norm, stacked_integrand
+from .norms import _square_sum, h_bmo_norm, stacked_integrand
+from .pricer import _check_finite
 from .scenario import MarketConfig, evaluate_market
 
 
@@ -192,18 +200,21 @@ def _representation_pair(lattice: Lattice, value_next, price_next):
 
 
 def _recursion_residual(lattice: Lattice, gamma, value, price, eta, theta) -> float:
-    worst = 0.0
+    """Largest node defect of the discrete recursion; nan if any defect is."""
+    defects = []
     for k in range(lattice.num_steps):
         vd, pd = driver(eta[k], theta[k], gamma.values[k])
         value_target = 0.5 * (value[k + 1][0::2] + value[k + 1][1::2]) + vd * lattice.dt
         price_target = 0.5 * (price[k + 1][0::2] + price[k + 1][1::2]) - pd * lattice.dt
-        worst = max(worst, float(np.max(np.abs(value[k] - value_target))))
-        worst = max(worst, float(np.max(np.abs(price[k] - price_target))))
-    return worst
+        defects.append(np.max(np.abs(value[k] - value_target)))
+        defects.append(np.max(np.abs(price[k] - price_target)))
+    return float(np.max(defects))
 
 
 def solve_explicit_raw(lattice: Lattice, risk_aversion: float,
                        gamma: PredictableProcess, psi: np.ndarray) -> BsdeSolution:
+    """One backward pass; raises ``NumericalError`` naming the step and node
+    of the first slice that is not finite."""
     a = float(risk_aversion)
     psi = np.asarray(psi, dtype=float)
     if psi.ndim == 1:
@@ -220,6 +231,8 @@ def solve_explicit_raw(lattice: Lattice, risk_aversion: float,
         vd, pd = driver(eta[k], theta[k], gamma.values[k])
         value[k] = 0.5 * (value[k + 1][0::2] + value[k + 1][1::2]) + vd * lattice.dt
         price[k] = 0.5 * (price[k + 1][0::2] + price[k + 1][1::2]) - pd * lattice.dt
+        _check_finite(value[k], k, "scaled certainty equivalent")
+        _check_finite(price[k], k, "scaled price")
     residual = _recursion_residual(lattice, gamma, value, price, eta, theta)
     return BsdeSolution(
         lattice=lattice,
@@ -240,21 +253,83 @@ def solve_explicit(lattice: Lattice, config: MarketConfig) -> BsdeSolution:
     return solve_explicit_raw(lattice, config.risk_aversion, gamma, psi)
 
 
+def _drift_levels(lattice: Lattice, gamma: PredictableProcess, eta: list, theta: list):
+    """Yield, slice by slice from the root, the adapted running sums of the
+    two drift integrands (value drift added, price drift subtracted),
+    evaluated along every path."""
+    cum_v = np.zeros(1)
+    cum_p = np.zeros((1, gamma.dim))
+    yield cum_v, cum_p
+    for k in range(lattice.num_steps):
+        vd, pd = driver(eta[k], theta[k], gamma.values[k])
+        cum_v = np.repeat(cum_v + vd * lattice.dt, 2, axis=0)
+        cum_p = np.repeat(cum_p - pd * lattice.dt, 2, axis=0)
+        yield cum_v, cum_p
+
+
 def _drift_accumulation(lattice: Lattice, gamma: PredictableProcess,
                         eta: list, theta: list):
-    """Adapted running sums of the two drift integrands (value drift added,
-    price drift subtracted), evaluated along every path."""
+    """Every slice of the running drift sums, as ``(cum_v, cum_p)`` lists."""
+    levels = list(_drift_levels(lattice, gamma, eta, theta))
+    return [v for v, _ in levels], [p for _, p in levels]
+
+
+def _picard_step(lattice: Lattice, a: float, gamma: PredictableProcess,
+                 psi_rows: np.ndarray, eta: list, theta: list):
+    """One application of the fixed-point map, fused with both norms.
+
+    The forward pass keeps only the current slice of the running drift
+    sums; the map needs only their leaves.  Terminal data plus drift is then
+    averaged back one slice at a time, and each child difference is read
+    off as the new integrand slice (the representation of the
+    conditional-expectation martingale, which is never stored whole).  Per
+    slice, two integrand-norm accumulators advance: one for the new pair
+    and one for its distance to ``(eta, theta)``, summed in the order
+    ``h_bmo_norm`` sums a stacked pair, so both equal ``_pair_norm`` and
+    ``_pair_distance`` exactly.
+
+    Returns ``(eta_new, theta_new, norm, distance)``; both norms are None
+    when a new slice is not finite.
+    """
+    for cum_v, cum_p in _drift_levels(lattice, gamma, eta, theta):
+        pass  # only the leaf slice is needed
+    mart_v = cum_v
+    mart_p = a * psi_rows + cum_p
+    half = 2.0 * lattice.sqrt_dt
     steps = lattice.num_steps
-    cum_v: list = [None] * (steps + 1)
-    cum_p: list = [None] * (steps + 1)
-    n = gamma.dim
-    cum_v[0] = np.zeros(1)
-    cum_p[0] = np.zeros((1, n))
-    for k in range(steps):
-        vd, pd = driver(eta[k], theta[k], gamma.values[k])
-        cum_v[k + 1] = np.repeat(cum_v[k] + vd * lattice.dt, 2, axis=0)
-        cum_p[k + 1] = np.repeat(cum_p[k] - pd * lattice.dt, 2, axis=0)
-    return cum_v, cum_p
+    eta_new: list = [None] * steps
+    theta_new: list = [None] * steps
+    finite = True
+    load_norm = load_dist = None
+    best_norm = best_dist = 0.0
+    for k in range(steps - 1, -1, -1):
+        e = (mart_v[0::2] - mart_v[1::2]) / half
+        t = (mart_p[0::2] - mart_p[1::2]) / half
+        mart_v = 0.5 * (mart_v[0::2] + mart_v[1::2])
+        mart_p = 0.5 * (mart_p[0::2] + mart_p[1::2])
+        eta_new[k], theta_new[k] = e, t
+        if not finite:
+            continue
+        sq = _square_sum([e, *t.T])
+        # squares of finite entries may overflow; only then look at the entries
+        if not (np.isfinite(sq).all() or (np.isfinite(e).all() and np.isfinite(t).all())):
+            finite = False
+            continue
+        sq_dist = _square_sum([e - eta[k], *(t - theta[k]).T])
+        load_norm = _accumulate(load_norm, sq, lattice.dt)
+        load_dist = _accumulate(load_dist, sq_dist, lattice.dt)
+        # max(best, nan) keeps best: a nan slice is skipped, as in h_bmo_norm
+        best_norm = max(best_norm, float(np.max(load_norm)))
+        best_dist = max(best_dist, float(np.max(load_dist)))
+    if not finite:
+        return eta_new, theta_new, None, None
+    return eta_new, theta_new, float(np.sqrt(best_norm)), float(np.sqrt(best_dist))
+
+
+def _accumulate(load, sq, dt):
+    """One backward step of the conditional remaining quadratic load."""
+    here = sq * dt
+    return here if load is None else here + 0.5 * (load[0::2] + load[1::2])
 
 
 def picard_map_raw(lattice: Lattice, risk_aversion: float, gamma: PredictableProcess,
@@ -265,21 +340,10 @@ def picard_map_raw(lattice: Lattice, risk_aversion: float, gamma: PredictablePro
     conditional-expectation martingale, and returns the representation
     integrands of that martingale.
     """
-    a = float(risk_aversion)
     psi = np.asarray(psi, dtype=float)
     if psi.ndim == 1:
         psi = psi[:, None]
-    cum_v, cum_p = _drift_accumulation(lattice, gamma, eta, theta)
-    terminal = np.concatenate([cum_v[-1][:, None], a * psi + cum_p[-1]], axis=1)
-    mart = conditional_expectation(terminal, lattice)
-    half = 2.0 * lattice.sqrt_dt
-    eta_new = []
-    theta_new = []
-    for k in range(lattice.num_steps):
-        rep = (mart.values[k + 1][0::2] - mart.values[k + 1][1::2]) / half
-        eta_new.append(rep[:, 0])
-        theta_new.append(rep[:, 1:])
-    return eta_new, theta_new
+    return _picard_step(lattice, float(risk_aversion), gamma, psi, eta, theta)[:2]
 
 
 def picard_map(lattice: Lattice, config: MarketConfig, zeta):
@@ -306,6 +370,20 @@ def _pair_distance(lattice: Lattice, eta_a, theta_a, eta_b, theta_b) -> float:
     eta_d = [x - y for x, y in zip(eta_a, eta_b)]
     theta_d = [x - y for x, y in zip(theta_a, theta_b)]
     return _pair_norm(lattice, eta_d, theta_d)
+
+
+def _terminal_norm(lattice: Lattice, a: float, psi_rows: np.ndarray) -> float:
+    """Integrand norm of the terminal-data martingale; its trees are freed
+    on return, before the iteration allocates its own."""
+    terminal = np.concatenate([np.zeros((lattice.num_leaves, 1)), a * psi_rows], axis=1)
+    terminal_mart = conditional_expectation(terminal, lattice)
+    terminal_integrand = [
+        (terminal_mart.values[k + 1][0::2] - terminal_mart.values[k + 1][1::2])
+        / (2.0 * lattice.sqrt_dt)
+        for k in range(lattice.num_steps)
+    ]
+    return _pair_norm(lattice, [v[:, 0] for v in terminal_integrand],
+                      [v[:, 1:] for v in terminal_integrand])
 
 
 def solve_picard(lattice: Lattice, config: MarketConfig, tol: float = 1e-12,
@@ -337,16 +415,8 @@ def solve_picard(lattice: Lattice, config: MarketConfig, tol: float = 1e-12,
         theta = [np.asarray(v, dtype=float) for v in zeta0[1].values]
 
     psi_rows = psi if psi.ndim == 2 else psi[:, None]
-    terminal = np.concatenate([np.zeros((lattice.num_leaves, 1)), a * psi_rows], axis=1)
-    terminal_mart = conditional_expectation(terminal, lattice)
-    terminal_integrand = [
-        (terminal_mart.values[k + 1][0::2] - terminal_mart.values[k + 1][1::2])
-        / (2.0 * lattice.sqrt_dt)
-        for k in range(steps)
-    ]
     diag = IterationDiagnostics(
-        terminal_norm=_pair_norm(lattice, [v[:, 0] for v in terminal_integrand],
-                                 [v[:, 1:] for v in terminal_integrand]),
+        terminal_norm=_terminal_norm(lattice, a, psi_rows),
         kappa=float(kappa),
         growth_bound=float(growth_bound if growth_bound is not None
                            else driver_growth_bound(gamma_sup)),
@@ -354,16 +424,16 @@ def solve_picard(lattice: Lattice, config: MarketConfig, tol: float = 1e-12,
 
     for it in range(max_iter):
         try:
-            eta_new, theta_new = picard_map_raw(lattice, a, gamma, psi, eta, theta)
+            eta_new, theta_new, norm, dist = _picard_step(lattice, a, gamma, psi_rows,
+                                                          eta, theta)
         except FloatingPointError as exc:  # pragma: no cover - defensive
             diag.aborted = f"arithmetic failure at iteration {it}: {exc}"
             break
-        if not all(np.all(np.isfinite(v)) for v in eta_new + theta_new):
+        if norm is None:
             diag.aborted = f"non-finite iterate at iteration {it + 1}"
             break
-        dist = _pair_distance(lattice, eta_new, theta_new, eta, theta)
         diag.distances.append(dist)
-        diag.iterate_norms.append(_pair_norm(lattice, eta_new, theta_new))
+        diag.iterate_norms.append(norm)
         if len(diag.distances) >= 2 and diag.distances[-2] > 0:
             diag.ratios.append(dist / diag.distances[-2])
         eta, theta = eta_new, theta_new
@@ -372,7 +442,8 @@ def solve_picard(lattice: Lattice, config: MarketConfig, tol: float = 1e-12,
             diag.converged = True
             break
 
-    diag.final_norm = _pair_norm(lattice, eta, theta)
+    diag.final_norm = (diag.iterate_norms[-1] if diag.iterate_norms
+                       else _pair_norm(lattice, eta, theta))
 
     # reconstruct the adapted pair from the final integrands: conditional
     # expectation of terminal-plus-total-drift minus the drift already accrued

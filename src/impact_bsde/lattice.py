@@ -65,11 +65,10 @@ class Lattice:
         if not isinstance(num_steps, (int, np.integer)) or num_steps < 1:
             raise ValueError(f"num_steps must be a positive integer, got {num_steps!r}")
         if num_steps > cap:
-            mem = 8.0 * 2.0 ** min(int(num_steps), 4000)
             raise LatticeSizeError(
                 f"num_steps={num_steps} exceeds the cap of {cap}: a full tree has "
-                f"2**{num_steps} leaves (~{mem:.3g} bytes per stored slice); raise "
-                f"{MAX_STEPS_ENV} only if the memory estimate is acceptable"
+                f"2**{num_steps} leaves (2**{int(num_steps) + 3} bytes per stored "
+                f"slice); raise {MAX_STEPS_ENV} only if the memory estimate is acceptable"
             )
         if not (isinstance(horizon, (int, float, np.floating)) and horizon > 0):
             raise ValueError(f"horizon must be a positive real, got {horizon!r}")

@@ -314,3 +314,104 @@ def test_solve_picard_argument_validation():
         solve_picard(lat, cfg, tol=0.0)
     with pytest.raises(ValueError):
         solve_picard(lat, cfg, max_iter=0)
+
+
+def test_explicit_non_finite_raises_numerical_error():
+    # guards against S0 = nan with residual 0.0 (max(0.0, nan) is 0.0); the
+    # pricer prices the same instance at -1
+    from impact_bsde import NumericalError
+    from impact_bsde.bsde import _recursion_residual
+    lat = build_lattice(12, 1.0)
+    cfg = MarketConfig(50.0, 1, ConstantDemand(1.0), SignOfBT(1.0), 12, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match=r"non-finite at node \(step \d+, path \d+\)"):
+            solve_explicit(lat, cfg)
+        # the fixed-point route reports the same regime as data
+        _, diag = solve_picard(lat, cfg, tol=1e-12, max_iter=20)
+    assert not diag.converged
+    np.testing.assert_allclose(price_equilibrium(lat, cfg).initial_price, [-1.0])
+    # a nan defect survives the node maximum
+    sol = solve_explicit(build_lattice(3, 1.0),
+                         MarketConfig(0.5, 1, ConstantDemand(0.5), SignOfBT(), 3, 1.0))
+    value = [v.copy() for v in sol.scaled_value.values]
+    value[1][0] = np.nan
+    residual = _recursion_residual(sol.lattice, sol.gamma, value, sol.scaled_price.values,
+                                   sol.value_integrand.values, sol.price_integrand.values)
+    assert np.isnan(residual)
+
+
+def _seed_picard_loop(lat, cfg, tol, max_iter):
+    """The unfused iteration: map, then distance and iterate norm as
+    separate integrand-norm passes over stacked copies."""
+    gamma, _, psi, _ = evaluate_market(cfg, lat)
+    n = cfg.num_stocks
+    eta = [np.zeros(1 << k) for k in range(lat.num_steps)]
+    theta = [np.zeros((1 << k, n)) for k in range(lat.num_steps)]
+    out = {"distances": [], "iterate_norms": [], "ratios": [], "iterations": 0,
+           "converged": False, "aborted": None}
+    for it in range(max_iter):
+        eta_new, theta_new = picard_map_raw(lat, cfg.risk_aversion, gamma, psi, eta, theta)
+        if not all(np.all(np.isfinite(v)) for v in eta_new + theta_new):
+            out["aborted"] = f"non-finite iterate at iteration {it + 1}"
+            break
+        dist = _pair_distance(lat, eta_new, theta_new, eta, theta)
+        out["distances"].append(dist)
+        out["iterate_norms"].append(_pair_norm(lat, eta_new, theta_new))
+        if len(out["distances"]) >= 2 and out["distances"][-2] > 0:
+            out["ratios"].append(dist / out["distances"][-2])
+        eta, theta = eta_new, theta_new
+        out["iterations"] = it + 1
+        if dist <= tol:
+            out["converged"] = True
+            break
+    out["final_norm"] = _pair_norm(lat, eta, theta)
+    return out
+
+
+@pytest.mark.parametrize("case", ["contracting", "two_stocks", "overflow"])
+def test_fused_iteration_matches_seed_loop(case):
+    from impact_bsde import NegativeSignOfB
+    if case == "contracting":
+        cfg = MarketConfig(0.3, 1, ConstantDemand(0.6), SignOfBT(0.7), 8, 1.0)
+    elif case == "two_stocks":
+        cfg = random_table_config(np.random.default_rng(97), 7, num_stocks=2,
+                                  a_lo=0.05, a_hi=0.1)
+    else:
+        cfg = MarketConfig(50.0, 1, NegativeSignOfB(1.0), SignOfBT(1.0), 8, 1.0)
+    lat = build_lattice(cfg.num_steps, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _seed_picard_loop(lat, cfg, tol=1e-12, max_iter=60)
+        _, diag = solve_picard(lat, cfg, tol=1e-12, max_iter=60)
+    got = {key: getattr(diag, key) for key in want}
+    assert got == want
+    if case == "overflow":
+        assert diag.aborted == f"non-finite iterate at iteration {diag.iterations + 1}"
+    else:
+        assert diag.converged and diag.iterations > 2
+
+
+def test_picard_iteration_stays_fused(monkeypatch):
+    # one iteration is one leaf-to-root pass: neither the integrand norm nor
+    # the full-tree conditional expectation may run once per iteration
+    import impact_bsde.bsde as bsde_mod
+    calls = {"h_bmo_norm": 0, "conditional_expectation": 0}
+
+    def counting(name):
+        original = getattr(bsde_mod, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(bsde_mod, name, counting(name))
+    lat = build_lattice(8, 1.0)
+    cfg = MarketConfig(0.3, 1, ConstantDemand(0.6), SignOfBT(0.7), 8, 1.0)
+    counts = []
+    for max_iter in (1, 100):
+        before = dict(calls)
+        _, diag = solve_picard(lat, cfg, tol=1e-12, max_iter=max_iter)
+        counts.append({k: calls[k] - before[k] for k in calls})
+    assert diag.converged and diag.iterations > 5
+    assert counts[0] == counts[1]

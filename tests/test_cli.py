@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -157,6 +158,32 @@ def test_bsde_command_nonconvergence_is_data(tmp_path):
     summary = json.loads(out.read_text())
     assert summary["picard"]["converged"] is False or any(
         r >= 1.0 for r in summary["picard"]["ratios"])
+
+
+def test_bsde_explicit_non_finite_exits_numeric(tmp_path):
+    # large risk aversion overflows the explicit backward pass; the solver
+    # must report the failing slice instead of a nan price with zero residual
+    doc = one_period_doc(risk_aversion=50.0, num_steps=12,
+                         demand={"type": "constant", "value": 1.0})
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "b.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = CliRunner().invoke(main, ["bsde", "--config", cfg, "--out", str(out),
+                                           "--method", "explicit"])
+    assert result.exit_code == 3, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "non-finite at node (step" in result.output
+    assert not out.exists()
+
+
+def test_oversized_lattice_is_a_config_error(tmp_path):
+    # the size message must not overflow a float at depths beyond ~1020
+    cfg = write_config(tmp_path, one_period_doc(num_steps=1100))
+    result = CliRunner().invoke(main, ["price", "--config", cfg,
+                                       "--out", str(tmp_path / "p.json")])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "num_steps=1100 exceeds the cap" in result.output
 
 
 def test_norms_command(tmp_path):
