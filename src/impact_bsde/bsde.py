@@ -41,6 +41,8 @@ from .lattice import (
     ExponentialGuardError,
     Lattice,
     PredictableProcess,
+    child_diff,
+    child_mean,
     conditional_expectation,
     martingale_defect,
     stochastic_exponential,
@@ -48,7 +50,7 @@ from .lattice import (
 )
 from .norms import _square_sum, h_bmo_norm, stacked_integrand
 from .pricer import _check_finite
-from .scenario import MarketConfig, evaluate_market
+from .scenario import Instance
 
 
 def driver(eta_k, theta_k, gamma_k):
@@ -106,42 +108,6 @@ class BsdeSolution:
     def certainty_equivalent(self) -> AdaptedProcess:
         return self.scaled_value.scaled(1.0 / self.risk_aversion)
 
-    def node_rows(self, assembled: "AssembledMeasure | None" = None):
-        """Per-node CSV rows in the pricer's column layout.  The density,
-        market price of risk and volatility come from ``assembled`` when
-        given; the one-step pricing weight has no backward-system analogue
-        and stays nan."""
-        lat = self.lattice
-        n = self.scaled_price.dim
-        prices = self.prices
-        certainty = self.certainty_equivalent
-        for k in range(lat.num_steps + 1):
-            b = lat.b_int[k] * lat.sqrt_dt
-            s = prices.values[k]
-            r = certainty.values[k]
-            z = assembled.density.values[k] if assembled is not None else None
-            if k < lat.num_steps and assembled is not None:
-                al = assembled.market_price_of_risk.values[k]
-                sg = assembled.volatility.values[k]
-            else:
-                al = sg = None
-            for p in range(1 << k):
-                row = [k, p, b[p], *s[p], r[p],
-                       z[p] if z is not None else np.nan, np.nan]
-                if al is None:
-                    row += [np.nan] * (1 + n)
-                else:
-                    row += [al[p], *sg[p]]
-                yield row
-
-    def node_header(self) -> list[str]:
-        n = self.scaled_price.dim
-        cols = ["step", "node", "b"]
-        cols += [f"s_{i + 1}" for i in range(n)]
-        cols += ["r", "z", "q_up", "alpha"]
-        cols += [f"sigma_{i + 1}" for i in range(n)]
-        return cols
-
 
 @dataclass
 class IterationDiagnostics:
@@ -192,45 +158,35 @@ class IterationDiagnostics:
         }
 
 
-def _representation_pair(lattice: Lattice, value_next, price_next):
-    half = 2.0 * lattice.sqrt_dt
-    eta = (value_next[0::2] - value_next[1::2]) / half
-    theta = (price_next[0::2] - price_next[1::2]) / half
-    return eta, theta
-
-
 def _recursion_residual(lattice: Lattice, gamma, value, price, eta, theta) -> float:
     """Largest node defect of the discrete recursion; nan if any defect is."""
     defects = []
     for k in range(lattice.num_steps):
         vd, pd = driver(eta[k], theta[k], gamma.values[k])
-        value_target = 0.5 * (value[k + 1][0::2] + value[k + 1][1::2]) + vd * lattice.dt
-        price_target = 0.5 * (price[k + 1][0::2] + price[k + 1][1::2]) - pd * lattice.dt
+        value_target = child_mean(value[k + 1]) + vd * lattice.dt
+        price_target = child_mean(price[k + 1]) - pd * lattice.dt
         defects.append(np.max(np.abs(value[k] - value_target)))
         defects.append(np.max(np.abs(price[k] - price_target)))
     return float(np.max(defects))
 
 
-def solve_explicit_raw(lattice: Lattice, risk_aversion: float,
-                       gamma: PredictableProcess, psi: np.ndarray) -> BsdeSolution:
-    """One backward pass; raises ``NumericalError`` naming the step and node
-    of the first slice that is not finite."""
-    a = float(risk_aversion)
-    psi = np.asarray(psi, dtype=float)
-    if psi.ndim == 1:
-        psi = psi[:, None]
+def solve_explicit(inst: Instance) -> BsdeSolution:
+    """One deterministic backward pass; raises ``NumericalError`` naming the
+    step and node of the first slice that is not finite."""
+    lattice, a, gamma = inst.lattice, inst.risk_aversion, inst.gamma
     steps = lattice.num_steps
     value: list = [None] * (steps + 1)
     price: list = [None] * (steps + 1)
     eta: list = [None] * steps
     theta: list = [None] * steps
     value[steps] = np.zeros(lattice.num_leaves)
-    price[steps] = a * psi
+    price[steps] = a * inst.psi
     for k in range(steps - 1, -1, -1):
-        eta[k], theta[k] = _representation_pair(lattice, value[k + 1], price[k + 1])
+        eta[k] = child_diff(value[k + 1], lattice)
+        theta[k] = child_diff(price[k + 1], lattice)
         vd, pd = driver(eta[k], theta[k], gamma.values[k])
-        value[k] = 0.5 * (value[k + 1][0::2] + value[k + 1][1::2]) + vd * lattice.dt
-        price[k] = 0.5 * (price[k + 1][0::2] + price[k + 1][1::2]) - pd * lattice.dt
+        value[k] = child_mean(value[k + 1]) + vd * lattice.dt
+        price[k] = child_mean(price[k + 1]) - pd * lattice.dt
         _check_finite(value[k], k, "scaled certainty equivalent")
         _check_finite(price[k], k, "scaled price")
     residual = _recursion_residual(lattice, gamma, value, price, eta, theta)
@@ -245,12 +201,6 @@ def solve_explicit_raw(lattice: Lattice, risk_aversion: float,
         residual=residual,
         method="explicit",
     )
-
-
-def solve_explicit(lattice: Lattice, config: MarketConfig) -> BsdeSolution:
-    """One deterministic backward pass; always terminates."""
-    gamma, _, psi, _ = evaluate_market(config, lattice)
-    return solve_explicit_raw(lattice, config.risk_aversion, gamma, psi)
 
 
 def _drift_levels(lattice: Lattice, gamma: PredictableProcess, eta: list, theta: list):
@@ -274,8 +224,7 @@ def _drift_accumulation(lattice: Lattice, gamma: PredictableProcess,
     return [v for v, _ in levels], [p for _, p in levels]
 
 
-def _picard_step(lattice: Lattice, a: float, gamma: PredictableProcess,
-                 psi_rows: np.ndarray, eta: list, theta: list):
+def _picard_step(inst: Instance, eta: list, theta: list):
     """One application of the fixed-point map, fused with both norms.
 
     The forward pass keeps only the current slice of the running drift
@@ -291,11 +240,11 @@ def _picard_step(lattice: Lattice, a: float, gamma: PredictableProcess,
     Returns ``(eta_new, theta_new, norm, distance)``; both norms are None
     when a new slice is not finite.
     """
-    for cum_v, cum_p in _drift_levels(lattice, gamma, eta, theta):
+    lattice = inst.lattice
+    for cum_v, cum_p in _drift_levels(lattice, inst.gamma, eta, theta):
         pass  # only the leaf slice is needed
     mart_v = cum_v
-    mart_p = a * psi_rows + cum_p
-    half = 2.0 * lattice.sqrt_dt
+    mart_p = inst.risk_aversion * inst.psi + cum_p
     steps = lattice.num_steps
     eta_new: list = [None] * steps
     theta_new: list = [None] * steps
@@ -303,10 +252,10 @@ def _picard_step(lattice: Lattice, a: float, gamma: PredictableProcess,
     load_norm = load_dist = None
     best_norm = best_dist = 0.0
     for k in range(steps - 1, -1, -1):
-        e = (mart_v[0::2] - mart_v[1::2]) / half
-        t = (mart_p[0::2] - mart_p[1::2]) / half
-        mart_v = 0.5 * (mart_v[0::2] + mart_v[1::2])
-        mart_p = 0.5 * (mart_p[0::2] + mart_p[1::2])
+        e = child_diff(mart_v, lattice)
+        t = child_diff(mart_p, lattice)
+        mart_v = child_mean(mart_v)
+        mart_p = child_mean(mart_p)
         eta_new[k], theta_new[k] = e, t
         if not finite:
             continue
@@ -329,33 +278,18 @@ def _picard_step(lattice: Lattice, a: float, gamma: PredictableProcess,
 def _accumulate(load, sq, dt):
     """One backward step of the conditional remaining quadratic load."""
     here = sq * dt
-    return here if load is None else here + 0.5 * (load[0::2] + load[1::2])
+    return here if load is None else here + child_mean(load)
 
 
-def picard_map_raw(lattice: Lattice, risk_aversion: float, gamma: PredictableProcess,
-                   psi: np.ndarray, eta: list, theta: list):
-    """One application of the fixed-point map to a frozen integrand pair.
+def picard_map(inst: Instance, eta: list, theta: list):
+    """One application of the fixed-point map to a frozen integrand pair,
+    given as per-step lists.
 
     Builds the per-leaf terminal data plus accumulated drift, takes its
     conditional-expectation martingale, and returns the representation
-    integrands of that martingale.
+    integrands of that martingale as per-step lists ``(eta, theta)``.
     """
-    psi = np.asarray(psi, dtype=float)
-    if psi.ndim == 1:
-        psi = psi[:, None]
-    return _picard_step(lattice, float(risk_aversion), gamma, psi, eta, theta)[:2]
-
-
-def picard_map(lattice: Lattice, config: MarketConfig, zeta):
-    """Config-level wrapper: ``zeta`` is an (eta, theta) pair of predictable
-    processes (or per-step lists)."""
-    gamma, _, psi, _ = evaluate_market(config, lattice)
-    eta, theta = zeta
-    eta_vals = eta.values if isinstance(eta, PredictableProcess) else list(eta)
-    theta_vals = theta.values if isinstance(theta, PredictableProcess) else list(theta)
-    eta_new, theta_new = picard_map_raw(lattice, config.risk_aversion, gamma, psi,
-                                        eta_vals, theta_vals)
-    return (PredictableProcess(lattice, eta_new), PredictableProcess(lattice, theta_new))
+    return _picard_step(inst, eta, theta)[:2]
 
 
 def _pair_norm(lattice: Lattice, eta: list, theta: list) -> float:
@@ -372,21 +306,19 @@ def _pair_distance(lattice: Lattice, eta_a, theta_a, eta_b, theta_b) -> float:
     return _pair_norm(lattice, eta_d, theta_d)
 
 
-def _terminal_norm(lattice: Lattice, a: float, psi_rows: np.ndarray) -> float:
+def _terminal_norm(inst: Instance) -> float:
     """Integrand norm of the terminal-data martingale; its trees are freed
     on return, before the iteration allocates its own."""
-    terminal = np.concatenate([np.zeros((lattice.num_leaves, 1)), a * psi_rows], axis=1)
+    lattice = inst.lattice
+    terminal = np.concatenate([np.zeros((lattice.num_leaves, 1)),
+                               inst.risk_aversion * inst.psi], axis=1)
     terminal_mart = conditional_expectation(terminal, lattice)
-    terminal_integrand = [
-        (terminal_mart.values[k + 1][0::2] - terminal_mart.values[k + 1][1::2])
-        / (2.0 * lattice.sqrt_dt)
-        for k in range(lattice.num_steps)
-    ]
+    terminal_integrand = [child_diff(v, lattice) for v in terminal_mart.values[1:]]
     return _pair_norm(lattice, [v[:, 0] for v in terminal_integrand],
                       [v[:, 1:] for v in terminal_integrand])
 
 
-def solve_picard(lattice: Lattice, config: MarketConfig, tol: float = 1e-12,
+def solve_picard(inst: Instance, tol: float = 1e-12,
                  max_iter: int = 100, zeta0=None, growth_bound: float | None = None,
                  kappa: float = 1.0):
     """Iterate the fixed-point map from zero (or a warm start) until the
@@ -402,10 +334,9 @@ def solve_picard(lattice: Lattice, config: MarketConfig, tol: float = 1e-12,
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    gamma, gamma_sup, psi, _ = evaluate_market(config, lattice)
-    a = config.risk_aversion
+    lattice, a, gamma = inst.lattice, inst.risk_aversion, inst.gamma
     steps = lattice.num_steps
-    n = config.num_stocks
+    n = inst.num_stocks
 
     if zeta0 is None:
         eta = [np.zeros(1 << k) for k in range(steps)]
@@ -414,18 +345,16 @@ def solve_picard(lattice: Lattice, config: MarketConfig, tol: float = 1e-12,
         eta = [np.asarray(v, dtype=float) for v in zeta0[0].values]
         theta = [np.asarray(v, dtype=float) for v in zeta0[1].values]
 
-    psi_rows = psi if psi.ndim == 2 else psi[:, None]
     diag = IterationDiagnostics(
-        terminal_norm=_terminal_norm(lattice, a, psi_rows),
+        terminal_norm=_terminal_norm(inst),
         kappa=float(kappa),
         growth_bound=float(growth_bound if growth_bound is not None
-                           else driver_growth_bound(gamma_sup)),
+                           else driver_growth_bound(inst.gamma_sup)),
     )
 
     for it in range(max_iter):
         try:
-            eta_new, theta_new, norm, dist = _picard_step(lattice, a, gamma, psi_rows,
-                                                          eta, theta)
+            eta_new, theta_new, norm, dist = _picard_step(inst, eta, theta)
         except FloatingPointError as exc:  # pragma: no cover - defensive
             diag.aborted = f"arithmetic failure at iteration {it}: {exc}"
             break
@@ -448,7 +377,7 @@ def solve_picard(lattice: Lattice, config: MarketConfig, tol: float = 1e-12,
     # reconstruct the adapted pair from the final integrands: conditional
     # expectation of terminal-plus-total-drift minus the drift already accrued
     cum_v, cum_p = _drift_accumulation(lattice, gamma, eta, theta)
-    total = np.concatenate([cum_v[-1][:, None], a * psi_rows + cum_p[-1]], axis=1)
+    total = np.concatenate([cum_v[-1][:, None], a * inst.psi + cum_p[-1]], axis=1)
     mart = conditional_expectation(total, lattice)
     value = [mart.values[k][:, 0] - cum_v[k] for k in range(steps + 1)]
     price = [mart.values[k][:, 1:] - cum_p[k] for k in range(steps + 1)]

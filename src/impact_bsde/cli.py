@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import sys
+from dataclasses import replace
 
 import click
 import numpy as np
@@ -20,8 +21,8 @@ from . import verify as verify_mod
 from .config import ConfigError, RunConfig, load_config, validate_summary
 from .lattice import ExponentialGuardError, LatticeSizeError, build_lattice
 from .norms import bmo_norm_rv, h_bmo_norm, h_norm, measure_kappa, sup_norm
-from .pricer import NumericalError, price_equilibrium, price_raw
-from .scenario import evaluate_market, hitting_time_tau
+from .pricer import NumericalError, price_equilibrium
+from .scenario import Instance, MarketConfig, evaluate_market, hitting_time_tau
 
 EXIT_VERIFY = 1
 EXIT_CONFIG = 2
@@ -32,25 +33,9 @@ def _fmt(x: float) -> str:
     return f"{x:.16e}"
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
 def _write_json(path: str, doc: dict):
     with open(path, "w") as handle:
-        json.dump(_jsonable(doc), handle, indent=2, sort_keys=True)
+        json.dump(verify_mod._plain(doc), handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
@@ -64,35 +49,79 @@ def _write_csv(path: str, header: list[str], rows):
             ])
 
 
+def _config_error(message: str):
+    click.echo(f"config error: {message}", err=True)
+    sys.exit(EXIT_CONFIG)
+
+
+def _numeric_error(exc: Exception):
+    click.echo(f"numeric failure: {exc}", err=True)
+    sys.exit(EXIT_NUMERIC)
+
+
 def _load(config_path: str) -> RunConfig:
     try:
         return load_config(config_path)
     except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+        _config_error(exc)
 
 
-def _build(run: RunConfig):
+def _evaluate(market: MarketConfig) -> Instance:
+    """The market on its own lattice; each command evaluates its market once
+    (a depth sweep once per depth)."""
     try:
-        return build_lattice(run.market.num_steps, run.market.horizon)
+        return evaluate_market(market, build_lattice(market.num_steps, market.horizon))
     except LatticeSizeError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+        _config_error(exc)
+    except ValueError as exc:  # a spec that does not fit the lattice
+        _config_error(f"market: {exc}")
 
 
-def _instance_norms(run: RunConfig, lattice) -> dict:
-    gamma, gamma_sup, psi, psi_mean = evaluate_market(run.market, lattice)
-    centered = psi - psi.mean(axis=0)
-    psi_bmo = bmo_norm_rv(centered, lattice).value
-    gauge = h_norm(centered, lattice, bisection_tol=run.norms.bisection_tol)
+def _instance_norms(run: RunConfig, inst: Instance) -> dict:
+    centered = inst.psi - inst.psi.mean(axis=0)
+    psi_bmo = bmo_norm_rv(centered, inst.lattice).value
+    gauge = h_norm(centered, inst.lattice, bisection_tol=run.norms.bisection_tol)
     return {
-        "demand_sup": gamma_sup,
-        "dividend_mean": psi_mean.tolist(),
+        "demand_sup": inst.gamma_sup,
+        "dividend_mean": inst.psi_mean.tolist(),
         "centered_dividend_bmo": psi_bmo,
         "centered_dividend_gauge": gauge.value,
         "gauge_achieving_node": list(gauge.achieving_node),
-        "smallness_product": run.market.risk_aversion * gamma_sup * psi_bmo,
+        "smallness_product": run.market.risk_aversion * inst.gamma_sup * psi_bmo,
     }
+
+
+def _node_slice(proc, k: int, width: int, dim: int | None = None):
+    """Slice ``k`` of ``proc``, or nan rows where the process is absent or
+    ends before ``k`` (predictable fields on the terminal slice)."""
+    if proc is None or k >= len(proc.values):
+        return [np.nan] * width if dim is None else [[np.nan] * dim] * width
+    return proc.values[k]
+
+
+def _write_nodes(path: str, prices, certainty, density=None, up_prob=None,
+                 mpr=None, volatility=None):
+    """Per-node CSV: step, node, walk, prices, certainty equivalent, density,
+    up probability, market price of risk, volatility."""
+    lat = prices.lattice
+    n = prices.dim
+    header = ["step", "node", "b", *[f"s_{i + 1}" for i in range(n)],
+              "r", "z", "q_up", "alpha", *[f"sigma_{i + 1}" for i in range(n)]]
+
+    def rows():
+        for k in range(lat.num_steps + 1):
+            width = 1 << k
+            b = lat.b_int[k] * lat.sqrt_dt
+            s = prices.values[k]
+            r = certainty.values[k]
+            z = _node_slice(density, k, width)
+            q = _node_slice(up_prob, k, width)
+            al = _node_slice(mpr, k, width)
+            sg = _node_slice(volatility, k, width, n)
+            for p in range(width):
+                yield [k, p, b[p], *s[p], r[p], z[p], q[p], al[p], *sg[p]]
+
+    _write_csv(path, header, rows())
 
 
 @click.group()
@@ -108,12 +137,11 @@ def main():
 def cmd_price(config_path, out_path, dump_path):
     """Price the configured instance and write a solution summary."""
     run = _load(config_path)
-    lattice = _build(run)
+    inst = _evaluate(run.market)
     try:
-        sol = price_equilibrium(lattice, run.market)
+        sol = price_equilibrium(inst)
     except (NumericalError, ExponentialGuardError) as exc:
-        click.echo(f"numeric failure: {exc}", err=True)
-        sys.exit(EXIT_NUMERIC)
+        _numeric_error(exc)
     summary = {
         "command": "price",
         "initial_price": sol.initial_price.tolist(),
@@ -121,13 +149,14 @@ def cmd_price(config_path, out_path, dump_path):
         "mpr_representation_gap": sol.mpr_gap(),
         "volatility_bmo": h_bmo_norm(sol.volatility).value,
         "mpr_bmo": h_bmo_norm(sol.market_price_of_risk).value,
-        "norms": _instance_norms(run, lattice),
+        "norms": _instance_norms(run, inst),
     }
     validate_summary(summary)
     _write_json(out_path, summary)
     if dump_path or run.output.dump_nodes:
-        _write_csv(dump_path or out_path + ".nodes.csv",
-                   sol.node_header(), sol.node_rows())
+        _write_nodes(dump_path or out_path + ".nodes.csv", sol.prices,
+                     sol.certainty_equivalent, sol.density, sol.up_prob,
+                     sol.market_price_of_risk, sol.volatility)
     click.echo(f"price: S0={sol.initial_price.tolist()} R0={sol.initial_certainty:.12g}")
 
 
@@ -144,21 +173,21 @@ def cmd_price(config_path, out_path, dump_path):
 def cmd_bsde(config_path, out_path, method, diag_path, dump_path):
     """Solve the backward system; non-convergence is reported, not fatal."""
     run = _load(config_path)
-    lattice = _build(run)
+    inst = _evaluate(run.market)
     method = method or run.solver.method
     summary: dict = {"command": "bsde", "method": method}
     try:
         if method in ("explicit", "both"):
-            exp = bsde_mod.solve_explicit(lattice, run.market)
+            exp = bsde_mod.solve_explicit(inst)
             summary["initial_price"] = exp.prices.values[0][0].tolist()
             summary["initial_certainty"] = float(exp.certainty_equivalent.values[0][0])
             summary["residual_explicit"] = exp.residual
         if method in ("picard", "both"):
             kappa = run.solver.kappa
             if kappa is None:
-                kappa = measure_kappa(lattice)
+                kappa = measure_kappa(inst.lattice)
             pic, diag = bsde_mod.solve_picard(
-                lattice, run.market, tol=run.solver.tol, max_iter=run.solver.max_iter,
+                inst, tol=run.solver.tol, max_iter=run.solver.max_iter,
                 growth_bound=run.solver.growth_bound, kappa=kappa,
             )
             report = bsde_mod.contraction_report(diag)
@@ -181,18 +210,20 @@ def cmd_bsde(config_path, out_path, method, diag_path, dump_path):
             )
             summary["max_node_discrepancy"] = gap
     except (NumericalError, ExponentialGuardError) as exc:
-        click.echo(f"numeric failure: {exc}", err=True)
-        sys.exit(EXIT_NUMERIC)
+        _numeric_error(exc)
     validate_summary(summary)
     _write_json(out_path, summary)
     if dump_path or run.output.dump_nodes:
         chosen = exp if method in ("explicit", "both") else pic
         try:
-            assembled = bsde_mod.assemble(chosen)
+            asm = bsde_mod.assemble(chosen)
+            assembled = {"density": asm.density, "mpr": asm.market_price_of_risk,
+                         "volatility": asm.volatility}
         except ExponentialGuardError:
-            assembled = None
-        _write_csv(dump_path or out_path + ".nodes.csv",
-                   chosen.node_header(), chosen.node_rows(assembled))
+            assembled = {}
+        # the one-step pricing weight has no backward-system analogue: q_up is nan
+        _write_nodes(dump_path or out_path + ".nodes.csv", chosen.prices,
+                     chosen.certainty_equivalent, **assembled)
     if "picard" in summary:
         click.echo(f"bsde[{method}]: converged={summary['picard']['converged']} "
                    f"iterations={summary['picard']['iterations']}")
@@ -206,47 +237,48 @@ def cmd_bsde(config_path, out_path, method, diag_path, dump_path):
 def cmd_norms(config_path, out_path):
     """Norms of the configured inputs and of the priced solution."""
     run = _load(config_path)
-    lattice = _build(run)
+    inst = _evaluate(run.market)
     try:
-        sol = price_equilibrium(lattice, run.market)
+        sol = price_equilibrium(inst)
     except (NumericalError, ExponentialGuardError) as exc:
-        click.echo(f"numeric failure: {exc}", err=True)
-        sys.exit(EXIT_NUMERIC)
+        _numeric_error(exc)
     doc = {
         "command": "norms",
         "initial_price": sol.initial_price.tolist(),
         "initial_certainty": sol.initial_certainty,
-        "norms": _instance_norms(run, lattice),
+        "norms": _instance_norms(run, inst),
         "volatility_bmo": h_bmo_norm(sol.volatility).value,
         "mpr_bmo": h_bmo_norm(sol.market_price_of_risk).value,
         "value_integrand_bmo": h_bmo_norm(sol.value_integrand).value,
         "price_integrand_bmo": h_bmo_norm(sol.price_integrand).value,
         "demand_sup_node": list(sup_norm(sol.gamma).achieving_node),
-        "kappa_empirical": measure_kappa(lattice),
+        "kappa_empirical": measure_kappa(inst.lattice),
     }
     validate_summary(doc)
     _write_json(out_path, doc)
     click.echo(f"norms: smallness_product={doc['norms']['smallness_product']:.6g}")
 
 
-def _run_suite(run: RunConfig, lattice) -> list:
+def _run_suite(run: RunConfig, inst: Instance) -> list:
     suite = run.verify.suite
+    lattice = inst.lattice
     reports = []
     need_solution = suite in ("all", "apriori", "martingale", "optimality",
                               "localization")
-    sol = price_equilibrium(lattice, run.market) if need_solution else None
+    sol = price_equilibrium(inst) if need_solution else None
     if suite in ("all", "martingale"):
         reports.append(verify_mod.check_R_nonneg(sol))
         reports.append(verify_mod.check_equilibrium_martingales(sol))
     if suite in ("all", "apriori"):
         reports.append(verify_mod.check_apriori(sol))
-        reports.append(verify_mod.check_supermartingale_V(sol))
+        reports.append(verify_mod.check_supermartingale_V(
+            sol, x_grid=verify_mod.default_x_grid(sol, run.verify.x_grid_size)))
     if suite in ("all", "optimality"):
         reports.append(verify_mod.check_optimality(
             sol, num_random=run.verify.competitors, epsilon=run.verify.epsilon,
             seed=run.verify.seed))
     if suite in ("all", "homogeneity"):
-        reports.append(verify_mod.check_homogeneity(lattice, run.market))
+        reports.append(verify_mod.check_homogeneity(inst))
     if suite in ("all", "localization"):
         tau = hitting_time_tau(lattice, 0.0,
                                from_step=min(1, lattice.num_steps - 1))
@@ -254,8 +286,7 @@ def _run_suite(run: RunConfig, lattice) -> list:
     if suite == "all":
         kappa = run.solver.kappa if run.solver.kappa is not None else measure_kappa(lattice)
         _, diag = bsde_mod.solve_picard(
-            lattice, run.market, tol=run.solver.tol,
-            max_iter=run.solver.max_iter, kappa=kappa)
+            inst, tol=run.solver.tol, max_iter=run.solver.max_iter, kappa=kappa)
         reports.append(verify_mod.check_norm_bounds(sol, diag))
     if suite in ("all", "counterexample"):
         reports.append(verify_mod.check_F_identity(seed=run.verify.seed))
@@ -276,12 +307,13 @@ def cmd_verify(config_path, out_path, suite):
     run = _load(config_path)
     if suite:
         run.verify.suite = suite
-    lattice = _build(run)
+    inst = _evaluate(run.market)
     try:
-        reports = _run_suite(run, lattice)
+        reports = _run_suite(run, inst)
+    except LatticeSizeError as exc:  # a counter-example depth over the cap
+        _config_error(exc)
     except (NumericalError, ExponentialGuardError) as exc:
-        click.echo(f"numeric failure: {exc}", err=True)
-        sys.exit(EXIT_NUMERIC)
+        _numeric_error(exc)
     doc = {
         "command": "verify",
         "suite": run.verify.suite,
@@ -308,42 +340,44 @@ def cmd_sweep(config_path, param, start, stop, points, out_path):
     """Sweep one parameter; emit smallness product and convergence columns."""
     run = _load(config_path)
     if points < 1:
-        click.echo("config error: --points must be >= 1", err=True)
-        sys.exit(EXIT_CONFIG)
+        _config_error("--points must be >= 1")
+    market = run.market
     if param == "num_steps":
         values = np.unique(np.linspace(start, stop, points).astype(int))
         values = values[values >= 1].astype(float)
     else:
         values = np.linspace(start, stop, points)
+    if param == "risk_aversion" and not np.all(values > 0):
+        _config_error(f"--from/--to must keep risk_aversion positive, got {start}..{stop}")
+    base = None if param == "num_steps" else _evaluate(market)
     rows = []
     try:
         for val in values:
-            market = run.market
-            lattice = build_lattice(
-                int(val) if param == "num_steps" else market.num_steps,
-                market.horizon)
-            gamma, gamma_sup, psi, _ = evaluate_market(
-                market if param != "num_steps" else
-                _with_steps(market, int(val)), lattice)
-            a = market.risk_aversion
-            if param == "risk_aversion":
-                a = float(val)
+            if param == "num_steps":
+                inst = _evaluate(replace(market, num_steps=int(val)))
+            elif param == "risk_aversion":
+                inst = replace(base, risk_aversion=float(val))
             elif param == "demand_scale":
-                gamma = gamma.scaled(float(val))
-                gamma_sup *= abs(float(val))
-            elif param == "dividend_scale":
-                psi = psi * float(val)
-            sol = price_raw(lattice, a, gamma, psi)
-            kappa = run.solver.kappa if run.solver.kappa is not None else measure_kappa(lattice)
-            table_cfg = _as_table_config(market, lattice, a, gamma, psi)
-            _, diag = bsde_mod.solve_picard(
-                lattice, table_cfg, tol=run.solver.tol,
-                max_iter=run.solver.max_iter, kappa=kappa)
-            centered = psi - psi.mean(axis=0)
-            psi_bmo = bmo_norm_rv(centered, lattice).value
+                inst = replace(base, gamma=base.gamma.scaled(float(val)))
+            else:
+                inst = replace(base, psi=base.psi * float(val))
+            # the smallness product scales the base sup by |val| instead of
+            # re-deriving it from the scaled nodes; the two may differ in the
+            # last bit
+            gamma_sup = (base.gamma_sup * abs(float(val)) if param == "demand_scale"
+                         else inst.gamma_sup)
+            sol = price_equilibrium(inst)
+            kappa = (run.solver.kappa if run.solver.kappa is not None
+                     else measure_kappa(inst.lattice))
+            # keep only the diagnostics: the solution's trees would stay alive
+            # through the next point
+            diag = bsde_mod.solve_picard(
+                inst, tol=run.solver.tol, max_iter=run.solver.max_iter, kappa=kappa)[1]
+            centered = inst.psi - inst.psi.mean(axis=0)
+            psi_bmo = bmo_norm_rv(centered, inst.lattice).value
             rows.append([
                 float(val),
-                a * gamma_sup * psi_bmo,
+                inst.risk_aversion * gamma_sup * psi_bmo,
                 diag.converged,
                 diag.iterations,
                 diag.ratios[-1] if diag.ratios else np.nan,
@@ -351,30 +385,12 @@ def cmd_sweep(config_path, param, start, stop, points, out_path):
                 h_bmo_norm(sol.market_price_of_risk).value,
             ])
     except (NumericalError, ExponentialGuardError) as exc:
-        click.echo(f"numeric failure: {exc}", err=True)
-        sys.exit(EXIT_NUMERIC)
+        _numeric_error(exc)
     _write_csv(out_path,
                ["param_value", "smallness_product", "converged", "iterations",
                 "final_ratio", "volatility_bmo", "mpr_bmo"],
                rows)
     click.echo(f"sweep[{param}]: {len(rows)} points -> {out_path}")
-
-
-def _with_steps(market, num_steps):
-    from dataclasses import replace
-    return replace(market, num_steps=num_steps)
-
-
-def _as_table_config(market, lattice, a, gamma, psi):
-    from .scenario import MarketConfig, TableDemand, TableDividend
-    return MarketConfig(
-        risk_aversion=a,
-        num_stocks=market.num_stocks,
-        demand=TableDemand(gamma.values),
-        dividend=TableDividend(psi),
-        num_steps=lattice.num_steps,
-        horizon=lattice.horizon,
-    )
 
 
 if __name__ == "__main__":

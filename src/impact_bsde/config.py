@@ -250,9 +250,10 @@ def parse_config(doc: dict) -> RunConfig:
                   ("suite", "competitors", "seed", "epsilon", "x_grid_size",
                    "counterexample_steps"))
     steps = v.get("counterexample_steps", [8, 10, 12])
-    if not isinstance(steps, list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in steps):
+    if not isinstance(steps, list):
         raise ConfigError("verify.counterexample_steps: expected a list of integers")
+    for i, x in enumerate(steps):
+        _integer(x, f"verify.counterexample_steps[{i}]", minimum=1)
     verify = VerifySettings(
         suite=_choice(v.get("suite", "all"), "verify.suite", SUITES),
         competitors=_integer(v.get("competitors", 1000), "verify.competitors", minimum=0),

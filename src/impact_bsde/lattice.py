@@ -83,15 +83,9 @@ class Lattice:
         self.b_int = levels
         self._brownian: AdaptedProcess | None = None
 
-    def num_nodes(self, step: int) -> int:
-        return 1 << step
-
     @property
     def num_leaves(self) -> int:
         return 1 << self.num_steps
-
-    def times(self) -> np.ndarray:
-        return np.arange(self.num_steps + 1) * self.dt
 
     def brownian(self) -> "AdaptedProcess":
         """The driving walk as an adapted process (an exact martingale)."""
@@ -108,6 +102,18 @@ class Lattice:
 def build_lattice(num_steps: int, horizon: float, max_steps: int | None = None) -> Lattice:
     """Build the depth-``num_steps`` binary lattice over ``[0, horizon]``."""
     return Lattice(num_steps, horizon, max_steps=max_steps)
+
+
+def child_mean(x: np.ndarray) -> np.ndarray:
+    """Mean of the two children of every node: ``x`` is one slice of a
+    process (or of a per-node load), the result lives one slice earlier."""
+    return 0.5 * (x[0::2] + x[1::2])
+
+
+def child_diff(x: np.ndarray, lattice: Lattice) -> np.ndarray:
+    """Representation quotient ``(x_up - x_down) / (2 sqrt(dt))``: the
+    integrand that carries one slice of a martingale from its parents."""
+    return (x[0::2] - x[1::2]) / (2.0 * lattice.sqrt_dt)
 
 
 def _validate_slices(lattice: Lattice, values: list[np.ndarray], count: int, what: str):
@@ -186,8 +192,7 @@ def conditional_expectation(x, lattice: Lattice | None = None) -> AdaptedProcess
     vals: list = [None] * (lattice.num_steps + 1)
     vals[lattice.num_steps] = terminal
     for k in range(lattice.num_steps - 1, -1, -1):
-        nxt = vals[k + 1]
-        vals[k] = 0.5 * (nxt[0::2] + nxt[1::2])
+        vals[k] = child_mean(vals[k + 1])
     return AdaptedProcess(lattice, vals)
 
 
@@ -197,8 +202,7 @@ def martingale_defect(proc: AdaptedProcess) -> tuple[float, tuple[int, int]]:
     where = (0, 0)
     for k in range(proc.lattice.num_steps):
         here = proc.values[k]
-        nxt = proc.values[k + 1]
-        gap = 0.5 * (nxt[0::2] + nxt[1::2]) - here
+        gap = child_mean(proc.values[k + 1]) - here
         if gap.ndim == 2:
             gap = np.linalg.norm(gap, axis=1)
             scale = np.maximum(1.0, np.linalg.norm(here, axis=1))
@@ -231,8 +235,7 @@ def martingale_representation(m: AdaptedProcess, tol: float = 1e-12) -> Predicta
             f"exceeds tolerance {tol:.1e}; representation refused"
         )
     lat = m.lattice
-    half = 2.0 * lat.sqrt_dt
-    return PredictableProcess(lat, [(v[0::2] - v[1::2]) / half for v in m.values[1:]])
+    return PredictableProcess(lat, [child_diff(v, lat) for v in m.values[1:]])
 
 
 def stochastic_integral(zeta: PredictableProcess, x: AdaptedProcess) -> AdaptedProcess:
@@ -297,7 +300,3 @@ def stochastic_exponential(zeta: PredictableProcess) -> AdaptedProcess:
 def reflect_adapted(proc: AdaptedProcess) -> AdaptedProcess:
     """Path reflection (every up/down move swapped): index order reverses."""
     return AdaptedProcess(proc.lattice, [v[::-1].copy() for v in proc.values])
-
-
-def reflect_predictable(proc: PredictableProcess) -> PredictableProcess:
-    return PredictableProcess(proc.lattice, [v[::-1].copy() for v in proc.values])

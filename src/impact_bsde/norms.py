@@ -25,6 +25,7 @@ from .lattice import (
     AdaptedProcess,
     Lattice,
     PredictableProcess,
+    child_mean,
     conditional_expectation,
     martingale_defect,
 )
@@ -80,7 +81,7 @@ def bmo_norm(m: AdaptedProcess, tol: float = 1e-10) -> NormReport:
         d_up = nxt[0::2] - here
         d_dn = nxt[1::2] - here
         step_var = 0.5 * (np.sum(d_up * d_up, axis=1) + np.sum(d_dn * d_dn, axis=1))
-        c_here = step_var + 0.5 * (c_next[0::2] + c_next[1::2])
+        c_here = step_var + child_mean(c_next)
         p = int(np.argmax(c_here))
         if c_here[p] > best:
             best = float(c_here[p])
@@ -242,7 +243,7 @@ def h_bmo_norm(zeta: PredictableProcess) -> NormReport:
     c_next = np.zeros(lat.num_leaves)
     for k in range(lat.num_steps - 1, -1, -1):
         load = _square_sum(_as_terminal_rows(zeta.values[k]).T) * lat.dt
-        c_here = load + 0.5 * (c_next[0::2] + c_next[1::2])
+        c_here = load + child_mean(c_next)
         p = int(np.argmax(c_here))
         if c_here[p] > best:
             best = float(c_here[p])

@@ -12,7 +12,10 @@ for free.
 The certainty-equivalent weight ``w = exp(-a R)`` is carried in log space
 throughout (a max-shifted softmax), which is algebraically the same as the
 plain recursion but immune to overflow for large tilts; the certainty
-equivalent ``R`` is recovered at the end as ``-log(w)/a``.
+equivalent ``R`` is recovered at the end as ``-log(w)/a``.  The density is
+emitted twice: linear, as the product of the one-step weights, and as its
+logarithm, which stays finite (and so certifies positivity) where a
+strongly tilted weight underflows to zero.
 
 Derived per-step quantities are difference quotients against the driving
 increment: volatility from the price children, the value integrand from the
@@ -32,11 +35,13 @@ from .lattice import (
     AdaptedProcess,
     Lattice,
     PredictableProcess,
+    child_diff,
     stochastic_integral,
 )
-from .scenario import MarketConfig, StoppingTime, evaluate_market
+from .scenario import Instance, StoppingTime
 
 LOG_HALF = float(np.log(0.5))
+LOG_TWO = float(np.log(2.0))
 
 
 class NumericalError(ArithmeticError):
@@ -54,6 +59,7 @@ class EquilibriumSolution:
     prices: AdaptedProcess               # n-dim, terminal slice equals the dividend
     certainty_equivalent: AdaptedProcess  # scalar, zero at maturity
     density: AdaptedProcess              # pricing-measure density process, starts at 1
+    log_density: AdaptedProcess          # its logarithm, finite where the density underflows
     up_prob: PredictableProcess          # conditional pricing-measure weight of the up child
     gain: AdaptedProcess                 # running demand-weighted price gain
     volatility: PredictableProcess       # price difference quotient, n-dim
@@ -77,40 +83,6 @@ class EquilibriumSolution:
             gap = max(gap, float(np.max(np.abs(a - b))))
         return gap
 
-    def node_rows(self):
-        """Yield per-node CSV rows: step, node, walk, prices, certainty
-        equivalent, density, up probability, market price of risk,
-        volatility.  Predictable fields are nan on the terminal slice."""
-        lat = self.lattice
-        n = self.prices.dim
-        for k in range(lat.num_steps + 1):
-            b = lat.b_int[k] * lat.sqrt_dt
-            s = self.prices.values[k]
-            r = self.certainty_equivalent.values[k]
-            z = self.density.values[k]
-            if k < lat.num_steps:
-                q = self.up_prob.values[k]
-                al = self.market_price_of_risk.values[k]
-                sg = self.volatility.values[k]
-            else:
-                q = al = None
-                sg = None
-            for p in range(1 << k):
-                row = [k, p, b[p], *s[p], r[p], z[p]]
-                if q is None:
-                    row += [np.nan, np.nan] + [np.nan] * n
-                else:
-                    row += [q[p], al[p], *sg[p]]
-                yield row
-
-    def node_header(self) -> list[str]:
-        n = self.prices.dim
-        cols = ["step", "node", "b"]
-        cols += [f"s_{i + 1}" for i in range(n)]
-        cols += ["r", "z", "q_up", "alpha"]
-        cols += [f"sigma_{i + 1}" for i in range(n)]
-        return cols
-
 
 def _check_finite(arr: np.ndarray, step: int, what: str):
     if not np.all(np.isfinite(arr)):
@@ -122,27 +94,15 @@ def _check_finite(arr: np.ndarray, step: int, what: str):
         )
 
 
-def price_raw(lattice: Lattice, risk_aversion: float,
-              gamma: PredictableProcess, psi: np.ndarray) -> EquilibriumSolution:
-    """Price evaluated inputs: demand process plus per-leaf dividend rows."""
-    a = float(risk_aversion)
-    if a <= 0:
-        raise ValueError(f"risk_aversion must be positive, got {a}")
-    psi = np.asarray(psi, dtype=float)
-    if psi.ndim == 1:
-        psi = psi[:, None]
-    n = psi.shape[1]
-    if psi.shape[0] != lattice.num_leaves:
-        raise ValueError(
-            f"dividend has {psi.shape[0]} rows, lattice has {lattice.num_leaves} leaves"
-        )
-    if gamma.dim != n:
-        raise ValueError(f"demand dimension {gamma.dim} != dividend dimension {n}")
+def price_equilibrium(inst: Instance) -> EquilibriumSolution:
+    """Price an evaluated instance in one backward pass."""
+    lattice, a, gamma, psi = inst.lattice, inst.risk_aversion, inst.gamma, inst.psi
     steps = lattice.num_steps
 
     prices: list = [None] * (steps + 1)
     log_w: list = [None] * (steps + 1)
     q_up: list = [None] * steps
+    log_q: list = []   # log one-step weights, children interleaved, last step first
     prices[steps] = psi
     log_w[steps] = np.zeros(lattice.num_leaves)
     for k in range(steps - 1, -1, -1):
@@ -155,27 +115,38 @@ def price_raw(lattice: Lattice, risk_aversion: float,
         e_up = np.exp(lu_up - shift)
         e_dn = np.exp(lu_dn - shift)
         total = e_up + e_dn
+        log_total = np.log(total)
         q = e_up / total
         s_here = q[:, None] * s_up + (1.0 - q)[:, None] * s_dn
-        lw_here = a * np.sum(g * s_here, axis=1) + shift + np.log(total) + LOG_HALF
+        lw_here = a * np.sum(g * s_here, axis=1) + shift + log_total + LOG_HALF
         _check_finite(s_here, k, "price")
         _check_finite(lw_here, k, "certainty-equivalent weight")
         prices[k] = s_here
         log_w[k] = lw_here
         q_up[k] = q
+        # a weight that underflows to zero in q keeps a finite logarithm here
+        lq = np.empty(1 << (k + 1))
+        lq[0::2] = lu_up - shift - log_total
+        lq[1::2] = lu_dn - shift - log_total
+        log_q.append(lq)
 
     certainty = [-lw / a for lw in log_w]
 
     density: list = [None] * (steps + 1)
+    log_density: list = [None] * (steps + 1)
     density[0] = np.ones(1)
+    log_density[0] = np.zeros(1)
     for k in range(steps):
         nxt = np.empty(1 << (k + 1))
         nxt[0::2] = density[k] * (2.0 * q_up[k])
         nxt[1::2] = density[k] * (2.0 * (1.0 - q_up[k]))
         density[k + 1] = nxt
+        # pop frees each step's weights as soon as they are folded in
+        log_density[k + 1] = np.repeat(log_density[k], 2) + (LOG_TWO + log_q.pop())
 
+    volatility = [child_diff(prices[k + 1], lattice) for k in range(steps)]
+    # a * child_diff(...) would round differently from the published values
     half = 2.0 * lattice.sqrt_dt
-    volatility = [(prices[k + 1][0::2] - prices[k + 1][1::2]) / half for k in range(steps)]
     value_integrand = [a * (certainty[k + 1][0::2] - certainty[k + 1][1::2]) / half
                        for k in range(steps)]
     price_integrand = [a * v for v in volatility]
@@ -196,6 +167,7 @@ def price_raw(lattice: Lattice, risk_aversion: float,
         prices=prices_proc,
         certainty_equivalent=AdaptedProcess(lattice, certainty),
         density=AdaptedProcess(lattice, density),
+        log_density=AdaptedProcess(lattice, log_density),
         up_prob=PredictableProcess(lattice, q_up),
         gain=gain,
         volatility=PredictableProcess(lattice, volatility),
@@ -204,17 +176,6 @@ def price_raw(lattice: Lattice, risk_aversion: float,
         market_price_of_risk=PredictableProcess(lattice, mpr),
         mpr_from_integrands=PredictableProcess(lattice, mpr_composite),
     )
-
-
-def price_equilibrium(lattice: Lattice, config: MarketConfig) -> EquilibriumSolution:
-    """Evaluate the configured demand and dividend, then price."""
-    gamma, _, psi, _ = evaluate_market(config, lattice)
-    return price_raw(lattice, config.risk_aversion, gamma, psi)
-
-
-def gain_process(solution: EquilibriumSolution) -> AdaptedProcess:
-    """Running gain of the market maker (demand against price increments)."""
-    return solution.gain
 
 
 @dataclass
@@ -240,7 +201,7 @@ def localize(solution: EquilibriumSolution, tau: StoppingTime):
     )
     alive = (tau.leaf_steps < lat.num_steps).astype(float)
     psi_loc = solution.dividend * alive[:, None]
-    localized = price_raw(lat, solution.risk_aversion, gamma_loc, psi_loc)
+    localized = price_equilibrium(Instance(lat, solution.risk_aversion, gamma_loc, psi_loc))
 
     gap = 0.0
     count = 0

@@ -11,6 +11,7 @@ reading of predictability).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -251,18 +252,9 @@ class TableDividend:
 
 # --- evaluation -------------------------------------------------------------
 
-def evaluate_demand(spec, lattice: Lattice, num_stocks: int = 1):
-    """Evaluate a demand spec to a predictable n-vector process.
-
-    Returns ``(process, sup)`` where ``sup`` is the exact node maximum of the
-    per-node Euclidean norm.
-    """
-    vals = spec.step_values(lattice, num_stocks)
-    proc = PredictableProcess(lattice, vals)
-    sup = 0.0
-    for v in proc.values:
-        sup = max(sup, float(np.max(np.linalg.norm(v, axis=1))))
-    return proc, sup
+def evaluate_demand(spec, lattice: Lattice, num_stocks: int = 1) -> PredictableProcess:
+    """Evaluate a demand spec to a predictable n-vector process."""
+    return PredictableProcess(lattice, spec.step_values(lattice, num_stocks))
 
 
 def evaluate_dividend(spec, lattice: Lattice, num_stocks: int = 1, center: bool = False):
@@ -303,18 +295,63 @@ class MarketConfig:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
 
 
-def evaluate_market(config: MarketConfig, lattice: Lattice):
-    """Evaluate a config on a matching lattice.
+@dataclass(frozen=True, eq=False)
+class Instance:
+    """One evaluated market: the lattice, the risk aversion, the demand
+    process and the dividend rows (one per leaf).  It is the only input of
+    the pricer and the two backward solvers; scaled variants are built with
+    ``dataclasses.replace``.
 
-    Returns ``(gamma, gamma_sup, psi, psi_mean)``.
+    ``psi_mean`` is the dividend mean before any centring, as reported in
+    the summaries.  Only ``evaluate_market`` sets it, and ``replace`` copies
+    it unchanged, so it describes the evaluated instance, not its variants.
     """
+    lattice: Lattice
+    risk_aversion: float
+    gamma: PredictableProcess
+    psi: np.ndarray
+    psi_mean: np.ndarray | None = None
+
+    def __post_init__(self):
+        a = float(self.risk_aversion)
+        if not a > 0:
+            raise ValueError(f"risk_aversion must be positive, got {a}")
+        psi = np.asarray(self.psi, dtype=float)
+        if psi.ndim == 1:
+            psi = psi[:, None]
+        if psi.shape[0] != self.lattice.num_leaves:
+            raise ValueError(
+                f"dividend has {psi.shape[0]} rows, lattice has {self.lattice.num_leaves} leaves"
+            )
+        if self.gamma.dim != psi.shape[1]:
+            raise ValueError(
+                f"demand dimension {self.gamma.dim} != dividend dimension {psi.shape[1]}"
+            )
+        object.__setattr__(self, "risk_aversion", a)
+        object.__setattr__(self, "psi", psi)
+
+    @property
+    def num_stocks(self) -> int:
+        return self.psi.shape[1]
+
+    @cached_property
+    def gamma_sup(self) -> float:
+        """Exact node maximum of the demand's per-node Euclidean norm."""
+        sup = 0.0
+        for v in self.gamma.values:
+            sup = max(sup, float(np.max(np.linalg.norm(v, axis=1))))
+        return sup
+
+
+def evaluate_market(config: MarketConfig, lattice: Lattice) -> Instance:
+    """Evaluate a config on a matching lattice."""
     if lattice.num_steps != config.num_steps or lattice.horizon != config.horizon:
         raise ValueError(
             f"lattice ({lattice.num_steps} steps, horizon {lattice.horizon}) does not "
             f"match config ({config.num_steps} steps, horizon {config.horizon})"
         )
-    gamma, gamma_sup = evaluate_demand(config.demand, lattice, config.num_stocks)
+    gamma = evaluate_demand(config.demand, lattice, config.num_stocks)
     psi, psi_mean = evaluate_dividend(
         config.dividend, lattice, config.num_stocks, center=config.center_dividend
     )
-    return gamma, gamma_sup, psi, psi_mean
+    return Instance(lattice, config.risk_aversion, gamma, psi, psi_mean)

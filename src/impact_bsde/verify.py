@@ -24,21 +24,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import (
-    AdaptedProcess,
     PredictableProcess,
     build_lattice,
+    child_mean,
     stochastic_integral,
 )
 from .norms import bmo_norm_rv, h_bmo_norm, h_norm, orlicz_h, sup_norm, measure_kappa
-from .pricer import EquilibriumSolution, localize, price_raw
-from .scenario import (
-    MarketConfig,
-    StoppingTime,
-    TableDemand,
-    TableDividend,
-    evaluate_market,
-    sign_plus,
-)
+from .pricer import EquilibriumSolution, localize, price_equilibrium
+from .scenario import Instance, StoppingTime, sign_plus
 from . import bsde as bsde_mod
 
 HARD_TOL = 1e-10
@@ -163,7 +156,7 @@ def check_equilibrium_martingales(solution: EquilibriumSolution,
     for k in range(lat.num_steps):
         z = solution.density.values[k]
         zn = solution.density.values[k + 1]
-        gap = _relative(np.abs(0.5 * (zn[0::2] + zn[1::2]) - z), np.abs(z))
+        gap = _relative(np.abs(child_mean(zn) - z), np.abs(z))
         p = int(np.argmax(gap))
         if gap[p] > worst:
             worst, node = float(gap[p]), (k, p)
@@ -194,10 +187,14 @@ def check_equilibrium_martingales(solution: EquilibriumSolution,
 
     z_min = min(float(np.min(v)) for v in solution.density.values)
     defects["density_min"] = z_min
+    # positivity is read off the log density: a strongly tilted one-step
+    # weight underflows the linear density to zero while its log stays finite
+    log_z_min = float(np.min([np.min(v) for v in solution.log_density.values]))
+    defects["log_density_min"] = log_z_min
 
     worst_all = max(defects["density_martingale"], s_worst, g_worst,
                     defects["terminal_density_identity"])
-    ok = worst_all <= tol and z_min > 0
+    ok = worst_all <= tol and bool(np.isfinite(log_z_min))
     return CheckReport(
         name="equilibrium_martingales",
         status="pass" if ok else "fail",
@@ -310,7 +307,7 @@ def check_supermartingale_V(solution: EquilibriumSolution, x_grid=None,
         for k in range(lat.num_steps):
             # relative defect: far centers make the profile huge and the
             # inequality must survive at the scale float carries there
-            gap = 0.5 * (vee[k + 1][0::2] + vee[k + 1][1::2]) - vee[k]
+            gap = child_mean(vee[k + 1]) - vee[k]
             defect = gap / np.maximum(1.0, np.abs(vee[k]))
             p = int(np.argmax(defect))
             if defect[p] > worst:
@@ -386,21 +383,19 @@ def check_optimality(solution: EquilibriumSolution, num_random: int = 1000,
 
 # --- homogeneity ---------------------------------------------------------------
 
-def check_homogeneity(lattice, config: MarketConfig, b_values=(0.5, 2.0, 10.0),
+def check_homogeneity(inst: Instance, b_values=(0.5, 2.0, 10.0),
                       tol: float = EXACT_TOL) -> CheckReport:
     """Scaling the demand equals scaling the risk aversion; scaling the
     dividend scales prices and volatility and leaves the market price of
     risk unchanged.  Node-exact across three pricer runs per factor."""
-    gamma, _, psi, _ = evaluate_market(config, lattice)
-    a = config.risk_aversion
     base_cache = {}
 
     def run(scale_g, scale_a, scale_psi):
         key = (scale_g, scale_a, scale_psi)
         if key not in base_cache:
-            base_cache[key] = price_raw(
-                lattice, a * scale_a, gamma.scaled(scale_g), psi * scale_psi
-            )
+            base_cache[key] = price_equilibrium(Instance(
+                inst.lattice, inst.risk_aversion * scale_a,
+                inst.gamma.scaled(scale_g), inst.psi * scale_psi))
         return base_cache[key]
 
     worst = 0.0
@@ -414,11 +409,11 @@ def check_homogeneity(lattice, config: MarketConfig, b_values=(0.5, 2.0, 10.0),
         gaps = {
             "price_demand_vs_aversion": _proc_gap(s1.prices, s2.prices),
             "price_vs_scaled_dividend": _proc_gap(s1.prices, s3.prices, 1.0 / b),
-            "volatility_demand_vs_aversion": _pred_gap(s1.volatility, s2.volatility),
-            "volatility_vs_scaled_dividend": _pred_gap(s1.volatility, s3.volatility, 1.0 / b),
-            "mpr_demand_vs_aversion": _pred_gap(
+            "volatility_demand_vs_aversion": _proc_gap(s1.volatility, s2.volatility),
+            "volatility_vs_scaled_dividend": _proc_gap(s1.volatility, s3.volatility, 1.0 / b),
+            "mpr_demand_vs_aversion": _proc_gap(
                 s1.market_price_of_risk, s2.market_price_of_risk),
-            "mpr_vs_scaled_dividend": _pred_gap(
+            "mpr_vs_scaled_dividend": _proc_gap(
                 s1.market_price_of_risk, s3.market_price_of_risk),
         }
         per_b[b] = gaps
@@ -431,11 +426,9 @@ def check_homogeneity(lattice, config: MarketConfig, b_values=(0.5, 2.0, 10.0),
     )
 
 
-def _proc_gap(x: AdaptedProcess, y: AdaptedProcess, scale_y: float = 1.0) -> float:
-    return max(float(np.max(np.abs(a - scale_y * b))) for a, b in zip(x.values, y.values))
-
-
-def _pred_gap(x: PredictableProcess, y: PredictableProcess, scale_y: float = 1.0) -> float:
+def _proc_gap(x, y, scale_y: float = 1.0) -> float:
+    """Node max of ``|x - scale_y * y|`` over two adapted or two predictable
+    processes."""
     return max(float(np.max(np.abs(a - scale_y * b))) for a, b in zip(x.values, y.values))
 
 
@@ -539,15 +532,14 @@ def run_counterexample(n_list=(8, 10, 12), sign_zero: int = 1,
     for num_steps in n_list:
         lat = build_lattice(num_steps, horizon)
         gamma_vals, psi = _unit_inputs(lat, sign_zero)
-        cfg = MarketConfig(1.0, 1, TableDemand(gamma_vals), TableDividend(psi),
-                           num_steps, horizon)
-        sol = price_raw(lat, 1.0, PredictableProcess(lat, gamma_vals), psi)
+        inst = Instance(lat, 1.0, PredictableProcess(lat, gamma_vals), psi)
+        sol = price_equilibrium(inst)
         unit_product = sup_norm(sol.gamma).value * sup_norm(sol.dividend).value
 
         solver_kappa = kappa if kappa is not None else measure_kappa(lat)
-        _, diag = bsde_mod.solve_picard(lat, cfg, tol=picard_tol,
+        _, diag = bsde_mod.solve_picard(inst, tol=picard_tol,
                                         max_iter=max_iter, kappa=solver_kappa)
-        explicit = bsde_mod.solve_explicit(lat, cfg)
+        explicit = bsde_mod.solve_explicit(inst)
 
         # sign pattern: prices should oppose the demand at every node
         match = 0
@@ -562,7 +554,7 @@ def run_counterexample(n_list=(8, 10, 12), sign_zero: int = 1,
                * np.exp(-sol.certainty_equivalent.values[k])
                for k in range(num_steps + 1)]
         defect = max(
-            float(np.max(np.abs(0.5 * (vee[k + 1][0::2] + vee[k + 1][1::2]) - vee[k])))
+            float(np.max(np.abs(child_mean(vee[k + 1]) - vee[k])))
             for k in range(num_steps)
         )
         price_gap = float(np.mean([np.mean(np.abs(1.0 - np.abs(v[:, 0])))

@@ -6,6 +6,7 @@ lines.  Every tolerance is pinned here; nothing defers to calibration.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,11 +30,12 @@ from impact_bsde import (
     hitting_time_tau,
     localize,
     measure_kappa,
+    picard_map,
     price_equilibrium,
     solve_explicit,
     solve_picard,
 )
-from impact_bsde.bsde import picard_map_raw, _pair_distance, _pair_norm
+from impact_bsde.bsde import _pair_distance, _pair_norm
 from impact_bsde.verify import (
     check_F_identity,
     check_optimality,
@@ -54,7 +56,7 @@ def test_c01_one_period_closed_form():
     start = time.time()
     lat = build_lattice(1, 1.0)
     cfg = MarketConfig(1.0, 1, ConstantDemand(0.5), SignOfBT(), 1, 1.0)
-    sol = price_equilibrium(lat, cfg)
+    sol = price_equilibrium(evaluate_market(cfg, lat))
     want_s = -math.tanh(0.5)
     want_r = 0.5 * math.tanh(0.5) - math.log(math.cosh(0.5))
     gap_s = abs(sol.initial_price[0] - want_s)
@@ -74,7 +76,7 @@ def test_c02_equilibrium_invariants_randomized():
         n = int(rng.integers(1, 3))
         cfg = random_table_config(rng, num_steps, num_stocks=n, a_lo=0.05, a_hi=1.0)
         lat = build_lattice(num_steps, 1.0)
-        sol = price_equilibrium(lat, cfg)
+        sol = price_equilibrium(evaluate_market(cfg, lat))
         z_def, s_def, g_def = equilibrium_defects(sol)
         worst["z"] = max(worst["z"], z_def)
         worst["s"] = max(worst["s"], s_def)
@@ -98,8 +100,9 @@ def small_data_runs():
         num_steps = int(rng.integers(4, 9))
         cfg = random_table_config(rng, num_steps, a_lo=0.01, a_hi=0.1)
         lat = build_lattice(num_steps, 1.0)
-        pic, diag = solve_picard(lat, cfg, tol=1e-12, max_iter=150)
-        exp = solve_explicit(lat, cfg)
+        inst = evaluate_market(cfg, lat)
+        pic, diag = solve_picard(inst, tol=1e-12, max_iter=150)
+        exp = solve_explicit(inst)
         runs.append((lat, cfg, pic, diag, exp))
     return runs
 
@@ -139,8 +142,8 @@ def test_c04_contraction_theory_bounds(small_data_runs):
     rng = np.random.default_rng(20240404)
     lat = build_lattice(6, 1.0)
     cfg = random_table_config(np.random.default_rng(77), 6)
-    gamma, gamma_sup, psi, _ = evaluate_market(cfg, lat)
-    const = 2.0 * measure_kappa(lat) * driver_growth_bound(gamma_sup)
+    inst = evaluate_market(cfg, lat)
+    const = 2.0 * measure_kappa(lat) * driver_growth_bound(inst.gamma_sup)
 
     def rand_pair():
         return ([rng.uniform(-0.5, 0.5, size=1 << k) for k in range(6)],
@@ -149,8 +152,8 @@ def test_c04_contraction_theory_bounds(small_data_runs):
     lipschitz_ok = True
     for _ in range(100):
         za, zb = rand_pair(), rand_pair()
-        fa = picard_map_raw(lat, cfg.risk_aversion, gamma, psi, *za)
-        fb = picard_map_raw(lat, cfg.risk_aversion, gamma, psi, *zb)
+        fa = picard_map(inst, *za)
+        fb = picard_map(inst, *zb)
         lhs = _pair_distance(lat, *fa, *fb)
         rhs = const * _pair_distance(lat, *za, *zb) * (
             _pair_norm(lat, *za) + _pair_norm(lat, *zb))
@@ -189,7 +192,7 @@ def test_c05_apriori_bound_and_supermartingale():
                 TableDemand([rng.uniform(-1, 1, size=(1 << k, 1))
                              for k in range(num_steps)]),
                 TableDividend(raw), num_steps, 1.0)
-        sol = price_equilibrium(lat, cfg)
+        sol = price_equilibrium(evaluate_market(cfg, lat))
         psi_h = h_norm(sol.dividend - sol.dividend.mean(axis=0), lat).value
         assert psi_h < 1.0
         floor = 1.0 - psi_h
@@ -208,18 +211,16 @@ def test_c05_apriori_bound_and_supermartingale():
 def test_c06_homogeneity_triple_runs():
     rng = np.random.default_rng(20240606)
     worst = 0.0
-    from impact_bsde import price_raw
     for _ in range(10):
         num_steps = int(rng.integers(2, 8))
         n = int(rng.integers(1, 3))
         cfg = random_table_config(rng, num_steps, num_stocks=n)
         lat = build_lattice(num_steps, 1.0)
-        gamma, _, psi, _ = evaluate_market(cfg, lat)
-        a = cfg.risk_aversion
+        inst = evaluate_market(cfg, lat)
         for b in (0.5, 2.0, 10.0):
-            s1 = price_raw(lat, a, gamma.scaled(b), psi)
-            s2 = price_raw(lat, a * b, gamma, psi)
-            s3 = price_raw(lat, a, gamma, psi * b)
+            s1 = price_equilibrium(replace(inst, gamma=inst.gamma.scaled(b)))
+            s2 = price_equilibrium(replace(inst, risk_aversion=inst.risk_aversion * b))
+            s3 = price_equilibrium(replace(inst, psi=inst.psi * b))
             worst = max(worst, max_gap(s1.prices, s2.prices))
             worst = max(worst, max_gap(s1.prices, s3.prices, 1.0 / b))
             worst = max(worst, max_gap(s1.volatility, s2.volatility))
@@ -236,7 +237,7 @@ def test_c07_localization_on_boundary_inputs():
     for num_steps, from_step in ((8, 2), (10, 3), (12, 4), (12, 6)):
         lat = build_lattice(num_steps, 1.0)
         cfg = MarketConfig(1.0, 1, NegativeSignOfB(), SignOfBT(), num_steps, 1.0)
-        sol = price_equilibrium(lat, cfg)
+        sol = price_equilibrium(evaluate_market(cfg, lat))
         tau = hitting_time_tau(lat, 0.0, from_step=from_step)
         _, report = localize(sol, tau)
         worst = max(worst, report.max_price_gap)
@@ -256,7 +257,7 @@ def test_c08_optimality_against_competitors():
     ]
     for cfg in instances:
         lat = build_lattice(6, 1.0)
-        sol = price_equilibrium(lat, cfg)
+        sol = price_equilibrium(evaluate_market(cfg, lat))
         report = check_optimality(sol, num_random=1000, epsilon=1e-4,
                                   seed=int(rng.integers(0, 2 ** 31)))
         assert report.status == "pass", report
@@ -274,8 +275,9 @@ def test_c09_discretization_consistency():
         lat = build_lattice(num_steps, 1.0)
         cfg = MarketConfig(0.1, 1, ConstantDemand(0.5), LinearClipped(1.0, 1e6),
                            num_steps, 1.0)
-        pri = price_equilibrium(lat, cfg)
-        exp = solve_explicit(lat, cfg)
+        inst = evaluate_market(cfg, lat)
+        pri = price_equilibrium(inst)
+        exp = solve_explicit(inst)
         gaps[num_steps] = max_gap(pri.prices, exp.prices)
         del pri, exp, lat
     factor_a = gaps[8] / gaps[16]

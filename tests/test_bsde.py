@@ -21,7 +21,7 @@ from impact_bsde import (
     solve_picard,
     stacked_integrand,
 )
-from impact_bsde.bsde import picard_map_raw, _pair_distance, _pair_norm
+from impact_bsde.bsde import _pair_distance, _pair_norm
 
 from helpers import max_gap, random_table_config
 
@@ -71,7 +71,7 @@ def test_explicit_zero_demand_one_step():
     lat = build_lattice(1, 1.0)
     a = 0.7
     cfg = MarketConfig(a, 1, ConstantDemand(0.0), SignOfBT(), 1, 1.0)
-    sol = solve_explicit(lat, cfg)
+    sol = solve_explicit(evaluate_market(cfg, lat))
     assert sol.price_integrand.values[0][0, 0] == pytest.approx(a)
     assert sol.value_integrand.values[0][0] == pytest.approx(0.0)
     assert sol.scaled_price.values[0][0, 0] == pytest.approx(0.0)
@@ -82,7 +82,7 @@ def test_explicit_constant_dividend_trivial():
     lat = build_lattice(5, 1.0)
     cfg = MarketConfig(1.3, 1, ConstantDemand(0.9),
                        TableDividend(np.full(32, 2.0)), 5, 1.0)
-    sol = solve_explicit(lat, cfg)
+    sol = solve_explicit(evaluate_market(cfg, lat))
     for v in sol.price_integrand.values:
         np.testing.assert_array_equal(v, 0.0)
     for v in sol.value_integrand.values:
@@ -99,23 +99,23 @@ def test_explicit_residual_zero_by_construction():
         num_steps = int(rng.integers(2, 9))
         cfg = random_table_config(rng, num_steps)
         lat = build_lattice(num_steps, 1.0)
-        assert solve_explicit(lat, cfg).residual <= 1e-13
+        assert solve_explicit(evaluate_market(cfg, lat)).residual <= 1e-13
 
 
 def test_picard_map_at_zero_gives_terminal_integrand():
     lat = build_lattice(4, 1.0)
     cfg = MarketConfig(0.6, 1, ConstantDemand(0.4), SignOfBT(0.8), 4, 1.0)
     zero = (
-        PredictableProcess(lat, [np.zeros(1 << k) for k in range(4)]),
-        PredictableProcess(lat, [np.zeros((1 << k, 1)) for k in range(4)]),
+        [np.zeros(1 << k) for k in range(4)],
+        [np.zeros((1 << k, 1)) for k in range(4)],
     )
-    eta1, theta1 = picard_map(lat, cfg, zero)
+    inst = evaluate_market(cfg, lat)
+    eta1, theta1 = picard_map(inst, *zero)
     # with a vanishing driver the map returns the representation of the
     # terminal-data martingale: zero value part, scaled-dividend price part
     from impact_bsde import conditional_expectation, martingale_representation
-    _, _, psi, _ = evaluate_market(cfg, lat)
-    want = martingale_representation(conditional_expectation(0.6 * psi, lat))
-    for v in eta1.values:
+    want = martingale_representation(conditional_expectation(0.6 * inst.psi, lat))
+    for v in eta1:
         np.testing.assert_allclose(v, 0.0, atol=1e-15)
     assert max_gap(theta1, want) <= 1e-13
 
@@ -123,8 +123,9 @@ def test_picard_map_at_zero_gives_terminal_integrand():
 def test_picard_fixed_point_identity():
     lat = build_lattice(6, 1.0)
     cfg = MarketConfig(0.25, 1, ConstantDemand(0.5), SignOfBT(0.5), 6, 1.0)
-    sol = solve_explicit(lat, cfg)
-    eta2, theta2 = picard_map(lat, cfg, (sol.value_integrand, sol.price_integrand))
+    inst = evaluate_market(cfg, lat)
+    sol = solve_explicit(inst)
+    eta2, theta2 = picard_map(inst, sol.value_integrand.values, sol.price_integrand.values)
     assert max_gap(eta2, sol.value_integrand) <= 1e-12
     assert max_gap(theta2, sol.price_integrand) <= 1e-12
 
@@ -136,12 +137,13 @@ def test_picard_map_is_not_homogeneous():
     cfg = MarketConfig(1.0, 1, ConstantDemand(0.8), SignOfBT(), 4, 1.0)
     rng = np.random.default_rng(71)
     zeta = (
-        PredictableProcess(lat, [rng.uniform(-1, 1, size=1 << k) for k in range(4)]),
-        PredictableProcess(lat, [rng.uniform(-1, 1, size=(1 << k, 1)) for k in range(4)]),
+        [rng.uniform(-1, 1, size=1 << k) for k in range(4)],
+        [rng.uniform(-1, 1, size=(1 << k, 1)) for k in range(4)],
     )
-    doubled = (zeta[0].scaled(2.0), zeta[1].scaled(2.0))
-    f1 = picard_map(lat, cfg, zeta)
-    f2 = picard_map(lat, cfg, doubled)
+    doubled = ([2.0 * v for v in zeta[0]], [2.0 * v for v in zeta[1]])
+    inst = evaluate_market(cfg, lat)
+    f1 = picard_map(inst, *zeta)
+    f2 = picard_map(inst, *doubled)
     gap = max(max_gap(f2[0], f1[0], 2.0), max_gap(f2[1], f1[1], 2.0))
     assert gap > 1e-3
 
@@ -149,10 +151,11 @@ def test_picard_map_is_not_homogeneous():
 def test_picard_zero_demand_two_iterations():
     lat = build_lattice(8, 1.0)
     cfg = MarketConfig(1.0, 1, ConstantDemand(0.0), SignOfBT(0.9), 8, 1.0)
-    pic, diag = solve_picard(lat, cfg, tol=1e-12, max_iter=10)
+    inst = evaluate_market(cfg, lat)
+    pic, diag = solve_picard(inst, tol=1e-12, max_iter=10)
     assert diag.converged
     assert diag.iterations == 2
-    exp = solve_explicit(lat, cfg)
+    exp = solve_explicit(inst)
     assert max_gap(pic.scaled_price, exp.scaled_price) <= 1e-12
     assert max_gap(pic.scaled_value, exp.scaled_value) <= 1e-12
 
@@ -163,9 +166,10 @@ def test_picard_matches_explicit_on_small_data():
         num_steps = int(rng.integers(3, 8))
         cfg = random_table_config(rng, num_steps, a_lo=0.01, a_hi=0.1)
         lat = build_lattice(num_steps, 1.0)
-        pic, diag = solve_picard(lat, cfg, tol=1e-12, max_iter=100)
+        inst = evaluate_market(cfg, lat)
+        pic, diag = solve_picard(inst, tol=1e-12, max_iter=100)
         assert diag.converged
-        exp = solve_explicit(lat, cfg)
+        exp = solve_explicit(inst)
         for attr in ("scaled_value", "scaled_price", "value_integrand", "price_integrand"):
             assert max_gap(getattr(pic, attr), getattr(exp, attr)) <= 1e-10
 
@@ -175,7 +179,7 @@ def test_picard_solution_within_guaranteed_ball():
     for _ in range(5):
         cfg = random_table_config(rng, 6, a_lo=0.01, a_hi=0.08)
         lat = build_lattice(6, 1.0)
-        _, diag = solve_picard(lat, cfg, tol=1e-12, max_iter=100)
+        _, diag = solve_picard(evaluate_market(cfg, lat), tol=1e-12, max_iter=100)
         assert diag.converged
         assert diag.final_norm <= 2.0 * diag.terminal_norm + 1e-9
 
@@ -184,17 +188,17 @@ def test_counterexample_regime_reports_expansion():
     lat = build_lattice(10, 1.0)
     from impact_bsde import NegativeSignOfB
     cfg = MarketConfig(1.0, 1, NegativeSignOfB(), SignOfBT(), 10, 1.0)
-    _, diag = solve_picard(lat, cfg, tol=1e-10, max_iter=40)
+    _, diag = solve_picard(evaluate_market(cfg, lat), tol=1e-10, max_iter=40)
     assert any(r >= 1.0 for r in diag.ratios) or not diag.converged
 
 
 def test_picard_warm_start_from_explicit():
     lat = build_lattice(6, 1.0)
     cfg = MarketConfig(0.3, 1, ConstantDemand(0.6), SignOfBT(0.7), 6, 1.0)
-    exp = solve_explicit(lat, cfg)
-    warm, diag = solve_picard(
-        lat, cfg, tol=1e-12, max_iter=10,
-        zeta0=(exp.value_integrand, exp.price_integrand))
+    inst = evaluate_market(cfg, lat)
+    exp = solve_explicit(inst)
+    warm, diag = solve_picard(inst, tol=1e-12, max_iter=10,
+                              zeta0=(exp.value_integrand, exp.price_integrand))
     assert diag.converged
     assert diag.iterations == 1
     assert max_gap(warm.scaled_price, exp.scaled_price) <= 1e-12
@@ -206,7 +210,8 @@ def test_contraction_report_growth_bound():
     kappa = measure_kappa(lat, num_random=16, seed=3)
     for _ in range(5):
         cfg = random_table_config(rng, 6, a_lo=0.01, a_hi=0.1)
-        _, diag = solve_picard(lat, cfg, tol=1e-12, max_iter=100, kappa=kappa)
+        _, diag = solve_picard(evaluate_market(cfg, lat), tol=1e-12, max_iter=100,
+                               kappa=kappa)
         report = contraction_report(diag)
         assert all(report.growth_bound_ok)
         if diag.converged:
@@ -217,9 +222,9 @@ def test_contraction_lipschitz_bound_on_random_pairs():
     rng = np.random.default_rng(89)
     lat = build_lattice(6, 1.0)
     cfg = random_table_config(np.random.default_rng(4), 6)
-    gamma, gamma_sup, psi, _ = evaluate_market(cfg, lat)
+    inst = evaluate_market(cfg, lat)
     kappa = measure_kappa(lat, num_random=16, seed=3)
-    bound_const = 2.0 * kappa * driver_growth_bound(gamma_sup)
+    bound_const = 2.0 * kappa * driver_growth_bound(inst.gamma_sup)
 
     def rand_pair():
         eta = [rng.uniform(-0.5, 0.5, size=1 << k) for k in range(6)]
@@ -228,8 +233,8 @@ def test_contraction_lipschitz_bound_on_random_pairs():
 
     for _ in range(20):
         za, zb = rand_pair(), rand_pair()
-        fa = picard_map_raw(lat, cfg.risk_aversion, gamma, psi, *za)
-        fb = picard_map_raw(lat, cfg.risk_aversion, gamma, psi, *zb)
+        fa = picard_map(inst, *za)
+        fb = picard_map(inst, *zb)
         lhs = _pair_distance(lat, *fa, *fb)
         rhs = bound_const * _pair_distance(lat, *za, *zb) * (
             _pair_norm(lat, *za) + _pair_norm(lat, *zb))
@@ -239,7 +244,7 @@ def test_contraction_lipschitz_bound_on_random_pairs():
 def test_assemble_zero_demand():
     lat = build_lattice(5, 1.0)
     cfg = MarketConfig(0.5, 1, ConstantDemand(0.0), SignOfBT(0.5), 5, 1.0)
-    sol = solve_explicit(lat, cfg)
+    sol = solve_explicit(evaluate_market(cfg, lat))
     asm = assemble(sol)
     # no demand: the market price of risk reduces to the value integrand,
     # which vanishes, so the density is identically one
@@ -253,7 +258,7 @@ def test_assemble_constant_dividend():
     lat = build_lattice(4, 1.0)
     cfg = MarketConfig(1.0, 1, ConstantDemand(0.7),
                        TableDividend(np.full(16, -1.5)), 4, 1.0)
-    asm = assemble(solve_explicit(lat, cfg))
+    asm = assemble(solve_explicit(evaluate_market(cfg, lat)))
     for v in asm.market_price_of_risk.values:
         np.testing.assert_array_equal(v, 0.0)
     for v in asm.density.values:
@@ -268,7 +273,7 @@ def test_assemble_side_conditions_are_exact():
     for _ in range(5):
         cfg = random_table_config(rng, 6, a_lo=0.05, a_hi=0.5)
         lat = build_lattice(6, 1.0)
-        asm = assemble(solve_explicit(lat, cfg))
+        asm = assemble(solve_explicit(evaluate_market(cfg, lat)))
         assert asm.density_defect <= 1e-12
         assert asm.weighted_price_defect <= 1e-12
         assert asm.weighted_gain_defect <= 1e-12
@@ -283,9 +288,10 @@ def test_integrand_to_dividend_ratio_stays_bounded():
         lat = build_lattice(num_steps, 1.0)
         cfg = MarketConfig(0.5, 1, ConstantDemand(0.5),
                            SignOfBT(0.6), num_steps, 1.0)
-        sol = solve_explicit(lat, cfg)
+        inst = evaluate_market(cfg, lat)
+        sol = solve_explicit(inst)
         pair = stacked_integrand([sol.value_integrand, sol.price_integrand])
-        _, _, psi, _ = evaluate_market(cfg, lat)
+        psi = inst.psi
         ratios.append(h_bmo_norm(pair).value
                       / bmo_norm_rv(psi - psi.mean(axis=0), lat).value)
     assert max(ratios) <= 2.0 * min(ratios)
@@ -300,8 +306,9 @@ def test_bsde_prices_approach_pricer_prices():
         lat = build_lattice(num_steps, 1.0)
         cfg = MarketConfig(0.2, 1, ConstantDemand(0.5), LinearClipped(1.0, 10.0),
                            num_steps, 1.0)
-        exp = solve_explicit(lat, cfg)
-        pri = price_equilibrium(lat, cfg)
+        inst = evaluate_market(cfg, lat)
+        exp = solve_explicit(inst)
+        pri = price_equilibrium(inst)
         gaps.append(max_gap(exp.prices, pri.prices))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[0] / gaps[1] == pytest.approx(2.0, abs=0.5)
@@ -310,10 +317,11 @@ def test_bsde_prices_approach_pricer_prices():
 def test_solve_picard_argument_validation():
     lat = build_lattice(2, 1.0)
     cfg = MarketConfig(1.0, 1, ConstantDemand(0.0), SignOfBT(), 2, 1.0)
+    inst = evaluate_market(cfg, lat)
     with pytest.raises(ValueError):
-        solve_picard(lat, cfg, tol=0.0)
+        solve_picard(inst, tol=0.0)
     with pytest.raises(ValueError):
-        solve_picard(lat, cfg, max_iter=0)
+        solve_picard(inst, max_iter=0)
 
 
 def test_explicit_non_finite_raises_numerical_error():
@@ -323,16 +331,17 @@ def test_explicit_non_finite_raises_numerical_error():
     from impact_bsde.bsde import _recursion_residual
     lat = build_lattice(12, 1.0)
     cfg = MarketConfig(50.0, 1, ConstantDemand(1.0), SignOfBT(1.0), 12, 1.0)
+    inst = evaluate_market(cfg, lat)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError, match=r"non-finite at node \(step \d+, path \d+\)"):
-            solve_explicit(lat, cfg)
+            solve_explicit(inst)
         # the fixed-point route reports the same regime as data
-        _, diag = solve_picard(lat, cfg, tol=1e-12, max_iter=20)
+        _, diag = solve_picard(inst, tol=1e-12, max_iter=20)
     assert not diag.converged
-    np.testing.assert_allclose(price_equilibrium(lat, cfg).initial_price, [-1.0])
+    np.testing.assert_allclose(price_equilibrium(inst).initial_price, [-1.0])
     # a nan defect survives the node maximum
-    sol = solve_explicit(build_lattice(3, 1.0),
-                         MarketConfig(0.5, 1, ConstantDemand(0.5), SignOfBT(), 3, 1.0))
+    sol = solve_explicit(evaluate_market(
+        MarketConfig(0.5, 1, ConstantDemand(0.5), SignOfBT(), 3, 1.0), build_lattice(3, 1.0)))
     value = [v.copy() for v in sol.scaled_value.values]
     value[1][0] = np.nan
     residual = _recursion_residual(sol.lattice, sol.gamma, value, sol.scaled_price.values,
@@ -343,14 +352,14 @@ def test_explicit_non_finite_raises_numerical_error():
 def _seed_picard_loop(lat, cfg, tol, max_iter):
     """The unfused iteration: map, then distance and iterate norm as
     separate integrand-norm passes over stacked copies."""
-    gamma, _, psi, _ = evaluate_market(cfg, lat)
+    inst = evaluate_market(cfg, lat)
     n = cfg.num_stocks
     eta = [np.zeros(1 << k) for k in range(lat.num_steps)]
     theta = [np.zeros((1 << k, n)) for k in range(lat.num_steps)]
     out = {"distances": [], "iterate_norms": [], "ratios": [], "iterations": 0,
            "converged": False, "aborted": None}
     for it in range(max_iter):
-        eta_new, theta_new = picard_map_raw(lat, cfg.risk_aversion, gamma, psi, eta, theta)
+        eta_new, theta_new = picard_map(inst, eta, theta)
         if not all(np.all(np.isfinite(v)) for v in eta_new + theta_new):
             out["aborted"] = f"non-finite iterate at iteration {it + 1}"
             break
@@ -381,7 +390,7 @@ def test_fused_iteration_matches_seed_loop(case):
     lat = build_lattice(cfg.num_steps, 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         want = _seed_picard_loop(lat, cfg, tol=1e-12, max_iter=60)
-        _, diag = solve_picard(lat, cfg, tol=1e-12, max_iter=60)
+        _, diag = solve_picard(evaluate_market(cfg, lat), tol=1e-12, max_iter=60)
     got = {key: getattr(diag, key) for key in want}
     assert got == want
     if case == "overflow":
@@ -411,7 +420,7 @@ def test_picard_iteration_stays_fused(monkeypatch):
     counts = []
     for max_iter in (1, 100):
         before = dict(calls)
-        _, diag = solve_picard(lat, cfg, tol=1e-12, max_iter=max_iter)
+        _, diag = solve_picard(evaluate_market(cfg, lat), tol=1e-12, max_iter=max_iter)
         counts.append({k: calls[k] - before[k] for k in calls})
     assert diag.converged and diag.iterations > 5
     assert counts[0] == counts[1]

@@ -269,3 +269,152 @@ def test_summary_schema_guard():
                           "initial_certainty": 0.0})
     validate_summary({"command": "price", "initial_price": [1.0],
                       "initial_certainty": 0.0})
+
+
+def _csv_rows(path):
+    return [line.split(",") for line in path.read_text().strip().splitlines()[1:]]
+
+
+def test_spec_not_fitting_the_lattice_is_a_config_error(tmp_path):
+    doc = one_period_doc(num_steps=4, demand={"type": "piecewise_constant",
+                                              "schedule": [[2, 1.0]]})
+    cfg = write_config(tmp_path, doc)
+    result = CliRunner().invoke(main, ["price", "--config", cfg,
+                                       "--out", str(tmp_path / "p.json")])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "config error: market: piecewise schedule must start at step 0" in result.output
+
+
+def test_sweep_depth_over_cap_is_a_config_error(tmp_path):
+    cfg = write_config(tmp_path, one_period_doc(num_steps=4))
+    result = CliRunner().invoke(main, ["sweep", "--config", cfg, "--param", "num_steps",
+                                       "--from", "4", "--to", "30", "--points", "2",
+                                       "--out", str(tmp_path / "s.csv")])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "config error:" in result.output and "num_steps=30" in result.output
+
+
+@pytest.mark.parametrize("start", ["0", "-1"])
+def test_sweep_nonpositive_aversion_is_a_config_error(tmp_path, start):
+    cfg = write_config(tmp_path, one_period_doc(num_steps=4))
+    out = tmp_path / "s.csv"
+    result = CliRunner().invoke(main, ["sweep", "--config", cfg, "--param", "risk_aversion",
+                                       "--from", start, "--to", "1", "--points", "3",
+                                       "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "config error:" in result.output and "risk_aversion" in result.output
+    assert not out.exists()
+
+
+def test_counterexample_depth_over_cap_is_a_config_error(tmp_path):
+    doc = one_period_doc(num_steps=4)
+    doc["verify"] = {"counterexample_steps": [30]}
+    cfg = write_config(tmp_path, doc)
+    result = CliRunner().invoke(main, ["verify", "--config", cfg, "--suite", "counterexample",
+                                       "--out", str(tmp_path / "v.json")])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "config error:" in result.output and "num_steps=30" in result.output
+
+
+def test_counterexample_depth_zero_is_a_config_error(tmp_path):
+    doc = one_period_doc(num_steps=4)
+    doc["verify"] = {"counterexample_steps": [4, 0]}
+    cfg = write_config(tmp_path, doc)
+    result = CliRunner().invoke(main, ["verify", "--config", cfg, "--suite", "counterexample",
+                                       "--out", str(tmp_path / "v.json")])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "config error: verify.counterexample_steps[1]" in result.output
+
+
+def test_verify_x_grid_size_reaches_the_supermartingale_check(tmp_path):
+    # unit aversion, demand in the unit ball and a centred dividend (odd
+    # depth): the check runs instead of skipping, on 3 quantiles + the origin
+    doc = one_period_doc(num_steps=5, demand={"type": "negative_sign_of_b"},
+                         dividend={"type": "sign_of_b_t", "scale": 0.5})
+    doc["verify"] = {"x_grid_size": 3}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "v.json"
+    result = CliRunner().invoke(main, ["verify", "--config", cfg, "--suite", "apriori",
+                                       "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["supermartingale_profile"]["status"] == "pass"
+    assert checks["supermartingale_profile"]["details"]["grid_size"] == 4
+
+
+@pytest.mark.parametrize("param", ["risk_aversion", "demand_scale", "dividend_scale",
+                                   "num_steps"])
+def test_sweep_rows_match_the_library(tmp_path, param):
+    from dataclasses import replace
+
+    from impact_bsde import (bmo_norm_rv, build_lattice, evaluate_market, h_bmo_norm,
+                             price_equilibrium, solve_picard)
+    doc = one_period_doc(num_steps=5, demand={"type": "constant", "value": 0.7},
+                         dividend={"type": "linear_clipped", "slope": 1.2, "bound": 0.8},
+                         risk_aversion=0.6)
+    doc["solver"] = {"max_iter": 30, "kappa": 1.5}
+    path = write_config(tmp_path, doc)
+    out = tmp_path / "sweep.csv"
+    bounds = ("2", "6") if param == "num_steps" else ("0.25", "1.75")
+    result = CliRunner().invoke(main, ["sweep", "--config", path, "--param", param,
+                                       "--from", bounds[0], "--to", bounds[1],
+                                       "--points", "3", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    market = load_config(path).market
+    base = evaluate_market(market, build_lattice(5, 1.0))
+    rows = _csv_rows(out)
+    assert len(rows) == 3
+    for row in rows:
+        val = float(row[0])
+        gamma_sup = base.gamma_sup
+        if param == "num_steps":
+            inst = evaluate_market(replace(market, num_steps=int(val)),
+                                   build_lattice(int(val), 1.0))
+            gamma_sup = inst.gamma_sup
+        elif param == "risk_aversion":
+            inst = replace(base, risk_aversion=val)
+        elif param == "demand_scale":
+            inst = replace(base, gamma=base.gamma.scaled(val))
+            gamma_sup = base.gamma_sup * abs(val)
+        else:
+            inst = replace(base, psi=base.psi * val)
+        sol = price_equilibrium(inst)
+        _, diag = solve_picard(inst, tol=1e-12, max_iter=30, kappa=1.5)
+        psi_bmo = bmo_norm_rv(inst.psi - inst.psi.mean(axis=0), inst.lattice).value
+        want = [inst.risk_aversion * gamma_sup * psi_bmo,
+                diag.converged, diag.iterations,
+                diag.ratios[-1] if diag.ratios else float("nan"),
+                h_bmo_norm(sol.volatility).value,
+                h_bmo_norm(sol.market_price_of_risk).value]
+        assert row[1:] == [f"{w:.16e}" if isinstance(w, float) else str(w) for w in want]
+
+
+def test_each_command_evaluates_the_market_once(tmp_path, monkeypatch):
+    import impact_bsde.scenario as scenario
+    calls = []
+    original = scenario.evaluate_demand
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scenario, "evaluate_demand", counting)
+    doc = one_period_doc(num_steps=5, demand={"type": "negative_sign_of_b"},
+                         dividend={"type": "sign_of_b_t", "scale": 0.5})
+    doc["solver"] = {"max_iter": 20}
+    doc["verify"] = {"competitors": 5, "counterexample_steps": [3]}
+    cfg = write_config(tmp_path, doc)
+    out = str(tmp_path / "out")
+    commands = [["price"], ["norms"], ["bsde", "--method", "both"], ["verify", "--suite", "all"]]
+    commands += [["sweep", "--param", param, "--from", "0.5", "--to", "1.0", "--points", "3"]
+                 for param in ("risk_aversion", "demand_scale", "dividend_scale")]
+    for command in commands:
+        calls.clear()
+        result = CliRunner().invoke(main, command + ["--config", cfg, "--out", out])
+        assert result.exit_code == 0, (command, result.output)
+        assert len(calls) == 1, command

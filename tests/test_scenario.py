@@ -15,11 +15,19 @@ from impact_bsde import (
     TableDemand,
     TableDividend,
     build_lattice,
+    Instance,
     evaluate_demand,
     evaluate_dividend,
+    evaluate_market,
     hitting_time_tau,
     sign_plus,
 )
+
+
+def demand_sup(proc):
+    """Node maximum of the demand norm, as an instance derives it."""
+    lat = proc.lattice
+    return Instance(lat, 1.0, proc, np.zeros((lat.num_leaves, proc.dim))).gamma_sup
 
 
 def test_sign_convention_at_zero():
@@ -29,7 +37,8 @@ def test_sign_convention_at_zero():
 
 def test_constant_demand_and_sup():
     lat = build_lattice(3, 1.0)
-    proc, sup = evaluate_demand(ConstantDemand(-0.75), lat, 1)
+    proc = evaluate_demand(ConstantDemand(-0.75), lat, 1)
+    sup = demand_sup(proc)
     assert sup == 0.75
     for k, v in enumerate(proc.values):
         assert v.shape == (1 << k, 1)
@@ -38,14 +47,16 @@ def test_constant_demand_and_sup():
 
 def test_constant_demand_vector_broadcast():
     lat = build_lattice(2, 1.0)
-    proc, sup = evaluate_demand(ConstantDemand((0.3, -0.4)), lat, 2)
+    proc = evaluate_demand(ConstantDemand((0.3, -0.4)), lat, 2)
+    sup = demand_sup(proc)
     assert sup == pytest.approx(0.5)
     np.testing.assert_array_equal(proc.values[1], [[0.3, -0.4], [0.3, -0.4]])
 
 
 def test_negative_sign_demand_two_steps():
     lat = build_lattice(2, 1.0)
-    proc, sup = evaluate_demand(NegativeSignOfB(), lat, 1)
+    proc = evaluate_demand(NegativeSignOfB(), lat, 1)
+    sup = demand_sup(proc)
     assert sup == 1.0
     # at the start the walk sits at zero, so the tie-break gives -1
     np.testing.assert_array_equal(proc.values[0], [[-1.0]])
@@ -56,7 +67,7 @@ def test_negative_sign_demand_two_steps():
 def test_piecewise_constant_schedule():
     lat = build_lattice(10, 1.0)
     spec = PiecewiseConstantDemand(((0, 1.0), (5, -1.0)))
-    proc, _ = evaluate_demand(spec, lat, 1)
+    proc = evaluate_demand(spec, lat, 1)
     for k in range(10):
         expected = 1.0 if k < 5 else -1.0
         np.testing.assert_array_equal(proc.values[k], expected)
@@ -72,7 +83,7 @@ def test_localized_demand_pathwise():
     lat = build_lattice(4, 1.0)
     inner = ConstantDemand(1.0)
     spec = LocalizedDemand(inner, level=0.0, from_step=1)
-    proc, _ = evaluate_demand(spec, lat, 1)
+    proc = evaluate_demand(spec, lat, 1)
     tau = hitting_time_tau(lat, 0.0, from_step=1)
     for k in range(4):
         fired = tau.stopped_by(k)
@@ -201,6 +212,36 @@ def test_demand_predictability_across_children():
     # step-start node by construction; localized wrappers must preserve that
     lat = build_lattice(4, 1.0)
     spec = LocalizedDemand(NegativeSignOfB(), level=0.0, from_step=1)
-    proc, _ = evaluate_demand(spec, lat, 1)
+    proc = evaluate_demand(spec, lat, 1)
     for k in range(4):
         assert proc.values[k].shape[0] == 1 << k
+
+
+def test_instance_validation():
+    lat = build_lattice(3, 1.0)
+    gamma = evaluate_demand(ConstantDemand(0.5), lat, 1)
+    psi = np.ones(8)
+    for a in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="risk_aversion must be positive"):
+            Instance(lat, a, gamma, psi)
+    with pytest.raises(ValueError, match="dividend has 4 rows, lattice has 8 leaves"):
+        Instance(lat, 1.0, gamma, np.ones(4))
+    with pytest.raises(ValueError, match="demand dimension 1 != dividend dimension 2"):
+        Instance(lat, 1.0, gamma, np.ones((8, 2)))
+    # a flat dividend becomes one column; the risk aversion a float
+    inst = Instance(lat, 2, gamma, psi)
+    assert inst.psi.shape == (8, 1) and inst.num_stocks == 1
+    assert isinstance(inst.risk_aversion, float)
+
+
+def test_evaluate_market_instance():
+    lat = build_lattice(4, 1.0)
+    cfg = MarketConfig(0.7, 2, ConstantDemand((0.3, -0.4)), LinearClipped(1.0, 0.5), 4, 1.0,
+                       center_dividend=True)
+    inst = evaluate_market(cfg, lat)
+    raw, mean = evaluate_dividend(cfg.dividend, lat, 2)
+    assert inst.lattice is lat and inst.risk_aversion == 0.7
+    assert inst.gamma_sup == pytest.approx(0.5)
+    np.testing.assert_array_equal(inst.psi, raw - mean)
+    # the reported mean is the one before centring
+    np.testing.assert_array_equal(inst.psi_mean, mean)

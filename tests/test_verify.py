@@ -8,11 +8,12 @@ from impact_bsde import (
     MarketConfig,
     NegativeSignOfB,
     SignOfBT,
+    Instance,
     TableDividend,
     build_lattice,
+    evaluate_market,
     hitting_time_tau,
     price_equilibrium,
-    price_raw,
     solve_picard,
 )
 from impact_bsde.lattice import PredictableProcess
@@ -42,13 +43,13 @@ def eligible():
     terminal sign exactly centered under the zero tie-break)."""
     lat = build_lattice(7, 1.0)
     cfg = MarketConfig(1.0, 1, NegativeSignOfB(), SignOfBT(0.5), 7, 1.0)
-    return lat, cfg, price_equilibrium(lat, cfg)
+    return lat, cfg, price_equilibrium(evaluate_market(cfg, lat))
 
 
 def test_R_nonneg_zero_demand_margin():
     lat = build_lattice(4, 1.0)
     cfg = MarketConfig(1.0, 1, ConstantDemand(0.0), SignOfBT(), 4, 1.0)
-    report = check_R_nonneg(price_equilibrium(lat, cfg))
+    report = check_R_nonneg(price_equilibrium(evaluate_market(cfg, lat)))
     assert report.status == "pass"
     assert report.details["min_value"] == pytest.approx(0.0, abs=1e-15)
 
@@ -56,7 +57,7 @@ def test_R_nonneg_zero_demand_margin():
 def test_R_nonneg_one_period_value():
     lat = build_lattice(1, 1.0)
     cfg = MarketConfig(1.0, 1, ConstantDemand(0.5), SignOfBT(), 1, 1.0)
-    report = check_R_nonneg(price_equilibrium(lat, cfg))
+    report = check_R_nonneg(price_equilibrium(evaluate_market(cfg, lat)))
     assert report.status == "pass"
 
 
@@ -66,7 +67,7 @@ def test_R_nonneg_random_sweep():
         num_steps = int(rng.integers(1, 8))
         cfg = random_table_config(rng, num_steps)
         lat = build_lattice(num_steps, 1.0)
-        assert check_R_nonneg(price_equilibrium(lat, cfg)).status == "pass"
+        assert check_R_nonneg(price_equilibrium(evaluate_market(cfg, lat))).status == "pass"
 
 
 def test_equilibrium_martingales_pass(eligible):
@@ -89,7 +90,7 @@ def test_apriori_bound(eligible):
 def test_apriori_skips_on_large_aversion():
     lat = build_lattice(5, 1.0)
     cfg = MarketConfig(2.0, 1, NegativeSignOfB(), SignOfBT(0.5), 5, 1.0)
-    report = check_apriori(price_equilibrium(lat, cfg))
+    report = check_apriori(price_equilibrium(evaluate_market(cfg, lat)))
     assert report.status == "skip"
     assert not report.hypotheses["unit_risk_aversion"]
 
@@ -98,7 +99,7 @@ def test_apriori_skips_on_uncentered_dividend():
     # even depth: the terminal sign is not centered under the tie-break
     lat = build_lattice(6, 1.0)
     cfg = MarketConfig(1.0, 1, NegativeSignOfB(), SignOfBT(0.5), 6, 1.0)
-    report = check_apriori(price_equilibrium(lat, cfg))
+    report = check_apriori(price_equilibrium(evaluate_market(cfg, lat)))
     assert report.status == "skip"
     assert not report.hypotheses["dividend_centered"]
 
@@ -111,7 +112,7 @@ def test_apriori_sweep_toward_boundary():
     for scale in (0.3, 0.6, 0.9):
         lat = build_lattice(5, 1.0)
         cfg = MarketConfig(1.0, 1, NegativeSignOfB(), SignOfBT(scale), 5, 1.0)
-        sol = price_equilibrium(lat, cfg)
+        sol = price_equilibrium(evaluate_market(cfg, lat))
         report = check_apriori(sol)
         assert report.status == "pass"
         assert report.details["min_gap_to_floor"] >= -1e-10
@@ -139,7 +140,7 @@ def test_supermartingale_constant_dividend_flat_profile():
     lat = build_lattice(3, 1.0)
     cfg = MarketConfig(1.0, 1, ConstantDemand(0.0),
                        TableDividend(np.zeros(8)), 3, 1.0)
-    sol = price_equilibrium(lat, cfg)
+    sol = price_equilibrium(evaluate_market(cfg, lat))
     report = check_supermartingale_V(sol, x_grid=[np.array([0.0])])
     assert report.status == "pass"
     assert report.details["max_defect"] == pytest.approx(0.0, abs=1e-15)
@@ -157,16 +158,31 @@ def test_optimality_pass(eligible):
 def test_optimality_zero_competitor_utility():
     lat = build_lattice(5, 1.0)
     cfg = MarketConfig(1.0, 1, NegativeSignOfB(), SignOfBT(0.5), 5, 1.0)
-    sol = price_equilibrium(lat, cfg)
+    sol = price_equilibrium(evaluate_market(cfg, lat))
     from impact_bsde.verify import _expected_utility
     zero = PredictableProcess(lat, [np.zeros((1 << k, 1)) for k in range(5)])
     assert _expected_utility(sol, zero) == pytest.approx(-1.0)
     assert _expected_utility(sol, sol.gamma) >= -1.0 - 1e-15
 
 
+@pytest.mark.parametrize("a", [400.0, 800.0])
+def test_martingale_gate_survives_density_underflow(a):
+    # the tilt drives one-step weights to exactly zero; the log density stays
+    # finite, so positivity holds and the gate passes on defects below 1e-10
+    lat = build_lattice(12, 1.0)
+    cfg = MarketConfig(a, 1, ConstantDemand(1.0), SignOfBT(1.0), 12, 1.0)
+    sol = price_equilibrium(evaluate_market(cfg, lat))
+    assert min(float(np.min(q)) for q in sol.up_prob.values) == 0.0
+    report = check_equilibrium_martingales(sol)
+    assert report.status == "pass", report.details
+    assert report.details["density_min"] == 0.0
+    assert np.isfinite(report.details["log_density_min"])
+    assert report.details["log_density_min"] < -700.0
+
+
 def test_homogeneity_gate(eligible):
     lat, cfg, _ = eligible
-    report = check_homogeneity(lat, cfg, b_values=(0.5, 2.0, 10.0))
+    report = check_homogeneity(evaluate_market(cfg, lat), b_values=(0.5, 2.0, 10.0))
     assert report.status == "pass"
     assert report.details["max_gap"] <= 1e-12
 
@@ -174,7 +190,7 @@ def test_homogeneity_gate(eligible):
 def test_homogeneity_identity_at_unit_factor():
     lat = build_lattice(4, 1.0)
     cfg = MarketConfig(0.7, 1, ConstantDemand(0.3), SignOfBT(), 4, 1.0)
-    report = check_homogeneity(lat, cfg, b_values=(1.0,))
+    report = check_homogeneity(evaluate_market(cfg, lat), b_values=(1.0,))
     assert report.status == "pass"
     assert report.details["max_gap"] == 0.0
 
@@ -190,7 +206,7 @@ def test_localization_check(eligible):
 
 def test_norm_bounds_skips_outside_gate(eligible):
     lat, cfg, sol = eligible
-    _, diag = solve_picard(lat, cfg, tol=1e-10, max_iter=10)
+    _, diag = solve_picard(evaluate_market(cfg, lat), tol=1e-10, max_iter=10)
     report = check_norm_bounds(sol, diag)
     assert report.status == "skip"
 
@@ -199,8 +215,8 @@ def test_norm_bounds_inside_gate():
     rng = np.random.default_rng(11)
     cfg = random_table_config(rng, 6, a_lo=0.005, a_hi=0.01)
     lat = build_lattice(6, 1.0)
-    sol = price_equilibrium(lat, cfg)
-    _, diag = solve_picard(lat, cfg, tol=1e-12, max_iter=100)
+    sol = price_equilibrium(evaluate_market(cfg, lat))
+    _, diag = solve_picard(evaluate_market(cfg, lat), tol=1e-12, max_iter=100)
     report = check_norm_bounds(sol, diag)
     assert report.status == "diagnostic"
     assert report.details["volatility_ok"]
@@ -246,10 +262,9 @@ def test_mirror_regression_reproduces_margins():
     lat = build_lattice(6, 1.0)
     vals = [rng.uniform(-1, 1, size=(1 << k, 1)) for k in range(6)]
     psi = rng.uniform(-1, 1, size=(64, 1))
-    sol = price_raw(lat, 1.0, PredictableProcess(lat, vals), psi)
-    mirrored = price_raw(lat, 1.0,
-                         PredictableProcess(lat, [-v[::-1] for v in vals]),
-                         -psi[::-1])
+    sol = price_equilibrium(Instance(lat, 1.0, PredictableProcess(lat, vals), psi))
+    mirrored = price_equilibrium(Instance(
+        lat, 1.0, PredictableProcess(lat, [-v[::-1] for v in vals]), -psi[::-1]))
     r1 = check_R_nonneg(sol)
     r2 = check_R_nonneg(mirrored)
     assert r1.details["min_value"] == pytest.approx(r2.details["min_value"], abs=1e-13)
