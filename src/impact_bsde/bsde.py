@@ -48,7 +48,7 @@ from .lattice import (
     stochastic_exponential,
     stochastic_integral,
 )
-from .norms import _square_sum, h_bmo_norm, stacked_integrand
+from .norms import _remaining_load, _square_sum, h_bmo_norm, stacked_integrand
 from .pricer import _check_finite
 from .scenario import Instance
 
@@ -265,20 +265,16 @@ def _picard_step(inst: Instance, eta: list, theta: list):
             finite = False
             continue
         sq_dist = _square_sum([e - eta[k], *(t - theta[k]).T])
-        load_norm = _accumulate(load_norm, sq, lattice.dt)
-        load_dist = _accumulate(load_dist, sq_dist, lattice.dt)
-        # max(best, nan) keeps best: a nan slice is skipped, as in h_bmo_norm
+        load_norm = _remaining_load(load_norm, sq * lattice.dt)
+        load_dist = _remaining_load(load_dist, sq_dist * lattice.dt)
+        # the new entries are finite here, so a load is nan only if the old
+        # iterate is (an overflow is inf); the kernel reports no node, so a
+        # plain running max suffices
         best_norm = max(best_norm, float(np.max(load_norm)))
         best_dist = max(best_dist, float(np.max(load_dist)))
     if not finite:
         return eta_new, theta_new, None, None
     return eta_new, theta_new, float(np.sqrt(best_norm)), float(np.sqrt(best_dist))
-
-
-def _accumulate(load, sq, dt):
-    """One backward step of the conditional remaining quadratic load."""
-    here = sq * dt
-    return here if load is None else here + child_mean(load)
 
 
 def picard_map(inst: Instance, eta: list, theta: list):
@@ -352,36 +348,39 @@ def solve_picard(inst: Instance, tol: float = 1e-12,
                            else driver_growth_bound(inst.gamma_sup)),
     )
 
-    for it in range(max_iter):
-        try:
-            eta_new, theta_new, norm, dist = _picard_step(inst, eta, theta)
-        except FloatingPointError as exc:  # pragma: no cover - defensive
-            diag.aborted = f"arithmetic failure at iteration {it}: {exc}"
-            break
-        if norm is None:
-            diag.aborted = f"non-finite iterate at iteration {it + 1}"
-            break
-        diag.distances.append(dist)
-        diag.iterate_norms.append(norm)
-        if len(diag.distances) >= 2 and diag.distances[-2] > 0:
-            diag.ratios.append(dist / diag.distances[-2])
-        eta, theta = eta_new, theta_new
-        diag.iterations = it + 1
-        if dist <= tol:
-            diag.converged = True
-            break
+    # a diverging run overflows by design and reports it as data (an aborted
+    # run, inf ratios), so its numpy over/invalid warnings are silenced here
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(max_iter):
+            try:
+                eta_new, theta_new, norm, dist = _picard_step(inst, eta, theta)
+            except FloatingPointError as exc:  # pragma: no cover - defensive
+                diag.aborted = f"arithmetic failure at iteration {it}: {exc}"
+                break
+            if norm is None:
+                diag.aborted = f"non-finite iterate at iteration {it + 1}"
+                break
+            diag.distances.append(dist)
+            diag.iterate_norms.append(norm)
+            if len(diag.distances) >= 2 and diag.distances[-2] > 0:
+                diag.ratios.append(dist / diag.distances[-2])
+            eta, theta = eta_new, theta_new
+            diag.iterations = it + 1
+            if dist <= tol:
+                diag.converged = True
+                break
 
-    diag.final_norm = (diag.iterate_norms[-1] if diag.iterate_norms
-                       else _pair_norm(lattice, eta, theta))
+        diag.final_norm = (diag.iterate_norms[-1] if diag.iterate_norms
+                           else _pair_norm(lattice, eta, theta))
 
-    # reconstruct the adapted pair from the final integrands: conditional
-    # expectation of terminal-plus-total-drift minus the drift already accrued
-    cum_v, cum_p = _drift_accumulation(lattice, gamma, eta, theta)
-    total = np.concatenate([cum_v[-1][:, None], a * inst.psi + cum_p[-1]], axis=1)
-    mart = conditional_expectation(total, lattice)
-    value = [mart.values[k][:, 0] - cum_v[k] for k in range(steps + 1)]
-    price = [mart.values[k][:, 1:] - cum_p[k] for k in range(steps + 1)]
-    residual = _recursion_residual(lattice, gamma, value, price, eta, theta)
+        # reconstruct the adapted pair from the final integrands: conditional
+        # expectation of terminal-plus-total-drift minus the drift already accrued
+        cum_v, cum_p = _drift_accumulation(lattice, gamma, eta, theta)
+        total = np.concatenate([cum_v[-1][:, None], a * inst.psi + cum_p[-1]], axis=1)
+        mart = conditional_expectation(total, lattice)
+        value = [mart.values[k][:, 0] - cum_v[k] for k in range(steps + 1)]
+        price = [mart.values[k][:, 1:] - cum_p[k] for k in range(steps + 1)]
+        residual = _recursion_residual(lattice, gamma, value, price, eta, theta)
     solution = BsdeSolution(
         lattice=lattice,
         risk_aversion=a,

@@ -19,7 +19,7 @@ import numpy as np
 from . import bsde as bsde_mod
 from . import verify as verify_mod
 from .config import ConfigError, RunConfig, load_config, validate_summary
-from .lattice import ExponentialGuardError, LatticeSizeError, build_lattice
+from .lattice import ExponentialGuardError, LatticeSizeError, build_lattice, process_gap
 from .norms import bmo_norm_rv, h_bmo_norm, h_norm, measure_kappa, sup_norm
 from .pricer import NumericalError, price_equilibrium
 from .scenario import Instance, MarketConfig, evaluate_market, hitting_time_tau
@@ -75,6 +75,11 @@ def _evaluate(market: MarketConfig) -> Instance:
         _config_error(exc)
     except ValueError as exc:  # a spec that does not fit the lattice
         _config_error(f"market: {exc}")
+
+
+def _kappa(run: RunConfig, lattice) -> float:
+    """The configured ratio constant, or the one measured on ``lattice``."""
+    return run.solver.kappa if run.solver.kappa is not None else measure_kappa(lattice)
 
 
 def _instance_norms(run: RunConfig, inst: Instance) -> dict:
@@ -183,12 +188,9 @@ def cmd_bsde(config_path, out_path, method, diag_path, dump_path):
             summary["initial_certainty"] = float(exp.certainty_equivalent.values[0][0])
             summary["residual_explicit"] = exp.residual
         if method in ("picard", "both"):
-            kappa = run.solver.kappa
-            if kappa is None:
-                kappa = measure_kappa(inst.lattice)
             pic, diag = bsde_mod.solve_picard(
                 inst, tol=run.solver.tol, max_iter=run.solver.max_iter,
-                growth_bound=run.solver.growth_bound, kappa=kappa,
+                growth_bound=run.solver.growth_bound, kappa=_kappa(run, inst.lattice),
             )
             report = bsde_mod.contraction_report(diag)
             summary.setdefault("initial_price", pic.prices.values[0][0].tolist())
@@ -204,11 +206,7 @@ def cmd_bsde(config_path, out_path, method, diag_path, dump_path):
                 _write_csv(diag_path, ["iteration", "distance", "ratio", "iterate_bmo"],
                            rows)
         if method == "both":
-            gap = max(
-                float(np.max(np.abs(a - b)))
-                for a, b in zip(exp.scaled_price.values, pic.scaled_price.values)
-            )
-            summary["max_node_discrepancy"] = gap
+            summary["max_node_discrepancy"] = process_gap(exp.scaled_price, pic.scaled_price)
     except (NumericalError, ExponentialGuardError) as exc:
         _numeric_error(exc)
     validate_summary(summary)
@@ -270,9 +268,11 @@ def _run_suite(run: RunConfig, inst: Instance) -> list:
         reports.append(verify_mod.check_R_nonneg(sol))
         reports.append(verify_mod.check_equilibrium_martingales(sol))
     if suite in ("all", "apriori"):
-        reports.append(verify_mod.check_apriori(sol))
+        psi_h = verify_mod.dividend_gauge_norm(sol)
+        reports.append(verify_mod.check_apriori(sol, psi_h_norm=psi_h))
         reports.append(verify_mod.check_supermartingale_V(
-            sol, x_grid=verify_mod.default_x_grid(sol, run.verify.x_grid_size)))
+            sol, x_grid=verify_mod.default_x_grid(sol, run.verify.x_grid_size),
+            psi_h_norm=psi_h))
     if suite in ("all", "optimality"):
         reports.append(verify_mod.check_optimality(
             sol, num_random=run.verify.competitors, epsilon=run.verify.epsilon,
@@ -284,9 +284,9 @@ def _run_suite(run: RunConfig, inst: Instance) -> list:
                                from_step=min(1, lattice.num_steps - 1))
         reports.append(verify_mod.check_localization(sol, tau))
     if suite == "all":
-        kappa = run.solver.kappa if run.solver.kappa is not None else measure_kappa(lattice)
         _, diag = bsde_mod.solve_picard(
-            inst, tol=run.solver.tol, max_iter=run.solver.max_iter, kappa=kappa)
+            inst, tol=run.solver.tol, max_iter=run.solver.max_iter,
+            kappa=_kappa(run, lattice))
         reports.append(verify_mod.check_norm_bounds(sol, diag))
     if suite in ("all", "counterexample"):
         reports.append(verify_mod.check_F_identity(seed=run.verify.seed))
@@ -350,11 +350,15 @@ def cmd_sweep(config_path, param, start, stop, points, out_path):
     if param == "risk_aversion" and not np.all(values > 0):
         _config_error(f"--from/--to must keep risk_aversion positive, got {start}..{stop}")
     base = None if param == "num_steps" else _evaluate(market)
+    # kappa depends only on the depth and horizon: once per sweep, or once
+    # per depth in a depth sweep
+    kappa = None if param == "num_steps" else _kappa(run, base.lattice)
     rows = []
     try:
         for val in values:
             if param == "num_steps":
                 inst = _evaluate(replace(market, num_steps=int(val)))
+                kappa = _kappa(run, inst.lattice)
             elif param == "risk_aversion":
                 inst = replace(base, risk_aversion=float(val))
             elif param == "demand_scale":
@@ -367,8 +371,6 @@ def cmd_sweep(config_path, param, start, stop, points, out_path):
             gamma_sup = (base.gamma_sup * abs(float(val)) if param == "demand_scale"
                          else inst.gamma_sup)
             sol = price_equilibrium(inst)
-            kappa = (run.solver.kappa if run.solver.kappa is not None
-                     else measure_kappa(inst.lattice))
             # keep only the diagnostics: the solution's trees would stay alive
             # through the next point
             diag = bsde_mod.solve_picard(

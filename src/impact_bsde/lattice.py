@@ -116,6 +116,43 @@ def child_diff(x: np.ndarray, lattice: Lattice) -> np.ndarray:
     return (x[0::2] - x[1::2]) / (2.0 * lattice.sqrt_dt)
 
 
+def node_max(slices) -> tuple[float, tuple[int, int]]:
+    """Largest node value over a tree and the node attaining it.
+
+    ``slices`` yields ``(step, values)`` pairs in any order, one 1-d array
+    of per-node values per step (a scalar counts as a one-node slice); each
+    is reduced as it arrives, so a backward pass can feed its slices without
+    the tree ever being held whole.  The step label only has to be
+    orderable: a tuple such as ``(center, step)`` ranks a family of trees.
+
+    Tie rule: the node reported is the first in ``(step, path)`` order that
+    attains the maximum, whatever order the slices came in.  NaN rule: any
+    nan wins, and the first nan node is reported.  A minimum is the negated
+    ``node_max`` of the negated slices, which is exact.
+    """
+    def ranked():
+        for k, v in slices:
+            v = np.atleast_1d(v)
+            p = int(np.argmax(v))  # the first maximum, or the first nan
+            x = float(v[p])
+            # a nan ranks first, then a larger value, then an earlier node
+            yield x == x, -x if x == x else 0.0, (k, p), x
+
+    top = min(ranked(), default=None)
+    if top is None:
+        raise ValueError("node_max of no slices")
+    return top[3], top[2]
+
+
+def process_gap(x, y, scale_y: float = 1.0) -> float:
+    """Node max of ``|x - scale_y * y|`` over two adapted or two predictable
+    processes, taken over every component."""
+    return node_max(
+        (k, np.abs(a - scale_y * b).reshape(len(a), -1).max(axis=1))
+        for k, (a, b) in enumerate(zip(x.values, y.values))
+    )[0]
+
+
 def _validate_slices(lattice: Lattice, values: list[np.ndarray], count: int, what: str):
     if len(values) != count:
         raise ValueError(f"{what} needs {count} slices, got {len(values)}")
@@ -196,25 +233,19 @@ def conditional_expectation(x, lattice: Lattice | None = None) -> AdaptedProcess
     return AdaptedProcess(lattice, vals)
 
 
+def _relative_defect(proc: AdaptedProcess, means) -> tuple[float, tuple[int, int]]:
+    """Largest relative one-step defect ``|E_k[X_{k+1}] - X_k| / max(1, |X_k|)``
+    and its node; ``means`` yields ``E_k[X_{k+1}]`` slice by slice, under
+    whichever one-step weights the caller means."""
+    size = np.abs if proc.dim is None else (lambda x: np.linalg.norm(x, axis=1))
+    return node_max((k, size(mean - proc.values[k]) / np.maximum(1.0, size(proc.values[k])))
+                    for k, mean in enumerate(means))
+
+
 def martingale_defect(proc: AdaptedProcess) -> tuple[float, tuple[int, int]]:
-    """Largest relative one-step defect ``|E_k[X_{k+1}] - X_k|`` and its node."""
-    worst = 0.0
-    where = (0, 0)
-    for k in range(proc.lattice.num_steps):
-        here = proc.values[k]
-        gap = child_mean(proc.values[k + 1]) - here
-        if gap.ndim == 2:
-            gap = np.linalg.norm(gap, axis=1)
-            scale = np.maximum(1.0, np.linalg.norm(here, axis=1))
-        else:
-            gap = np.abs(gap)
-            scale = np.maximum(1.0, np.abs(here))
-        rel = gap / scale
-        p = int(np.argmax(rel))
-        if rel[p] > worst:
-            worst = float(rel[p])
-            where = (k, p)
-    return worst, where
+    """Largest relative one-step defect ``|E_k[X_{k+1}] - X_k|`` and its
+    node, under ``node_max``'s rules (a nan defect wins)."""
+    return _relative_defect(proc, (child_mean(v) for v in proc.values[1:]))
 
 
 def is_martingale(proc: AdaptedProcess, tol: float = 1e-12) -> bool:
@@ -229,7 +260,7 @@ def martingale_representation(m: AdaptedProcess, tol: float = 1e-12) -> Predicta
     refused, since no exact representation exists for them.
     """
     defect, node = martingale_defect(m)
-    if defect > tol:
+    if not defect <= tol:  # a nan defect is refused too
         raise MartingaleError(
             f"martingale defect {defect:.3e} at node (step {node[0]}, path {node[1]}) "
             f"exceeds tolerance {tol:.1e}; representation refused"

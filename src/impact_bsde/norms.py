@@ -28,6 +28,7 @@ from .lattice import (
     child_mean,
     conditional_expectation,
     martingale_defect,
+    node_max,
 )
 
 BMO_P_DEFAULT_MAX_STEPS = 14
@@ -57,10 +58,18 @@ def _as_terminal_rows(values: np.ndarray) -> np.ndarray:
 
 def _require_martingale(m: AdaptedProcess, tol: float):
     defect, node = martingale_defect(m)
+    # a nan defect passes: the norm then reports nan itself
     if defect > tol:
         raise ValueError(
             f"input is not a martingale: relative defect {defect:.3e} at node {node}"
         )
+
+
+def _remaining_load(load, here: np.ndarray) -> np.ndarray:
+    """One backward step of a conditional remaining load: the node's own
+    load ``here`` plus the child mean of ``load``, the remaining load one
+    slice later (None below the last slice)."""
+    return here if load is None else here + child_mean(load)
 
 
 def bmo_norm(m: AdaptedProcess, tol: float = 1e-10) -> NormReport:
@@ -72,45 +81,39 @@ def bmo_norm(m: AdaptedProcess, tol: float = 1e-10) -> NormReport:
     """
     _require_martingale(m, tol)
     lat = m.lattice
-    best = 0.0
-    node = (lat.num_steps, 0)
-    c_next = np.zeros(lat.num_leaves)
-    for k in range(lat.num_steps - 1, -1, -1):
-        here = _as_terminal_rows(m.values[k])
-        nxt = _as_terminal_rows(m.values[k + 1])
-        d_up = nxt[0::2] - here
-        d_dn = nxt[1::2] - here
-        step_var = 0.5 * (np.sum(d_up * d_up, axis=1) + np.sum(d_dn * d_dn, axis=1))
-        c_here = step_var + child_mean(c_next)
-        p = int(np.argmax(c_here))
-        if c_here[p] > best:
-            best = float(c_here[p])
-            node = (k, p)
-        c_next = c_here
+
+    def loads():
+        c = None
+        for k in range(lat.num_steps - 1, -1, -1):
+            here = _as_terminal_rows(m.values[k])
+            nxt = _as_terminal_rows(m.values[k + 1])
+            d_up = nxt[0::2] - here
+            d_dn = nxt[1::2] - here
+            step_var = 0.5 * (np.sum(d_up * d_up, axis=1) + np.sum(d_dn * d_dn, axis=1))
+            c = _remaining_load(c, step_var)
+            yield k, c
+
+    best, node = node_max(loads())
     return NormReport(value=float(np.sqrt(best)), kind="bmo", achieving_node=node)
 
 
-def _node_moment_sweep(m: AdaptedProcess, moment) -> tuple[np.ndarray, int, int]:
+def _node_moment_sweep(m: AdaptedProcess, moment) -> tuple[float, tuple[int, int]]:
     """Max over nodes of ``E_node[moment(|M_N - M_node|)]`` via leaf reshapes.
 
     ``moment`` maps an array of distances to an array of the same shape.
-    Returns (best value, step, path).
+    Returns ``node_max``'s (value, node).
     """
     lat = m.lattice
     leaves = _as_terminal_rows(m.terminal)
-    best = -np.inf
-    node = (0, 0)
-    for k in range(lat.num_steps + 1):
-        here = _as_terminal_rows(m.values[k])
-        block = lat.num_leaves >> k
-        per_node = leaves.reshape(1 << k, block, -1)
-        dist = np.linalg.norm(per_node - here[:, None, :], axis=2)
-        vals = moment(dist).mean(axis=1)
-        p = int(np.argmax(vals))
-        if vals[p] > best:
-            best = float(vals[p])
-            node = (k, p)
-    return best, node[0], node[1]
+
+    def moments():
+        for k in range(lat.num_steps + 1):
+            here = _as_terminal_rows(m.values[k])
+            per_node = leaves.reshape(1 << k, lat.num_leaves >> k, -1)
+            dist = np.linalg.norm(per_node - here[:, None, :], axis=2)
+            yield k, moment(dist).mean(axis=1)
+
+    return node_max(moments())
 
 
 def bmo_p_norm(m: AdaptedProcess, p: float, tol: float = 1e-10,
@@ -129,9 +132,9 @@ def bmo_p_norm(m: AdaptedProcess, p: float, tol: float = 1e-10,
             f"{max_steps}; pass max_steps= explicitly to accept the cost"
         )
     _require_martingale(m, tol)
-    best, k, q = _node_moment_sweep(m, lambda d: d ** p)
+    best, node = _node_moment_sweep(m, lambda d: d ** p)
     return NormReport(value=float(best ** (1.0 / p)), kind=f"bmo_{p:g}",
-                      achieving_node=(k, q))
+                      achieving_node=node)
 
 
 def bmo_norm_rv(xi: np.ndarray, lattice: Lattice, center_tol: float = 1e-12) -> NormReport:
@@ -182,18 +185,14 @@ def h_norm(x, lattice: Lattice | None = None, bisection_tol: float = 1e-10,
         return NormReport(value=0.0, kind="orlicz_h", achieving_node=(0, 0), iterations=0)
 
     def criterion(lam: float):
-        best, k, p = _node_moment_sweep(m, lambda d: orlicz_h(d / lam))
-        return best, (k, p)
+        return _node_moment_sweep(m, lambda d: orlicz_h(d / lam))
 
     # bracket near the largest one-step jump (H(1) = 1 makes that the right
     # scale), expanding either side until it straddles the criterion
-    max_inc = 0.0
-    for k in range(lat.num_steps):
-        here = _as_terminal_rows(m.values[k])
-        nxt = _as_terminal_rows(m.values[k + 1])
-        inc = max(float(np.max(np.linalg.norm(nxt[0::2] - here, axis=1))),
-                  float(np.max(np.linalg.norm(nxt[1::2] - here, axis=1))))
-        max_inc = max(max_inc, inc)
+    rows = [_as_terminal_rows(v) for v in m.values]
+    jumps = (np.linalg.norm(rows[k + 1] - np.repeat(rows[k], 2, axis=0), axis=1)
+             for k in range(lat.num_steps))
+    max_inc, _ = node_max(enumerate(jumps, start=1))
     lo = max(max_inc, spread * 1e-8)
     hi = 10.0 * spread
     iters = 0
@@ -238,17 +237,14 @@ def h_bmo_norm(zeta: PredictableProcess) -> NormReport:
     """Integrand norm: sqrt of the node max of the conditional remaining
     quadratic load ``E_node[sum_{s >= node} |zeta_s|^2 dt]``."""
     lat = zeta.lattice
-    best = 0.0
-    node = (lat.num_steps, 0)
-    c_next = np.zeros(lat.num_leaves)
-    for k in range(lat.num_steps - 1, -1, -1):
-        load = _square_sum(_as_terminal_rows(zeta.values[k]).T) * lat.dt
-        c_here = load + child_mean(c_next)
-        p = int(np.argmax(c_here))
-        if c_here[p] > best:
-            best = float(c_here[p])
-            node = (k, p)
-        c_next = c_here
+
+    def loads():
+        c = None
+        for k in range(lat.num_steps - 1, -1, -1):
+            c = _remaining_load(c, _square_sum(_as_terminal_rows(zeta.values[k]).T) * lat.dt)
+            yield k, c
+
+    best, node = node_max(loads())
     return NormReport(value=float(np.sqrt(best)), kind="h_bmo", achieving_node=node)
 
 
@@ -262,15 +258,8 @@ def sup_norm(process) -> NormReport:
         slices = [process]
     else:
         slices = [np.asarray(v, dtype=float) for v in process]
-    best = 0.0
-    node = (0, 0)
-    for k, v in enumerate(slices):
-        v = _as_terminal_rows(v)
-        mags = np.linalg.norm(v, axis=1)
-        p = int(np.argmax(mags))
-        if mags[p] > best:
-            best = float(mags[p])
-            node = (k, p)
+    best, node = node_max((k, np.linalg.norm(_as_terminal_rows(v), axis=1))
+                          for k, v in enumerate(slices))
     return NormReport(value=best, kind="sup", achieving_node=node)
 
 

@@ -36,6 +36,8 @@ from .lattice import (
     Lattice,
     PredictableProcess,
     child_diff,
+    node_max,
+    process_gap,
     stochastic_integral,
 )
 from .scenario import Instance, StoppingTime
@@ -78,10 +80,7 @@ class EquilibriumSolution:
 
     def mpr_gap(self) -> float:
         """Node max between the two market-price-of-risk representations."""
-        gap = 0.0
-        for a, b in zip(self.market_price_of_risk.values, self.mpr_from_integrands.values):
-            gap = max(gap, float(np.max(np.abs(a - b))))
-        return gap
+        return process_gap(self.market_price_of_risk, self.mpr_from_integrands)
 
 
 def _check_finite(arr: np.ndarray, step: int, what: str):
@@ -203,20 +202,14 @@ def localize(solution: EquilibriumSolution, tau: StoppingTime):
     psi_loc = solution.dividend * alive[:, None]
     localized = price_equilibrium(Instance(lat, solution.risk_aversion, gamma_loc, psi_loc))
 
-    gap = 0.0
-    count = 0
-    worst = (0, 0)
-    for k in range(lat.num_steps + 1):
-        mask = tau.stopped_before(k)
-        if not np.any(mask):
-            continue
-        diff = np.linalg.norm(
-            localized.prices.values[k][mask] - solution.prices.values[k][mask], axis=1
-        )
-        count += int(mask.sum())
-        p = int(np.argmax(diff))
-        if diff[p] > gap:
-            gap = float(diff[p])
-            worst = (k, int(np.flatnonzero(mask)[p]))
+    # nodes outside the strict future read 0; the root always is one, so a
+    # zero gap is reported at (0, 0)
+    def gaps():
+        for k in range(lat.num_steps + 1):
+            diff = np.linalg.norm(localized.prices.values[k] - solution.prices.values[k], axis=1)
+            yield k, np.where(tau.stopped_before(k), diff, 0.0)
+
+    gap, worst = node_max(gaps())
+    count = sum(int(tau.stopped_before(k).sum()) for k in range(lat.num_steps + 1))
     return localized, LocalizationReport(max_price_gap=gap, nodes_compared=count,
                                          worst_node=worst)

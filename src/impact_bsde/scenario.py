@@ -16,6 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .lattice import Lattice, PredictableProcess
+from .norms import sup_norm
 
 
 def sign_plus(x) -> np.ndarray:
@@ -337,10 +338,7 @@ class Instance:
     @cached_property
     def gamma_sup(self) -> float:
         """Exact node maximum of the demand's per-node Euclidean norm."""
-        sup = 0.0
-        for v in self.gamma.values:
-            sup = max(sup, float(np.max(np.linalg.norm(v, axis=1))))
-        return sup
+        return sup_norm(self.gamma).value
 
 
 def evaluate_market(config: MarketConfig, lattice: Lattice) -> Instance:

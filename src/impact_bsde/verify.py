@@ -25,8 +25,12 @@ import numpy as np
 
 from .lattice import (
     PredictableProcess,
+    _relative_defect,
     build_lattice,
     child_mean,
+    martingale_defect,
+    node_max,
+    process_gap,
     stochastic_integral,
 )
 from .norms import bmo_norm_rv, h_bmo_norm, h_norm, orlicz_h, sup_norm, measure_kappa
@@ -120,19 +124,16 @@ def check_F_identity(num_points: int = 100, seed: int = 0) -> CheckReport:
 
 # --- equilibrium invariants ---------------------------------------------------
 
-def _relative(gap: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    return gap / np.maximum(1.0, scale)
+def _node_min(slices):
+    """Smallest node value and its node: ``node_max`` of the negated slices
+    (ties to the first node, a nan wins)."""
+    value, node = node_max((k, -np.asarray(v)) for k, v in slices)
+    return -value, node
 
 
 def check_R_nonneg(solution: EquilibriumSolution, tol: float = 1e-12) -> CheckReport:
     """Certainty equivalent never drops below zero (beyond roundoff)."""
-    worst = np.inf
-    node = (0, 0)
-    for k, v in enumerate(solution.certainty_equivalent.values):
-        p = int(np.argmin(v))
-        if v[p] < worst:
-            worst = float(v[p])
-            node = (k, p)
+    worst, node = _node_min(enumerate(solution.certainty_equivalent.values))
     return CheckReport(
         name="certainty_equivalent_nonnegative",
         status="pass" if worst >= -tol else "fail",
@@ -148,33 +149,12 @@ def check_equilibrium_martingales(solution: EquilibriumSolution,
     under the reference measure, prices and the gain are martingales under
     the pricing measure, and the terminal density equals the exponential of
     the negated scaled gain (up to the initial certainty equivalent)."""
-    lat = solution.lattice
     defects = {}
-
-    worst = 0.0
-    node = (0, 0)
-    for k in range(lat.num_steps):
-        z = solution.density.values[k]
-        zn = solution.density.values[k + 1]
-        gap = _relative(np.abs(child_mean(zn) - z), np.abs(z))
-        p = int(np.argmax(gap))
-        if gap[p] > worst:
-            worst, node = float(gap[p]), (k, p)
+    worst, node = martingale_defect(solution.density)
     defects["density_martingale"] = worst
 
-    s_worst = 0.0
-    g_worst = 0.0
-    for k in range(lat.num_steps):
-        q = solution.up_prob.values[k][:, None]
-        s = solution.prices.values[k]
-        sn = solution.prices.values[k + 1]
-        gap = np.linalg.norm(q * sn[0::2] + (1 - q) * sn[1::2] - s, axis=1)
-        s_worst = max(s_worst, float(np.max(_relative(gap, np.linalg.norm(s, axis=1)))))
-        qf = solution.up_prob.values[k]
-        g = solution.gain.values[k]
-        gn = solution.gain.values[k + 1]
-        ggap = np.abs(qf * gn[0::2] + (1 - qf) * gn[1::2] - g)
-        g_worst = max(g_worst, float(np.max(_relative(ggap, np.abs(g)))))
+    s_worst, _ = _relative_defect(solution.prices, _pricing_means(solution, solution.prices))
+    g_worst, _ = _relative_defect(solution.gain, _pricing_means(solution, solution.gain))
     defects["price_pricing_martingale"] = s_worst
     defects["gain_pricing_martingale"] = g_worst
 
@@ -185,15 +165,14 @@ def check_equilibrium_martingales(solution: EquilibriumSolution,
         np.max(np.abs(solution.density.terminal - ident))
     )
 
-    z_min = min(float(np.min(v)) for v in solution.density.values)
-    defects["density_min"] = z_min
+    defects["density_min"], _ = _node_min(enumerate(solution.density.values))
     # positivity is read off the log density: a strongly tilted one-step
     # weight underflows the linear density to zero while its log stays finite
-    log_z_min = float(np.min([np.min(v) for v in solution.log_density.values]))
+    log_z_min, _ = _node_min(enumerate(solution.log_density.values))
     defects["log_density_min"] = log_z_min
 
-    worst_all = max(defects["density_martingale"], s_worst, g_worst,
-                    defects["terminal_density_identity"])
+    worst_all, _ = node_max(enumerate([worst, s_worst, g_worst,
+                                       defects["terminal_density_identity"]]))
     ok = worst_all <= tol and bool(np.isfinite(log_z_min))
     return CheckReport(
         name="equilibrium_martingales",
@@ -204,7 +183,20 @@ def check_equilibrium_martingales(solution: EquilibriumSolution,
     )
 
 
+def _pricing_means(solution: EquilibriumSolution, proc):
+    """Yield ``E^Q_k[X_{k+1}]`` slice by slice under the pricing weights."""
+    for q, nxt in zip(solution.up_prob.values, proc.values[1:]):
+        q = q if nxt.ndim == 1 else q[:, None]
+        yield q * nxt[0::2] + (1 - q) * nxt[1::2]
+
+
 # --- a-priori bound and supermartingale mechanism ----------------------------
+
+def dividend_gauge_norm(solution: EquilibriumSolution) -> float:
+    """Gauge norm of the centred dividend: the constant of the a-priori
+    bound, which both of its checks need."""
+    return h_norm(solution.dividend - solution.dividend.mean(axis=0), solution.lattice).value
+
 
 def _apriori_hypotheses(solution: EquilibriumSolution, psi_h: float) -> dict:
     gamma_sup = sup_norm(solution.gamma).value
@@ -226,42 +218,34 @@ def check_apriori(solution: EquilibriumSolution, psi_h_norm: float | None = None
     produces it (with the conditional dividend mean as center) holds too."""
     lat = solution.lattice
     if psi_h_norm is None:
-        psi_h_norm = h_norm(solution.dividend - solution.dividend.mean(axis=0), lat).value
+        psi_h_norm = dividend_gauge_norm(solution)
     hyp = _apriori_hypotheses(solution, psi_h_norm)
     if not all(v for k, v in hyp.items() if isinstance(v, (bool, np.bool_))):
         return CheckReport(name="apriori_bound", status="skip", hypotheses=hyp,
                            details={"note": "hypotheses not satisfied; check skipped"})
 
     floor = 1.0 - psi_h_norm
-    worst = np.inf
-    node = (0, 0)
-    for k, r in enumerate(solution.certainty_equivalent.values):
-        vals = np.exp(-r) - floor
-        p = int(np.argmin(vals))
-        if vals[p] < worst:
-            worst, node = float(vals[p]), (k, p)
+    worst, node = _node_min((k, np.exp(-r) - floor)
+                            for k, r in enumerate(solution.certainty_equivalent.values))
 
     # node-wise mechanism: exp(-R_k) >= E_k[F(|dividend - E_k[dividend]|)]
-    leaves = solution.dividend
-    mech_worst = np.inf
-    mech_node = (0, 0)
-    for k in range(lat.num_steps + 1):
-        block = lat.num_leaves >> k
-        per_node = leaves.reshape(1 << k, block, -1)
-        center = per_node.mean(axis=1)
-        dist = np.linalg.norm(per_node - center[:, None, :], axis=2)
-        rhs = decay_profile(dist).mean(axis=1)
-        gap = np.exp(-solution.certainty_equivalent.values[k]) - rhs
-        p = int(np.argmin(gap))
-        if gap[p] < mech_worst:
-            mech_worst, mech_node = float(gap[p]), (k, p)
+    def mechanism_gaps():
+        leaves = solution.dividend
+        for k in range(lat.num_steps + 1):
+            per_node = leaves.reshape(1 << k, lat.num_leaves >> k, -1)
+            center = per_node.mean(axis=1)
+            dist = np.linalg.norm(per_node - center[:, None, :], axis=2)
+            rhs = decay_profile(dist).mean(axis=1)
+            yield k, np.exp(-solution.certainty_equivalent.values[k]) - rhs
 
-    ok = worst >= -tol and mech_worst >= -tol
+    mech_worst, mech_node = _node_min(mechanism_gaps())
+    # the smaller gap decides; a tie goes to the floor gap, a nan fails
+    margin, (which, _) = _node_min(enumerate([worst, mech_worst]))
     return CheckReport(
         name="apriori_bound",
-        status="pass" if ok else "fail",
-        margin=min(worst, mech_worst) + tol,
-        worst_node=node if worst <= mech_worst else mech_node,
+        status="pass" if margin >= -tol else "fail",
+        margin=margin + tol,
+        worst_node=(node, mech_node)[which],
         hypotheses=hyp,
         details={"floor": floor, "min_gap_to_floor": worst,
                  "min_conditional_gap": mech_worst},
@@ -286,40 +270,38 @@ def check_supermartingale_V(solution: EquilibriumSolution, x_grid=None,
     node."""
     lat = solution.lattice
     if psi_h_norm is None:
-        psi_h_norm = h_norm(solution.dividend - solution.dividend.mean(axis=0), lat).value
+        psi_h_norm = dividend_gauge_norm(solution)
     hyp = _apriori_hypotheses(solution, psi_h_norm)
     if not all(v for k, v in hyp.items() if isinstance(v, (bool, np.bool_))):
         return CheckReport(name="supermartingale_profile", status="skip", hypotheses=hyp,
                            details={"note": "hypotheses not satisfied; check skipped"})
     if x_grid is None:
         x_grid = default_x_grid(solution)
+    centers = [np.atleast_1d(np.asarray(x, dtype=float)) for x in x_grid]
 
-    worst = -np.inf
-    node = (0, 0)
-    worst_x = None
-    for x in x_grid:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        vee = [
-            (1.0 - orlicz_h(np.linalg.norm(solution.prices.values[k] - x, axis=1)))
-            * np.exp(-solution.certainty_equivalent.values[k])
-            for k in range(lat.num_steps + 1)
-        ]
-        for k in range(lat.num_steps):
-            # relative defect: far centers make the profile huge and the
-            # inequality must survive at the scale float carries there
-            gap = child_mean(vee[k + 1]) - vee[k]
-            defect = gap / np.maximum(1.0, np.abs(vee[k]))
-            p = int(np.argmax(defect))
-            if defect[p] > worst:
-                worst, node, worst_x = float(defect[p]), (k, p), x
+    def defects():
+        for i, x in enumerate(centers):
+            vee = [
+                (1.0 - orlicz_h(np.linalg.norm(solution.prices.values[k] - x, axis=1)))
+                * np.exp(-solution.certainty_equivalent.values[k])
+                for k in range(lat.num_steps + 1)
+            ]
+            for k in range(lat.num_steps):
+                # relative defect: far centers make the profile huge and the
+                # inequality must survive at the scale float carries there
+                gap = child_mean(vee[k + 1]) - vee[k]
+                yield (i, k), gap / np.maximum(1.0, np.abs(vee[k]))
+
+    # ranked by center first, so a tie goes to the earliest center
+    worst, ((i, k), p) = node_max(defects())
     return CheckReport(
         name="supermartingale_profile",
         status="pass" if worst <= tol else "fail",
         margin=tol - worst,
-        worst_node=node,
+        worst_node=(k, p),
         hypotheses=hyp,
         details={"max_defect": worst, "grid_size": len(x_grid),
-                 "worst_center": None if worst_x is None else worst_x.tolist()},
+                 "worst_center": centers[i].tolist()},
     )
 
 
@@ -352,9 +334,7 @@ def check_optimality(solution: EquilibriumSolution, num_random: int = 1000,
             lat, [rng.uniform(-1.0, 1.0, size=(1 << k, n)) for k in range(lat.num_steps)]
         ))
 
-    worst = np.inf
-    for comp in entries:
-        worst = min(worst, base - _expected_utility(solution, comp))
+    utility_gaps = [base - _expected_utility(solution, comp) for comp in entries]
 
     # two-sided perturbations around the demand: the directional slope of the
     # expected utility at the optimum should vanish
@@ -368,8 +348,9 @@ def check_optimality(solution: EquilibriumSolution, num_random: int = 1000,
         up = PredictableProcess(lat, [g + epsilon * v for g, v in zip(solution.gamma.values, d)])
         dn = PredictableProcess(lat, [g - epsilon * v for g, v in zip(solution.gamma.values, d)])
         uu, ud = _expected_utility(solution, up), _expected_utility(solution, dn)
-        worst = min(worst, base - uu, base - ud)
+        utility_gaps += [base - uu, base - ud]
         slopes.append((uu - ud) / (2 * epsilon))
+    worst, _ = _node_min([(0, utility_gaps)])
 
     return CheckReport(
         name="demand_optimality",
@@ -398,7 +379,6 @@ def check_homogeneity(inst: Instance, b_values=(0.5, 2.0, 10.0),
                 inst.gamma.scaled(scale_g), inst.psi * scale_psi))
         return base_cache[key]
 
-    worst = 0.0
     per_b = {}
     for b in b_values:
         if b <= 0:
@@ -407,29 +387,23 @@ def check_homogeneity(inst: Instance, b_values=(0.5, 2.0, 10.0),
         s2 = run(1.0, b, 1.0)
         s3 = run(1.0, 1.0, b)
         gaps = {
-            "price_demand_vs_aversion": _proc_gap(s1.prices, s2.prices),
-            "price_vs_scaled_dividend": _proc_gap(s1.prices, s3.prices, 1.0 / b),
-            "volatility_demand_vs_aversion": _proc_gap(s1.volatility, s2.volatility),
-            "volatility_vs_scaled_dividend": _proc_gap(s1.volatility, s3.volatility, 1.0 / b),
-            "mpr_demand_vs_aversion": _proc_gap(
+            "price_demand_vs_aversion": process_gap(s1.prices, s2.prices),
+            "price_vs_scaled_dividend": process_gap(s1.prices, s3.prices, 1.0 / b),
+            "volatility_demand_vs_aversion": process_gap(s1.volatility, s2.volatility),
+            "volatility_vs_scaled_dividend": process_gap(s1.volatility, s3.volatility, 1.0 / b),
+            "mpr_demand_vs_aversion": process_gap(
                 s1.market_price_of_risk, s2.market_price_of_risk),
-            "mpr_vs_scaled_dividend": _proc_gap(
+            "mpr_vs_scaled_dividend": process_gap(
                 s1.market_price_of_risk, s3.market_price_of_risk),
         }
         per_b[b] = gaps
-        worst = max(worst, max(gaps.values()))
+    worst, _ = node_max((i, list(gaps.values())) for i, gaps in enumerate(per_b.values()))
     return CheckReport(
         name="homogeneity",
         status="pass" if worst <= tol else "fail",
         margin=tol - worst,
         details={"max_gap": worst, "per_factor": per_b},
     )
-
-
-def _proc_gap(x, y, scale_y: float = 1.0) -> float:
-    """Node max of ``|x - scale_y * y|`` over two adapted or two predictable
-    processes."""
-    return max(float(np.max(np.abs(a - scale_y * b))) for a, b in zip(x.values, y.values))
 
 
 # --- localization ---------------------------------------------------------------
@@ -553,10 +527,8 @@ def run_counterexample(n_list=(8, 10, 12), sign_zero: int = 1,
         vee = [decay_profile(sol.prices.values[k][:, 0])
                * np.exp(-sol.certainty_equivalent.values[k])
                for k in range(num_steps + 1)]
-        defect = max(
-            float(np.max(np.abs(child_mean(vee[k + 1]) - vee[k])))
-            for k in range(num_steps)
-        )
+        defect, _ = node_max((k, np.abs(child_mean(vee[k + 1]) - vee[k]))
+                             for k in range(num_steps))
         price_gap = float(np.mean([np.mean(np.abs(1.0 - np.abs(v[:, 0])))
                                    for v in sol.prices.values]))
         trend["num_steps"].append(num_steps)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -418,3 +419,66 @@ def test_each_command_evaluates_the_market_once(tmp_path, monkeypatch):
         result = CliRunner().invoke(main, command + ["--config", cfg, "--out", out])
         assert result.exit_code == 0, (command, result.output)
         assert len(calls) == 1, command
+
+
+def test_sweep_measures_kappa_once_per_depth(tmp_path, monkeypatch):
+    import impact_bsde.cli as cli
+    calls = []
+    original = cli.measure_kappa
+
+    def counting(lattice, *args, **kwargs):
+        calls.append(lattice.num_steps)
+        return original(lattice, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "measure_kappa", counting)
+    doc = one_period_doc(num_steps=5, demand={"type": "negative_sign_of_b"},
+                         dividend={"type": "sign_of_b_t", "scale": 0.5})
+    doc["solver"] = {"max_iter": 20}
+    cfg = write_config(tmp_path, doc)
+    out = str(tmp_path / "sweep.csv")
+    sweeps = {("risk_aversion", "0.5", "1.5", "5"): [5],
+              ("num_steps", "2", "4", "5"): [2, 3, 4]}
+    for (param, start, stop, points), want in sweeps.items():
+        calls.clear()
+        result = CliRunner().invoke(main, ["sweep", "--config", cfg, "--param", param,
+                                           "--from", start, "--to", stop,
+                                           "--points", points, "--out", out])
+        assert result.exit_code == 0, result.output
+        assert calls == want, param
+
+
+def test_verify_apriori_computes_the_gauge_norm_once(tmp_path, monkeypatch):
+    import impact_bsde.verify as verify
+    calls = []
+    original = verify.h_norm
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "h_norm", counting)
+    doc = one_period_doc(num_steps=5, demand={"type": "constant", "value": 0.5},
+                         dividend={"type": "sign_of_b_t", "scale": 0.2},
+                         center_dividend=True)
+    cfg = write_config(tmp_path, doc)
+    result = CliRunner().invoke(main, ["verify", "--config", cfg, "--suite", "apriori",
+                                       "--out", str(tmp_path / "verify.json")])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
+
+
+def test_diverging_sweep_prints_no_runtime_warning(tmp_path):
+    doc = one_period_doc(num_steps=10, demand={"type": "negative_sign_of_b"},
+                         dividend={"type": "sign_of_b_t"})
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "sweep.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = CliRunner().invoke(main, ["sweep", "--config", cfg, "--param",
+                                           "risk_aversion", "--from", "0.05", "--to", "6",
+                                           "--points", "12", "--out", str(out)])
+    assert result.exit_code == 0, (result.output, result.exception)
+    assert "RuntimeWarning" not in result.output
+    converged = [row[2] for row in _csv_rows(out)]
+    # the sweep does cross into divergence, where the warnings used to come from
+    assert "True" in converged and "False" in converged

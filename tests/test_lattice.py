@@ -14,6 +14,8 @@ from impact_bsde import (
     is_martingale,
     martingale_defect,
     martingale_representation,
+    node_max,
+    process_gap,
     stochastic_exponential,
     stochastic_integral,
 )
@@ -262,3 +264,84 @@ def test_adapted_process_shape_validation():
         AdaptedProcess(lat, [np.zeros(1), np.zeros(2)])
     with pytest.raises(ValueError, match="leading size"):
         AdaptedProcess(lat, [np.zeros(1), np.zeros(3), np.zeros(4)])
+
+
+# --- node_max: the one reduction behind every "worst node" ------------------
+
+def test_node_max_tie_rule_ignores_slice_order():
+    slices = [(0, np.array([1.0])), (1, np.array([3.0, 2.0])),
+              (2, np.array([1.0, 3.0, 3.0, 0.0]))]
+    assert node_max(slices) == (3.0, (1, 0))
+    assert node_max(reversed(slices)) == (3.0, (1, 0))
+    # a scalar is a one-node slice; ties go to the first
+    assert node_max(enumerate([2.0, 5.0, 5.0])) == (5.0, (1, 0))
+
+
+def test_node_max_nan_rule():
+    nan = np.nan
+    slices = [(0, np.array([1.0])), (1, np.array([4.0, nan])),
+              (2, np.array([9.0, nan, 0.0, nan]))]
+    for order in (slices, slices[::-1]):
+        value, node = node_max(order)
+        assert np.isnan(value) and node == (1, 1)
+    # inf is a number: a nan still outranks it
+    value, node = node_max([(0, np.array([np.inf])), (1, np.array([0.0, nan]))])
+    assert np.isnan(value) and node == (1, 1)
+
+
+def test_node_max_minimum_by_negation_is_exact():
+    slices = [np.array([0.3]), np.array([-0.1, 0.7]), np.array([2.0, -0.1, -0.1, 5.0])]
+    value, node = node_max((k, -v) for k, v in enumerate(slices))
+    assert (-value, node) == (-0.1, (1, 0))
+
+
+def test_node_max_refuses_no_slices():
+    with pytest.raises(ValueError, match="no slices"):
+        node_max([])
+
+
+_node_values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan]),
+                         st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=5).flatmap(
+    lambda n: st.tuples(
+        st.lists(_node_values, min_size=(1 << (n + 1)) - 1, max_size=(1 << (n + 1)) - 1),
+        st.permutations(range(n + 1)))))
+def test_node_max_matches_brute_force_argmax(case):
+    flat, order = case
+    nodes = [(k, p) for k in range(len(order)) for p in range(1 << k)]
+    slices = {k: np.array(flat[(1 << k) - 1:(1 << (k + 1)) - 1]) for k in order}
+    value, node = node_max((k, slices[k]) for k in order)
+    # brute force over the concatenated slices in (step, path) order
+    nans = [i for i, x in enumerate(flat) if x != x]
+    if nans:
+        assert np.isnan(value) and node == nodes[nans[0]]
+    else:
+        top = max(flat)
+        assert value == top and node == nodes[flat.index(top)]
+
+
+def test_nan_node_fails_the_martingale_checks():
+    lat = build_lattice(3, 1.0)
+    walk = lat.brownian()
+    values = [v.copy() for v in walk.values]
+    values[2][3] = np.nan
+    broken = AdaptedProcess(lat, values)
+    defect, node = martingale_defect(broken)
+    # the first node whose one-step defect involves (2, 3) is its parent
+    assert np.isnan(defect) and node == (1, 1)
+    assert not is_martingale(broken)
+    with pytest.raises(MartingaleError, match="nan"):
+        martingale_representation(broken)
+
+
+def test_process_gap_is_the_node_max_of_the_difference():
+    lat = build_lattice(3, 1.0)
+    walk = lat.brownian()
+    assert process_gap(walk, walk) == 0.0
+    assert process_gap(walk, walk, 0.5) == pytest.approx(0.5 * np.sqrt(3.0))
+    values = [v.copy() for v in walk.values]
+    values[3][5] = np.nan
+    assert np.isnan(process_gap(walk, AdaptedProcess(lat, values)))

@@ -261,3 +261,25 @@ def test_measure_kappa_at_least_one():
     kappa = measure_kappa(lat, num_random=8, seed=1)
     assert kappa >= 1.0
     assert kappa < 10.0
+
+
+def test_nan_node_is_reported_by_the_norms():
+    lat = build_lattice(4, 1.0)
+    leaves = lat.brownian().terminal.copy()
+    leaves[6] = np.nan
+    assert np.isnan(bmo_norm(doob(leaves, lat)).value)
+    zeta = [np.ones(1 << k) for k in range(4)]
+    zeta[2][1] = np.nan
+    zeta = PredictableProcess(lat, zeta)
+    assert np.isnan(h_bmo_norm(zeta).value)
+    rep = sup_norm(zeta)
+    assert np.isnan(rep.value) and rep.achieving_node == (2, 1)
+
+
+def test_integrand_norm_reports_the_shallowest_tie():
+    # an all-zero load ties at every node: the first in (step, path) order,
+    # the root, is reported
+    lat = build_lattice(4, 1.0)
+    zero = PredictableProcess(lat, [np.zeros(1 << k) for k in range(4)])
+    assert h_bmo_norm(zero).achieving_node == (0, 0)
+    assert bmo_norm(doob(np.zeros(16), lat)).achieving_node == (0, 0)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -282,3 +283,26 @@ def test_check_report_serializes():
     assert doc["name"] == "decay_profile_identity"
     import json
     json.dumps(doc)
+
+
+def _with_nan(proc, step, path):
+    values = [v.copy() for v in proc.values]
+    values[step][path] = np.nan
+    return type(proc)(proc.lattice, values)
+
+
+def test_nan_certainty_equivalent_fails_the_nonnegativity_gate(eligible):
+    _, _, sol = eligible
+    broken = replace(sol, certainty_equivalent=_with_nan(sol.certainty_equivalent, 3, 5))
+    report = check_R_nonneg(broken)
+    assert report.status == "fail"
+    assert math.isnan(report.margin) and report.worst_node == (3, 5)
+
+
+@pytest.mark.parametrize("field", ["prices", "gain", "density"])
+def test_nan_node_fails_the_martingale_gate(eligible, field):
+    _, _, sol = eligible
+    broken = replace(sol, **{field: _with_nan(getattr(sol, field), 4, 2)})
+    report = check_equilibrium_martingales(broken)
+    assert report.status == "fail"
+    assert math.isnan(report.margin)
