@@ -29,8 +29,12 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
+# the float format of every CSV table: 17 significant digits
+_FLOAT_SPEC = ".16e"
+
+
 def _fmt(x: float) -> str:
-    return f"{x:.16e}"
+    return format(x, _FLOAT_SPEC)
 
 
 def _write_json(path: str, doc: dict):
@@ -100,33 +104,32 @@ def _node_slice(proc, k: int, width: int, dim: int | None = None):
     """Slice ``k`` of ``proc``, or nan rows where the process is absent or
     ends before ``k`` (predictable fields on the terminal slice)."""
     if proc is None or k >= len(proc.values):
-        return [np.nan] * width if dim is None else [[np.nan] * dim] * width
+        return np.full(width if dim is None else (width, dim), np.nan)
     return proc.values[k]
 
 
 def _write_nodes(path: str, prices, certainty, density=None, up_prob=None,
                  mpr=None, volatility=None):
     """Per-node CSV: step, node, walk, prices, certainty equivalent, density,
-    up probability, market price of risk, volatility."""
+    up probability, market price of risk, volatility.  Written a level at a
+    time through one row template; the bytes are those of ``_write_csv``."""
     lat = prices.lattice
     n = prices.dim
     header = ["step", "node", "b", *[f"s_{i + 1}" for i in range(n)],
               "r", "z", "q_up", "alpha", *[f"sigma_{i + 1}" for i in range(n)]]
-
-    def rows():
+    # csv.writer's default row terminator
+    row = ",".join(["%d", "%d"] + ["%" + _FLOAT_SPEC] * (5 + 2 * n)) + "\r\n"
+    with open(path, "w", newline="") as handle:
+        handle.write(",".join(header) + "\r\n")
         for k in range(lat.num_steps + 1):
             width = 1 << k
-            b = lat.b_int[k] * lat.sqrt_dt
-            s = prices.values[k]
-            r = certainty.values[k]
-            z = _node_slice(density, k, width)
-            q = _node_slice(up_prob, k, width)
-            al = _node_slice(mpr, k, width)
-            sg = _node_slice(volatility, k, width, n)
-            for p in range(width):
-                yield [k, p, b[p], *s[p], r[p], z[p], q[p], al[p], *sg[p]]
-
-    _write_csv(path, header, rows())
+            table = np.column_stack([
+                np.full(width, k), np.arange(width), lat.b_int[k] * lat.sqrt_dt,
+                prices.values[k], certainty.values[k],
+                _node_slice(density, k, width), _node_slice(up_prob, k, width),
+                _node_slice(mpr, k, width), _node_slice(volatility, k, width, n),
+            ])
+            handle.write("".join(row % tuple(values) for values in table.tolist()))
 
 
 @click.group()

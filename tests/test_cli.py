@@ -482,3 +482,93 @@ def test_diverging_sweep_prints_no_runtime_warning(tmp_path):
     converged = [row[2] for row in _csv_rows(out)]
     # the sweep does cross into divergence, where the warnings used to come from
     assert "True" in converged and "False" in converged
+
+
+def test_overflowing_competitors_print_no_runtime_warning(tmp_path):
+    # at this aversion some random competitors' utilities overflow to -inf;
+    # their gap is +inf, which is the right answer, so nothing is printed
+    doc = one_period_doc(risk_aversion=800.0, num_steps=8,
+                         demand={"type": "constant", "value": 0.5},
+                         dividend={"type": "sign_of_b_t"})
+    cfg = write_config(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = CliRunner().invoke(main, ["verify", "--config", cfg, "--out",
+                                           str(tmp_path / "v.json"), "--suite", "optimality"])
+    assert result.exit_code == 0, (result.output, result.exception)
+    assert "RuntimeWarning" not in result.output
+
+
+def _reference_write_nodes(path, prices, certainty, density=None, up_prob=None,
+                           mpr=None, volatility=None):
+    """The node table through csv.writer, one value at a time."""
+    import csv
+    lat = prices.lattice
+    n = prices.dim
+
+    def column(proc, k, width, dim=None):
+        if proc is None or k >= len(proc.values):
+            return [np.nan] * width if dim is None else [[np.nan] * dim] * width
+        return proc.values[k]
+
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["step", "node", "b", *[f"s_{i + 1}" for i in range(n)],
+                         "r", "z", "q_up", "alpha", *[f"sigma_{i + 1}" for i in range(n)]])
+        for k in range(lat.num_steps + 1):
+            width = 1 << k
+            b = lat.b_int[k] * lat.sqrt_dt
+            z, q, al = (column(p, k, width) for p in (density, up_prob, mpr))
+            sg = column(volatility, k, width, n)
+            for p in range(width):
+                row = [k, p, b[p], *prices.values[k][p], certainty.values[k][p],
+                       z[p], q[p], al[p], *sg[p]]
+                writer.writerow([f"{v:.16e}" if isinstance(v, (float, np.floating)) else v
+                                 for v in row])
+
+
+def test_node_table_bytes_match_the_csv_writer(tmp_path):
+    from impact_bsde import build_lattice, evaluate_market, price_equilibrium
+    from impact_bsde.cli import _write_nodes
+    doc = one_period_doc(num_stocks=2, num_steps=3,
+                         demand={"type": "constant", "value": [0.5, -0.25]},
+                         dividend={"type": "sign_of_b_t", "scale": 0.5})
+    market = parse_config(doc).market
+    sol = price_equilibrium(evaluate_market(market, build_lattice(3, 1.0)))
+
+    def with_values(proc, step, entries):
+        values = [v.copy() for v in proc.values]
+        for index, value in entries:
+            values[step][index] = value
+        return type(proc)(proc.lattice, values)
+    density = with_values(sol.density, 2, [(1, np.inf), (2, -0.0)])
+    volatility = with_values(sol.volatility, 1, [((0, 1), -np.inf), ((1, 0), -0.0)])
+    args = (sol.prices, sol.certainty_equivalent, density, sol.up_prob,
+            sol.market_price_of_risk, volatility)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    _write_nodes(str(got), *args)
+    _reference_write_nodes(str(want), *args)
+    text = got.read_text()
+    assert "inf" in text and "-0.0000000000000000e+00" in text
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_bsde_node_table_bytes_match_the_csv_writer(tmp_path, monkeypatch):
+    # the backward system has no one-step pricing weight: q_up is all nan
+    import impact_bsde.cli as cli
+    original = cli._write_nodes
+
+    def both(path, *args, **kwargs):
+        original(path, *args, **kwargs)
+        _reference_write_nodes(path + ".ref", *args, **kwargs)
+    monkeypatch.setattr(cli, "_write_nodes", both)
+    cfg = write_config(tmp_path, one_period_doc(
+        num_stocks=2, num_steps=4, demand={"type": "constant", "value": [0.3, 0.2]},
+        dividend={"type": "sign_of_b_t", "scale": 0.5}))
+    nodes = tmp_path / "nodes.csv"
+    result = CliRunner().invoke(main, ["bsde", "--config", cfg, "--out", str(tmp_path / "b.json"),
+                                       "--method", "explicit", "--dump-nodes", str(nodes)])
+    assert result.exit_code == 0, (result.output, result.exception)
+    header, *rows = [line.split(",") for line in nodes.read_text().splitlines()]
+    assert {row[header.index("q_up")] for row in rows} == {"nan"}
+    assert nodes.read_bytes() == (tmp_path / "nodes.csv.ref").read_bytes()

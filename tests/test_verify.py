@@ -18,7 +18,11 @@ from impact_bsde import (
     solve_picard,
 )
 from impact_bsde.lattice import PredictableProcess
+from impact_bsde.scenario import sign_plus
 from impact_bsde.verify import (
+    _GAIN_BLOCK_BYTES,
+    _competitor_utilities,
+    _expected_utility,
     check_F_identity,
     check_R_nonneg,
     check_apriori,
@@ -306,3 +310,99 @@ def test_nan_node_fails_the_martingale_gate(eligible, field):
     report = check_equilibrium_martingales(broken)
     assert report.status == "fail"
     assert math.isnan(report.margin)
+
+
+def _priced(num_steps, num_stocks, seed=0):
+    cfg = random_table_config(np.random.default_rng(seed), num_steps, num_stocks)
+    return price_equilibrium(evaluate_market(cfg, build_lattice(num_steps, 1.0)))
+
+
+def _seed_utilities(sol, num_random, rng):
+    """The per-competitor loop the batched scorer replaced: a predictable
+    process and a full-tree integral per competitor, in the same draw order."""
+    lat, n = sol.lattice, sol.gamma.dim
+    competitors = [PredictableProcess(lat, [np.zeros((1 << k, n)) for k in range(lat.num_steps)])]
+    for _ in range(num_random):
+        competitors.append(PredictableProcess(
+            lat, [rng.uniform(-1.0, 1.0, size=(1 << k, n)) for k in range(lat.num_steps)]))
+    return [_expected_utility(sol, c) for c in competitors]
+
+
+def _seed_optimality(sol, num_random, epsilon, seed):
+    """Minimum gap and slopes of the check with the per-competitor loop."""
+    lat, n = sol.lattice, sol.gamma.dim
+    rng = np.random.default_rng(seed)
+    base = _expected_utility(sol, sol.gamma)
+    gaps = [base - u for u in _seed_utilities(sol, num_random, rng)]
+    slopes = []
+    directions = [
+        [np.ones((1 << k, n)) for k in range(lat.num_steps)],
+        [np.tile(sign_plus(lat.b_int[k])[:, None], (1, n)) for k in range(lat.num_steps)],
+        [rng.uniform(-1.0, 1.0, size=(1 << k, n)) for k in range(lat.num_steps)],
+    ]
+    for d in directions:
+        uu, ud = (_expected_utility(sol, PredictableProcess(
+            lat, [g + s * epsilon * v for g, v in zip(sol.gamma.values, d)])) for s in (1, -1))
+        gaps += [base - uu, base - ud]
+        slopes.append((uu - ud) / (2 * epsilon))
+    return min(gaps), slopes
+
+
+@pytest.mark.parametrize("num_stocks", [1, 2])
+@pytest.mark.parametrize("num_random", [0, 1, "blocks"])
+def test_batched_optimality_equals_the_per_competitor_loop(num_stocks, num_random):
+    sol = _priced(10, num_stocks, seed=num_stocks)
+    if num_random == "blocks":  # two whole blocks and a part of one
+        num_random = 2 * (_GAIN_BLOCK_BYTES // (8 << 10)) + 3
+    # every competitor's utility, in order, and the stream position after them
+    batched_rng, seed_rng = np.random.default_rng(11), np.random.default_rng(11)
+    assert (_competitor_utilities(sol, batched_rng, num_random)
+            == _seed_utilities(sol, num_random, seed_rng))
+    assert batched_rng.random() == seed_rng.random()
+    report = check_optimality(sol, num_random=num_random, epsilon=1e-4, seed=11)
+    worst, slopes = _seed_optimality(sol, num_random, 1e-4, 11)
+    assert report.details["competitors"] == num_random + 1 + 6
+    assert report.details["min_utility_gap"] == worst
+    assert report.details["perturbation_slopes"] == slopes
+
+
+def test_optimality_stays_batched(monkeypatch):
+    # the competitors are scored by one recurrence per block: only the base
+    # utility and the six perturbations build a full-tree integral
+    import impact_bsde.verify as verify_mod
+    calls = []
+    original = verify_mod.stochastic_integral
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(verify_mod, "stochastic_integral", counting)
+    check_optimality(_priced(10, 1), num_random=1000)
+    assert len(calls) <= 7
+
+
+def test_optimality_memory_does_not_grow_with_competitors():
+    import tracemalloc
+    sol = _priced(12, 1)
+    peaks = {}
+    for num_random in (50, 400):
+        tracemalloc.start()
+        try:
+            check_optimality(sol, num_random=num_random)
+            peaks[num_random] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[400] < 1.5 * peaks[50]
+
+
+def test_overflowing_base_utility_fails_optimality(eligible):
+    # an aversion this large overflows the equilibrium demand's own utility:
+    # the check must fail, quietly, not pass on an infinite gap
+    _, _, sol = eligible
+    hopeless = replace(sol, risk_aversion=1e6)
+    with np.errstate(over="ignore"):
+        assert _expected_utility(hopeless, hopeless.gamma) == -math.inf
+    report = check_optimality(hopeless, num_random=20)
+    assert report.status == "fail"
+    gap = report.details["min_utility_gap"]
+    assert math.isnan(gap) or gap == -math.inf
