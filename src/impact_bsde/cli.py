@@ -108,11 +108,17 @@ def _node_slice(proc, k: int, width: int, dim: int | None = None):
     return proc.values[k]
 
 
+# rows of the node table formatted per write, so the writer's temporaries
+# stay a few MB whatever the depth
+_NODE_ROWS = 1 << 12
+
+
 def _write_nodes(path: str, prices, certainty, density=None, up_prob=None,
                  mpr=None, volatility=None):
     """Per-node CSV: step, node, walk, prices, certainty equivalent, density,
-    up probability, market price of risk, volatility.  Written a level at a
-    time through one row template; the bytes are those of ``_write_csv``."""
+    up probability, market price of risk, volatility.  Written in chunks of
+    a level through one row template; the bytes are those of
+    ``_write_csv``."""
     lat = prices.lattice
     n = prices.dim
     header = ["step", "node", "b", *[f"s_{i + 1}" for i in range(n)],
@@ -123,13 +129,16 @@ def _write_nodes(path: str, prices, certainty, density=None, up_prob=None,
         handle.write(",".join(header) + "\r\n")
         for k in range(lat.num_steps + 1):
             width = 1 << k
-            table = np.column_stack([
-                np.full(width, k), np.arange(width), lat.b_int[k] * lat.sqrt_dt,
-                prices.values[k], certainty.values[k],
+            columns = [
+                lat.b_int[k] * lat.sqrt_dt, prices.values[k], certainty.values[k],
                 _node_slice(density, k, width), _node_slice(up_prob, k, width),
                 _node_slice(mpr, k, width), _node_slice(volatility, k, width, n),
-            ])
-            handle.write("".join(row % tuple(values) for values in table.tolist()))
+            ]
+            for lo in range(0, width, _NODE_ROWS):
+                hi = min(width, lo + _NODE_ROWS)
+                table = np.column_stack([np.full(hi - lo, k), np.arange(lo, hi),
+                                         *(c[lo:hi] for c in columns)])
+                handle.write("".join(row % tuple(values) for values in table.tolist()))
 
 
 @click.group()

@@ -31,7 +31,6 @@ from .lattice import (
     martingale_defect,
     node_max,
     process_gap,
-    stochastic_integral,
 )
 from .norms import bmo_norm_rv, h_bmo_norm, h_norm, orlicz_h, sup_norm, measure_kappa
 from .pricer import EquilibriumSolution, localize, price_equilibrium
@@ -307,55 +306,33 @@ def check_supermartingale_V(solution: EquilibriumSolution, x_grid=None,
 
 # --- optimality ---------------------------------------------------------------
 
-def _expected_utility(solution: EquilibriumSolution, demand: PredictableProcess) -> float:
-    a = solution.risk_aversion
-    gain = stochastic_integral(demand, solution.prices)
-    return float(np.mean(-np.exp(-a * gain.terminal) / a))
-
-
-# the leaf gains of one block of random competitors; at least one competitor
-# per block, so peak memory does not grow with the competitor count
+# the leaf gains of one block of scored demands; at least one demand per
+# block, so peak memory does not grow with the competitor count
 _GAIN_BLOCK_BYTES = 1 << 20
 
 
 def _batch_utilities(a: float, increments, demands) -> np.ndarray:
-    """Expected utility at risk aversion ``a`` of each competitor in
+    """Expected utility at risk aversion ``a`` of each demand in
     ``demands``, an array of shape ``(batch, 2**N - 1, n)`` holding the
     levels of each predictable demand one after another.  Only the terminal
     gain enters the utility, so each level carries the gains forward with
     the recurrence of ``stochastic_integral`` and drops the level before;
     ``increments[k]`` pairs the price increments to the two children of
-    every node at step ``k``.  The stocks are summed in column order, which
-    is ``np.sum``'s order for up to seven stocks (it sums longer rows
-    pairwise), so the gains there equal the integral's bit for bit."""
+    every node at step ``k``.  The stocks are summed in ``np.sum``'s order,
+    as the integral sums them, so the gains equal its terminal values bit
+    for bit: numpy adds a row shorter than eight in column order, which an
+    explicit column loop does many times faster, and pairwise beyond."""
     gain = np.zeros((len(demands), 1))
     for k, dx in enumerate(increments):
         prod = demands[:, (1 << k) - 1:(2 << k) - 1, None, :] * dx
-        inc = prod[..., 0]
-        for j in range(1, prod.shape[-1]):
-            inc = inc + prod[..., j]
+        if prod.shape[-1] < 8:
+            inc = prod[..., 0]
+            for j in range(1, prod.shape[-1]):
+                inc = inc + prod[..., j]
+        else:
+            inc = prod.sum(axis=-1)
         gain = (gain[:, :, None] + inc).reshape(len(demands), -1)
     return np.mean(-np.exp(-a * gain) / a, axis=1)
-
-
-def _competitor_utilities(solution: EquilibriumSolution, rng, num_random: int):
-    """Expected utilities of the zero competitor, then of ``num_random``
-    uniform competitors drawn from ``rng`` in blocks.  A block draw fills in
-    stream order, so each competitor gets the values a per-competitor,
-    per-level draw would give."""
-    lat = solution.lattice
-    a = solution.risk_aversion
-    n = solution.gamma.dim
-    nodes = lat.num_leaves - 1
-    prices = solution.prices.values
-    increments = [prices[k + 1].reshape(-1, 2, n) - prices[k][:, None]
-                  for k in range(lat.num_steps)]
-    utilities = [_batch_utilities(a, increments, np.zeros((1, nodes, n)))]
-    block = max(1, _GAIN_BLOCK_BYTES // (8 * lat.num_leaves))
-    for start in range(0, num_random, block):
-        draws = rng.uniform(-1.0, 1.0, size=(min(block, num_random - start), nodes, n))
-        utilities.append(_batch_utilities(a, increments, draws))
-    return np.concatenate(utilities).tolist()
 
 
 def check_optimality(solution: EquilibriumSolution, num_random: int = 1000,
@@ -363,31 +340,48 @@ def check_optimality(solution: EquilibriumSolution, num_random: int = 1000,
                      tol: float = 1e-12) -> CheckReport:
     """No competitor demand beats the equilibrium demand's expected
     exponential utility, against random bounded competitors plus structured
-    two-sided perturbations of the demand itself."""
+    two-sided perturbations of the demand itself.
+
+    Every demand is scored by ``_batch_utilities`` in blocks: the zero
+    competitor, then the uniform competitors drawn from the seeded stream a
+    block at a time (a block draw fills in stream order, so each competitor
+    gets the values of a per-competitor, per-level draw), then the demand
+    itself with its perturbations, whose random direction is drawn last."""
     lat = solution.lattice
+    a = solution.risk_aversion
     n = solution.gamma.dim
+    nodes = lat.num_leaves - 1
+    prices = solution.prices.values
+    increments = [prices[k + 1].reshape(-1, 2, n) - prices[k][:, None]
+                  for k in range(lat.num_steps)]
+    block = max(1, _GAIN_BLOCK_BYTES // (8 * lat.num_leaves))
+
+    def utilities(demands):
+        return [u for lo in range(0, len(demands), block)
+                for u in _batch_utilities(a, increments, demands[lo:lo + block]).tolist()]
+
     rng = np.random.default_rng(seed)
     # a hopeless competitor's utility overflows to -inf: its gap is +inf,
     # already the right answer; an overflowing base still fails (gap -inf or
     # nan)
     with np.errstate(over="ignore"):
-        base = _expected_utility(solution, solution.gamma)
-        utility_gaps = [base - u for u in _competitor_utilities(solution, rng, num_random)]
+        scores = utilities(np.zeros((1, nodes, n)))
+        for start in range(0, num_random, block):
+            scores += utilities(rng.uniform(-1.0, 1.0,
+                                            size=(min(block, num_random - start), nodes, n)))
 
         # two-sided perturbations around the demand: the directional slope of
         # the expected utility at the optimum should vanish
-        slopes = []
-        directions = [
-            [np.ones((1 << k, n)) for k in range(lat.num_steps)],
-            [np.tile(sign_plus(lat.b_int[k])[:, None], (1, n)) for k in range(lat.num_steps)],
-            [rng.uniform(-1.0, 1.0, size=(1 << k, n)) for k in range(lat.num_steps)],
-        ]
-        for d in directions:
-            up = PredictableProcess(lat, [g + epsilon * v for g, v in zip(solution.gamma.values, d)])
-            dn = PredictableProcess(lat, [g - epsilon * v for g, v in zip(solution.gamma.values, d)])
-            uu, ud = _expected_utility(solution, up), _expected_utility(solution, dn)
-            utility_gaps += [base - uu, base - ud]
-            slopes.append((uu - ud) / (2 * epsilon))
+        signs = np.concatenate([sign_plus(lat.b_int[k]) for k in range(lat.num_steps)])
+        directions = [np.ones((1, n)), signs[:, None], rng.uniform(-1.0, 1.0, size=(nodes, n))]
+        demands = np.empty((1 + 2 * len(directions), nodes, n))
+        demands[0] = np.concatenate(solution.gamma.values)
+        for i, d in enumerate(directions):
+            demands[2 * i + 1] = demands[0] + epsilon * d
+            demands[2 * i + 2] = demands[0] - epsilon * d
+        base, *perturbed = utilities(demands)
+    utility_gaps = [base - u for u in scores + perturbed]
+    slopes = [(uu - ud) / (2 * epsilon) for uu, ud in zip(perturbed[::2], perturbed[1::2])]
     worst, _ = _node_min([(0, utility_gaps)])
 
     return CheckReport(

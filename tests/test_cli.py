@@ -553,6 +553,31 @@ def test_node_table_bytes_match_the_csv_writer(tmp_path):
     assert got.read_bytes() == want.read_bytes()
 
 
+def test_node_table_chunks_keep_bytes_and_bound_memory(tmp_path, monkeypatch):
+    import tracemalloc
+    import impact_bsde.cli as cli
+    from impact_bsde import build_lattice, evaluate_market, price_equilibrium
+    market = parse_config(one_period_doc(num_steps=12)).market
+    sol = price_equilibrium(evaluate_market(market, build_lattice(12, 1.0)))
+    args = (sol.prices, sol.certainty_equivalent, sol.density, sol.up_prob,
+            sol.market_price_of_risk, sol.volatility)
+    peaks = {}
+    # 3 splits every level of more than three rows, the last chunk partial
+    for rows in (3, 64, 1 << 12):
+        monkeypatch.setattr(cli, "_NODE_ROWS", rows)
+        tracemalloc.start()
+        try:
+            cli._write_nodes(str(tmp_path / f"{rows}.csv"), *args)
+            peaks[rows] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    _reference_write_nodes(str(tmp_path / "want.csv"), *args)
+    for rows in peaks:
+        assert (tmp_path / f"{rows}.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    # the temporaries follow the chunk, not the width of the last level
+    assert peaks[64] < peaks[1 << 12] / 4
+
+
 def test_bsde_node_table_bytes_match_the_csv_writer(tmp_path, monkeypatch):
     # the backward system has no one-step pricing weight: q_up is all nan
     import impact_bsde.cli as cli

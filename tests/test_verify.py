@@ -17,12 +17,11 @@ from impact_bsde import (
     price_equilibrium,
     solve_picard,
 )
-from impact_bsde.lattice import PredictableProcess
+from impact_bsde.lattice import PredictableProcess, stochastic_integral
 from impact_bsde.scenario import sign_plus
 from impact_bsde.verify import (
     _GAIN_BLOCK_BYTES,
-    _competitor_utilities,
-    _expected_utility,
+    _batch_utilities,
     check_F_identity,
     check_R_nonneg,
     check_apriori,
@@ -164,10 +163,9 @@ def test_optimality_zero_competitor_utility():
     lat = build_lattice(5, 1.0)
     cfg = MarketConfig(1.0, 1, NegativeSignOfB(), SignOfBT(0.5), 5, 1.0)
     sol = price_equilibrium(evaluate_market(cfg, lat))
-    from impact_bsde.verify import _expected_utility
-    zero = PredictableProcess(lat, [np.zeros((1 << k, 1)) for k in range(5)])
-    assert _expected_utility(sol, zero) == pytest.approx(-1.0)
-    assert _expected_utility(sol, sol.gamma) >= -1.0 - 1e-15
+    zero, gamma = _scored(sol, np.stack([np.zeros((31, 1)), np.concatenate(sol.gamma.values)]))
+    assert zero == pytest.approx(-1.0)
+    assert gamma >= -1.0 - 1e-15
 
 
 @pytest.mark.parametrize("a", [400.0, 800.0])
@@ -317,23 +315,34 @@ def _priced(num_steps, num_stocks, seed=0):
     return price_equilibrium(evaluate_market(cfg, build_lattice(num_steps, 1.0)))
 
 
-def _seed_utilities(sol, num_random, rng):
-    """The per-competitor loop the batched scorer replaced: a predictable
-    process and a full-tree integral per competitor, in the same draw order."""
+def _expected_utility(sol, demand):
+    """Expected utility of one predictable demand through the full-tree
+    integral: the per-competitor reference for the batched scorer."""
+    a = sol.risk_aversion
+    gain = stochastic_integral(demand, sol.prices)
+    return float(np.mean(-np.exp(-a * gain.terminal) / a))
+
+
+def _scored(sol, demands):
+    """``_batch_utilities`` on a stack of demands, levels concatenated."""
+    prices, n = sol.prices.values, sol.gamma.dim
+    increments = [prices[k + 1].reshape(-1, 2, n) - prices[k][:, None]
+                  for k in range(sol.lattice.num_steps)]
+    return _batch_utilities(sol.risk_aversion, increments, demands).tolist()
+
+
+def _seed_optimality(sol, num_random, epsilon, seed):
+    """Minimum gap and slopes of the check with the per-competitor loop: a
+    predictable process and a full-tree integral per competitor, in the same
+    draw order."""
     lat, n = sol.lattice, sol.gamma.dim
+    rng = np.random.default_rng(seed)
+    base = _expected_utility(sol, sol.gamma)
     competitors = [PredictableProcess(lat, [np.zeros((1 << k, n)) for k in range(lat.num_steps)])]
     for _ in range(num_random):
         competitors.append(PredictableProcess(
             lat, [rng.uniform(-1.0, 1.0, size=(1 << k, n)) for k in range(lat.num_steps)]))
-    return [_expected_utility(sol, c) for c in competitors]
-
-
-def _seed_optimality(sol, num_random, epsilon, seed):
-    """Minimum gap and slopes of the check with the per-competitor loop."""
-    lat, n = sol.lattice, sol.gamma.dim
-    rng = np.random.default_rng(seed)
-    base = _expected_utility(sol, sol.gamma)
-    gaps = [base - u for u in _seed_utilities(sol, num_random, rng)]
+    gaps = [base - _expected_utility(sol, c) for c in competitors]
     slopes = []
     directions = [
         [np.ones((1 << k, n)) for k in range(lat.num_steps)],
@@ -348,18 +357,28 @@ def _seed_optimality(sol, num_random, epsilon, seed):
     return min(gaps), slopes
 
 
-@pytest.mark.parametrize("num_stocks", [1, 2])
+@pytest.mark.parametrize("num_stocks", [1, 2, 3, 8])
+def test_batch_utilities_equal_the_full_tree_integral(num_stocks):
+    # every row, bit for bit, whatever the order numpy sums the stocks in
+    sol = _priced(8, num_stocks, seed=num_stocks)
+    lat = sol.lattice
+    rng = np.random.default_rng(5)
+    demands = [PredictableProcess(lat, [rng.uniform(-1.0, 1.0, size=(1 << k, num_stocks))
+                                        for k in range(lat.num_steps)]) for _ in range(5)]
+    demands.append(sol.gamma)
+    assert (_scored(sol, np.stack([np.concatenate(d.values) for d in demands]))
+            == [_expected_utility(sol, d) for d in demands])
+
+
+@pytest.mark.parametrize("num_stocks", [1, 2, 3, 8])
 @pytest.mark.parametrize("num_random", [0, 1, "blocks"])
 def test_batched_optimality_equals_the_per_competitor_loop(num_stocks, num_random):
     sol = _priced(10, num_stocks, seed=num_stocks)
     if num_random == "blocks":  # two whole blocks and a part of one
         num_random = 2 * (_GAIN_BLOCK_BYTES // (8 << 10)) + 3
-    # every competitor's utility, in order, and the stream position after them
-    batched_rng, seed_rng = np.random.default_rng(11), np.random.default_rng(11)
-    assert (_competitor_utilities(sol, batched_rng, num_random)
-            == _seed_utilities(sol, num_random, seed_rng))
-    assert batched_rng.random() == seed_rng.random()
     report = check_optimality(sol, num_random=num_random, epsilon=1e-4, seed=11)
+    # the slopes' random direction is drawn after every competitor, so equal
+    # slopes also pin the stream position
     worst, slopes = _seed_optimality(sol, num_random, 1e-4, 11)
     assert report.details["competitors"] == num_random + 1 + 6
     assert report.details["min_utility_gap"] == worst
@@ -367,18 +386,20 @@ def test_batched_optimality_equals_the_per_competitor_loop(num_stocks, num_rando
 
 
 def test_optimality_stays_batched(monkeypatch):
-    # the competitors are scored by one recurrence per block: only the base
-    # utility and the six perturbations build a full-tree integral
-    import impact_bsde.verify as verify_mod
+    # every demand, the base and its perturbations too, is scored by one
+    # recurrence per block: no full-tree integral anywhere in the package
+    import sys
+    sol = _priced(10, 1)
     calls = []
-    original = verify_mod.stochastic_integral
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return original(*args, **kwargs)
-    monkeypatch.setattr(verify_mod, "stochastic_integral", counting)
-    check_optimality(_priced(10, 1), num_random=1000)
-    assert len(calls) <= 7
+        return stochastic_integral(*args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("impact_bsde") and hasattr(module, "stochastic_integral"):
+            monkeypatch.setattr(module, "stochastic_integral", counting)
+    check_optimality(sol, num_random=1000)
+    assert calls == []
 
 
 def test_optimality_memory_does_not_grow_with_competitors():
