@@ -20,7 +20,8 @@ from . import bsde as bsde_mod
 from . import verify as verify_mod
 from .config import ConfigError, RunConfig, load_config, validate_summary
 from .lattice import ExponentialGuardError, LatticeSizeError, build_lattice, process_gap
-from .norms import bmo_norm_rv, h_bmo_norm, h_norm, measure_kappa, sup_norm
+from .norms import (KAPPA_MAX_STEPS, bmo_norm_rv, h_bmo_norm, h_norm, measure_kappa,
+                    sup_norm)
 from .pricer import NumericalError, price_equilibrium
 from .scenario import Instance, MarketConfig, evaluate_market, hitting_time_tau
 
@@ -81,9 +82,21 @@ def _evaluate(market: MarketConfig) -> Instance:
         _config_error(f"market: {exc}")
 
 
-def _kappa(run: RunConfig, lattice) -> float:
-    """The configured ratio constant, or the one measured on ``lattice``."""
-    return run.solver.kappa if run.solver.kappa is not None else measure_kappa(lattice)
+def _kappa_meter(run: RunConfig):
+    """The ratio constant as a function of the lattice, for one invocation:
+    the configured one, or ``measure_kappa``'s, measured once per effective
+    depth and horizon (the value depends on nothing else)."""
+    if run.solver.kappa is not None:
+        return lambda lattice: run.solver.kappa
+    measured: dict = {}
+
+    def kappa(lattice) -> float:
+        key = (min(lattice.num_steps, KAPPA_MAX_STEPS), lattice.horizon)
+        if key not in measured:
+            measured[key] = measure_kappa(lattice)
+        return measured[key]
+
+    return kappa
 
 
 def _instance_norms(run: RunConfig, inst: Instance) -> dict:
@@ -202,7 +215,7 @@ def cmd_bsde(config_path, out_path, method, diag_path, dump_path):
         if method in ("picard", "both"):
             pic, diag = bsde_mod.solve_picard(
                 inst, tol=run.solver.tol, max_iter=run.solver.max_iter,
-                growth_bound=run.solver.growth_bound, kappa=_kappa(run, inst.lattice),
+                growth_bound=run.solver.growth_bound, kappa=_kappa_meter(run)(inst.lattice),
             )
             report = bsde_mod.contraction_report(diag)
             summary.setdefault("initial_price", pic.prices.values[0][0].tolist())
@@ -273,6 +286,7 @@ def _run_suite(run: RunConfig, inst: Instance) -> list:
     suite = run.verify.suite
     lattice = inst.lattice
     reports = []
+    kappa = _kappa_meter(run)
     need_solution = suite in ("all", "apriori", "martingale", "optimality",
                               "localization")
     sol = price_equilibrium(inst) if need_solution else None
@@ -298,12 +312,12 @@ def _run_suite(run: RunConfig, inst: Instance) -> list:
     if suite == "all":
         _, diag = bsde_mod.solve_picard(
             inst, tol=run.solver.tol, max_iter=run.solver.max_iter,
-            kappa=_kappa(run, lattice))
+            kappa=kappa(lattice))
         reports.append(verify_mod.check_norm_bounds(sol, diag))
     if suite in ("all", "counterexample"):
         reports.append(verify_mod.check_F_identity(seed=run.verify.seed))
         reports.append(verify_mod.run_counterexample(
-            n_list=run.verify.counterexample_steps, kappa=run.solver.kappa))
+            n_list=run.verify.counterexample_steps, kappa=kappa))
     return reports
 
 
@@ -362,15 +376,13 @@ def cmd_sweep(config_path, param, start, stop, points, out_path):
     if param == "risk_aversion" and not np.all(values > 0):
         _config_error(f"--from/--to must keep risk_aversion positive, got {start}..{stop}")
     base = None if param == "num_steps" else _evaluate(market)
-    # kappa depends only on the depth and horizon: once per sweep, or once
-    # per depth in a depth sweep
-    kappa = None if param == "num_steps" else _kappa(run, base.lattice)
+    # kappa is measured once per sweep, or once per depth in a depth sweep
+    kappa = _kappa_meter(run)
     rows = []
     try:
         for val in values:
             if param == "num_steps":
                 inst = _evaluate(replace(market, num_steps=int(val)))
-                kappa = _kappa(run, inst.lattice)
             elif param == "risk_aversion":
                 inst = replace(base, risk_aversion=float(val))
             elif param == "demand_scale":
@@ -386,7 +398,8 @@ def cmd_sweep(config_path, param, start, stop, points, out_path):
             # keep only the diagnostics: the solution's trees would stay alive
             # through the next point
             diag = bsde_mod.solve_picard(
-                inst, tol=run.solver.tol, max_iter=run.solver.max_iter, kappa=kappa)[1]
+                inst, tol=run.solver.tol, max_iter=run.solver.max_iter,
+                kappa=kappa(inst.lattice))[1]
             centered = inst.psi - inst.psi.mean(axis=0)
             psi_bmo = bmo_norm_rv(centered, inst.lattice).value
             rows.append([

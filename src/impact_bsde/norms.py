@@ -13,6 +13,16 @@ The quadratic conditional moment uses the orthogonality of martingale
 increments (one backward pass); general p-th moments need a per-node sweep
 over descendant leaves, implemented as a reshape so the total work stays
 at one leaf pass per time slice.
+
+The Orlicz gauge norm is the end of a bracket-and-bisect search on a
+criterion that falls monotonically in its scale.  It is computed root
+first: Newton passes find the criterion's threshold and the few nodes that
+can still attain it, and the search is then replayed by comparison with
+the threshold, evaluating the criterion (on those nodes) only inside a
+rounding guard band around it.  The empirical ratio constant kappa stacks
+its corpus of terminals in fixed-size blocks of rows, so each block takes
+one pass of each norm.  Both give the same bits as evaluating every
+criterion point, and every terminal, on its own.
 """
 
 from __future__ import annotations
@@ -162,58 +172,214 @@ def bmo_norm_rv(xi: np.ndarray, lattice: Lattice, center_tol: float = 1e-12) -> 
     return report
 
 
+# Newton passes drop a node once its criterion value is certain to stay at
+# most 1 - _PRUNE: it then never decides the test ``criterion <= 1`` again,
+# nor attains the criterion near the threshold (``window`` in ``h_norm``).
+_PRUNE = 2.0 ** -10
+_NEWTON_MAX = 64  # a termination guard: the passes converge in a handful
+
+
+def _distances(leaves: np.ndarray, here: np.ndarray, live=None) -> np.ndarray:
+    """``|M_N - M_node|`` per node of one step and descendant leaf, for every
+    node or the nodes of the mask ``live``."""
+    per_node = leaves.reshape(len(here), len(leaves) // len(here), -1)
+    if live is None:
+        return np.linalg.norm(per_node - here[:, None, :], axis=2)
+    diff = per_node[live]
+    diff -= here[live][:, None, :]
+    return np.linalg.norm(diff, axis=2)
+
+
+def _gauge_level(leaves: np.ndarray, here: np.ndarray, lam: float, live=None,
+                 slope: bool = False):
+    """``E_node[H(d / lam)]`` with ``d = |M_N - M_node|`` at every node of one
+    step (``here`` holds its node values), or at the nodes of the boolean
+    mask ``live`` only.
+
+    The operations are those of a full criterion sweep, element for
+    element, so a node's value does not depend on which other nodes are
+    evaluated with it.  With ``slope`` it also returns ``E_node[u^2 e^u]``
+    at ``u = d / lam``, which is ``-lam`` times the value's derivative
+    (``H'(u) = u e^u``).
+    """
+    u = _distances(leaves, here, live) / lam
+    e = np.exp(u)
+    value = (e * (u - 1.0) + 1.0).mean(axis=1)
+    if not slope:
+        return value
+    e *= u
+    e *= u
+    return value, e.mean(axis=1)
+
+
+def _gauge_threshold(leaves, here, lam: float, step_tol: float):
+    """The criterion's threshold ``lam*`` (the largest per-node root of
+    ``E_node[H(d / lam)] = 1``) by Newton's method from a lower bound ``lam``,
+    and the nodes still able to attain the criterion near it.
+
+    Each per-node value is log-convex in ``log lam`` (a mean of log-convex
+    terms: the elasticity ``u^2 e^u / H(u)`` grows with ``u``), so a Newton
+    step on ``log value = 0`` in ``log lam`` never passes the node's root.
+    A pass evaluates every live node at ``lam`` and moves to the largest of
+    their Newton targets, a lower bound of ``lam*``: it gains about a factor
+    e far from ``lam*`` and converges quadratically near it.  The elasticity
+    is at least 2 (``u^2 e^u >= 2 H(u)``), so a node whose value times
+    ``(lam / bound)^2`` is at most ``1 - _PRUNE`` stays there at every
+    ``lam`` above the bound, and is dropped.
+    """
+    live = [None] * len(here)
+    for _ in range(_NEWTON_MAX):
+        bound = lam
+        for k, h in enumerate(here):
+            if live[k] is not None and not live[k].any():
+                continue
+            value, slope = _gauge_level(leaves, h, lam, live[k], slope=True)
+            above = value > 1.0
+            if above.any():
+                v = value[above]
+                bound = max(bound, lam * float(np.exp(np.max(np.log(v) * v / slope[above]))))
+            keep = value * (lam / bound) ** 2 > 1.0 - _PRUNE
+            if live[k] is None:
+                live[k] = keep
+            else:
+                live[k][live[k]] = keep
+        step = np.log(bound / lam)
+        lam = bound
+        if step <= step_tol:
+            break
+    return lam, live
+
+
+def _nan_gauge() -> NormReport:
+    return NormReport(value=float("nan"), kind="orlicz_h", achieving_node=(0, 0),
+                      iterations=0)
+
+
 def h_norm(x, lattice: Lattice | None = None, bisection_tol: float = 1e-10,
            tol: float = 1e-10) -> NormReport:
     """Orlicz gauge norm: the smallest ``lam`` with
     ``max_node E_node[H(|M_N - M_node| / lam)] <= 1``.
 
     ``x`` is a martingale or a centered terminal array (turned into its
-    conditional-expectation martingale).  The criterion is monotone in
-    ``lam``, so a guarded bisection finds the norm; the lattice is finite,
-    hence the norm always is too.
+    conditional-expectation martingale).  The lattice is finite, so the
+    norm is too; non-finite input gives a nan report.
+
+    The result is that of a bracket-and-bisect search on the criterion
+    (``value`` the final upper end, ``iterations`` its step count,
+    ``achieving_node`` the criterion's worst node there, ``(0, 0)`` if no
+    midpoint was accepted), computed root first: every per-node value
+    decreases in ``lam``, so the test ``criterion(x) <= 1`` is ``x >= lam*``
+    for the threshold ``lam*``.  Newton passes over the tree find ``lam*``
+    and the few nodes that can attain the criterion near it; the search is
+    then replayed deciding each point by comparison with ``lam*``, and
+    evaluating the criterion, on those nodes only, just for the points
+    inside a rounding guard band around it.
     """
+    values = x.values if isinstance(x, AdaptedProcess) else [np.asarray(x, dtype=float)]
+    if not all(np.isfinite(v).all() for v in values):
+        return _nan_gauge()
     if isinstance(x, AdaptedProcess):
         m = x
         _require_martingale(m, tol)
     else:
-        m = conditional_expectation(np.asarray(x, dtype=float), lattice)
+        m = conditional_expectation(values[0], lattice)
 
     lat = m.lattice
     leaves = _as_terminal_rows(m.terminal)
-    spread = float(np.max(np.linalg.norm(leaves - _as_terminal_rows(m.values[0]), axis=1)))
+    here = [_as_terminal_rows(v) for v in m.values]
+    spread = float(np.max(np.linalg.norm(leaves - here[0], axis=1)))
+    if not np.isfinite(spread):  # the averaging overflowed
+        return _nan_gauge()
     if spread == 0.0:
         return NormReport(value=0.0, kind="orlicz_h", achieving_node=(0, 0), iterations=0)
+    quad = bmo_norm(m)
+
+    # Guard band.  Near the threshold every node value is about 1, so each
+    # leaf term H(u) is at most 2^N and u <= U = N log 2 + 1.  The computed
+    # distance carries a relative error of at most (dim + 2) eps and u one
+    # eps more; with numpy's exp within 4 ulp, a computed term is off by at
+    # most eps (6 + (dim + 3) U) e^u (1 + u) + eps H(u), and
+    # e^u (1 + u) <= 22 + 3 H(u).  Averaged (pairwise summation adds N eps),
+    # a node value near 1 is off by at most the relative ``err`` below.
+    # Since u^2 e^u >= 2 H(u), every node value falls at least like lam^-2,
+    # so the criterion is outside [1 - 2b, 1 + 2b] wherever lam is outside
+    # a relative band b of lam*.  Newton's lam* is the root of the computed
+    # criterion, within err / 2 of the exact one, so with b = 4 err every
+    # point outside the band is decided exactly by comparison.
+    u_max = lat.num_steps * np.log(2.0) + 1.0
+    err = np.finfo(float).eps * (25.0 * (6.0 + (leaves.shape[1] + 3) * u_max)
+                                 + lat.num_steps + 2)
+    band = 4.0 * err
+    # Lower bounds of lam*: H(u) >= u^2 / 2 bounds it by the quadratic norm
+    # over sqrt 2, and H(U) >= 2^N at the root node by spread / U, which
+    # keeps every u below 2 U (exp cannot overflow) from the first pass on.
+    # The leaves' own values are H(0) = 0, below the root's: the last step
+    # never attains the criterion and is left out.
+    inner = here[:-1]
+    lower = quad.value / np.sqrt(2.0)
+    start = max(v for v in (lower, spread / u_max) if np.isfinite(v))
+    lam_star, live = _gauge_threshold(leaves, inner, start, band / 8.0)
+    # Within ``window`` of lam* the nodes kept by the Newton passes hold the
+    # criterion's max.  A dropped node is at most 1 - _PRUNE from a lower
+    # bound of lam* on, so there it stays below (1 - _PRUNE)(1 + 2 window)^E,
+    # with E = U + 2 a bound of its elasticity u^2 e^u / H(u) <= u + 2; the
+    # threshold node stays above (1 + window)^-E, which is larger.
+    window = _PRUNE / (4.0 * (u_max + 2.0))
 
     def criterion(lam: float):
-        return _node_moment_sweep(m, lambda d: orlicz_h(d / lam))
+        """``node_max`` of the criterion at ``lam``: over the live nodes near
+        lam*, the others counting as -inf, and over every node elsewhere."""
+        near = abs(lam / lam_star - 1.0) <= window
 
-    # bracket near the largest one-step jump (H(1) = 1 makes that the right
-    # scale), expanding either side until it straddles the criterion
-    rows = [_as_terminal_rows(v) for v in m.values]
-    jumps = (np.linalg.norm(rows[k + 1] - np.repeat(rows[k], 2, axis=0), axis=1)
+        def levels():
+            for k, (h, mask) in enumerate(zip(inner, live)):
+                if not near:
+                    yield k, _gauge_level(leaves, h, lam)
+                elif mask.any():
+                    full = np.full(len(h), -np.inf)
+                    full[mask] = _gauge_level(leaves, h, lam, mask)
+                    yield k, full
+
+        return node_max(levels())
+
+    def accepts(lam: float):
+        """``criterion(lam) <= 1`` and, when evaluated, the worst node."""
+        if abs(lam / lam_star - 1.0) > band:
+            return lam > lam_star, None
+        val, at = criterion(lam)
+        return val <= 1.0, at
+
+    # replay the bracket-and-bisect search: bracket near the largest one-step
+    # jump (H(1) = 1 makes that the right scale), expanding either side until
+    # it straddles the criterion
+    jumps = (np.linalg.norm(here[k + 1] - np.repeat(here[k], 2, axis=0), axis=1)
              for k in range(lat.num_steps))
     max_inc, _ = node_max(enumerate(jumps, start=1))
     lo = max(max_inc, spread * 1e-8)
     hi = 10.0 * spread
     iters = 0
-    while criterion(lo)[0] <= 1.0 and lo > spread * 1e-12:
+    while accepts(lo)[0] and lo > spread * 1e-12:
         lo /= 2.0
         iters += 1
-    while criterion(hi)[0] > 1.0:
+    while not accepts(hi)[0]:
         hi *= 2.0
         iters += 1
     node = (0, 0)
     while hi - lo > bisection_tol:
         mid = 0.5 * (lo + hi)
-        val, at = criterion(mid)
+        ok, at = accepts(mid)
         iters += 1
-        if val <= 1.0:
+        if ok:
+            if mid == hi:  # no float between lo and hi: the bracket cannot shrink
+                break
             hi = mid
             node = at
         else:
+            if mid == lo:
+                break
             lo = mid
-    quad = bmo_norm(m)
-    lower = quad.value / np.sqrt(2.0)
+    if node is None:  # the last accepted midpoint was decided by comparison
+        node = criterion(hi)[1]
     report = NormReport(value=float(hi), kind="orlicz_h", achieving_node=node,
                         iterations=iters)
     report.extras["bmo_norm"] = quad.value
@@ -274,35 +440,94 @@ def stacked_integrand(parts: list[PredictableProcess]) -> PredictableProcess:
     return PredictableProcess(lat, vals)
 
 
+# corpus terminals per stacked block: a block's Doob tower and sweep
+# temporaries then take no more than the per-terminal loop's list of the
+# whole corpus did (both peak near 1.6 MB at depth 12)
+_KAPPA_BLOCK = 8
+KAPPA_MAX_STEPS = 12
+
+
+def _kappa_corpus(lat: Lattice, num_random: int, seed: int):
+    """The kappa corpus, one row per terminal, in blocks of at most
+    ``_KAPPA_BLOCK`` rows: the walk, its sign, the walk clipped to [-1, 1],
+    centered digitals at four strikes, then ``num_random`` uniform draws."""
+    bt = lat.b_int[-1] * lat.sqrt_dt
+    fixed = [bt, np.sign(bt) + (bt == 0), np.clip(bt, -1.0, 1.0)]
+    for q in np.quantile(bt, [0.05, 0.25, 0.75, 0.95]):
+        ind = (bt > q).astype(float)
+        fixed.append(ind - ind.mean())
+    yield np.array(fixed)
+    # one draw of several rows continues the stream exactly as row-by-row draws
+    rng = np.random.default_rng(seed)
+    for start in range(0, num_random, _KAPPA_BLOCK):
+        rows = min(_KAPPA_BLOCK, num_random - start)
+        yield rng.uniform(-1.0, 1.0, size=(rows, lat.num_leaves))
+
+
+def _kappa_block(lat: Lattice, terminals: np.ndarray, tol: float = 1e-10):
+    """Quadratic and first-moment conditional norms of the Doob martingale
+    of every row of ``terminals`` (centered, nonzero, one leaf per column).
+
+    Per row this is ``bmo_norm`` and ``bmo_p_norm(., 1.0)`` with the rows
+    stacked on a leading axis: each row sees the same element operations,
+    and every per-node mean reduces the last axis, so the norms are
+    bit-identical to the per-terminal ones.
+    """
+    half = lambda x: 0.5 * (x[:, 0::2] + x[:, 1::2])  # noqa: E731  row-wise child_mean
+    tower = [terminals]
+    for _ in range(lat.num_steps):
+        tower.append(half(tower[-1]))
+    tower.reverse()
+    # the martingale check of bmo_norm, per row
+    defect = np.max([np.max(np.abs(half(tower[k + 1]) - tower[k])
+                            / np.maximum(1.0, np.abs(tower[k])), axis=1)
+                     for k in range(lat.num_steps)], axis=0)
+    for row in np.flatnonzero(defect > tol):
+        _require_martingale(conditional_expectation(terminals[row], lat), tol)
+    # quadratic: remaining one-step variance, one backward pass
+    load = None
+    two = np.full(len(terminals), -np.inf)
+    for k in range(lat.num_steps - 1, -1, -1):
+        d_up = tower[k + 1][:, 0::2] - tower[k]
+        d_dn = tower[k + 1][:, 1::2] - tower[k]
+        step_var = 0.5 * (d_up * d_up + d_dn * d_dn)
+        load = step_var if load is None else step_var + half(load)
+        np.maximum(two, load.max(axis=1), out=two)
+    # first moment: mean distance to the descendant leaves, per node
+    one = np.full(len(terminals), -np.inf)
+    for k in range(lat.num_steps + 1):
+        per_node = terminals.reshape(len(terminals), 1 << k, -1)
+        # |x| is what the one-component norm sqrt(x * x) rounds to (nothing
+        # this size underflows when squared)
+        dist = np.abs(per_node - tower[k][:, :, None])
+        np.maximum(one, dist.mean(axis=2).max(axis=1), out=one)
+    return np.sqrt(two), one
+
+
 def measure_kappa(lattice: Lattice, num_random: int = 32, seed: int = 2024,
-                  max_steps: int = 12) -> float:
+                  max_steps: int = KAPPA_MAX_STEPS) -> float:
     """Empirical ratio between the quadratic and first-moment conditional
     norms, maximized over a corpus of lattice martingales.
 
     The corpus mixes the walk itself, signs, digitals at several strikes
     (including extreme ones, which drive the ratio up) and random bounded
-    terminals.  Diagnostic only; it never gates a solver.
+    terminals.  Its terminals are stacked in blocks of rows, so each block
+    takes one Doob averaging, one martingale check, one quadratic pass and
+    one first-moment sweep (see ``_kappa_block``); the ratio is the one the
+    two norms give terminal by terminal.  Lattices deeper than ``max_steps``
+    are measured at that depth.  Diagnostic only; it never gates a solver.
     """
     lat = lattice
     if lattice.num_steps > max_steps:
         lat = Lattice(max_steps, lattice.horizon)
-    bt = lat.b_int[-1] * lat.sqrt_dt
-    terminals = [bt, np.sign(bt) + (bt == 0), np.clip(bt, -1.0, 1.0)]
-    qs = np.quantile(bt, [0.05, 0.25, 0.75, 0.95])
-    for q in qs:
-        ind = (bt > q).astype(float)
-        terminals.append(ind - ind.mean())
-    rng = np.random.default_rng(seed)
-    for _ in range(num_random):
-        terminals.append(rng.uniform(-1.0, 1.0, size=lat.num_leaves))
     ratio = 1.0
-    for t in terminals:
-        t = t - t.mean()
-        if float(np.max(np.abs(t))) == 0.0:
+    for block in _kappa_corpus(lat, num_random, seed):
+        block = block - block.mean(axis=1, keepdims=True)
+        block = block[np.max(np.abs(block), axis=1) != 0.0]
+        if not len(block):
             continue
-        doob = conditional_expectation(t, lat)
-        two = bmo_norm(doob).value
-        one = bmo_p_norm(doob, 1.0, max_steps=max_steps).value
-        if one > 0:
-            ratio = max(ratio, two / one)
+        two, one = _kappa_block(lat, block)
+        for a, b in zip(two.tolist(), one.tolist()):
+            if b > 0:
+                ratio = max(ratio, a / b)
     return float(ratio)

@@ -518,7 +518,7 @@ def _unit_inputs(lat, sign_zero: int = 1):
 
 def run_counterexample(n_list=(8, 10, 12), sign_zero: int = 1,
                        horizon: float = 1.0, picard_tol: float = 1e-10,
-                       max_iter: int = 40, kappa: float | None = None) -> CheckReport:
+                       max_iter: int = 40, kappa=None) -> CheckReport:
     """Probe the boundary instance (unit dividend signs against the opposed
     unit demand, unit risk aversion) across lattice depths.
 
@@ -529,7 +529,11 @@ def run_counterexample(n_list=(8, 10, 12), sign_zero: int = 1,
     probe never asserts continuum non-existence: every finite-lattice
     instance prices uniquely, and what is reported is the discrete signature
     of the continuum obstruction.
+
+    ``kappa`` maps a lattice to the solver's ratio constant, so a caller
+    can share its measurements; by default it is measured at each depth.
     """
+    kappa = kappa or measure_kappa
     trend = {"num_steps": [], "theta_bmo": [], "theta_bmo_explicit_solver": [],
              "profile_defect_max": [],
              "sign_pattern_fraction": [], "mean_price_gap_to_unit": [],
@@ -542,9 +546,8 @@ def run_counterexample(n_list=(8, 10, 12), sign_zero: int = 1,
         sol = price_equilibrium(inst)
         unit_product = sup_norm(sol.gamma).value * sup_norm(sol.dividend).value
 
-        solver_kappa = kappa if kappa is not None else measure_kappa(lat)
         _, diag = bsde_mod.solve_picard(inst, tol=picard_tol,
-                                        max_iter=max_iter, kappa=solver_kappa)
+                                        max_iter=max_iter, kappa=kappa(lat))
         explicit = bsde_mod.solve_explicit(inst)
 
         # sign pattern: prices should oppose the demand at every node

@@ -447,6 +447,32 @@ def test_sweep_measures_kappa_once_per_depth(tmp_path, monkeypatch):
         assert calls == want, param
 
 
+def test_verify_measures_kappa_once_per_lattice(tmp_path, monkeypatch):
+    # the Picard run measures kappa at depth 14 capped to 12, which the
+    # counter-example probe's last depth then reuses
+    import impact_bsde.cli as cli
+    import impact_bsde.verify as verify
+    from impact_bsde.norms import KAPPA_MAX_STEPS
+    calls = []
+    original = cli.measure_kappa
+
+    def counting(lattice, *args, **kwargs):
+        calls.append(min(lattice.num_steps, KAPPA_MAX_STEPS))
+        return original(lattice, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "measure_kappa", counting)
+    monkeypatch.setattr(verify, "measure_kappa", counting)
+    doc = one_period_doc(num_steps=14, demand={"type": "constant", "value": 0.5},
+                         dividend={"type": "sign_of_b_t", "scale": 0.2},
+                         center_dividend=True)
+    doc["verify"] = {"competitors": 10}
+    cfg = write_config(tmp_path, doc)
+    result = CliRunner().invoke(main, ["verify", "--config", cfg, "--suite", "all",
+                                       "--out", str(tmp_path / "verify.json")])
+    assert result.exit_code == 0, result.output
+    assert calls == [12, 8, 10]
+
+
 def test_verify_apriori_computes_the_gauge_norm_once(tmp_path, monkeypatch):
     import impact_bsde.verify as verify
     calls = []

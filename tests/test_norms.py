@@ -1,5 +1,10 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from impact_bsde import (
     PredictableProcess,
@@ -19,6 +24,7 @@ from impact_bsde import (
 )
 
 from helpers import oracle_conditional_moment
+from norms_reference import h_norm_reference, measure_kappa_reference
 
 
 def doob(x, lat):
@@ -283,3 +289,122 @@ def test_integrand_norm_reports_the_shallowest_tie():
     zero = PredictableProcess(lat, [np.zeros(1 << k) for k in range(4)])
     assert h_bmo_norm(zero).achieving_node == (0, 0)
     assert bmo_norm(doob(np.zeros(16), lat)).achieving_node == (0, 0)
+
+
+# --- the root-then-replay gauge norm and the stacked kappa, against verbatim
+# copies of the full-sweep bisection and the per-terminal loop --------------
+
+def _same_gauge(a, b):
+    return ((a.value, a.achieving_node, a.iterations, a.extras)
+            == (b.value, b.achieving_node, b.iterations, b.extras))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=3),
+       st.floats(min_value=-4.0, max_value=3.0), st.sampled_from([1e-6, 1e-10, 1e-12]),
+       st.sampled_from(["uniform", "cubed", "spike"]), st.integers(0, 2 ** 31))
+def test_h_norm_replays_the_bisection_exactly(depth, stocks, log_scale, tol, shape, seed):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** log_scale
+    x = rng.uniform(-1.0, 1.0, size=(1 << depth, stocks))
+    if shape == "cubed":
+        x = x ** 3
+    elif shape == "spike":
+        x[rng.integers(len(x))] += 8.0
+    x -= x.mean(axis=0)
+    # entries within the scale keep the norm below 2^13, where doubles are
+    # spaced finer than 1e-12 and the reference bisection terminates
+    x *= scale / np.max(np.abs(x))
+    if stocks == 1 and seed % 2:
+        x = x[:, 0]
+    lat = build_lattice(depth, 1.0)
+    got = h_norm(x, lat, bisection_tol=tol)
+    want = h_norm_reference(x, lat, bisection_tol=tol)
+    assert _same_gauge(got, want)
+
+
+def _report_dividends(lat):
+    """The four dividend families of the benchmark's report workload, centered
+    as the CLI centers them before taking the gauge norm."""
+    bt = lat.b_int[-1] * lat.sqrt_dt
+    families = [0.2 * np.where(bt >= 0, 1.0, -1.0),
+                np.clip(1.2 * bt, -0.3, 0.3),
+                (bt > 0.05).astype(float) - 0.5,
+                0.7 * np.where(bt >= 0, 1.0, -1.0)]
+    return [f - f.mean() for f in families]
+
+
+@pytest.mark.parametrize("family", range(4))
+def test_h_norm_replay_on_the_report_dividends(family):
+    lat = build_lattice(14, 1.0)
+    x = _report_dividends(lat)[family]
+    for tol in (1e-10, 1e-12):
+        assert _same_gauge(h_norm(x, lat, bisection_tol=tol),
+                           h_norm_reference(x, lat, bisection_tol=tol))
+
+
+def test_h_norm_replay_on_a_vector_martingale():
+    rng = np.random.default_rng(61)
+    lat = build_lattice(9, 2.0)
+    m = doob(rng.uniform(-1.0, 1.0, size=(512, 2)), lat)
+    assert _same_gauge(h_norm(m), h_norm_reference(m))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_h_norm_of_non_finite_input_is_nan_without_warnings(bad):
+    lat = build_lattice(3, 1.0)
+    x = np.array([1.0, -1.0, 0.5, -0.5, 0.0, 0.0, 0.25, -0.25])
+    x[1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for arg in (x, np.stack([x, -x], axis=1)):
+            rep = h_norm(arg, lat)
+            assert np.isnan(rep.value)
+            assert rep.iterations == 0 and rep.achieving_node == (0, 0)
+        interior = doob(np.zeros(8), lat)
+        interior.values[2][1] = bad
+        assert np.isnan(h_norm(interior).value)
+    if bad > 0:
+        x[2] = -np.inf  # the [inf, -inf, ...] terminal: inf - inf in the averaging
+        assert np.isnan(h_norm(x, lat).value)
+
+
+def test_h_norm_stops_when_the_bracket_cannot_shrink():
+    # the spacing of doubles near 1e6 exceeds the bisection tolerance, so the
+    # bracket reaches adjacent floats while still wider than it
+    lat = build_lattice(1, 1.0)
+    rep = h_norm(np.array([1e6, -1e6]), lat, bisection_tol=1e-12)
+    assert rep.value == pytest.approx(1e6, rel=1e-15)
+
+
+@pytest.mark.parametrize("depth", range(1, 15))
+def test_measure_kappa_matches_the_per_terminal_loop(depth):
+    lat = build_lattice(depth, 1.0)
+    assert measure_kappa(lat) == measure_kappa_reference(lat)
+    if depth in (3, 9, 13):
+        kwargs = {"num_random": 13, "seed": 7, "max_steps": 9}
+        assert measure_kappa(lat, **kwargs) == measure_kappa_reference(lat, **kwargs)
+        assert measure_kappa(lat, num_random=0) == measure_kappa_reference(lat, num_random=0)
+
+
+def _traced_peak(f) -> int:
+    f()  # first-call allocations (imports, caches) are not the function's
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_h_norm_memory_stays_at_the_full_sweep_level():
+    lat = build_lattice(14, 1.0)
+    for x in _report_dividends(lat)[:3]:
+        assert (_traced_peak(lambda: h_norm(x, lat))
+                <= 1.25 * _traced_peak(lambda: h_norm_reference(x, lat)))
+
+
+def test_measure_kappa_memory_stays_at_the_per_terminal_level():
+    lat = build_lattice(12, 1.0)
+    assert (_traced_peak(lambda: measure_kappa(lat))
+            <= 1.5 * _traced_peak(lambda: measure_kappa_reference(lat)))
