@@ -28,6 +28,16 @@ child means and child differences (the new integrands) and advancing the
 integrand norm of the new iterate and of its distance to the old one.  No
 full martingale tree, stacked copy or difference list is stored per
 iteration; the memory held is the two integrand pairs plus one slice.
+
+That pass, ``_picard_step``, carries a leading point axis: every slice
+holds one row per point, and the points are variants of one instance on
+its lattice that differ in the risk aversion, the demand scale or the
+dividend scale.  ``solve_picard`` runs it on one row; ``picard_diagnostics``
+runs a sweep's points as rows of blocks sized by a fixed byte budget on the
+integrand pairs, keeps only the iteration records, and refills a block as
+its rows converge, reach the iteration cap or abort.  Every reduction is
+per row, so each row's record is the one its own run would give, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -48,7 +58,7 @@ from .lattice import (
     stochastic_exponential,
     stochastic_integral,
 )
-from .norms import _remaining_load, _square_sum, h_bmo_norm, stacked_integrand
+from .norms import _square_sum, h_bmo_norm, stacked_integrand
 from .pricer import _check_finite
 from .scenario import Instance
 
@@ -65,9 +75,17 @@ def driver(eta_k, theta_k, gamma_k):
     eta_k = np.asarray(eta_k, dtype=float)
     theta_k = np.asarray(theta_k, dtype=float)
     gamma_k = np.asarray(gamma_k, dtype=float)
-    tg = np.sum(theta_k * gamma_k, axis=-1)
+    prod = theta_k * gamma_k
+    if prod.shape[-1] < 8:
+        # numpy adds a last axis shorter than eight in column order, which
+        # an explicit column loop does many times faster
+        tg = prod[..., 0]
+        for j in range(1, prod.shape[-1]):
+            tg = tg + prod[..., j]
+    else:
+        tg = np.sum(prod, axis=-1)
     value_drift = 0.5 * (tg ** 2 - eta_k ** 2)
-    price_drift = theta_k * np.expand_dims(eta_k + tg, -1)
+    price_drift = theta_k * (eta_k + tg)[..., None]
     return value_drift, price_drift
 
 
@@ -203,29 +221,38 @@ def solve_explicit(inst: Instance) -> BsdeSolution:
     )
 
 
-def _drift_levels(lattice: Lattice, gamma: PredictableProcess, eta: list, theta: list):
+def _drift_levels(lattice: Lattice, gamma: PredictableProcess, eta: list, theta: list,
+                  demand_scale=None):
     """Yield, slice by slice from the root, the adapted running sums of the
     two drift integrands (value drift added, price drift subtracted),
-    evaluated along every path."""
-    cum_v = np.zeros(1)
-    cum_p = np.zeros((1, gamma.dim))
+    evaluated along every path of every row.  Slices carry the rows first:
+    ``eta[k]`` has shape ``(rows, 2**k)`` and ``theta[k]`` ``(rows, 2**k, n)``;
+    ``demand_scale``, one factor per row shaped ``(rows, 1, 1)``, scales the
+    demand slice by slice as ``PredictableProcess.scaled`` does."""
+    rows = len(eta[0])
+    cum_v = np.zeros((rows, 1))
+    cum_p = np.zeros((rows, 1, gamma.dim))
     yield cum_v, cum_p
     for k in range(lattice.num_steps):
-        vd, pd = driver(eta[k], theta[k], gamma.values[k])
-        cum_v = np.repeat(cum_v + vd * lattice.dt, 2, axis=0)
-        cum_p = np.repeat(cum_p - pd * lattice.dt, 2, axis=0)
+        g = gamma.values[k] if demand_scale is None else demand_scale * gamma.values[k]
+        vd, pd = driver(eta[k], theta[k], g)
+        cum_v = np.repeat(cum_v + vd * lattice.dt, 2, axis=1)
+        cum_p = np.repeat(cum_p - pd * lattice.dt, 2, axis=1)
         yield cum_v, cum_p
 
 
-def _drift_accumulation(lattice: Lattice, gamma: PredictableProcess,
-                        eta: list, theta: list):
-    """Every slice of the running drift sums, as ``(cum_v, cum_p)`` lists."""
-    levels = list(_drift_levels(lattice, gamma, eta, theta))
-    return [v for v, _ in levels], [p for _, p in levels]
+def _picard_step(inst: Instance, eta: list, theta: list, rows=None):
+    """One application of the fixed-point map to a block of rows, fused
+    with both norms.
 
-
-def _picard_step(inst: Instance, eta: list, theta: list):
-    """One application of the fixed-point map, fused with both norms.
+    Every row is a variant of ``inst`` that shares its lattice: ``rows`` is
+    None (one row, ``inst`` itself) or ``(param, values)``, one value per
+    row, where ``param`` names the field a row replaces: ``risk_aversion``,
+    ``demand_scale`` (the demand times the value) or ``dividend_scale``.  A
+    row's demand and terminal data are formed here, slice by slice, with the
+    float operations of ``dataclasses.replace`` on ``inst``; no per-row copy
+    of the demand or dividend is kept.  Slices carry the rows first (see
+    ``_drift_levels``).
 
     The forward pass keeps only the current slice of the running drift
     sums; the map needs only their leaves.  Terminal data plus drift is then
@@ -234,47 +261,66 @@ def _picard_step(inst: Instance, eta: list, theta: list):
     conditional-expectation martingale, which is never stored whole).  Per
     slice, two integrand-norm accumulators advance: one for the new pair
     and one for its distance to ``(eta, theta)``, summed in the order
-    ``h_bmo_norm`` sums a stacked pair, so both equal ``_pair_norm`` and
-    ``_pair_distance`` exactly.
+    ``h_bmo_norm`` sums a stacked pair.  Every operation is elementwise or
+    reduces one row, so each row's norms are bit-identical to its own
+    one-row pass.
 
-    Returns ``(eta_new, theta_new, norm, distance)``; both norms are None
-    when a new slice is not finite.
+    Returns ``(eta_new, theta_new, norm, distance, finite)``, the last three
+    one entry per row; a row whose new slices are not all finite has
+    ``finite`` False and meaningless norms.
     """
     lattice = inst.lattice
-    for cum_v, cum_p in _drift_levels(lattice, inst.gamma, eta, theta):
+    a, psi, demand_scale = inst.risk_aversion, inst.psi, None
+    if rows is not None:
+        param, values = rows
+        factor = np.asarray(values, dtype=float)[:, None, None]
+        if param == "risk_aversion":
+            a = factor
+        elif param == "demand_scale":
+            demand_scale = factor
+        else:
+            psi = psi * factor
+    for cum_v, cum_p in _drift_levels(lattice, inst.gamma, eta, theta, demand_scale):
         pass  # only the leaf slice is needed
     mart_v = cum_v
-    mart_p = inst.risk_aversion * inst.psi + cum_p
+    mart_p = a * psi + cum_p
+    del cum_v, cum_p, psi  # the leaf slices live on only as the martingale
     steps = lattice.num_steps
+    step = 2.0 * lattice.sqrt_dt
     eta_new: list = [None] * steps
     theta_new: list = [None] * steps
-    finite = True
+    finite = np.ones(len(mart_v), dtype=bool)
     load_norm = load_dist = None
-    best_norm = best_dist = 0.0
+    best_norm = best_dist = np.zeros(len(mart_v))
+    # child difference and child mean on the node axis, as child_diff and
+    # child_mean compute them
     for k in range(steps - 1, -1, -1):
-        e = child_diff(mart_v, lattice)
-        t = child_diff(mart_p, lattice)
-        mart_v = child_mean(mart_v)
-        mart_p = child_mean(mart_p)
+        e = (mart_v[:, 0::2] - mart_v[:, 1::2]) / step
+        t = (mart_p[:, 0::2] - mart_p[:, 1::2]) / step
+        mart_v = 0.5 * (mart_v[:, 0::2] + mart_v[:, 1::2])
+        mart_p = 0.5 * (mart_p[:, 0::2] + mart_p[:, 1::2])
         eta_new[k], theta_new[k] = e, t
-        if not finite:
+        if not finite.any():
             continue
-        sq = _square_sum([e, *t.T])
+        sq = _square_sum([e, *np.moveaxis(t, -1, 0)])
         # squares of finite entries may overflow; only then look at the entries
-        if not (np.isfinite(sq).all() or (np.isfinite(e).all() and np.isfinite(t).all())):
-            finite = False
-            continue
-        sq_dist = _square_sum([e - eta[k], *(t - theta[k]).T])
-        load_norm = _remaining_load(load_norm, sq * lattice.dt)
-        load_dist = _remaining_load(load_dist, sq_dist * lattice.dt)
-        # the new entries are finite here, so a load is nan only if the old
-        # iterate is (an overflow is inf); the kernel reports no node, so a
-        # plain running max suffices
-        best_norm = max(best_norm, float(np.max(load_norm)))
-        best_dist = max(best_dist, float(np.max(load_dist)))
-    if not finite:
-        return eta_new, theta_new, None, None
-    return eta_new, theta_new, float(np.sqrt(best_norm)), float(np.sqrt(best_dist))
+        ok = np.isfinite(sq).all(axis=1)
+        if not ok.all():
+            finite &= ok | (np.isfinite(e).all(axis=1) & np.isfinite(t).all(axis=(1, 2)))
+            if not finite.any():
+                continue
+        sq_dist = _square_sum([e - eta[k], *np.moveaxis(t - theta[k], -1, 0)])
+        here_norm, here_dist = sq * lattice.dt, sq_dist * lattice.dt
+        load_norm = (here_norm if load_norm is None
+                     else here_norm + 0.5 * (load_norm[:, 0::2] + load_norm[:, 1::2]))
+        load_dist = (here_dist if load_dist is None
+                     else here_dist + 0.5 * (load_dist[:, 0::2] + load_dist[:, 1::2]))
+        # a finite row's load is nan only if its old iterate is (an overflow
+        # is inf); fmax then keeps the running max, as max(best, nan) does,
+        # and the kernel reports no node, so a running max per row suffices
+        best_norm = np.fmax(best_norm, load_norm.max(axis=1))
+        best_dist = np.fmax(best_dist, load_dist.max(axis=1))
+    return eta_new, theta_new, np.sqrt(best_norm), np.sqrt(best_dist), finite
 
 
 def picard_map(inst: Instance, eta: list, theta: list):
@@ -285,7 +331,9 @@ def picard_map(inst: Instance, eta: list, theta: list):
     conditional-expectation martingale, and returns the representation
     integrands of that martingale as per-step lists ``(eta, theta)``.
     """
-    return _picard_step(inst, eta, theta)[:2]
+    eta_new, theta_new = _picard_step(inst, [np.asarray(v, dtype=float)[None] for v in eta],
+                                      [np.asarray(v, dtype=float)[None] for v in theta])[:2]
+    return [v[0] for v in eta_new], [v[0] for v in theta_new]
 
 
 def _pair_norm(lattice: Lattice, eta: list, theta: list) -> float:
@@ -296,22 +344,53 @@ def _pair_norm(lattice: Lattice, eta: list, theta: list) -> float:
     return h_bmo_norm(pair).value
 
 
-def _pair_distance(lattice: Lattice, eta_a, theta_a, eta_b, theta_b) -> float:
-    eta_d = [x - y for x, y in zip(eta_a, eta_b)]
-    theta_d = [x - y for x, y in zip(theta_a, theta_b)]
-    return _pair_norm(lattice, eta_d, theta_d)
+def _check_iteration_args(tol: float, max_iter: int):
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
 
 
-def _terminal_norm(inst: Instance) -> float:
-    """Integrand norm of the terminal-data martingale; its trees are freed
-    on return, before the iteration allocates its own."""
-    lattice = inst.lattice
-    terminal = np.concatenate([np.zeros((lattice.num_leaves, 1)),
-                               inst.risk_aversion * inst.psi], axis=1)
-    terminal_mart = conditional_expectation(terminal, lattice)
-    terminal_integrand = [child_diff(v, lattice) for v in terminal_mart.values[1:]]
-    return _pair_norm(lattice, [v[:, 0] for v in terminal_integrand],
-                      [v[:, 1:] for v in terminal_integrand])
+def _zero_rows(lattice: Lattice, rows: int, n: int):
+    """Zero integrand pairs for ``rows`` rows, rows first."""
+    return ([np.zeros((rows, 1 << k)) for k in range(lattice.num_steps)],
+            [np.zeros((rows, 1 << k, n)) for k in range(lattice.num_steps)])
+
+
+def _kernel(inst: Instance, eta: list, theta: list, diags: list, rows=None):
+    """``_picard_step``, or None after marking every row's record aborted
+    on an arithmetic failure."""
+    try:
+        return _picard_step(inst, eta, theta, rows)
+    except FloatingPointError as exc:  # pragma: no cover - defensive
+        for diag in diags:
+            diag.aborted = f"arithmetic failure at iteration {diag.iterations}: {exc}"
+        return None
+
+
+def _record(diag: IterationDiagnostics, norm, dist, finite, tol: float) -> bool:
+    """Add one step of a row to its record; False if the step is not
+    finite, which aborts the row and keeps its previous iterate."""
+    if not finite:
+        diag.aborted = f"non-finite iterate at iteration {diag.iterations + 1}"
+        return False
+    dist = float(dist)
+    diag.distances.append(dist)
+    diag.iterate_norms.append(float(norm))
+    if len(diag.distances) >= 2 and diag.distances[-2] > 0:
+        diag.ratios.append(dist / diag.distances[-2])
+    diag.iterations += 1
+    diag.converged = dist <= tol
+    return True
+
+
+def _close_cold(diag: IterationDiagnostics):
+    """Final and terminal norms of a run started from zero.  From zero the
+    driver vanishes, so the first iterate is the terminal integrand and its
+    norm is the terminal norm bit for bit; a first step that is not finite
+    means the terminal integrand is not, and its norm is infinite."""
+    diag.final_norm = diag.iterate_norms[-1] if diag.iterate_norms else 0.0
+    diag.terminal_norm = diag.iterate_norms[0] if diag.iterate_norms else np.inf
 
 
 def solve_picard(inst: Instance, tol: float = 1e-12,
@@ -324,25 +403,20 @@ def solve_picard(inst: Instance, tol: float = 1e-12,
     example regime is expected to produce expansion ratios, and those are
     exactly what the diagnostics exist to record.  Returns
     ``(solution, diagnostics)``; the solution is reconstructed from the last
-    iterate either way.
+    iterate either way.  The iteration runs ``_picard_step`` on one row.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    _check_iteration_args(tol, max_iter)
     lattice, a, gamma = inst.lattice, inst.risk_aversion, inst.gamma
     steps = lattice.num_steps
     n = inst.num_stocks
 
     if zeta0 is None:
-        eta = [np.zeros(1 << k) for k in range(steps)]
-        theta = [np.zeros((1 << k, n)) for k in range(steps)]
+        eta, theta = _zero_rows(lattice, 1, n)
     else:
-        eta = [np.asarray(v, dtype=float) for v in zeta0[0].values]
-        theta = [np.asarray(v, dtype=float) for v in zeta0[1].values]
+        eta = [np.asarray(v, dtype=float)[None] for v in zeta0[0].values]
+        theta = [np.asarray(v, dtype=float)[None] for v in zeta0[1].values]
 
     diag = IterationDiagnostics(
-        terminal_norm=_terminal_norm(inst),
         kappa=float(kappa),
         growth_bound=float(growth_bound if growth_bound is not None
                            else driver_growth_bound(inst.gamma_sup)),
@@ -351,31 +425,35 @@ def solve_picard(inst: Instance, tol: float = 1e-12,
     # a diverging run overflows by design and reports it as data (an aborted
     # run, inf ratios), so its numpy over/invalid warnings are silenced here
     with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(max_iter):
-            try:
-                eta_new, theta_new, norm, dist = _picard_step(inst, eta, theta)
-            except FloatingPointError as exc:  # pragma: no cover - defensive
-                diag.aborted = f"arithmetic failure at iteration {it}: {exc}"
+        if zeta0 is not None:
+            # one step from zero: its iterate is the terminal integrand
+            _, _, norm, _, finite = _picard_step(inst, *_zero_rows(lattice, 1, n))
+            terminal_norm = float(norm[0]) if finite[0] else np.inf
+        for _ in range(max_iter):
+            step = _kernel(inst, eta, theta, [diag])
+            if step is None or not _record(diag, *(x[0] for x in step[2:]), tol):
                 break
-            if norm is None:
-                diag.aborted = f"non-finite iterate at iteration {it + 1}"
+            eta, theta = step[:2]
+            if diag.converged:
                 break
-            diag.distances.append(dist)
-            diag.iterate_norms.append(norm)
-            if len(diag.distances) >= 2 and diag.distances[-2] > 0:
-                diag.ratios.append(dist / diag.distances[-2])
-            eta, theta = eta_new, theta_new
-            diag.iterations = it + 1
-            if dist <= tol:
-                diag.converged = True
-                break
+        del step  # an aborted iterate is not kept through the reconstruction
 
-        diag.final_norm = (diag.iterate_norms[-1] if diag.iterate_norms
-                           else _pair_norm(lattice, eta, theta))
+        eta = [v[0] for v in eta]
+        theta = [v[0] for v in theta]
+        if zeta0 is None:
+            _close_cold(diag)
+        else:
+            diag.terminal_norm = terminal_norm
+            diag.final_norm = (diag.iterate_norms[-1] if diag.iterate_norms
+                               else _pair_norm(lattice, eta, theta))
 
         # reconstruct the adapted pair from the final integrands: conditional
         # expectation of terminal-plus-total-drift minus the drift already accrued
-        cum_v, cum_p = _drift_accumulation(lattice, gamma, eta, theta)
+        levels = list(_drift_levels(lattice, gamma, [v[None] for v in eta],
+                                    [v[None] for v in theta]))
+        cum_v = [v[0] for v, _ in levels]
+        cum_p = [p[0] for _, p in levels]
+        del levels
         total = np.concatenate([cum_v[-1][:, None], a * inst.psi + cum_p[-1]], axis=1)
         mart = conditional_expectation(total, lattice)
         value = [mart.values[k][:, 0] - cum_v[k] for k in range(steps + 1)]
@@ -393,6 +471,65 @@ def solve_picard(inst: Instance, tol: float = 1e-12,
         method="picard",
     )
     return solution, diag
+
+
+# the row state of one block of ``picard_diagnostics``: one integrand pair
+# per row; at least one row per block, so peak memory does not grow with
+# the number of points
+_PICARD_BLOCK_BYTES = 1 << 20
+
+
+def picard_diagnostics(base: Instance, param: str, values, tol: float = 1e-12,
+                       max_iter: int = 100) -> list[IterationDiagnostics]:
+    """The iteration record of ``solve_picard`` (from zero) at each variant
+    of ``base`` that replaces ``param`` by one of ``values``:
+    ``risk_aversion``, ``demand_scale`` (the demand times the value) or
+    ``dividend_scale`` (the dividend times the value).  Diagnostics only: no
+    solution is reconstructed, and ``kappa`` and ``growth_bound`` keep their
+    defaults.
+
+    The points run as rows of one ``_picard_step`` call on the shared
+    lattice, a block of ``_PICARD_BLOCK_BYTES`` of integrand pairs at a
+    time.  A row leaves the block when it converges, reaches ``max_iter``
+    or aborts; the block then compacts and the next pending point takes the
+    freed slot.  Each record equals that point's own ``solve_picard`` record.
+    """
+    _check_iteration_args(tol, max_iter)
+    if param not in ("risk_aversion", "demand_scale", "dividend_scale"):
+        raise ValueError(f"unknown parameter {param!r}")
+    lattice, n = base.lattice, base.num_stocks
+    values = np.asarray(values, dtype=float)
+    block = max(1, _PICARD_BLOCK_BYTES // (8 * lattice.num_leaves * (1 + n)))
+    diags = [IterationDiagnostics() for _ in values]
+    live = np.arange(0)  # the point of each row
+    pending = 0          # the next point to enter
+    eta, theta = _zero_rows(lattice, 0, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            fill = min(block - len(live), len(values) - pending)
+            if fill:
+                live = np.concatenate([live, np.arange(pending, pending + fill)])
+                pending += fill
+                zeros = _zero_rows(lattice, fill, n)
+                eta = [np.concatenate([v, z]) for v, z in zip(eta, zeros[0])]
+                theta = [np.concatenate([v, z]) for v, z in zip(theta, zeros[1])]
+            if not len(live):
+                break
+            step = _kernel(base, eta, theta, [diags[i] for i in live], (param, values[live]))
+            if step is None:  # pragma: no cover - defensive
+                live = live[:0]
+                continue
+            eta, theta, norm, dist, finite = step
+            keep = [r for r, i in enumerate(live)
+                    if _record(diags[i], norm[r], dist[r], finite[r], tol)
+                    and not diags[i].converged and diags[i].iterations < max_iter]
+            if len(keep) < len(live):
+                live = live[keep]
+                eta = [v[keep] for v in eta]
+                theta = [v[keep] for v in theta]
+    for diag in diags:
+        _close_cold(diag)
+    return diags
 
 
 @dataclass

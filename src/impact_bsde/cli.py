@@ -99,10 +99,42 @@ def _kappa_meter(run: RunConfig):
     return kappa
 
 
+def _finite_norm(what: str, norm, *args, **kwargs):
+    """``norm(*args, **kwargs)``, a norm report of finite data.  Data whose
+    squares overflow the float range give a norm that is not finite: that
+    is a numeric failure, raised without numpy's overflow warnings."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = norm(*args, **kwargs)
+    if not np.isfinite(report.value):
+        raise NumericalError(f"{what} is {report.value}: the inputs overflow the float "
+                             f"range; rescale them")
+    return report
+
+
+def _centered_bmo(inst: Instance) -> float:
+    """Quadratic norm of the instance's dividend, centred."""
+    return _finite_norm("the centred dividend's norm", bmo_norm_rv,
+                        inst.psi - inst.psi.mean(axis=0), inst.lattice).value
+
+
+def _bmo(what: str, process) -> float:
+    """Integrand norm of one process of a solution."""
+    return _finite_norm(f"the {what} norm", h_bmo_norm, process).value
+
+
+def _solution_norms(inst: Instance) -> list:
+    """The sweep's volatility and market-price-of-risk norms of the priced
+    instance; the solution is freed on return."""
+    sol = price_equilibrium(inst)
+    return [_bmo("volatility", sol.volatility),
+            _bmo("market price of risk", sol.market_price_of_risk)]
+
+
 def _instance_norms(run: RunConfig, inst: Instance) -> dict:
-    centered = inst.psi - inst.psi.mean(axis=0)
-    psi_bmo = bmo_norm_rv(centered, inst.lattice).value
-    gauge = h_norm(centered, inst.lattice, bisection_tol=run.norms.bisection_tol)
+    psi_bmo = _centered_bmo(inst)
+    gauge = _finite_norm("the centred dividend's gauge norm", h_norm,
+                         inst.psi - inst.psi.mean(axis=0), inst.lattice,
+                         bisection_tol=run.norms.bisection_tol)
     return {
         "demand_sup": inst.gamma_sup,
         "dividend_mean": inst.psi_mean.tolist(),
@@ -170,17 +202,17 @@ def cmd_price(config_path, out_path, dump_path):
     inst = _evaluate(run.market)
     try:
         sol = price_equilibrium(inst)
+        summary = {
+            "command": "price",
+            "initial_price": sol.initial_price.tolist(),
+            "initial_certainty": sol.initial_certainty,
+            "mpr_representation_gap": sol.mpr_gap(),
+            "volatility_bmo": _bmo("volatility", sol.volatility),
+            "mpr_bmo": _bmo("market price of risk", sol.market_price_of_risk),
+            "norms": _instance_norms(run, inst),
+        }
     except (NumericalError, ExponentialGuardError) as exc:
         _numeric_error(exc)
-    summary = {
-        "command": "price",
-        "initial_price": sol.initial_price.tolist(),
-        "initial_certainty": sol.initial_certainty,
-        "mpr_representation_gap": sol.mpr_gap(),
-        "volatility_bmo": h_bmo_norm(sol.volatility).value,
-        "mpr_bmo": h_bmo_norm(sol.market_price_of_risk).value,
-        "norms": _instance_norms(run, inst),
-    }
     validate_summary(summary)
     _write_json(out_path, summary)
     if dump_path or run.output.dump_nodes:
@@ -263,20 +295,20 @@ def cmd_norms(config_path, out_path):
     inst = _evaluate(run.market)
     try:
         sol = price_equilibrium(inst)
+        doc = {
+            "command": "norms",
+            "initial_price": sol.initial_price.tolist(),
+            "initial_certainty": sol.initial_certainty,
+            "norms": _instance_norms(run, inst),
+            "volatility_bmo": _bmo("volatility", sol.volatility),
+            "mpr_bmo": _bmo("market price of risk", sol.market_price_of_risk),
+            "value_integrand_bmo": _bmo("value integrand", sol.value_integrand),
+            "price_integrand_bmo": _bmo("price integrand", sol.price_integrand),
+            "demand_sup_node": list(sup_norm(sol.gamma).achieving_node),
+            "kappa_empirical": measure_kappa(inst.lattice),
+        }
     except (NumericalError, ExponentialGuardError) as exc:
         _numeric_error(exc)
-    doc = {
-        "command": "norms",
-        "initial_price": sol.initial_price.tolist(),
-        "initial_certainty": sol.initial_certainty,
-        "norms": _instance_norms(run, inst),
-        "volatility_bmo": h_bmo_norm(sol.volatility).value,
-        "mpr_bmo": h_bmo_norm(sol.market_price_of_risk).value,
-        "value_integrand_bmo": h_bmo_norm(sol.value_integrand).value,
-        "price_integrand_bmo": h_bmo_norm(sol.price_integrand).value,
-        "demand_sup_node": list(sup_norm(sol.gamma).achieving_node),
-        "kappa_empirical": measure_kappa(inst.lattice),
-    }
     validate_summary(doc)
     _write_json(out_path, doc)
     click.echo(f"norms: smallness_product={doc['norms']['smallness_product']:.6g}")
@@ -367,6 +399,8 @@ def cmd_sweep(config_path, param, start, stop, points, out_path):
     run = _load(config_path)
     if points < 1:
         _config_error("--points must be >= 1")
+    if not (np.isfinite(start) and np.isfinite(stop)):
+        _config_error(f"--from/--to must be finite, got {start}..{stop}")
     market = run.market
     if param == "num_steps":
         values = np.unique(np.linspace(start, stop, points).astype(int))
@@ -376,9 +410,11 @@ def cmd_sweep(config_path, param, start, stop, points, out_path):
     if param == "risk_aversion" and not np.all(values > 0):
         _config_error(f"--from/--to must keep risk_aversion positive, got {start}..{stop}")
     base = None if param == "num_steps" else _evaluate(market)
-    # kappa is measured once per sweep, or once per depth in a depth sweep
-    kappa = _kappa_meter(run)
-    rows = []
+    # no column depends on kappa, so none is measured; the dividend's norm
+    # is the base's unless the dividend or the depth is swept
+    psi_bmo = _centered_bmo(base) if param in ("risk_aversion", "demand_scale") else None
+    solver = run.solver
+    rows, diags = [], []
     try:
         for val in values:
             if param == "num_steps":
@@ -394,29 +430,28 @@ def cmd_sweep(config_path, param, start, stop, points, out_path):
             # last bit
             gamma_sup = (base.gamma_sup * abs(float(val)) if param == "demand_scale"
                          else inst.gamma_sup)
-            sol = price_equilibrium(inst)
-            # keep only the diagnostics: the solution's trees would stay alive
-            # through the next point
-            diag = bsde_mod.solve_picard(
-                inst, tol=run.solver.tol, max_iter=run.solver.max_iter,
-                kappa=kappa(inst.lattice))[1]
-            centered = inst.psi - inst.psi.mean(axis=0)
-            psi_bmo = bmo_norm_rv(centered, inst.lattice).value
             rows.append([
                 float(val),
-                inst.risk_aversion * gamma_sup * psi_bmo,
-                diag.converged,
-                diag.iterations,
-                diag.ratios[-1] if diag.ratios else np.nan,
-                h_bmo_norm(sol.volatility).value,
-                h_bmo_norm(sol.market_price_of_risk).value,
+                inst.risk_aversion * gamma_sup
+                * (_centered_bmo(inst) if psi_bmo is None else psi_bmo),
+                *_solution_norms(inst),
             ])
+            if param == "num_steps":
+                # each depth is its own lattice: a one-point block, whose
+                # risk aversion replaced by itself is the instance itself
+                diags += bsde_mod.picard_diagnostics(
+                    inst, "risk_aversion", [inst.risk_aversion], solver.tol, solver.max_iter)
+        if param != "num_steps":
+            diags = bsde_mod.picard_diagnostics(base, param, values, solver.tol,
+                                                solver.max_iter)
     except (NumericalError, ExponentialGuardError) as exc:
         _numeric_error(exc)
     _write_csv(out_path,
                ["param_value", "smallness_product", "converged", "iterations",
                 "final_ratio", "volatility_bmo", "mpr_bmo"],
-               rows)
+               [[val, product, diag.converged, diag.iterations,
+                 diag.ratios[-1] if diag.ratios else np.nan, *bmo]
+                for (val, product, *bmo), diag in zip(rows, diags)])
     click.echo(f"sweep[{param}]: {len(rows)} points -> {out_path}")
 
 

@@ -154,7 +154,9 @@ def bmo_norm_rv(xi: np.ndarray, lattice: Lattice, center_tol: float = 1e-12) -> 
     """
     rows = _as_terminal_rows(np.asarray(xi, dtype=float))
     mean = rows.mean(axis=0)
-    if float(np.max(np.abs(mean))) > center_tol:
+    # relative to the variable's scale: centring leaves a rounding residue
+    # proportional to the entries
+    if float(np.max(np.abs(mean))) > center_tol * max(1.0, float(np.max(np.abs(rows)))):
         raise ValueError(
             f"terminal variable is not centered: mean has max component {np.max(np.abs(mean)):.3e}"
         )

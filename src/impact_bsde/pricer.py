@@ -104,30 +104,34 @@ def price_equilibrium(inst: Instance) -> EquilibriumSolution:
     log_q: list = []   # log one-step weights, children interleaved, last step first
     prices[steps] = psi
     log_w[steps] = np.zeros(lattice.num_leaves)
-    for k in range(steps - 1, -1, -1):
-        s_up = prices[k + 1][0::2]
-        s_dn = prices[k + 1][1::2]
-        g = gamma.values[k]
-        lu_up = -a * np.sum(g * s_up, axis=1) + log_w[k + 1][0::2]
-        lu_dn = -a * np.sum(g * s_dn, axis=1) + log_w[k + 1][1::2]
-        shift = np.maximum(lu_up, lu_dn)
-        e_up = np.exp(lu_up - shift)
-        e_dn = np.exp(lu_dn - shift)
-        total = e_up + e_dn
-        log_total = np.log(total)
-        q = e_up / total
-        s_here = q[:, None] * s_up + (1.0 - q)[:, None] * s_dn
-        lw_here = a * np.sum(g * s_here, axis=1) + shift + log_total + LOG_HALF
-        _check_finite(s_here, k, "price")
-        _check_finite(lw_here, k, "certainty-equivalent weight")
-        prices[k] = s_here
-        log_w[k] = lw_here
-        q_up[k] = q
-        # a weight that underflows to zero in q keeps a finite logarithm here
-        lq = np.empty(1 << (k + 1))
-        lq[0::2] = lu_up - shift - log_total
-        lq[1::2] = lu_dn - shift - log_total
-        log_q.append(lq)
+    # an overflowing tilt is exact in the limit (a one-step weight of zero)
+    # or leaves a price or weight that is not finite, which _check_finite
+    # reports with its node; numpy's warnings add nothing to either
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps - 1, -1, -1):
+            s_up = prices[k + 1][0::2]
+            s_dn = prices[k + 1][1::2]
+            g = gamma.values[k]
+            lu_up = -a * np.sum(g * s_up, axis=1) + log_w[k + 1][0::2]
+            lu_dn = -a * np.sum(g * s_dn, axis=1) + log_w[k + 1][1::2]
+            shift = np.maximum(lu_up, lu_dn)
+            e_up = np.exp(lu_up - shift)
+            e_dn = np.exp(lu_dn - shift)
+            total = e_up + e_dn
+            log_total = np.log(total)
+            q = e_up / total
+            s_here = q[:, None] * s_up + (1.0 - q)[:, None] * s_dn
+            lw_here = a * np.sum(g * s_here, axis=1) + shift + log_total + LOG_HALF
+            _check_finite(s_here, k, "price")
+            _check_finite(lw_here, k, "certainty-equivalent weight")
+            prices[k] = s_here
+            log_w[k] = lw_here
+            q_up[k] = q
+            # a weight that underflows to zero in q keeps a finite logarithm here
+            lq = np.empty(1 << (k + 1))
+            lq[0::2] = lu_up - shift - log_total
+            lq[1::2] = lu_dn - shift - log_total
+            log_q.append(lq)
 
     certainty = [-lw / a for lw in log_w]
 
@@ -140,8 +144,10 @@ def price_equilibrium(inst: Instance) -> EquilibriumSolution:
         nxt[0::2] = density[k] * (2.0 * q_up[k])
         nxt[1::2] = density[k] * (2.0 * (1.0 - q_up[k]))
         density[k + 1] = nxt
-        # pop frees each step's weights as soon as they are folded in
-        log_density[k + 1] = np.repeat(log_density[k], 2) + (LOG_TWO + log_q.pop())
+        # pop frees each step's weights as soon as they are folded in; a log
+        # density below the float range is -inf, as the density is then 0
+        with np.errstate(over="ignore"):
+            log_density[k + 1] = np.repeat(log_density[k], 2) + (LOG_TWO + log_q.pop())
 
     volatility = [child_diff(prices[k + 1], lattice) for k in range(steps)]
     # a * child_diff(...) would round differently from the published values

@@ -311,7 +311,7 @@ def check_supermartingale_V(solution: EquilibriumSolution, x_grid=None,
 _GAIN_BLOCK_BYTES = 1 << 20
 
 
-def _batch_utilities(a: float, increments, demands) -> np.ndarray:
+def _batch_utilities(a: float, increments, demands, work=None) -> np.ndarray:
     """Expected utility at risk aversion ``a`` of each demand in
     ``demands``, an array of shape ``(batch, 2**N - 1, n)`` holding the
     levels of each predictable demand one after another.  Only the terminal
@@ -321,18 +321,43 @@ def _batch_utilities(a: float, increments, demands) -> np.ndarray:
     every node at step ``k``.  The stocks are summed in ``np.sum``'s order,
     as the integral sums them, so the gains equal its terminal values bit
     for bit: numpy adds a row shorter than eight in column order, which an
-    explicit column loop does many times faster, and pairwise beyond."""
-    gain = np.zeros((len(demands), 1))
+    explicit column loop does many times faster, and pairwise beyond.
+
+    Every level writes into ``work`` (``_score_work``'s buffers for at least
+    ``batch`` rows; allocated here if None), so a caller scoring block after
+    block reuses one set of pages instead of mapping fresh ones per level."""
+    rows, n = len(demands), demands.shape[-1]
+    if work is None:
+        work = _score_work(rows, len(increments), n)
+    prod_buf, inc_buf, *gain_bufs = work
+    gain = np.zeros((rows, 1))
     for k, dx in enumerate(increments):
-        prod = demands[:, (1 << k) - 1:(2 << k) - 1, None, :] * dx
-        if prod.shape[-1] < 8:
+        size = rows << (k + 1)  # the gains one level down
+        prod = np.multiply(demands[:, (1 << k) - 1:(2 << k) - 1, None, :], dx,
+                           out=prod_buf[:size * n].reshape(rows, -1, 2, n))
+        if n == 1:
             inc = prod[..., 0]
-            for j in range(1, prod.shape[-1]):
-                inc = inc + prod[..., j]
+        elif n < 8:
+            inc = np.add(prod[..., 0], prod[..., 1], out=inc_buf[:size].reshape(rows, -1, 2))
+            for j in range(2, n):
+                np.add(inc, prod[..., j], out=inc)
         else:
-            inc = prod.sum(axis=-1)
-        gain = (gain[:, :, None] + inc).reshape(len(demands), -1)
-    return np.mean(-np.exp(-a * gain) / a, axis=1)
+            inc = prod.sum(axis=-1, out=inc_buf[:size].reshape(rows, -1, 2))
+        gain = np.add(gain[:, :, None], inc,
+                      out=gain_bufs[k % 2][:size].reshape(rows, -1, 2)).reshape(rows, -1)
+    # -exp(-a * gain) / a, in place
+    np.multiply(gain, -a, out=gain)
+    np.exp(gain, out=gain)
+    np.negative(gain, out=gain)
+    np.divide(gain, a, out=gain)
+    return np.mean(gain, axis=1)
+
+
+def _score_work(rows: int, steps: int, n: int):
+    """Buffers for ``_batch_utilities`` on up to ``rows`` demands: the
+    products of one level, their stock sums and two alternating gains."""
+    leaves = rows << steps
+    return np.empty(leaves * n), np.empty(leaves), np.empty(leaves), np.empty(leaves)
 
 
 def check_optimality(solution: EquilibriumSolution, num_random: int = 1000,
@@ -356,9 +381,12 @@ def check_optimality(solution: EquilibriumSolution, num_random: int = 1000,
                   for k in range(lat.num_steps)]
     block = max(1, _GAIN_BLOCK_BYTES // (8 * lat.num_leaves))
 
+    work = _score_work(block, lat.num_steps, n)
+
     def utilities(demands):
         return [u for lo in range(0, len(demands), block)
-                for u in _batch_utilities(a, increments, demands[lo:lo + block]).tolist()]
+                for u in _batch_utilities(a, increments, demands[lo:lo + block],
+                                          work).tolist()]
 
     rng = np.random.default_rng(seed)
     # a hopeless competitor's utility overflows to -inf: its gap is +inf,
@@ -401,33 +429,33 @@ def check_homogeneity(inst: Instance, b_values=(0.5, 2.0, 10.0),
     """Scaling the demand equals scaling the risk aversion; scaling the
     dividend scales prices and volatility and leaves the market price of
     risk unchanged.  Node-exact across three pricer runs per factor."""
-    base_cache = {}
+    def price(scale_g, scale_a, scale_psi):
+        return price_equilibrium(Instance(
+            inst.lattice, inst.risk_aversion * scale_a,
+            inst.gamma.scaled(scale_g), inst.psi * scale_psi))
 
-    def run(scale_g, scale_a, scale_psi):
-        key = (scale_g, scale_a, scale_psi)
-        if key not in base_cache:
-            base_cache[key] = price_equilibrium(Instance(
-                inst.lattice, inst.risk_aversion * scale_a,
-                inst.gamma.scaled(scale_g), inst.psi * scale_psi))
-        return base_cache[key]
-
+    # at most two solutions are alive at a time: s2 goes before s3 is
+    # priced, and a factor's solutions before the next factor's
     per_b = {}
     for b in b_values:
         if b <= 0:
             raise ValueError("scaling factors must be positive")
-        s1 = run(b, 1.0, 1.0)
-        s2 = run(1.0, b, 1.0)
-        s3 = run(1.0, 1.0, b)
+        s1 = price(b, 1.0, 1.0)
+        s2 = price(1.0, b, 1.0)
         gaps = {
             "price_demand_vs_aversion": process_gap(s1.prices, s2.prices),
-            "price_vs_scaled_dividend": process_gap(s1.prices, s3.prices, 1.0 / b),
             "volatility_demand_vs_aversion": process_gap(s1.volatility, s2.volatility),
-            "volatility_vs_scaled_dividend": process_gap(s1.volatility, s3.volatility, 1.0 / b),
             "mpr_demand_vs_aversion": process_gap(
                 s1.market_price_of_risk, s2.market_price_of_risk),
-            "mpr_vs_scaled_dividend": process_gap(
-                s1.market_price_of_risk, s3.market_price_of_risk),
         }
+        del s2
+        s3 = price(1.0, 1.0, b)
+        gaps["price_vs_scaled_dividend"] = process_gap(s1.prices, s3.prices, 1.0 / b)
+        gaps["volatility_vs_scaled_dividend"] = process_gap(
+            s1.volatility, s3.volatility, 1.0 / b)
+        gaps["mpr_vs_scaled_dividend"] = process_gap(
+            s1.market_price_of_risk, s3.market_price_of_risk)
+        del s1, s3
         per_b[b] = gaps
     worst, _ = node_max((i, list(gaps.values())) for i, gaps in enumerate(per_b.values()))
     return CheckReport(

@@ -1,0 +1,122 @@
+"""Reference copies of the one-instance fused Picard iteration (slices
+without a row axis) and of the integrand-norm helpers the solver used to
+keep, kept verbatim so the tests can hold ``bsde.solve_picard`` and
+``bsde.picard_diagnostics`` to them bit for bit."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from impact_bsde import (
+    PredictableProcess,
+    child_diff,
+    child_mean,
+    conditional_expectation,
+    driver,
+    h_bmo_norm,
+    stacked_integrand,
+)
+from impact_bsde.norms import _remaining_load, _square_sum
+
+
+def pair_norm(lattice, eta: list, theta: list) -> float:
+    pair = stacked_integrand([
+        PredictableProcess(lattice, eta),
+        PredictableProcess(lattice, theta),
+    ])
+    return h_bmo_norm(pair).value
+
+
+def pair_distance(lattice, eta_a, theta_a, eta_b, theta_b) -> float:
+    eta_d = [x - y for x, y in zip(eta_a, eta_b)]
+    theta_d = [x - y for x, y in zip(theta_a, theta_b)]
+    return pair_norm(lattice, eta_d, theta_d)
+
+
+def terminal_norm(inst) -> float:
+    """Integrand norm of the terminal-data martingale."""
+    lattice = inst.lattice
+    terminal = np.concatenate([np.zeros((lattice.num_leaves, 1)),
+                               inst.risk_aversion * inst.psi], axis=1)
+    terminal_mart = conditional_expectation(terminal, lattice)
+    terminal_integrand = [child_diff(v, lattice) for v in terminal_mart.values[1:]]
+    return pair_norm(lattice, [v[:, 0] for v in terminal_integrand],
+                     [v[:, 1:] for v in terminal_integrand])
+
+
+def _drift_levels(lattice, gamma, eta: list, theta: list):
+    cum_v = np.zeros(1)
+    cum_p = np.zeros((1, gamma.dim))
+    yield cum_v, cum_p
+    for k in range(lattice.num_steps):
+        vd, pd = driver(eta[k], theta[k], gamma.values[k])
+        cum_v = np.repeat(cum_v + vd * lattice.dt, 2, axis=0)
+        cum_p = np.repeat(cum_p - pd * lattice.dt, 2, axis=0)
+        yield cum_v, cum_p
+
+
+def picard_step(inst, eta: list, theta: list):
+    lattice = inst.lattice
+    for cum_v, cum_p in _drift_levels(lattice, inst.gamma, eta, theta):
+        pass  # only the leaf slice is needed
+    mart_v = cum_v
+    mart_p = inst.risk_aversion * inst.psi + cum_p
+    steps = lattice.num_steps
+    eta_new: list = [None] * steps
+    theta_new: list = [None] * steps
+    finite = True
+    load_norm = load_dist = None
+    best_norm = best_dist = 0.0
+    for k in range(steps - 1, -1, -1):
+        e = child_diff(mart_v, lattice)
+        t = child_diff(mart_p, lattice)
+        mart_v = child_mean(mart_v)
+        mart_p = child_mean(mart_p)
+        eta_new[k], theta_new[k] = e, t
+        if not finite:
+            continue
+        sq = _square_sum([e, *t.T])
+        if not (np.isfinite(sq).all() or (np.isfinite(e).all() and np.isfinite(t).all())):
+            finite = False
+            continue
+        sq_dist = _square_sum([e - eta[k], *(t - theta[k]).T])
+        load_norm = _remaining_load(load_norm, sq * lattice.dt)
+        load_dist = _remaining_load(load_dist, sq_dist * lattice.dt)
+        best_norm = max(best_norm, float(np.max(load_norm)))
+        best_dist = max(best_dist, float(np.max(load_dist)))
+    if not finite:
+        return eta_new, theta_new, None, None
+    return eta_new, theta_new, float(np.sqrt(best_norm)), float(np.sqrt(best_dist))
+
+
+def picard_record(inst, tol: float, max_iter: int, zeta0=None) -> dict:
+    """The diagnostics of the one-instance iteration loop, as a dict."""
+    lattice = inst.lattice
+    n = inst.num_stocks
+    if zeta0 is None:
+        eta = [np.zeros(1 << k) for k in range(lattice.num_steps)]
+        theta = [np.zeros((1 << k, n)) for k in range(lattice.num_steps)]
+    else:
+        eta = [np.asarray(v, dtype=float) for v in zeta0[0].values]
+        theta = [np.asarray(v, dtype=float) for v in zeta0[1].values]
+    out = {"distances": [], "ratios": [], "iterate_norms": [], "iterations": 0,
+           "converged": False, "aborted": None}
+    with np.errstate(over="ignore", invalid="ignore"):
+        out["terminal_norm"] = terminal_norm(inst)
+        for it in range(max_iter):
+            eta_new, theta_new, norm, dist = picard_step(inst, eta, theta)
+            if norm is None:
+                out["aborted"] = f"non-finite iterate at iteration {it + 1}"
+                break
+            out["distances"].append(dist)
+            out["iterate_norms"].append(norm)
+            if len(out["distances"]) >= 2 and out["distances"][-2] > 0:
+                out["ratios"].append(dist / out["distances"][-2])
+            eta, theta = eta_new, theta_new
+            out["iterations"] = it + 1
+            if dist <= tol:
+                out["converged"] = True
+                break
+        out["final_norm"] = (out["iterate_norms"][-1] if out["iterate_norms"]
+                             else pair_norm(lattice, eta, theta))
+    return out

@@ -35,7 +35,6 @@ from impact_bsde import (
     solve_explicit,
     solve_picard,
 )
-from impact_bsde.bsde import _pair_distance, _pair_norm
 from impact_bsde.verify import (
     check_F_identity,
     check_optimality,
@@ -44,6 +43,7 @@ from impact_bsde.verify import (
 )
 
 from helpers import equilibrium_defects, max_gap, random_table_config
+from picard_reference import pair_distance, pair_norm
 
 
 def _line(num: int, ok: bool, name: str, detail: str = ""):
@@ -154,9 +154,9 @@ def test_c04_contraction_theory_bounds(small_data_runs):
         za, zb = rand_pair(), rand_pair()
         fa = picard_map(inst, *za)
         fb = picard_map(inst, *zb)
-        lhs = _pair_distance(lat, *fa, *fb)
-        rhs = const * _pair_distance(lat, *za, *zb) * (
-            _pair_norm(lat, *za) + _pair_norm(lat, *zb))
+        lhs = pair_distance(lat, *fa, *fb)
+        rhs = const * pair_distance(lat, *za, *zb) * (
+            pair_norm(lat, *za) + pair_norm(lat, *zb))
         lipschitz_ok &= lhs <= rhs + 1e-9
 
     _line(4, ball_ok and growth_ok and lipschitz_ok,

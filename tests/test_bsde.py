@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -21,9 +23,9 @@ from impact_bsde import (
     solve_picard,
     stacked_integrand,
 )
-from impact_bsde.bsde import _pair_distance, _pair_norm
 
 from helpers import max_gap, random_table_config
+from picard_reference import pair_distance, pair_norm, picard_record, terminal_norm
 
 
 def test_driver_vanishes_at_origin():
@@ -202,6 +204,9 @@ def test_picard_warm_start_from_explicit():
     assert diag.converged
     assert diag.iterations == 1
     assert max_gap(warm.scaled_price, exp.scaled_price) <= 1e-12
+    # the terminal norm does not depend on the start
+    assert diag.terminal_norm == solve_picard(inst, max_iter=1)[1].terminal_norm
+    assert diag.terminal_norm == terminal_norm(inst)
 
 
 def test_contraction_report_growth_bound():
@@ -235,9 +240,9 @@ def test_contraction_lipschitz_bound_on_random_pairs():
         za, zb = rand_pair(), rand_pair()
         fa = picard_map(inst, *za)
         fb = picard_map(inst, *zb)
-        lhs = _pair_distance(lat, *fa, *fb)
-        rhs = bound_const * _pair_distance(lat, *za, *zb) * (
-            _pair_norm(lat, *za) + _pair_norm(lat, *zb))
+        lhs = pair_distance(lat, *fa, *fb)
+        rhs = bound_const * pair_distance(lat, *za, *zb) * (
+            pair_norm(lat, *za) + pair_norm(lat, *zb))
         assert lhs <= rhs + 1e-9
 
 
@@ -363,9 +368,9 @@ def _seed_picard_loop(lat, cfg, tol, max_iter):
         if not all(np.all(np.isfinite(v)) for v in eta_new + theta_new):
             out["aborted"] = f"non-finite iterate at iteration {it + 1}"
             break
-        dist = _pair_distance(lat, eta_new, theta_new, eta, theta)
+        dist = pair_distance(lat, eta_new, theta_new, eta, theta)
         out["distances"].append(dist)
-        out["iterate_norms"].append(_pair_norm(lat, eta_new, theta_new))
+        out["iterate_norms"].append(pair_norm(lat, eta_new, theta_new))
         if len(out["distances"]) >= 2 and out["distances"][-2] > 0:
             out["ratios"].append(dist / out["distances"][-2])
         eta, theta = eta_new, theta_new
@@ -373,7 +378,7 @@ def _seed_picard_loop(lat, cfg, tol, max_iter):
         if dist <= tol:
             out["converged"] = True
             break
-    out["final_norm"] = _pair_norm(lat, eta, theta)
+    out["final_norm"] = pair_norm(lat, eta, theta)
     return out
 
 
@@ -424,3 +429,76 @@ def test_picard_iteration_stays_fused(monkeypatch):
         counts.append({k: calls[k] - before[k] for k in calls})
     assert diag.converged and diag.iterations > 5
     assert counts[0] == counts[1]
+
+
+# record fields that must match bit for bit
+_RECORD = ("distances", "iterate_norms", "ratios", "iterations", "converged", "aborted",
+           "final_norm", "terminal_norm")
+
+# per parameter: rows that converge, run to max_iter, abort later and (but
+# for the demand) abort on the first step, where the terminal data overflow
+_SWEEP_VALUES = {
+    "risk_aversion": [0.05, 0.3, 3.0, 1e3, 40.0, 1e308],
+    "demand_scale": [0.05, 2.0, 1e4, 0.5, 300.0, 1e60],
+    "dividend_scale": [0.05, -0.3, 3.0, 1e150, 1e308, 1.0],
+}
+
+
+def _variant(base, param, val):
+    from dataclasses import replace
+    if param == "risk_aversion":
+        return replace(base, risk_aversion=val)
+    if param == "demand_scale":
+        return replace(base, gamma=base.gamma.scaled(val))
+    return replace(base, psi=base.psi * val)
+
+
+@pytest.mark.parametrize("block", [1, 2, None])
+@pytest.mark.parametrize("num_stocks", [1, 2])
+@pytest.mark.parametrize("param", sorted(_SWEEP_VALUES))
+def test_picard_diagnostics_rows_match_their_own_runs(monkeypatch, param, num_stocks, block):
+    import impact_bsde.bsde as bsde_mod
+    from impact_bsde import NegativeSignOfB, picard_diagnostics
+    lat = build_lattice(7, 1.0)
+    base = evaluate_market(MarketConfig(1.0, num_stocks, NegativeSignOfB(0.8), SignOfBT(1.0),
+                                        7, 1.0), lat)
+    values = _SWEEP_VALUES[param]
+    # a budget of ``block`` rows (None: every point in one block)
+    row_bytes = 8 * lat.num_leaves * (1 + num_stocks)
+    monkeypatch.setattr(bsde_mod, "_PICARD_BLOCK_BYTES", row_bytes * (block or len(values)))
+    got = picard_diagnostics(base, param, values, tol=1e-12, max_iter=12)
+    outcomes = set()
+    for val, diag in zip(values, got):
+        inst = _variant(base, param, val)
+        _, own = solve_picard(inst, tol=1e-12, max_iter=12)
+        assert {k: getattr(diag, k) for k in _RECORD} == {k: getattr(own, k) for k in _RECORD}
+        # and the one-row kernel is the unbatched one, bit for bit
+        want = picard_record(inst, tol=1e-12, max_iter=12)
+        if not diag.iterate_norms:
+            # a terminal integrand that is not finite has an infinite norm
+            assert diag.terminal_norm == math.inf
+            want["terminal_norm"] = math.inf
+        assert {k: getattr(diag, k) for k in _RECORD} == want
+        outcomes.add("converged" if diag.converged else "first step aborted"
+                     if diag.aborted and not diag.iterations else "aborted"
+                     if diag.aborted else "max_iter")
+    # the demand does not enter the terminal data, so only the other two
+    # parameters can overflow them
+    assert outcomes == {"converged", "max_iter", "aborted",
+                        *(["first step aborted"] if param != "demand_scale" else [])}
+
+
+def test_picard_diagnostics_block_budget():
+    import impact_bsde.bsde as bsde_mod
+    # the budget buys four one-stock rows at depth 14, and at least one row
+    # however deep the lattice
+    assert bsde_mod._PICARD_BLOCK_BYTES // (8 * (1 << 14) * 2) == 4
+    lat = build_lattice(3, 1.0)
+    inst = evaluate_market(MarketConfig(1.0, 1, ConstantDemand(0.5), SignOfBT(0.5), 3, 1.0),
+                           lat)
+    from impact_bsde import picard_diagnostics
+    with pytest.raises(ValueError, match="unknown parameter"):
+        picard_diagnostics(inst, "num_steps", [1.0])
+    with pytest.raises(ValueError):
+        picard_diagnostics(inst, "risk_aversion", [1.0], tol=0.0)
+    assert picard_diagnostics(inst, "risk_aversion", []) == []

@@ -436,8 +436,9 @@ def test_sweep_measures_kappa_once_per_depth(tmp_path, monkeypatch):
     doc["solver"] = {"max_iter": 20}
     cfg = write_config(tmp_path, doc)
     out = str(tmp_path / "sweep.csv")
-    sweeps = {("risk_aversion", "0.5", "1.5", "5"): [5],
-              ("num_steps", "2", "4", "5"): [2, 3, 4]}
+    # no sweep column depends on kappa, so no sweep measures it
+    sweeps = {("risk_aversion", "0.5", "1.5", "5"): [],
+              ("num_steps", "2", "4", "5"): []}
     for (param, start, stop, points), want in sweeps.items():
         calls.clear()
         result = CliRunner().invoke(main, ["sweep", "--config", cfg, "--param", param,
@@ -623,3 +624,102 @@ def test_bsde_node_table_bytes_match_the_csv_writer(tmp_path, monkeypatch):
     header, *rows = [line.split(",") for line in nodes.read_text().splitlines()]
     assert {row[header.index("q_up")] for row in rows} == {"nan"}
     assert nodes.read_bytes() == (tmp_path / "nodes.csv.ref").read_bytes()
+
+
+@pytest.mark.parametrize("bounds", [("inf", "1"), ("0.5", "nan"), ("-inf", "inf")])
+@pytest.mark.parametrize("param", ["risk_aversion", "demand_scale", "dividend_scale",
+                                   "num_steps"])
+def test_sweep_rejects_non_finite_bounds(tmp_path, param, bounds):
+    cfg = write_config(tmp_path, one_period_doc(num_steps=3))
+    out = tmp_path / "sweep.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = CliRunner().invoke(main, ["sweep", "--config", cfg, "--param", param,
+                                           "--from", bounds[0], "--to", bounds[1],
+                                           "--points", "3", "--out", str(out)])
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert "config error: --from/--to must be finite" in result.output
+    assert not out.exists()
+
+
+_HUGE_DIVIDEND = {"type": "sign_of_b_t", "scale": 1e200}
+
+
+@pytest.mark.parametrize("command", [
+    ["price"], ["norms"],
+    ["sweep", "--param", "dividend_scale", "--from", "1e200", "--to", "1e200",
+     "--points", "1"],
+])
+def test_huge_dividends_end_in_a_numeric_failure(tmp_path, command):
+    # centring leaves a residue ~1e184 in the mean, which the old absolute
+    # centring check took for an uncentred variable (a traceback); the norms
+    # of such a dividend overflow the float range
+    huge = command[0] != "sweep"
+    doc = one_period_doc(num_steps=6, demand={"type": "negative_sign_of_b"},
+                         dividend=_HUGE_DIVIDEND if huge else {"type": "sign_of_b_t"})
+    cfg = write_config(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = CliRunner().invoke(main, command + ["--config", cfg,
+                                                     "--out", str(tmp_path / "out")])
+    assert result.exit_code == 3, (result.output, result.exception)
+    assert result.output.startswith("numeric failure: ")
+    assert "overflow the float range" in result.output
+
+
+def test_large_dividends_keep_finite_norms(tmp_path):
+    # large enough for the old absolute centring check to refuse, small
+    # enough for every norm to stay finite
+    doc = one_period_doc(num_steps=6, demand={"type": "negative_sign_of_b"},
+                         dividend={"type": "sign_of_b_t", "scale": 3e100})
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "norms.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = CliRunner().invoke(main, ["norms", "--config", cfg, "--out", str(out)])
+    assert result.exit_code == 0, (result.output, result.exception)
+    norms = json.loads(out.read_text())["norms"]
+    assert math.isfinite(norms["centered_dividend_bmo"]) and norms["centered_dividend_bmo"] > 1e99
+
+
+@pytest.mark.parametrize("scale", [0.5, 2.0])
+def test_sweep_at_extreme_aversion_prints_no_runtime_warning(tmp_path, scale):
+    # the Picard norms overflow on the first step: data, not a warning; at
+    # the larger dividend the pricer's tilt overflows too, which it reports
+    doc = one_period_doc(num_steps=6, demand={"type": "negative_sign_of_b"},
+                         dividend={"type": "sign_of_b_t", "scale": scale})
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "sweep.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = CliRunner().invoke(main, ["sweep", "--config", cfg, "--param",
+                                           "risk_aversion", "--from", "1e308", "--to", "1e308",
+                                           "--points", "1", "--out", str(out)])
+    if scale > 1.0:
+        assert result.exit_code == 3, (result.output, result.exception)
+        assert result.output.startswith("numeric failure: price became non-finite at node")
+        return
+    assert result.exit_code == 0, (result.output, result.exception)
+    (row,) = _csv_rows(out)
+    assert row[2:5] == ["False", "1", "nan"]
+
+
+def test_sweep_runs_no_reconstruction(tmp_path, monkeypatch):
+    # the sweep reads only the iteration record: no solution is rebuilt
+    import impact_bsde.bsde as bsde_mod
+    calls = []
+
+    def refuse(*args, **kwargs):
+        calls.append(1)
+        raise AssertionError("the sweep rebuilt a Picard solution")
+
+    monkeypatch.setattr(bsde_mod, "_recursion_residual", refuse)
+    monkeypatch.setattr(bsde_mod, "conditional_expectation", refuse)
+    cfg = write_config(tmp_path, one_period_doc(num_steps=5, demand={"type": "negative_sign_of_b"},
+                                                dividend={"type": "sign_of_b_t", "scale": 0.5}))
+    for param, bounds in (("risk_aversion", ("0.5", "4")), ("num_steps", ("2", "4"))):
+        result = CliRunner().invoke(main, ["sweep", "--config", cfg, "--param", param,
+                                           "--from", bounds[0], "--to", bounds[1],
+                                           "--points", "4", "--out", str(tmp_path / "s.csv")])
+        assert result.exit_code == 0, (result.output, result.exception)
+    assert calls == []

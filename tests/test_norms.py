@@ -130,6 +130,23 @@ def test_bmo_rv_rejects_uncentered():
         bmo_norm_rv(np.array([1.0, 1.0, 0.0, 0.0]), lat)
 
 
+def test_bmo_rv_centring_check_is_relative_to_the_scale():
+    # centring a large variable leaves a residue in its mean far above an
+    # absolute 1e-12, but rounding-sized against its entries
+    lat = build_lattice(6, 1.0)
+    sign = np.where(lat.b_int[-1] >= 0, 1.0, -1.0)
+    unit = bmo_norm_rv(sign - sign.mean(), lat).value
+    for scale in (1e50, 3e100):
+        big = scale * sign
+        big = big - big.mean()
+        assert abs(big.mean()) > 1e30
+        rep = bmo_norm_rv(big, lat)
+        assert rep.value == pytest.approx(scale * unit, rel=1e-12)
+        # a variable that is off-centre by more than rounding is still refused
+        with pytest.raises(ValueError, match="not centered"):
+            bmo_norm_rv(big + 1e-9 * scale, lat)
+
+
 def test_h_norm_unit_symmetric():
     lat = build_lattice(1, 1.0)
     rep = h_norm(np.array([1.0, -1.0]), lat)

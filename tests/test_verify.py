@@ -190,6 +190,29 @@ def test_homogeneity_gate(eligible):
     assert report.details["max_gap"] <= 1e-12
 
 
+def test_homogeneity_holds_few_solutions_at_once():
+    # each factor's solutions are freed before the next factor is priced,
+    # so the peak stays a few solutions whatever the number of factors
+    import tracemalloc
+    lat = build_lattice(12, 1.0)
+    inst = evaluate_market(MarketConfig(0.7, 1, NegativeSignOfB(0.8), SignOfBT(0.6), 12, 1.0),
+                           lat)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sol = price_equilibrium(inst)
+        solution = tracemalloc.get_traced_memory()[0] - before
+        del sol
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        report = check_homogeneity(inst, b_values=(0.5, 2.0, 10.0, 3.0))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert report.status == "pass"
+    assert peak < 4 * solution
+
+
 def test_homogeneity_identity_at_unit_factor():
     lat = build_lattice(4, 1.0)
     cfg = MarketConfig(0.7, 1, ConstantDemand(0.3), SignOfBT(), 4, 1.0)
