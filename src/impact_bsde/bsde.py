@@ -32,17 +32,19 @@ iteration; the memory held is the two integrand pairs plus one slice.
 That pass, ``_picard_step``, carries a leading point axis: every slice
 holds one row per point, and the points are variants of one instance on
 its lattice that differ in the risk aversion, the demand scale or the
-dividend scale.  ``solve_picard`` runs it on one row; ``picard_diagnostics``
-runs a sweep's points as rows of blocks sized by a fixed byte budget on the
-integrand pairs, keeps only the iteration records, and refills a block as
-its rows converge, reach the iteration cap or abort.  Every reduction is
-per row, so each row's record is the one its own run would give, bit for
-bit.
+dividend scale.  One loop, ``_picard_rows``, iterates it from zero: it runs
+the points as rows of blocks sized by a fixed byte budget on the integrand
+pairs, keeps the iteration records, and refills a block as its rows
+converge, reach the iteration cap or abort.  ``picard_diagnostics`` runs a
+sweep's points through it; ``solve_picard`` runs one row, the instance
+itself, and reconstructs the solution from the iterate that row ends on.
+Every reduction is per row, so each row's record is the one its own run
+would give, bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -58,7 +60,7 @@ from .lattice import (
     stochastic_exponential,
     stochastic_integral,
 )
-from .norms import _square_sum, h_bmo_norm, stacked_integrand
+from .norms import _square_sum
 from .pricer import _check_finite
 from .scenario import Instance
 
@@ -98,10 +100,12 @@ def driver_growth_bound(gamma_sup: float) -> float:
     any bound on |q(x, y)| / (|x| |y|) is a valid growth constant.  With
     G = gamma_sup, Cauchy-Schwarz gives |q_value| <= max(G^2, 1)/2 and
     |q_price| <= 1/2 + G, hence the bound below.  Validated by random
-    sampling in the test suite.
+    sampling in the test suite.  Products, not powers: a float power raises
+    on overflow, a product gives inf.
     """
     g = float(gamma_sup)
-    return float(np.sqrt(max(g * g, 1.0) ** 2 / 4.0 + (0.5 + g) ** 2))
+    m = max(g * g, 1.0)
+    return float(np.sqrt(m * m / 4.0 + (0.5 + g) * (0.5 + g)))
 
 
 @dataclass
@@ -159,21 +163,8 @@ class IterationDiagnostics:
         return 2.0 * self.terminal_norm
 
     def to_dict(self) -> dict:
-        return {
-            "distances": list(self.distances),
-            "ratios": list(self.ratios),
-            "iterate_norms": list(self.iterate_norms),
-            "final_norm": self.final_norm,
-            "terminal_norm": self.terminal_norm,
-            "kappa": self.kappa,
-            "growth_bound": self.growth_bound,
-            "contraction_radius": self.contraction_radius,
-            "uniqueness_radius": self.uniqueness_radius,
-            "small_ball": self.small_ball,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "aborted": self.aborted,
-        }
+        return {**asdict(self), "contraction_radius": self.contraction_radius,
+                "uniqueness_radius": self.uniqueness_radius, "small_ball": self.small_ball}
 
 
 def _recursion_residual(lattice: Lattice, gamma, value, price, eta, theta) -> float:
@@ -198,15 +189,17 @@ def solve_explicit(inst: Instance) -> BsdeSolution:
     eta: list = [None] * steps
     theta: list = [None] * steps
     value[steps] = np.zeros(lattice.num_leaves)
-    price[steps] = a * inst.psi
-    for k in range(steps - 1, -1, -1):
-        eta[k] = child_diff(value[k + 1], lattice)
-        theta[k] = child_diff(price[k + 1], lattice)
-        vd, pd = driver(eta[k], theta[k], gamma.values[k])
-        value[k] = child_mean(value[k + 1]) + vd * lattice.dt
-        price[k] = child_mean(price[k + 1]) - pd * lattice.dt
-        _check_finite(value[k], k, "scaled certainty equivalent")
-        _check_finite(price[k], k, "scaled price")
+    # an overflow is not warned about: _check_finite names its node
+    with np.errstate(over="ignore", invalid="ignore"):
+        price[steps] = a * inst.psi
+        for k in range(steps - 1, -1, -1):
+            eta[k] = child_diff(value[k + 1], lattice)
+            theta[k] = child_diff(price[k + 1], lattice)
+            vd, pd = driver(eta[k], theta[k], gamma.values[k])
+            value[k] = child_mean(value[k + 1]) + vd * lattice.dt
+            price[k] = child_mean(price[k + 1]) - pd * lattice.dt
+            _check_finite(value[k], k, "scaled certainty equivalent")
+            _check_finite(price[k], k, "scaled price")
     residual = _recursion_residual(lattice, gamma, value, price, eta, theta)
     return BsdeSolution(
         lattice=lattice,
@@ -336,117 +329,117 @@ def picard_map(inst: Instance, eta: list, theta: list):
     return [v[0] for v in eta_new], [v[0] for v in theta_new]
 
 
-def _pair_norm(lattice: Lattice, eta: list, theta: list) -> float:
-    pair = stacked_integrand([
-        PredictableProcess(lattice, eta),
-        PredictableProcess(lattice, theta),
-    ])
-    return h_bmo_norm(pair).value
+def _with_zero_rows(rows: np.ndarray, count: int) -> np.ndarray:
+    """``rows`` followed by ``count`` zero rows.  The zero rows stay
+    untouched pages until a step writes them."""
+    out = np.zeros((len(rows) + count, *rows.shape[1:]))
+    out[:len(rows)] = rows
+    return out
 
 
-def _check_iteration_args(tol: float, max_iter: int):
+# the row state of one block of ``_picard_rows``: one integrand pair per
+# row; at least one row per block, so peak memory does not grow with the
+# number of points
+_PICARD_BLOCK_BYTES = 1 << 20
+
+
+def _picard_rows(base: Instance, param: str, values, tol: float, max_iter: int,
+                 ends: list | None = None) -> list[IterationDiagnostics]:
+    """The fixed-point iteration from zero at each variant of ``base`` that
+    replaces ``param`` by one of ``values`` (see ``_picard_step``): one
+    iteration record per point.
+
+    The points run as rows of one ``_picard_step`` call on the shared
+    lattice, a block of ``_PICARD_BLOCK_BYTES`` of integrand pairs at a
+    time.  A row leaves the block when it converges, reaches ``max_iter``
+    or aborts on a step that is not finite; the block then compacts and the
+    next pending point takes the freed slot.  Given ``ends``, one entry per
+    point, a leaving row stores there the integrand pair it ends on: its
+    last finite iterate, which is the zero pair when the first step aborts.
+
+    From zero the driver vanishes, so the first iterate is the terminal
+    integrand and its norm is the terminal norm bit for bit; a first step
+    that is not finite means the terminal integrand is not, and its norm is
+    infinite.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
+    lattice, n = base.lattice, base.num_stocks
+    values = np.asarray(values, dtype=float)
+    block = max(1, _PICARD_BLOCK_BYTES // (8 * lattice.num_leaves * (1 + n)))
+    diags = [IterationDiagnostics() for _ in values]
+    live = np.arange(0)  # the point of each row
+    pending = 0          # the next point to enter
+    eta = [np.zeros((0, 1 << k)) for k in range(lattice.num_steps)]
+    theta = [np.zeros((0, 1 << k, n)) for k in range(lattice.num_steps)]
+    # a diverging row overflows by design and reports it as data (an aborted
+    # run, inf ratios), so numpy's floating-point warnings are silenced here
+    with np.errstate(all="ignore"):
+        while True:
+            fill = min(block - len(live), len(values) - pending)
+            if fill:
+                live = np.concatenate([live, np.arange(pending, pending + fill)])
+                pending += fill
+                eta = [_with_zero_rows(v, fill) for v in eta]
+                theta = [_with_zero_rows(v, fill) for v in theta]
+            if not len(live):
+                break
+            eta_new, theta_new, norm, dist, finite = _picard_step(
+                base, eta, theta, (param, values[live]))
+            keep = []
+            for r, i in enumerate(live):
+                diag = diags[i]
+                if finite[r]:
+                    diag.distances.append(float(dist[r]))
+                    diag.iterate_norms.append(float(norm[r]))
+                    if len(diag.distances) >= 2 and diag.distances[-2] > 0:
+                        diag.ratios.append(diag.distances[-1] / diag.distances[-2])
+                    diag.iterations += 1
+                    diag.converged = diag.distances[-1] <= tol
+                    if not diag.converged and diag.iterations < max_iter:
+                        keep.append(r)
+                        continue
+                else:
+                    diag.aborted = f"non-finite iterate at iteration {diag.iterations + 1}"
+                if ends is not None:
+                    pair = (eta_new, theta_new) if finite[r] else (eta, theta)
+                    ends[i] = tuple([v[r] for v in part] for part in pair)
+            if len(keep) < len(live):
+                live = live[keep]
+                eta_new = [v[keep] for v in eta_new]
+                theta_new = [v[keep] for v in theta_new]
+            eta, theta = eta_new, theta_new
+    for diag in diags:
+        diag.final_norm = diag.iterate_norms[-1] if diag.iterate_norms else 0.0
+        diag.terminal_norm = diag.iterate_norms[0] if diag.iterate_norms else np.inf
+    return diags
 
 
-def _zero_rows(lattice: Lattice, rows: int, n: int):
-    """Zero integrand pairs for ``rows`` rows, rows first."""
-    return ([np.zeros((rows, 1 << k)) for k in range(lattice.num_steps)],
-            [np.zeros((rows, 1 << k, n)) for k in range(lattice.num_steps)])
-
-
-def _kernel(inst: Instance, eta: list, theta: list, diags: list, rows=None):
-    """``_picard_step``, or None after marking every row's record aborted
-    on an arithmetic failure."""
-    try:
-        return _picard_step(inst, eta, theta, rows)
-    except FloatingPointError as exc:  # pragma: no cover - defensive
-        for diag in diags:
-            diag.aborted = f"arithmetic failure at iteration {diag.iterations}: {exc}"
-        return None
-
-
-def _record(diag: IterationDiagnostics, norm, dist, finite, tol: float) -> bool:
-    """Add one step of a row to its record; False if the step is not
-    finite, which aborts the row and keeps its previous iterate."""
-    if not finite:
-        diag.aborted = f"non-finite iterate at iteration {diag.iterations + 1}"
-        return False
-    dist = float(dist)
-    diag.distances.append(dist)
-    diag.iterate_norms.append(float(norm))
-    if len(diag.distances) >= 2 and diag.distances[-2] > 0:
-        diag.ratios.append(dist / diag.distances[-2])
-    diag.iterations += 1
-    diag.converged = dist <= tol
-    return True
-
-
-def _close_cold(diag: IterationDiagnostics):
-    """Final and terminal norms of a run started from zero.  From zero the
-    driver vanishes, so the first iterate is the terminal integrand and its
-    norm is the terminal norm bit for bit; a first step that is not finite
-    means the terminal integrand is not, and its norm is infinite."""
-    diag.final_norm = diag.iterate_norms[-1] if diag.iterate_norms else 0.0
-    diag.terminal_norm = diag.iterate_norms[0] if diag.iterate_norms else np.inf
-
-
-def solve_picard(inst: Instance, tol: float = 1e-12,
-                 max_iter: int = 100, zeta0=None, growth_bound: float | None = None,
-                 kappa: float = 1.0):
-    """Iterate the fixed-point map from zero (or a warm start) until the
-    integrand-norm distance between successive iterates drops below ``tol``.
+def solve_picard(inst: Instance, tol: float = 1e-12, max_iter: int = 100,
+                 growth_bound: float | None = None, kappa: float = 1.0):
+    """Iterate the fixed-point map from zero until the integrand-norm
+    distance between successive iterates drops below ``tol``.
 
     Non-convergence is a reported outcome, not an exception: the counter-
     example regime is expected to produce expansion ratios, and those are
     exactly what the diagnostics exist to record.  Returns
-    ``(solution, diagnostics)``; the solution is reconstructed from the last
-    iterate either way.  The iteration runs ``_picard_step`` on one row.
+    ``(solution, diagnostics)``.  The iteration is ``_picard_rows`` on one
+    row, the instance itself (its risk aversion replaced by itself); the
+    solution is reconstructed from the iterate that row ends on, the last
+    finite one, either way.
     """
-    _check_iteration_args(tol, max_iter)
+    ends = [None]
+    (diag,) = _picard_rows(inst, "risk_aversion", [inst.risk_aversion], tol, max_iter, ends)
+    ((eta, theta),) = ends
+    diag.kappa = float(kappa)
+    diag.growth_bound = float(growth_bound if growth_bound is not None
+                              else driver_growth_bound(inst.gamma_sup))
     lattice, a, gamma = inst.lattice, inst.risk_aversion, inst.gamma
     steps = lattice.num_steps
-    n = inst.num_stocks
-
-    if zeta0 is None:
-        eta, theta = _zero_rows(lattice, 1, n)
-    else:
-        eta = [np.asarray(v, dtype=float)[None] for v in zeta0[0].values]
-        theta = [np.asarray(v, dtype=float)[None] for v in zeta0[1].values]
-
-    diag = IterationDiagnostics(
-        kappa=float(kappa),
-        growth_bound=float(growth_bound if growth_bound is not None
-                           else driver_growth_bound(inst.gamma_sup)),
-    )
-
-    # a diverging run overflows by design and reports it as data (an aborted
-    # run, inf ratios), so its numpy over/invalid warnings are silenced here
+    # the last finite iterate of a diverging run may still overflow here
     with np.errstate(over="ignore", invalid="ignore"):
-        if zeta0 is not None:
-            # one step from zero: its iterate is the terminal integrand
-            _, _, norm, _, finite = _picard_step(inst, *_zero_rows(lattice, 1, n))
-            terminal_norm = float(norm[0]) if finite[0] else np.inf
-        for _ in range(max_iter):
-            step = _kernel(inst, eta, theta, [diag])
-            if step is None or not _record(diag, *(x[0] for x in step[2:]), tol):
-                break
-            eta, theta = step[:2]
-            if diag.converged:
-                break
-        del step  # an aborted iterate is not kept through the reconstruction
-
-        eta = [v[0] for v in eta]
-        theta = [v[0] for v in theta]
-        if zeta0 is None:
-            _close_cold(diag)
-        else:
-            diag.terminal_norm = terminal_norm
-            diag.final_norm = (diag.iterate_norms[-1] if diag.iterate_norms
-                               else _pair_norm(lattice, eta, theta))
-
         # reconstruct the adapted pair from the final integrands: conditional
         # expectation of terminal-plus-total-drift minus the drift already accrued
         levels = list(_drift_levels(lattice, gamma, [v[None] for v in eta],
@@ -473,63 +466,19 @@ def solve_picard(inst: Instance, tol: float = 1e-12,
     return solution, diag
 
 
-# the row state of one block of ``picard_diagnostics``: one integrand pair
-# per row; at least one row per block, so peak memory does not grow with
-# the number of points
-_PICARD_BLOCK_BYTES = 1 << 20
-
-
 def picard_diagnostics(base: Instance, param: str, values, tol: float = 1e-12,
                        max_iter: int = 100) -> list[IterationDiagnostics]:
-    """The iteration record of ``solve_picard`` (from zero) at each variant
-    of ``base`` that replaces ``param`` by one of ``values``:
-    ``risk_aversion``, ``demand_scale`` (the demand times the value) or
-    ``dividend_scale`` (the dividend times the value).  Diagnostics only: no
-    solution is reconstructed, and ``kappa`` and ``growth_bound`` keep their
-    defaults.
-
-    The points run as rows of one ``_picard_step`` call on the shared
-    lattice, a block of ``_PICARD_BLOCK_BYTES`` of integrand pairs at a
-    time.  A row leaves the block when it converges, reaches ``max_iter``
-    or aborts; the block then compacts and the next pending point takes the
-    freed slot.  Each record equals that point's own ``solve_picard`` record.
+    """The iteration record of ``solve_picard`` at each variant of ``base``
+    that replaces ``param`` by one of ``values``: ``risk_aversion``,
+    ``demand_scale`` (the demand times the value) or ``dividend_scale`` (the
+    dividend times the value).  Diagnostics only: the points run as rows of
+    ``_picard_rows``' blocks, no solution is reconstructed, and ``kappa``
+    and ``growth_bound`` keep their defaults.  Each record equals that
+    point's own ``solve_picard`` record.
     """
-    _check_iteration_args(tol, max_iter)
     if param not in ("risk_aversion", "demand_scale", "dividend_scale"):
         raise ValueError(f"unknown parameter {param!r}")
-    lattice, n = base.lattice, base.num_stocks
-    values = np.asarray(values, dtype=float)
-    block = max(1, _PICARD_BLOCK_BYTES // (8 * lattice.num_leaves * (1 + n)))
-    diags = [IterationDiagnostics() for _ in values]
-    live = np.arange(0)  # the point of each row
-    pending = 0          # the next point to enter
-    eta, theta = _zero_rows(lattice, 0, n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            fill = min(block - len(live), len(values) - pending)
-            if fill:
-                live = np.concatenate([live, np.arange(pending, pending + fill)])
-                pending += fill
-                zeros = _zero_rows(lattice, fill, n)
-                eta = [np.concatenate([v, z]) for v, z in zip(eta, zeros[0])]
-                theta = [np.concatenate([v, z]) for v, z in zip(theta, zeros[1])]
-            if not len(live):
-                break
-            step = _kernel(base, eta, theta, [diags[i] for i in live], (param, values[live]))
-            if step is None:  # pragma: no cover - defensive
-                live = live[:0]
-                continue
-            eta, theta, norm, dist, finite = step
-            keep = [r for r, i in enumerate(live)
-                    if _record(diags[i], norm[r], dist[r], finite[r], tol)
-                    and not diags[i].converged and diags[i].iterations < max_iter]
-            if len(keep) < len(live):
-                live = live[keep]
-                eta = [v[keep] for v in eta]
-                theta = [v[keep] for v in theta]
-    for diag in diags:
-        _close_cold(diag)
-    return diags
+    return _picard_rows(base, param, values, tol, max_iter)
 
 
 @dataclass
@@ -550,14 +499,7 @@ class ContractionReport:
                  "not a failure of the estimates themselves")
 
     def to_dict(self) -> dict:
-        return {
-            "within_contraction_radius": self.within_contraction_radius,
-            "growth_bound_ok": list(self.growth_bound_ok),
-            "growth_bound_margins": list(self.growth_bound_margins),
-            "observed_ratios": list(self.observed_ratios),
-            "solution_in_small_ball": self.solution_in_small_ball,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def contraction_report(diag: IterationDiagnostics, tol: float = 1e-9) -> ContractionReport:

@@ -18,10 +18,10 @@ import numpy as np
 
 from . import bsde as bsde_mod
 from . import verify as verify_mod
-from .config import ConfigError, RunConfig, load_config, validate_summary
+from .config import (METHODS, SUITES, SWEEP_PARAMS, ConfigError, RunConfig, load_config,
+                     validate_summary)
 from .lattice import ExponentialGuardError, LatticeSizeError, build_lattice, process_gap
-from .norms import (KAPPA_MAX_STEPS, bmo_norm_rv, h_bmo_norm, h_norm, measure_kappa,
-                    sup_norm)
+from .norms import bmo_norm_rv, h_bmo_norm, h_norm, measure_kappa, sup_norm
 from .pricer import NumericalError, price_equilibrium
 from .scenario import Instance, MarketConfig, evaluate_market, hitting_time_tau
 
@@ -82,21 +82,9 @@ def _evaluate(market: MarketConfig) -> Instance:
         _config_error(f"market: {exc}")
 
 
-def _kappa_meter(run: RunConfig):
-    """The ratio constant as a function of the lattice, for one invocation:
-    the configured one, or ``measure_kappa``'s, measured once per effective
-    depth and horizon (the value depends on nothing else)."""
-    if run.solver.kappa is not None:
-        return lambda lattice: run.solver.kappa
-    measured: dict = {}
-
-    def kappa(lattice) -> float:
-        key = (min(lattice.num_steps, KAPPA_MAX_STEPS), lattice.horizon)
-        if key not in measured:
-            measured[key] = measure_kappa(lattice)
-        return measured[key]
-
-    return kappa
+def _kappa(run: RunConfig, lattice) -> float:
+    """The ratio constant: the configured one, else measured on the lattice."""
+    return run.solver.kappa if run.solver.kappa is not None else measure_kappa(lattice)
 
 
 def _finite_norm(what: str, norm, *args, **kwargs):
@@ -226,7 +214,7 @@ def cmd_price(config_path, out_path, dump_path):
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--method", default=None,
-              type=click.Choice(["explicit", "picard", "both"]),
+              type=click.Choice(METHODS),
               help="Override the solver method from the config.")
 @click.option("--diagnostics", "diag_path", default=None, type=click.Path(),
               help="Write the per-iteration CSV here (picard/both).")
@@ -247,7 +235,7 @@ def cmd_bsde(config_path, out_path, method, diag_path, dump_path):
         if method in ("picard", "both"):
             pic, diag = bsde_mod.solve_picard(
                 inst, tol=run.solver.tol, max_iter=run.solver.max_iter,
-                growth_bound=run.solver.growth_bound, kappa=_kappa_meter(run)(inst.lattice),
+                growth_bound=run.solver.growth_bound, kappa=_kappa(run, inst.lattice),
             )
             report = bsde_mod.contraction_report(diag)
             summary.setdefault("initial_price", pic.prices.values[0][0].tolist())
@@ -318,10 +306,12 @@ def _run_suite(run: RunConfig, inst: Instance) -> list:
     suite = run.verify.suite
     lattice = inst.lattice
     reports = []
-    kappa = _kappa_meter(run)
     need_solution = suite in ("all", "apriori", "martingale", "optimality",
                               "localization")
     sol = price_equilibrium(inst) if need_solution else None
+    # a dividend whose norm overflows the float range is a numeric failure
+    # before any gate is computed from it
+    psi_bmo = _centered_bmo(inst) if need_solution else None
     if suite in ("all", "martingale"):
         reports.append(verify_mod.check_R_nonneg(sol))
         reports.append(verify_mod.check_equilibrium_martingales(sol))
@@ -344,12 +334,11 @@ def _run_suite(run: RunConfig, inst: Instance) -> list:
     if suite == "all":
         _, diag = bsde_mod.solve_picard(
             inst, tol=run.solver.tol, max_iter=run.solver.max_iter,
-            kappa=kappa(lattice))
-        reports.append(verify_mod.check_norm_bounds(sol, diag))
+            kappa=_kappa(run, lattice))
+        reports.append(verify_mod.check_norm_bounds(sol, diag, psi_bmo=psi_bmo))
     if suite in ("all", "counterexample"):
         reports.append(verify_mod.check_F_identity(seed=run.verify.seed))
-        reports.append(verify_mod.run_counterexample(
-            n_list=run.verify.counterexample_steps, kappa=kappa))
+        reports.append(verify_mod.run_counterexample(n_list=run.verify.counterexample_steps))
     return reports
 
 
@@ -357,8 +346,7 @@ def _run_suite(run: RunConfig, inst: Instance) -> list:
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--suite", default=None,
-              type=click.Choice(["all", "apriori", "martingale", "homogeneity",
-                                 "optimality", "localization", "counterexample"]),
+              type=click.Choice(SUITES),
               help="Override the suite from the config.")
 def cmd_verify(config_path, out_path, suite):
     """Run the verification suite; exit 1 if any hard gate fails."""
@@ -388,8 +376,7 @@ def cmd_verify(config_path, out_path, suite):
 @main.command("sweep")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--param", required=True,
-              type=click.Choice(["risk_aversion", "demand_scale", "dividend_scale",
-                                 "num_steps"]))
+              type=click.Choice(SWEEP_PARAMS))
 @click.option("--from", "start", required=True, type=float)
 @click.option("--to", "stop", required=True, type=float)
 @click.option("--points", required=True, type=int)

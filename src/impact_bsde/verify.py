@@ -32,7 +32,7 @@ from .lattice import (
     node_max,
     process_gap,
 )
-from .norms import bmo_norm_rv, h_bmo_norm, h_norm, orlicz_h, sup_norm, measure_kappa
+from .norms import bmo_norm_rv, h_bmo_norm, h_norm, orlicz_h, sup_norm
 from .pricer import EquilibriumSolution, localize, price_equilibrium
 from .scenario import Instance, StoppingTime, sign_plus
 from . import bsde as bsde_mod
@@ -487,14 +487,15 @@ def check_localization(solution: EquilibriumSolution, tau: StoppingTime,
 # --- norm bounds (diagnostic) ----------------------------------------------------
 
 def check_norm_bounds(solution: EquilibriumSolution, diagnostics=None,
-                      tol: float = 1e-9) -> CheckReport:
+                      tol: float = 1e-9, psi_bmo: float | None = None) -> CheckReport:
     """Volatility bounded by twice the centered dividend norm; market price
-    of risk by four times demand-sup times aversion times that norm.
-    Diagnostic: the gate (a converged fixed point inside the contraction
-    radius) uses configured stand-ins for non-constructive constants."""
-    lat = solution.lattice
-    centered = solution.dividend - solution.dividend.mean(axis=0)
-    psi_bmo = bmo_norm_rv(centered, lat).value
+    of risk by four times demand-sup times aversion times that norm
+    (``psi_bmo``, computed here if None).  Diagnostic: the gate (a converged
+    fixed point inside the contraction radius) uses configured stand-ins for
+    non-constructive constants."""
+    if psi_bmo is None:
+        centered = solution.dividend - solution.dividend.mean(axis=0)
+        psi_bmo = bmo_norm_rv(centered, solution.lattice).value
     sigma_bmo = h_bmo_norm(solution.volatility).value
     alpha_bmo = h_bmo_norm(solution.market_price_of_risk).value
     gamma_sup = sup_norm(solution.gamma).value
@@ -546,7 +547,7 @@ def _unit_inputs(lat, sign_zero: int = 1):
 
 def run_counterexample(n_list=(8, 10, 12), sign_zero: int = 1,
                        horizon: float = 1.0, picard_tol: float = 1e-10,
-                       max_iter: int = 40, kappa=None) -> CheckReport:
+                       max_iter: int = 40) -> CheckReport:
     """Probe the boundary instance (unit dividend signs against the opposed
     unit demand, unit risk aversion) across lattice depths.
 
@@ -556,12 +557,9 @@ def run_counterexample(n_list=(8, 10, 12), sign_zero: int = 1,
     certainty process, and the growth of the price-integrand norm.  The
     probe never asserts continuum non-existence: every finite-lattice
     instance prices uniquely, and what is reported is the discrete signature
-    of the continuum obstruction.
-
-    ``kappa`` maps a lattice to the solver's ratio constant, so a caller
-    can share its measurements; by default it is measured at each depth.
+    of the continuum obstruction.  The iteration record is read for its
+    ratios and convergence only, so the solver keeps its default constants.
     """
-    kappa = kappa or measure_kappa
     trend = {"num_steps": [], "theta_bmo": [], "theta_bmo_explicit_solver": [],
              "profile_defect_max": [],
              "sign_pattern_fraction": [], "mean_price_gap_to_unit": [],
@@ -574,8 +572,7 @@ def run_counterexample(n_list=(8, 10, 12), sign_zero: int = 1,
         sol = price_equilibrium(inst)
         unit_product = sup_norm(sol.gamma).value * sup_norm(sol.dividend).value
 
-        _, diag = bsde_mod.solve_picard(inst, tol=picard_tol,
-                                        max_iter=max_iter, kappa=kappa(lat))
+        _, diag = bsde_mod.solve_picard(inst, tol=picard_tol, max_iter=max_iter)
         explicit = bsde_mod.solve_explicit(inst)
 
         # sign pattern: prices should oppose the demand at every node

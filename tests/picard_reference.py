@@ -89,16 +89,13 @@ def picard_step(inst, eta: list, theta: list):
     return eta_new, theta_new, float(np.sqrt(best_norm)), float(np.sqrt(best_dist))
 
 
-def picard_record(inst, tol: float, max_iter: int, zeta0=None) -> dict:
-    """The diagnostics of the one-instance iteration loop, as a dict."""
+def picard_record(inst, tol: float, max_iter: int) -> dict:
+    """The diagnostics of the one-instance iteration loop from zero, as a
+    dict."""
     lattice = inst.lattice
     n = inst.num_stocks
-    if zeta0 is None:
-        eta = [np.zeros(1 << k) for k in range(lattice.num_steps)]
-        theta = [np.zeros((1 << k, n)) for k in range(lattice.num_steps)]
-    else:
-        eta = [np.asarray(v, dtype=float) for v in zeta0[0].values]
-        theta = [np.asarray(v, dtype=float) for v in zeta0[1].values]
+    eta = [np.zeros(1 << k) for k in range(lattice.num_steps)]
+    theta = [np.zeros((1 << k, n)) for k in range(lattice.num_steps)]
     out = {"distances": [], "ratios": [], "iterate_norms": [], "iterations": 0,
            "converged": False, "aborted": None}
     with np.errstate(over="ignore", invalid="ignore"):

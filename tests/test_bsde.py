@@ -25,7 +25,7 @@ from impact_bsde import (
 )
 
 from helpers import max_gap, random_table_config
-from picard_reference import pair_distance, pair_norm, picard_record, terminal_norm
+from picard_reference import pair_distance, pair_norm, picard_record, picard_step
 
 
 def test_driver_vanishes_at_origin():
@@ -192,21 +192,6 @@ def test_counterexample_regime_reports_expansion():
     cfg = MarketConfig(1.0, 1, NegativeSignOfB(), SignOfBT(), 10, 1.0)
     _, diag = solve_picard(evaluate_market(cfg, lat), tol=1e-10, max_iter=40)
     assert any(r >= 1.0 for r in diag.ratios) or not diag.converged
-
-
-def test_picard_warm_start_from_explicit():
-    lat = build_lattice(6, 1.0)
-    cfg = MarketConfig(0.3, 1, ConstantDemand(0.6), SignOfBT(0.7), 6, 1.0)
-    inst = evaluate_market(cfg, lat)
-    exp = solve_explicit(inst)
-    warm, diag = solve_picard(inst, tol=1e-12, max_iter=10,
-                              zeta0=(exp.value_integrand, exp.price_integrand))
-    assert diag.converged
-    assert diag.iterations == 1
-    assert max_gap(warm.scaled_price, exp.scaled_price) <= 1e-12
-    # the terminal norm does not depend on the start
-    assert diag.terminal_norm == solve_picard(inst, max_iter=1)[1].terminal_norm
-    assert diag.terminal_norm == terminal_norm(inst)
 
 
 def test_contraction_report_growth_bound():
@@ -408,18 +393,21 @@ def test_picard_iteration_stays_fused(monkeypatch):
     # one iteration is one leaf-to-root pass: neither the integrand norm nor
     # the full-tree conditional expectation may run once per iteration
     import impact_bsde.bsde as bsde_mod
+    import impact_bsde.norms as norms_mod
     calls = {"h_bmo_norm": 0, "conditional_expectation": 0}
 
-    def counting(name):
-        original = getattr(bsde_mod, name)
-
+    def counting(name, original):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(bsde_mod, name, counting(name))
+    # the integrand norm is patched where it is defined and wherever the
+    # solver module binds it
+    for module, name in ((norms_mod, "h_bmo_norm"), (bsde_mod, "h_bmo_norm"),
+                         (bsde_mod, "conditional_expectation")):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     lat = build_lattice(8, 1.0)
     cfg = MarketConfig(0.3, 1, ConstantDemand(0.6), SignOfBT(0.7), 8, 1.0)
     counts = []
@@ -486,6 +474,40 @@ def test_picard_diagnostics_rows_match_their_own_runs(monkeypatch, param, num_st
     # parameters can overflow them
     assert outcomes == {"converged", "max_iter", "aborted",
                         *(["first step aborted"] if param != "demand_scale" else [])}
+
+
+@pytest.mark.parametrize("num_stocks", [1, 2])
+@pytest.mark.parametrize("param", ["risk_aversion", "dividend_scale"])
+def test_picard_reconstructs_from_the_iterate_its_loop_ends_on(param, num_stocks):
+    # the solution's integrands are, bit for bit, the last finite iterate of
+    # the unbatched loop: the converged one, the one at max_iter, the one
+    # before a later step aborts, or the zero pair when the first step does
+    from impact_bsde import NegativeSignOfB
+    lat = build_lattice(7, 1.0)
+    base = evaluate_market(MarketConfig(1.0, num_stocks, NegativeSignOfB(0.8), SignOfBT(1.0),
+                                        7, 1.0), lat)
+    outcomes = set()
+    for val in _SWEEP_VALUES[param]:
+        inst = _variant(base, param, val)
+        eta = [np.zeros(1 << k) for k in range(7)]
+        theta = [np.zeros((1 << k, num_stocks)) for k in range(7)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            sol, diag = solve_picard(inst, tol=1e-12, max_iter=12)
+            for _ in range(12):
+                eta_new, theta_new, norm, dist = picard_step(inst, eta, theta)
+                if norm is None:
+                    break
+                eta, theta = eta_new, theta_new
+                if dist <= 1e-12:
+                    break
+        for got, want in ((sol.value_integrand, eta), (sol.price_integrand, theta)):
+            assert [v.tobytes() for v in got.values] == [v.tobytes() for v in want]
+        if diag.aborted and not diag.iterations:
+            assert not any(np.any(v) for v in eta + theta)
+        outcomes.add("converged" if diag.converged else "first step aborted"
+                     if diag.aborted and not diag.iterations else "aborted"
+                     if diag.aborted else "max_iter")
+    assert outcomes == {"converged", "max_iter", "aborted", "first step aborted"}
 
 
 def test_picard_diagnostics_block_budget():

@@ -162,19 +162,24 @@ def test_bsde_command_nonconvergence_is_data(tmp_path):
 
 
 def test_bsde_explicit_non_finite_exits_numeric(tmp_path):
-    # large risk aversion overflows the explicit backward pass; the solver
-    # must report the failing slice instead of a nan price with zero residual
-    doc = one_period_doc(risk_aversion=50.0, num_steps=12,
-                         demand={"type": "constant", "value": 1.0})
-    cfg = write_config(tmp_path, doc)
-    out = tmp_path / "b.json"
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = CliRunner().invoke(main, ["bsde", "--config", cfg, "--out", str(out),
-                                           "--method", "explicit"])
-    assert result.exit_code == 3, result.output
-    assert result.exception is None or isinstance(result.exception, SystemExit)
-    assert "non-finite at node (step" in result.output
-    assert not out.exists()
+    # a large risk aversion or dividend overflows the explicit backward
+    # pass; the solver must report the failing slice instead of a nan price
+    # with zero residual, and print no numpy warning on the way
+    for market in (
+        {"risk_aversion": 50.0, "num_steps": 12, "demand": {"type": "constant", "value": 1.0}},
+        {"num_steps": 6, "demand": {"type": "negative_sign_of_b"}, "dividend": _HUGE_DIVIDEND},
+    ):
+        cfg = write_config(tmp_path, one_period_doc(**market))
+        out = tmp_path / "b.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = CliRunner().invoke(main, ["bsde", "--config", cfg, "--out", str(out),
+                                               "--method", "explicit"])
+        assert result.exit_code == 3, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.output.startswith("numeric failure: ")
+        assert "non-finite at node (step" in result.output
+        assert not out.exists()
 
 
 def test_oversized_lattice_is_a_config_error(tmp_path):
@@ -449,10 +454,10 @@ def test_sweep_measures_kappa_once_per_depth(tmp_path, monkeypatch):
 
 
 def test_verify_measures_kappa_once_per_lattice(tmp_path, monkeypatch):
-    # the Picard run measures kappa at depth 14 capped to 12, which the
-    # counter-example probe's last depth then reuses
+    # the Picard run measures kappa at depth 14 capped to 12; the
+    # counter-example probe reads no kappa, so it measures none
     import impact_bsde.cli as cli
-    import impact_bsde.verify as verify
+    import impact_bsde.norms as norms
     from impact_bsde.norms import KAPPA_MAX_STEPS
     calls = []
     original = cli.measure_kappa
@@ -462,7 +467,7 @@ def test_verify_measures_kappa_once_per_lattice(tmp_path, monkeypatch):
         return original(lattice, *args, **kwargs)
 
     monkeypatch.setattr(cli, "measure_kappa", counting)
-    monkeypatch.setattr(verify, "measure_kappa", counting)
+    monkeypatch.setattr(norms, "measure_kappa", counting)
     doc = one_period_doc(num_steps=14, demand={"type": "constant", "value": 0.5},
                          dividend={"type": "sign_of_b_t", "scale": 0.2},
                          center_dividend=True)
@@ -471,7 +476,7 @@ def test_verify_measures_kappa_once_per_lattice(tmp_path, monkeypatch):
     result = CliRunner().invoke(main, ["verify", "--config", cfg, "--suite", "all",
                                        "--out", str(tmp_path / "verify.json")])
     assert result.exit_code == 0, result.output
-    assert calls == [12, 8, 10]
+    assert calls == [12]
 
 
 def test_verify_apriori_computes_the_gauge_norm_once(tmp_path, monkeypatch):
@@ -649,6 +654,7 @@ _HUGE_DIVIDEND = {"type": "sign_of_b_t", "scale": 1e200}
     ["price"], ["norms"],
     ["sweep", "--param", "dividend_scale", "--from", "1e200", "--to", "1e200",
      "--points", "1"],
+    ["verify", "--suite", "all"],
 ])
 def test_huge_dividends_end_in_a_numeric_failure(tmp_path, command):
     # centring leaves a residue ~1e184 in the mean, which the old absolute
@@ -665,6 +671,22 @@ def test_huge_dividends_end_in_a_numeric_failure(tmp_path, command):
     assert result.exit_code == 3, (result.output, result.exception)
     assert result.output.startswith("numeric failure: ")
     assert "overflow the float range" in result.output
+
+
+def test_huge_demand_gives_an_infinite_growth_bound(tmp_path):
+    # the growth constant squares the demand sup: 1e100 overflows to inf
+    # instead of raising, and the iteration's overflow is reported as data
+    doc = one_period_doc(num_steps=3, demand={"type": "constant", "value": 1e100})
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = CliRunner().invoke(main, ["bsde", "--config", cfg, "--method", "picard",
+                                           "--out", str(out)])
+    assert result.exit_code == 0, (result.output, result.exception)
+    picard = json.loads(out.read_text())["picard"]
+    assert picard["growth_bound"] == math.inf
+    assert picard["aborted"] == f"non-finite iterate at iteration {picard['iterations'] + 1}"
 
 
 def test_large_dividends_keep_finite_norms(tmp_path):
