@@ -39,7 +39,9 @@ converge, reach the iteration cap or abort.  ``picard_diagnostics`` runs a
 sweep's points through it; ``solve_picard`` runs one row, the instance
 itself, and reconstructs the solution from the iterate that row ends on.
 Every reduction is per row, so each row's record is the one its own run
-would give, bit for bit.
+would give, bit for bit.  The reconstruction overwrites the drift sums
+with the value and the price, one slice at a time, and stores no
+martingale tree.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from .lattice import (
     PredictableProcess,
     child_diff,
     child_mean,
-    conditional_expectation,
     martingale_defect,
     stochastic_exponential,
     stochastic_integral,
@@ -129,6 +130,16 @@ class BsdeSolution:
     @property
     def certainty_equivalent(self) -> AdaptedProcess:
         return self.scaled_value.scaled(1.0 / self.risk_aversion)
+
+    # the root values of ``prices`` and ``certainty_equivalent``, bit for
+    # bit, without scaling the whole tree
+    @property
+    def initial_price(self) -> np.ndarray:
+        return (1.0 / self.risk_aversion) * self.scaled_price.values[0][0]
+
+    @property
+    def initial_certainty(self) -> float:
+        return float((1.0 / self.risk_aversion) * self.scaled_value.values[0][0])
 
 
 @dataclass
@@ -214,24 +225,24 @@ def solve_explicit(inst: Instance) -> BsdeSolution:
     )
 
 
-def _drift_levels(lattice: Lattice, gamma: PredictableProcess, eta: list, theta: list,
+def _drift_leaves(lattice: Lattice, gamma: PredictableProcess, eta: list, theta: list,
                   demand_scale=None):
-    """Yield, slice by slice from the root, the adapted running sums of the
-    two drift integrands (value drift added, price drift subtracted),
-    evaluated along every path of every row.  Slices carry the rows first:
-    ``eta[k]`` has shape ``(rows, 2**k)`` and ``theta[k]`` ``(rows, 2**k, n)``;
-    ``demand_scale``, one factor per row shaped ``(rows, 1, 1)``, scales the
-    demand slice by slice as ``PredictableProcess.scaled`` does."""
+    """The adapted running sums of the two drift integrands (value drift
+    added, price drift subtracted) at the leaves, evaluated along every path
+    of every row; only the current slice is held on the way.  Slices carry
+    the rows first: ``eta[k]`` has shape ``(rows, 2**k)`` and ``theta[k]``
+    ``(rows, 2**k, n)``; ``demand_scale``, one factor per row shaped
+    ``(rows, 1, 1)``, scales the demand slice by slice as
+    ``PredictableProcess.scaled`` does."""
     rows = len(eta[0])
     cum_v = np.zeros((rows, 1))
     cum_p = np.zeros((rows, 1, gamma.dim))
-    yield cum_v, cum_p
     for k in range(lattice.num_steps):
         g = gamma.values[k] if demand_scale is None else demand_scale * gamma.values[k]
         vd, pd = driver(eta[k], theta[k], g)
         cum_v = np.repeat(cum_v + vd * lattice.dt, 2, axis=1)
         cum_p = np.repeat(cum_p - pd * lattice.dt, 2, axis=1)
-        yield cum_v, cum_p
+    return cum_v, cum_p
 
 
 def _picard_step(inst: Instance, eta: list, theta: list, rows=None):
@@ -245,7 +256,7 @@ def _picard_step(inst: Instance, eta: list, theta: list, rows=None):
     row's demand and terminal data are formed here, slice by slice, with the
     float operations of ``dataclasses.replace`` on ``inst``; no per-row copy
     of the demand or dividend is kept.  Slices carry the rows first (see
-    ``_drift_levels``).
+    ``_drift_leaves``).
 
     The forward pass keeps only the current slice of the running drift
     sums; the map needs only their leaves.  Terminal data plus drift is then
@@ -273,11 +284,9 @@ def _picard_step(inst: Instance, eta: list, theta: list, rows=None):
             demand_scale = factor
         else:
             psi = psi * factor
-    for cum_v, cum_p in _drift_levels(lattice, inst.gamma, eta, theta, demand_scale):
-        pass  # only the leaf slice is needed
-    mart_v = cum_v
+    mart_v, cum_p = _drift_leaves(lattice, inst.gamma, eta, theta, demand_scale)
     mart_p = a * psi + cum_p
-    del cum_v, cum_p, psi  # the leaf slices live on only as the martingale
+    del cum_p, psi  # the leaf slices live on only as the martingale
     steps = lattice.num_steps
     step = 2.0 * lattice.sqrt_dt
     eta_new: list = [None] * steps
@@ -428,7 +437,14 @@ def solve_picard(inst: Instance, tol: float = 1e-12, max_iter: int = 100,
     ``(solution, diagnostics)``.  The iteration is ``_picard_rows`` on one
     row, the instance itself (its risk aversion replaced by itself); the
     solution is reconstructed from the iterate that row ends on, the last
-    finite one, either way.
+    finite one, either way.  Its slices may still overflow; they are
+    returned as computed, for the caller to check.
+
+    The reconstruction holds the final integrand pair, the running drift
+    sums over the whole tree and one slice of the conditional-expectation
+    martingale of terminal data plus total drift.  The martingale is
+    averaged back from the leaves, and each slice less its drift sum
+    overwrites that drift-sum slice, which so becomes the value or price.
     """
     ends = [None]
     (diag,) = _picard_rows(inst, "risk_aversion", [inst.risk_aversion], tol, max_iter, ends)
@@ -438,19 +454,28 @@ def solve_picard(inst: Instance, tol: float = 1e-12, max_iter: int = 100,
                               else driver_growth_bound(inst.gamma_sup))
     lattice, a, gamma = inst.lattice, inst.risk_aversion, inst.gamma
     steps = lattice.num_steps
+    # one block per process, sliced by level: one allocation instead of one
+    # per level, after which a process's next Picard loops fault fewer pages
+    value_tree = np.zeros((2 << steps) - 1)
+    price_tree = np.zeros(((2 << steps) - 1, gamma.dim))
+    value = [value_tree[(1 << k) - 1:(2 << k) - 1] for k in range(steps + 1)]
+    price = [price_tree[(1 << k) - 1:(2 << k) - 1] for k in range(steps + 1)]
     # the last finite iterate of a diverging run may still overflow here
     with np.errstate(over="ignore", invalid="ignore"):
-        # reconstruct the adapted pair from the final integrands: conditional
-        # expectation of terminal-plus-total-drift minus the drift already accrued
-        levels = list(_drift_levels(lattice, gamma, [v[None] for v in eta],
-                                    [v[None] for v in theta]))
-        cum_v = [v[0] for v, _ in levels]
-        cum_p = [p[0] for _, p in levels]
-        del levels
-        total = np.concatenate([cum_v[-1][:, None], a * inst.psi + cum_p[-1]], axis=1)
-        mart = conditional_expectation(total, lattice)
-        value = [mart.values[k][:, 0] - cum_v[k] for k in range(steps + 1)]
-        price = [mart.values[k][:, 1:] - cum_p[k] for k in range(steps + 1)]
+        # the running drift sums of ``_drift_leaves`` at every slice, each
+        # written as its parent's sum repeated over both children
+        for k in range(steps):
+            vd, pd = driver(eta[k], theta[k], gamma.values[k])
+            value[k + 1].reshape(-1, 2)[...] = (value[k] + vd * lattice.dt)[:, None]
+            price[k + 1].reshape(-1, 2, gamma.dim)[...] = (price[k] - pd * lattice.dt)[:, None]
+            del vd, pd  # not held past the pass
+        mart_v, mart_p = value[-1], a * inst.psi + price[-1]
+        for k in range(steps, -1, -1):
+            # the parent slice of the martingale before this one is overwritten
+            parent = (child_mean(mart_v), child_mean(mart_p)) if k else (None, None)
+            np.subtract(mart_v, value[k], out=value[k])
+            np.subtract(mart_p, price[k], out=price[k])
+            mart_v, mart_p = parent
         residual = _recursion_residual(lattice, gamma, value, price, eta, theta)
     solution = BsdeSolution(
         lattice=lattice,

@@ -22,7 +22,7 @@ from .config import (METHODS, SUITES, SWEEP_PARAMS, ConfigError, RunConfig, load
                      validate_summary)
 from .lattice import ExponentialGuardError, LatticeSizeError, build_lattice, process_gap
 from .norms import bmo_norm_rv, h_bmo_norm, h_norm, measure_kappa, sup_norm
-from .pricer import NumericalError, price_equilibrium
+from .pricer import NumericalError, _check_finite, price_equilibrium
 from .scenario import Instance, MarketConfig, evaluate_market, hitting_time_tau
 
 EXIT_VERIFY = 1
@@ -225,22 +225,32 @@ def cmd_bsde(config_path, out_path, method, diag_path, dump_path):
     run = _load(config_path)
     inst = _evaluate(run.market)
     method = method or run.solver.method
+    dump = dump_path or run.output.dump_nodes
     summary: dict = {"command": "bsde", "method": method}
     try:
         if method in ("explicit", "both"):
             exp = bsde_mod.solve_explicit(inst)
-            summary["initial_price"] = exp.prices.values[0][0].tolist()
-            summary["initial_certainty"] = float(exp.certainty_equivalent.values[0][0])
+            summary["initial_price"] = exp.initial_price.tolist()
+            summary["initial_certainty"] = exp.initial_certainty
             summary["residual_explicit"] = exp.residual
+            # the comparison needs only the explicit price; the node table
+            # needs the whole solution
+            exp_price = exp.scaled_price
+            if not dump:
+                exp = None
         if method in ("picard", "both"):
             pic, diag = bsde_mod.solve_picard(
                 inst, tol=run.solver.tol, max_iter=run.solver.max_iter,
                 growth_bound=run.solver.growth_bound, kappa=_kappa(run, inst.lattice),
             )
+            # a diverging run is reported, but its reconstruction must be finite
+            for k in range(inst.lattice.num_steps, -1, -1):
+                _check_finite(pic.scaled_value.values[k], k,
+                              "Picard scaled certainty equivalent")
+                _check_finite(pic.scaled_price.values[k], k, "Picard scaled price")
             report = bsde_mod.contraction_report(diag)
-            summary.setdefault("initial_price", pic.prices.values[0][0].tolist())
-            summary.setdefault("initial_certainty",
-                               float(pic.certainty_equivalent.values[0][0]))
+            summary.setdefault("initial_price", pic.initial_price.tolist())
+            summary.setdefault("initial_certainty", pic.initial_certainty)
             summary["picard"] = diag.to_dict()
             summary["contraction_report"] = report.to_dict()
             if diag_path:
@@ -251,12 +261,12 @@ def cmd_bsde(config_path, out_path, method, diag_path, dump_path):
                 _write_csv(diag_path, ["iteration", "distance", "ratio", "iterate_bmo"],
                            rows)
         if method == "both":
-            summary["max_node_discrepancy"] = process_gap(exp.scaled_price, pic.scaled_price)
+            summary["max_node_discrepancy"] = process_gap(exp_price, pic.scaled_price)
     except (NumericalError, ExponentialGuardError) as exc:
         _numeric_error(exc)
     validate_summary(summary)
     _write_json(out_path, summary)
-    if dump_path or run.output.dump_nodes:
+    if dump:
         chosen = exp if method in ("explicit", "both") else pic
         try:
             asm = bsde_mod.assemble(chosen)
@@ -332,9 +342,11 @@ def _run_suite(run: RunConfig, inst: Instance) -> list:
                                from_step=min(1, lattice.num_steps - 1))
         reports.append(verify_mod.check_localization(sol, tau))
     if suite == "all":
-        _, diag = bsde_mod.solve_picard(
-            inst, tol=run.solver.tol, max_iter=run.solver.max_iter,
-            kappa=_kappa(run, lattice))
+        # the record alone: no solution is rebuilt
+        (diag,) = bsde_mod.picard_diagnostics(inst, "risk_aversion", [inst.risk_aversion],
+                                              run.solver.tol, run.solver.max_iter)
+        diag.kappa = float(_kappa(run, lattice))
+        diag.growth_bound = bsde_mod.driver_growth_bound(inst.gamma_sup)
         reports.append(verify_mod.check_norm_bounds(sol, diag, psi_bmo=psi_bmo))
     if suite in ("all", "counterexample"):
         reports.append(verify_mod.check_F_identity(seed=run.verify.seed))

@@ -1,6 +1,7 @@
 """Reference copies of the one-instance fused Picard iteration (slices
-without a row axis) and of the integrand-norm helpers the solver used to
-keep, kept verbatim so the tests can hold ``bsde.solve_picard`` and
+without a row axis), of the integrand-norm helpers the solver used to keep
+and of its reconstruction through the full conditional-expectation
+martingale, kept verbatim so the tests can hold ``bsde.solve_picard`` and
 ``bsde.picard_diagnostics`` to them bit for bit."""
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from impact_bsde import (
     h_bmo_norm,
     stacked_integrand,
 )
+from impact_bsde.bsde import _recursion_residual
 from impact_bsde.norms import _remaining_load, _square_sum
 
 
@@ -53,6 +55,25 @@ def _drift_levels(lattice, gamma, eta: list, theta: list):
         cum_v = np.repeat(cum_v + vd * lattice.dt, 2, axis=0)
         cum_p = np.repeat(cum_p - pd * lattice.dt, 2, axis=0)
         yield cum_v, cum_p
+
+
+def reconstruct(inst, eta: list, theta: list):
+    """The scaled value and price slices and the recursion residual rebuilt
+    from a final integrand pair: the conditional expectation of terminal
+    data plus total drift, less the drift already accrued."""
+    lattice, a, gamma = inst.lattice, inst.risk_aversion, inst.gamma
+    steps = lattice.num_steps
+    with np.errstate(over="ignore", invalid="ignore"):
+        levels = list(_drift_levels(lattice, gamma, eta, theta))
+        cum_v = [v for v, _ in levels]
+        cum_p = [p for _, p in levels]
+        del levels
+        total = np.concatenate([cum_v[-1][:, None], a * inst.psi + cum_p[-1]], axis=1)
+        mart = conditional_expectation(total, lattice)
+        value = [mart.values[k][:, 0] - cum_v[k] for k in range(steps + 1)]
+        price = [mart.values[k][:, 1:] - cum_p[k] for k in range(steps + 1)]
+        residual = _recursion_residual(lattice, gamma, value, price, eta, theta)
+    return value, price, residual
 
 
 def picard_step(inst, eta: list, theta: list):

@@ -25,7 +25,7 @@ from impact_bsde import (
 )
 
 from helpers import max_gap, random_table_config
-from picard_reference import pair_distance, pair_norm, picard_record, picard_step
+from picard_reference import pair_distance, pair_norm, picard_record, picard_step, reconstruct
 
 
 def test_driver_vanishes_at_origin():
@@ -477,11 +477,13 @@ def test_picard_diagnostics_rows_match_their_own_runs(monkeypatch, param, num_st
 
 
 @pytest.mark.parametrize("num_stocks", [1, 2])
-@pytest.mark.parametrize("param", ["risk_aversion", "dividend_scale"])
+@pytest.mark.parametrize("param", ["risk_aversion", "dividend_scale", "demand_scale"])
 def test_picard_reconstructs_from_the_iterate_its_loop_ends_on(param, num_stocks):
     # the solution's integrands are, bit for bit, the last finite iterate of
     # the unbatched loop: the converged one, the one at max_iter, the one
-    # before a later step aborts, or the zero pair when the first step does
+    # before a later step aborts, or the zero pair when the first step does;
+    # its value, price and residual are, bit for bit, those the full
+    # conditional-expectation martingale gives from that iterate
     from impact_bsde import NegativeSignOfB
     lat = build_lattice(7, 1.0)
     base = evaluate_market(MarketConfig(1.0, num_stocks, NegativeSignOfB(0.8), SignOfBT(1.0),
@@ -502,12 +504,49 @@ def test_picard_reconstructs_from_the_iterate_its_loop_ends_on(param, num_stocks
                     break
         for got, want in ((sol.value_integrand, eta), (sol.price_integrand, theta)):
             assert [v.tobytes() for v in got.values] == [v.tobytes() for v in want]
+        value, price, residual = reconstruct(inst, eta, theta)
+        for got, want in ((sol.scaled_value, value), (sol.scaled_price, price)):
+            assert [v.shape for v in got.values] == [v.shape for v in want]
+            assert [v.tobytes() for v in got.values] == [v.tobytes() for v in want]
+        assert np.float64(sol.residual).tobytes() == np.float64(residual).tobytes()
+        # the root readers scale one node as the whole-tree views do
+        assert sol.initial_price.tobytes() == sol.prices.values[0][0].tobytes()
+        assert (np.float64(sol.initial_certainty).tobytes()
+                == sol.certainty_equivalent.values[0][0].tobytes())
         if diag.aborted and not diag.iterations:
             assert not any(np.any(v) for v in eta + theta)
         outcomes.add("converged" if diag.converged else "first step aborted"
                      if diag.aborted and not diag.iterations else "aborted"
                      if diag.aborted else "max_iter")
-    assert outcomes == {"converged", "max_iter", "aborted", "first step aborted"}
+    # the demand does not enter the terminal data, so its first step is finite
+    assert outcomes == {"converged", "max_iter", "aborted",
+                        *(["first step aborted"] if param != "demand_scale" else [])}
+
+
+@pytest.mark.parametrize("num_stocks", [1, 2])
+def test_picard_reconstruction_holds_few_solutions_at_once(num_stocks):
+    # the reconstruction overwrites the drift sums slice by slice: no full
+    # martingale tree, concatenated terminal or separate value and price
+    # lists, so the peak stays under two solutions (it was three)
+    import tracemalloc
+    from impact_bsde import NegativeSignOfB
+    lat = build_lattice(12, 1.0)
+    inst = evaluate_market(MarketConfig(0.7, num_stocks, NegativeSignOfB(0.8), SignOfBT(0.6),
+                                        12, 1.0), lat)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sol = solve_explicit(inst)
+        solution = tracemalloc.get_traced_memory()[0] - before
+        del sol
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sol, diag = solve_picard(inst, tol=1e-12, max_iter=100)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert diag.converged
+    assert peak < 2.25 * solution
 
 
 def test_picard_diagnostics_block_budget():

@@ -1,11 +1,14 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import impact_bsde.bsde as bsde_mod
+from impact_bsde import build_lattice, evaluate_market
 from impact_bsde.cli import main
 from impact_bsde.config import ConfigError, load_config, parse_config, validate_summary
 
@@ -631,6 +634,42 @@ def test_bsde_node_table_bytes_match_the_csv_writer(tmp_path, monkeypatch):
     assert nodes.read_bytes() == (tmp_path / "nodes.csv.ref").read_bytes()
 
 
+@pytest.mark.parametrize("dump", [False, True])
+def test_bsde_both_keeps_only_the_explicit_price(tmp_path, monkeypatch, dump):
+    # through the Picard solve, --method both holds the explicit price for
+    # the node comparison, and the explicit value and integrands only for a
+    # node dump
+    import gc
+    import weakref
+    refs, alive = {}, {}
+    solve_explicit, solve_picard = bsde_mod.solve_explicit, bsde_mod.solve_picard
+
+    def explicit(inst):
+        sol = solve_explicit(inst)
+        refs["price"] = [weakref.ref(v) for v in sol.scaled_price.values]
+        refs["rest"] = [weakref.ref(v) for proc in (sol.scaled_value, sol.value_integrand,
+                                                    sol.price_integrand)
+                        for v in proc.values]
+        return sol
+
+    def picard(*args, **kwargs):
+        gc.collect()
+        alive.update({key: {r() is not None for r in held} for key, held in refs.items()})
+        return solve_picard(*args, **kwargs)
+
+    monkeypatch.setattr(bsde_mod, "solve_explicit", explicit)
+    monkeypatch.setattr(bsde_mod, "solve_picard", picard)
+    cfg = write_config(tmp_path, one_period_doc(
+        num_stocks=2, num_steps=6, demand={"type": "constant", "value": [0.3, 0.2]},
+        dividend={"type": "sign_of_b_t", "scale": 0.5}))
+    argv = ["bsde", "--config", cfg, "--out", str(tmp_path / "b.json"), "--method", "both"]
+    if dump:
+        argv += ["--dump-nodes", str(tmp_path / "nodes.csv")]
+    result = CliRunner().invoke(main, argv)
+    assert result.exit_code == 0, (result.output, result.exception)
+    assert alive == {"price": {True}, "rest": {dump}}
+
+
 @pytest.mark.parametrize("bounds", [("inf", "1"), ("0.5", "nan"), ("-inf", "inf")])
 @pytest.mark.parametrize("param", ["risk_aversion", "demand_scale", "dividend_scale",
                                    "num_steps"])
@@ -675,7 +714,9 @@ def test_huge_dividends_end_in_a_numeric_failure(tmp_path, command):
 
 def test_huge_demand_gives_an_infinite_growth_bound(tmp_path):
     # the growth constant squares the demand sup: 1e100 overflows to inf
-    # instead of raising, and the iteration's overflow is reported as data
+    # instead of raising; the iteration's overflow is data, but the solution
+    # rebuilt from its last finite iterate overflows too, a numeric failure
+    assert bsde_mod.driver_growth_bound(1e100) == math.inf
     doc = one_period_doc(num_steps=3, demand={"type": "constant", "value": 1e100})
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "out.json"
@@ -683,10 +724,36 @@ def test_huge_demand_gives_an_infinite_growth_bound(tmp_path):
         warnings.simplefilter("error", RuntimeWarning)
         result = CliRunner().invoke(main, ["bsde", "--config", cfg, "--method", "picard",
                                            "--out", str(out)])
-    assert result.exit_code == 0, (result.output, result.exception)
-    picard = json.loads(out.read_text())["picard"]
-    assert picard["growth_bound"] == math.inf
-    assert picard["aborted"] == f"non-finite iterate at iteration {picard['iterations'] + 1}"
+    assert result.exit_code == 3, (result.output, result.exception)
+    assert result.output.startswith("numeric failure: Picard scaled ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["picard", "both"])
+def test_diverging_picard_reconstruction_is_a_numeric_failure(tmp_path, method):
+    # the iteration aborts at iteration 10 and the solution rebuilt from the
+    # last finite iterate overflows; it used to be written as an
+    # ``Infinity``/``NaN`` initial price and certainty with exit 0 (with
+    # --method both the explicit pass overflows first)
+    doc = one_period_doc(risk_aversion=3.0, num_stocks=2, num_steps=9,
+                         demand={"type": "negative_sign_of_b"},
+                         dividend={"type": "sign_of_b_t"})
+    doc["solver"] = {"max_iter": 30}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = CliRunner().invoke(main, ["bsde", "--config", cfg, "--method", method,
+                                           "--out", str(out),
+                                           "--diagnostics", str(tmp_path / "diag.csv")])
+    assert result.exit_code == 3, (result.output, result.exception)
+    assert re.match(r"numeric failure: (Picard )?scaled (price|certainty equivalent) became "
+                    r"non-finite at node \(step \d+, path \d+\)", result.output)
+    assert not out.exists()
+    # the iteration itself aborts: the failure is the reconstruction's
+    inst = evaluate_market(load_config(cfg).market, build_lattice(9, 1.0))
+    diag, = bsde_mod.picard_diagnostics(inst, "risk_aversion", [3.0], 1e-12, 30)
+    assert diag.aborted == "non-finite iterate at iteration 10"
 
 
 def test_large_dividends_keep_finite_norms(tmp_path):
@@ -726,17 +793,37 @@ def test_sweep_at_extreme_aversion_prints_no_runtime_warning(tmp_path, scale):
     assert row[2:5] == ["False", "1", "nan"]
 
 
-def test_sweep_runs_no_reconstruction(tmp_path, monkeypatch):
-    # the sweep reads only the iteration record: no solution is rebuilt
-    import impact_bsde.bsde as bsde_mod
+def _refuse_picard_solutions(monkeypatch):
+    """Make any Picard solution fail the command: no ``solve_picard`` call
+    and no ``method="picard"`` solution, whatever helper builds it.  Returns
+    the list of refused calls."""
     calls = []
+    original = bsde_mod.BsdeSolution
+
+    def solution(*args, **kwargs):
+        if kwargs.get("method") == "picard":
+            calls.append("BsdeSolution")
+            raise AssertionError("a Picard solution was rebuilt")
+        return original(*args, **kwargs)
 
     def refuse(*args, **kwargs):
-        calls.append(1)
+        calls.append("solve_picard")
+        raise AssertionError("a Picard solution was rebuilt")
+
+    monkeypatch.setattr(bsde_mod, "BsdeSolution", solution)
+    monkeypatch.setattr(bsde_mod, "solve_picard", refuse)
+    return calls
+
+
+def test_sweep_runs_no_reconstruction(tmp_path, monkeypatch):
+    # the sweep reads only the iteration record: no solution is rebuilt
+    calls = _refuse_picard_solutions(monkeypatch)
+
+    def refuse(*args, **kwargs):
+        calls.append("_recursion_residual")
         raise AssertionError("the sweep rebuilt a Picard solution")
 
     monkeypatch.setattr(bsde_mod, "_recursion_residual", refuse)
-    monkeypatch.setattr(bsde_mod, "conditional_expectation", refuse)
     cfg = write_config(tmp_path, one_period_doc(num_steps=5, demand={"type": "negative_sign_of_b"},
                                                 dividend={"type": "sign_of_b_t", "scale": 0.5}))
     for param, bounds in (("risk_aversion", ("0.5", "4")), ("num_steps", ("2", "4"))):
@@ -745,3 +832,23 @@ def test_sweep_runs_no_reconstruction(tmp_path, monkeypatch):
                                            "--points", "4", "--out", str(tmp_path / "s.csv")])
         assert result.exit_code == 0, (result.output, result.exception)
     assert calls == []
+
+
+@pytest.mark.parametrize("suite", ["all", "counterexample"])
+def test_verify_runs_no_reconstruction(tmp_path, monkeypatch, suite):
+    # the norm-bounds gate and the counter-example probe read only the
+    # iteration record, which is the one solve_picard would give
+    calls = _refuse_picard_solutions(monkeypatch)
+    doc = one_period_doc(num_steps=5, demand={"type": "negative_sign_of_b"},
+                         dividend={"type": "sign_of_b_t", "scale": 0.5})
+    doc["verify"] = {"competitors": 20, "counterexample_steps": [3, 4]}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "verify.json"
+    result = CliRunner().invoke(main, ["verify", "--config", cfg, "--suite", suite,
+                                       "--out", str(out)])
+    assert result.exit_code == 0, (result.output, result.exception)
+    assert calls == []
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert "counterexample_probe" in checks
+    if suite == "all":
+        assert checks["norm_bounds"]["hypotheses"]["picard_converged"] is True
