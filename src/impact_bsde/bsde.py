@@ -30,14 +30,15 @@ full martingale tree, stacked copy or difference list is stored per
 iteration; the memory held is the two integrand pairs plus one slice.
 
 That pass, ``_picard_step``, carries a leading point axis: every slice
-holds one row per point, and the points are variants of one instance on
-its lattice that differ in the risk aversion, the demand scale or the
-dividend scale.  One loop, ``_picard_rows``, iterates it from zero: it runs
-the points as rows of blocks sized by a fixed byte budget on the integrand
-pairs, keeps the iteration records, and refills a block as its rows
-converge, reach the iteration cap or abort.  ``picard_diagnostics`` runs a
-sweep's points through it; ``solve_picard`` runs one row, the instance
-itself, and reconstructs the solution from the iterate that row ends on.
+holds one row per point, and each row is an ``Instance`` on one shared
+lattice, such as a sweep's variants of one market.  One loop,
+``_picard_rows``, iterates it from zero: it draws the points from an
+iterable as slots free up, runs them as rows of blocks sized by a fixed
+byte budget on the integrand pairs, keeps the iteration records, and
+refills a block as its rows converge, reach the iteration cap or abort.
+``picard_diagnostics`` runs a sweep's points through it; ``solve_picard``
+runs it on its one instance and reconstructs the solution from the
+iterate that row ends on.
 Every reduction is per row, so each row's record is the one its own run
 would give, bit for bit.  The reconstruction overwrites the drift sums
 with the value and the price, one slice at a time, and stores no
@@ -47,6 +48,7 @@ martingale tree.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -225,38 +227,34 @@ def solve_explicit(inst: Instance) -> BsdeSolution:
     )
 
 
-def _drift_leaves(lattice: Lattice, gamma: PredictableProcess, eta: list, theta: list,
-                  demand_scale=None):
+def _drift_leaves(points: list, eta: list, theta: list):
     """The adapted running sums of the two drift integrands (value drift
     added, price drift subtracted) at the leaves, evaluated along every path
     of every row; only the current slice is held on the way.  Slices carry
     the rows first: ``eta[k]`` has shape ``(rows, 2**k)`` and ``theta[k]``
-    ``(rows, 2**k, n)``; ``demand_scale``, one factor per row shaped
-    ``(rows, 1, 1)``, scales the demand slice by slice as
-    ``PredictableProcess.scaled`` does."""
-    rows = len(eta[0])
-    cum_v = np.zeros((rows, 1))
-    cum_p = np.zeros((rows, 1, gamma.dim))
+    ``(rows, 2**k, n)``, and row ``r`` reads the demand of ``points[r]``.  A
+    demand process every row shares is read as it is; otherwise each step
+    stacks the rows' demand slices."""
+    lattice, gamma = points[0].lattice, points[0].gamma
+    shared = all(p.gamma is gamma for p in points)
+    cum_v = np.zeros((len(points), 1))
+    cum_p = np.zeros((len(points), 1, gamma.dim))
     for k in range(lattice.num_steps):
-        g = gamma.values[k] if demand_scale is None else demand_scale * gamma.values[k]
+        g = gamma.values[k] if shared else np.stack([p.gamma.values[k] for p in points])
         vd, pd = driver(eta[k], theta[k], g)
         cum_v = np.repeat(cum_v + vd * lattice.dt, 2, axis=1)
         cum_p = np.repeat(cum_p - pd * lattice.dt, 2, axis=1)
     return cum_v, cum_p
 
 
-def _picard_step(inst: Instance, eta: list, theta: list, rows=None):
+def _picard_step(points: list, eta: list, theta: list):
     """One application of the fixed-point map to a block of rows, fused
     with both norms.
 
-    Every row is a variant of ``inst`` that shares its lattice: ``rows`` is
-    None (one row, ``inst`` itself) or ``(param, values)``, one value per
-    row, where ``param`` names the field a row replaces: ``risk_aversion``,
-    ``demand_scale`` (the demand times the value) or ``dividend_scale``.  A
-    row's demand and terminal data are formed here, slice by slice, with the
-    float operations of ``dataclasses.replace`` on ``inst``; no per-row copy
-    of the demand or dividend is kept.  Slices carry the rows first (see
-    ``_drift_leaves``).
+    Row ``r`` is the instance ``points[r]``; all rows share one lattice.
+    Slices carry the rows first (see ``_drift_leaves``), and each row's
+    terminal data are added to its price sums in place, with no stacked
+    copy of the dividends.
 
     The forward pass keeps only the current slice of the running drift
     sums; the map needs only their leaves.  Terminal data plus drift is then
@@ -273,20 +271,10 @@ def _picard_step(inst: Instance, eta: list, theta: list, rows=None):
     one entry per row; a row whose new slices are not all finite has
     ``finite`` False and meaningless norms.
     """
-    lattice = inst.lattice
-    a, psi, demand_scale = inst.risk_aversion, inst.psi, None
-    if rows is not None:
-        param, values = rows
-        factor = np.asarray(values, dtype=float)[:, None, None]
-        if param == "risk_aversion":
-            a = factor
-        elif param == "demand_scale":
-            demand_scale = factor
-        else:
-            psi = psi * factor
-    mart_v, cum_p = _drift_leaves(lattice, inst.gamma, eta, theta, demand_scale)
-    mart_p = a * psi + cum_p
-    del cum_p, psi  # the leaf slices live on only as the martingale
+    lattice = points[0].lattice
+    mart_v, mart_p = _drift_leaves(points, eta, theta)
+    for r, p in enumerate(points):
+        mart_p[r] += p.risk_aversion * p.psi
     steps = lattice.num_steps
     step = 2.0 * lattice.sqrt_dt
     eta_new: list = [None] * steps
@@ -333,7 +321,7 @@ def picard_map(inst: Instance, eta: list, theta: list):
     conditional-expectation martingale, and returns the representation
     integrands of that martingale as per-step lists ``(eta, theta)``.
     """
-    eta_new, theta_new = _picard_step(inst, [np.asarray(v, dtype=float)[None] for v in eta],
+    eta_new, theta_new = _picard_step([inst], [np.asarray(v, dtype=float)[None] for v in eta],
                                       [np.asarray(v, dtype=float)[None] for v in theta])[:2]
     return [v[0] for v in eta_new], [v[0] for v in theta_new]
 
@@ -352,19 +340,21 @@ def _with_zero_rows(rows: np.ndarray, count: int) -> np.ndarray:
 _PICARD_BLOCK_BYTES = 1 << 20
 
 
-def _picard_rows(base: Instance, param: str, values, tol: float, max_iter: int,
+def _picard_rows(points, tol: float, max_iter: int,
                  ends: list | None = None) -> list[IterationDiagnostics]:
-    """The fixed-point iteration from zero at each variant of ``base`` that
-    replaces ``param`` by one of ``values`` (see ``_picard_step``): one
-    iteration record per point.
+    """The fixed-point iteration from zero at each of ``points``, an
+    iterable of instances on the first one's lattice with its number of
+    stocks: one iteration record per point.  A point that breaks this
+    raises ``ValueError``.
 
     The points run as rows of one ``_picard_step`` call on the shared
     lattice, a block of ``_PICARD_BLOCK_BYTES`` of integrand pairs at a
     time.  A row leaves the block when it converges, reaches ``max_iter``
     or aborts on a step that is not finite; the block then compacts and the
-    next pending point takes the freed slot.  Given ``ends``, one entry per
-    point, a leaving row stores there the integrand pair it ends on: its
-    last finite iterate, which is the zero pair when the first step aborts.
+    next point is drawn into the freed slot, so at most one block of
+    instances is held.  Given ``ends``, one entry per point, a leaving row
+    stores there the integrand pair it ends on: its last finite iterate,
+    which is the zero pair when the first step aborts.
 
     From zero the driver vanishes, so the first iterate is the terminal
     integrand and its norm is the terminal norm bit for bit; a first step
@@ -375,28 +365,33 @@ def _picard_rows(base: Instance, param: str, values, tol: float, max_iter: int,
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    lattice, n = base.lattice, base.num_stocks
-    values = np.asarray(values, dtype=float)
+    pending = iter(points)
+    rows = list(islice(pending, 1))  # the instance of each row
+    if not rows:
+        return []
+    lattice, n = rows[0].lattice, rows[0].num_stocks
     block = max(1, _PICARD_BLOCK_BYTES // (8 * lattice.num_leaves * (1 + n)))
-    diags = [IterationDiagnostics() for _ in values]
-    live = np.arange(0)  # the point of each row
-    pending = 0          # the next point to enter
+    diags: list[IterationDiagnostics] = []
+    live: list[int] = []  # the point of each row
     eta = [np.zeros((0, 1 << k)) for k in range(lattice.num_steps)]
     theta = [np.zeros((0, 1 << k, n)) for k in range(lattice.num_steps)]
     # a diverging row overflows by design and reports it as data (an aborted
     # run, inf ratios), so numpy's floating-point warnings are silenced here
     with np.errstate(all="ignore"):
         while True:
-            fill = min(block - len(live), len(values) - pending)
+            rows += islice(pending, block - len(rows))
+            fill = len(rows) - len(live)
             if fill:
-                live = np.concatenate([live, np.arange(pending, pending + fill)])
-                pending += fill
+                if any(p.lattice is not lattice or p.num_stocks != n for p in rows[-fill:]):
+                    raise ValueError("the points of one Picard run must share the first "
+                                     "point's lattice and number of stocks")
+                live += range(len(diags), len(diags) + fill)
+                diags += [IterationDiagnostics() for _ in range(fill)]
                 eta = [_with_zero_rows(v, fill) for v in eta]
                 theta = [_with_zero_rows(v, fill) for v in theta]
-            if not len(live):
+            if not rows:
                 break
-            eta_new, theta_new, norm, dist, finite = _picard_step(
-                base, eta, theta, (param, values[live]))
+            eta_new, theta_new, norm, dist, finite = _picard_step(rows, eta, theta)
             keep = []
             for r, i in enumerate(live):
                 diag = diags[i]
@@ -416,7 +411,8 @@ def _picard_rows(base: Instance, param: str, values, tol: float, max_iter: int,
                     pair = (eta_new, theta_new) if finite[r] else (eta, theta)
                     ends[i] = tuple([v[r] for v in part] for part in pair)
             if len(keep) < len(live):
-                live = live[keep]
+                live = [live[r] for r in keep]
+                rows = [rows[r] for r in keep]
                 eta_new = [v[keep] for v in eta_new]
                 theta_new = [v[keep] for v in theta_new]
             eta, theta = eta_new, theta_new
@@ -434,11 +430,10 @@ def solve_picard(inst: Instance, tol: float = 1e-12, max_iter: int = 100,
     Non-convergence is a reported outcome, not an exception: the counter-
     example regime is expected to produce expansion ratios, and those are
     exactly what the diagnostics exist to record.  Returns
-    ``(solution, diagnostics)``.  The iteration is ``_picard_rows`` on one
-    row, the instance itself (its risk aversion replaced by itself); the
-    solution is reconstructed from the iterate that row ends on, the last
-    finite one, either way.  Its slices may still overflow; they are
-    returned as computed, for the caller to check.
+    ``(solution, diagnostics)``.  The iteration is ``_picard_rows`` on
+    ``[inst]``; the solution is reconstructed from the iterate that row
+    ends on, the last finite one, either way.  Its slices may still
+    overflow; they are returned as computed, for the caller to check.
 
     The reconstruction holds the final integrand pair, the running drift
     sums over the whole tree and one slice of the conditional-expectation
@@ -447,7 +442,7 @@ def solve_picard(inst: Instance, tol: float = 1e-12, max_iter: int = 100,
     overwrites that drift-sum slice, which so becomes the value or price.
     """
     ends = [None]
-    (diag,) = _picard_rows(inst, "risk_aversion", [inst.risk_aversion], tol, max_iter, ends)
+    (diag,) = _picard_rows([inst], tol, max_iter, ends)
     ((eta, theta),) = ends
     diag.kappa = float(kappa)
     diag.growth_bound = float(growth_bound if growth_bound is not None
@@ -491,19 +486,16 @@ def solve_picard(inst: Instance, tol: float = 1e-12, max_iter: int = 100,
     return solution, diag
 
 
-def picard_diagnostics(base: Instance, param: str, values, tol: float = 1e-12,
+def picard_diagnostics(points, tol: float = 1e-12,
                        max_iter: int = 100) -> list[IterationDiagnostics]:
-    """The iteration record of ``solve_picard`` at each variant of ``base``
-    that replaces ``param`` by one of ``values``: ``risk_aversion``,
-    ``demand_scale`` (the demand times the value) or ``dividend_scale`` (the
-    dividend times the value).  Diagnostics only: the points run as rows of
-    ``_picard_rows``' blocks, no solution is reconstructed, and ``kappa``
-    and ``growth_bound`` keep their defaults.  Each record equals that
-    point's own ``solve_picard`` record.
+    """The iteration record of ``solve_picard`` at each of ``points``, an
+    iterable of instances on one lattice with one number of stocks (a point
+    on another raises ``ValueError``).  Diagnostics only: the points run as
+    rows of ``_picard_rows``' blocks, drawn as slots free up, no solution is
+    reconstructed, and ``kappa`` and ``growth_bound`` keep their defaults.
+    Each record equals that point's own ``solve_picard`` record.
     """
-    if param not in ("risk_aversion", "demand_scale", "dividend_scale"):
-        raise ValueError(f"unknown parameter {param!r}")
-    return _picard_rows(base, param, values, tol, max_iter)
+    return _picard_rows(points, tol, max_iter)
 
 
 @dataclass

@@ -82,9 +82,13 @@ def _evaluate(market: MarketConfig) -> Instance:
         _config_error(f"market: {exc}")
 
 
-def _kappa(run: RunConfig, lattice) -> float:
-    """The ratio constant: the configured one, else measured on the lattice."""
-    return run.solver.kappa if run.solver.kappa is not None else measure_kappa(lattice)
+def _picard_constants(run: RunConfig, inst: Instance) -> tuple[float, float]:
+    """The ratio and growth constants of a Picard record: the configured
+    ones, else kappa measured on the lattice and the demand's growth bound."""
+    s = run.solver
+    return (float(s.kappa if s.kappa is not None else measure_kappa(inst.lattice)),
+            float(s.growth_bound if s.growth_bound is not None
+                  else bsde_mod.driver_growth_bound(inst.gamma_sup)))
 
 
 def _finite_norm(what: str, norm, *args, **kwargs):
@@ -239,9 +243,10 @@ def cmd_bsde(config_path, out_path, method, diag_path, dump_path):
             if not dump:
                 exp = None
         if method in ("picard", "both"):
+            kappa, growth_bound = _picard_constants(run, inst)
             pic, diag = bsde_mod.solve_picard(
                 inst, tol=run.solver.tol, max_iter=run.solver.max_iter,
-                growth_bound=run.solver.growth_bound, kappa=_kappa(run, inst.lattice),
+                growth_bound=growth_bound, kappa=kappa,
             )
             # a diverging run is reported, but its reconstruction must be finite
             for k in range(inst.lattice.num_steps, -1, -1):
@@ -343,10 +348,8 @@ def _run_suite(run: RunConfig, inst: Instance) -> list:
         reports.append(verify_mod.check_localization(sol, tau))
     if suite == "all":
         # the record alone: no solution is rebuilt
-        (diag,) = bsde_mod.picard_diagnostics(inst, "risk_aversion", [inst.risk_aversion],
-                                              run.solver.tol, run.solver.max_iter)
-        diag.kappa = float(_kappa(run, lattice))
-        diag.growth_bound = bsde_mod.driver_growth_bound(inst.gamma_sup)
+        (diag,) = bsde_mod.picard_diagnostics([inst], run.solver.tol, run.solver.max_iter)
+        diag.kappa, diag.growth_bound = _picard_constants(run, inst)
         reports.append(verify_mod.check_norm_bounds(sol, diag, psi_bmo=psi_bmo))
     if suite in ("all", "counterexample"):
         reports.append(verify_mod.check_F_identity(seed=run.verify.seed))
@@ -404,11 +407,23 @@ def cmd_sweep(config_path, param, start, stop, points, out_path):
     if param == "num_steps":
         values = np.unique(np.linspace(start, stop, points).astype(int))
         values = values[values >= 1].astype(float)
+        if not len(values):
+            _config_error(f"--from/--to must reach a depth >= 1, got {start}..{stop}")
     else:
         values = np.linspace(start, stop, points)
     if param == "risk_aversion" and not np.all(values > 0):
         _config_error(f"--from/--to must keep risk_aversion positive, got {start}..{stop}")
     base = None if param == "num_steps" else _evaluate(market)
+
+    def point(val) -> Instance:  # the one rule for a swept point
+        if param == "num_steps":
+            return _evaluate(replace(market, num_steps=int(val)))
+        if param == "risk_aversion":
+            return replace(base, risk_aversion=float(val))
+        if param == "demand_scale":
+            return replace(base, gamma=base.gamma.scaled(float(val)))
+        return replace(base, psi=base.psi * float(val))
+
     # no column depends on kappa, so none is measured; the dividend's norm
     # is the base's unless the dividend or the depth is swept
     psi_bmo = _centered_bmo(base) if param in ("risk_aversion", "demand_scale") else None
@@ -416,14 +431,7 @@ def cmd_sweep(config_path, param, start, stop, points, out_path):
     rows, diags = [], []
     try:
         for val in values:
-            if param == "num_steps":
-                inst = _evaluate(replace(market, num_steps=int(val)))
-            elif param == "risk_aversion":
-                inst = replace(base, risk_aversion=float(val))
-            elif param == "demand_scale":
-                inst = replace(base, gamma=base.gamma.scaled(float(val)))
-            else:
-                inst = replace(base, psi=base.psi * float(val))
+            inst = point(val)
             # the smallness product scales the base sup by |val| instead of
             # re-deriving it from the scaled nodes; the two may differ in the
             # last bit
@@ -436,12 +444,10 @@ def cmd_sweep(config_path, param, start, stop, points, out_path):
                 *_solution_norms(inst),
             ])
             if param == "num_steps":
-                # each depth is its own lattice: a one-point block, whose
-                # risk aversion replaced by itself is the instance itself
-                diags += bsde_mod.picard_diagnostics(
-                    inst, "risk_aversion", [inst.risk_aversion], solver.tol, solver.max_iter)
+                # each depth is its own lattice: a one-point block
+                diags += bsde_mod.picard_diagnostics([inst], solver.tol, solver.max_iter)
         if param != "num_steps":
-            diags = bsde_mod.picard_diagnostics(base, param, values, solver.tol,
+            diags = bsde_mod.picard_diagnostics(map(point, values), solver.tol,
                                                 solver.max_iter)
     except (NumericalError, ExponentialGuardError) as exc:
         _numeric_error(exc)

@@ -558,8 +558,9 @@ def run_counterexample(n_list=(8, 10, 12), sign_zero: int = 1,
     probe never asserts continuum non-existence: every finite-lattice
     instance prices uniquely, and what is reported is the discrete signature
     of the continuum obstruction.  The iteration record is read for its
-    ratios and convergence only: it comes from ``picard_diagnostics``, which
-    rebuilds no solution, and keeps that function's default constants.
+    ratios and convergence only: it is ``picard_diagnostics`` of the one
+    instance ``[inst]``, which rebuilds no solution, and keeps that
+    function's default constants.
     """
     trend = {"num_steps": [], "theta_bmo": [], "theta_bmo_explicit_solver": [],
              "profile_defect_max": [],
@@ -573,8 +574,7 @@ def run_counterexample(n_list=(8, 10, 12), sign_zero: int = 1,
         sol = price_equilibrium(inst)
         unit_product = sup_norm(sol.gamma).value * sup_norm(sol.dividend).value
 
-        (diag,) = bsde_mod.picard_diagnostics(inst, "risk_aversion", [inst.risk_aversion],
-                                              picard_tol, max_iter)
+        (diag,) = bsde_mod.picard_diagnostics([inst], picard_tol, max_iter)
         explicit = bsde_mod.solve_explicit(inst)
 
         # sign pattern: prices should oppose the demand at every node

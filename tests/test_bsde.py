@@ -441,23 +441,32 @@ def _variant(base, param, val):
     return replace(base, psi=base.psi * val)
 
 
+# a block that mixes the base, whose demand the aversion and dividend
+# variants share, with demand-scaled variants, whose demands are stacked
+_MIXED_POINTS = [(None, None), ("demand_scale", 2.0), ("risk_aversion", 3.0),
+                 ("dividend_scale", 1e308), ("demand_scale", 1e4), ("dividend_scale", -0.3)]
+
+
 @pytest.mark.parametrize("block", [1, 2, None])
 @pytest.mark.parametrize("num_stocks", [1, 2])
-@pytest.mark.parametrize("param", sorted(_SWEEP_VALUES))
+@pytest.mark.parametrize("param", [*sorted(_SWEEP_VALUES), "mixed"])
 def test_picard_diagnostics_rows_match_their_own_runs(monkeypatch, param, num_stocks, block):
     import impact_bsde.bsde as bsde_mod
     from impact_bsde import NegativeSignOfB, picard_diagnostics
     lat = build_lattice(7, 1.0)
     base = evaluate_market(MarketConfig(1.0, num_stocks, NegativeSignOfB(0.8), SignOfBT(1.0),
                                         7, 1.0), lat)
-    values = _SWEEP_VALUES[param]
+    if param == "mixed":
+        points = [base if p is None else _variant(base, p, val) for p, val in _MIXED_POINTS]
+    else:
+        points = [_variant(base, param, val) for val in _SWEEP_VALUES[param]]
     # a budget of ``block`` rows (None: every point in one block)
     row_bytes = 8 * lat.num_leaves * (1 + num_stocks)
-    monkeypatch.setattr(bsde_mod, "_PICARD_BLOCK_BYTES", row_bytes * (block or len(values)))
-    got = picard_diagnostics(base, param, values, tol=1e-12, max_iter=12)
+    monkeypatch.setattr(bsde_mod, "_PICARD_BLOCK_BYTES", row_bytes * (block or len(points)))
+    got = picard_diagnostics(points, tol=1e-12, max_iter=12)
+    assert len(got) == len(points)
     outcomes = set()
-    for val, diag in zip(values, got):
-        inst = _variant(base, param, val)
+    for inst, diag in zip(points, got):
         _, own = solve_picard(inst, tol=1e-12, max_iter=12)
         assert {k: getattr(diag, k) for k in _RECORD} == {k: getattr(own, k) for k in _RECORD}
         # and the one-row kernel is the unbatched one, bit for bit
@@ -474,6 +483,39 @@ def test_picard_diagnostics_rows_match_their_own_runs(monkeypatch, param, num_st
     # parameters can overflow them
     assert outcomes == {"converged", "max_iter", "aborted",
                         *(["first step aborted"] if param != "demand_scale" else [])}
+
+
+def test_picard_diagnostics_holds_one_block_of_points():
+    # the points are drawn as block slots free up: whenever the next one is
+    # pulled, fewer than a block of those drawn before are still alive, so
+    # the pulled one fills the block at most
+    import gc
+    import weakref
+
+    import impact_bsde.bsde as bsde_mod
+    from impact_bsde import NegativeSignOfB, picard_diagnostics
+    lat = build_lattice(12, 1.0)
+    base = evaluate_market(MarketConfig(1.0, 1, NegativeSignOfB(0.8), SignOfBT(1.0),
+                                        12, 1.0), lat)
+    block = bsde_mod._PICARD_BLOCK_BYTES // (8 * lat.num_leaves * 2)
+    scales = np.geomspace(0.05, 1e4, 40)
+    refs, alive = [], []
+
+    def points():
+        for scale in scales:
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in refs))
+            inst = _variant(base, "demand_scale", float(scale))
+            refs.append(weakref.ref(inst))
+            yield inst
+            del inst
+
+    got = picard_diagnostics(points(), tol=1e-12, max_iter=12)
+    assert len(got) == len(refs) == 40 and block == 16
+    assert max(alive) < block
+    # rows left and were refilled while points remained
+    assert alive[block:] and min(alive[block:]) < block
+    assert {d.converged for d in got} == {True, False}
 
 
 @pytest.mark.parametrize("num_stocks", [1, 2])
@@ -558,8 +600,15 @@ def test_picard_diagnostics_block_budget():
     inst = evaluate_market(MarketConfig(1.0, 1, ConstantDemand(0.5), SignOfBT(0.5), 3, 1.0),
                            lat)
     from impact_bsde import picard_diagnostics
-    with pytest.raises(ValueError, match="unknown parameter"):
-        picard_diagnostics(inst, "num_steps", [1.0])
     with pytest.raises(ValueError):
-        picard_diagnostics(inst, "risk_aversion", [1.0], tol=0.0)
-    assert picard_diagnostics(inst, "risk_aversion", []) == []
+        picard_diagnostics([inst], tol=0.0)
+    assert picard_diagnostics([]) == []
+    # one block runs on one lattice, with one number of stocks
+    other = evaluate_market(MarketConfig(1.0, 1, ConstantDemand(0.5), SignOfBT(0.5), 3, 1.0),
+                            build_lattice(3, 1.0))
+    with pytest.raises(ValueError, match="lattice"):
+        picard_diagnostics([inst, other])
+    wide = evaluate_market(MarketConfig(1.0, 2, ConstantDemand(0.5), SignOfBT(0.5), 3, 1.0),
+                           lat)
+    with pytest.raises(ValueError, match="number of stocks"):
+        picard_diagnostics([inst, wide])

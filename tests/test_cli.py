@@ -686,6 +686,43 @@ def test_sweep_rejects_non_finite_bounds(tmp_path, param, bounds):
     assert not out.exists()
 
 
+def test_empty_depth_sweep_is_a_config_error(tmp_path):
+    # every depth of the range is below one: refused before any work, as a
+    # non-positive risk aversion range is, instead of a header-only table
+    cfg = write_config(tmp_path, one_period_doc(num_steps=3))
+    out = tmp_path / "sweep.csv"
+    result = CliRunner().invoke(main, ["sweep", "--config", cfg, "--param", "num_steps",
+                                       "--from", "-3", "--to", "0.5", "--points", "4",
+                                       "--out", str(out)])
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert "config error: --from/--to must reach a depth >= 1" in result.output
+    assert not out.exists()
+
+
+def test_verify_uses_the_configured_growth_bound(tmp_path):
+    # a tiny configured growth constant widens the contraction radius: bsde
+    # and verify read the same constants, so both see the run inside it and
+    # verify runs the norm-bound check instead of skipping it
+    doc = one_period_doc(num_steps=6, dividend={"type": "sign_of_b_t", "scale": 0.3})
+    doc["solver"] = {"growth_bound": 1e-6, "kappa": 1.0}
+    doc["verify"] = {"competitors": 5, "counterexample_steps": [3]}
+    cfg = write_config(tmp_path, doc)
+    runner = CliRunner()
+    result = runner.invoke(main, ["bsde", "--config", cfg, "--method", "picard",
+                                  "--out", str(tmp_path / "b.json")])
+    assert result.exit_code == 0, result.output
+    bsde_doc = json.loads((tmp_path / "b.json").read_text())
+    result = runner.invoke(main, ["verify", "--config", cfg, "--suite", "all",
+                                  "--out", str(tmp_path / "v.json")])
+    assert result.exit_code == 0, result.output
+    checks = {c["name"]: c for c in json.loads((tmp_path / "v.json").read_text())["checks"]}
+    assert bsde_doc["picard"]["growth_bound"] == 1e-6
+    assert bsde_doc["contraction_report"]["within_contraction_radius"] is True
+    assert checks["norm_bounds"]["hypotheses"] == {"picard_converged": True,
+                                                   "within_contraction_radius": True}
+    assert checks["norm_bounds"]["status"] == "diagnostic"
+
+
 _HUGE_DIVIDEND = {"type": "sign_of_b_t", "scale": 1e200}
 
 
@@ -752,7 +789,7 @@ def test_diverging_picard_reconstruction_is_a_numeric_failure(tmp_path, method):
     assert not out.exists()
     # the iteration itself aborts: the failure is the reconstruction's
     inst = evaluate_market(load_config(cfg).market, build_lattice(9, 1.0))
-    diag, = bsde_mod.picard_diagnostics(inst, "risk_aversion", [3.0], 1e-12, 30)
+    diag, = bsde_mod.picard_diagnostics([inst], 1e-12, 30)
     assert diag.aborted == "non-finite iterate at iteration 10"
 
 
