@@ -12,15 +12,21 @@ prices), with terminal data (0, risk_aversion * dividend).  Writing
     price_k  = mean_k(price) -  v_k (c_k + v_k . g_k) dt
 
 which determines the solution uniquely by induction: the child difference
-pins the integrands, the child mean plus drift pins the values.
+pins the integrands, the child mean plus drift pins the values.  One
+kernel, ``_backward``, walks that recursion from the leaves, one slice at a
+time; the explicit solve takes the driver at the integrands it has just
+read off, and the Picard rebuild at a frozen iterate.
 
 The fixed-point route rebuilds, for a frozen integrand guess, the terminal
 value plus the pathwise drift integral, takes its conditional-expectation
 martingale, and reads off the new integrand from its representation.  Its
-fixed points coincide with the explicit solution.  Contraction of that map
-holds only when the terminal data are small in the integrand norm; the
-iteration therefore reports distances and ratios as first-class output and
-treats non-convergence as data, not as an error.
+fixed points coincide with the explicit solution.  The new level-k
+integrand reads the guess only at levels above k, so from zero the
+iteration reaches the fixed point after N + 1 steps in exact arithmetic;
+what stops a run on the finite tree is the rounding of its drift sums,
+which grows with the square of the iterates, on solutions that explode
+with depth.  The iteration therefore reports distances and ratios as
+first-class output and treats non-convergence as data, not as an error.
 
 Each iteration is one fused pass: forward over the tree keeping only the
 current slice of the drift sums, then leaf to root, slice by slice, taking
@@ -28,6 +34,9 @@ child means and child differences (the new integrands) and advancing the
 integrand norm of the new iterate and of its distance to the old one.  No
 full martingale tree, stacked copy or difference list is stored per
 iteration; the memory held is the two integrand pairs plus one slice.
+The map keeps this forward form: through ``_backward`` it would read no
+level below k in floating point either, so every finite run would stop at
+step N + 1 with distance 0, a change of the iteration records of its own.
 
 That pass, ``_picard_step``, carries a leading point axis: every slice
 holds one row per point, and each row is an ``Instance`` on one shared
@@ -37,12 +46,11 @@ iterable as slots free up, runs them as rows of blocks sized by a fixed
 byte budget on the integrand pairs, keeps the iteration records, and
 refills a block as its rows converge, reach the iteration cap or abort.
 ``picard_diagnostics`` runs a sweep's points through it; ``solve_picard``
-runs it on its one instance and reconstructs the solution from the
-iterate that row ends on.
+runs it on its one instance and rebuilds the solution from the iterate
+that row ends on.
 Every reduction is per row, so each row's record is the one its own run
-would give, bit for bit.  The reconstruction overwrites the drift sums
-with the value and the price, one slice at a time, and stores no
-martingale tree.
+would give, bit for bit.  The rebuild writes its ``_backward`` slices
+into one block; its residual is the node-max move of one more map step.
 """
 
 from __future__ import annotations
@@ -122,7 +130,7 @@ class BsdeSolution:
     scaled_price: AdaptedProcess      # risk_aversion * prices, n-dim
     value_integrand: PredictableProcess
     price_integrand: PredictableProcess
-    residual: float                   # max node defect of the discrete recursion
+    residual: float                   # max node gap |child_diff(Y_{k+1}) - integrand_k|
     method: str
 
     @property
@@ -180,16 +188,24 @@ class IterationDiagnostics:
                 "uniqueness_radius": self.uniqueness_radius, "small_ball": self.small_ball}
 
 
-def _recursion_residual(lattice: Lattice, gamma, value, price, eta, theta) -> float:
-    """Largest node defect of the discrete recursion; nan if any defect is."""
-    defects = []
-    for k in range(lattice.num_steps):
-        vd, pd = driver(eta[k], theta[k], gamma.values[k])
-        value_target = child_mean(value[k + 1]) + vd * lattice.dt
-        price_target = child_mean(price[k + 1]) - pd * lattice.dt
-        defects.append(np.max(np.abs(value[k] - value_target)))
-        defects.append(np.max(np.abs(price[k] - price_target)))
-    return float(np.max(defects))
+def _backward(inst: Instance, value, price, eta=None, theta=None):
+    """The backward recursion from the leaf slices ``(value, price)``:
+    yields ``(k, e, t, value_k, price_k)`` for ``k`` from ``N - 1`` down to
+    0, where ``(e, t)`` are the child differences of slice ``k + 1`` and
+    slice ``k`` is its child mean plus the drift, taken at ``(e, t)`` (the
+    explicit solve) or at a frozen pair ``(eta[k], theta[k])`` (a Picard
+    rebuild).  Only the current slices are held, and each yielded array is
+    a fresh one that the caller may overwrite.
+    """
+    lattice, gamma = inst.lattice, inst.gamma
+    for k in range(lattice.num_steps - 1, -1, -1):
+        e, t = child_diff(value, lattice), child_diff(price, lattice)
+        vd, pd = (driver(e, t, gamma.values[k]) if eta is None
+                  else driver(eta[k], theta[k], gamma.values[k]))
+        value = child_mean(value) + vd * lattice.dt
+        price = child_mean(price) - pd * lattice.dt
+        del vd, pd  # not held while the caller works on the level
+        yield k, e, t, value, price
 
 
 def solve_explicit(inst: Instance) -> BsdeSolution:
@@ -205,15 +221,10 @@ def solve_explicit(inst: Instance) -> BsdeSolution:
     # an overflow is not warned about: _check_finite names its node
     with np.errstate(over="ignore", invalid="ignore"):
         price[steps] = a * inst.psi
-        for k in range(steps - 1, -1, -1):
-            eta[k] = child_diff(value[k + 1], lattice)
-            theta[k] = child_diff(price[k + 1], lattice)
-            vd, pd = driver(eta[k], theta[k], gamma.values[k])
-            value[k] = child_mean(value[k + 1]) + vd * lattice.dt
-            price[k] = child_mean(price[k + 1]) - pd * lattice.dt
+        for k, e, t, v, p in _backward(inst, value[steps], price[steps]):
+            eta[k], theta[k], value[k], price[k] = e, t, v, p
             _check_finite(value[k], k, "scaled certainty equivalent")
             _check_finite(price[k], k, "scaled price")
-    residual = _recursion_residual(lattice, gamma, value, price, eta, theta)
     return BsdeSolution(
         lattice=lattice,
         risk_aversion=a,
@@ -222,7 +233,8 @@ def solve_explicit(inst: Instance) -> BsdeSolution:
         scaled_price=AdaptedProcess(lattice, price),
         value_integrand=PredictableProcess(lattice, eta),
         price_integrand=PredictableProcess(lattice, theta),
-        residual=residual,
+        # the integrands are the child differences themselves
+        residual=0.0,
         method="explicit",
     )
 
@@ -435,11 +447,12 @@ def solve_picard(inst: Instance, tol: float = 1e-12, max_iter: int = 100,
     ends on, the last finite one, either way.  Its slices may still
     overflow; they are returned as computed, for the caller to check.
 
-    The reconstruction holds the final integrand pair, the running drift
-    sums over the whole tree and one slice of the conditional-expectation
-    martingale of terminal data plus total drift.  The martingale is
-    averaged back from the leaves, and each slice less its drift sum
-    overwrites that drift-sum slice, which so becomes the value or price.
+    The reconstruction is one more ``_backward`` pass with the driver
+    frozen at that iterate, writing each value and price slice into one
+    block per process.  Its residual is the largest node gap between the
+    child differences of those slices and the iterate: the distance, in
+    node-max form, that one more map step would move.  It is nan if any
+    gap is.
     """
     ends = [None]
     (diag,) = _picard_rows([inst], tol, max_iter, ends)
@@ -455,23 +468,16 @@ def solve_picard(inst: Instance, tol: float = 1e-12, max_iter: int = 100,
     price_tree = np.zeros(((2 << steps) - 1, gamma.dim))
     value = [value_tree[(1 << k) - 1:(2 << k) - 1] for k in range(steps + 1)]
     price = [price_tree[(1 << k) - 1:(2 << k) - 1] for k in range(steps + 1)]
+    residual = 0.0
     # the last finite iterate of a diverging run may still overflow here
     with np.errstate(over="ignore", invalid="ignore"):
-        # the running drift sums of ``_drift_leaves`` at every slice, each
-        # written as its parent's sum repeated over both children
-        for k in range(steps):
-            vd, pd = driver(eta[k], theta[k], gamma.values[k])
-            value[k + 1].reshape(-1, 2)[...] = (value[k] + vd * lattice.dt)[:, None]
-            price[k + 1].reshape(-1, 2, gamma.dim)[...] = (price[k] - pd * lattice.dt)[:, None]
-            del vd, pd  # not held past the pass
-        mart_v, mart_p = value[-1], a * inst.psi + price[-1]
-        for k in range(steps, -1, -1):
-            # the parent slice of the martingale before this one is overwritten
-            parent = (child_mean(mart_v), child_mean(mart_p)) if k else (None, None)
-            np.subtract(mart_v, value[k], out=value[k])
-            np.subtract(mart_p, price[k], out=price[k])
-            mart_v, mart_p = parent
-        residual = _recursion_residual(lattice, gamma, value, price, eta, theta)
+        np.multiply(a, inst.psi, out=price[steps])
+        for k, e, t, v, p in _backward(inst, value[steps], price[steps], eta, theta):
+            value[k][...], price[k][...] = v, p
+            # the gaps overwrite the child differences, which are not kept;
+            # np.max keeps a nan gap, which the builtin max drops against 0.0
+            for x, old in ((e, eta[k]), (t, theta[k])):
+                residual = np.max([residual, np.abs(np.subtract(x, old, out=x), out=x).max()])
     solution = BsdeSolution(
         lattice=lattice,
         risk_aversion=a,
@@ -480,7 +486,7 @@ def solve_picard(inst: Instance, tol: float = 1e-12, max_iter: int = 100,
         scaled_price=AdaptedProcess(lattice, price),
         value_integrand=PredictableProcess(lattice, eta),
         price_integrand=PredictableProcess(lattice, theta),
-        residual=residual,
+        residual=float(residual),
         method="picard",
     )
     return solution, diag

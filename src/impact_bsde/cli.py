@@ -409,6 +409,9 @@ def cmd_sweep(config_path, param, start, stop, points, out_path):
         values = values[values >= 1].astype(float)
         if not len(values):
             _config_error(f"--from/--to must reach a depth >= 1, got {start}..{stop}")
+        if len(values) < points:
+            _config_error(f"--points {points} asks for {points} depths, but {start}..{stop} gives "
+                          f"{len(values)} distinct depths >= 1: {values.astype(int).tolist()}")
     else:
         values = np.linspace(start, stop, points)
     if param == "risk_aversion" and not np.all(values > 0):

@@ -560,7 +560,10 @@ def run_counterexample(n_list=(8, 10, 12), sign_zero: int = 1,
     of the continuum obstruction.  The iteration record is read for its
     ratios and convergence only: it is ``picard_diagnostics`` of the one
     instance ``[inst]``, which rebuilds no solution, and keeps that
-    function's default constants.
+    function's default constants.  On the finite tree the iteration reaches
+    the solution after N + 1 steps in exact arithmetic, so expansion ratios
+    and non-convergence here record rounding amplified by a solution that
+    explodes with depth, not a map that fails to contract.
     """
     trend = {"num_steps": [], "theta_bmo": [], "theta_bmo_explicit_solver": [],
              "profile_defect_max": [],

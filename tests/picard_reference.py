@@ -1,8 +1,15 @@
 """Reference copies of the one-instance fused Picard iteration (slices
-without a row axis), of the integrand-norm helpers the solver used to keep
-and of its reconstruction through the full conditional-expectation
-martingale, kept verbatim so the tests can hold ``bsde.solve_picard`` and
-``bsde.picard_diagnostics`` to them bit for bit."""
+without a row axis) and of the integrand-norm helpers the solver used to
+keep, verbatim, so the tests can hold ``bsde.solve_picard`` and
+``bsde.picard_diagnostics`` to them bit for bit; and two references for
+the solution rebuilt from a final integrand pair.
+
+``backward_rebuild`` is the backward recursion with the driver frozen at
+that pair, the bit-for-bit reference of ``solve_picard``'s rebuild.
+``reconstruct`` is the rebuild the solver used to run, through the running
+drift sums and the full conditional-expectation martingale, kept verbatim
+with its recursion residual; it sums in another order, so the tests hold
+the solver to it within a tolerance."""
 
 from __future__ import annotations
 
@@ -17,7 +24,6 @@ from impact_bsde import (
     h_bmo_norm,
     stacked_integrand,
 )
-from impact_bsde.bsde import _recursion_residual
 from impact_bsde.norms import _remaining_load, _square_sum
 
 
@@ -46,6 +52,18 @@ def terminal_norm(inst) -> float:
                      [v[:, 1:] for v in terminal_integrand])
 
 
+def recursion_residual(lattice, gamma, value, price, eta, theta) -> float:
+    """Largest node defect of the discrete recursion; nan if any defect is."""
+    defects = []
+    for k in range(lattice.num_steps):
+        vd, pd = driver(eta[k], theta[k], gamma.values[k])
+        value_target = child_mean(value[k + 1]) + vd * lattice.dt
+        price_target = child_mean(price[k + 1]) - pd * lattice.dt
+        defects.append(np.max(np.abs(value[k] - value_target)))
+        defects.append(np.max(np.abs(price[k] - price_target)))
+    return float(np.max(defects))
+
+
 def _drift_levels(lattice, gamma, eta: list, theta: list):
     cum_v = np.zeros(1)
     cum_p = np.zeros((1, gamma.dim))
@@ -72,8 +90,29 @@ def reconstruct(inst, eta: list, theta: list):
         mart = conditional_expectation(total, lattice)
         value = [mart.values[k][:, 0] - cum_v[k] for k in range(steps + 1)]
         price = [mart.values[k][:, 1:] - cum_p[k] for k in range(steps + 1)]
-        residual = _recursion_residual(lattice, gamma, value, price, eta, theta)
+        residual = recursion_residual(lattice, gamma, value, price, eta, theta)
     return value, price, residual
+
+
+def backward_rebuild(inst, eta: list, theta: list):
+    """The scaled value and price slices of the backward recursion with the
+    driver frozen at a final integrand pair, and the largest node gap
+    between their child differences and that pair (nan if any gap is)."""
+    lattice, gamma = inst.lattice, inst.gamma
+    steps = lattice.num_steps
+    value: list = [None] * (steps + 1)
+    price: list = [None] * (steps + 1)
+    value[steps] = np.zeros(lattice.num_leaves)
+    price[steps] = inst.risk_aversion * inst.psi
+    gaps = [0.0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps - 1, -1, -1):
+            gaps.append(np.max(np.abs(child_diff(value[k + 1], lattice) - eta[k])))
+            gaps.append(np.max(np.abs(child_diff(price[k + 1], lattice) - theta[k])))
+            vd, pd = driver(eta[k], theta[k], gamma.values[k])
+            value[k] = child_mean(value[k + 1]) + vd * lattice.dt
+            price[k] = child_mean(price[k + 1]) - pd * lattice.dt
+    return value, price, float(np.max(gaps))
 
 
 def picard_step(inst, eta: list, theta: list):

@@ -446,7 +446,7 @@ def test_sweep_measures_kappa_once_per_depth(tmp_path, monkeypatch):
     out = str(tmp_path / "sweep.csv")
     # no sweep column depends on kappa, so no sweep measures it
     sweeps = {("risk_aversion", "0.5", "1.5", "5"): [],
-              ("num_steps", "2", "4", "5"): []}
+              ("num_steps", "2", "4", "3"): []}
     for (param, start, stop, points), want in sweeps.items():
         calls.clear()
         result = CliRunner().invoke(main, ["sweep", "--config", cfg, "--param", param,
@@ -699,6 +699,20 @@ def test_empty_depth_sweep_is_a_config_error(tmp_path):
     assert not out.exists()
 
 
+def test_depth_sweep_that_drops_points_is_a_config_error(tmp_path):
+    # depths below one and repeated depths would leave the table short of
+    # --points; the range is refused before any work, naming both counts
+    cfg = write_config(tmp_path, one_period_doc(num_steps=4))
+    out = tmp_path / "sweep.csv"
+    result = CliRunner().invoke(main, ["sweep", "--config", cfg, "--param", "num_steps",
+                                       "--from", "-3", "--to", "5", "--points", "4",
+                                       "--out", str(out)])
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert "config error: --points 4 asks for 4 depths" in result.output
+    assert "gives 2 distinct depths >= 1: [2, 5]" in result.output
+    assert not out.exists()
+
+
 def test_verify_uses_the_configured_growth_bound(tmp_path):
     # a tiny configured growth constant widens the contraction radius: bsde
     # and verify read the same constants, so both see the run inside it and
@@ -857,16 +871,18 @@ def test_sweep_runs_no_reconstruction(tmp_path, monkeypatch):
     calls = _refuse_picard_solutions(monkeypatch)
 
     def refuse(*args, **kwargs):
-        calls.append("_recursion_residual")
-        raise AssertionError("the sweep rebuilt a Picard solution")
+        calls.append("AdaptedProcess")
+        raise AssertionError("the sweep built a value or price tree")
 
-    monkeypatch.setattr(bsde_mod, "_recursion_residual", refuse)
+    # every solution the solver module builds wraps its slices in one
+    monkeypatch.setattr(bsde_mod, "AdaptedProcess", refuse)
     cfg = write_config(tmp_path, one_period_doc(num_steps=5, demand={"type": "negative_sign_of_b"},
                                                 dividend={"type": "sign_of_b_t", "scale": 0.5}))
-    for param, bounds in (("risk_aversion", ("0.5", "4")), ("num_steps", ("2", "4"))):
+    for param, bounds, points in (("risk_aversion", ("0.5", "4"), "4"),
+                                  ("num_steps", ("2", "4"), "3")):
         result = CliRunner().invoke(main, ["sweep", "--config", cfg, "--param", param,
                                            "--from", bounds[0], "--to", bounds[1],
-                                           "--points", "4", "--out", str(tmp_path / "s.csv")])
+                                           "--points", points, "--out", str(tmp_path / "s.csv")])
         assert result.exit_code == 0, (result.output, result.exception)
     assert calls == []
 
