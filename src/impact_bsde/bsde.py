@@ -65,13 +65,11 @@ from .lattice import (
     ExponentialGuardError,
     Lattice,
     PredictableProcess,
-    child_diff,
-    child_mean,
     martingale_defect,
     stochastic_exponential,
     stochastic_integral,
 )
-from .norms import _square_sum
+from .norms import _remaining_load, _square_sum
 from .pricer import _check_finite
 from .scenario import Instance
 
@@ -199,11 +197,11 @@ def _backward(inst: Instance, value, price, eta=None, theta=None):
     """
     lattice, gamma = inst.lattice, inst.gamma
     for k in range(lattice.num_steps - 1, -1, -1):
-        e, t = child_diff(value, lattice), child_diff(price, lattice)
+        e, t = lattice.child_diff(value), lattice.child_diff(price)
         vd, pd = (driver(e, t, gamma.values[k]) if eta is None
                   else driver(eta[k], theta[k], gamma.values[k]))
-        value = child_mean(value) + vd * lattice.dt
-        price = child_mean(price) - pd * lattice.dt
+        value = lattice.child_mean(value) + vd * lattice.dt
+        price = lattice.child_mean(price) - pd * lattice.dt
         del vd, pd  # not held while the caller works on the level
         yield k, e, t, value, price
 
@@ -243,10 +241,10 @@ def _drift_leaves(points: list, eta: list, theta: list):
     """The adapted running sums of the two drift integrands (value drift
     added, price drift subtracted) at the leaves, evaluated along every path
     of every row; only the current slice is held on the way.  Slices carry
-    the rows first: ``eta[k]`` has shape ``(rows, 2**k)`` and ``theta[k]``
-    ``(rows, 2**k, n)``, and row ``r`` reads the demand of ``points[r]``.  A
-    demand process every row shares is read as it is; otherwise each step
-    stacks the rows' demand slices."""
+    the rows first: ``eta[k]`` has shape ``(rows, nodes(k))`` and
+    ``theta[k]`` ``(rows, nodes(k), n)``, and row ``r`` reads the demand of
+    ``points[r]``.  A demand process every row shares is read as it is;
+    otherwise each step stacks the rows' demand slices."""
     lattice, gamma = points[0].lattice, points[0].gamma
     shared = all(p.gamma is gamma for p in points)
     cum_v = np.zeros((len(points), 1))
@@ -254,8 +252,8 @@ def _drift_leaves(points: list, eta: list, theta: list):
     for k in range(lattice.num_steps):
         g = gamma.values[k] if shared else np.stack([p.gamma.values[k] for p in points])
         vd, pd = driver(eta[k], theta[k], g)
-        cum_v = np.repeat(cum_v + vd * lattice.dt, 2, axis=1)
-        cum_p = np.repeat(cum_p - pd * lattice.dt, 2, axis=1)
+        cum_v = lattice.to_children(cum_v + vd * lattice.dt, axis=1)
+        cum_p = lattice.to_children(cum_p - pd * lattice.dt, axis=1)
     return cum_v, cum_p
 
 
@@ -288,19 +286,16 @@ def _picard_step(points: list, eta: list, theta: list):
     for r, p in enumerate(points):
         mart_p[r] += p.risk_aversion * p.psi
     steps = lattice.num_steps
-    step = 2.0 * lattice.sqrt_dt
     eta_new: list = [None] * steps
     theta_new: list = [None] * steps
     finite = np.ones(len(mart_v), dtype=bool)
     load_norm = load_dist = None
     best_norm = best_dist = np.zeros(len(mart_v))
-    # child difference and child mean on the node axis, as child_diff and
-    # child_mean compute them
     for k in range(steps - 1, -1, -1):
-        e = (mart_v[:, 0::2] - mart_v[:, 1::2]) / step
-        t = (mart_p[:, 0::2] - mart_p[:, 1::2]) / step
-        mart_v = 0.5 * (mart_v[:, 0::2] + mart_v[:, 1::2])
-        mart_p = 0.5 * (mart_p[:, 0::2] + mart_p[:, 1::2])
+        e = lattice.child_diff(mart_v, axis=1)
+        t = lattice.child_diff(mart_p, axis=1)
+        mart_v = lattice.child_mean(mart_v, axis=1)
+        mart_p = lattice.child_mean(mart_p, axis=1)
         eta_new[k], theta_new[k] = e, t
         if not finite.any():
             continue
@@ -313,10 +308,8 @@ def _picard_step(points: list, eta: list, theta: list):
                 continue
         sq_dist = _square_sum([e - eta[k], *np.moveaxis(t - theta[k], -1, 0)])
         here_norm, here_dist = sq * lattice.dt, sq_dist * lattice.dt
-        load_norm = (here_norm if load_norm is None
-                     else here_norm + 0.5 * (load_norm[:, 0::2] + load_norm[:, 1::2]))
-        load_dist = (here_dist if load_dist is None
-                     else here_dist + 0.5 * (load_dist[:, 0::2] + load_dist[:, 1::2]))
+        load_norm = _remaining_load(lattice, load_norm, here_norm, axis=1)
+        load_dist = _remaining_load(lattice, load_dist, here_dist, axis=1)
         # a finite row's load is nan only if its old iterate is (an overflow
         # is inf); fmax then keeps the running max, as max(best, nan) does,
         # and the kernel reports no node, so a running max per row suffices
@@ -385,8 +378,8 @@ def _picard_rows(points, tol: float, max_iter: int,
     block = max(1, _PICARD_BLOCK_BYTES // (8 * lattice.num_leaves * (1 + n)))
     diags: list[IterationDiagnostics] = []
     live: list[int] = []  # the point of each row
-    eta = [np.zeros((0, 1 << k)) for k in range(lattice.num_steps)]
-    theta = [np.zeros((0, 1 << k, n)) for k in range(lattice.num_steps)]
+    eta = [np.zeros((0, lattice.nodes(k))) for k in range(lattice.num_steps)]
+    theta = [np.zeros((0, lattice.nodes(k), n)) for k in range(lattice.num_steps)]
     # a diverging row overflows by design and reports it as data (an aborted
     # run, inf ratios), so numpy's floating-point warnings are silenced here
     with np.errstate(all="ignore"):
@@ -461,18 +454,15 @@ def solve_picard(inst: Instance, tol: float = 1e-12, max_iter: int = 100,
     diag.growth_bound = float(growth_bound if growth_bound is not None
                               else driver_growth_bound(inst.gamma_sup))
     lattice, a, gamma = inst.lattice, inst.risk_aversion, inst.gamma
-    steps = lattice.num_steps
     # one block per process, sliced by level: one allocation instead of one
     # per level, after which a process's next Picard loops fault fewer pages
-    value_tree = np.zeros((2 << steps) - 1)
-    price_tree = np.zeros(((2 << steps) - 1, gamma.dim))
-    value = [value_tree[(1 << k) - 1:(2 << k) - 1] for k in range(steps + 1)]
-    price = [price_tree[(1 << k) - 1:(2 << k) - 1] for k in range(steps + 1)]
+    value = lattice.zero_slices()
+    price = lattice.zero_slices(gamma.dim)
     residual = 0.0
     # the last finite iterate of a diverging run may still overflow here
     with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(a, inst.psi, out=price[steps])
-        for k, e, t, v, p in _backward(inst, value[steps], price[steps], eta, theta):
+        np.multiply(a, inst.psi, out=price[-1])
+        for k, e, t, v, p in _backward(inst, value[-1], price[-1], eta, theta):
             value[k][...], price[k][...] = v, p
             # the gaps overwrite the child differences, which are not kept;
             # np.max keeps a nan gap, which the builtin max drops against 0.0

@@ -105,8 +105,11 @@ def _finite_norm(what: str, norm, *args, **kwargs):
 
 def _centered_bmo(inst: Instance) -> float:
     """Quadratic norm of the instance's dividend, centred."""
-    return _finite_norm("the centred dividend's norm", bmo_norm_rv,
-                        inst.psi - inst.psi.mean(axis=0), inst.lattice).value
+    try:
+        return _finite_norm("the centred dividend's norm", bmo_norm_rv,
+                            inst.psi - inst.psi.mean(axis=0), inst.lattice).value
+    except ValueError as exc:  # bmo_norm_rv's one refusal: rounding undid the centring
+        raise NumericalError(f"centring the dividend lost its precision: {exc}") from exc
 
 
 def _bmo(what: str, process) -> float:
@@ -165,7 +168,7 @@ def _write_nodes(path: str, prices, certainty, density=None, up_prob=None,
     with open(path, "w", newline="") as handle:
         handle.write(",".join(header) + "\r\n")
         for k in range(lat.num_steps + 1):
-            width = 1 << k
+            width = lat.nodes(k)
             columns = [
                 lat.b_int[k] * lat.sqrt_dt, prices.values[k], certainty.values[k],
                 _node_slice(density, k, width), _node_slice(up_prob, k, width),
@@ -427,12 +430,12 @@ def cmd_sweep(config_path, param, start, stop, points, out_path):
             return replace(base, gamma=base.gamma.scaled(float(val)))
         return replace(base, psi=base.psi * float(val))
 
-    # no column depends on kappa, so none is measured; the dividend's norm
-    # is the base's unless the dividend or the depth is swept
-    psi_bmo = _centered_bmo(base) if param in ("risk_aversion", "demand_scale") else None
     solver = run.solver
     rows, diags = [], []
     try:
+        # no column depends on kappa, so none is measured; the dividend's norm
+        # is the base's unless the dividend or the depth is swept
+        psi_bmo = _centered_bmo(base) if param in ("risk_aversion", "demand_scale") else None
         for val in values:
             inst = point(val)
             # the smallness product scales the base sup by |val| instead of

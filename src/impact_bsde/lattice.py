@@ -7,7 +7,10 @@ The path index therefore encodes the increment history bit by bit, most
 significant bit first.  Every adapted quantity is stored as one numpy array
 per time slice, which makes conditional expectation, martingale
 representation, stochastic integration and the stochastic exponential a few
-strided array operations per step, exact up to floating point.
+strided array operations per step, exact up to floating point.  That layout
+is read only through ``Lattice``'s methods (node counts, the children of a
+slice, their mean and difference, expanding a slice to its children, the
+descendant leaves of a node), so no other module depends on it.
 
 A one-step martingale increment on this tree takes exactly two values, so
 it is always a multiple of the driving increment: the predictable
@@ -79,13 +82,53 @@ class Lattice:
         levels = [np.zeros(1, dtype=np.int32)]
         step = np.array([1, -1], dtype=np.int32)
         for k in range(self.num_steps):
-            levels.append(np.repeat(levels[k], 2) + np.tile(step, 1 << k))
+            levels.append(self.to_children(levels[k]) + np.tile(step, self.nodes(k)))
         self.b_int = levels
         self._brownian: AdaptedProcess | None = None
 
     @property
     def num_leaves(self) -> int:
-        return 1 << self.num_steps
+        return self.nodes(self.num_steps)
+
+    def nodes(self, k: int) -> int:
+        """Number of nodes at step ``k``."""
+        return 1 << k
+
+    def children(self, x: np.ndarray, axis: int = 0):
+        """The up and down children of every node of slice ``x``, as views."""
+        lead = (slice(None),) * axis
+        return x[lead + (slice(0, None, 2),)], x[lead + (slice(1, None, 2),)]
+
+    def child_mean(self, x: np.ndarray, axis: int = 0) -> np.ndarray:
+        """Mean of the two children of every node, one slice earlier."""
+        up, down = self.children(x, axis)
+        return 0.5 * (up + down)
+
+    def child_diff(self, x: np.ndarray, axis: int = 0) -> np.ndarray:
+        """Representation quotient ``(x_up - x_down) / (2 sqrt(dt))``."""
+        up, down = self.children(x, axis)
+        return (up - down) / (2.0 * self.sqrt_dt)
+
+    def to_children(self, x: np.ndarray, axis: int = 0) -> np.ndarray:
+        """Slice ``x`` one step later: each node's value on both its children."""
+        return np.repeat(x, 2, axis=axis)
+
+    def from_children(self, up: np.ndarray, down: np.ndarray) -> np.ndarray:
+        """The slice whose up and down children are ``up`` and ``down``."""
+        out = np.empty((2 * len(up), *up.shape[1:]))
+        out[0::2], out[1::2] = up, down
+        return out
+
+    def subtrees(self, x: np.ndarray, nodes: int, axis: int = 0) -> np.ndarray:
+        """Leaf slice ``x`` regrouped as the descendant leaves of each of the
+        ``nodes`` nodes of one step, that node axis at ``axis``."""
+        return x.reshape(*x.shape[:axis], nodes, -1, *x.shape[axis + 1:])
+
+    def zero_slices(self, *shape: int) -> list[np.ndarray]:
+        """One slice per step, ``(nodes(k), *shape)`` each, as views of one
+        zeroed block."""
+        block = np.zeros(((2 << self.num_steps) - 1, *shape))
+        return [block[(1 << k) - 1:(2 << k) - 1] for k in range(self.num_steps + 1)]
 
     def brownian(self) -> "AdaptedProcess":
         """The driving walk as an adapted process (an exact martingale)."""
@@ -102,18 +145,6 @@ class Lattice:
 def build_lattice(num_steps: int, horizon: float, max_steps: int | None = None) -> Lattice:
     """Build the depth-``num_steps`` binary lattice over ``[0, horizon]``."""
     return Lattice(num_steps, horizon, max_steps=max_steps)
-
-
-def child_mean(x: np.ndarray) -> np.ndarray:
-    """Mean of the two children of every node: ``x`` is one slice of a
-    process (or of a per-node load), the result lives one slice earlier."""
-    return 0.5 * (x[0::2] + x[1::2])
-
-
-def child_diff(x: np.ndarray, lattice: Lattice) -> np.ndarray:
-    """Representation quotient ``(x_up - x_down) / (2 sqrt(dt))``: the
-    integrand that carries one slice of a martingale from its parents."""
-    return (x[0::2] - x[1::2]) / (2.0 * lattice.sqrt_dt)
 
 
 def node_max(slices) -> tuple[float, tuple[int, int]]:
@@ -158,9 +189,9 @@ def _validate_slices(lattice: Lattice, values: list[np.ndarray], count: int, wha
         raise ValueError(f"{what} needs {count} slices, got {len(values)}")
     dim = None
     for k, v in enumerate(values):
-        if v.ndim not in (1, 2) or v.shape[0] != (1 << k):
+        if v.ndim not in (1, 2) or v.shape[0] != lattice.nodes(k):
             raise ValueError(
-                f"{what} slice {k} has shape {v.shape}, expected leading size {1 << k}"
+                f"{what} slice {k} has shape {v.shape}, expected leading size {lattice.nodes(k)}"
             )
         d = None if v.ndim == 1 else v.shape[1]
         if k == 0:
@@ -229,7 +260,7 @@ def conditional_expectation(x, lattice: Lattice | None = None) -> AdaptedProcess
     vals: list = [None] * (lattice.num_steps + 1)
     vals[lattice.num_steps] = terminal
     for k in range(lattice.num_steps - 1, -1, -1):
-        vals[k] = child_mean(vals[k + 1])
+        vals[k] = lattice.child_mean(vals[k + 1])
     return AdaptedProcess(lattice, vals)
 
 
@@ -245,7 +276,7 @@ def _relative_defect(proc: AdaptedProcess, means) -> tuple[float, tuple[int, int
 def martingale_defect(proc: AdaptedProcess) -> tuple[float, tuple[int, int]]:
     """Largest relative one-step defect ``|E_k[X_{k+1}] - X_k|`` and its
     node, under ``node_max``'s rules (a nan defect wins)."""
-    return _relative_defect(proc, (child_mean(v) for v in proc.values[1:]))
+    return _relative_defect(proc, (proc.lattice.child_mean(v) for v in proc.values[1:]))
 
 
 def is_martingale(proc: AdaptedProcess, tol: float = 1e-12) -> bool:
@@ -266,7 +297,7 @@ def martingale_representation(m: AdaptedProcess, tol: float = 1e-12) -> Predicta
             f"exceeds tolerance {tol:.1e}; representation refused"
         )
     lat = m.lattice
-    return PredictableProcess(lat, [child_diff(v, lat) for v in m.values[1:]])
+    return PredictableProcess(lat, [lat.child_diff(v) for v in m.values[1:]])
 
 
 def stochastic_integral(zeta: PredictableProcess, x: AdaptedProcess) -> AdaptedProcess:
@@ -290,15 +321,15 @@ def stochastic_integral(zeta: PredictableProcess, x: AdaptedProcess) -> AdaptedP
     vals: list = [None] * (lat.num_steps + 1)
     vals[0] = np.zeros(1) if out_dim is None else np.zeros((1, out_dim))
     for k in range(lat.num_steps):
-        dx = x.values[k + 1] - np.repeat(x.values[k], 2, axis=0)
-        zz = np.repeat(zeta.values[k], 2, axis=0)
+        dx = x.values[k + 1] - lat.to_children(x.values[k])
+        zz = lat.to_children(zeta.values[k])
         if inner:
             inc = np.sum(zz * dx, axis=1)
         elif out_dim is not None:
             inc = zz * dx[:, None]
         else:
             inc = zz * dx
-        vals[k + 1] = np.repeat(vals[k], 2, axis=0) + inc
+        vals[k + 1] = lat.to_children(vals[k]) + inc
     return AdaptedProcess(lat, vals)
 
 
@@ -321,10 +352,7 @@ def stochastic_exponential(zeta: PredictableProcess) -> AdaptedProcess:
                 f"|integrand| * sqrt(dt) = {abs(move[p]):.6g} >= 1 at node "
                 f"(step {k}, path {p}); the exponential would lose positivity"
             )
-        nxt = np.empty(1 << (k + 1))
-        nxt[0::2] = vals[k] * (1.0 + move)
-        nxt[1::2] = vals[k] * (1.0 - move)
-        vals[k + 1] = nxt
+        vals[k + 1] = lat.from_children(vals[k] * (1.0 + move), vals[k] * (1.0 - move))
     return AdaptedProcess(lat, vals)
 
 

@@ -35,7 +35,6 @@ from .lattice import (
     AdaptedProcess,
     Lattice,
     PredictableProcess,
-    child_diff,
     node_max,
     process_gap,
     stochastic_integral,
@@ -109,11 +108,11 @@ def price_equilibrium(inst: Instance) -> EquilibriumSolution:
     # reports with its node; numpy's warnings add nothing to either
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps - 1, -1, -1):
-            s_up = prices[k + 1][0::2]
-            s_dn = prices[k + 1][1::2]
+            s_up, s_dn = lattice.children(prices[k + 1])
+            lw_up, lw_dn = lattice.children(log_w[k + 1])
             g = gamma.values[k]
-            lu_up = -a * np.sum(g * s_up, axis=1) + log_w[k + 1][0::2]
-            lu_dn = -a * np.sum(g * s_dn, axis=1) + log_w[k + 1][1::2]
+            lu_up = -a * np.sum(g * s_up, axis=1) + lw_up
+            lu_dn = -a * np.sum(g * s_dn, axis=1) + lw_dn
             shift = np.maximum(lu_up, lu_dn)
             e_up = np.exp(lu_up - shift)
             e_dn = np.exp(lu_dn - shift)
@@ -128,10 +127,8 @@ def price_equilibrium(inst: Instance) -> EquilibriumSolution:
             log_w[k] = lw_here
             q_up[k] = q
             # a weight that underflows to zero in q keeps a finite logarithm here
-            lq = np.empty(1 << (k + 1))
-            lq[0::2] = lu_up - shift - log_total
-            lq[1::2] = lu_dn - shift - log_total
-            log_q.append(lq)
+            log_q.append(lattice.from_children(lu_up - shift - log_total,
+                                               lu_dn - shift - log_total))
 
     certainty = [-lw / a for lw in log_w]
 
@@ -140,20 +137,18 @@ def price_equilibrium(inst: Instance) -> EquilibriumSolution:
     density[0] = np.ones(1)
     log_density[0] = np.zeros(1)
     for k in range(steps):
-        nxt = np.empty(1 << (k + 1))
-        nxt[0::2] = density[k] * (2.0 * q_up[k])
-        nxt[1::2] = density[k] * (2.0 * (1.0 - q_up[k]))
-        density[k + 1] = nxt
+        density[k + 1] = lattice.from_children(density[k] * (2.0 * q_up[k]),
+                                               density[k] * (2.0 * (1.0 - q_up[k])))
         # pop frees each step's weights as soon as they are folded in; a log
         # density below the float range is -inf, as the density is then 0
         with np.errstate(over="ignore"):
-            log_density[k + 1] = np.repeat(log_density[k], 2) + (LOG_TWO + log_q.pop())
+            log_density[k + 1] = lattice.to_children(log_density[k]) + (LOG_TWO + log_q.pop())
 
-    volatility = [child_diff(prices[k + 1], lattice) for k in range(steps)]
+    volatility = [lattice.child_diff(prices[k + 1]) for k in range(steps)]
     # a * child_diff(...) would round differently from the published values
     half = 2.0 * lattice.sqrt_dt
-    value_integrand = [a * (certainty[k + 1][0::2] - certainty[k + 1][1::2]) / half
-                       for k in range(steps)]
+    value_integrand = [a * (up - down) / half
+                       for up, down in map(lattice.children, certainty[1:])]
     price_integrand = [a * v for v in volatility]
     # density representation: Z_{k+1} = Z_k (1 - alpha_k dB_k) collapses to a
     # function of the one-step pricing weight alone

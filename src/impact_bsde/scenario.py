@@ -56,7 +56,7 @@ class StoppingTime:
             raise ValueError("decisions needs one slice per time point")
         steps = [np.where(decisions[0], 0, -1).astype(np.int32)]
         for k in range(1, lattice.num_steps + 1):
-            carried = np.repeat(steps[k - 1], 2)
+            carried = lattice.to_children(steps[k - 1])
             steps.append(np.where(carried >= 0, carried,
                                   np.where(decisions[k], k, -1)).astype(np.int32))
         return cls(lattice, steps)
@@ -91,7 +91,7 @@ def hitting_time_tau(lattice: Lattice, level: float, from_step: int = 0) -> Stop
         if attainable and k >= from_step:
             decisions.append(lattice.b_int[k] == rounded)
         else:
-            decisions.append(np.zeros(1 << k, dtype=bool))
+            decisions.append(np.zeros(lattice.nodes(k), dtype=bool))
     return StoppingTime.from_node_decisions(lattice, decisions)
 
 
@@ -104,7 +104,7 @@ class ConstantDemand:
 
     def step_values(self, lattice: Lattice, num_stocks: int) -> list[np.ndarray]:
         row = _broadcast_vector(self.value, num_stocks, "constant demand")
-        return [np.tile(row, (1 << k, 1)) for k in range(lattice.num_steps)]
+        return [np.tile(row, (lattice.nodes(k), 1)) for k in range(lattice.num_steps)]
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ class PiecewiseConstantDemand:
         for k in range(lattice.num_steps):
             while idx + 1 < len(steps) and steps[idx + 1] <= k:
                 idx += 1
-            out.append(np.tile(rows[idx], (1 << k, 1)))
+            out.append(np.tile(rows[idx], (lattice.nodes(k), 1)))
         return out
 
 
@@ -174,10 +174,9 @@ class TableDemand:
         for k, v in enumerate(self.values):
             if v.ndim == 1:
                 v = v[:, None]
-            if v.shape != (1 << k, num_stocks):
-                raise ValueError(
-                    f"table demand step {k} has shape {v.shape}, expected {(1 << k, num_stocks)}"
-                )
+            want = (lattice.nodes(k), num_stocks)
+            if v.shape != want:
+                raise ValueError(f"table demand step {k} has shape {v.shape}, expected {want}")
             out.append(v)
         return out
 

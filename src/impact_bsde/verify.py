@@ -27,7 +27,6 @@ from .lattice import (
     PredictableProcess,
     _relative_defect,
     build_lattice,
-    child_mean,
     martingale_defect,
     node_max,
     process_gap,
@@ -186,7 +185,8 @@ def _pricing_means(solution: EquilibriumSolution, proc):
     """Yield ``E^Q_k[X_{k+1}]`` slice by slice under the pricing weights."""
     for q, nxt in zip(solution.up_prob.values, proc.values[1:]):
         q = q if nxt.ndim == 1 else q[:, None]
-        yield q * nxt[0::2] + (1 - q) * nxt[1::2]
+        up, down = solution.lattice.children(nxt)
+        yield q * up + (1 - q) * down
 
 
 # --- a-priori bound and supermartingale mechanism ----------------------------
@@ -229,9 +229,8 @@ def check_apriori(solution: EquilibriumSolution, psi_h_norm: float | None = None
 
     # node-wise mechanism: exp(-R_k) >= E_k[F(|dividend - E_k[dividend]|)]
     def mechanism_gaps():
-        leaves = solution.dividend
         for k in range(lat.num_steps + 1):
-            per_node = leaves.reshape(1 << k, lat.num_leaves >> k, -1)
+            per_node = lat.subtrees(solution.dividend, lat.nodes(k))
             center = per_node.mean(axis=1)
             dist = np.linalg.norm(per_node - center[:, None, :], axis=2)
             rhs = decay_profile(dist).mean(axis=1)
@@ -253,7 +252,6 @@ def check_apriori(solution: EquilibriumSolution, psi_h_norm: float | None = None
 
 def default_x_grid(solution: EquilibriumSolution, size: int = 5) -> list[np.ndarray]:
     """Per-component price quantiles plus the origin."""
-    lat = solution.lattice
     all_prices = np.concatenate([v for v in solution.prices.values], axis=0)
     qs = np.linspace(0.0, 1.0, size)
     grid = [np.quantile(all_prices, q, axis=0) for q in qs]
@@ -288,7 +286,7 @@ def check_supermartingale_V(solution: EquilibriumSolution, x_grid=None,
             for k in range(lat.num_steps):
                 # relative defect: far centers make the profile huge and the
                 # inequality must survive at the scale float carries there
-                gap = child_mean(vee[k + 1]) - vee[k]
+                gap = lat.child_mean(vee[k + 1]) - vee[k]
                 yield (i, k), gap / np.maximum(1.0, np.abs(vee[k]))
 
     # ranked by center first, so a tie goes to the earliest center
@@ -313,28 +311,30 @@ _GAIN_BLOCK_BYTES = 1 << 20
 
 def _batch_utilities(a: float, increments, demands, work=None) -> np.ndarray:
     """Expected utility at risk aversion ``a`` of each demand in
-    ``demands``, an array of shape ``(batch, 2**N - 1, n)`` holding the
-    levels of each predictable demand one after another.  Only the terminal
-    gain enters the utility, so each level carries the gains forward with
-    the recurrence of ``stochastic_integral`` and drops the level before;
+    ``demands``, an array of shape ``(batch, nodes, n)`` holding the levels
+    of each predictable demand one after another.  Only the terminal gain
+    enters the utility, so each level carries the gains forward with the
+    recurrence of ``stochastic_integral`` and drops the level before;
     ``increments[k]`` pairs the price increments to the two children of
-    every node at step ``k``.  The stocks are summed in ``np.sum``'s order,
-    as the integral sums them, so the gains equal its terminal values bit
-    for bit: numpy adds a row shorter than eight in column order, which an
-    explicit column loop does many times faster, and pairwise beyond.
+    each of the nodes of step ``k``.  The stocks are summed in ``np.sum``'s
+    order, as the integral sums them, so the gains equal its terminal values
+    bit for bit: numpy adds a row shorter than eight in column order, which
+    an explicit column loop does many times faster, and pairwise beyond.
 
     Every level writes into ``work`` (``_score_work``'s buffers for at least
     ``batch`` rows; allocated here if None), so a caller scoring block after
     block reuses one set of pages instead of mapping fresh ones per level."""
     rows, n = len(demands), demands.shape[-1]
     if work is None:
-        work = _score_work(rows, len(increments), n)
+        work = _score_work(rows * 2 * len(increments[-1]), n)
     prod_buf, inc_buf, *gain_bufs = work
     gain = np.zeros((rows, 1))
+    start = 0  # the first node of the level in each demand
     for k, dx in enumerate(increments):
-        size = rows << (k + 1)  # the gains one level down
-        prod = np.multiply(demands[:, (1 << k) - 1:(2 << k) - 1, None, :], dx,
+        size = 2 * gain.size  # the gains one level down
+        prod = np.multiply(demands[:, start:start + len(dx), None, :], dx,
                            out=prod_buf[:size * n].reshape(rows, -1, 2, n))
+        start += len(dx)
         if n == 1:
             inc = prod[..., 0]
         elif n < 8:
@@ -353,10 +353,9 @@ def _batch_utilities(a: float, increments, demands, work=None) -> np.ndarray:
     return np.mean(gain, axis=1)
 
 
-def _score_work(rows: int, steps: int, n: int):
-    """Buffers for ``_batch_utilities`` on up to ``rows`` demands: the
+def _score_work(leaves: int, n: int):
+    """Buffers for ``_batch_utilities`` on ``leaves`` leaf gains in all: the
     products of one level, their stock sums and two alternating gains."""
-    leaves = rows << steps
     return np.empty(leaves * n), np.empty(leaves), np.empty(leaves), np.empty(leaves)
 
 
@@ -375,13 +374,13 @@ def check_optimality(solution: EquilibriumSolution, num_random: int = 1000,
     lat = solution.lattice
     a = solution.risk_aversion
     n = solution.gamma.dim
-    nodes = lat.num_leaves - 1
     prices = solution.prices.values
-    increments = [prices[k + 1].reshape(-1, 2, n) - prices[k][:, None]
+    increments = [np.stack(lat.children(prices[k + 1]), axis=1) - prices[k][:, None]
                   for k in range(lat.num_steps)]
+    nodes = sum(map(len, increments))
     block = max(1, _GAIN_BLOCK_BYTES // (8 * lat.num_leaves))
 
-    work = _score_work(block, lat.num_steps, n)
+    work = _score_work(block * lat.num_leaves, n)
 
     def utilities(demands):
         return [u for lo in range(0, len(demands), block)
@@ -409,7 +408,8 @@ def check_optimality(solution: EquilibriumSolution, num_random: int = 1000,
             demands[2 * i + 2] = demands[0] - epsilon * d
         base, *perturbed = utilities(demands)
     utility_gaps = [base - u for u in scores + perturbed]
-    slopes = [(uu - ud) / (2 * epsilon) for uu, ud in zip(perturbed[::2], perturbed[1::2])]
+    pairs = iter(perturbed)
+    slopes = [(uu - ud) / (2 * epsilon) for uu, ud in zip(pairs, pairs)]
     worst, _ = _node_min([(0, utility_gaps)])
 
     return CheckReport(
@@ -586,13 +586,13 @@ def run_counterexample(n_list=(8, 10, 12), sign_zero: int = 1,
         for k in range(num_steps):
             s = sign_plus(sol.prices.values[k][:, 0])
             match += int(np.sum(s == -gamma_vals[k][:, 0]))
-            total += 1 << k
+            total += lat.nodes(k)
         # profile-weighted certainty process: a martingale in the continuum
         # mechanism, so its one-step defect measures the discrete signature
         vee = [decay_profile(sol.prices.values[k][:, 0])
                * np.exp(-sol.certainty_equivalent.values[k])
                for k in range(num_steps + 1)]
-        defect, _ = node_max((k, np.abs(child_mean(vee[k + 1]) - vee[k]))
+        defect, _ = node_max((k, np.abs(lat.child_mean(vee[k + 1]) - vee[k]))
                              for k in range(num_steps))
         price_gap = float(np.mean([np.mean(np.abs(1.0 - np.abs(v[:, 0])))
                                    for v in sol.prices.values]))

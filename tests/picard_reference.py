@@ -17,8 +17,6 @@ import numpy as np
 
 from impact_bsde import (
     PredictableProcess,
-    child_diff,
-    child_mean,
     conditional_expectation,
     driver,
     h_bmo_norm,
@@ -47,7 +45,7 @@ def terminal_norm(inst) -> float:
     terminal = np.concatenate([np.zeros((lattice.num_leaves, 1)),
                                inst.risk_aversion * inst.psi], axis=1)
     terminal_mart = conditional_expectation(terminal, lattice)
-    terminal_integrand = [child_diff(v, lattice) for v in terminal_mart.values[1:]]
+    terminal_integrand = [lattice.child_diff(v) for v in terminal_mart.values[1:]]
     return pair_norm(lattice, [v[:, 0] for v in terminal_integrand],
                      [v[:, 1:] for v in terminal_integrand])
 
@@ -57,8 +55,8 @@ def recursion_residual(lattice, gamma, value, price, eta, theta) -> float:
     defects = []
     for k in range(lattice.num_steps):
         vd, pd = driver(eta[k], theta[k], gamma.values[k])
-        value_target = child_mean(value[k + 1]) + vd * lattice.dt
-        price_target = child_mean(price[k + 1]) - pd * lattice.dt
+        value_target = lattice.child_mean(value[k + 1]) + vd * lattice.dt
+        price_target = lattice.child_mean(price[k + 1]) - pd * lattice.dt
         defects.append(np.max(np.abs(value[k] - value_target)))
         defects.append(np.max(np.abs(price[k] - price_target)))
     return float(np.max(defects))
@@ -107,11 +105,11 @@ def backward_rebuild(inst, eta: list, theta: list):
     gaps = [0.0]
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps - 1, -1, -1):
-            gaps.append(np.max(np.abs(child_diff(value[k + 1], lattice) - eta[k])))
-            gaps.append(np.max(np.abs(child_diff(price[k + 1], lattice) - theta[k])))
+            gaps.append(np.max(np.abs(lattice.child_diff(value[k + 1]) - eta[k])))
+            gaps.append(np.max(np.abs(lattice.child_diff(price[k + 1]) - theta[k])))
             vd, pd = driver(eta[k], theta[k], gamma.values[k])
-            value[k] = child_mean(value[k + 1]) + vd * lattice.dt
-            price[k] = child_mean(price[k + 1]) - pd * lattice.dt
+            value[k] = lattice.child_mean(value[k + 1]) + vd * lattice.dt
+            price[k] = lattice.child_mean(price[k + 1]) - pd * lattice.dt
     return value, price, float(np.max(gaps))
 
 
@@ -128,10 +126,10 @@ def picard_step(inst, eta: list, theta: list):
     load_norm = load_dist = None
     best_norm = best_dist = 0.0
     for k in range(steps - 1, -1, -1):
-        e = child_diff(mart_v, lattice)
-        t = child_diff(mart_p, lattice)
-        mart_v = child_mean(mart_v)
-        mart_p = child_mean(mart_p)
+        e = lattice.child_diff(mart_v)
+        t = lattice.child_diff(mart_p)
+        mart_v = lattice.child_mean(mart_v)
+        mart_p = lattice.child_mean(mart_p)
         eta_new[k], theta_new[k] = e, t
         if not finite:
             continue
@@ -140,8 +138,8 @@ def picard_step(inst, eta: list, theta: list):
             finite = False
             continue
         sq_dist = _square_sum([e - eta[k], *(t - theta[k]).T])
-        load_norm = _remaining_load(load_norm, sq * lattice.dt)
-        load_dist = _remaining_load(load_dist, sq_dist * lattice.dt)
+        load_norm = _remaining_load(lattice, load_norm, sq * lattice.dt)
+        load_dist = _remaining_load(lattice, load_dist, sq_dist * lattice.dt)
         best_norm = max(best_norm, float(np.max(load_norm)))
         best_dist = max(best_dist, float(np.max(load_dist)))
     if not finite:

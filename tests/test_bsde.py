@@ -17,7 +17,6 @@ from impact_bsde import (
     TableDividend,
     assemble,
     build_lattice,
-    child_diff,
     contraction_report,
     driver,
     driver_growth_bound,
@@ -342,7 +341,7 @@ def test_explicit_non_finite_raises_numerical_error():
     # defects, and the nan one survives the node maximum
     with np.errstate(over="ignore", invalid="ignore"):
         sol, _ = solve_picard(inst, tol=1e-12, max_iter=20)
-        defects = [np.max(np.abs(child_diff(proc.values[k + 1], lat) - integrand.values[k]))
+        defects = [np.max(np.abs(lat.child_diff(proc.values[k + 1]) - integrand.values[k]))
                    for proc, integrand in ((sol.scaled_value, sol.value_integrand),
                                            (sol.scaled_price, sol.price_integrand))
                    for k in range(lat.num_steps)]

@@ -822,6 +822,45 @@ def test_large_dividends_keep_finite_norms(tmp_path):
     assert math.isfinite(norms["centered_dividend_bmo"]) and norms["centered_dividend_bmo"] > 1e99
 
 
+
+# dividends at the edge of the float range, one per former traceback of
+# norms.bmo_norm_rv: a midrange guard absolute where rounding is relative, a
+# guard that refused an overflowing norm, a centring that rounding undid
+_EDGE_DIVIDENDS = {
+    "sign_7.77e10_2_stocks": (2, {"type": "sign_of_b_t", "scale": 7.77e10}),
+    "sign_1e154_1_stock": (1, {"type": "sign_of_b_t", "scale": 1e154}),
+    "digital_offset_1e15_2_stocks": (2, {"type": "digital", "offset": 1e15}),
+}
+
+
+@pytest.mark.parametrize("command", [
+    ["price"], ["norms"], ["verify", "--suite", "all"],
+    ["sweep", "--param", "risk_aversion", "--from", "0.5", "--to", "1.5", "--points", "3"],
+])
+@pytest.mark.parametrize("case", sorted(_EDGE_DIVIDENDS))
+def test_edge_dividends_end_in_an_exit_code(tmp_path, case, command):
+    num_stocks, dividend = _EDGE_DIVIDENDS[case]
+    doc = one_period_doc(num_steps=5, num_stocks=num_stocks, dividend=dividend)
+    cfg = write_config(tmp_path, doc)
+    result = CliRunner().invoke(main, command + ["--config", cfg,
+                                                 "--out", str(tmp_path / "out")])
+    assert result.exception is None or isinstance(result.exception, SystemExit), \
+        result.exception
+    if case.startswith("sign_7.77e10") and command[0] == "verify":
+        # runs to its gates: at gains near 1e11 rounding alone moves the
+        # terminal density identity by 2e-5, above its absolute 1e-10
+        assert result.exit_code == 1
+        assert "equilibrium_martingales: fail" in result.output
+    else:
+        assert result.exit_code in (0, 3), result.output
+    if case.startswith("digital"):
+        assert result.exit_code == 3
+        assert result.output.startswith("numeric failure: centring the dividend lost its "
+                                        "precision: ")
+    elif case.startswith("sign_1e154"):
+        assert result.exit_code == 3
+        assert "overflow the float range" in result.output
+
 @pytest.mark.parametrize("scale", [0.5, 2.0])
 def test_sweep_at_extreme_aversion_prints_no_runtime_warning(tmp_path, scale):
     # the Picard norms overflow on the first step: data, not a warning; at

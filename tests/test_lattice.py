@@ -1,3 +1,7 @@
+import ast
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -345,3 +349,158 @@ def test_process_gap_is_the_node_max_of_the_difference():
     values = [v.copy() for v in walk.values]
     values[3][5] = np.nan
     assert np.isnan(process_gap(walk, AdaptedProcess(lat, values)))
+
+
+# --- the layout methods --------------------------------------------------------
+
+def _slice(rng, lead: tuple, dim: int) -> np.ndarray:
+    """Random floats over many magnitudes (none near the overflow edge), with
+    a trailing stock axis of size ``dim`` unless ``dim`` is 0."""
+    shape = lead + ((dim,) if dim else ())
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-300, 300, shape)
+
+
+_layout_case = st.tuples(st.integers(1, 12), st.integers(0, 2 ** 31), st.integers(0, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_layout_case)
+def test_from_children_inverts_children(case):
+    depth, seed, dim = case
+    lat = build_lattice(depth, 1.0)
+    rng = np.random.default_rng(seed)
+    for k in range(1, depth + 1):
+        x = _slice(rng, (lat.nodes(k),), dim)
+        up, down = lat.children(x)
+        assert np.shares_memory(up, x) and np.shares_memory(down, x)
+        back = lat.from_children(up, down)
+        assert back.dtype == x.dtype and back.tobytes() == x.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_layout_case, st.integers(1, 4))
+def test_child_mean_inverts_to_children(case, rows):
+    depth, seed, dim = case
+    lat = build_lattice(depth, 1.0)
+    rng = np.random.default_rng(seed)
+    for k in range(depth):
+        x = _slice(rng, (lat.nodes(k),), dim)
+        assert lat.child_mean(lat.to_children(x)).tobytes() == x.tobytes()
+        stacked = _slice(rng, (rows, lat.nodes(k)), dim)
+        assert lat.child_mean(lat.to_children(stacked, axis=1), axis=1).tobytes() \
+            == stacked.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_layout_case, st.integers(1, 4))
+def test_row_stacked_child_ops_equal_the_per_row_ones(case, rows):
+    # the Picard kernel and the kappa blocks run these on rows of points
+    depth, seed, dim = case
+    lat = build_lattice(depth, 1.0)
+    rng = np.random.default_rng(seed)
+    for k in range(1, depth + 1):
+        stacked = _slice(rng, (rows, lat.nodes(k)), dim)
+        whole = lat.child_mean(stacked, axis=1), lat.child_diff(stacked, axis=1)
+        for r, x in enumerate(stacked):
+            # the float operations of the hand-written slicing they replace
+            up, down = x[0::2], x[1::2]
+            want = 0.5 * (up + down), (up - down) / (2.0 * lat.sqrt_dt)
+            for op, rows_op, one in zip((lat.child_mean, lat.child_diff), whole, want):
+                assert op(x).tobytes() == one.tobytes()
+                assert np.ascontiguousarray(rows_op[r]).tobytes() == one.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 3))
+def test_subtrees_hold_the_leaves_below_each_node(depth, rows):
+    lat = build_lattice(depth, 1.0)
+    leaves = np.arange(lat.num_leaves)
+    # each leaf's ancestor at step k: the node labels of step k carried down
+    ancestors = []
+    for k in range(depth + 1):
+        label = np.arange(lat.nodes(k))
+        for _ in range(k, depth):
+            label = lat.to_children(label)
+        ancestors.append(label)
+    # through those ancestors every leaf's b_int path moves one unit a step
+    path = np.array([lat.b_int[k][a] for k, a in enumerate(ancestors)])
+    assert np.all(np.abs(np.diff(path, axis=0)) == 1)
+    for k, ancestor in enumerate(ancestors):
+        groups = lat.subtrees(leaves, lat.nodes(k))
+        assert groups.shape == (lat.nodes(k), lat.num_leaves // lat.nodes(k))
+        # row p holds the leaves whose path passes through (k, p), and only them
+        assert np.array_equal(np.sort(groups, axis=None), leaves)
+        assert np.all(ancestor[groups] == np.arange(lat.nodes(k))[:, None])
+        # vector leaves and row-stacked leaves group the same way
+        vector = np.stack([leaves, -leaves], axis=1)
+        assert np.array_equal(lat.subtrees(vector, lat.nodes(k))[..., 0], groups)
+        stacked = np.tile(leaves, (rows, 1))
+        assert np.array_equal(lat.subtrees(stacked, lat.nodes(k), axis=1),
+                              np.broadcast_to(groups, (rows, *groups.shape)))
+
+
+@pytest.mark.parametrize("shape", [(), (3,)])
+def test_zero_slices_are_views_of_one_block(shape):
+    lat = build_lattice(5, 1.0)
+    slices = lat.zero_slices(*shape)
+    assert len(slices) == lat.num_steps + 1
+    block = slices[0].base
+    assert block is not None and all(s.base is block for s in slices)
+    assert block.size == sum(s.size for s in slices)
+    for k, s in enumerate(slices):
+        assert s.shape == (lat.nodes(k), *shape) and not s.any()
+        s[...] = k + 1
+    # no two slices overlap: every write is still there
+    assert all(np.all(s == k + 1) for k, s in enumerate(slices))
+
+
+# Code outside lattice.py that writes the full tree's layout out by hand:
+# stride slicing by two, repeating by two, node counts and level offsets by
+# bit shifts or powers of two, pairing children by a reshape
+_LAYOUT_IDIOMS = re.compile(
+    r"::\s*2\b"
+    r"|np\.repeat\([^)]*,\s*2\b"
+    r"|(<<|>>)\s*\(?\s*[A-Za-z_]"
+    r"|\b2\s*\*\*\s*\(?\s*[A-Za-z_]"
+    r"|reshape\([^)]*,\s*2\s*[,)]")
+# the functions allowed to keep such lines, with the reason
+_LAYOUT_ALLOWED = {
+    "_batch_utilities": "full-tree-only path functional: its (rows, nodes, 2) views of "
+                        "its own scratch buffers are a buffered form of to_children",
+}
+
+
+def _layout_lines(path):
+    """``(line number, text, innermost enclosing function)`` of every code
+    line of the module at ``path`` that matches ``_LAYOUT_IDIOMS``; comments
+    and docstrings are skipped."""
+    source = path.read_text()
+    docstrings, function = set(), {}
+    # breadth first: an inner function overwrites its outer one's lines
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function.update(dict.fromkeys(range(node.lineno, node.end_lineno + 1), node.name))
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and ast.get_docstring(node) is not None:
+            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    return [(number, text.strip(), function.get(number))
+            for number, text in enumerate(source.splitlines(), start=1)
+            if number not in docstrings and _LAYOUT_IDIOMS.search(text.split("#")[0])]
+
+
+def test_tree_layout_lives_in_lattice():
+    package = Path(__file__).resolve().parents[1] / "src" / "impact_bsde"
+    offenders = []
+    seen = set()
+    for path in sorted(package.glob("*.py")):
+        if path.name == "lattice.py":
+            continue
+        for number, text, function in _layout_lines(path):
+            if function in _LAYOUT_ALLOWED:
+                seen.add(function)
+            else:
+                offenders.append(f"{path.name}:{number} ({function}): {text}")
+    assert not offenders, "tree layout written out by hand; use Lattice's methods:\n" \
+        + "\n".join(offenders)
+    # the allow-list names only functions that still need it
+    assert seen == set(_LAYOUT_ALLOWED)

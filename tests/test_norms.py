@@ -22,6 +22,8 @@ from impact_bsde import (
     stochastic_integral,
     sup_norm,
 )
+import impact_bsde.norms as norms_mod
+from impact_bsde.norms import NormReport
 
 from helpers import oracle_conditional_moment
 from norms_reference import h_norm_reference, measure_kappa_reference
@@ -146,6 +148,36 @@ def test_bmo_rv_centring_check_is_relative_to_the_scale():
         with pytest.raises(ValueError, match="not centered"):
             bmo_norm_rv(big + 1e-9 * scale, lat)
 
+
+
+def test_bmo_rv_midrange_guard_is_relative_to_the_bound(monkeypatch):
+    # two stocks of the terminal sign at 7.77e10: the norm and its midrange
+    # bound agree to the last bits, 2e-5 apart, which an absolute 1e-10 refused
+    lat = build_lattice(5, 1.0)
+    sign = np.where(lat.b_int[-1] >= 0, 1.0, -1.0)
+    rows = np.tile((7.77e10 * sign)[:, None], (1, 2))
+    rep = bmo_norm_rv(rows - rows.mean(axis=0), lat)
+    bound = rep.extras["midrange_bound"]
+    assert bound > 1e11 and rep.value == pytest.approx(bound, rel=1e-15)
+    # an overflowing norm is left to the caller, which reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        huge = 1e154 * sign
+        assert bmo_norm_rv(huge - huge.mean(), lat).value == np.inf
+    # the guard itself: 1e-10 of the bound above one, 1e-10 absolute below
+    for scale in (1e11, 1.0, 0.25):
+        x = scale * sign
+        x = x - x.mean()
+        bound = bmo_norm_rv(x, lat).extras["midrange_bound"]
+        for excess, raises in ((0.5e-10, False), (2e-10, True)):
+            value = bound + excess * max(1.0, bound)
+            monkeypatch.setattr(norms_mod, "bmo_norm",
+                                lambda m, v=value: NormReport(v, "bmo", (0, 0)))
+            if raises:
+                with pytest.raises(RuntimeError, match="fell below the computed norm"):
+                    bmo_norm_rv(x, lat)
+            else:
+                assert bmo_norm_rv(x, lat).value == value
+            monkeypatch.undo()
 
 def test_h_norm_unit_symmetric():
     lat = build_lattice(1, 1.0)
