@@ -22,11 +22,14 @@ value plus the pathwise drift integral, takes its conditional-expectation
 martingale, and reads off the new integrand from its representation.  Its
 fixed points coincide with the explicit solution.  The new level-k
 integrand reads the guess only at levels above k, so from zero the
-iteration reaches the fixed point after N + 1 steps in exact arithmetic;
-what stops a run on the finite tree is the rounding of its drift sums,
-which grows with the square of the iterates, on solutions that explode
-with depth.  The iteration therefore reports distances and ratios as
-first-class output and treats non-convergence as data, not as an error.
+iteration reaches the fixed point after N + 1 steps in exact arithmetic.
+In floating point, iterate N + 1 still carries the rounding of the drift
+sums, which grows with the square of the iterates, and the iteration goes
+on from there: a row can converge many steps after N + 1, and a row whose
+solution explodes with depth may never converge.  Rows therefore run to
+the tolerance or the iteration cap, not to step N + 1, and the iteration
+reports distances and ratios as first-class output and treats
+non-convergence as data, not as an error.
 
 Each iteration is one fused pass: forward over the tree keeping only the
 current slice of the drift sums, then leaf to root, slice by slice, taking

@@ -153,19 +153,29 @@ def _node_slice(proc, k: int, width: int, dim: int | None = None):
 _NODE_ROWS = 1 << 12
 
 
+def _formatted(table: np.ndarray) -> np.ndarray:
+    """The CSV text of every float of ``table``, each distinct bit pattern
+    formatted once: a level of a Markov instance holds few distinct values,
+    and the bits keep apart what prints apart (-0.0 from 0.0)."""
+    bits, where = np.unique(table.view(np.int64).ravel(), return_inverse=True)
+    values = bits.view(np.float64).tolist()
+    # one template for them all costs less than a format call per value
+    text = (",".join(["%" + _FLOAT_SPEC] * len(values)) % tuple(values)).split(",")
+    return np.array(text, dtype=object)[where].reshape(table.shape)
+
+
 def _write_nodes(path: str, prices, certainty, density=None, up_prob=None,
                  mpr=None, volatility=None):
     """Per-node CSV: step, node, walk, prices, certainty equivalent, density,
     up probability, market price of risk, volatility.  Written in chunks of
-    a level through one row template; the bytes are those of
-    ``_write_csv``."""
+    a level, each distinct float of a chunk formatted once; the bytes are
+    those of ``_write_csv``."""
     lat = prices.lattice
     n = prices.dim
     header = ["step", "node", "b", *[f"s_{i + 1}" for i in range(n)],
               "r", "z", "q_up", "alpha", *[f"sigma_{i + 1}" for i in range(n)]]
-    # csv.writer's default row terminator
-    row = ",".join(["%d", "%d"] + ["%" + _FLOAT_SPEC] * (5 + 2 * n)) + "\r\n"
     with open(path, "w", newline="") as handle:
+        # csv.writer's default row terminator
         handle.write(",".join(header) + "\r\n")
         for k in range(lat.num_steps + 1):
             width = lat.nodes(k)
@@ -176,9 +186,9 @@ def _write_nodes(path: str, prices, certainty, density=None, up_prob=None,
             ]
             for lo in range(0, width, _NODE_ROWS):
                 hi = min(width, lo + _NODE_ROWS)
-                table = np.column_stack([np.full(hi - lo, k), np.arange(lo, hi),
-                                         *(c[lo:hi] for c in columns)])
-                handle.write("".join(row % tuple(values) for values in table.tolist()))
+                cells = _formatted(np.column_stack([c[lo:hi] for c in columns]))
+                handle.write("".join(f"{k},{p},{','.join(row)}\r\n"
+                                     for p, row in zip(range(lo, hi), cells.tolist())))
 
 
 @click.group()

@@ -321,30 +321,41 @@ def _batch_utilities(a: float, increments, demands, work=None) -> np.ndarray:
     bit for bit: numpy adds a row shorter than eight in column order, which
     an explicit column loop does many times faster, and pairwise beyond.
 
+    A level is computed one child at a time: the products of the level's
+    demands with that child's increments, their stock sum, and the gains
+    written through the child's ``[:, :, c]`` view of the next level's
+    ``(rows, nodes, 2)`` gains, which keep the tree's child order.  Every
+    call then runs a long inner loop, where a broadcast child axis made
+    numpy loop over two elements at a time, and every element goes through
+    the same float operations.
+
     Every level writes into ``work`` (``_score_work``'s buffers for at least
     ``batch`` rows; allocated here if None), so a caller scoring block after
     block reuses one set of pages instead of mapping fresh ones per level."""
     rows, n = len(demands), demands.shape[-1]
     if work is None:
         work = _score_work(rows * 2 * len(increments[-1]), n)
-    prod_buf, inc_buf, *gain_bufs = work
+    prod_buf, *gain_bufs = work
     gain = np.zeros((rows, 1))
     start = 0  # the first node of the level in each demand
     for k, dx in enumerate(increments):
-        size = 2 * gain.size  # the gains one level down
-        prod = np.multiply(demands[:, start:start + len(dx), None, :], dx,
-                           out=prod_buf[:size * n].reshape(rows, -1, 2, n))
+        level = demands[:, start:start + len(dx)]
         start += len(dx)
-        if n == 1:
-            inc = prod[..., 0]
-        elif n < 8:
-            inc = np.add(prod[..., 0], prod[..., 1], out=inc_buf[:size].reshape(rows, -1, 2))
-            for j in range(2, n):
-                np.add(inc, prod[..., j], out=inc)
-        else:
-            inc = prod.sum(axis=-1, out=inc_buf[:size].reshape(rows, -1, 2))
-        gain = np.add(gain[:, :, None], inc,
-                      out=gain_bufs[k % 2][:size].reshape(rows, -1, 2)).reshape(rows, -1)
+        prod = prod_buf[:level.size].reshape(level.shape)
+        nxt = gain_bufs[k % 2][:2 * gain.size].reshape(rows, -1, 2)
+        for c in range(2):
+            p = np.multiply(level, np.ascontiguousarray(dx[:, c]), out=prod)
+            step = nxt[:, :, c]  # the stock sum, then the gain
+            if n == 1:
+                step = p[..., 0]
+            elif n < 8:
+                np.add(p[..., 0], p[..., 1], out=step)
+                for j in range(2, n):
+                    np.add(step, p[..., j], out=step)
+            else:
+                p.sum(axis=-1, out=step)
+            np.add(gain, step, out=nxt[:, :, c])
+        gain = nxt.reshape(rows, -1)
     # -exp(-a * gain) / a, in place
     np.multiply(gain, -a, out=gain)
     np.exp(gain, out=gain)
@@ -355,8 +366,8 @@ def _batch_utilities(a: float, increments, demands, work=None) -> np.ndarray:
 
 def _score_work(leaves: int, n: int):
     """Buffers for ``_batch_utilities`` on ``leaves`` leaf gains in all: the
-    products of one level, their stock sums and two alternating gains."""
-    return np.empty(leaves * n), np.empty(leaves), np.empty(leaves), np.empty(leaves)
+    products of one child of the last level and two alternating gains."""
+    return np.empty(leaves // 2 * n), np.empty(leaves), np.empty(leaves)
 
 
 def check_optimality(solution: EquilibriumSolution, num_random: int = 1000,

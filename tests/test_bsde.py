@@ -681,6 +681,21 @@ def test_picard_is_exact_after_n_plus_one_steps(num_steps, num_stocks, demand, d
     assert diag.distances[-1] <= 256 * np.finfo(float).eps * top * growth ** 2
 
 
+def test_picard_can_converge_after_n_plus_one_steps():
+    # exact after N+1 steps holds in exact arithmetic only: here the rounding
+    # of a solution of size 1e12 leaves distance 2.1e-3 at iteration N+1, and
+    # the iteration contracts it away four steps later.  Stopping rows at
+    # N+1 would report this converging row as unconverged
+    inst = evaluate_market(MarketConfig(12.475390858233883, 1, NegativeSignOfB(0.6882067275938142),
+                                        SignOfBT(1.1174046704003961), 4, 1.0),
+                           build_lattice(4, 1.0))
+    (diag,) = picard_diagnostics([inst], tol=1e-12, max_iter=80)
+    assert diag.converged and diag.aborted is None
+    assert diag.iterations == 9
+    assert diag.distances[4] == pytest.approx(2.1e-3, rel=0.01)
+    assert diag.distances[-1] <= 1e-12 < min(diag.distances[:-1])
+
+
 @pytest.mark.parametrize("num_stocks", [1, 2])
 def test_picard_reconstruction_holds_few_solutions_at_once(num_stocks):
     # the reconstruction overwrites the drift sums slice by slice: no full

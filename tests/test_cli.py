@@ -588,6 +588,63 @@ def test_node_table_bytes_match_the_csv_writer(tmp_path):
     assert got.read_bytes() == want.read_bytes()
 
 
+def _node_table(lat, n, fill):
+    """The node writer's arguments on ``lat`` with ``n`` stocks, every value
+    of every process drawn by ``fill(shape)``: adapted prices, certainty
+    equivalent and density, predictable up probability, market price of
+    risk and volatility."""
+    from impact_bsde import AdaptedProcess, PredictableProcess
+
+    def adapted(*shape):
+        return AdaptedProcess(lat, [fill((lat.nodes(k), *shape))
+                                    for k in range(lat.num_steps + 1)])
+
+    def predictable(*shape):
+        return PredictableProcess(lat, [fill((lat.nodes(k), *shape))
+                                        for k in range(lat.num_steps)])
+    return (adapted(n), adapted(), adapted(), predictable(), predictable(), predictable(n))
+
+
+def test_node_table_of_distinct_values_matches_the_csv_writer(tmp_path):
+    # no two process values alike (only the walk column repeats), so every
+    # float is formatted on its own: the bytes do not rest on the memo
+    from impact_bsde.cli import _write_nodes
+    rng = np.random.default_rng(17)
+    args = _node_table(build_lattice(9, 1.0), 2, lambda shape: rng.normal(size=shape))
+    values = np.concatenate([np.ravel(v) for proc in args for v in proc.values])
+    assert len(np.unique(values)) == len(values)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    _write_nodes(str(got), *args)
+    _reference_write_nodes(str(want), *args)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_node_table_keeps_the_text_of_special_floats(tmp_path, monkeypatch):
+    # one chunk of a split level holds nan, a negative nan, +-inf and +-0.0 in
+    # every float column but the walk: equal and unequal bit patterns of one
+    # chunk keep their own text
+    import impact_bsde.cli as cli
+    specials = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0]
+    rng = np.random.default_rng(23)
+
+    def fill(shape):
+        values = rng.normal(size=shape)
+        if len(values) == 16:  # level 4: nodes 6-11 are its second chunk
+            values[6:12] = np.reshape(specials, (6,) + (1,) * (len(shape) - 1))
+        return values
+    args = _node_table(build_lattice(5, 1.0), 3, fill)
+    monkeypatch.setattr(cli, "_NODE_ROWS", 6)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    cli._write_nodes(str(got), *args)
+    _reference_write_nodes(str(want), *args)
+    assert got.read_bytes() == want.read_bytes()
+    rows = [line.split(",") for line in got.read_text().splitlines()]
+    text = {tuple(row[:2]): row[3:] for row in rows[1:]}
+    assert [set(text["4", str(p)]) for p in range(6, 12)] == [
+        {"nan"}, {"nan"}, {"inf"}, {"-inf"},
+        {"0.0000000000000000e+00"}, {"-0.0000000000000000e+00"}]
+
+
 def test_node_table_chunks_keep_bytes_and_bound_memory(tmp_path, monkeypatch):
     import tracemalloc
     import impact_bsde.cli as cli

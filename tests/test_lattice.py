@@ -465,8 +465,9 @@ _LAYOUT_IDIOMS = re.compile(
     r"|reshape\([^)]*,\s*2\s*[,)]")
 # the functions allowed to keep such lines, with the reason
 _LAYOUT_ALLOWED = {
-    "_batch_utilities": "full-tree-only path functional: its (rows, nodes, 2) views of "
-                        "its own scratch buffers are a buffered form of to_children",
+    "_batch_utilities": "full-tree-only path functional: it writes each child's gains "
+                        "through the [:, :, c] view of its own (rows, nodes, 2) scratch "
+                        "buffer, a buffered form of from_children",
 }
 
 

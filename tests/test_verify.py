@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from impact_bsde import (
     ConstantDemand,
@@ -22,6 +24,7 @@ from impact_bsde.scenario import sign_plus
 from impact_bsde.verify import (
     _GAIN_BLOCK_BYTES,
     _batch_utilities,
+    _score_work,
     check_F_identity,
     check_R_nonneg,
     check_apriori,
@@ -37,6 +40,7 @@ from impact_bsde.verify import (
     run_counterexample,
 )
 
+import scoring_reference
 from helpers import random_table_config
 
 
@@ -391,6 +395,34 @@ def test_batch_utilities_equal_the_full_tree_integral(num_stocks):
     demands.append(sol.gamma)
     assert (_scored(sol, np.stack([np.concatenate(d.values) for d in demands]))
             == [_expected_utility(sol, d) for d in demands])
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.integers(1, 10), st.sampled_from([1, 2, 3, 7, 8, 9]), st.integers(1, 9),
+       st.floats(-3.0, 3.0), st.integers(0, 3), st.integers(0, 2 ** 31))
+@example(10, 9, 9, 3.0, 2, 0)
+def test_batch_utilities_equal_the_broadcast_kernel(num_steps, num_stocks, rows, log_scale,
+                                                    spare, seed):
+    # one child at a time is the broadcast kernel's float operations in
+    # another loop order: every utility is equal, the -inf of an overflowing
+    # demand too.  The stock counts cover the three stock sums and their
+    # edges; spare rows leave a caller's block partly filled
+    rng = np.random.default_rng(seed)
+    lat = build_lattice(num_steps, 1.0)
+    prices = [rng.normal(size=(lat.nodes(k), num_stocks)) for k in range(num_steps + 1)]
+    increments = [np.stack(lat.children(prices[k + 1]), axis=1) - prices[k][:, None]
+                  for k in range(num_steps)]
+    demands = 10.0 ** log_scale * rng.uniform(
+        -1.0, 1.0, size=(rows, sum(map(len, increments)), num_stocks))
+    a = float(rng.uniform(0.1, 5.0))
+    work = _score_work((rows + spare) * lat.num_leaves, num_stocks)
+    with np.errstate(over="ignore"):
+        want = scoring_reference._batch_utilities(a, increments, demands)
+        for got in (_batch_utilities(a, increments, demands),
+                    _batch_utilities(a, increments, demands, work)):
+            np.testing.assert_array_equal(got, want)
+    if log_scale == 3.0:  # the explicit example: utilities overflow
+        assert -np.inf in want
 
 
 @pytest.mark.parametrize("num_stocks", [1, 2, 3, 8])
