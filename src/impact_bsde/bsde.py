@@ -63,16 +63,10 @@ from itertools import islice
 
 import numpy as np
 
-from .lattice import (
-    AdaptedProcess,
-    ExponentialGuardError,
-    Lattice,
-    PredictableProcess,
-    martingale_defect,
-    stochastic_exponential,
-    stochastic_integral,
-)
-from .norms import _remaining_load, _square_sum
+from .lattice import (AdaptedProcess, ExponentialGuardError, Lattice, PredictableProcess,
+                      _square_sum, martingale_defect, stochastic_exponential,
+                      stochastic_integral, stock_sum)
+from .norms import _remaining_load
 from .pricer import _check_finite
 from .scenario import Instance
 
@@ -81,23 +75,16 @@ def driver(eta_k, theta_k, gamma_k):
     """Pointwise drift integrands of the two equations.
 
     Arguments broadcast; ``theta_k`` and ``gamma_k`` carry the stock axis
-    last.  Returns ``(value_drift, price_drift)`` where the backward value
-    recursion adds ``+ value_drift * dt`` and the price recursion subtracts
+    last, over which ``stock_sum`` takes their inner product.  Returns
+    ``(value_drift, price_drift)`` where the backward value recursion adds
+    ``+ value_drift * dt`` and the price recursion subtracts
     ``price_drift * dt`` (the price drift enters its equation with a minus
     sign).
     """
     eta_k = np.asarray(eta_k, dtype=float)
     theta_k = np.asarray(theta_k, dtype=float)
     gamma_k = np.asarray(gamma_k, dtype=float)
-    prod = theta_k * gamma_k
-    if prod.shape[-1] < 8:
-        # numpy adds a last axis shorter than eight in column order, which
-        # an explicit column loop does many times faster
-        tg = prod[..., 0]
-        for j in range(1, prod.shape[-1]):
-            tg = tg + prod[..., j]
-    else:
-        tg = np.sum(prod, axis=-1)
+    tg = stock_sum(theta_k * gamma_k)
     value_drift = 0.5 * (tg ** 2 - eta_k ** 2)
     price_drift = theta_k * (eta_k + tg)[..., None]
     return value_drift, price_drift
@@ -567,7 +554,7 @@ def assemble(solution: BsdeSolution) -> AssembledMeasure:
     gamma = solution.gamma
     alpha = [
         solution.value_integrand.values[k]
-        + np.sum(solution.price_integrand.values[k] * gamma.values[k], axis=1)
+        + stock_sum(solution.price_integrand.values[k] * gamma.values[k])
         for k in range(lat.num_steps)
     ]
     alpha_proc = PredictableProcess(lat, alpha)

@@ -92,13 +92,14 @@ def _picard_constants(run: RunConfig, inst: Instance) -> tuple[float, float]:
 
 
 def _finite_norm(what: str, norm, *args, **kwargs):
-    """``norm(*args, **kwargs)``, a norm report of finite data.  Data whose
-    squares overflow the float range give a norm that is not finite: that
-    is a numeric failure, raised without numpy's overflow warnings."""
+    """``norm(*args, **kwargs)``, a norm report (or a bare node max) of
+    finite data.  Data beyond the float range give a norm that is not
+    finite: that is a numeric failure, raised without numpy's warnings."""
     with np.errstate(over="ignore", invalid="ignore"):
         report = norm(*args, **kwargs)
-    if not np.isfinite(report.value):
-        raise NumericalError(f"{what} is {report.value}: the inputs overflow the float "
+    value = getattr(report, "value", report)
+    if not np.isfinite(value):
+        raise NumericalError(f"{what} is {value}: the inputs overflow the float "
                              f"range; rescale them")
     return report
 
@@ -211,7 +212,8 @@ def cmd_price(config_path, out_path, dump_path):
             "command": "price",
             "initial_price": sol.initial_price.tolist(),
             "initial_certainty": sol.initial_certainty,
-            "mpr_representation_gap": sol.mpr_gap(),
+            "mpr_representation_gap": _finite_norm("the market-price-of-risk "
+                                                   "representation gap", sol.mpr_gap),
             "volatility_bmo": _bmo("volatility", sol.volatility),
             "mpr_bmo": _bmo("market price of risk", sol.market_price_of_risk),
             "norms": _instance_norms(run, inst),

@@ -239,6 +239,51 @@ class PredictableProcess:
         return PredictableProcess(self.lattice, [factor * v for v in self.values])
 
 
+# The stock axis is the last axis of a vector slice (``dim`` of the process
+# types above); every reduction over it goes through these primitives.
+
+def stock_sum(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.sum(x, axis=-1)`` bit for bit, but for the sign of a zero sum
+    (numpy starts from +0.0).  One stock returns the column itself, a view,
+    and ignores ``out``: use the return value.  Below eight stocks numpy adds
+    in column order, which a column loop does many times faster; from eight
+    on numpy sums pairwise.  ``out`` receives the sum otherwise."""
+    n = x.shape[-1]
+    if n == 1:
+        return x[..., 0]
+    if n >= 8:
+        return x.sum(axis=-1, out=out)
+    # an array to add into, also for a 0-d sum (np.add would make a scalar)
+    out = np.empty(x.shape[:-1], dtype=x.dtype) if out is None else out
+    np.add(x[..., 0], x[..., 1], out=out)
+    for j in range(2, n):
+        np.add(out, x[..., j], out=out)
+    return out
+
+
+def stock_norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the stock axis.  One stock gives ``|x|``, exact at
+    every magnitude; several give ``np.linalg.norm(x, axis=-1)``'s bits, whose
+    squares overflow beyond ~1.3e154 and lose digits below ~1.5e-154."""
+    if x.shape[-1] == 1:
+        return np.abs(x[..., 0])
+    return np.sqrt(stock_sum(x * x))
+
+
+def _square_sum(columns) -> np.ndarray:
+    """Per-node ``sum_j c_j**2`` over equal-length columns, added in column
+    order at every width.  The fused Picard kernel and ``h_bmo_norm`` sum a
+    joint (value, price) integrand this way, from its separate columns: no
+    stacked copy exists for numpy's pairwise order, which ``stock_sum``
+    follows from eight columns on, and one order keeps the two in step."""
+    columns = iter(columns)
+    first = next(columns)
+    total = first * first
+    for c in columns:
+        total += c * c
+    return total
+
+
 def conditional_expectation(x, lattice: Lattice | None = None) -> AdaptedProcess:
     """Exact backward 1/2-1/2 averaging of a terminal payoff.
 
@@ -268,7 +313,7 @@ def _relative_defect(proc: AdaptedProcess, means) -> tuple[float, tuple[int, int
     """Largest relative one-step defect ``|E_k[X_{k+1}] - X_k| / max(1, |X_k|)``
     and its node; ``means`` yields ``E_k[X_{k+1}]`` slice by slice, under
     whichever one-step weights the caller means."""
-    size = np.abs if proc.dim is None else (lambda x: np.linalg.norm(x, axis=1))
+    size = np.abs if proc.dim is None else stock_norm
     return node_max((k, size(mean - proc.values[k]) / np.maximum(1.0, size(proc.values[k])))
                     for k, mean in enumerate(means))
 
@@ -308,27 +353,20 @@ def stochastic_integral(zeta: PredictableProcess, x: AdaptedProcess) -> AdaptedP
     same dimension, the per-step inner product yields a scalar integral.
     """
     lat = x.lattice
-    if x.dim is None:
-        out_dim = zeta.dim
-        inner = False
-    else:
-        if zeta.dim != x.dim:
-            raise ValueError(
-                f"integrand dimension {zeta.dim} incompatible with integrator dimension {x.dim}"
-            )
-        out_dim = None
-        inner = True
+    if x.dim is not None and zeta.dim != x.dim:
+        raise ValueError(
+            f"integrand dimension {zeta.dim} incompatible with integrator dimension {x.dim}"
+        )
+    out_dim = zeta.dim if x.dim is None else None
     vals: list = [None] * (lat.num_steps + 1)
     vals[0] = np.zeros(1) if out_dim is None else np.zeros((1, out_dim))
     for k in range(lat.num_steps):
         dx = x.values[k + 1] - lat.to_children(x.values[k])
         zz = lat.to_children(zeta.values[k])
-        if inner:
-            inc = np.sum(zz * dx, axis=1)
-        elif out_dim is not None:
-            inc = zz * dx[:, None]
+        if x.dim is not None:
+            inc = stock_sum(zz * dx)
         else:
-            inc = zz * dx
+            inc = zz * (dx if out_dim is None else dx[:, None])
         vals[k + 1] = lat.to_children(vals[k]) + inc
     return AdaptedProcess(lat, vals)
 

@@ -31,14 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import (
-    AdaptedProcess,
-    Lattice,
-    PredictableProcess,
-    conditional_expectation,
-    martingale_defect,
-    node_max,
-)
+from .lattice import (AdaptedProcess, Lattice, PredictableProcess, _square_sum,
+                      conditional_expectation, martingale_defect, node_max, stock_norm,
+                      stock_sum)
 
 BMO_P_DEFAULT_MAX_STEPS = 14
 
@@ -96,7 +91,7 @@ def bmo_norm(m: AdaptedProcess, tol: float = 1e-10) -> NormReport:
         for k in range(lat.num_steps - 1, -1, -1):
             here = _as_terminal_rows(m.values[k])
             d_up, d_dn = (x - here for x in lat.children(_as_terminal_rows(m.values[k + 1])))
-            step_var = 0.5 * (np.sum(d_up * d_up, axis=1) + np.sum(d_dn * d_dn, axis=1))
+            step_var = 0.5 * (stock_sum(d_up * d_up) + stock_sum(d_dn * d_dn))
             c = _remaining_load(lat, c, step_var)
             yield k, c
 
@@ -153,7 +148,7 @@ def bmo_norm_rv(xi: np.ndarray, lattice: Lattice, center_tol: float = 1e-12) -> 
     doob = conditional_expectation(rows, lattice)
     report = bmo_norm(doob)
     x_mid = 0.5 * (rows.max(axis=0) + rows.min(axis=0))
-    bound = float(np.max(np.linalg.norm(rows - x_mid, axis=1)))
+    bound = float(np.max(stock_norm(rows - x_mid)))
     # rounding is relative to the bound; a norm that overflowed is left to
     # the caller
     if np.isfinite(report.value) and report.value > bound + 1e-10 * max(1.0, bound):
@@ -178,10 +173,10 @@ def _distances(lat: Lattice, leaves: np.ndarray, here: np.ndarray, live=None) ->
     node or the nodes of the mask ``live``."""
     per_node = lat.subtrees(leaves, len(here))
     if live is None:
-        return np.linalg.norm(per_node - here[:, None, :], axis=2)
+        return stock_norm(per_node - here[:, None, :])
     diff = per_node[live]
     diff -= here[live][:, None, :]
-    return np.linalg.norm(diff, axis=2)
+    return stock_norm(diff)
 
 
 def _gauge_level(lat: Lattice, leaves: np.ndarray, here: np.ndarray, lam: float, live=None,
@@ -281,7 +276,7 @@ def h_norm(x, lattice: Lattice | None = None, bisection_tol: float = 1e-10,
     lat = m.lattice
     leaves = _as_terminal_rows(m.terminal)
     here = [_as_terminal_rows(v) for v in m.values]
-    spread = float(np.max(np.linalg.norm(leaves - here[0], axis=1)))
+    spread = float(np.max(stock_norm(leaves - here[0])))
     if not np.isfinite(spread):  # the averaging overflowed
         return _nan_gauge()
     if spread == 0.0:
@@ -346,8 +341,7 @@ def h_norm(x, lattice: Lattice | None = None, bisection_tol: float = 1e-10,
     # replay the bracket-and-bisect search: bracket near the largest one-step
     # jump (H(1) = 1 makes that the right scale), expanding either side until
     # it straddles the criterion
-    jumps = (np.linalg.norm(here[k + 1] - lat.to_children(here[k]), axis=1)
-             for k in range(lat.num_steps))
+    jumps = (stock_norm(here[k + 1] - lat.to_children(here[k])) for k in range(lat.num_steps))
     max_inc, _ = node_max(enumerate(jumps, start=1))
     lo = max(max_inc, spread * 1e-8)
     hi = 10.0 * spread
@@ -381,18 +375,6 @@ def h_norm(x, lattice: Lattice | None = None, bisection_tol: float = 1e-10,
     return report
 
 
-def _square_sum(columns) -> np.ndarray:
-    """Per-node ``sum_j c_j**2`` over equal-length columns, accumulated in
-    column order.  Column-wise adds beat a reduction over a short last axis
-    and, below eight columns, round exactly like ``np.sum(x * x, axis=1)``."""
-    columns = iter(columns)
-    first = next(columns)
-    total = first * first
-    for c in columns:
-        total += c * c
-    return total
-
-
 def h_bmo_norm(zeta: PredictableProcess) -> NormReport:
     """Integrand norm: sqrt of the node max of the conditional remaining
     quadratic load ``E_node[sum_{s >= node} |zeta_s|^2 dt]``."""
@@ -418,7 +400,7 @@ def sup_norm(process) -> NormReport:
         slices = [process]
     else:
         slices = [np.asarray(v, dtype=float) for v in process]
-    best, node = node_max((k, np.linalg.norm(_as_terminal_rows(v), axis=1))
+    best, node = node_max((k, stock_norm(_as_terminal_rows(v)))
                           for k, v in enumerate(slices))
     return NormReport(value=best, kind="sup", achieving_node=node)
 

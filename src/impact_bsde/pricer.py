@@ -31,14 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (
-    AdaptedProcess,
-    Lattice,
-    PredictableProcess,
-    node_max,
-    process_gap,
-    stochastic_integral,
-)
+from .lattice import (AdaptedProcess, Lattice, PredictableProcess, node_max, process_gap,
+                      stochastic_integral, stock_norm, stock_sum)
 from .scenario import Instance, StoppingTime
 
 LOG_HALF = float(np.log(0.5))
@@ -105,14 +99,16 @@ def price_equilibrium(inst: Instance) -> EquilibriumSolution:
     log_w[steps] = np.zeros(lattice.num_leaves)
     # an overflowing tilt is exact in the limit (a one-step weight of zero)
     # or leaves a price or weight that is not finite, which _check_finite
-    # reports with its node; numpy's warnings add nothing to either
+    # reports with its node; a log density below the float range is -inf, as
+    # the density is then 0; an integrand that overflows is left to the
+    # callers' finite checks; numpy's warnings add nothing to any of these
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps - 1, -1, -1):
             s_up, s_dn = lattice.children(prices[k + 1])
             lw_up, lw_dn = lattice.children(log_w[k + 1])
             g = gamma.values[k]
-            lu_up = -a * np.sum(g * s_up, axis=1) + lw_up
-            lu_dn = -a * np.sum(g * s_dn, axis=1) + lw_dn
+            lu_up = -a * stock_sum(g * s_up) + lw_up
+            lu_dn = -a * stock_sum(g * s_dn) + lw_dn
             shift = np.maximum(lu_up, lu_dn)
             e_up = np.exp(lu_up - shift)
             e_dn = np.exp(lu_dn - shift)
@@ -120,7 +116,7 @@ def price_equilibrium(inst: Instance) -> EquilibriumSolution:
             log_total = np.log(total)
             q = e_up / total
             s_here = q[:, None] * s_up + (1.0 - q)[:, None] * s_dn
-            lw_here = a * np.sum(g * s_here, axis=1) + shift + log_total + LOG_HALF
+            lw_here = a * stock_sum(g * s_here) + shift + log_total + LOG_HALF
             _check_finite(s_here, k, "price")
             _check_finite(lw_here, k, "certainty-equivalent weight")
             prices[k] = s_here
@@ -130,31 +126,29 @@ def price_equilibrium(inst: Instance) -> EquilibriumSolution:
             log_q.append(lattice.from_children(lu_up - shift - log_total,
                                                lu_dn - shift - log_total))
 
-    certainty = [-lw / a for lw in log_w]
+        certainty = [-lw / a for lw in log_w]
 
-    density: list = [None] * (steps + 1)
-    log_density: list = [None] * (steps + 1)
-    density[0] = np.ones(1)
-    log_density[0] = np.zeros(1)
-    for k in range(steps):
-        density[k + 1] = lattice.from_children(density[k] * (2.0 * q_up[k]),
-                                               density[k] * (2.0 * (1.0 - q_up[k])))
-        # pop frees each step's weights as soon as they are folded in; a log
-        # density below the float range is -inf, as the density is then 0
-        with np.errstate(over="ignore"):
+        density: list = [None] * (steps + 1)
+        log_density: list = [None] * (steps + 1)
+        density[0] = np.ones(1)
+        log_density[0] = np.zeros(1)
+        for k in range(steps):
+            density[k + 1] = lattice.from_children(density[k] * (2.0 * q_up[k]),
+                                                   density[k] * (2.0 * (1.0 - q_up[k])))
+            # pop frees each step's weights as soon as they are folded in
             log_density[k + 1] = lattice.to_children(log_density[k]) + (LOG_TWO + log_q.pop())
 
-    volatility = [lattice.child_diff(prices[k + 1]) for k in range(steps)]
-    # a * child_diff(...) would round differently from the published values
-    half = 2.0 * lattice.sqrt_dt
-    value_integrand = [a * (up - down) / half
-                       for up, down in map(lattice.children, certainty[1:])]
-    price_integrand = [a * v for v in volatility]
-    # density representation: Z_{k+1} = Z_k (1 - alpha_k dB_k) collapses to a
-    # function of the one-step pricing weight alone
-    mpr = [(1.0 - 2.0 * q_up[k]) / lattice.sqrt_dt for k in range(steps)]
-    mpr_composite = [value_integrand[k] + np.sum(price_integrand[k] * gamma.values[k], axis=1)
-                     for k in range(steps)]
+        volatility = [lattice.child_diff(prices[k + 1]) for k in range(steps)]
+        # a * child_diff(...) would round differently from the published values
+        half = 2.0 * lattice.sqrt_dt
+        value_integrand = [a * (up - down) / half
+                           for up, down in map(lattice.children, certainty[1:])]
+        price_integrand = [a * v for v in volatility]
+        # density representation: Z_{k+1} = Z_k (1 - alpha_k dB_k) collapses to a
+        # function of the one-step pricing weight alone
+        mpr = [(1.0 - 2.0 * q_up[k]) / lattice.sqrt_dt for k in range(steps)]
+        mpr_composite = [value_integrand[k] + stock_sum(price_integrand[k] * gamma.values[k])
+                         for k in range(steps)]
 
     prices_proc = AdaptedProcess(lattice, prices)
     gain = stochastic_integral(gamma, prices_proc)
@@ -207,7 +201,7 @@ def localize(solution: EquilibriumSolution, tau: StoppingTime):
     # zero gap is reported at (0, 0)
     def gaps():
         for k in range(lat.num_steps + 1):
-            diff = np.linalg.norm(localized.prices.values[k] - solution.prices.values[k], axis=1)
+            diff = stock_norm(localized.prices.values[k] - solution.prices.values[k])
             yield k, np.where(tau.stopped_before(k), diff, 0.0)
 
     gap, worst = node_max(gaps())

@@ -23,14 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import (
-    PredictableProcess,
-    _relative_defect,
-    build_lattice,
-    martingale_defect,
-    node_max,
-    process_gap,
-)
+from .lattice import (PredictableProcess, _relative_defect, build_lattice, martingale_defect,
+                      node_max, process_gap, stock_norm, stock_sum)
 from .norms import bmo_norm_rv, h_bmo_norm, h_norm, orlicz_h, sup_norm
 from .pricer import EquilibriumSolution, localize, price_equilibrium
 from .scenario import Instance, StoppingTime, sign_plus
@@ -232,7 +226,7 @@ def check_apriori(solution: EquilibriumSolution, psi_h_norm: float | None = None
         for k in range(lat.num_steps + 1):
             per_node = lat.subtrees(solution.dividend, lat.nodes(k))
             center = per_node.mean(axis=1)
-            dist = np.linalg.norm(per_node - center[:, None, :], axis=2)
+            dist = stock_norm(per_node - center[:, None, :])
             rhs = decay_profile(dist).mean(axis=1)
             yield k, np.exp(-solution.certainty_equivalent.values[k]) - rhs
 
@@ -279,7 +273,7 @@ def check_supermartingale_V(solution: EquilibriumSolution, x_grid=None,
     def defects():
         for i, x in enumerate(centers):
             vee = [
-                (1.0 - orlicz_h(np.linalg.norm(solution.prices.values[k] - x, axis=1)))
+                (1.0 - orlicz_h(stock_norm(solution.prices.values[k] - x)))
                 * np.exp(-solution.certainty_equivalent.values[k])
                 for k in range(lat.num_steps + 1)
             ]
@@ -316,10 +310,9 @@ def _batch_utilities(a: float, increments, demands, work=None) -> np.ndarray:
     enters the utility, so each level carries the gains forward with the
     recurrence of ``stochastic_integral`` and drops the level before;
     ``increments[k]`` pairs the price increments to the two children of
-    each of the nodes of step ``k``.  The stocks are summed in ``np.sum``'s
-    order, as the integral sums them, so the gains equal its terminal values
-    bit for bit: numpy adds a row shorter than eight in column order, which
-    an explicit column loop does many times faster, and pairwise beyond.
+    each of the nodes of step ``k``.  The stocks are summed by ``stock_sum``,
+    as the integral sums them, so the gains equal its terminal values bit
+    for bit.
 
     A level is computed one child at a time: the products of the level's
     demands with that child's increments, their stock sum, and the gains
@@ -345,16 +338,7 @@ def _batch_utilities(a: float, increments, demands, work=None) -> np.ndarray:
         nxt = gain_bufs[k % 2][:2 * gain.size].reshape(rows, -1, 2)
         for c in range(2):
             p = np.multiply(level, np.ascontiguousarray(dx[:, c]), out=prod)
-            step = nxt[:, :, c]  # the stock sum, then the gain
-            if n == 1:
-                step = p[..., 0]
-            elif n < 8:
-                np.add(p[..., 0], p[..., 1], out=step)
-                for j in range(2, n):
-                    np.add(step, p[..., j], out=step)
-            else:
-                p.sum(axis=-1, out=step)
-            np.add(gain, step, out=nxt[:, :, c])
+            np.add(gain, stock_sum(p, out=nxt[:, :, c]), out=nxt[:, :, c])
         gain = nxt.reshape(rows, -1)
     # -exp(-a * gain) / a, in place
     np.multiply(gain, -a, out=gain)
@@ -596,7 +580,7 @@ def run_counterexample(n_list=(8, 10, 12), sign_zero: int = 1,
         total = 0
         for k in range(num_steps):
             s = sign_plus(sol.prices.values[k][:, 0])
-            match += int(np.sum(s == -gamma_vals[k][:, 0]))
+            match += np.count_nonzero(s == -gamma_vals[k][:, 0])
             total += lat.nodes(k)
         # profile-weighted certainty process: a martingale in the continuum
         # mechanism, so its one-step defect measures the discrete signature

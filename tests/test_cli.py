@@ -879,6 +879,56 @@ def test_large_dividends_keep_finite_norms(tmp_path):
     assert math.isfinite(norms["centered_dividend_bmo"]) and norms["centered_dividend_bmo"] > 1e99
 
 
+@pytest.mark.parametrize("command", ["price", "norms"])
+def test_huge_one_stock_demand_keeps_a_finite_sup(tmp_path, command):
+    # a 1-stock norm is |x|: squaring 1e300 used to make the demand sup and
+    # the smallness product Infinity, with numpy overflow warnings
+    doc = one_period_doc(num_steps=6, demand={"type": "constant", "value": 1e300})
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = CliRunner().invoke(main, [command, "--config", cfg, "--out", str(out)])
+    assert result.exit_code == 0, (result.output, result.exception)
+    norms = json.loads(out.read_text())["norms"]
+    assert norms["demand_sup"] == 1e300
+    assert math.isfinite(norms["smallness_product"])
+
+
+# a=1e300 over a horizon of 1e-300: the prices stay finite, but the price
+# integrand a * volatility overflows; the representation gap it enters was
+# written as Infinity with exit 0, and numpy warned where it was derived
+_OVERFLOWING_INTEGRAND = {"risk_aversion": 1e300, "horizon": 1e-300, "num_steps": 6}
+
+
+@pytest.mark.parametrize("command", ["price", "norms"])
+def test_overflowing_price_integrand_is_a_numeric_failure(tmp_path, command):
+    cfg = write_config(tmp_path, one_period_doc(**_OVERFLOWING_INTEGRAND))
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = CliRunner().invoke(main, [command, "--config", cfg, "--out", str(out)])
+    assert result.exit_code == 3, (result.output, result.exception)
+    assert result.output.startswith("numeric failure: ")
+    assert "overflow the float range" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--param", "risk_aversion", "--from", "0.1", "--to", "1e300", "--points", "3"],
+    ["verify", "--suite", "all"],
+])
+def test_overflowing_price_integrand_prints_no_runtime_warning(tmp_path, command):
+    cfg = write_config(tmp_path, one_period_doc(**_OVERFLOWING_INTEGRAND))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = CliRunner().invoke(main, command + ["--config", cfg,
+                                                     "--out", str(tmp_path / "out")])
+    assert result.exception is None or isinstance(result.exception, SystemExit), \
+        result.exception
+    assert result.exit_code in (0, 1), result.output
+
+
 
 # dividends at the edge of the float range, one per former traceback of
 # norms.bmo_norm_rv: a midrange guard absolute where rounding is relative, a

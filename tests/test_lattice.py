@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from impact_bsde import (
@@ -23,7 +23,7 @@ from impact_bsde import (
     stochastic_exponential,
     stochastic_integral,
 )
-from impact_bsde.lattice import MAX_STEPS_ENV, reflect_adapted
+from impact_bsde.lattice import MAX_STEPS_ENV, reflect_adapted, stock_norm, stock_sum
 
 from helpers import oracle_conditional_mean
 
@@ -471,10 +471,10 @@ _LAYOUT_ALLOWED = {
 }
 
 
-def _layout_lines(path):
+def _idiom_lines(path, idioms):
     """``(line number, text, innermost enclosing function)`` of every code
-    line of the module at ``path`` that matches ``_LAYOUT_IDIOMS``; comments
-    and docstrings are skipped."""
+    line of the module at ``path`` that matches the pattern ``idioms``;
+    comments and docstrings are skipped."""
     source = path.read_text()
     docstrings, function = set(), {}
     # breadth first: an inner function overwrites its outer one's lines
@@ -486,17 +486,19 @@ def _layout_lines(path):
             docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
     return [(number, text.strip(), function.get(number))
             for number, text in enumerate(source.splitlines(), start=1)
-            if number not in docstrings and _LAYOUT_IDIOMS.search(text.split("#")[0])]
+            if number not in docstrings and idioms.search(text.split("#")[0])]
+
+
+def _modules_besides_lattice():
+    package = Path(__file__).resolve().parents[1] / "src" / "impact_bsde"
+    return [path for path in sorted(package.glob("*.py")) if path.name != "lattice.py"]
 
 
 def test_tree_layout_lives_in_lattice():
-    package = Path(__file__).resolve().parents[1] / "src" / "impact_bsde"
     offenders = []
     seen = set()
-    for path in sorted(package.glob("*.py")):
-        if path.name == "lattice.py":
-            continue
-        for number, text, function in _layout_lines(path):
+    for path in _modules_besides_lattice():
+        for number, text, function in _idiom_lines(path, _LAYOUT_IDIOMS):
             if function in _LAYOUT_ALLOWED:
                 seen.add(function)
             else:
@@ -505,3 +507,68 @@ def test_tree_layout_lives_in_lattice():
         + "\n".join(offenders)
     # the allow-list names only functions that still need it
     assert seen == set(_LAYOUT_ALLOWED)
+
+
+# --- the stock axis --------------------------------------------------------------
+
+def _same_bits(got, want) -> bool:
+    """Equal shapes and equal bits, every nan counting as equal to every nan."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and bool(np.all(
+        (np.isnan(got) & np.isnan(want)) | (got.view(np.int64) == want.view(np.int64))))
+
+
+def _normal_floats(rng, shape: tuple, max_exp: int) -> np.ndarray:
+    """Normal floats of random sign, binary exponents uniform in
+    [-max_exp, max_exp] (at most 1023: from the smallest normal up)."""
+    mantissa = rng.uniform(1.0, 2.0, shape) * rng.choice([-1.0, 1.0], shape)
+    return np.ldexp(mantissa, rng.integers(-min(max_exp, 1022), max_exp + 1, shape))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10), st.lists(st.integers(1, 5), max_size=3).map(tuple),
+       st.integers(0, 2 ** 31), st.sampled_from([4, 60, 510, 1023]))
+@example(3, (), 0, 60)  # a 0-d sum, as the driver makes from scalars
+def test_stock_sum_and_norm_are_numpys_bit_for_bit(n, lead, seed, max_exp):
+    # normal entries, near the overflow edge too: a sum may overflow to inf
+    # or meet inf - inf (a nan); the norm's squares stay normal floats
+    rng = np.random.default_rng(seed)
+    x = _normal_floats(rng, lead + (n,), max_exp)
+    assert _same_bits(stock_sum(x), np.sum(x, axis=-1))
+    small = _normal_floats(rng, lead + (n,), min(max_exp, 510))
+    assert _same_bits(stock_norm(small), np.linalg.norm(small, axis=-1))
+    # into a strided view of a caller's buffer, as the optimality check sums
+    buffer = np.full(lead + (2,), np.nan)
+    got = stock_sum(x, out=buffer[..., 1])
+    assert _same_bits(got, np.sum(x, axis=-1))
+    if n == 1:  # the column itself; the buffer is not touched
+        assert np.shares_memory(got, x) and np.isnan(buffer).all()
+    else:
+        assert _same_bits(buffer[..., 1], np.sum(x, axis=-1))
+
+
+@pytest.mark.parametrize("value", [1e300, -1e300, 1e-200, 5e-324, -2.5e-320, 0.0, -0.0,
+                                   np.inf, -np.inf, np.nan])
+def test_one_stock_norm_is_the_magnitude(value):
+    # sqrt(x * x) overflows beyond ~1.3e154 and loses digits below ~1.5e-154
+    x = np.full((3, 1), value)
+    assert _same_bits(stock_norm(x), np.abs(x[:, 0]))
+    assert _same_bits(stock_norm(x[0]), abs(value))
+
+
+# Code outside lattice.py that reduces over the stock axis by hand: numpy's
+# norm and sum, a sum over the last axis, and loops over the stock columns
+_STOCK_AXIS_IDIOMS = re.compile(
+    r"np\.linalg\.norm\("
+    r"|np\.sum\("
+    r"|\.sum\(axis=-1"
+    r"|\bfor\s+\w+\s+in\s+range\(\s*\d+\s*,[^)]*(\bn|num_stocks|\bdim|shape\[-1\])\s*\)"
+    r"|\[\s*\.\.\.\s*,\s*(?!None\b)[A-Za-z_]\w*\s*\]")
+
+
+def test_stock_axis_lives_in_lattice():
+    offenders = [f"{path.name}:{number} ({function}): {text}"
+                 for path in _modules_besides_lattice()
+                 for number, text, function in _idiom_lines(path, _STOCK_AXIS_IDIOMS)]
+    assert not offenders, "stock axis reduced by hand; use stock_sum or stock_norm:\n" \
+        + "\n".join(offenders)
