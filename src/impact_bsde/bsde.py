@@ -63,9 +63,17 @@ from itertools import islice
 
 import numpy as np
 
-from .lattice import (AdaptedProcess, ExponentialGuardError, Lattice, PredictableProcess,
-                      _square_sum, martingale_defect, stochastic_exponential,
-                      stochastic_integral, stock_sum)
+from .lattice import (
+    AdaptedProcess,
+    ExponentialGuardError,
+    Lattice,
+    PredictableProcess,
+    _square_sum,
+    martingale_defect,
+    stochastic_exponential,
+    stochastic_integral,
+    stock_sum,
+)
 from .norms import _remaining_load
 from .pricer import _check_finite
 from .scenario import Instance

@@ -243,22 +243,11 @@ class PredictableProcess:
 # types above); every reduction over it goes through these primitives.
 
 def stock_sum(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``np.sum(x, axis=-1)`` bit for bit, but for the sign of a zero sum
-    (numpy starts from +0.0).  One stock returns the column itself, a view,
-    and ignores ``out``: use the return value.  Below eight stocks numpy adds
-    in column order, which a column loop does many times faster; from eight
-    on numpy sums pairwise.  ``out`` receives the sum otherwise."""
-    n = x.shape[-1]
-    if n == 1:
+    """``np.sum(x, axis=-1, out=out)``, except that one stock returns the
+    column itself, a view, and ignores ``out``: use the return value."""
+    if x.shape[-1] == 1:
         return x[..., 0]
-    if n >= 8:
-        return x.sum(axis=-1, out=out)
-    # an array to add into, also for a 0-d sum (np.add would make a scalar)
-    out = np.empty(x.shape[:-1], dtype=x.dtype) if out is None else out
-    np.add(x[..., 0], x[..., 1], out=out)
-    for j in range(2, n):
-        np.add(out, x[..., j], out=out)
-    return out
+    return x.sum(axis=-1, out=out)
 
 
 def stock_norm(x: np.ndarray) -> np.ndarray:
@@ -274,8 +263,8 @@ def _square_sum(columns) -> np.ndarray:
     """Per-node ``sum_j c_j**2`` over equal-length columns, added in column
     order at every width.  The fused Picard kernel and ``h_bmo_norm`` sum a
     joint (value, price) integrand this way, from its separate columns: no
-    stacked copy exists for numpy's pairwise order, which ``stock_sum``
-    follows from eight columns on, and one order keeps the two in step."""
+    stacked copy exists for ``stock_sum``, whose numpy sum is pairwise from
+    eight columns on, and one order keeps the two in step."""
     columns = iter(columns)
     first = next(columns)
     total = first * first

@@ -31,9 +31,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import (AdaptedProcess, Lattice, PredictableProcess, _square_sum,
-                      conditional_expectation, martingale_defect, node_max, stock_norm,
-                      stock_sum)
+from .lattice import (
+    AdaptedProcess,
+    Lattice,
+    PredictableProcess,
+    _square_sum,
+    conditional_expectation,
+    martingale_defect,
+    node_max,
+    stock_norm,
+    stock_sum,
+)
 
 BMO_P_DEFAULT_MAX_STEPS = 14
 

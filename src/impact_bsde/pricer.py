@@ -31,8 +31,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (AdaptedProcess, Lattice, PredictableProcess, node_max, process_gap,
-                      stochastic_integral, stock_norm, stock_sum)
+from .lattice import (
+    AdaptedProcess,
+    Lattice,
+    PredictableProcess,
+    node_max,
+    process_gap,
+    stochastic_integral,
+    stock_norm,
+    stock_sum,
+)
 from .scenario import Instance, StoppingTime
 
 LOG_HALF = float(np.log(0.5))

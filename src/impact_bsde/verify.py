@@ -23,8 +23,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import (PredictableProcess, _relative_defect, build_lattice, martingale_defect,
-                      node_max, process_gap, stock_norm, stock_sum)
+from .lattice import (
+    PredictableProcess,
+    _relative_defect,
+    build_lattice,
+    martingale_defect,
+    node_max,
+    process_gap,
+    stock_norm,
+    stock_sum,
+)
 from .norms import bmo_norm_rv, h_bmo_norm, h_norm, orlicz_h, sup_norm
 from .pricer import EquilibriumSolution, localize, price_equilibrium
 from .scenario import Instance, StoppingTime, sign_plus

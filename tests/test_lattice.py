@@ -557,11 +557,15 @@ def test_one_stock_norm_is_the_magnitude(value):
 
 
 # Code outside lattice.py that reduces over the stock axis by hand: numpy's
-# norm and sum, a sum over the last axis, and loops over the stock columns
+# norm and sum, a sum over the last axis (or the second or third, the stock
+# axis of a 2-d or 3-d slice), reductions and products of numpy's that sum
+# over an axis, and loops over the stock columns
 _STOCK_AXIS_IDIOMS = re.compile(
     r"np\.linalg\.norm\("
     r"|np\.sum\("
-    r"|\.sum\(axis=-1"
+    r"|\.sum\(axis=(-1|1|2)\b"
+    r"|np\.add\.reduce"
+    r"|\.dot\(|np\.(inner|vdot|matmul|tensordot|einsum)\(| @ "
     r"|\bfor\s+\w+\s+in\s+range\(\s*\d+\s*,[^)]*(\bn|num_stocks|\bdim|shape\[-1\])\s*\)"
     r"|\[\s*\.\.\.\s*,\s*(?!None\b)[A-Za-z_]\w*\s*\]")
 
