@@ -129,8 +129,7 @@ def _solution_norms(inst: Instance) -> list:
 def _instance_norms(run: RunConfig, inst: Instance) -> dict:
     psi_bmo = _centered_bmo(inst)
     gauge = _finite_norm("the centred dividend's gauge norm", h_norm,
-                         inst.psi - inst.psi.mean(axis=0), inst.lattice,
-                         bisection_tol=run.norms.bisection_tol)
+                         inst.psi - inst.psi.mean(axis=0), inst.lattice)
     return {
         "demand_sup": inst.gamma_sup,
         "dividend_mean": inst.psi_mean.tolist(),

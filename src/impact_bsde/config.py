@@ -174,11 +174,6 @@ class SolverSettings:
 
 
 @dataclass
-class NormSettings:
-    bisection_tol: float = 1e-10
-
-
-@dataclass
 class VerifySettings:
     suite: str = "all"
     competitors: int = 1000
@@ -197,13 +192,12 @@ class OutputSettings:
 class RunConfig:
     market: MarketConfig
     solver: SolverSettings = field(default_factory=SolverSettings)
-    norms: NormSettings = field(default_factory=NormSettings)
     verify: VerifySettings = field(default_factory=VerifySettings)
     output: OutputSettings = field(default_factory=OutputSettings)
 
 
 def parse_config(doc: dict) -> RunConfig:
-    _require_keys(doc, "config", ("market",), ("solver", "norms", "verify", "output"))
+    _require_keys(doc, "config", ("market",), ("solver", "verify", "output"))
 
     m = doc["market"]
     _require_keys(m, "market",
@@ -238,13 +232,6 @@ def parse_config(doc: dict) -> RunConfig:
                else _number(s["kappa"], "solver.kappa", positive=True)),
     )
 
-    n = doc.get("norms", {})
-    _require_keys(n, "norms", (), ("bisection_tol",))
-    norms = NormSettings(
-        bisection_tol=_number(n.get("bisection_tol", 1e-10), "norms.bisection_tol",
-                              positive=True),
-    )
-
     v = doc.get("verify", {})
     _require_keys(v, "verify", (),
                   ("suite", "competitors", "seed", "epsilon", "x_grid_size",
@@ -268,8 +255,7 @@ def parse_config(doc: dict) -> RunConfig:
     output = OutputSettings(dump_nodes=_boolean(o.get("dump_nodes", False),
                                                 "output.dump_nodes"))
 
-    return RunConfig(market=market, solver=solver, norms=norms, verify=verify,
-                     output=output)
+    return RunConfig(market=market, solver=solver, verify=verify, output=output)
 
 
 def load_config(path: str) -> RunConfig:

@@ -252,11 +252,16 @@ def stock_sum(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def stock_norm(x: np.ndarray) -> np.ndarray:
     """Euclidean norm over the stock axis.  One stock gives ``|x|``, exact at
-    every magnitude; several give ``np.linalg.norm(x, axis=-1)``'s bits, whose
-    squares overflow beyond ~1.3e154 and lose digits below ~1.5e-154."""
+    every magnitude.  Several square each row scaled by a power of two that
+    brings its largest entry into [1/2, 1), and scale the root back: the
+    scaling is exact, so wherever ``np.linalg.norm(x, axis=-1)``'s squares
+    are normal floats the bits are its own, and beyond that range (above
+    ~1.3e154, below ~1.5e-154) the squares neither overflow nor underflow."""
     if x.shape[-1] == 1:
         return np.abs(x[..., 0])
-    return np.sqrt(stock_sum(x * x))
+    exponent = np.frexp(np.max(np.abs(x), axis=-1))[1]
+    y = np.ldexp(x, -exponent[..., None])
+    return np.ldexp(np.sqrt(stock_sum(y * y)), exponent)
 
 
 def _square_sum(columns) -> np.ndarray:

@@ -14,15 +14,13 @@ increments (one backward pass); general p-th moments need a per-node sweep
 over descendant leaves, implemented as a reshape so the total work stays
 at one leaf pass per time slice.
 
-The Orlicz gauge norm is the end of a bracket-and-bisect search on a
-criterion that falls monotonically in its scale.  It is computed root
-first: Newton passes find the criterion's threshold and the few nodes that
-can still attain it, and the search is then replayed by comparison with
-the threshold, evaluating the criterion (on those nodes) only inside a
-rounding guard band around it.  The empirical ratio constant kappa stacks
-its corpus of terminals in fixed-size blocks of rows, so each block takes
-one pass of each norm.  Both give the same bits as evaluating every
-criterion point, and every terminal, on its own.
+The Orlicz gauge norm is the root of a criterion that falls monotonically
+in its scale: Newton passes find it and the few nodes that can still
+attain the criterion near it, and the norm is that root lifted by a
+rounding guard band, the first scale the computed criterion accepts.  The
+empirical ratio constant kappa stacks its corpus of terminals in
+fixed-size blocks of rows, so each block takes one pass of each norm, with
+the same bits as evaluating every terminal on its own.
 """
 
 from __future__ import annotations
@@ -171,7 +169,7 @@ def bmo_norm_rv(xi: np.ndarray, lattice: Lattice, center_tol: float = 1e-12) -> 
 
 # Newton passes drop a node once its criterion value is certain to stay at
 # most 1 - _PRUNE: it then never decides the test ``criterion <= 1`` again,
-# nor attains the criterion near the threshold (``window`` in ``h_norm``).
+# nor attains the criterion near the threshold (see ``h_norm``).
 _PRUNE = 2.0 ** -10
 _NEWTON_MAX = 64  # a termination guard: the passes converge in a handful
 
@@ -212,7 +210,8 @@ def _gauge_level(lat: Lattice, leaves: np.ndarray, here: np.ndarray, lam: float,
 def _gauge_threshold(lat: Lattice, leaves, here, lam: float, step_tol: float):
     """The criterion's threshold ``lam*`` (the largest per-node root of
     ``E_node[H(d / lam)] = 1``) by Newton's method from a lower bound ``lam``,
-    and the nodes still able to attain the criterion near it.
+    the nodes still able to attain the criterion near it, and the number of
+    passes.
 
     Each per-node value is log-convex in ``log lam`` (a mean of log-convex
     terms: the elasticity ``u^2 e^u / H(u)`` grows with ``u``), so a Newton
@@ -225,7 +224,7 @@ def _gauge_threshold(lat: Lattice, leaves, here, lam: float, step_tol: float):
     ``lam`` above the bound, and is dropped.
     """
     live = [None] * len(here)
-    for _ in range(_NEWTON_MAX):
+    for passes in range(1, _NEWTON_MAX + 1):
         bound = lam
         for k, h in enumerate(here):
             if live[k] is not None and not live[k].any():
@@ -244,16 +243,10 @@ def _gauge_threshold(lat: Lattice, leaves, here, lam: float, step_tol: float):
         lam = bound
         if step <= step_tol:
             break
-    return lam, live
+    return lam, live, passes
 
 
-def _nan_gauge() -> NormReport:
-    return NormReport(value=float("nan"), kind="orlicz_h", achieving_node=(0, 0),
-                      iterations=0)
-
-
-def h_norm(x, lattice: Lattice | None = None, bisection_tol: float = 1e-10,
-           tol: float = 1e-10) -> NormReport:
+def h_norm(x, lattice: Lattice | None = None, tol: float = 1e-10) -> NormReport:
     """Orlicz gauge norm: the smallest ``lam`` with
     ``max_node E_node[H(|M_N - M_node| / lam)] <= 1``.
 
@@ -261,32 +254,34 @@ def h_norm(x, lattice: Lattice | None = None, bisection_tol: float = 1e-10,
     conditional-expectation martingale).  The lattice is finite, so the
     norm is too; non-finite input gives a nan report.
 
-    The result is that of a bracket-and-bisect search on the criterion
-    (``value`` the final upper end, ``iterations`` its step count,
-    ``achieving_node`` the criterion's worst node there, ``(0, 0)`` if no
-    midpoint was accepted), computed root first: every per-node value
-    decreases in ``lam``, so the test ``criterion(x) <= 1`` is ``x >= lam*``
-    for the threshold ``lam*``.  Newton passes over the tree find ``lam*``
-    and the few nodes that can attain the criterion near it; the search is
-    then replayed deciding each point by comparison with ``lam*``, and
-    evaluating the criterion, on those nodes only, just for the points
-    inside a rounding guard band around it.
+    Every per-node value decreases in ``lam``, so the criterion accepts
+    exactly the scales above its threshold ``lam*``.  Newton passes over the
+    tree find ``lam*`` and the few nodes that can attain the criterion near
+    it (``iterations`` counts the passes).  The norm is ``lam*`` lifted by a
+    rounding guard band, the first scale the computed criterion is certain
+    to accept, within a few ``1e-12`` relative of the exact norm at every
+    scale; ``achieving_node`` is the criterion's worst node there.
     """
     values = x.values if isinstance(x, AdaptedProcess) else [np.asarray(x, dtype=float)]
     if not all(np.isfinite(v).all() for v in values):
-        return _nan_gauge()
+        return NormReport(value=float("nan"), kind="orlicz_h", achieving_node=(0, 0),
+                          iterations=0)
+    # The norm is positively homogeneous: it is taken of the data scaled by
+    # the power of two that brings its largest entry into [1/2, 1), which is
+    # exact in the normal range, and scaled back.  No average or square of
+    # the scaled data over- or underflows.
+    shift = np.frexp(max(float(np.max(np.abs(v))) for v in values))[1]
+    scaled = [np.ldexp(v, -shift) for v in values]
     if isinstance(x, AdaptedProcess):
-        m = x
-        _require_martingale(m, tol)
+        _require_martingale(x, tol)
+        m = AdaptedProcess(x.lattice, scaled)
     else:
-        m = conditional_expectation(values[0], lattice)
+        m = conditional_expectation(scaled[0], lattice)
 
     lat = m.lattice
     leaves = _as_terminal_rows(m.terminal)
     here = [_as_terminal_rows(v) for v in m.values]
     spread = float(np.max(stock_norm(leaves - here[0])))
-    if not np.isfinite(spread):  # the averaging overflowed
-        return _nan_gauge()
     if spread == 0.0:
         return NormReport(value=0.0, kind="orlicz_h", achieving_node=(0, 0), iterations=0)
     quad = bmo_norm(m)
@@ -299,10 +294,10 @@ def h_norm(x, lattice: Lattice | None = None, bisection_tol: float = 1e-10,
     # e^u (1 + u) <= 22 + 3 H(u).  Averaged (pairwise summation adds N eps),
     # a node value near 1 is off by at most the relative ``err`` below.
     # Since u^2 e^u >= 2 H(u), every node value falls at least like lam^-2,
-    # so the criterion is outside [1 - 2b, 1 + 2b] wherever lam is outside
-    # a relative band b of lam*.  Newton's lam* is the root of the computed
-    # criterion, within err / 2 of the exact one, so with b = 4 err every
-    # point outside the band is decided exactly by comparison.
+    # so the criterion is below 1 - 2b wherever lam exceeds lam* by a
+    # relative b.  Newton's lam* is the root of the computed criterion,
+    # within err / 2 of the exact one, so with b = 4 err the computed
+    # criterion accepts lam* (1 + 2 b), and no scale below lam* (1 - b).
     u_max = lat.num_steps * np.log(2.0) + 1.0
     err = np.finfo(float).eps * (25.0 * (6.0 + (leaves.shape[1] + 3) * u_max)
                                  + lat.num_steps + 2)
@@ -314,72 +309,27 @@ def h_norm(x, lattice: Lattice | None = None, bisection_tol: float = 1e-10,
     # never attains the criterion and is left out.
     inner = here[:-1]
     lower = quad.value / np.sqrt(2.0)
-    start = max(v for v in (lower, spread / u_max) if np.isfinite(v))
-    lam_star, live = _gauge_threshold(lat, leaves, inner, start, band / 8.0)
-    # Within ``window`` of lam* the nodes kept by the Newton passes hold the
-    # criterion's max.  A dropped node is at most 1 - _PRUNE from a lower
-    # bound of lam* on, so there it stays below (1 - _PRUNE)(1 + 2 window)^E,
-    # with E = U + 2 a bound of its elasticity u^2 e^u / H(u) <= u + 2; the
-    # threshold node stays above (1 + window)^-E, which is larger.
-    window = _PRUNE / (4.0 * (u_max + 2.0))
+    start = max(lower, spread / u_max)
+    lam_star, live, passes = _gauge_threshold(lat, leaves, inner, start, band / 8.0)
+    value = lam_star * (1.0 + 2.0 * band)
 
-    def criterion(lam: float):
-        """``node_max`` of the criterion at ``lam``: over the live nodes near
-        lam*, the others counting as -inf, and over every node elsewhere."""
-        near = abs(lam / lam_star - 1.0) <= window
+    # The worst node at ``value`` is a live one.  A dropped node is at most
+    # 1 - _PRUNE from a lower bound of lam* on, so within a relative
+    # w = _PRUNE / (4 (U + 2)) of lam* (2 b is far inside) it stays below
+    # (1 - _PRUNE)(1 + 2 w)^E, with E = U + 2 a bound of its elasticity
+    # u^2 e^u / H(u) <= u + 2; the threshold node stays above (1 + w)^-E,
+    # which is larger.  So the live nodes count and the others read -inf.
+    def levels():
+        for k, (h, mask) in enumerate(zip(inner, live)):
+            if mask.any():
+                full = np.full(len(h), -np.inf)
+                full[mask] = _gauge_level(lat, leaves, h, value, mask)
+                yield k, full
 
-        def levels():
-            for k, (h, mask) in enumerate(zip(inner, live)):
-                if not near:
-                    yield k, _gauge_level(lat, leaves, h, lam)
-                elif mask.any():
-                    full = np.full(len(h), -np.inf)
-                    full[mask] = _gauge_level(lat, leaves, h, lam, mask)
-                    yield k, full
-
-        return node_max(levels())
-
-    def accepts(lam: float):
-        """``criterion(lam) <= 1`` and, when evaluated, the worst node."""
-        if abs(lam / lam_star - 1.0) > band:
-            return lam > lam_star, None
-        val, at = criterion(lam)
-        return val <= 1.0, at
-
-    # replay the bracket-and-bisect search: bracket near the largest one-step
-    # jump (H(1) = 1 makes that the right scale), expanding either side until
-    # it straddles the criterion
-    jumps = (stock_norm(here[k + 1] - lat.to_children(here[k])) for k in range(lat.num_steps))
-    max_inc, _ = node_max(enumerate(jumps, start=1))
-    lo = max(max_inc, spread * 1e-8)
-    hi = 10.0 * spread
-    iters = 0
-    while accepts(lo)[0] and lo > spread * 1e-12:
-        lo /= 2.0
-        iters += 1
-    while not accepts(hi)[0]:
-        hi *= 2.0
-        iters += 1
-    node = (0, 0)
-    while hi - lo > bisection_tol:
-        mid = 0.5 * (lo + hi)
-        ok, at = accepts(mid)
-        iters += 1
-        if ok:
-            if mid == hi:  # no float between lo and hi: the bracket cannot shrink
-                break
-            hi = mid
-            node = at
-        else:
-            if mid == lo:
-                break
-            lo = mid
-    if node is None:  # the last accepted midpoint was decided by comparison
-        node = criterion(hi)[1]
-    report = NormReport(value=float(hi), kind="orlicz_h", achieving_node=node,
-                        iterations=iters)
-    report.extras["bmo_norm"] = quad.value
-    report.extras["bmo_lower_bound_holds"] = bool(lower <= hi + bisection_tol + 1e-12)
+    report = NormReport(value=float(np.ldexp(value, shift)), kind="orlicz_h",
+                        achieving_node=node_max(levels())[1], iterations=passes)
+    report.extras["bmo_norm"] = float(np.ldexp(quad.value, shift))
+    report.extras["bmo_lower_bound_holds"] = bool(lower <= value)
     return report
 
 
@@ -448,25 +398,20 @@ def _kappa_corpus(lat: Lattice, num_random: int, seed: int):
         yield rng.uniform(-1.0, 1.0, size=(rows, lat.num_leaves))
 
 
-def _kappa_block(lat: Lattice, terminals: np.ndarray, tol: float = 1e-10):
+def _kappa_block(lat: Lattice, terminals: np.ndarray):
     """Quadratic and first-moment conditional norms of the Doob martingale
     of every row of ``terminals`` (centered, nonzero, one leaf per column).
 
     Per row this is ``bmo_norm`` and ``bmo_p_norm(., 1.0)`` with the rows
     stacked on a leading axis: each row sees the same element operations,
     and every per-node mean reduces the last axis, so the norms are
-    bit-identical to the per-terminal ones.
+    bit-identical to the per-terminal ones.  The tower is built by child
+    means, a martingale by construction, so it takes no martingale check.
     """
     tower = [terminals]
     for _ in range(lat.num_steps):
         tower.append(lat.child_mean(tower[-1], axis=1))
     tower.reverse()
-    # the martingale check of bmo_norm, per row
-    defect = np.max([np.max(np.abs(lat.child_mean(tower[k + 1], axis=1) - tower[k])
-                            / np.maximum(1.0, np.abs(tower[k])), axis=1)
-                     for k in range(lat.num_steps)], axis=0)
-    for row in np.flatnonzero(defect > tol):
-        _require_martingale(conditional_expectation(terminals[row], lat), tol)
     # quadratic: remaining one-step variance, one backward pass
     load = None
     two = np.full(len(terminals), -np.inf)
@@ -494,10 +439,10 @@ def measure_kappa(lattice: Lattice, num_random: int = 32, seed: int = 2024,
     The corpus mixes the walk itself, signs, digitals at several strikes
     (including extreme ones, which drive the ratio up) and random bounded
     terminals.  Its terminals are stacked in blocks of rows, so each block
-    takes one Doob averaging, one martingale check, one quadratic pass and
-    one first-moment sweep (see ``_kappa_block``); the ratio is the one the
-    two norms give terminal by terminal.  Lattices deeper than ``max_steps``
-    are measured at that depth.  Diagnostic only; it never gates a solver.
+    takes one Doob averaging, one quadratic pass and one first-moment sweep
+    (see ``_kappa_block``); the ratio is the one the two norms give terminal
+    by terminal.  Lattices deeper than ``max_steps`` are measured at that
+    depth.  Diagnostic only; it never gates a solver.
     """
     lat = lattice
     if lattice.num_steps > max_steps:

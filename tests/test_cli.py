@@ -2,6 +2,7 @@ import json
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1051,3 +1052,73 @@ def test_verify_runs_no_reconstruction(tmp_path, monkeypatch, suite):
     assert "counterexample_probe" in checks
     if suite == "all":
         assert checks["norm_bounds"]["hypotheses"]["picard_converged"] is True
+
+
+def _run_norms(tmp_path, command, doc):
+    """``command`` on ``doc`` with RuntimeWarnings as errors; its norms."""
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / f"{command}.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = CliRunner().invoke(main, [command, "--config", cfg, "--out", str(out)])
+    assert result.exit_code == 0, (result.output, result.exception)
+    return json.loads(out.read_text())["norms"]
+
+
+@pytest.mark.parametrize("command", ["price", "norms"])
+@pytest.mark.parametrize("scale", [1e-12, 1e-200])
+def test_tiny_dividend_gauge_is_the_scaled_unit_gauge(tmp_path, command, scale):
+    # the bisection's absolute tolerance left the gauge at its initial
+    # bracket, 10 x the spread, at these scales
+    def gauge(s):
+        doc = one_period_doc(num_steps=5, dividend={"type": "sign_of_b_t", "scale": s})
+        return _run_norms(tmp_path, command, doc)["centered_dividend_gauge"]
+
+    assert gauge(scale) == pytest.approx(scale * gauge(1.0), rel=1e-11, abs=0.0)
+
+
+def test_norms_section_is_a_config_error(tmp_path):
+    doc = one_period_doc()
+    doc["norms"] = {"bisection_tol": 1e-10}
+    cfg = write_config(tmp_path, doc)
+    result = CliRunner().invoke(main, ["price", "--config", cfg,
+                                       "--out", str(tmp_path / "out.json")])
+    assert result.exit_code == 2
+    assert "config.norms: unknown key" in result.output
+
+
+@pytest.mark.parametrize("num_stocks", [1, 2])
+def test_price_and_verify_report_the_same_gauge(tmp_path, num_stocks):
+    doc = one_period_doc(num_steps=5, num_stocks=num_stocks,
+                         dividend={"type": "sign_of_b_t", "scale": 0.3})
+    gauge = _run_norms(tmp_path, "price", doc)["centered_dividend_gauge"]
+    out = tmp_path / "verify.json"
+    result = CliRunner().invoke(main, ["verify", "--suite", "apriori", "--config",
+                                       write_config(tmp_path, doc), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    for check in json.loads(out.read_text())["checks"]:
+        assert check["hypotheses"]["gauge_norm"] == gauge
+
+
+@pytest.mark.parametrize("command", ["price", "norms"])
+def test_huge_two_stock_demand_keeps_a_finite_sup(tmp_path, command):
+    # several stocks square their scaled rows: 1e300 squared made the
+    # demand sup and the smallness product Infinity, with overflow warnings
+    doc = one_period_doc(num_steps=6, num_stocks=2,
+                         demand={"type": "constant", "value": 1e300})
+    norms = _run_norms(tmp_path, command, doc)
+    assert norms["demand_sup"] == pytest.approx(math.sqrt(2.0) * 1e300, rel=1e-15)
+    assert math.isfinite(norms["smallness_product"])
+
+
+def test_readme_config_runs_every_command(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    doc = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+    cfg = write_config(tmp_path, doc)
+    for command in (["price"], ["norms"], ["bsde", "--method", "both"],
+                    ["verify", "--suite", "all"],
+                    ["sweep", "--param", "risk_aversion", "--from", "0.5", "--to", "1.5",
+                     "--points", "4"]):
+        result = CliRunner().invoke(main, command + ["--config", cfg,
+                                                     "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, (command, result.output, result.exception)

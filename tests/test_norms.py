@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from impact_bsde import (
+    AdaptedProcess,
     PredictableProcess,
     StoppingTime,
     bmo_norm,
@@ -26,6 +27,7 @@ import impact_bsde.norms as norms_mod
 from impact_bsde.norms import NormReport
 
 from helpers import oracle_conditional_moment
+from norms_reference import _node_moment_sweep as full_sweep
 from norms_reference import h_norm_reference, measure_kappa_reference
 
 
@@ -56,7 +58,6 @@ def test_bmo_constant_is_zero():
 
 def test_bmo_refuses_non_martingale():
     lat = build_lattice(2, 1.0)
-    from impact_bsde import AdaptedProcess
     drift = AdaptedProcess(lat, [np.full(1 << k, float(k)) for k in range(3)])
     with pytest.raises(ValueError, match="not a martingale"):
         bmo_norm(drift)
@@ -186,11 +187,13 @@ def test_h_norm_unit_symmetric():
     assert rep.iterations > 0
 
 
-@pytest.mark.parametrize("c", [0.25, 1.0, 2.5])
+@pytest.mark.parametrize("c", [1e-200, 1e-12, 0.25, 1.0, 2.5, 1e6, 1e200])
 def test_h_norm_scaling(c):
+    # the gauge of [c, -c] is exactly c, at every scale: no tolerance is
+    # absolute, and no square leaves the float range
     lat = build_lattice(1, 1.0)
     rep = h_norm(np.array([c, -c]), lat)
-    assert rep.value == pytest.approx(c, abs=1e-9)
+    assert rep.value == pytest.approx(c, rel=1e-11, abs=0.0)
 
 
 def test_orlicz_h_values():
@@ -340,19 +343,33 @@ def test_integrand_norm_reports_the_shallowest_tie():
     assert bmo_norm(doob(np.zeros(16), lat)).achieving_node == (0, 0)
 
 
-# --- the root-then-replay gauge norm and the stacked kappa, against verbatim
-# copies of the full-sweep bisection and the per-terminal loop --------------
+# --- the gauge norm as its criterion's root and the stacked kappa, against
+# verbatim copies of the full-sweep criterion and bisection and of the
+# per-terminal loop -----------------------------------------------------------
 
-def _same_gauge(a, b):
-    return ((a.value, a.achieving_node, a.iterations, a.extras)
-            == (b.value, b.achieving_node, b.iterations, b.extras))
+def _assert_full_sweep_root(x, lat=None):
+    """``h_norm`` reports the first scale the full-sweep criterion accepts,
+    to 1e-11 relative, with its worst node, and agrees with the reference
+    bisection run to 1e-12."""
+    rep = h_norm(x, lat)
+    m = x if isinstance(x, AdaptedProcess) else doob(x, lat)
+
+    def criterion(lam):
+        return full_sweep(m, lambda d: orlicz_h(d / lam))
+
+    at, node = criterion(rep.value)
+    assert at <= 1.0
+    assert criterion(rep.value * (1.0 - 1e-11))[0] > 1.0
+    assert rep.achieving_node == node
+    want = h_norm_reference(x, lat, bisection_tol=1e-12).value
+    assert abs(rep.value - want) <= 1e-12 + 1e-11 * rep.value
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=3),
-       st.floats(min_value=-4.0, max_value=3.0), st.sampled_from([1e-6, 1e-10, 1e-12]),
+       st.floats(min_value=-4.0, max_value=3.0),
        st.sampled_from(["uniform", "cubed", "spike"]), st.integers(0, 2 ** 31))
-def test_h_norm_replays_the_bisection_exactly(depth, stocks, log_scale, tol, shape, seed):
+def test_h_norm_is_the_criterion_root(depth, stocks, log_scale, shape, seed):
     rng = np.random.default_rng(seed)
     scale = 10.0 ** log_scale
     x = rng.uniform(-1.0, 1.0, size=(1 << depth, stocks))
@@ -366,10 +383,7 @@ def test_h_norm_replays_the_bisection_exactly(depth, stocks, log_scale, tol, sha
     x *= scale / np.max(np.abs(x))
     if stocks == 1 and seed % 2:
         x = x[:, 0]
-    lat = build_lattice(depth, 1.0)
-    got = h_norm(x, lat, bisection_tol=tol)
-    want = h_norm_reference(x, lat, bisection_tol=tol)
-    assert _same_gauge(got, want)
+    _assert_full_sweep_root(x, build_lattice(depth, 1.0))
 
 
 def _report_dividends(lat):
@@ -384,19 +398,15 @@ def _report_dividends(lat):
 
 
 @pytest.mark.parametrize("family", range(4))
-def test_h_norm_replay_on_the_report_dividends(family):
+def test_h_norm_is_the_root_on_the_report_dividends(family):
     lat = build_lattice(14, 1.0)
-    x = _report_dividends(lat)[family]
-    for tol in (1e-10, 1e-12):
-        assert _same_gauge(h_norm(x, lat, bisection_tol=tol),
-                           h_norm_reference(x, lat, bisection_tol=tol))
+    _assert_full_sweep_root(_report_dividends(lat)[family], lat)
 
 
-def test_h_norm_replay_on_a_vector_martingale():
+def test_h_norm_is_the_root_on_a_vector_martingale():
     rng = np.random.default_rng(61)
     lat = build_lattice(9, 2.0)
-    m = doob(rng.uniform(-1.0, 1.0, size=(512, 2)), lat)
-    assert _same_gauge(h_norm(m), h_norm_reference(m))
+    _assert_full_sweep_root(doob(rng.uniform(-1.0, 1.0, size=(512, 2)), lat))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -416,14 +426,6 @@ def test_h_norm_of_non_finite_input_is_nan_without_warnings(bad):
     if bad > 0:
         x[2] = -np.inf  # the [inf, -inf, ...] terminal: inf - inf in the averaging
         assert np.isnan(h_norm(x, lat).value)
-
-
-def test_h_norm_stops_when_the_bracket_cannot_shrink():
-    # the spacing of doubles near 1e6 exceeds the bisection tolerance, so the
-    # bracket reaches adjacent floats while still wider than it
-    lat = build_lattice(1, 1.0)
-    rep = h_norm(np.array([1e6, -1e6]), lat, bisection_tol=1e-12)
-    assert rep.value == pytest.approx(1e6, rel=1e-15)
 
 
 @pytest.mark.parametrize("depth", range(1, 15))
