@@ -18,8 +18,7 @@ import numpy as np
 
 from . import bsde as bsde_mod
 from . import verify as verify_mod
-from .config import (METHODS, SUITES, SWEEP_PARAMS, ConfigError, RunConfig, load_config,
-                     validate_summary)
+from .config import METHODS, SUITES, SWEEP_PARAMS, ConfigError, RunConfig, load_config
 from .lattice import ExponentialGuardError, LatticeSizeError, build_lattice, process_gap
 from .norms import bmo_norm_rv, h_bmo_norm, h_norm, measure_kappa, sup_norm
 from .pricer import NumericalError, _check_finite, price_equilibrium
@@ -54,32 +53,15 @@ def _write_csv(path: str, header: list[str], rows):
             ])
 
 
-def _config_error(message: str):
-    click.echo(f"config error: {message}", err=True)
-    sys.exit(EXIT_CONFIG)
-
-
-def _numeric_error(exc: Exception):
-    click.echo(f"numeric failure: {exc}", err=True)
-    sys.exit(EXIT_NUMERIC)
-
-
-def _load(config_path: str) -> RunConfig:
-    try:
-        return load_config(config_path)
-    except ConfigError as exc:
-        _config_error(exc)
-
-
 def _evaluate(market: MarketConfig) -> Instance:
     """The market on its own lattice; each command evaluates its market once
     (a depth sweep once per depth)."""
     try:
         return evaluate_market(market, build_lattice(market.num_steps, market.horizon))
-    except LatticeSizeError as exc:
-        _config_error(exc)
+    except LatticeSizeError:
+        raise
     except ValueError as exc:  # a spec that does not fit the lattice
-        _config_error(f"market: {exc}")
+        raise ConfigError(f"market: {exc}") from exc
 
 
 def _picard_constants(run: RunConfig, inst: Instance) -> tuple[float, float]:
@@ -191,7 +173,22 @@ def _write_nodes(path: str, prices, certainty, density=None, up_prob=None,
                                      for p, row in zip(range(lo, hi), cells.tolist())))
 
 
-@click.group()
+class _ErrorExits(click.Group):
+    """The command group; it ends a command that raises a config or numeric
+    error with a one-line message and that error's exit code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ConfigError, LatticeSizeError) as exc:
+            click.echo(f"config error: {exc}", err=True)
+            sys.exit(EXIT_CONFIG)
+        except (NumericalError, ExponentialGuardError) as exc:
+            click.echo(f"numeric failure: {exc}", err=True)
+            sys.exit(EXIT_NUMERIC)
+
+
+@click.group(cls=_ErrorExits)
 def main():
     """Demand-based equilibrium pricing laboratory."""
 
@@ -203,28 +200,22 @@ def main():
               help="Also write the per-node CSV table here.")
 def cmd_price(config_path, out_path, dump_path):
     """Price the configured instance and write a solution summary."""
-    run = _load(config_path)
+    run = load_config(config_path)
     inst = _evaluate(run.market)
-    try:
-        sol = price_equilibrium(inst)
-        summary = {
-            "command": "price",
-            "initial_price": sol.initial_price.tolist(),
-            "initial_certainty": sol.initial_certainty,
-            "mpr_representation_gap": _finite_norm("the market-price-of-risk "
-                                                   "representation gap", sol.mpr_gap),
-            "volatility_bmo": _bmo("volatility", sol.volatility),
-            "mpr_bmo": _bmo("market price of risk", sol.market_price_of_risk),
-            "norms": _instance_norms(run, inst),
-        }
-    except (NumericalError, ExponentialGuardError) as exc:
-        _numeric_error(exc)
-    validate_summary(summary)
-    _write_json(out_path, summary)
-    if dump_path or run.output.dump_nodes:
-        _write_nodes(dump_path or out_path + ".nodes.csv", sol.prices,
-                     sol.certainty_equivalent, sol.density, sol.up_prob,
-                     sol.market_price_of_risk, sol.volatility)
+    sol = price_equilibrium(inst)
+    _write_json(out_path, {
+        "command": "price",
+        "initial_price": sol.initial_price.tolist(),
+        "initial_certainty": sol.initial_certainty,
+        "mpr_representation_gap": _finite_norm("the market-price-of-risk "
+                                               "representation gap", sol.mpr_gap),
+        "volatility_bmo": _bmo("volatility", sol.volatility),
+        "mpr_bmo": _bmo("market price of risk", sol.market_price_of_risk),
+        "norms": _instance_norms(run, inst),
+    })
+    if dump_path:
+        _write_nodes(dump_path, sol.prices, sol.certainty_equivalent, sol.density,
+                     sol.up_prob, sol.market_price_of_risk, sol.volatility)
     click.echo(f"price: S0={sol.initial_price.tolist()} R0={sol.initial_certainty:.12g}")
 
 
@@ -240,52 +231,47 @@ def cmd_price(config_path, out_path, dump_path):
               help="Also write the per-node CSV table here.")
 def cmd_bsde(config_path, out_path, method, diag_path, dump_path):
     """Solve the backward system; non-convergence is reported, not fatal."""
-    run = _load(config_path)
+    run = load_config(config_path)
     inst = _evaluate(run.market)
     method = method or run.solver.method
-    dump = dump_path or run.output.dump_nodes
     summary: dict = {"command": "bsde", "method": method}
-    try:
-        if method in ("explicit", "both"):
-            exp = bsde_mod.solve_explicit(inst)
-            summary["initial_price"] = exp.initial_price.tolist()
-            summary["initial_certainty"] = exp.initial_certainty
-            summary["residual_explicit"] = exp.residual
-            # the comparison needs only the explicit price; the node table
-            # needs the whole solution
-            exp_price = exp.scaled_price
-            if not dump:
-                exp = None
-        if method in ("picard", "both"):
-            kappa, growth_bound = _picard_constants(run, inst)
-            pic, diag = bsde_mod.solve_picard(
-                inst, tol=run.solver.tol, max_iter=run.solver.max_iter,
-                growth_bound=growth_bound, kappa=kappa,
-            )
-            # a diverging run is reported, but its reconstruction must be finite
-            for k in range(inst.lattice.num_steps, -1, -1):
-                _check_finite(pic.scaled_value.values[k], k,
-                              "Picard scaled certainty equivalent")
-                _check_finite(pic.scaled_price.values[k], k, "Picard scaled price")
-            report = bsde_mod.contraction_report(diag)
-            summary.setdefault("initial_price", pic.initial_price.tolist())
-            summary.setdefault("initial_certainty", pic.initial_certainty)
-            summary["picard"] = diag.to_dict()
-            summary["contraction_report"] = report.to_dict()
-            if diag_path:
-                rows = []
-                for i, dist in enumerate(diag.distances):
-                    ratio = diag.ratios[i - 1] if 0 < i <= len(diag.ratios) else np.nan
-                    rows.append([i + 1, dist, ratio, diag.iterate_norms[i]])
-                _write_csv(diag_path, ["iteration", "distance", "ratio", "iterate_bmo"],
-                           rows)
-        if method == "both":
-            summary["max_node_discrepancy"] = process_gap(exp_price, pic.scaled_price)
-    except (NumericalError, ExponentialGuardError) as exc:
-        _numeric_error(exc)
-    validate_summary(summary)
+    if method in ("explicit", "both"):
+        exp = bsde_mod.solve_explicit(inst)
+        summary["initial_price"] = exp.initial_price.tolist()
+        summary["initial_certainty"] = exp.initial_certainty
+        summary["residual_explicit"] = exp.residual
+        # the comparison needs only the explicit price; the node table
+        # needs the whole solution
+        exp_price = exp.scaled_price
+        if not dump_path:
+            exp = None
+    if method in ("picard", "both"):
+        kappa, growth_bound = _picard_constants(run, inst)
+        pic, diag = bsde_mod.solve_picard(
+            inst, tol=run.solver.tol, max_iter=run.solver.max_iter,
+            growth_bound=growth_bound, kappa=kappa,
+        )
+        # a diverging run is reported, but its reconstruction must be finite
+        for k in range(inst.lattice.num_steps, -1, -1):
+            _check_finite(pic.scaled_value.values[k], k,
+                          "Picard scaled certainty equivalent")
+            _check_finite(pic.scaled_price.values[k], k, "Picard scaled price")
+        report = bsde_mod.contraction_report(diag)
+        summary.setdefault("initial_price", pic.initial_price.tolist())
+        summary.setdefault("initial_certainty", pic.initial_certainty)
+        summary["picard"] = diag.to_dict()
+        summary["contraction_report"] = report.to_dict()
+        if diag_path:
+            rows = []
+            for i, dist in enumerate(diag.distances):
+                ratio = diag.ratios[i - 1] if 0 < i <= len(diag.ratios) else np.nan
+                rows.append([i + 1, dist, ratio, diag.iterate_norms[i]])
+            _write_csv(diag_path, ["iteration", "distance", "ratio", "iterate_bmo"],
+                       rows)
+    if method == "both":
+        summary["max_node_discrepancy"] = process_gap(exp_price, pic.scaled_price)
     _write_json(out_path, summary)
-    if dump:
+    if dump_path:
         chosen = exp if method in ("explicit", "both") else pic
         try:
             asm = bsde_mod.assemble(chosen)
@@ -294,8 +280,7 @@ def cmd_bsde(config_path, out_path, method, diag_path, dump_path):
         except ExponentialGuardError:
             assembled = {}
         # the one-step pricing weight has no backward-system analogue: q_up is nan
-        _write_nodes(dump_path or out_path + ".nodes.csv", chosen.prices,
-                     chosen.certainty_equivalent, **assembled)
+        _write_nodes(dump_path, chosen.prices, chosen.certainty_equivalent, **assembled)
     if "picard" in summary:
         click.echo(f"bsde[{method}]: converged={summary['picard']['converged']} "
                    f"iterations={summary['picard']['iterations']}")
@@ -308,25 +293,21 @@ def cmd_bsde(config_path, out_path, method, diag_path, dump_path):
 @click.option("--out", "out_path", required=True, type=click.Path())
 def cmd_norms(config_path, out_path):
     """Norms of the configured inputs and of the priced solution."""
-    run = _load(config_path)
+    run = load_config(config_path)
     inst = _evaluate(run.market)
-    try:
-        sol = price_equilibrium(inst)
-        doc = {
-            "command": "norms",
-            "initial_price": sol.initial_price.tolist(),
-            "initial_certainty": sol.initial_certainty,
-            "norms": _instance_norms(run, inst),
-            "volatility_bmo": _bmo("volatility", sol.volatility),
-            "mpr_bmo": _bmo("market price of risk", sol.market_price_of_risk),
-            "value_integrand_bmo": _bmo("value integrand", sol.value_integrand),
-            "price_integrand_bmo": _bmo("price integrand", sol.price_integrand),
-            "demand_sup_node": list(sup_norm(sol.gamma).achieving_node),
-            "kappa_empirical": measure_kappa(inst.lattice),
-        }
-    except (NumericalError, ExponentialGuardError) as exc:
-        _numeric_error(exc)
-    validate_summary(doc)
+    sol = price_equilibrium(inst)
+    doc = {
+        "command": "norms",
+        "initial_price": sol.initial_price.tolist(),
+        "initial_certainty": sol.initial_certainty,
+        "norms": _instance_norms(run, inst),
+        "volatility_bmo": _bmo("volatility", sol.volatility),
+        "mpr_bmo": _bmo("market price of risk", sol.market_price_of_risk),
+        "value_integrand_bmo": _bmo("value integrand", sol.value_integrand),
+        "price_integrand_bmo": _bmo("price integrand", sol.price_integrand),
+        "demand_sup_node": list(sup_norm(sol.gamma).achieving_node),
+        "kappa_empirical": measure_kappa(inst.lattice),
+    }
     _write_json(out_path, doc)
     click.echo(f"norms: smallness_product={doc['norms']['smallness_product']:.6g}")
 
@@ -379,16 +360,10 @@ def _run_suite(run: RunConfig, inst: Instance) -> list:
               help="Override the suite from the config.")
 def cmd_verify(config_path, out_path, suite):
     """Run the verification suite; exit 1 if any hard gate fails."""
-    run = _load(config_path)
+    run = load_config(config_path)
     if suite:
         run.verify.suite = suite
-    inst = _evaluate(run.market)
-    try:
-        reports = _run_suite(run, inst)
-    except LatticeSizeError as exc:  # a counter-example depth over the cap
-        _config_error(exc)
-    except (NumericalError, ExponentialGuardError) as exc:
-        _numeric_error(exc)
+    reports = _run_suite(run, _evaluate(run.market))
     doc = {
         "command": "verify",
         "suite": run.verify.suite,
@@ -412,24 +387,25 @@ def cmd_verify(config_path, out_path, suite):
 @click.option("--out", "out_path", required=True, type=click.Path())
 def cmd_sweep(config_path, param, start, stop, points, out_path):
     """Sweep one parameter; emit smallness product and convergence columns."""
-    run = _load(config_path)
+    run = load_config(config_path)
     if points < 1:
-        _config_error("--points must be >= 1")
+        raise ConfigError("--points must be >= 1")
     if not (np.isfinite(start) and np.isfinite(stop)):
-        _config_error(f"--from/--to must be finite, got {start}..{stop}")
+        raise ConfigError(f"--from/--to must be finite, got {start}..{stop}")
     market = run.market
     if param == "num_steps":
         values = np.unique(np.linspace(start, stop, points).astype(int))
         values = values[values >= 1].astype(float)
         if not len(values):
-            _config_error(f"--from/--to must reach a depth >= 1, got {start}..{stop}")
+            raise ConfigError(f"--from/--to must reach a depth >= 1, got {start}..{stop}")
         if len(values) < points:
-            _config_error(f"--points {points} asks for {points} depths, but {start}..{stop} gives "
-                          f"{len(values)} distinct depths >= 1: {values.astype(int).tolist()}")
+            raise ConfigError(f"--points {points} asks for {points} depths, but {start}..{stop} "
+                              f"gives {len(values)} distinct depths >= 1: "
+                              f"{values.astype(int).tolist()}")
     else:
         values = np.linspace(start, stop, points)
     if param == "risk_aversion" and not np.all(values > 0):
-        _config_error(f"--from/--to must keep risk_aversion positive, got {start}..{stop}")
+        raise ConfigError(f"--from/--to must keep risk_aversion positive, got {start}..{stop}")
     base = None if param == "num_steps" else _evaluate(market)
 
     def point(val) -> Instance:  # the one rule for a swept point
@@ -443,31 +419,28 @@ def cmd_sweep(config_path, param, start, stop, points, out_path):
 
     solver = run.solver
     rows, diags = [], []
-    try:
-        # no column depends on kappa, so none is measured; the dividend's norm
-        # is the base's unless the dividend or the depth is swept
-        psi_bmo = _centered_bmo(base) if param in ("risk_aversion", "demand_scale") else None
-        for val in values:
-            inst = point(val)
-            # the smallness product scales the base sup by |val| instead of
-            # re-deriving it from the scaled nodes; the two may differ in the
-            # last bit
-            gamma_sup = (base.gamma_sup * abs(float(val)) if param == "demand_scale"
-                         else inst.gamma_sup)
-            rows.append([
-                float(val),
-                inst.risk_aversion * gamma_sup
-                * (_centered_bmo(inst) if psi_bmo is None else psi_bmo),
-                *_solution_norms(inst),
-            ])
-            if param == "num_steps":
-                # each depth is its own lattice: a one-point block
-                diags += bsde_mod.picard_diagnostics([inst], solver.tol, solver.max_iter)
-        if param != "num_steps":
-            diags = bsde_mod.picard_diagnostics(map(point, values), solver.tol,
-                                                solver.max_iter)
-    except (NumericalError, ExponentialGuardError) as exc:
-        _numeric_error(exc)
+    # no column depends on kappa, so none is measured; the dividend's norm
+    # is the base's unless the dividend or the depth is swept
+    psi_bmo = _centered_bmo(base) if param in ("risk_aversion", "demand_scale") else None
+    for val in values:
+        inst = point(val)
+        # the smallness product scales the base sup by |val| instead of
+        # re-deriving it from the scaled nodes; the two may differ in the
+        # last bit
+        gamma_sup = (base.gamma_sup * abs(float(val)) if param == "demand_scale"
+                     else inst.gamma_sup)
+        rows.append([
+            float(val),
+            inst.risk_aversion * gamma_sup
+            * (_centered_bmo(inst) if psi_bmo is None else psi_bmo),
+            *_solution_norms(inst),
+        ])
+        if param == "num_steps":
+            # each depth is its own lattice: a one-point block
+            diags += bsde_mod.picard_diagnostics([inst], solver.tol, solver.max_iter)
+    if param != "num_steps":
+        diags = bsde_mod.picard_diagnostics(map(point, values), solver.tol,
+                                            solver.max_iter)
     _write_csv(out_path,
                ["param_value", "smallness_product", "converged", "iterations",
                 "final_ratio", "volatility_bmo", "mpr_bmo"],

@@ -1,7 +1,11 @@
 """Run-configuration schema: one JSON document drives every command.
 
-Validation is strict: unknown keys are rejected with the full field path,
-and each demand/dividend variant has a 1:1 textual form.  Example:
+Each section and each demand/dividend variant is built from the class it
+configures (``MarketConfig``, the spec classes, ``SolverSettings``,
+``VerifySettings``): a constructor parameter without a default is a required
+key, and an absent optional key takes the class's own default.  Unknown keys
+and sections are rejected with the full field path; numbers must be finite.
+Example:
 
     {
       "market": {
@@ -19,8 +23,11 @@ and each demand/dividend variant has a 1:1 textual form.  Example:
 
 from __future__ import annotations
 
+import inspect
 import json
+import sys
 from dataclasses import dataclass, field
+from functools import cache, partial
 
 from .scenario import (
     ConstantDemand,
@@ -46,15 +53,41 @@ class ConfigError(ValueError):
     """Configuration rejected; the message names the offending field."""
 
 
-def _require_keys(obj: dict, path: str, required: tuple, optional: tuple):
+@cache
+def _parameters(cls):
+    """``cls``'s constructor parameters, once per class: a signature takes ~30 us."""
+    return inspect.signature(cls).parameters
+
+
+def _given(cls, obj, path: str) -> list:
+    """The keys of ``obj`` that ``cls``'s constructor takes, in its order: a
+    parameter without a default is a required key, the others are optional,
+    and any other key is unknown."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object, got {type(obj).__name__}")
+    params = _parameters(cls)
     for key in obj:
-        if key not in required and key not in optional:
+        if key not in params:
             raise ConfigError(f"{path}.{key}: unknown key")
-    for key in required:
-        if key not in obj:
-            raise ConfigError(f"{path}.{key}: missing required key")
+    for name, param in params.items():
+        if param.default is param.empty and name not in obj:
+            raise ConfigError(f"{path}.{name}: missing required key")
+    return [name for name in params if name in obj]
+
+
+def _build(cls, readers: dict, obj, path: str):
+    """``cls`` from the JSON object ``obj``, each given key read by its
+    reader; an absent key takes the class's own default."""
+    return cls(**{name: readers[name](obj[name], f"{path}.{name}")
+                  for name in _given(cls, obj, path)})
+
+
+def _finite(obj, path) -> float:
+    """``obj`` as a float.  json reads NaN, Infinity and -Infinity, and an
+    integer beyond the float range has no float: all are refused."""
+    if not abs(obj) <= sys.float_info.max:
+        raise ConfigError(f"{path}: must be finite, got {obj!r}")
+    return float(obj)
 
 
 def _number(obj, path, positive=False):
@@ -62,7 +95,11 @@ def _number(obj, path, positive=False):
         raise ConfigError(f"{path}: expected a number, got {obj!r}")
     if positive and not obj > 0:
         raise ConfigError(f"{path}: must be positive, got {obj!r}")
-    return float(obj)
+    return _finite(obj, path)
+
+
+def _positive_or_null(obj, path):
+    return None if obj is None else _number(obj, path, positive=True)
 
 
 def _integer(obj, path, minimum=None):
@@ -85,83 +122,79 @@ def _choice(obj, path, options):
     return obj
 
 
-def parse_demand(obj: dict, path: str = "market.demand"):
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise ConfigError(f"{path}: expected an object with a 'type' key")
-    kind = obj["type"]
-    if kind == "constant":
-        _require_keys(obj, path, ("type",), ("value",))
-        return ConstantDemand(value=_vector_or_number(obj.get("value", 1.0), f"{path}.value"))
-    if kind == "negative_sign_of_b":
-        _require_keys(obj, path, ("type",), ("scale",))
-        return NegativeSignOfB(scale=_number(obj.get("scale", 1.0), f"{path}.scale"))
-    if kind == "piecewise_constant":
-        _require_keys(obj, path, ("type", "schedule"), ())
-        sched = obj["schedule"]
-        if not isinstance(sched, list) or not sched:
-            raise ConfigError(f"{path}.schedule: expected a non-empty list")
-        entries = []
-        for i, item in enumerate(sched):
-            if not isinstance(item, list) or len(item) != 2:
-                raise ConfigError(f"{path}.schedule[{i}]: expected [step, value]")
-            step = _integer(item[0], f"{path}.schedule[{i}][0]", minimum=0)
-            entries.append((step, _vector_or_number(item[1], f"{path}.schedule[{i}][1]")))
-        return PiecewiseConstantDemand(schedule=tuple(entries))
-    if kind == "localized":
-        _require_keys(obj, path, ("type", "inner"), ("level", "from_step"))
-        return LocalizedDemand(
-            inner=parse_demand(obj["inner"], f"{path}.inner"),
-            level=_number(obj.get("level", 0.0), f"{path}.level"),
-            from_step=_integer(obj.get("from_step", 0), f"{path}.from_step", minimum=0),
-        )
-    if kind == "table":
-        _require_keys(obj, path, ("type", "values"), ())
-        if not isinstance(obj["values"], list):
-            raise ConfigError(f"{path}.values: expected a list of per-step arrays")
-        return TableDemand(obj["values"])
-    raise ConfigError(f"{path}.type: unknown demand variant {kind!r}")
-
-
-def parse_dividend(obj: dict, path: str = "market.dividend"):
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise ConfigError(f"{path}: expected an object with a 'type' key")
-    kind = obj["type"]
-    if kind == "sign_of_b_t":
-        _require_keys(obj, path, ("type",), ("scale",))
-        return SignOfBT(scale=_number(obj.get("scale", 1.0), f"{path}.scale"))
-    if kind == "linear_clipped":
-        _require_keys(obj, path, ("type",), ("slope", "bound"))
-        return LinearClipped(slope=_number(obj.get("slope", 1.0), f"{path}.slope"),
-                             bound=_number(obj.get("bound", 1.0), f"{path}.bound",
-                                           positive=True))
-    if kind == "digital":
-        _require_keys(obj, path, ("type",), ("strike", "offset"))
-        return Digital(strike=_number(obj.get("strike", 0.0), f"{path}.strike"),
-                       offset=_number(obj.get("offset", 0.5), f"{path}.offset"))
-    if kind == "localized":
-        _require_keys(obj, path, ("type", "inner"), ("level", "from_step"))
-        return LocalizedDividend(
-            inner=parse_dividend(obj["inner"], f"{path}.inner"),
-            level=_number(obj.get("level", 0.0), f"{path}.level"),
-            from_step=_integer(obj.get("from_step", 0), f"{path}.from_step", minimum=0),
-        )
-    if kind == "table":
-        _require_keys(obj, path, ("type", "values"), ())
-        if not isinstance(obj["values"], list):
-            raise ConfigError(f"{path}.values: expected a list of per-leaf rows")
-        return TableDividend(obj["values"])
-    raise ConfigError(f"{path}.type: unknown dividend variant {kind!r}")
-
-
 def _vector_or_number(obj, path):
     if isinstance(obj, bool):
         raise ConfigError(f"{path}: expected a number or list of numbers")
     if isinstance(obj, (int, float)):
-        return float(obj)
+        return _finite(obj, path)
     if isinstance(obj, list) and obj and all(
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj):
-        return tuple(float(v) for v in obj)
+        return tuple(_finite(v, f"{path}[{i}]") for i, v in enumerate(obj))
     raise ConfigError(f"{path}: expected a number or list of numbers, got {obj!r}")
+
+
+def _schedule(obj, path):
+    if not isinstance(obj, list) or not obj:
+        raise ConfigError(f"{path}: expected a non-empty list")
+    entries = []
+    for i, item in enumerate(obj):
+        if not isinstance(item, list) or len(item) != 2:
+            raise ConfigError(f"{path}[{i}]: expected [step, value]")
+        step = _integer(item[0], f"{path}[{i}][0]", minimum=0)
+        entries.append((step, _vector_or_number(item[1], f"{path}[{i}][1]")))
+    return tuple(entries)
+
+
+def _list(obj, path, of):
+    if not isinstance(obj, list):
+        raise ConfigError(f"{path}: expected a list of {of}")
+    return obj
+
+
+def _depths(obj, path):
+    return tuple(_integer(x, f"{path}[{i}]", minimum=1)
+                 for i, x in enumerate(_list(obj, path, "integers")))
+
+
+def _variant(obj, path: str, what: str, variants: dict):
+    """The spec named by ``obj``'s ``type``, built from its other keys."""
+    if not isinstance(obj, dict) or "type" not in obj:
+        raise ConfigError(f"{path}: expected an object with a 'type' key")
+    kind = obj["type"]
+    if not isinstance(kind, str) or kind not in variants:
+        raise ConfigError(f"{path}.type: unknown {what} variant {kind!r}")
+    return _build(*variants[kind], {k: v for k, v in obj.items() if k != "type"}, path)
+
+
+def parse_demand(obj: dict, path: str = "market.demand"):
+    return _variant(obj, path, "demand", _DEMANDS)
+
+
+def parse_dividend(obj: dict, path: str = "market.dividend"):
+    return _variant(obj, path, "dividend", _DIVIDENDS)
+
+
+_POSITIVE = partial(_number, positive=True)
+_POSITIVE_INT = partial(_integer, minimum=1)
+_NONNEGATIVE_INT = partial(_integer, minimum=0)
+
+# type -> (spec class, a reader per constructor parameter)
+_DEMANDS = {
+    "constant": (ConstantDemand, {"value": _vector_or_number}),
+    "negative_sign_of_b": (NegativeSignOfB, {"scale": _number}),
+    "piecewise_constant": (PiecewiseConstantDemand, {"schedule": _schedule}),
+    "localized": (LocalizedDemand, {"inner": parse_demand, "level": _number,
+                                    "from_step": _NONNEGATIVE_INT}),
+    "table": (TableDemand, {"values": partial(_list, of="per-step arrays")}),
+}
+_DIVIDENDS = {
+    "sign_of_b_t": (SignOfBT, {"scale": _number}),
+    "linear_clipped": (LinearClipped, {"slope": _number, "bound": _POSITIVE}),
+    "digital": (Digital, {"strike": _number, "offset": _number}),
+    "localized": (LocalizedDividend, {"inner": parse_dividend, "level": _number,
+                                      "from_step": _NONNEGATIVE_INT}),
+    "table": (TableDividend, {"values": partial(_list, of="per-leaf rows")}),
+}
 
 
 @dataclass
@@ -184,78 +217,36 @@ class VerifySettings:
 
 
 @dataclass
-class OutputSettings:
-    dump_nodes: bool = False
-
-
-@dataclass
 class RunConfig:
     market: MarketConfig
     solver: SolverSettings = field(default_factory=SolverSettings)
     verify: VerifySettings = field(default_factory=VerifySettings)
-    output: OutputSettings = field(default_factory=OutputSettings)
+
+
+# section -> (class, a reader per constructor parameter)
+_SECTIONS = {
+    "market": (MarketConfig, {
+        "risk_aversion": _POSITIVE, "num_stocks": _POSITIVE_INT, "demand": parse_demand,
+        "dividend": parse_dividend, "num_steps": _POSITIVE_INT, "horizon": _POSITIVE,
+        "center_dividend": _boolean}),
+    "solver": (SolverSettings, {
+        "tol": _POSITIVE, "max_iter": _POSITIVE_INT, "method": partial(_choice, options=METHODS),
+        "growth_bound": _positive_or_null, "kappa": _positive_or_null}),
+    "verify": (VerifySettings, {
+        "suite": partial(_choice, options=SUITES), "competitors": _NONNEGATIVE_INT,
+        "seed": _integer, "epsilon": _POSITIVE, "x_grid_size": _POSITIVE_INT,
+        "counterexample_steps": _depths}),
+}
 
 
 def parse_config(doc: dict) -> RunConfig:
-    _require_keys(doc, "config", ("market",), ("solver", "verify", "output"))
-
-    m = doc["market"]
-    _require_keys(m, "market",
-                  ("risk_aversion", "num_stocks", "num_steps", "horizon",
-                   "demand", "dividend"),
-                  ("center_dividend",))
     try:
-        market = MarketConfig(
-            risk_aversion=_number(m["risk_aversion"], "market.risk_aversion", positive=True),
-            num_stocks=_integer(m["num_stocks"], "market.num_stocks", minimum=1),
-            demand=parse_demand(m["demand"]),
-            dividend=parse_dividend(m["dividend"]),
-            num_steps=_integer(m["num_steps"], "market.num_steps", minimum=1),
-            horizon=_number(m["horizon"], "market.horizon", positive=True),
-            center_dividend=_boolean(m.get("center_dividend", False),
-                                     "market.center_dividend"),
-        )
+        return RunConfig(**{name: _build(*_SECTIONS[name], doc[name], name)
+                            for name in _given(RunConfig, doc, "config")})
     except ConfigError:
         raise
-    except ValueError as exc:
+    except ValueError as exc:  # a spec constructor's refusal, e.g. a table entry
         raise ConfigError(f"market: {exc}") from exc
-
-    s = doc.get("solver", {})
-    _require_keys(s, "solver", (), ("tol", "max_iter", "method", "growth_bound", "kappa"))
-    solver = SolverSettings(
-        tol=_number(s.get("tol", 1e-12), "solver.tol", positive=True),
-        max_iter=_integer(s.get("max_iter", 100), "solver.max_iter", minimum=1),
-        method=_choice(s.get("method", "explicit"), "solver.method", METHODS),
-        growth_bound=(None if s.get("growth_bound") is None
-                      else _number(s["growth_bound"], "solver.growth_bound", positive=True)),
-        kappa=(None if s.get("kappa") is None
-               else _number(s["kappa"], "solver.kappa", positive=True)),
-    )
-
-    v = doc.get("verify", {})
-    _require_keys(v, "verify", (),
-                  ("suite", "competitors", "seed", "epsilon", "x_grid_size",
-                   "counterexample_steps"))
-    steps = v.get("counterexample_steps", [8, 10, 12])
-    if not isinstance(steps, list):
-        raise ConfigError("verify.counterexample_steps: expected a list of integers")
-    for i, x in enumerate(steps):
-        _integer(x, f"verify.counterexample_steps[{i}]", minimum=1)
-    verify = VerifySettings(
-        suite=_choice(v.get("suite", "all"), "verify.suite", SUITES),
-        competitors=_integer(v.get("competitors", 1000), "verify.competitors", minimum=0),
-        seed=_integer(v.get("seed", 0), "verify.seed"),
-        epsilon=_number(v.get("epsilon", 1e-4), "verify.epsilon", positive=True),
-        x_grid_size=_integer(v.get("x_grid_size", 5), "verify.x_grid_size", minimum=1),
-        counterexample_steps=tuple(steps),
-    )
-
-    o = doc.get("output", {})
-    _require_keys(o, "output", (), ("dump_nodes",))
-    output = OutputSettings(dump_nodes=_boolean(o.get("dump_nodes", False),
-                                                "output.dump_nodes"))
-
-    return RunConfig(market=market, solver=solver, verify=verify, output=output)
 
 
 def load_config(path: str) -> RunConfig:
@@ -268,18 +259,3 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(doc)
 
-
-# published summary schema: every emitted summary JSON re-validates against this
-SUMMARY_REQUIRED = ("command", "initial_price", "initial_certainty")
-
-
-def validate_summary(doc: dict):
-    """Round-trip guard for emitted summaries: required keys with list/float
-    payloads of the right shape."""
-    for key in SUMMARY_REQUIRED:
-        if key not in doc:
-            raise ConfigError(f"summary.{key}: missing")
-    if not isinstance(doc["initial_price"], list):
-        raise ConfigError("summary.initial_price: expected a list")
-    if not isinstance(doc["initial_certainty"], (int, float)):
-        raise ConfigError("summary.initial_certainty: expected a number")

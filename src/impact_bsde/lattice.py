@@ -63,8 +63,8 @@ class Lattice:
     sign conventions) free of rounding.
     """
 
-    def __init__(self, num_steps: int, horizon: float, max_steps: int | None = None):
-        cap = max_steps_cap() if max_steps is None else int(max_steps)
+    def __init__(self, num_steps: int, horizon: float):
+        cap = max_steps_cap()
         if not isinstance(num_steps, (int, np.integer)) or num_steps < 1:
             raise ValueError(f"num_steps must be a positive integer, got {num_steps!r}")
         if num_steps > cap:
@@ -142,9 +142,9 @@ class Lattice:
         return f"Lattice(num_steps={self.num_steps}, horizon={self.horizon})"
 
 
-def build_lattice(num_steps: int, horizon: float, max_steps: int | None = None) -> Lattice:
+def build_lattice(num_steps: int, horizon: float) -> Lattice:
     """Build the depth-``num_steps`` binary lattice over ``[0, horizon]``."""
-    return Lattice(num_steps, horizon, max_steps=max_steps)
+    return Lattice(num_steps, horizon)
 
 
 def node_max(slices) -> tuple[float, tuple[int, int]]:

@@ -11,7 +11,11 @@ from click.testing import CliRunner
 import impact_bsde.bsde as bsde_mod
 from impact_bsde import build_lattice, evaluate_market
 from impact_bsde.cli import main
-from impact_bsde.config import ConfigError, load_config, parse_config, validate_summary
+from impact_bsde.config import (ConfigError, SolverSettings, VerifySettings, load_config,
+                                parse_config, parse_demand, parse_dividend)
+from impact_bsde.scenario import (ConstantDemand, Digital, LinearClipped, LocalizedDemand,
+                                  LocalizedDividend, NegativeSignOfB, PiecewiseConstantDemand,
+                                  SignOfBT, TableDemand, TableDividend)
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -68,6 +72,155 @@ def test_nested_spec_parsing():
     assert run.market.demand.from_step == 1
 
 
+
+@pytest.mark.parametrize("parse, doc, default", [
+    (parse_demand, {"type": "constant"}, ConstantDemand()),
+    (parse_demand, {"type": "negative_sign_of_b"}, NegativeSignOfB()),
+    (parse_demand, {"type": "piecewise_constant", "schedule": [[0, 1.0]]},
+     PiecewiseConstantDemand(schedule=((0, 1.0),))),
+    (parse_demand, {"type": "localized", "inner": {"type": "constant"}},
+     LocalizedDemand(inner=ConstantDemand())),
+    (parse_demand, {"type": "table", "values": [[0.5]]}, TableDemand([[0.5]])),
+    (parse_dividend, {"type": "sign_of_b_t"}, SignOfBT()),
+    (parse_dividend, {"type": "linear_clipped"}, LinearClipped()),
+    (parse_dividend, {"type": "digital"}, Digital()),
+    (parse_dividend, {"type": "localized", "inner": {"type": "digital"}},
+     LocalizedDividend(inner=Digital())),
+    (parse_dividend, {"type": "table", "values": [0.5, -0.5]}, TableDividend([0.5, -0.5])),
+], ids=["constant", "negative_sign_of_b", "piecewise_constant", "localized_demand",
+        "table_demand", "sign_of_b_t", "linear_clipped", "digital", "localized_dividend",
+        "table_dividend"])
+def test_absent_spec_keys_take_the_class_defaults(parse, doc, default):
+    spec = parse(doc)
+    # the repr of the fields also tells 0 from 0.0
+    assert (type(spec), repr(vars(spec))) == (type(default), repr(vars(default)))
+
+
+def test_absent_sections_take_the_class_defaults():
+    run = parse_config(one_period_doc())
+    assert (run.solver, run.verify) == (SolverSettings(), VerifySettings())
+    assert run.market.center_dividend is False
+    doc = one_period_doc()
+    doc["solver"] = {"kappa": None, "growth_bound": None}
+    doc["verify"] = {}
+    run = parse_config(doc)
+    assert (run.solver, run.verify) == (SolverSettings(), VerifySettings())
+
+
+def _with_section(name, body):
+    doc = one_period_doc()
+    doc[name] = body
+    return doc
+
+
+def _without_dividend():
+    doc = one_period_doc()
+    del doc["market"]["dividend"]
+    return doc
+
+
+def _schedule(schedule):
+    return one_period_doc(demand={"type": "piecewise_constant", "schedule": schedule})
+
+
+SINGLE_ERRORS = {
+    "not_an_object": ([1], "config: expected an object, got list"),
+    "section_not_an_object": (_with_section("solver", []), "solver: expected an object, got list"),
+    "unknown_section": (_with_section("output", {"dump_nodes": True}),
+                        "config.output: unknown key"),
+    "unknown_key": (one_period_doc(typo=1), "market.typo: unknown key"),
+    "unknown_spec_key": (one_period_doc(demand={"type": "constant", "scale": 1}),
+                         "market.demand.scale: unknown key"),
+    "missing_key": (_without_dividend(), "market.dividend: missing required key"),
+    "missing_spec_key": (one_period_doc(demand={"type": "localized"}),
+                         "market.demand.inner: missing required key"),
+    "not_a_number": (one_period_doc(risk_aversion="1"),
+                     "market.risk_aversion: expected a number, got '1'"),
+    "not_an_integer": (one_period_doc(num_stocks=1.5),
+                       "market.num_stocks: expected an integer, got 1.5"),
+    "not_a_boolean": (one_period_doc(center_dividend=1),
+                      "market.center_dividend: expected a boolean, got 1"),
+    "not_a_vector": (one_period_doc(demand={"type": "constant", "value": [True]}),
+                     "market.demand.value: expected a number or list of numbers, got [True]"),
+    "not_a_table": (one_period_doc(dividend={"type": "table", "values": {}}),
+                    "market.dividend.values: expected a list of per-leaf rows"),
+    "no_type": (one_period_doc(demand={}), "market.demand: expected an object with a 'type' key"),
+    "unknown_variant": (one_period_doc(dividend={"type": "mystery"}),
+                        "market.dividend.type: unknown dividend variant 'mystery'"),
+    "unhashable_variant": (one_period_doc(demand={"type": ["constant"]}),
+                           "market.demand.type: unknown demand variant ['constant']"),
+    "bad_choice": (_with_section("solver", {"method": "newton"}),
+                   "solver.method: expected one of ('explicit', 'picard', 'both'), got 'newton'"),
+    "non_positive": (one_period_doc(horizon=-1), "market.horizon: must be positive, got -1"),
+    "non_positive_nan": (_with_section("verify", {"epsilon": math.nan}),
+                         "verify.epsilon: must be positive, got nan"),
+    "below_minimum": (_with_section("verify", {"x_grid_size": 0}),
+                      "verify.x_grid_size: must be >= 1, got 0"),
+    "empty_schedule": (_schedule([]), "market.demand.schedule: expected a non-empty list"),
+    "malformed_schedule": (_schedule([[0]]), "market.demand.schedule[0]: expected [step, value]"),
+    "schedule_step": (_schedule([[-1, 1.0]]),
+                      "market.demand.schedule[0][0]: must be >= 0, got -1"),
+    "counterexample_steps": (_with_section("verify", {"counterexample_steps": "x"}),
+                             "verify.counterexample_steps: expected a list of integers"),
+    "counterexample_step": (_with_section("verify", {"counterexample_steps": [4, "a"]}),
+                            "verify.counterexample_steps[1]: expected an integer, got 'a'"),
+}
+
+
+@pytest.mark.parametrize("case", SINGLE_ERRORS)
+def test_single_error_messages(tmp_path, case):
+    doc, message = SINGLE_ERRORS[case]
+    result = CliRunner().invoke(main, ["price", "--config", write_config(tmp_path, doc),
+                                       "--out", str(tmp_path / "out.json")])
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert result.output == f"config error: {message}\n"
+    assert not (tmp_path / "out.json").exists()
+
+
+def _unit_market(**overrides):
+    return one_period_doc(num_steps=4, demand={"type": "negative_sign_of_b", "scale": 0.5},
+                          **overrides)
+
+
+@pytest.mark.parametrize("doc, command, message", [
+    (_unit_market(horizon=math.inf), ["verify", "--suite", "all"],
+     "market.horizon: must be finite, got inf"),
+    (_unit_market(horizon=math.inf), ["price"], "market.horizon: must be finite, got inf"),
+    (_unit_market(horizon=math.inf), ["bsde", "--method", "both"],
+     "market.horizon: must be finite, got inf"),
+    (_unit_market(risk_aversion=math.inf), ["price"],
+     "market.risk_aversion: must be finite, got inf"),
+    (one_period_doc(num_steps=4, demand={"type": "negative_sign_of_b", "scale": math.nan}),
+     ["price"], "market.demand.scale: must be finite, got nan"),
+    (one_period_doc(num_stocks=2, demand={"type": "constant", "value": [1.0, -math.inf]}),
+     ["norms"], "market.demand.value[1]: must be finite, got -inf"),
+    (_with_section("solver", {"kappa": math.inf}), ["bsde", "--method", "picard"],
+     "solver.kappa: must be finite, got inf"),
+], ids=["horizon-verify", "horizon-price", "horizon-bsde", "aversion", "scale", "vector",
+        "kappa"])
+def test_non_finite_numbers_are_config_errors(tmp_path, doc, command, message):
+    # json reads NaN and Infinity; before they were refused, an infinite
+    # horizon passed every hard gate of verify and failed price with exit 3
+    result = CliRunner().invoke(main, command + ["--config", write_config(tmp_path, doc),
+                                                 "--out", str(tmp_path / "out.json")])
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert result.output == f"config error: {message}\n"
+
+
+def test_integer_beyond_the_float_range_is_a_config_error():
+    doc = one_period_doc(dividend={"type": "sign_of_b_t", "scale": 10 ** 400})
+    with pytest.raises(ConfigError, match=r"^market\.dividend\.scale: must be finite, got 1000"):
+        parse_config(json.loads(json.dumps(doc)))
+
+
+def test_spec_constructor_refusal_is_a_market_config_error(tmp_path):
+    doc = one_period_doc(demand={"type": "table", "values": ["x"]})
+    result = CliRunner().invoke(main, ["price", "--config", write_config(tmp_path, doc),
+                                       "--out", str(tmp_path / "out.json")])
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert result.output == "config error: market: could not convert string to float: 'x'\n"
+
+
 def test_price_command_one_period(tmp_path):
     runner = CliRunner()
     cfg = write_config(tmp_path, one_period_doc())
@@ -76,7 +229,8 @@ def test_price_command_one_period(tmp_path):
     assert result.exit_code == 0, result.output
     doc = json.loads(out.read_text())
     assert doc["initial_price"][0] == pytest.approx(-math.tanh(0.5), abs=1e-12)
-    validate_summary(doc)
+    assert len(doc["initial_price"]) == 1
+    assert isinstance(doc["initial_certainty"], float)
 
 
 def test_price_command_zero_demand(tmp_path):
@@ -271,14 +425,6 @@ def test_sweep_risk_aversion_product_monotone(tmp_path):
     rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
     products = [float(r[1]) for r in rows]
     assert products == sorted(products)
-
-
-def test_summary_schema_guard():
-    with pytest.raises(ConfigError, match="summary.initial_price"):
-        validate_summary({"command": "price", "initial_price": 1.0,
-                          "initial_certainty": 0.0})
-    validate_summary({"command": "price", "initial_price": [1.0],
-                      "initial_certainty": 0.0})
 
 
 def _csv_rows(path):
