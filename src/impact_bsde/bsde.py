@@ -1,5 +1,6 @@
 """Coupled quadratic backward system on the lattice: explicit backward
-solver, fixed-point (Picard) solver, and contraction diagnostics.
+solver, fixed-point (Picard) solver, contraction diagnostics, and the
+market price of risk, volatility and density a solution defines.
 
 The unknowns are the predictable integrand pair (value integrand, price
 integrand) and the adapted pair (scaled certainty equivalent, scaled
@@ -44,13 +45,12 @@ step N + 1 with distance 0, a change of the iteration records of its own.
 That pass, ``_picard_step``, carries a leading point axis: every slice
 holds one row per point, and each row is an ``Instance`` on one shared
 lattice, such as a sweep's variants of one market.  One loop,
-``_picard_rows``, iterates it from zero: it draws the points from an
+``picard_diagnostics``, iterates it from zero: it draws the points from an
 iterable as slots free up, runs them as rows of blocks sized by a fixed
 byte budget on the integrand pairs, keeps the iteration records, and
 refills a block as its rows converge, reach the iteration cap or abort.
-``picard_diagnostics`` runs a sweep's points through it; ``solve_picard``
-runs it on its one instance and rebuilds the solution from the iterate
-that row ends on.
+A sweep runs its points through it; ``solve_picard`` runs it on its one
+instance and rebuilds the solution from the iterate that row ends on.
 Every reduction is per row, so each row's record is the one its own run
 would give, bit for bit.  The rebuild writes its ``_backward`` slices
 into one block; its residual is the node-max move of one more map step.
@@ -59,6 +59,7 @@ into one block; its residual is the node-max move of one more map step.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -69,9 +70,7 @@ from .lattice import (
     Lattice,
     PredictableProcess,
     _square_sum,
-    martingale_defect,
     stochastic_exponential,
-    stochastic_integral,
     stock_sum,
 )
 from .norms import _remaining_load
@@ -117,7 +116,8 @@ def driver_growth_bound(gamma_sup: float) -> float:
 
 @dataclass
 class BsdeSolution:
-    """Backward-system solution in scaled form plus its integrands."""
+    """Backward-system solution in scaled form plus its integrands, and the
+    processes they define under the pricer's names, each computed on first use."""
 
     lattice: Lattice
     risk_aversion: float
@@ -146,6 +146,32 @@ class BsdeSolution:
     @property
     def initial_certainty(self) -> float:
         return float((1.0 / self.risk_aversion) * self.scaled_value.values[0][0])
+
+    @cached_property
+    def market_price_of_risk(self) -> PredictableProcess:
+        """Value integrand plus demand-weighted price integrand."""
+        return PredictableProcess(self.lattice, [
+            self.value_integrand.values[k]
+            + stock_sum(self.price_integrand.values[k] * self.gamma.values[k])
+            for k in range(self.lattice.num_steps)
+        ])
+
+    @cached_property
+    def volatility(self) -> PredictableProcess:
+        """Price integrand over the risk aversion."""
+        return self.price_integrand.scaled(1.0 / self.risk_aversion)
+
+    @cached_property
+    def density(self) -> AdaptedProcess:
+        """Stochastic exponential of the negated market price of risk;
+        raises ``ExponentialGuardError`` where it would lose positivity."""
+        try:
+            return stochastic_exponential(self.market_price_of_risk.scaled(-1.0))
+        except ExponentialGuardError as exc:
+            raise ExponentialGuardError(
+                f"{exc}; refine the step size (larger num_steps) so the per-step "
+                f"move shrinks"
+            ) from exc
 
 
 @dataclass
@@ -337,18 +363,19 @@ def _with_zero_rows(rows: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-# the row state of one block of ``_picard_rows``: one integrand pair per
+# the row state of one block of ``picard_diagnostics``: one integrand pair per
 # row; at least one row per block, so peak memory does not grow with the
 # number of points
 _PICARD_BLOCK_BYTES = 1 << 20
 
 
-def _picard_rows(points, tol: float, max_iter: int,
-                 ends: list | None = None) -> list[IterationDiagnostics]:
+def picard_diagnostics(points, tol: float = 1e-12, max_iter: int = 100,
+                       ends: list | None = None) -> list[IterationDiagnostics]:
     """The fixed-point iteration from zero at each of ``points``, an
     iterable of instances on the first one's lattice with its number of
-    stocks: one iteration record per point.  A point that breaks this
-    raises ``ValueError``.
+    stocks: one iteration record per point, equal to that point's own
+    ``solve_picard`` record, with ``kappa`` and ``growth_bound`` at their
+    defaults.  A point that breaks this raises ``ValueError``.
 
     The points run as rows of one ``_picard_step`` call on the shared
     lattice, a block of ``_PICARD_BLOCK_BYTES`` of integrand pairs at a
@@ -433,7 +460,7 @@ def solve_picard(inst: Instance, tol: float = 1e-12, max_iter: int = 100,
     Non-convergence is a reported outcome, not an exception: the counter-
     example regime is expected to produce expansion ratios, and those are
     exactly what the diagnostics exist to record.  Returns
-    ``(solution, diagnostics)``.  The iteration is ``_picard_rows`` on
+    ``(solution, diagnostics)``.  The iteration is ``picard_diagnostics`` on
     ``[inst]``; the solution is reconstructed from the iterate that row
     ends on, the last finite one, either way.  Its slices may still
     overflow; they are returned as computed, for the caller to check.
@@ -446,7 +473,7 @@ def solve_picard(inst: Instance, tol: float = 1e-12, max_iter: int = 100,
     gap is.
     """
     ends = [None]
-    (diag,) = _picard_rows([inst], tol, max_iter, ends)
+    (diag,) = picard_diagnostics([inst], tol, max_iter, ends)
     ((eta, theta),) = ends
     diag.kappa = float(kappa)
     diag.growth_bound = float(growth_bound if growth_bound is not None
@@ -478,18 +505,6 @@ def solve_picard(inst: Instance, tol: float = 1e-12, max_iter: int = 100,
         method="picard",
     )
     return solution, diag
-
-
-def picard_diagnostics(points, tol: float = 1e-12,
-                       max_iter: int = 100) -> list[IterationDiagnostics]:
-    """The iteration record of ``solve_picard`` at each of ``points``, an
-    iterable of instances on one lattice with one number of stocks (a point
-    on another raises ``ValueError``).  Diagnostics only: the points run as
-    rows of ``_picard_rows``' blocks, drawn as slots free up, no solution is
-    reconstructed, and ``kappa`` and ``growth_bound`` keep their defaults.
-    Each record equals that point's own ``solve_picard`` record.
-    """
-    return _picard_rows(points, tol, max_iter)
 
 
 @dataclass
@@ -535,60 +550,4 @@ def contraction_report(diag: IterationDiagnostics, tol: float = 1e-9) -> Contrac
         growth_bound_margins=margins,
         observed_ratios=list(diag.ratios),
         solution_in_small_ball=in_ball,
-    )
-
-
-@dataclass
-class AssembledMeasure:
-    """Market price of risk, volatility and the density built from a
-    backward-system solution, with the martingale defects of the density,
-    the density-weighted prices and the density-weighted gain."""
-
-    market_price_of_risk: PredictableProcess
-    volatility: PredictableProcess
-    density: AdaptedProcess
-    density_defect: float
-    weighted_price_defect: float
-    weighted_gain_defect: float
-
-
-def assemble(solution: BsdeSolution) -> AssembledMeasure:
-    """Build the market price of risk (value integrand plus demand-weighted
-    price integrand), the volatility (price integrand over risk aversion)
-    and the candidate density (stochastic exponential of the negated market
-    price of risk), and report the martingale defects of the density, of
-    density-times-prices and of density-times-gain."""
-    lat = solution.lattice
-    gamma = solution.gamma
-    alpha = [
-        solution.value_integrand.values[k]
-        + stock_sum(solution.price_integrand.values[k] * gamma.values[k])
-        for k in range(lat.num_steps)
-    ]
-    alpha_proc = PredictableProcess(lat, alpha)
-    sigma = solution.price_integrand.scaled(1.0 / solution.risk_aversion)
-    try:
-        density = stochastic_exponential(alpha_proc.scaled(-1.0))
-    except ExponentialGuardError as exc:
-        raise ExponentialGuardError(
-            f"{exc}; refine the step size (larger num_steps) so the per-step "
-            f"move shrinks"
-        ) from exc
-    prices = solution.prices
-    weighted_price = AdaptedProcess(
-        lat,
-        [density.values[k][:, None] * prices.values[k] for k in range(lat.num_steps + 1)],
-    )
-    gain = stochastic_integral(gamma, prices)
-    weighted_gain = AdaptedProcess(
-        lat,
-        [density.values[k] * gain.values[k] for k in range(lat.num_steps + 1)],
-    )
-    return AssembledMeasure(
-        market_price_of_risk=alpha_proc,
-        volatility=sigma,
-        density=density,
-        density_defect=martingale_defect(density)[0],
-        weighted_price_defect=martingale_defect(weighted_price)[0],
-        weighted_gain_defect=martingale_defect(weighted_gain)[0],
     )

@@ -274,13 +274,14 @@ def cmd_bsde(config_path, out_path, method, diag_path, dump_path):
     if dump_path:
         chosen = exp if method in ("explicit", "both") else pic
         try:
-            asm = bsde_mod.assemble(chosen)
-            assembled = {"density": asm.density, "mpr": asm.market_price_of_risk,
-                         "volatility": asm.volatility}
+            # the density first: where it would lose positivity, none of the
+            # three columns is written
+            measure = {"density": chosen.density, "mpr": chosen.market_price_of_risk,
+                       "volatility": chosen.volatility}
         except ExponentialGuardError:
-            assembled = {}
+            measure = {}
         # the one-step pricing weight has no backward-system analogue: q_up is nan
-        _write_nodes(dump_path, chosen.prices, chosen.certainty_equivalent, **assembled)
+        _write_nodes(dump_path, chosen.prices, chosen.certainty_equivalent, **measure)
     if "picard" in summary:
         click.echo(f"bsde[{method}]: converged={summary['picard']['converged']} "
                    f"iterations={summary['picard']['iterations']}")

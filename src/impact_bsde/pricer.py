@@ -197,12 +197,8 @@ def localize(solution: EquilibriumSolution, tau: StoppingTime):
     Returns ``(localized_solution, report)``.
     """
     lat = solution.lattice
-    gamma_loc = PredictableProcess(
-        lat,
-        [solution.gamma.values[k] * tau.stopped_by(k)[:, None] for k in range(lat.num_steps)],
-    )
-    alive = (tau.leaf_steps < lat.num_steps).astype(float)
-    psi_loc = solution.dividend * alive[:, None]
+    gamma_loc = PredictableProcess(lat, tau.gate_demand(solution.gamma.values))
+    psi_loc = tau.gate_dividend(solution.dividend)
     localized = price_equilibrium(Instance(lat, solution.risk_aversion, gamma_loc, psi_loc))
 
     # nodes outside the strict future read 0; the root always is one, so a

@@ -76,6 +76,16 @@ class StoppingTime:
         s = self.stop_step[k]
         return (s >= 0) & (s < k)
 
+    def gate_demand(self, values: list[np.ndarray]) -> list[np.ndarray]:
+        """Per-step demand slices gated to the strict future of the stop: the
+        demand on (k, k+1] survives iff the rule has fired by ``k``."""
+        return [v * self.stopped_by(k)[:, None] for k, v in enumerate(values)]
+
+    def gate_dividend(self, leaf_values: np.ndarray) -> np.ndarray:
+        """Leaf rows killed unless the rule fires strictly before the horizon."""
+        alive = (self.leaf_steps < self.lattice.num_steps).astype(float)
+        return leaf_values * alive[:, None]
+
 
 def hitting_time_tau(lattice: Lattice, level: float, from_step: int = 0) -> StoppingTime:
     """Earliest step ``>= from_step`` at which the walk equals ``level``,
@@ -153,10 +163,7 @@ class LocalizedDemand:
 
     def step_values(self, lattice: Lattice, num_stocks: int) -> list[np.ndarray]:
         base = self.inner.step_values(lattice, num_stocks)
-        tau = hitting_time_tau(lattice, self.level, self.from_step)
-        # demand on (k, k+1] survives iff tau <= k, i.e. every time in the
-        # step interval lies strictly after tau
-        return [base[k] * tau.stopped_by(k)[:, None] for k in range(lattice.num_steps)]
+        return hitting_time_tau(lattice, self.level, self.from_step).gate_demand(base)
 
 
 class TableDemand:
@@ -228,9 +235,7 @@ class LocalizedDividend:
 
     def leaf_values(self, lattice: Lattice, num_stocks: int) -> np.ndarray:
         base = self.inner.leaf_values(lattice, num_stocks)
-        tau = hitting_time_tau(lattice, self.level, self.from_step)
-        alive = (tau.leaf_steps < lattice.num_steps).astype(float)
-        return base * alive[:, None]
+        return hitting_time_tau(lattice, self.level, self.from_step).gate_dividend(base)
 
 
 class TableDividend:
@@ -254,7 +259,10 @@ class TableDividend:
 
 def evaluate_demand(spec, lattice: Lattice, num_stocks: int = 1) -> PredictableProcess:
     """Evaluate a demand spec to a predictable n-vector process."""
-    return PredictableProcess(lattice, spec.step_values(lattice, num_stocks))
+    proc = PredictableProcess(lattice, spec.step_values(lattice, num_stocks))
+    if not all(np.isfinite(v).all() for v in proc.values):
+        raise ValueError("demand evaluation produced non-finite values")
+    return proc
 
 
 def evaluate_dividend(spec, lattice: Lattice, num_stocks: int = 1, center: bool = False):

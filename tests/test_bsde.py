@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from impact_bsde import (
+    AdaptedProcess,
     ConstantDemand,
     Digital,
     LinearClipped,
@@ -15,13 +16,13 @@ from impact_bsde import (
     PredictableProcess,
     SignOfBT,
     TableDividend,
-    assemble,
     build_lattice,
     contraction_report,
     driver,
     driver_growth_bound,
     evaluate_market,
     h_bmo_norm,
+    martingale_defect,
     measure_kappa,
     picard_diagnostics,
     picard_map,
@@ -29,6 +30,7 @@ from impact_bsde import (
     solve_explicit,
     solve_picard,
     stacked_integrand,
+    stochastic_integral,
 )
 
 from helpers import max_gap, random_table_config
@@ -244,12 +246,11 @@ def test_assemble_zero_demand():
     lat = build_lattice(5, 1.0)
     cfg = MarketConfig(0.5, 1, ConstantDemand(0.0), SignOfBT(0.5), 5, 1.0)
     sol = solve_explicit(evaluate_market(cfg, lat))
-    asm = assemble(sol)
     # no demand: the market price of risk reduces to the value integrand,
     # which vanishes, so the density is identically one
-    for v in asm.market_price_of_risk.values:
+    for v in sol.market_price_of_risk.values:
         np.testing.assert_allclose(v, 0.0, atol=1e-14)
-    for v in asm.density.values:
+    for v in sol.density.values:
         np.testing.assert_allclose(v, 1.0, atol=1e-13)
 
 
@@ -257,10 +258,10 @@ def test_assemble_constant_dividend():
     lat = build_lattice(4, 1.0)
     cfg = MarketConfig(1.0, 1, ConstantDemand(0.7),
                        TableDividend(np.full(16, -1.5)), 4, 1.0)
-    asm = assemble(solve_explicit(evaluate_market(cfg, lat)))
-    for v in asm.market_price_of_risk.values:
+    sol = solve_explicit(evaluate_market(cfg, lat))
+    for v in sol.market_price_of_risk.values:
         np.testing.assert_array_equal(v, 0.0)
-    for v in asm.density.values:
+    for v in sol.density.values:
         np.testing.assert_array_equal(v, 1.0)
 
 
@@ -272,10 +273,16 @@ def test_assemble_side_conditions_are_exact():
     for _ in range(5):
         cfg = random_table_config(rng, 6, a_lo=0.05, a_hi=0.5)
         lat = build_lattice(6, 1.0)
-        asm = assemble(solve_explicit(evaluate_market(cfg, lat)))
-        assert asm.density_defect <= 1e-12
-        assert asm.weighted_price_defect <= 1e-12
-        assert asm.weighted_gain_defect <= 1e-12
+        sol = solve_explicit(evaluate_market(cfg, lat))
+        density, prices = sol.density, sol.prices
+        gain = stochastic_integral(sol.gamma, prices)
+        weighted_price = AdaptedProcess(lat, [
+            density.values[k][:, None] * prices.values[k] for k in range(lat.num_steps + 1)])
+        weighted_gain = AdaptedProcess(lat, [
+            density.values[k] * gain.values[k] for k in range(lat.num_steps + 1)])
+        assert martingale_defect(density)[0] <= 1e-12
+        assert martingale_defect(weighted_price)[0] <= 1e-12
+        assert martingale_defect(weighted_gain)[0] <= 1e-12
 
 
 def test_integrand_to_dividend_ratio_stays_bounded():

@@ -221,6 +221,22 @@ def test_spec_constructor_refusal_is_a_market_config_error(tmp_path):
     assert result.output == "config error: market: could not convert string to float: 'x'\n"
 
 
+@pytest.mark.parametrize("command", [["price"], ["bsde", "--method", "both"],
+                                     ["verify", "--suite", "all"], ["norms"]],
+                         ids=["price", "bsde", "verify", "norms"])
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_table_demand_is_a_config_error(tmp_path, command, entry):
+    # the entry once reached the pricer and ended in exit 3 ("price became
+    # non-finite at node (step 1, path 0)"); a table dividend was refused
+    doc = one_period_doc(num_steps=2, demand={"type": "table", "values": [[0.1], [entry, 0.3]]})
+    result = CliRunner().invoke(main, command + ["--config", write_config(tmp_path, doc),
+                                                 "--out", str(tmp_path / "out.json")])
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert result.output == ("config error: market: demand evaluation produced "
+                             "non-finite values\n")
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_price_command_one_period(tmp_path):
     runner = CliRunner()
     cfg = write_config(tmp_path, one_period_doc())
@@ -836,6 +852,24 @@ def test_bsde_node_table_bytes_match_the_csv_writer(tmp_path, monkeypatch):
     header, *rows = [line.split(",") for line in nodes.read_text().splitlines()]
     assert {row[header.index("q_up")] for row in rows} == {"nan"}
     assert nodes.read_bytes() == (tmp_path / "nodes.csv.ref").read_bytes()
+
+
+def test_bsde_node_table_without_a_positive_density(tmp_path):
+    # |integrand| * sqrt(dt) reaches 210 here, so the density would lose
+    # positivity: the dump still succeeds, with the density, the market
+    # price of risk and the volatility all nan
+    cfg = write_config(tmp_path, one_period_doc(
+        risk_aversion=6.0, num_steps=3, demand={"type": "constant", "value": 1.0},
+        dividend={"type": "sign_of_b_t", "scale": 2.0}))
+    nodes = tmp_path / "nodes.csv"
+    result = CliRunner().invoke(main, ["bsde", "--config", cfg, "--out", str(tmp_path / "b.json"),
+                                       "--method", "explicit", "--dump-nodes", str(nodes)])
+    assert result.exit_code == 0, (result.output, result.exception)
+    header, *rows = [line.split(",") for line in nodes.read_text().splitlines()]
+    assert len(rows) == 15
+    for column in ("z", "q_up", "alpha", "sigma_1"):
+        assert {row[header.index(column)] for row in rows} == {"nan"}, column
+    assert all(math.isfinite(float(row[header.index(c)])) for row in rows for c in ("s_1", "r"))
 
 
 @pytest.mark.parametrize("dump", [False, True])

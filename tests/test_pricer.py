@@ -5,6 +5,9 @@ import pytest
 
 from impact_bsde import (
     ConstantDemand,
+    LinearClipped,
+    LocalizedDemand,
+    LocalizedDividend,
     MarketConfig,
     NegativeSignOfB,
     PredictableProcess,
@@ -176,6 +179,24 @@ def test_localize_hitting_time_exact():
         _, report = localize(sol, tau)
         assert report.nodes_compared > 0
         assert report.max_price_gap <= 1e-10
+
+
+@pytest.mark.parametrize("num_stocks", [1, 2])
+@pytest.mark.parametrize("num_steps", [3, 6, 9])
+def test_localize_prices_the_localized_specs(num_steps, num_stocks):
+    # localize gates the evaluated demand and dividend by the rules the
+    # localized specs apply: both routes price one instance, bit for bit
+    lat = build_lattice(num_steps, 1.0)
+    demand, dividend = NegativeSignOfB(0.7), LinearClipped(1.5, 0.8)
+    cfg = MarketConfig(0.8, num_stocks, demand, dividend, num_steps, 1.0)
+    sol = price_equilibrium(evaluate_market(cfg, lat))
+    for level, from_step in ((0.0, 0), (0.0, 2), (lat.sqrt_dt, 1)):
+        localized, _ = localize(sol, hitting_time_tau(lat, level, from_step))
+        specs = MarketConfig(0.8, num_stocks, LocalizedDemand(demand, level, from_step),
+                             LocalizedDividend(dividend, level, from_step), num_steps, 1.0)
+        direct = price_equilibrium(evaluate_market(specs, lat))
+        for got, want in zip(localized.prices.values, direct.prices.values):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_mpr_representations_converge():
