@@ -46,9 +46,9 @@ That pass, ``_picard_step``, carries a leading point axis: every slice
 holds one row per point, and each row is an ``Instance`` on one shared
 lattice, such as a sweep's variants of one market.  One loop,
 ``picard_diagnostics``, iterates it from zero: it draws the points from an
-iterable as slots free up, runs them as rows of blocks sized by a fixed
-byte budget on the integrand pairs, keeps the iteration records, and
-refills a block as its rows converge, reach the iteration cap or abort.
+iterable a block at a time, sized by a fixed byte budget on the integrand
+pairs, keeps the iteration records, and runs each block until every row
+has converged, reached the iteration cap or aborted.
 A sweep runs its points through it; ``solve_picard`` runs it on its one
 instance and rebuilds the solution from the iterate that row ends on.
 Every reduction is per row, so each row's record is the one its own run
@@ -355,14 +355,6 @@ def picard_map(inst: Instance, eta: list, theta: list):
     return [v[0] for v in eta_new], [v[0] for v in theta_new]
 
 
-def _with_zero_rows(rows: np.ndarray, count: int) -> np.ndarray:
-    """``rows`` followed by ``count`` zero rows.  The zero rows stay
-    untouched pages until a step writes them."""
-    out = np.zeros((len(rows) + count, *rows.shape[1:]))
-    out[:len(rows)] = rows
-    return out
-
-
 # the row state of one block of ``picard_diagnostics``: one integrand pair per
 # row; at least one row per block, so peak memory does not grow with the
 # number of points
@@ -380,9 +372,9 @@ def picard_diagnostics(points, tol: float = 1e-12, max_iter: int = 100,
     The points run as rows of one ``_picard_step`` call on the shared
     lattice, a block of ``_PICARD_BLOCK_BYTES`` of integrand pairs at a
     time.  A row leaves the block when it converges, reaches ``max_iter``
-    or aborts on a step that is not finite; the block then compacts and the
-    next point is drawn into the freed slot, so at most one block of
-    instances is held.  Given ``ends``, one entry per point, a leaving row
+    or aborts on a step that is not finite, and the block compacts; the
+    next block is drawn only when every row has left, so at most one block
+    of instances is held.  Given ``ends``, one entry per point, a leaving row
     stores there the integrand pair it ends on: its last finite iterate,
     which is the zero pair when the first step aborts.
 
@@ -401,51 +393,47 @@ def picard_diagnostics(points, tol: float = 1e-12, max_iter: int = 100,
         return []
     lattice, n = rows[0].lattice, rows[0].num_stocks
     block = max(1, _PICARD_BLOCK_BYTES // (8 * lattice.num_leaves * (1 + n)))
+    rows += islice(pending, block - 1)
     diags: list[IterationDiagnostics] = []
-    live: list[int] = []  # the point of each row
-    eta = [np.zeros((0, lattice.nodes(k))) for k in range(lattice.num_steps)]
-    theta = [np.zeros((0, lattice.nodes(k), n)) for k in range(lattice.num_steps)]
     # a diverging row overflows by design and reports it as data (an aborted
     # run, inf ratios), so numpy's floating-point warnings are silenced here
     with np.errstate(all="ignore"):
-        while True:
-            rows += islice(pending, block - len(rows))
-            fill = len(rows) - len(live)
-            if fill:
-                if any(p.lattice is not lattice or p.num_stocks != n for p in rows[-fill:]):
-                    raise ValueError("the points of one Picard run must share the first "
-                                     "point's lattice and number of stocks")
-                live += range(len(diags), len(diags) + fill)
-                diags += [IterationDiagnostics() for _ in range(fill)]
-                eta = [_with_zero_rows(v, fill) for v in eta]
-                theta = [_with_zero_rows(v, fill) for v in theta]
-            if not rows:
-                break
-            eta_new, theta_new, norm, dist, finite = _picard_step(rows, eta, theta)
-            keep = []
-            for r, i in enumerate(live):
-                diag = diags[i]
-                if finite[r]:
-                    diag.distances.append(float(dist[r]))
-                    diag.iterate_norms.append(float(norm[r]))
-                    if len(diag.distances) >= 2 and diag.distances[-2] > 0:
-                        diag.ratios.append(diag.distances[-1] / diag.distances[-2])
-                    diag.iterations += 1
-                    diag.converged = diag.distances[-1] <= tol
-                    if not diag.converged and diag.iterations < max_iter:
-                        keep.append(r)
-                        continue
-                else:
-                    diag.aborted = f"non-finite iterate at iteration {diag.iterations + 1}"
-                if ends is not None:
-                    pair = (eta_new, theta_new) if finite[r] else (eta, theta)
-                    ends[i] = tuple([v[r] for v in part] for part in pair)
-            if len(keep) < len(live):
-                live = [live[r] for r in keep]
-                rows = [rows[r] for r in keep]
-                eta_new = [v[keep] for v in eta_new]
-                theta_new = [v[keep] for v in theta_new]
-            eta, theta = eta_new, theta_new
+        while rows:
+            if any(p.lattice is not lattice or p.num_stocks != n for p in rows):
+                raise ValueError("the points of one Picard run must share the first "
+                                 "point's lattice and number of stocks")
+            live = list(range(len(diags), len(diags) + len(rows)))  # the point of each row
+            diags += [IterationDiagnostics() for _ in rows]
+            eta = [np.zeros((len(rows), lattice.nodes(k))) for k in range(lattice.num_steps)]
+            theta = [np.zeros((len(rows), lattice.nodes(k), n)) for k in range(lattice.num_steps)]
+            while rows:
+                eta_new, theta_new, norm, dist, finite = _picard_step(rows, eta, theta)
+                keep = []
+                for r, i in enumerate(live):
+                    diag = diags[i]
+                    if finite[r]:
+                        diag.distances.append(float(dist[r]))
+                        diag.iterate_norms.append(float(norm[r]))
+                        if len(diag.distances) >= 2 and diag.distances[-2] > 0:
+                            diag.ratios.append(diag.distances[-1] / diag.distances[-2])
+                        diag.iterations += 1
+                        diag.converged = diag.distances[-1] <= tol
+                        if not diag.converged and diag.iterations < max_iter:
+                            keep.append(r)
+                            continue
+                    else:
+                        diag.aborted = f"non-finite iterate at iteration {diag.iterations + 1}"
+                    if ends is not None:
+                        pair = (eta_new, theta_new) if finite[r] else (eta, theta)
+                        ends[i] = tuple([v[r] for v in part] for part in pair)
+                if len(keep) < len(live):
+                    live = [live[r] for r in keep]
+                    rows = [rows[r] for r in keep]
+                    eta_new = [v[keep] for v in eta_new]
+                    theta_new = [v[keep] for v in theta_new]
+                eta, theta = eta_new, theta_new
+            # every row of the block has left: only now is the next one drawn
+            rows = list(islice(pending, block))
     for diag in diags:
         diag.final_norm = diag.iterate_norms[-1] if diag.iterate_norms else 0.0
         diag.terminal_norm = diag.iterate_norms[0] if diag.iterate_norms else np.inf

@@ -273,15 +273,14 @@ def cmd_bsde(config_path, out_path, method, diag_path, dump_path):
     _write_json(out_path, summary)
     if dump_path:
         chosen = exp if method in ("explicit", "both") else pic
+        # where the density would lose positivity, its column is nan; the
+        # one-step pricing weight has no backward-system analogue: q_up is nan
         try:
-            # the density first: where it would lose positivity, none of the
-            # three columns is written
-            measure = {"density": chosen.density, "mpr": chosen.market_price_of_risk,
-                       "volatility": chosen.volatility}
+            density = chosen.density
         except ExponentialGuardError:
-            measure = {}
-        # the one-step pricing weight has no backward-system analogue: q_up is nan
-        _write_nodes(dump_path, chosen.prices, chosen.certainty_equivalent, **measure)
+            density = None
+        _write_nodes(dump_path, chosen.prices, chosen.certainty_equivalent, density,
+                     mpr=chosen.market_price_of_risk, volatility=chosen.volatility)
     if "picard" in summary:
         click.echo(f"bsde[{method}]: converged={summary['picard']['converged']} "
                    f"iterations={summary['picard']['iterations']}")

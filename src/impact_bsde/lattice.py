@@ -216,11 +216,6 @@ class AdaptedProcess:
     def terminal(self) -> np.ndarray:
         return self.values[-1]
 
-    @property
-    def initial(self):
-        v = self.values[0][0]
-        return float(v) if self.dim is None else np.asarray(v)
-
     def scaled(self, factor: float) -> "AdaptedProcess":
         return AdaptedProcess(self.lattice, [factor * v for v in self.values])
 

@@ -108,8 +108,8 @@ def price_equilibrium(inst: Instance) -> EquilibriumSolution:
     # an overflowing tilt is exact in the limit (a one-step weight of zero)
     # or leaves a price or weight that is not finite, which _check_finite
     # reports with its node; a log density below the float range is -inf, as
-    # the density is then 0; an integrand that overflows is left to the
-    # callers' finite checks; numpy's warnings add nothing to any of these
+    # the density is then 0; an integrand or a gain that overflows is left to
+    # the callers' finite checks; numpy's warnings add nothing to any of these
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps - 1, -1, -1):
             s_up, s_dn = lattice.children(prices[k + 1])
@@ -157,9 +157,8 @@ def price_equilibrium(inst: Instance) -> EquilibriumSolution:
         mpr = [(1.0 - 2.0 * q_up[k]) / lattice.sqrt_dt for k in range(steps)]
         mpr_composite = [value_integrand[k] + stock_sum(price_integrand[k] * gamma.values[k])
                          for k in range(steps)]
-
-    prices_proc = AdaptedProcess(lattice, prices)
-    gain = stochastic_integral(gamma, prices_proc)
+        prices_proc = AdaptedProcess(lattice, prices)
+        gain = stochastic_integral(gamma, prices_proc)
 
     return EquilibriumSolution(
         lattice=lattice,

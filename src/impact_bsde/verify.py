@@ -160,10 +160,13 @@ def check_equilibrium_martingales(solution: EquilibriumSolution,
 
     a = solution.risk_aversion
     r0 = solution.initial_certainty
-    ident = np.exp(-a * (solution.gain.terminal - r0))
-    defects["terminal_density_identity"] = float(
-        np.max(np.abs(solution.density.terminal - ident))
-    )
+    # an overflowing scaled gain gives the exponential its limit, 0 or inf;
+    # numpy's warnings add nothing to it
+    with np.errstate(over="ignore", invalid="ignore"):
+        ident = np.exp(-a * (solution.gain.terminal - r0))
+        defects["terminal_density_identity"] = float(
+            np.max(np.abs(solution.density.terminal - ident))
+        )
 
     defects["density_min"], _ = _node_min(enumerate(solution.density.values))
     # positivity is read off the log density: a strongly tilted one-step
@@ -539,10 +542,7 @@ def check_norm_bounds(solution: EquilibriumSolution, diagnostics=None,
 
 def _unit_inputs(lat, sign_zero: int = 1):
     """Unit-sign demand and dividend with a configurable zero tie-break."""
-    if sign_zero >= 0:
-        sgn = lambda x: np.where(x >= 0, 1.0, -1.0)  # noqa: E731
-    else:
-        sgn = lambda x: np.where(x > 0, 1.0, -1.0)  # noqa: E731
+    sgn = sign_plus if sign_zero >= 0 else (lambda x: -sign_plus(-x))
     gamma_vals = [-sgn(lat.b_int[k])[:, None] for k in range(lat.num_steps)]
     psi = sgn(lat.b_int[-1])[:, None]
     return gamma_vals, psi

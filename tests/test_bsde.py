@@ -503,9 +503,9 @@ def test_picard_diagnostics_rows_match_their_own_runs(monkeypatch, param, num_st
 
 
 def test_picard_diagnostics_holds_one_block_of_points():
-    # the points are drawn as block slots free up: whenever the next one is
-    # pulled, fewer than a block of those drawn before are still alive, so
-    # the pulled one fills the block at most
+    # the points are drawn a whole block at a time, and a block only when
+    # every row of the one before has left: whenever the next point is
+    # pulled, exactly those drawn before it in its own block are alive
     import gc
     import weakref
 
@@ -529,9 +529,7 @@ def test_picard_diagnostics_holds_one_block_of_points():
 
     got = picard_diagnostics(points(), tol=1e-12, max_iter=12)
     assert len(got) == len(refs) == 40 and block == 16
-    assert max(alive) < block
-    # rows left and were refilled while points remained
-    assert alive[block:] and min(alive[block:]) < block
+    assert alive == [i % block for i in range(40)]
     assert {d.converged for d in got} == {True, False}
 
 

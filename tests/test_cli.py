@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import impact_bsde.bsde as bsde_mod
-from impact_bsde import build_lattice, evaluate_market
+from impact_bsde import ExponentialGuardError, build_lattice, evaluate_market
 from impact_bsde.cli import main
 from impact_bsde.config import (ConfigError, SolverSettings, VerifySettings, load_config,
                                 parse_config, parse_demand, parse_dividend)
@@ -856,8 +856,9 @@ def test_bsde_node_table_bytes_match_the_csv_writer(tmp_path, monkeypatch):
 
 def test_bsde_node_table_without_a_positive_density(tmp_path):
     # |integrand| * sqrt(dt) reaches 210 here, so the density would lose
-    # positivity: the dump still succeeds, with the density, the market
-    # price of risk and the volatility all nan
+    # positivity: the dump still succeeds, with the density nan and the
+    # market price of risk and the volatility those of the solution, which
+    # are finite
     cfg = write_config(tmp_path, one_period_doc(
         risk_aversion=6.0, num_steps=3, demand={"type": "constant", "value": 1.0},
         dividend={"type": "sign_of_b_t", "scale": 2.0}))
@@ -867,9 +868,21 @@ def test_bsde_node_table_without_a_positive_density(tmp_path):
     assert result.exit_code == 0, (result.output, result.exception)
     header, *rows = [line.split(",") for line in nodes.read_text().splitlines()]
     assert len(rows) == 15
-    for column in ("z", "q_up", "alpha", "sigma_1"):
+    for column in ("z", "q_up"):
         assert {row[header.index(column)] for row in rows} == {"nan"}, column
     assert all(math.isfinite(float(row[header.index(c)])) for row in rows for c in ("s_1", "r"))
+    sol = bsde_mod.solve_explicit(evaluate_market(load_config(cfg).market, build_lattice(3, 1.0)))
+    with pytest.raises(ExponentialGuardError):
+        sol.density
+    for row in rows:
+        k, p = int(row[0]), int(row[1])
+        got = [float(row[header.index(c)]) for c in ("alpha", "sigma_1")]
+        if k == 3:
+            assert all(math.isnan(v) for v in got), row
+        else:
+            assert got == [sol.market_price_of_risk.values[k][p],
+                           sol.volatility.values[k][p, 0]], row
+            assert all(math.isfinite(v) for v in got), row
 
 
 @pytest.mark.parametrize("dump", [False, True])
@@ -1109,6 +1122,42 @@ def test_overflowing_price_integrand_prints_no_runtime_warning(tmp_path, command
         result.exception
     assert result.exit_code in (0, 1), result.output
 
+
+
+# the scaled gain overflows: in the pricer's stochastic integral of a demand
+# of 1e200 against prices of 1e154, and in the terminal density identity at
+# a=1e300 against a demand of 1e300; numpy warned at both before the exit
+_OVERFLOWING_GAIN = {
+    "pricer": one_period_doc(
+        num_steps=2, demand={"type": "piecewise_constant", "schedule": [[0, 1e200], [1, 0.0]]},
+        dividend={"type": "sign_of_b_t", "scale": 1e154}),
+    "identity": one_period_doc(
+        risk_aversion=1e300, num_steps=2, demand={"type": "negative_sign_of_b", "scale": 1e300},
+        dividend={"type": "linear_clipped", "slope": -3.0, "bound": 2.5}, center_dividend=True),
+}
+
+
+@pytest.mark.parametrize("case, command, code", [
+    ("pricer", ["price"], 3),
+    ("pricer", ["norms"], 3),
+    ("pricer", ["verify", "--suite", "all"], 3),
+    ("identity", ["verify", "--suite", "all"], 1),
+    ("identity", ["verify", "--suite", "martingale"], 1),
+])
+def test_overflowing_gain_prints_no_runtime_warning(tmp_path, case, command, code):
+    cfg = write_config(tmp_path, _OVERFLOWING_GAIN[case])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = CliRunner().invoke(main, command + ["--config", cfg,
+                                                     "--out", str(tmp_path / "out")])
+    assert result.exception is None or isinstance(result.exception, SystemExit), \
+        result.exception
+    assert result.exit_code == code, result.output
+    if code == 3:
+        assert result.output.startswith("numeric failure: ")
+        assert "overflow the float range" in result.output
+    else:
+        assert "equilibrium_martingales: fail" in result.output
 
 
 # dividends at the edge of the float range, one per former traceback of
