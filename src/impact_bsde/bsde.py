@@ -32,17 +32,26 @@ the tolerance or the iteration cap, not to step N + 1, and the iteration
 reports distances and ratios as first-class output and treats
 non-convergence as data, not as an error.
 
-Each iteration is one fused pass: forward over the tree keeping only the
-current slice of the drift sums, then leaf to root, slice by slice, taking
-child means and child differences (the new integrands) and advancing the
-integrand norm of the new iterate and of its distance to the old one.  No
-full martingale tree, stacked copy or difference list is stored per
-iteration; the memory held is the two integrand pairs plus one slice.
-The map keeps this forward form: through ``_backward`` it would read no
-level below k in floating point either, so every finite run would stop at
-step N + 1 with distance 0, a change of the iteration records of its own.
+Each iteration is one fused pass.  Forward, each level's running sums of
+the drift integrands are its parents' plus its own drift.  Backward, each
+node of level N - 1 puts its sums on both its children, adding the terminal
+data to the price, and from there, leaf to root, level by level, the pass
+takes child means and child differences (the new integrands) and advances
+the integrand norm of the new iterate and of its distance to the old one.
+No full martingale tree, leaf-sized drift array, stacked copy or difference
+list is stored.  A block of rows allocates its memory once: two integrand
+pairs that swap every iteration, two alternating buffers per kind for the
+levels' sums (which the backward pass overwrites with the martingale) and
+remaining loads, and per-thread scratch for one tile.  A level of more than
+``_TILE_VALUES`` values runs in tiles of that many, each through the whole
+level body while its operands sit in L2; given two usable CPUs and root
+subtrees of at least ``_SPLIT_VALUES`` leaf values, the two subtrees run at
+the same time, one on a second thread.  The map keeps this forward form:
+through ``_backward`` it would read no level below k in floating point
+either, so every finite run would stop at step N + 1 with distance 0, a
+change of the iteration records of its own.
 
-That pass, ``_picard_step``, carries a leading point axis: every slice
+That pass, ``_PicardKernel.step``, carries a leading point axis: every slice
 holds one row per point, and each row is an ``Instance`` on one shared
 lattice, such as a sweep's variants of one market.  One loop,
 ``picard_diagnostics``, iterates it from zero: it draws the points from an
@@ -58,9 +67,13 @@ into one block; its residual is the node-max move of one more map step.
 
 from __future__ import annotations
 
+import math
+import os
+import threading
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import islice
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -70,6 +83,7 @@ from .lattice import (
     Lattice,
     PredictableProcess,
     _square_sum,
+    _stock_sum,
     stochastic_exponential,
     stock_sum,
 )
@@ -88,13 +102,21 @@ def driver(eta_k, theta_k, gamma_k):
     ``price_drift * dt`` (the price drift enters its equation with a minus
     sign).
     """
-    eta_k = np.asarray(eta_k, dtype=float)
-    theta_k = np.asarray(theta_k, dtype=float)
-    gamma_k = np.asarray(gamma_k, dtype=float)
-    tg = stock_sum(theta_k * gamma_k)
-    value_drift = 0.5 * (tg ** 2 - eta_k ** 2)
-    price_drift = theta_k * (eta_k + tg)[..., None]
-    return value_drift, price_drift
+    return _driver(np.asarray(eta_k, dtype=float), np.asarray(theta_k, dtype=float),
+                   np.asarray(gamma_k, dtype=float))
+
+
+def _driver(eta, theta, gamma, value=None, price=None, work=None, tg=None):
+    """``driver`` on float arrays, writing the two drifts into ``value`` and
+    ``price`` and its temporaries into ``work`` (shaped like ``value``) and
+    ``tg`` (the inner product of several stocks) when they are given.  The
+    Picard kernel's threads run it: it calls no public function."""
+    tg = _stock_sum(np.multiply(theta, gamma, out=price), out=tg)
+    value = np.multiply(0.5, np.subtract(np.square(tg, out=value), np.square(eta, out=work),
+                                         out=value), out=value)
+    # tg is read for the last time here: for one stock it is a column of price
+    total = np.add(eta, tg, out=work)
+    return value, np.multiply(theta, total[..., None], out=price)
 
 
 def driver_growth_bound(gamma_sup: float) -> float:
@@ -210,22 +232,27 @@ class IterationDiagnostics:
                 "uniqueness_radius": self.uniqueness_radius, "small_ball": self.small_ball}
 
 
-def _backward(inst: Instance, value, price, eta=None, theta=None):
+def _backward(inst: Instance, value, price, eta=None, theta=None, out=None):
     """The backward recursion from the leaf slices ``(value, price)``:
     yields ``(k, e, t, value_k, price_k)`` for ``k`` from ``N - 1`` down to
     0, where ``(e, t)`` are the child differences of slice ``k + 1`` and
     slice ``k`` is its child mean plus the drift, taken at ``(e, t)`` (the
     explicit solve) or at a frozen pair ``(eta[k], theta[k])`` (a Picard
-    rebuild).  Only the current slices are held, and each yielded array is
-    a fresh one that the caller may overwrite.
+    rebuild).  Only the current slices are held.  Given ``out``, a pair of
+    per-step slice lists, slice ``k`` is written into ``out[0][k]`` and
+    ``out[1][k]``; every other yielded array is a fresh one that the caller
+    may overwrite.
     """
-    lattice, gamma = inst.lattice, inst.gamma
+    lattice, gamma, dt = inst.lattice, inst.gamma, inst.lattice.dt
     for k in range(lattice.num_steps - 1, -1, -1):
         e, t = lattice.child_diff(value), lattice.child_diff(price)
         vd, pd = (driver(e, t, gamma.values[k]) if eta is None
                   else driver(eta[k], theta[k], gamma.values[k]))
-        value = lattice.child_mean(value) + vd * lattice.dt
-        price = lattice.child_mean(price) - pd * lattice.dt
+        # child mean plus drift times dt, with no temporary beyond the drifts
+        value = lattice.child_mean(value, out=None if out is None else out[0][k])
+        value = np.add(value, np.multiply(vd, dt, out=vd), out=value)
+        price = lattice.child_mean(price, out=None if out is None else out[1][k])
+        price = np.subtract(price, np.multiply(pd, dt, out=pd), out=price)
         del vd, pd  # not held while the caller works on the level
         yield k, e, t, value, price
 
@@ -261,85 +288,296 @@ def solve_explicit(inst: Instance) -> BsdeSolution:
     )
 
 
-def _drift_leaves(points: list, eta: list, theta: list):
-    """The adapted running sums of the two drift integrands (value drift
-    added, price drift subtracted) at the leaves, evaluated along every path
-    of every row; only the current slice is held on the way.  Slices carry
-    the rows first: ``eta[k]`` has shape ``(rows, nodes(k))`` and
-    ``theta[k]`` ``(rows, nodes(k), n)``, and row ``r`` reads the demand of
-    ``points[r]``.  A demand process every row shares is read as it is;
-    otherwise each step stacks the rows' demand slices."""
-    lattice, gamma = points[0].lattice, points[0].gamma
-    shared = all(p.gamma is gamma for p in points)
-    cum_v = np.zeros((len(points), 1))
-    cum_p = np.zeros((len(points), 1, gamma.dim))
-    for k in range(lattice.num_steps):
-        g = gamma.values[k] if shared else np.stack([p.gamma.values[k] for p in points])
-        vd, pd = driver(eta[k], theta[k], g)
-        cum_v = lattice.to_children(cum_v + vd * lattice.dt, axis=1)
-        cum_p = lattice.to_children(cum_p - pd * lattice.dt, axis=1)
-    return cum_v, cum_p
+# a level slice of more values (rows x nodes x stocks) than this runs in
+# tiles of about this many, so that a tile's operands (256 KB each) stay in
+# the L2 cache through the whole level body
+_TILE_VALUES = 1 << 15
+# the two root subtrees run on two threads when two CPUs are usable and each
+# subtree holds at least this many leaf values (rows x nodes x stocks)
+_SPLIT_VALUES = 1 << 16
 
 
-def _picard_step(points: list, eta: list, theta: list):
-    """One application of the fixed-point map to a block of rows, fused
-    with both norms.
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    Row ``r`` is the instance ``points[r]``; all rows share one lattice.
-    Slices carry the rows first (see ``_drift_leaves``), and each row's
-    terminal data are added to its price sums in place, with no stacked
-    copy of the dividends.
 
-    The forward pass keeps only the current slice of the running drift
-    sums; the map needs only their leaves.  Terminal data plus drift is then
-    averaged back one slice at a time, and each child difference is read
-    off as the new integrand slice (the representation of the
-    conditional-expectation martingale, which is never stored whole).  Per
-    slice, two integrand-norm accumulators advance: one for the new pair
-    and one for its distance to ``(eta, theta)``, summed in the order
-    ``h_bmo_norm`` sums a stacked pair.  Every operation is elementwise or
-    reduces one row, so each row's norms are bit-identical to its own
-    one-row pass.
+def _rows(buffer: np.ndarray, rows: int, *shape: int) -> np.ndarray:
+    """The first values of the flat ``buffer`` as a C-contiguous
+    ``(rows, *shape)`` array: ufuncs loop over such an array at their
+    lowest cost per call, which the small levels of a step are made of."""
+    return buffer[:rows * math.prod(shape)].reshape(rows, *shape)
 
-    Returns ``(eta_new, theta_new, norm, distance, finite)``, the last three
-    one entry per row; a row whose new slices are not all finite has
-    ``finite`` False and meaningless norms.
+
+class _IteratePair:
+    """The integrand pair of a block of rows: value integrand slices
+    ``(rows, nodes(k))`` and price integrand slices ``(rows, nodes(k), n)``,
+    each C-contiguous, all views of one zeroed allocation that lasts as long
+    as the block."""
+
+    def __init__(self, lattice: Lattice, rows: int, n: int):
+        size = rows * (lattice.num_leaves - 1)
+        block = np.zeros(size * (1 + n))
+        self.lattice, self.n = lattice, n
+        # level by level, each level's rows together
+        self.levels = (lattice.levels(block[:size].reshape(-1, rows)),
+                       lattice.levels(block[size:].reshape(-1, rows * n)))
+        self.view(rows)
+
+    def view(self, rows: int):
+        """Take the slices of the first ``rows`` rows."""
+        self.eta = [_rows(v.reshape(-1), rows, len(v)) for v in self.levels[0]]
+        self.theta = [_rows(v.reshape(-1), rows, len(v), self.n) for v in self.levels[1]]
+
+    def keep(self, rows: list):
+        """Move the rows ``rows`` (in increasing order) to the front, as the
+        block's only ones."""
+        for part in (self.eta, self.theta):
+            for v in part:
+                for i, r in enumerate(rows):
+                    if i != r:
+                        v[i] = v[r]
+        self.view(len(rows))
+
+    def row(self, r: int, copy: bool):
+        """Row ``r``'s pair as per-step lists: views, or views of one copy
+        each when the buffer will be written again."""
+        eta, theta = [v[r] for v in self.eta], [v[r] for v in self.theta]
+        if copy:
+            return self.lattice.levels(np.concatenate(eta)), self.lattice.levels(np.concatenate(theta))
+        return eta, theta
+
+
+class _PicardKernel:
+    """One application of the fixed-point map to a block of rows, fused with
+    both norms, in buffers allocated once per block (see the module
+    docstring for the pass).
+
+    Row ``r`` of a step is the instance ``points[r]``; all rows share one
+    lattice.  Slices carry the rows first: ``eta[k]`` has shape
+    ``(rows, nodes(k))`` and ``theta[k]`` ``(rows, nodes(k), n)``, and row
+    ``r`` reads the demand of ``points[r]`` (a demand process every row
+    shares is read as it is; otherwise each tile stacks the rows' slices).
+    Per level, the remaining loads of the new pair and of its distance to
+    ``(eta, theta)`` advance, summed in the order ``h_bmo_norm`` sums a
+    stacked pair, and their row maxima are kept.
+
+    A tile runs the whole level body in per-thread scratch: forward, the
+    driver and then the sums; backward, child difference and mean, both
+    squares, both loads and the tile maxima.  With two parts, levels 1 to
+    N - 1 of each root subtree, a contiguous node range, run on their own
+    thread, and the root after both; each part owns half of every level
+    buffer, and levels 0 and 1 live apart, where the root reads both parts.
+    Every operation is elementwise or reduces one row, and the only
+    reductions across tiles and parts are row maxima and finiteness flags,
+    which are exact: each row's iterate and norms are bit-identical to its
+    own one-row, one-tile pass.
     """
-    lattice = points[0].lattice
-    mart_v, mart_p = _drift_leaves(points, eta, theta)
-    for r, p in enumerate(points):
-        mart_p[r] += p.risk_aversion * p.psi
-    steps = lattice.num_steps
-    eta_new: list = [None] * steps
-    theta_new: list = [None] * steps
-    finite = np.ones(len(mart_v), dtype=bool)
-    load_norm = load_dist = None
-    best_norm = best_dist = np.zeros(len(mart_v))
-    for k in range(steps - 1, -1, -1):
-        e = lattice.child_diff(mart_v, axis=1)
-        t = lattice.child_diff(mart_p, axis=1)
-        mart_v = lattice.child_mean(mart_v, axis=1)
-        mart_p = lattice.child_mean(mart_p, axis=1)
-        eta_new[k], theta_new[k] = e, t
+
+    def __init__(self, points: list):
+        lattice, n, rows = points[0].lattice, points[0].num_stocks, len(points)
+        steps = lattice.num_steps
+        self.lattice, self.n = lattice, n
+        self.shapes = {"value": (), "price": (n,), "norm": (), "dist": ()}
+        # per kind, flat buffers for level 0, level 1 and, alternating, levels
+        # 2 to N - 1 (the first of the two holds level N - 1)
+        self.buffers = {kind: [np.zeros(rows * math.prod(shape)),
+                               np.zeros(2 * rows * math.prod(shape)),
+                               *(np.empty(rows * lattice.nodes(max(steps - 1 - i, 0))
+                                          * math.prod(shape)) for i in (0, 1))]
+                        for kind, shape in self.shapes.items()}
+        self.zero = np.zeros(rows * n)  # the sums above the root
+        self.level_max = np.zeros((2, 2, steps, rows))  # (norm, dist) x part x level x row
+        self.finite = np.ones((2, rows), dtype=bool)
+        # a tile of rows x width values never exceeds this, however few the rows
+        self.capacity = min(rows * lattice.nodes(steps - 1), max(rows, _TILE_VALUES // n))
+        self.scratch: list = [None, None]
+        self.resize(rows)
+
+    def resize(self, rows: int):
+        """Run the first ``rows`` rows from the next step on: choose the
+        parts and tiles, and cut every view a tile reads or writes."""
+        lattice, steps, n = self.lattice, self.lattice.num_steps, self.n
+        self.rows = rows
+        self.parts = parts = 2 if (steps >= 2 and _usable_cpus() >= 2 and rows * n
+                                   * lattice.nodes(steps - 1) >= _SPLIT_VALUES) else 1
+        # per kind, each part's view of every level, and last all of level 1
+        levels = {}
+        for kind, shape in self.shapes.items():
+            root, whole, *alternate = self.buffers[kind]
+            whole = _rows(whole, rows, lattice.nodes(1), *shape)
+            share = lattice.nodes(1) // parts
+            levels[kind] = []
+            for w in range(parts):
+                views = [_rows(root, rows, 1, *shape), whole[:, w * share:(w + 1) * share]]
+                for k in range(2, steps):
+                    buffer = alternate[(steps - 1 - k) % 2]
+                    views.append(_rows(buffer[w * (len(buffer) // parts):], rows,
+                                       lattice.nodes(k) // parts, *shape))
+                levels[kind].append(views)
+            levels[kind].append(whole)
+        above = {"value": _rows(self.zero, rows, 1), "price": _rows(self.zero, rows, 1, n)}
+        tiles: dict = {}
+
+        def plan(k, run, w, first):
+            nodes, leaves, local, below, parents = run
+            t = tiles.get((w, local.stop - local.start))
+            if t is None:
+                t = tiles[w, local.stop - local.start] = self.tile(w, local.stop - local.start)
+            here = {kind: levels[kind][w][k][:, local] for kind in self.shapes}
+            last = k == steps - 1
+            return SimpleNamespace(
+                k=k, nodes=nodes, leaves=leaves, last=last, first=first, scratch=t, here=here,
+                # the drift of the tile's up children, then of its down ones,
+                # against their parents' sums
+                sums=[(combine, (above[kind] if k == 0 else levels[kind][w][k - 1])[:, parents],
+                       tuple(zip(lattice.children(drift, axis=1),
+                                 lattice.children(here[kind], axis=1))))
+                      for kind, combine, drift in (("value", np.add, t.a),
+                                                   ("price", np.subtract, t.p))],
+                below=None if last else {kind: (levels[kind][parts] if k == 0
+                                                else levels[kind][w][k + 1])[:, below]
+                                         for kind in self.shapes},
+                leaf_value=lattice.children(t.leaf_value, axis=1),
+                level_max=(self.level_max[0, w, k, :rows], self.level_max[1, w, k, :rows]),
+                finite=self.finite[w, :rows])
+
+        self.root = plan(0, next(lattice.tiles(0, 1)), 0, True)
+        size = max(1, _TILE_VALUES // (rows * n))
+        self.plans = [[[plan(k, run, w, i == 0)
+                        for i, run in enumerate(lattice.tiles(k, size, w, parts))]
+                       for k in range(1, steps)] for w in range(parts)]
+
+    def tile(self, w: int, width: int) -> SimpleNamespace:
+        """Part ``w``'s scratch for a tile of ``width`` nodes.  The leaves
+        below a tile of the last level, read only before anything else is
+        written, overlay ``a`` and ``b``, and ``p`` and the stacked demand."""
+        c, n, rows = self.capacity, self.n, self.rows
+        if self.scratch[w] is None:
+            self.scratch[w] = {"ab": np.empty(2 * c), "pg": np.empty(2 * c * n), "z": np.empty(c),
+                               "tg": np.empty(c) if n > 1 else None,
+                               "mask": np.empty(c, dtype=bool)}
+        s = self.scratch[w]
+        return SimpleNamespace(
+            a=_rows(s["ab"], rows, width), b=_rows(s["ab"][c:], rows, width),
+            z=_rows(s["z"], rows, width), mask=_rows(s["mask"], rows, width),
+            tg=None if s["tg"] is None else _rows(s["tg"], rows, width),
+            p=_rows(s["pg"], rows, width, n), gamma=_rows(s["pg"][c * n:], rows, width, n),
+            leaf_value=_rows(s["ab"], rows, 2 * width), leaf_price=_rows(s["pg"], rows, 2 * width, n))
+
+    def step(self, points: list, eta: list, theta: list, eta_new: list, theta_new: list):
+        """The map at ``(eta, theta)``, written into ``(eta_new, theta_new)``;
+        returns ``(norm, distance, finite)``, one entry per row.  A row whose
+        new slices are not all finite has ``finite`` False and meaningless
+        norms."""
+        rows = self.rows
+        gamma = points[0].gamma
+        job = (points, all(p.gamma is gamma for p in points), eta, theta, eta_new, theta_new)
+        self.finite[:, :rows] = True
+        self.forward(job, self.root)
+        if self.parts == 1:
+            self.subtree(job, 0)
+        else:
+            state = np.geterr()
+            errors = []
+
+            def other():
+                # numpy's error state does not follow a call into a new thread
+                try:
+                    with np.errstate(**state):
+                        self.subtree(job, 1)
+                except BaseException as exc:
+                    errors.append(exc)
+
+            worker = threading.Thread(target=other)
+            worker.start()
+            try:
+                self.subtree(job, 0)
+            finally:
+                worker.join()
+            if errors:
+                raise errors[0]
+            np.logical_and(self.finite[0, :rows], self.finite[1, :rows], out=self.finite[0, :rows])
+        self.backward(job, self.root)
+        level_max = self.level_max[:, :, :, :rows]
+        level_max = (np.maximum(level_max[:, 0], level_max[:, 1]) if self.parts == 2
+                     else level_max[:, 0])
+        # fmax keeps the running max over a nan level, as max(best, nan) does;
+        # a finite row's load is nan only if its old iterate is
+        norm, dist = np.sqrt(np.fmax.reduce(level_max, axis=1, initial=0.0))
+        return norm, dist, self.finite[0, :rows].copy()
+
+    def subtree(self, job: tuple, w: int):
+        """Levels 1 to N - 1 of root subtree ``w`` of ``self.parts``, forward
+        and then backward."""
+        for level in self.plans[w]:
+            for tile in level:
+                self.forward(job, tile)
+        for level in reversed(self.plans[w]):
+            for tile in level:
+                self.backward(job, tile)
+
+    def forward(self, job: tuple, tile: SimpleNamespace):
+        """The drift sums of one tile of a level: its parents' sums plus the
+        tile's drift times dt."""
+        points, shared, eta, theta = job[:4]
+        k, nodes, t = tile.k, tile.nodes, tile.scratch
+        g = (points[0].gamma.values[k][nodes] if shared
+             else np.stack([p.gamma.values[k][nodes] for p in points], out=t.gamma))
+        for drift, (combine, above, pairs) in zip(
+                _driver(eta[k][:, nodes], theta[k][:, nodes], g, t.a, t.p, t.b, t.tg), tile.sums):
+            np.multiply(drift, self.lattice.dt, out=drift)
+            for here, sums in pairs:
+                combine(above, here, out=sums)
+
+    def backward(self, job: tuple, tile: SimpleNamespace):
+        """The new integrands, martingale and loads of one tile of a level,
+        and its row maxima; the part's row flags drop the rows whose new
+        slices are not all finite."""
+        points, _, eta, theta, eta_new, theta_new = job
+        lattice, dt = self.lattice, self.lattice.dt
+        k, nodes, t, here = tile.k, tile.nodes, tile.scratch, tile.here
+        if tile.last:
+            # the leaves below the tile: each node's value sums on both its
+            # children, its price sums plus each row's terminal data
+            value_below, price_below = t.leaf_value, t.leaf_price
+            for child in tile.leaf_value:
+                np.copyto(child, here["value"])
+            for r, p in enumerate(points):
+                leaf = np.multiply(p.risk_aversion, p.psi[tile.leaves], out=price_below[r])
+                for child in lattice.children(leaf):
+                    np.add(here["price"][r], child, out=child)
+        else:
+            value_below, price_below = tile.below["value"], tile.below["price"]
+        e = lattice.child_diff(value_below, axis=1, out=eta_new[k][:, nodes])
+        th = lattice.child_diff(price_below, axis=1, out=theta_new[k][:, nodes])
+        lattice.child_mean(value_below, axis=1, out=here["value"])
+        lattice.child_mean(price_below, axis=1, out=here["price"])
+        finite = tile.finite
         if not finite.any():
-            continue
-        sq = _square_sum([e, *np.moveaxis(t, -1, 0)])
+            return
+        # the stock columns of th come first in th.transpose(2, 0, 1)
+        sq = _square_sum([e, *th.transpose(2, 0, 1)], out=t.a, work=t.z)
         # squares of finite entries may overflow; only then look at the entries
-        ok = np.isfinite(sq).all(axis=1)
+        ok = np.isfinite(sq, out=t.mask).all(axis=1)
         if not ok.all():
-            finite &= ok | (np.isfinite(e).all(axis=1) & np.isfinite(t).all(axis=(1, 2)))
+            finite &= ok | (np.isfinite(e).all(axis=1) & np.isfinite(th).all(axis=(1, 2)))
             if not finite.any():
-                continue
-        sq_dist = _square_sum([e - eta[k], *np.moveaxis(t - theta[k], -1, 0)])
-        here_norm, here_dist = sq * lattice.dt, sq_dist * lattice.dt
-        load_norm = _remaining_load(lattice, load_norm, here_norm, axis=1)
-        load_dist = _remaining_load(lattice, load_dist, here_dist, axis=1)
-        # a finite row's load is nan only if its old iterate is (an overflow
-        # is inf); fmax then keeps the running max, as max(best, nan) does,
-        # and the kernel reports no node, so a running max per row suffices
-        best_norm = np.fmax(best_norm, load_norm.max(axis=1))
-        best_dist = np.fmax(best_dist, load_dist.max(axis=1))
-    return eta_new, theta_new, np.sqrt(best_norm), np.sqrt(best_dist), finite
+                return
+        sq_dist = _square_sum([np.subtract(e, eta[k][:, nodes], out=t.b),
+                               *np.subtract(th, theta[k][:, nodes], out=t.p).transpose(2, 0, 1)],
+                              out=t.b, work=t.z)
+        for kind, square, level_max in (("norm", sq, tile.level_max[0]),
+                                        ("dist", sq_dist, tile.level_max[1])):
+            load = here[kind]
+            square = np.multiply(square, dt, out=load if tile.last else square)
+            load = _remaining_load(lattice, None if tile.last else tile.below[kind], square,
+                                   axis=1, out=load)
+            if tile.first:
+                load.max(axis=1, out=level_max)
+            else:
+                np.maximum(level_max, load.max(axis=1), out=level_max)
 
 
 def picard_map(inst: Instance, eta: list, theta: list):
@@ -350,9 +588,12 @@ def picard_map(inst: Instance, eta: list, theta: list):
     conditional-expectation martingale, and returns the representation
     integrands of that martingale as per-step lists ``(eta, theta)``.
     """
-    eta_new, theta_new = _picard_step([inst], [np.asarray(v, dtype=float)[None] for v in eta],
-                                      [np.asarray(v, dtype=float)[None] for v in theta])[:2]
-    return [v[0] for v in eta_new], [v[0] for v in theta_new]
+    lattice, n = inst.lattice, inst.num_stocks
+    new = _IteratePair(lattice, 1, n)
+    _PicardKernel([inst]).step([inst], [np.asarray(v, dtype=float)[None] for v in eta],
+                               [np.asarray(v, dtype=float)[None] for v in theta],
+                               new.eta, new.theta)
+    return new.row(0, copy=False)
 
 
 # the row state of one block of ``picard_diagnostics``: one integrand pair per
@@ -369,9 +610,10 @@ def picard_diagnostics(points, tol: float = 1e-12, max_iter: int = 100,
     ``solve_picard`` record, with ``kappa`` and ``growth_bound`` at their
     defaults.  A point that breaks this raises ``ValueError``.
 
-    The points run as rows of one ``_picard_step`` call on the shared
-    lattice, a block of ``_PICARD_BLOCK_BYTES`` of integrand pairs at a
-    time.  A row leaves the block when it converges, reaches ``max_iter``
+    The points run as rows of one ``_PicardKernel`` on the shared lattice,
+    a block of ``_PICARD_BLOCK_BYTES`` of integrand pairs at a time; the
+    block's two pairs, its current iterate and the spare that the next
+    iterate is written into, swap every step.  A row leaves the block when it converges, reaches ``max_iter``
     or aborts on a step that is not finite, and the block compacts; the
     next block is drawn only when every row has left, so at most one block
     of instances is held.  Given ``ends``, one entry per point, a leaving row
@@ -404,11 +646,12 @@ def picard_diagnostics(points, tol: float = 1e-12, max_iter: int = 100,
                                  "point's lattice and number of stocks")
             live = list(range(len(diags), len(diags) + len(rows)))  # the point of each row
             diags += [IterationDiagnostics() for _ in rows]
-            eta = [np.zeros((len(rows), lattice.nodes(k))) for k in range(lattice.num_steps)]
-            theta = [np.zeros((len(rows), lattice.nodes(k), n)) for k in range(lattice.num_steps)]
+            kernel = _PicardKernel(rows)
+            pair, spare = _IteratePair(lattice, len(rows), n), _IteratePair(lattice, len(rows), n)
             while rows:
-                eta_new, theta_new, norm, dist, finite = _picard_step(rows, eta, theta)
-                keep = []
+                # the new iterate goes into the spare pair
+                norm, dist, finite = kernel.step(rows, pair.eta, pair.theta, spare.eta, spare.theta)
+                keep, leaving = [], []
                 for r, i in enumerate(live):
                     diag = diags[i]
                     if finite[r]:
@@ -423,16 +666,23 @@ def picard_diagnostics(points, tol: float = 1e-12, max_iter: int = 100,
                             continue
                     else:
                         diag.aborted = f"non-finite iterate at iteration {diag.iterations + 1}"
-                    if ends is not None:
-                        pair = (eta_new, theta_new) if finite[r] else (eta, theta)
-                        ends[i] = tuple([v[r] for v in part] for part in pair)
-                if len(keep) < len(live):
+                    leaving.append((r, i))
+                if ends is not None:
+                    # a row the block goes on without keeps a copy: the next
+                    # steps write both pairs again
+                    for r, i in leaving:
+                        ends[i] = (spare if finite[r] else pair).row(r, copy=bool(keep))
+                pair, spare = spare, pair
+                if leaving:
                     live = [live[r] for r in keep]
                     rows = [rows[r] for r in keep]
-                    eta_new = [v[keep] for v in eta_new]
-                    theta_new = [v[keep] for v in theta_new]
-                eta, theta = eta_new, theta_new
-            # every row of the block has left: only now is the next one drawn
+                    if rows:
+                        pair.keep(keep)
+                        spare.view(len(keep))
+                        kernel.resize(len(keep))
+            # every row of the block has left: only now is the next one drawn,
+            # and its buffers allocated once these are freed
+            del kernel, pair, spare
             rows = list(islice(pending, block))
     for diag in diags:
         diag.final_norm = diag.iterate_norms[-1] if diag.iterate_norms else 0.0
@@ -475,8 +725,7 @@ def solve_picard(inst: Instance, tol: float = 1e-12, max_iter: int = 100,
     # the last finite iterate of a diverging run may still overflow here
     with np.errstate(over="ignore", invalid="ignore"):
         np.multiply(a, inst.psi, out=price[-1])
-        for k, e, t, v, p in _backward(inst, value[-1], price[-1], eta, theta):
-            value[k][...], price[k][...] = v, p
+        for k, e, t, _, _ in _backward(inst, value[-1], price[-1], eta, theta, (value, price)):
             # the gaps overwrite the child differences, which are not kept;
             # np.max keeps a nan gap, which the builtin max drops against 0.0
             for x, old in ((e, eta[k]), (t, theta[k])):

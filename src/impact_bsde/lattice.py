@@ -99,15 +99,17 @@ class Lattice:
         lead = (slice(None),) * axis
         return x[lead + (slice(0, None, 2),)], x[lead + (slice(1, None, 2),)]
 
-    def child_mean(self, x: np.ndarray, axis: int = 0) -> np.ndarray:
-        """Mean of the two children of every node, one slice earlier."""
+    def child_mean(self, x: np.ndarray, axis: int = 0, out: np.ndarray | None = None) -> np.ndarray:
+        """Mean of the two children of every node, one slice earlier (into
+        ``out`` when given)."""
         up, down = self.children(x, axis)
-        return 0.5 * (up + down)
+        return np.multiply(0.5, np.add(up, down, out=out), out=out)
 
-    def child_diff(self, x: np.ndarray, axis: int = 0) -> np.ndarray:
-        """Representation quotient ``(x_up - x_down) / (2 sqrt(dt))``."""
+    def child_diff(self, x: np.ndarray, axis: int = 0, out: np.ndarray | None = None) -> np.ndarray:
+        """Representation quotient ``(x_up - x_down) / (2 sqrt(dt))`` (into
+        ``out`` when given)."""
         up, down = self.children(x, axis)
-        return (up - down) / (2.0 * self.sqrt_dt)
+        return np.divide(np.subtract(up, down, out=out), 2.0 * self.sqrt_dt, out=out)
 
     def to_children(self, x: np.ndarray, axis: int = 0) -> np.ndarray:
         """Slice ``x`` one step later: each node's value on both its children."""
@@ -127,8 +129,31 @@ class Lattice:
     def zero_slices(self, *shape: int) -> list[np.ndarray]:
         """One slice per step, ``(nodes(k), *shape)`` each, as views of one
         zeroed block."""
-        block = np.zeros(((2 << self.num_steps) - 1, *shape))
-        return [block[(1 << k) - 1:(2 << k) - 1] for k in range(self.num_steps + 1)]
+        return self.levels(np.zeros(((2 << self.num_steps) - 1, *shape)))
+
+    def levels(self, block: np.ndarray, axis: int = 0) -> list[np.ndarray]:
+        """``block`` cut along ``axis`` into one view per step from step 0,
+        ``nodes(k)`` entries for step ``k``: an axis of ``nodes(s) - 1``
+        entries holds steps 0 to ``s - 1``."""
+        lead = (slice(None),) * axis
+        steps = (block.shape[axis] + 1).bit_length() - 1
+        return [block[lead + (slice((1 << k) - 1, (2 << k) - 1),)] for k in range(steps)]
+
+    def tiles(self, k: int, size: int, part: int = 0, parts: int = 1):
+        """The nodes of step ``k`` below root subtree ``part`` of ``parts``
+        equal ones (``parts`` a power of two, at most ``nodes(k)``), in runs
+        of ``size`` nodes rounded down to a power of two.  Each run comes as
+        five slices: its nodes at step ``k`` and their children at step
+        ``k + 1``; then, counted from the subtree's first node at each step,
+        its nodes, their children and their parents at step ``k - 1`` (the
+        root, index 0, for the nodes of step 1)."""
+        share = self.nodes(k) // parts
+        size = 1 << (min(size, share).bit_length() - 1)
+        start = part * share
+        for lo in range(0, share, size):
+            hi = lo + size
+            yield (slice(start + lo, start + hi), slice(2 * (start + lo), 2 * (start + hi)),
+                   slice(lo, hi), slice(2 * lo, 2 * hi), slice(lo // 2, (hi + 1) // 2))
 
     def brownian(self) -> "AdaptedProcess":
         """The driving walk as an adapted process (an exact martingale)."""
@@ -240,6 +265,14 @@ class PredictableProcess:
 def stock_sum(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``np.sum(x, axis=-1, out=out)``, except that one stock returns the
     column itself, a view, and ignores ``out``: use the return value."""
+    return _stock_sum(x, out)
+
+
+def _stock_sum(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``stock_sum`` under a private name.  The Picard kernel's second
+    thread sums through it: perfbench's span tracer wraps the package's
+    public functions and keeps one span stack, which two threads would
+    interleave."""
     if x.shape[-1] == 1:
         return x[..., 0]
     return x.sum(axis=-1, out=out)
@@ -259,17 +292,20 @@ def stock_norm(x: np.ndarray) -> np.ndarray:
     return np.ldexp(np.sqrt(stock_sum(y * y)), exponent)
 
 
-def _square_sum(columns) -> np.ndarray:
+def _square_sum(columns, out: np.ndarray | None = None,
+                work: np.ndarray | None = None) -> np.ndarray:
     """Per-node ``sum_j c_j**2`` over equal-length columns, added in column
-    order at every width.  The fused Picard kernel and ``h_bmo_norm`` sum a
-    joint (value, price) integrand this way, from its separate columns: no
-    stacked copy exists for ``stock_sum``, whose numpy sum is pairwise from
-    eight columns on, and one order keeps the two in step."""
+    order at every width, into ``out`` (which may be the first column) with
+    each later square in ``work`` when given.  The fused Picard kernel and
+    ``h_bmo_norm`` sum a joint (value, price) integrand this way, from its
+    separate columns: no stacked copy exists for ``stock_sum``, whose numpy
+    sum is pairwise from eight columns on, and one order keeps the two in
+    step."""
     columns = iter(columns)
     first = next(columns)
-    total = first * first
+    total = np.multiply(first, first, out=out)
     for c in columns:
-        total += c * c
+        total += np.multiply(c, c, out=work)
     return total
 
 

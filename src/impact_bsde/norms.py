@@ -75,11 +75,13 @@ def _require_martingale(m: AdaptedProcess, tol: float):
         )
 
 
-def _remaining_load(lat: Lattice, load, here: np.ndarray, axis: int = 0) -> np.ndarray:
+def _remaining_load(lat: Lattice, load, here: np.ndarray, axis: int = 0,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """One backward step of a conditional remaining load: the node's own
     load ``here`` plus the child mean of ``load``, the remaining load one
-    slice later (None below the last slice), with the node axis at ``axis``."""
-    return here if load is None else here + lat.child_mean(load, axis)
+    slice later (None below the last slice: ``here`` itself), with the node
+    axis at ``axis``, into ``out`` when given."""
+    return here if load is None else np.add(here, lat.child_mean(load, axis, out=out), out=out)
 
 
 def bmo_norm(m: AdaptedProcess, tol: float = 1e-10) -> NormReport:

@@ -748,3 +748,194 @@ def test_picard_diagnostics_block_budget():
                            lat)
     with pytest.raises(ValueError, match="number of stocks"):
         picard_diagnostics([inst, wide])
+
+
+# --- tiles and two parts at small depth ----------------------------------------
+
+@pytest.fixture
+def tiny_tiles(monkeypatch):
+    """Run every level of more than ``_TILE_VALUES`` values in tiles of that
+    many and both root subtrees on their own thread, as only large levels
+    and deep trees do by default; returns the parts of every step run."""
+    import impact_bsde.bsde as bsde_mod
+
+    def tiles(values):
+        monkeypatch.setattr(bsde_mod, "_TILE_VALUES", values)
+        monkeypatch.setattr(bsde_mod, "_SPLIT_VALUES", 1)
+        monkeypatch.setattr(bsde_mod, "_usable_cpus", lambda: 2)
+        seen = []
+        subtree = bsde_mod._PicardKernel.subtree
+
+        def spy(self, job, w):
+            seen.append((w, self.parts, max((len(level) for level in self.plans[w]), default=0)))
+            return subtree(self, job, w)
+
+        monkeypatch.setattr(bsde_mod._PicardKernel, "subtree", spy)
+        return seen
+
+    return tiles
+
+
+def _reference_run(inst, tol, max_iter):
+    """The unbatched loop's last finite iterate (see
+    ``test_picard_reconstructs_from_the_iterate_its_loop_ends_on``)."""
+    lattice, n = inst.lattice, inst.num_stocks
+    eta = [np.zeros(lattice.nodes(k)) for k in range(lattice.num_steps)]
+    theta = [np.zeros((lattice.nodes(k), n)) for k in range(lattice.num_steps)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            eta_new, theta_new, norm, dist = picard_step(inst, eta, theta)
+            if norm is None:
+                break
+            eta, theta = eta_new, theta_new
+            if dist <= tol:
+                break
+    return eta, theta
+
+
+@pytest.mark.parametrize("tile", [4, 64])
+@pytest.mark.parametrize("num_stocks", [1, 2, 3])
+def test_tiled_two_part_iteration_is_the_reference_bit_for_bit(tiny_tiles, tile, num_stocks):
+    # many tiles per level on two threads: records, end pairs and rebuilt
+    # solutions are those of the one-instance reference, bit for bit, for a
+    # block that mixes a shared demand with a demand per row and rows that
+    # converge, run to max_iter, abort mid-block and abort on the first step
+    seen = tiny_tiles(tile)
+    lat = build_lattice(8, 1.0)
+    base = evaluate_market(MarketConfig(1.0, num_stocks, NegativeSignOfB(0.8), SignOfBT(1.0),
+                                        8, 1.0), lat)
+    points = [base if p is None else _variant(base, p, val) for p, val in _MIXED_POINTS]
+    points += [_variant(base, "risk_aversion", 40.0), _variant(base, "demand_scale", 300.0)]
+    ends = [None] * len(points)
+    got = picard_diagnostics(points, tol=1e-12, max_iter=12, ends=ends)
+    assert {(w, parts) for w, parts, _ in seen} == {(0, 2), (1, 2)}
+    assert max(most for _, _, most in seen) > 1
+    outcomes = set()
+    for inst, diag, (eta, theta) in zip(points, got, ends):
+        want = picard_record(inst, tol=1e-12, max_iter=12)
+        if not diag.iterate_norms:
+            want["terminal_norm"] = math.inf
+        assert {k: getattr(diag, k) for k in _RECORD} == want
+        want_eta, want_theta = _reference_run(inst, 1e-12, 12)
+        assert [v.tobytes() for v in eta + theta] == [v.tobytes() for v in want_eta + want_theta]
+        outcomes.add("converged" if diag.converged else "first step aborted"
+                     if diag.aborted and not diag.iterations else "aborted"
+                     if diag.aborted else "max_iter")
+    assert outcomes == {"converged", "max_iter", "aborted", "first step aborted"}
+    # the one-row runs of solve_picard, and their rebuilt solutions
+    for inst in points[:3]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            sol, diag = solve_picard(inst, tol=1e-12, max_iter=12)
+        eta, theta = _reference_run(inst, 1e-12, 12)
+        value, price, residual = backward_rebuild(inst, eta, theta)
+        for got_slices, want_slices in ((sol.value_integrand.values, eta),
+                                        (sol.price_integrand.values, theta),
+                                        (sol.scaled_value.values, value),
+                                        (sol.scaled_price.values, price)):
+            assert [v.tobytes() for v in got_slices] == [v.tobytes() for v in want_slices]
+        assert np.float64(sol.residual).tobytes() == np.float64(residual).tobytes()
+
+
+def test_picard_map_in_tiles_is_the_reference_bit_for_bit(tiny_tiles):
+    # random frozen pairs, so every level's drift is non-zero, at depths 1 to
+    # 6 and for up to nine stocks (numpy's sum over the stock axis is
+    # pairwise from eight columns on)
+    tiny_tiles(4)
+    rng = np.random.default_rng(29)
+    for num_steps in range(1, 7):
+        for num_stocks in (1, 3, 9):
+            cfg = random_table_config(rng, num_steps, num_stocks=num_stocks, a_lo=0.05, a_hi=2.0)
+            inst = evaluate_market(cfg, build_lattice(num_steps, 1.0))
+            eta = [rng.normal(size=1 << k) * 3 for k in range(num_steps)]
+            theta = [rng.normal(size=(1 << k, num_stocks)) * 3 for k in range(num_steps)]
+            got = picard_map(inst, eta, theta)
+            want = picard_step(inst, eta, theta)[:2]
+            assert [v.tobytes() for v in got[0] + got[1]] == \
+                [v.tobytes() for v in want[0] + want[1]]
+
+
+@pytest.mark.parametrize("half", [0, 1])
+def test_picard_threads_keep_the_callers_error_state(tiny_tiles, half):
+    # the second root subtree runs on a thread of its own, which starts with
+    # numpy's default error state: an overflow below either subtree raises
+    # in the caller under errstate(all="raise"), and no thread is left over
+    import threading
+    tiny_tiles(1 << 15)
+    from dataclasses import replace
+    lat = build_lattice(6, 1.0)
+    base = evaluate_market(MarketConfig(1.0, 1, ConstantDemand(0.5), SignOfBT(0.0), 6, 1.0),
+                           lat)
+    # the children of every leaf parent below one root subtree differ by 2e308
+    psi = np.zeros((lat.num_leaves, 1))
+    below = slice(half * lat.num_leaves // 2, (half + 1) * lat.num_leaves // 2)
+    psi[below, 0] = np.tile([1e308, -1e308], lat.num_leaves // 4)
+    inst = replace(base, psi=psi)
+    zero = [np.zeros(lat.nodes(k)) for k in range(6)], [np.zeros((lat.nodes(k), 1))
+                                                       for k in range(6)]
+    threads = threading.active_count()
+    with np.errstate(all="raise"):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            picard_map(inst, *zero)
+    assert threading.active_count() == threads
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, theta = picard_map(inst, *zero)
+    overflowed = ~np.isfinite(theta[-1][:, 0])
+    assert overflowed[below.start // 2:below.stop // 2].all() and overflowed.sum() == 16
+    # the subtree's flags reach the row's: its means are finite, so the root
+    # level alone would not see the overflow
+    (diag,) = picard_diagnostics([inst], tol=1e-12, max_iter=3)
+    assert diag.aborted == "non-finite iterate at iteration 1"
+    assert threading.active_count() == threads
+
+
+def test_diverging_two_part_run_prints_no_warning(tiny_tiles, capfd):
+    # picard_diagnostics silences numpy's warnings for the diverging rows it
+    # reports as data; its second thread must be silenced too
+    import threading
+    import warnings
+    tiny_tiles(4)
+    lat = build_lattice(8, 1.0)
+    inst = evaluate_market(MarketConfig(50.0, 2, NegativeSignOfB(1.0), SignOfBT(1.0), 8, 1.0),
+                           lat)
+    threads = threading.active_count()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        (diag,) = picard_diagnostics([inst], tol=1e-12, max_iter=60)
+    assert diag.aborted == f"non-finite iterate at iteration {diag.iterations + 1}"
+    assert not caught
+    assert capfd.readouterr().err == ""
+    assert threading.active_count() == threads
+
+
+def test_concurrent_two_part_runs_under_fast_thread_switches(tiny_tiles):
+    # three callers, each with its own second thread, on two CPUs, switching
+    # threads every microsecond: every record is still its own run's, so no
+    # thread wrote into another's part, tile or block
+    import sys
+    import threading
+    tiny_tiles(16)
+    lat = build_lattice(8, 1.0)
+    base = evaluate_market(MarketConfig(1.0, 2, NegativeSignOfB(0.8), SignOfBT(1.0), 8, 1.0),
+                           lat)
+    blocks = [[_variant(base, param, val) for val in _SWEEP_VALUES[param][:4]]
+              for param in ("risk_aversion", "demand_scale", "dividend_scale")]
+    want = [[repr(d.to_dict()) for d in picard_diagnostics(points, tol=1e-12, max_iter=12)]
+            for points in blocks]
+    got: list = [None] * len(blocks)
+
+    def run(i):
+        got[i] = [repr(d.to_dict())
+                  for d in picard_diagnostics(blocks[i], tol=1e-12, max_iter=12)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=run, args=(i,)) for i in range(len(blocks))]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert got == want
