@@ -61,8 +61,19 @@ has converged, reached the iteration cap or aborted.
 A sweep runs its points through it; ``solve_picard`` runs it on its one
 instance and rebuilds the solution from the iterate that row ends on.
 Every reduction is per row, so each row's record is the one its own run
-would give, bit for bit.  The rebuild writes its ``_backward`` slices
-into one block; its residual is the node-max move of one more map step.
+would give, bit for bit.
+
+The explicit solve and the rebuild are ``_backward`` walks, and
+``_solve`` runs one or both of them leaf to root in lockstep, after any
+Picard loop, so no solution is alive through it.  Both walks read one
+leaf pair, the zero value slice and the scaled dividend.  A walk whose
+solution is kept (``solve_explicit``, ``solve_picard``, the node table of
+``bsde --dump-nodes``) writes its slices into one block per process; any
+other writes each level into one of two rolling level buffers and keeps
+only its root values.  Every check and reduction is taken as the level
+passes: the finiteness checks, the node max of the gap between the two
+prices, and the rebuild's residual, the node-max move of one more map
+step.  ``bsde`` without a node table so holds neither whole solution.
 """
 
 from __future__ import annotations
@@ -84,11 +95,12 @@ from .lattice import (
     PredictableProcess,
     _square_sum,
     _stock_sum,
+    node_max,
     stochastic_exponential,
     stock_sum,
 )
 from .norms import _remaining_load
-from .pricer import _check_finite
+from .pricer import NumericalError, _check_finite
 from .scenario import Instance
 
 
@@ -163,11 +175,13 @@ class BsdeSolution:
     # bit, without scaling the whole tree
     @property
     def initial_price(self) -> np.ndarray:
-        return (1.0 / self.risk_aversion) * self.scaled_price.values[0][0]
+        return _initial(self.risk_aversion, self.scaled_value.values[0],
+                        self.scaled_price.values[0])[0]
 
     @property
     def initial_certainty(self) -> float:
-        return float((1.0 / self.risk_aversion) * self.scaled_value.values[0][0])
+        return _initial(self.risk_aversion, self.scaled_value.values[0],
+                        self.scaled_price.values[0])[1]
 
     @cached_property
     def market_price_of_risk(self) -> PredictableProcess:
@@ -232,60 +246,191 @@ class IterationDiagnostics:
                 "uniqueness_radius": self.uniqueness_radius, "small_ball": self.small_ball}
 
 
-def _backward(inst: Instance, value, price, eta=None, theta=None, out=None):
+class _Rolling:
+    """The (value, price) slices of a walk that holds ``slots`` levels at a
+    time: level ``k`` is written into buffer ``(N - 1 - k) % slots``, whose
+    first level is its largest; each buffer is one allocation, made when that
+    first level is written.  ``rolling[k]`` is level ``k``'s pair of views."""
+
+    def __init__(self, lattice: Lattice, n: int, slots: int = 2):
+        self.lattice, self.n, self.buffers = lattice, n, [None] * slots
+
+    def __getitem__(self, k: int):
+        nodes, n = self.lattice.nodes(k), self.n
+        slot = (self.lattice.num_steps - 1 - k) % len(self.buffers)
+        if self.buffers[slot] is None:
+            self.buffers[slot] = np.empty(nodes * (1 + n))
+        buffer = self.buffers[slot]
+        return buffer[:nodes], buffer[nodes:nodes * (1 + n)].reshape(nodes, n)
+
+
+def _backward(inst: Instance, value, price, out, scratch, eta=None, theta=None, diffs=None):
     """The backward recursion from the leaf slices ``(value, price)``:
-    yields ``(k, e, t, value_k, price_k)`` for ``k`` from ``N - 1`` down to
-    0, where ``(e, t)`` are the child differences of slice ``k + 1`` and
-    slice ``k`` is its child mean plus the drift, taken at ``(e, t)`` (the
-    explicit solve) or at a frozen pair ``(eta[k], theta[k])`` (a Picard
-    rebuild).  Only the current slices are held.  Given ``out``, a pair of
-    per-step slice lists, slice ``k`` is written into ``out[0][k]`` and
-    ``out[1][k]``; every other yielded array is a fresh one that the caller
-    may overwrite.
+    yields ``(k, value_k, price_k)`` for ``k`` from ``N - 1`` down to 0, where
+    slice ``k`` is the child mean of slice ``k + 1`` plus the drift, taken at
+    the child differences of slice ``k + 1`` (the explicit solve) or at a
+    frozen pair ``(eta[k], theta[k])`` (a Picard rebuild).
+
+    Level ``k`` is written into the pair ``out[k]``: slices of whole-tree
+    blocks, or a ``_Rolling``'s views for a walk that keeps no solution.  The
+    child differences are written into the pair ``diffs[k]`` when it is
+    given, and left there; otherwise the explicit solve takes them in
+    ``out[k]``, where the child means then overwrite them, and a rebuild
+    takes none.  The drifts and their temporaries go into the flat buffer
+    ``scratch`` of ``nodes(N - 1) * (2 + n)`` values, and ``nodes(N - 1)``
+    more for several stocks; walks in lockstep share it, as it is free
+    between levels.  Overflows are left to the caller's finite checks,
+    without numpy's warnings.
     """
-    lattice, gamma, dt = inst.lattice, inst.gamma, inst.lattice.dt
+    lattice, gamma, dt, n = inst.lattice, inst.gamma, inst.lattice.dt, inst.num_stocks
     for k in range(lattice.num_steps - 1, -1, -1):
-        e, t = lattice.child_diff(value), lattice.child_diff(price)
-        vd, pd = (driver(e, t, gamma.values[k]) if eta is None
-                  else driver(eta[k], theta[k], gamma.values[k]))
-        # child mean plus drift times dt, with no temporary beyond the drifts
-        value = lattice.child_mean(value, out=None if out is None else out[0][k])
-        value = np.add(value, np.multiply(vd, dt, out=vd), out=value)
-        price = lattice.child_mean(price, out=None if out is None else out[1][k])
-        price = np.subtract(price, np.multiply(pd, dt, out=pd), out=price)
-        del vd, pd  # not held while the caller works on the level
-        yield k, e, t, value, price
+        m = lattice.nodes(k)
+        v, p = out[k]
+        with np.errstate(over="ignore", invalid="ignore"):
+            if diffs is not None or eta is None:
+                e, t = (v, p) if diffs is None else diffs[k]
+                lattice.child_diff(value, out=e)
+                lattice.child_diff(price, out=t)
+            if eta is not None:
+                e, t = eta[k], theta[k]
+            vd, work, pd = scratch[:m], scratch[m:2 * m], scratch[2 * m:(2 + n) * m].reshape(m, n)
+            tg = scratch[(2 + n) * m:(3 + n) * m] if n > 1 else None
+            vd, pd = _driver(e, t, gamma.values[k], vd, pd, work, tg)
+            # child mean plus drift times dt
+            value = lattice.child_mean(value, out=v)
+            np.add(value, np.multiply(vd, dt, out=vd), out=value)
+            price = lattice.child_mean(price, out=p)
+            np.subtract(price, np.multiply(pd, dt, out=pd), out=price)
+        yield k, value, price
+
+
+def _initial(a: float, value: np.ndarray, price: np.ndarray):
+    """The root price and certainty equivalent of a solution whose scaled
+    root slices are ``value`` and ``price``."""
+    return (1.0 / a) * price[0], float((1.0 / a) * value[0])
+
+
+def _solve(inst: Instance, explicit: bool = False, ends=None, keep: str | None = None,
+           residual: bool = False):
+    """Leaf to root in lockstep, one ``_backward`` walk each: the explicit
+    solve when ``explicit``, and the rebuild at the frozen integrand pair
+    ``ends`` when it is given.  Both read one leaf pair: the zero value
+    slice and the scaled dividend ``a * psi``.
+
+    The walk named ``keep`` (``"explicit"`` or ``"picard"``) writes its levels
+    into one zeroed block per process and gives a ``BsdeSolution``; a walk
+    not kept writes them into a ``_Rolling`` and gives its root values and
+    residual only (``initial_price``, ``initial_certainty``, ``residual``).
+    As each level passes:
+    - the explicit solve's finiteness check raises ``NumericalError`` at once;
+    - the rebuild's first failure (``Picard scaled certainty equivalent``,
+      then ``Picard scaled price``, steps N down to 0) is kept;
+    - with both walks, the node max of |explicit price - rebuilt price|
+      advances, as ``lattice.process_gap`` takes it;
+    - with ``residual``, the largest gap between the rebuild's child
+      differences and ``ends`` (nan if any gap is) advances.
+
+    Returns ``(walks, gap, failure)``: the results by walk name, the node
+    max (None unless both walk) and the rebuild's first failure (or None).
+    """
+    lattice, a, gamma, n = inst.lattice, inst.risk_aversion, inst.gamma, inst.num_stocks
+    steps = lattice.num_steps
+    scratch = np.empty(lattice.nodes(steps - 1) * (2 + n + (n > 1)))
+    if keep is None:
+        # a view of one zero: the walks only take its child means and differences
+        leaves = np.broadcast_to(0.0, (lattice.num_leaves,)), np.empty((lattice.num_leaves, n))
+    else:
+        kept = lattice.zero_slices(), lattice.zero_slices(n)
+        leaves = kept[0][-1], kept[1][-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(a, inst.psi, out=leaves[1])
+    def out(name):
+        return list(zip(*kept)) if name == keep else _Rolling(lattice, n)
+
+    walks = {}
+    if explicit:
+        if keep == "explicit":
+            integrands = (lattice.levels(np.empty(lattice.num_leaves - 1)),
+                          lattice.levels(np.empty((lattice.num_leaves - 1, n))))
+        walks["explicit"] = _backward(inst, *leaves, out("explicit"), scratch,
+                                      diffs=list(zip(*integrands)) if keep == "explicit" else None)
+    if ends is not None:
+        diffs = _Rolling(lattice, n, 1) if residual else None
+        walks["picard"] = _backward(inst, *leaves, out("picard"), scratch, *ends, diffs=diffs)
+    failure, rebuilt_residual, roots = None, 0.0, {}
+
+    def check(name, k, value, price):
+        nonlocal failure
+        if name == "explicit":
+            _check_finite(value, k, "scaled certainty equivalent")
+            _check_finite(price, k, "scaled price")
+        elif failure is None:
+            try:
+                _check_finite(value, k, "Picard scaled certainty equivalent")
+                _check_finite(price, k, "Picard scaled price")
+            except NumericalError as exc:
+                failure = exc
+
+    if ends is not None:
+        check("picard", steps, *leaves)
+    # the walks hold the leaves only until they have passed level N - 1
+    del leaves
+
+    def levels():
+        nonlocal rebuilt_residual
+        # the walks share the leaf slices, whose gap is 0 wherever the
+        # explicit solve passes its checks
+        yield steps, np.zeros(1)
+        for passed in zip(*walks.values()):
+            k = passed[0][0]
+            for name, (_, value, price) in zip(walks, passed):
+                check(name, k, value, price)
+                roots[name] = value, price
+            if residual:
+                # the gaps overwrite the child differences, which are not kept;
+                # np.max keeps a nan gap, which the builtin max drops against 0.0
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for x, old in zip(diffs[k], (ends[0][k], ends[1][k])):
+                        rebuilt_residual = np.max([rebuilt_residual, np.abs(
+                            np.subtract(x, old, out=x), out=x).max()])
+            if len(walks) == 2:
+                m = lattice.nodes(k)
+                gap = np.subtract(*(p for _, _, p in passed), out=scratch[:m * n].reshape(m, n))
+                np.abs(gap, out=gap)
+                yield k, gap.max(axis=1, out=scratch[m * n:(n + 1) * m])
+
+    # node_max takes every level; with one walk, only the leaves' zero
+    gap = node_max(levels())[0]
+    # the explicit integrands are the child differences themselves; a
+    # rebuild's residual is nan where it is not taken
+    residual_of = {"explicit": 0.0, "picard": float(rebuilt_residual) if residual else np.nan}
+    results = {}
+    for name, root in roots.items():
+        if name != keep:
+            initial_price, initial_certainty = _initial(a, *root)
+            results[name] = SimpleNamespace(initial_price=initial_price,
+                                            initial_certainty=initial_certainty,
+                                            residual=residual_of[name])
+            continue
+        eta, theta = integrands if name == "explicit" else ends
+        results[name] = BsdeSolution(
+            lattice=lattice,
+            risk_aversion=a,
+            gamma=gamma,
+            scaled_value=AdaptedProcess(lattice, kept[0]),
+            scaled_price=AdaptedProcess(lattice, kept[1]),
+            value_integrand=PredictableProcess(lattice, eta),
+            price_integrand=PredictableProcess(lattice, theta),
+            residual=residual_of[name],
+            method=name,
+        )
+    return results, gap if len(walks) == 2 else None, failure
 
 
 def solve_explicit(inst: Instance) -> BsdeSolution:
     """One deterministic backward pass; raises ``NumericalError`` naming the
     step and node of the first slice that is not finite."""
-    lattice, a, gamma = inst.lattice, inst.risk_aversion, inst.gamma
-    steps = lattice.num_steps
-    value: list = [None] * (steps + 1)
-    price: list = [None] * (steps + 1)
-    eta: list = [None] * steps
-    theta: list = [None] * steps
-    value[steps] = np.zeros(lattice.num_leaves)
-    # an overflow is not warned about: _check_finite names its node
-    with np.errstate(over="ignore", invalid="ignore"):
-        price[steps] = a * inst.psi
-        for k, e, t, v, p in _backward(inst, value[steps], price[steps]):
-            eta[k], theta[k], value[k], price[k] = e, t, v, p
-            _check_finite(value[k], k, "scaled certainty equivalent")
-            _check_finite(price[k], k, "scaled price")
-    return BsdeSolution(
-        lattice=lattice,
-        risk_aversion=a,
-        gamma=gamma,
-        scaled_value=AdaptedProcess(lattice, value),
-        scaled_price=AdaptedProcess(lattice, price),
-        value_integrand=PredictableProcess(lattice, eta),
-        price_integrand=PredictableProcess(lattice, theta),
-        # the integrands are the child differences themselves
-        residual=0.0,
-        method="explicit",
-    )
+    return _solve(inst, explicit=True, keep="explicit")[0]["explicit"]
 
 
 # a level slice of more values (rows x nodes x stocks) than this runs in
@@ -712,36 +857,10 @@ def solve_picard(inst: Instance, tol: float = 1e-12, max_iter: int = 100,
     """
     ends = [None]
     (diag,) = picard_diagnostics([inst], tol, max_iter, ends)
-    ((eta, theta),) = ends
     diag.kappa = float(kappa)
     diag.growth_bound = float(growth_bound if growth_bound is not None
                               else driver_growth_bound(inst.gamma_sup))
-    lattice, a, gamma = inst.lattice, inst.risk_aversion, inst.gamma
-    # one block per process, sliced by level: one allocation instead of one
-    # per level, after which a process's next Picard loops fault fewer pages
-    value = lattice.zero_slices()
-    price = lattice.zero_slices(gamma.dim)
-    residual = 0.0
-    # the last finite iterate of a diverging run may still overflow here
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(a, inst.psi, out=price[-1])
-        for k, e, t, _, _ in _backward(inst, value[-1], price[-1], eta, theta, (value, price)):
-            # the gaps overwrite the child differences, which are not kept;
-            # np.max keeps a nan gap, which the builtin max drops against 0.0
-            for x, old in ((e, eta[k]), (t, theta[k])):
-                residual = np.max([residual, np.abs(np.subtract(x, old, out=x), out=x).max()])
-    solution = BsdeSolution(
-        lattice=lattice,
-        risk_aversion=a,
-        gamma=gamma,
-        scaled_value=AdaptedProcess(lattice, value),
-        scaled_price=AdaptedProcess(lattice, price),
-        value_integrand=PredictableProcess(lattice, eta),
-        price_integrand=PredictableProcess(lattice, theta),
-        residual=float(residual),
-        method="picard",
-    )
-    return solution, diag
+    return _solve(inst, ends=ends[0], keep="picard", residual=True)[0]["picard"], diag
 
 
 @dataclass

@@ -19,9 +19,9 @@ import numpy as np
 from . import bsde as bsde_mod
 from . import verify as verify_mod
 from .config import METHODS, SUITES, SWEEP_PARAMS, ConfigError, RunConfig, load_config
-from .lattice import ExponentialGuardError, LatticeSizeError, build_lattice, process_gap
+from .lattice import ExponentialGuardError, LatticeSizeError, build_lattice
 from .norms import bmo_norm_rv, h_bmo_norm, h_norm, measure_kappa, sup_norm
-from .pricer import NumericalError, _check_finite, price_equilibrium
+from .pricer import NumericalError, price_equilibrium
 from .scenario import Instance, MarketConfig, evaluate_market, hitting_time_tau
 
 EXIT_VERIFY = 1
@@ -95,6 +95,12 @@ def _centered_bmo(inst: Instance) -> float:
         raise NumericalError(f"centring the dividend lost its precision: {exc}") from exc
 
 
+def _smallness_product(a: float, gamma_sup: float, psi_bmo: float) -> float:
+    """The paper's smallness product ``a * gamma_sup * psi_bmo``; beyond the
+    float range it is a numeric failure, as a norm is."""
+    return _finite_norm("the smallness product", lambda: a * gamma_sup * psi_bmo)
+
+
 def _bmo(what: str, process) -> float:
     """Integrand norm of one process of a solution."""
     return _finite_norm(f"the {what} norm", h_bmo_norm, process).value
@@ -118,7 +124,8 @@ def _instance_norms(run: RunConfig, inst: Instance) -> dict:
         "centered_dividend_bmo": psi_bmo,
         "centered_dividend_gauge": gauge.value,
         "gauge_achieving_node": list(gauge.achieving_node),
-        "smallness_product": run.market.risk_aversion * inst.gamma_sup * psi_bmo,
+        "smallness_product": _smallness_product(run.market.risk_aversion, inst.gamma_sup,
+                                                psi_bmo),
     }
 
 
@@ -235,32 +242,30 @@ def cmd_bsde(config_path, out_path, method, diag_path, dump_path):
     inst = _evaluate(run.market)
     method = method or run.solver.method
     summary: dict = {"command": "bsde", "method": method}
-    if method in ("explicit", "both"):
-        exp = bsde_mod.solve_explicit(inst)
-        summary["initial_price"] = exp.initial_price.tolist()
-        summary["initial_certainty"] = exp.initial_certainty
-        summary["residual_explicit"] = exp.residual
-        # the comparison needs only the explicit price; the node table
-        # needs the whole solution
-        exp_price = exp.scaled_price
-        if not dump_path:
-            exp = None
+    ends = None
     if method in ("picard", "both"):
+        # the iteration runs before any solution is walked, so none is held
+        # through it
         kappa, growth_bound = _picard_constants(run, inst)
-        pic, diag = bsde_mod.solve_picard(
-            inst, tol=run.solver.tol, max_iter=run.solver.max_iter,
-            growth_bound=growth_bound, kappa=kappa,
-        )
-        # a diverging run is reported, but its reconstruction must be finite
-        for k in range(inst.lattice.num_steps, -1, -1):
-            _check_finite(pic.scaled_value.values[k], k,
-                          "Picard scaled certainty equivalent")
-            _check_finite(pic.scaled_price.values[k], k, "Picard scaled price")
-        report = bsde_mod.contraction_report(diag)
-        summary.setdefault("initial_price", pic.initial_price.tolist())
-        summary.setdefault("initial_certainty", pic.initial_certainty)
+        ends = [None]
+        (diag,) = bsde_mod.picard_diagnostics([inst], run.solver.tol, run.solver.max_iter, ends)
+        diag.kappa, diag.growth_bound = kappa, growth_bound
+        (ends,) = ends
+    # one walk per method, leaf to root in lockstep; only the node table
+    # needs a whole solution, the one the table is written from
+    chosen = "picard" if method == "picard" else "explicit"
+    walks, gap, failure = bsde_mod._solve(inst, explicit=method != "picard", ends=ends,
+                                          keep=chosen if dump_path else None)
+    # a diverging run is reported, but its reconstruction must be finite
+    if failure is not None:
+        raise failure
+    summary["initial_price"] = walks[chosen].initial_price.tolist()
+    summary["initial_certainty"] = walks[chosen].initial_certainty
+    if method != "picard":
+        summary["residual_explicit"] = walks["explicit"].residual
+    if method != "explicit":
         summary["picard"] = diag.to_dict()
-        summary["contraction_report"] = report.to_dict()
+        summary["contraction_report"] = bsde_mod.contraction_report(diag).to_dict()
         if diag_path:
             rows = []
             for i, dist in enumerate(diag.distances):
@@ -269,18 +274,18 @@ def cmd_bsde(config_path, out_path, method, diag_path, dump_path):
             _write_csv(diag_path, ["iteration", "distance", "ratio", "iterate_bmo"],
                        rows)
     if method == "both":
-        summary["max_node_discrepancy"] = process_gap(exp_price, pic.scaled_price)
+        summary["max_node_discrepancy"] = gap
     _write_json(out_path, summary)
     if dump_path:
-        chosen = exp if method in ("explicit", "both") else pic
+        solution = walks[chosen]
         # where the density would lose positivity, its column is nan; the
         # one-step pricing weight has no backward-system analogue: q_up is nan
         try:
-            density = chosen.density
+            density = solution.density
         except ExponentialGuardError:
             density = None
-        _write_nodes(dump_path, chosen.prices, chosen.certainty_equivalent, density,
-                     mpr=chosen.market_price_of_risk, volatility=chosen.volatility)
+        _write_nodes(dump_path, solution.prices, solution.certainty_equivalent, density,
+                     mpr=solution.market_price_of_risk, volatility=solution.volatility)
     if "picard" in summary:
         click.echo(f"bsde[{method}]: converged={summary['picard']['converged']} "
                    f"iterations={summary['picard']['iterations']}")
@@ -319,9 +324,11 @@ def _run_suite(run: RunConfig, inst: Instance) -> list:
     need_solution = suite in ("all", "apriori", "martingale", "optimality",
                               "localization")
     sol = price_equilibrium(inst) if need_solution else None
-    # a dividend whose norm overflows the float range is a numeric failure
-    # before any gate is computed from it
+    # a dividend whose norm overflows the float range, or a gain beyond it,
+    # is a numeric failure before any gate is computed from them
     psi_bmo = _centered_bmo(inst) if need_solution else None
+    if need_solution:
+        _finite_norm("the gain's sup norm", sup_norm, sol.gain)
     if suite in ("all", "martingale"):
         reports.append(verify_mod.check_R_nonneg(sol))
         reports.append(verify_mod.check_equilibrium_martingales(sol))
@@ -429,12 +436,11 @@ def cmd_sweep(config_path, param, start, stop, points, out_path):
         # last bit
         gamma_sup = (base.gamma_sup * abs(float(val)) if param == "demand_scale"
                      else inst.gamma_sup)
-        rows.append([
-            float(val),
-            inst.risk_aversion * gamma_sup
-            * (_centered_bmo(inst) if psi_bmo is None else psi_bmo),
-            *_solution_norms(inst),
-        ])
+        bmo = _centered_bmo(inst) if psi_bmo is None else psi_bmo
+        # a failure of the pricer is reported before the product's
+        norms = _solution_norms(inst)
+        rows.append([float(val), _smallness_product(inst.risk_aversion, gamma_sup, bmo),
+                     *norms])
         if param == "num_steps":
             # each depth is its own lattice: a one-point block
             diags += bsde_mod.picard_diagnostics([inst], solver.tol, solver.max_iter)

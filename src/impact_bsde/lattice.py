@@ -202,11 +202,14 @@ def node_max(slices) -> tuple[float, tuple[int, int]]:
 
 def process_gap(x, y, scale_y: float = 1.0) -> float:
     """Node max of ``|x - scale_y * y|`` over two adapted or two predictable
-    processes, taken over every component."""
-    return node_max(
-        (k, np.abs(a - scale_y * b).reshape(len(a), -1).max(axis=1))
-        for k, (a, b) in enumerate(zip(x.values, y.values))
-    )[0]
+    processes, taken over every component, in one temporary per level."""
+    def gaps():
+        for k, (a, b) in enumerate(zip(x.values, y.values)):
+            gap = np.multiply(scale_y, b)
+            np.abs(np.subtract(a, gap, out=gap), out=gap)
+            yield k, gap if gap.ndim == 1 else gap.max(axis=1)
+
+    return node_max(gaps())[0]
 
 
 def _validate_slices(lattice: Lattice, values: list[np.ndarray], count: int, what: str):

@@ -84,27 +84,42 @@ def _remaining_load(lat: Lattice, load, here: np.ndarray, axis: int = 0,
     return here if load is None else np.add(here, lat.child_mean(load, axis, out=out), out=out)
 
 
+def _binary_shift(values) -> int:
+    """The exponent ``shift`` of the power of two that brings the largest
+    magnitude of the slices ``values`` into [1/2, 1) (0 if it is zero or not
+    finite).  Every norm here is positively homogeneous: taken of the data
+    times ``2**-shift`` and multiplied by ``2**shift``, it is exact in the
+    normal range, and no square or average of the scaled data over- or
+    underflows."""
+    return int(np.frexp(max(float(np.max(np.abs(v))) for v in values))[1])
+
+
 def bmo_norm(m: AdaptedProcess, tol: float = 1e-10) -> NormReport:
     """Quadratic conditional-moment norm of a martingale.
 
     One backward pass accumulates ``C_k = E_k[|M_N - M_k|^2]`` from the
     orthogonal decomposition ``C_k = E_k[|M_{k+1} - M_k|^2] + E_k[C_{k+1}]``;
-    the norm is the square root of the node maximum of ``C``.
+    the norm is the square root of the node maximum of ``C``, taken of the
+    data scaled by a power of two (see ``_binary_shift``) a slice at a time.
     """
     _require_martingale(m, tol)
     lat = m.lattice
+    shift = _binary_shift(m.values)
 
     def loads():
         c = None
+        below = _as_terminal_rows(np.ldexp(m.values[-1], -shift))
         for k in range(lat.num_steps - 1, -1, -1):
-            here = _as_terminal_rows(m.values[k])
-            d_up, d_dn = (x - here for x in lat.children(_as_terminal_rows(m.values[k + 1])))
+            here = _as_terminal_rows(np.ldexp(m.values[k], -shift))
+            d_up, d_dn = (x - here for x in lat.children(below))
             step_var = 0.5 * (stock_sum(d_up * d_up) + stock_sum(d_dn * d_dn))
             c = _remaining_load(lat, c, step_var)
+            below = here
             yield k, c
 
     best, node = node_max(loads())
-    return NormReport(value=float(np.sqrt(best)), kind="bmo", achieving_node=node)
+    return NormReport(value=float(np.ldexp(np.sqrt(best), shift)), kind="bmo",
+                      achieving_node=node)
 
 
 def _node_moment_sweep(m: AdaptedProcess, moment) -> tuple[float, tuple[int, int]]:
@@ -268,11 +283,8 @@ def h_norm(x, lattice: Lattice | None = None, tol: float = 1e-10) -> NormReport:
     if not all(np.isfinite(v).all() for v in values):
         return NormReport(value=float("nan"), kind="orlicz_h", achieving_node=(0, 0),
                           iterations=0)
-    # The norm is positively homogeneous: it is taken of the data scaled by
-    # the power of two that brings its largest entry into [1/2, 1), which is
-    # exact in the normal range, and scaled back.  No average or square of
-    # the scaled data over- or underflows.
-    shift = np.frexp(max(float(np.max(np.abs(v))) for v in values))[1]
+    # taken of the data scaled by a power of two, and scaled back
+    shift = _binary_shift(values)
     scaled = [np.ldexp(v, -shift) for v in values]
     if isinstance(x, AdaptedProcess):
         _require_martingale(x, tol)
@@ -337,17 +349,21 @@ def h_norm(x, lattice: Lattice | None = None, tol: float = 1e-10) -> NormReport:
 
 def h_bmo_norm(zeta: PredictableProcess) -> NormReport:
     """Integrand norm: sqrt of the node max of the conditional remaining
-    quadratic load ``E_node[sum_{s >= node} |zeta_s|^2 dt]``."""
+    quadratic load ``E_node[sum_{s >= node} |zeta_s|^2 dt]``, taken of the
+    data scaled by a power of two (see ``_binary_shift``) a slice at a time."""
     lat = zeta.lattice
+    shift = _binary_shift(zeta.values)
 
     def loads():
         c = None
         for k in range(lat.num_steps - 1, -1, -1):
-            c = _remaining_load(lat, c, _square_sum(_as_terminal_rows(zeta.values[k]).T) * lat.dt)
+            zeta_k = _as_terminal_rows(np.ldexp(zeta.values[k], -shift))
+            c = _remaining_load(lat, c, _square_sum(zeta_k.T) * lat.dt)
             yield k, c
 
     best, node = node_max(loads())
-    return NormReport(value=float(np.sqrt(best)), kind="h_bmo", achieving_node=node)
+    return NormReport(value=float(np.ldexp(np.sqrt(best), shift)), kind="h_bmo",
+                      achieving_node=node)
 
 
 def sup_norm(process) -> NormReport:

@@ -19,18 +19,29 @@ from impact_bsde import (
     PredictableProcess,
     conditional_expectation,
     driver,
-    h_bmo_norm,
+    node_max,
     stacked_integrand,
 )
 from impact_bsde.norms import _remaining_load, _square_sum
 
 
 def pair_norm(lattice, eta: list, theta: list) -> float:
+    """``h_bmo_norm`` of the stacked pair as the fused kernel takes it: of the
+    data themselves, not scaled by a power of two first.  The two agree bit
+    for bit wherever no square over- or underflows; beyond that the kernel's
+    norm is inf."""
     pair = stacked_integrand([
         PredictableProcess(lattice, eta),
         PredictableProcess(lattice, theta),
     ])
-    return h_bmo_norm(pair).value
+
+    def loads():
+        c = None
+        for k in range(lattice.num_steps - 1, -1, -1):
+            c = _remaining_load(lattice, c, _square_sum(pair.values[k].T) * lattice.dt)
+            yield k, c
+
+    return float(np.sqrt(node_max(loads())[0]))
 
 
 def pair_distance(lattice, eta_a, theta_a, eta_b, theta_b) -> float:

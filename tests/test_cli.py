@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import impact_bsde.bsde as bsde_mod
 from impact_bsde import ExponentialGuardError, build_lattice, evaluate_market
@@ -14,8 +16,8 @@ from impact_bsde.cli import main
 from impact_bsde.config import (ConfigError, SolverSettings, VerifySettings, load_config,
                                 parse_config, parse_demand, parse_dividend)
 from impact_bsde.scenario import (ConstantDemand, Digital, LinearClipped, LocalizedDemand,
-                                  LocalizedDividend, NegativeSignOfB, PiecewiseConstantDemand,
-                                  SignOfBT, TableDemand, TableDividend)
+                                  LocalizedDividend, MarketConfig, NegativeSignOfB,
+                                  PiecewiseConstantDemand, SignOfBT, TableDemand, TableDividend)
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -886,39 +888,158 @@ def test_bsde_node_table_without_a_positive_density(tmp_path):
 
 
 @pytest.mark.parametrize("dump", [False, True])
-def test_bsde_both_keeps_only_the_explicit_price(tmp_path, monkeypatch, dump):
-    # through the Picard solve, --method both holds the explicit price for
-    # the node comparison, and the explicit value and integrands only for a
-    # node dump
-    import gc
-    import weakref
-    refs, alive = {}, {}
-    solve_explicit, solve_picard = bsde_mod.solve_explicit, bsde_mod.solve_picard
-
-    def explicit(inst):
-        sol = solve_explicit(inst)
-        refs["price"] = [weakref.ref(v) for v in sol.scaled_price.values]
-        refs["rest"] = [weakref.ref(v) for proc in (sol.scaled_value, sol.value_integrand,
-                                                    sol.price_integrand)
-                        for v in proc.values]
-        return sol
+def test_bsde_both_holds_no_solution_through_the_picard_loop(tmp_path, dump):
+    # the Picard loop runs before any walk starts, so no explicit slice is
+    # alive through it; after it, without a node dump, the walks hold their
+    # levels in rolling buffers and build no whole-tree process, and with
+    # one only the explicit solution the table is written from is whole
+    events = []
+    loop, backward = bsde_mod.picard_diagnostics, bsde_mod._backward
+    processes = {"AdaptedProcess": bsde_mod.AdaptedProcess,
+                 "PredictableProcess": bsde_mod.PredictableProcess}
 
     def picard(*args, **kwargs):
-        gc.collect()
-        alive.update({key: {r() is not None for r in held} for key, held in refs.items()})
-        return solve_picard(*args, **kwargs)
+        events.append("loop")
+        return loop(*args, **kwargs)
 
-    monkeypatch.setattr(bsde_mod, "solve_explicit", explicit)
-    monkeypatch.setattr(bsde_mod, "solve_picard", picard)
+    def walk(*args, **kwargs):
+        for level in backward(*args, **kwargs):
+            events.append("level")
+            yield level
+
+    def process(name):
+        def build(lattice, values):
+            events.append(name)
+            return processes[name](lattice, values)
+        return build
+
     cfg = write_config(tmp_path, one_period_doc(
         num_stocks=2, num_steps=6, demand={"type": "constant", "value": [0.3, 0.2]},
         dividend={"type": "sign_of_b_t", "scale": 0.5}))
     argv = ["bsde", "--config", cfg, "--out", str(tmp_path / "b.json"), "--method", "both"]
     if dump:
         argv += ["--dump-nodes", str(tmp_path / "nodes.csv")]
-    result = CliRunner().invoke(main, argv)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bsde_mod, "picard_diagnostics", picard)
+        patch.setattr(bsde_mod, "_backward", walk)
+        for name in processes:
+            patch.setattr(bsde_mod, name, process(name))
+        result = CliRunner().invoke(main, argv)
     assert result.exit_code == 0, (result.output, result.exception)
-    assert alive == {"price": {True}, "rest": {dump}}
+    # both walks pass each of the 6 levels after the loop
+    assert events[:13] == ["loop"] + ["level"] * 12
+    # the explicit solution kept for the table, its value and price and its
+    # two integrands, is the first process built; the table derives its
+    # columns from it
+    assert events[13:17] == (["AdaptedProcess"] * 2 + ["PredictableProcess"] * 2 if dump
+                             else [])
+
+
+def _walk_peaks(inst, tol, max_iter) -> tuple[float, float]:
+    """The traced peaks (bytes) of the Picard loop and of the leaf-to-root
+    walk after it, as ``bsde --method both`` runs them without a dump."""
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        ends = [None]
+        tracemalloc.reset_peak()
+        bsde_mod.picard_diagnostics([inst], tol, max_iter, ends)
+        loop = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        bsde_mod._solve(inst, explicit=True, ends=ends[0])
+        return loop, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("num_stocks", [1, 2])
+def test_bsde_walk_peaks_below_the_picard_loop(num_stocks):
+    # no solution is alive through the loop, and the walks after it hold two
+    # levels each: the walk's traced peak, the loop's last iterate included,
+    # stays below the loop's
+    inst = evaluate_market(MarketConfig(0.54, num_stocks, NegativeSignOfB(0.75), SignOfBT(0.66),
+                                        14, 1.0), build_lattice(14, 1.0))
+    loop, walk = _walk_peaks(inst, 1e-12, 100)
+    assert walk < loop, (walk, loop)
+
+
+def _blown_up(loop):
+    """``picard_diagnostics`` whose rows end on their iterate times 2**600:
+    a rebuild from it overflows where the explicit solve does not."""
+    def run(points, tol, max_iter, ends=None):
+        diags = loop(points, tol, max_iter, ends)
+        if ends is not None:
+            with np.errstate(over="ignore"):
+                ends[:] = [tuple([np.ldexp(v, 600) for v in part] for part in pair)
+                           for pair in ends]
+        return diags
+    return run
+
+
+def _bsde_outputs(command, directory: Path, cfg: str, method: str, dump: bool):
+    """Exit code, printed text and output files of one ``bsde`` run."""
+    argv = ["bsde", "--config", cfg, "--method", method, "--out", str(directory / "bsde.json"),
+            "--diagnostics", str(directory / "diag.csv")]
+    if dump:
+        argv += ["--dump-nodes", str(directory / "nodes.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = CliRunner().invoke(command, argv)
+    files = {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+    return result.exit_code, result.output, repr(result.exception), files
+
+
+_WALK_DEMANDS = {"constant": lambda s, _: {"type": "constant", "value": s},
+                 "negative_sign_of_b": lambda s, _: {"type": "negative_sign_of_b", "scale": s},
+                 "piecewise_constant": lambda s, rng: {
+                     "type": "piecewise_constant",
+                     "schedule": [[0, s], [int(rng.integers(1, 11)), float(rng.uniform(-2, 2))]]}}
+_WALK_DIVIDENDS = {"sign_of_b_t": lambda s, _: {"type": "sign_of_b_t", "scale": s},
+                   "linear_clipped": lambda s, rng: {"type": "linear_clipped", "slope": s,
+                                                     "bound": float(rng.uniform(0.1, 2.0))},
+                   "digital": lambda s, rng: {"type": "digital", "strike": s / 2,
+                                              "offset": float(rng.uniform(0.0, 1.0))}}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 10), st.integers(1, 3), st.sampled_from(sorted(_WALK_DEMANDS)),
+       st.sampled_from(sorted(_WALK_DIVIDENDS)),
+       st.one_of(st.floats(0.05, 5.0), st.floats(5.0, 1e3), st.floats(1e150, 1.7e308)),
+       st.sampled_from(["both", "picard", "explicit"]), st.booleans(),
+       st.sampled_from([False, False, True]), st.integers(0, 2 ** 31))
+# explicit first: the explicit solve overflows, and so would the rebuild
+@example(9, 2, "negative_sign_of_b", "sign_of_b_t", 3.0, "both", False, False, 0)
+# Picard only: the rebuild from the scaled iterate overflows, the explicit
+# solve does not
+@example(6, 2, "constant", "linear_clipped", 0.5, "both", False, True, 0)
+@example(6, 1, "negative_sign_of_b", "digital", 0.5, "picard", True, True, 0)
+# the scaled dividend overflows on the leaves, where the Picard check starts
+@example(4, 1, "constant", "sign_of_b_t", 1.5e308, "picard", False, False, 1)
+def test_bsde_walk_equals_the_whole_solutions(tmp_path_factory, num_steps, num_stocks, demand,
+                                              dividend, risk_aversion, method, dump, blow_up,
+                                              seed):
+    # the leaf-to-root walk gives the files, exit code and message of the
+    # command that held both whole solutions, bit for bit
+    from bsde_reference import main as reference
+    rng = np.random.default_rng(seed)
+    doc = one_period_doc(risk_aversion=risk_aversion, num_stocks=num_stocks,
+                         num_steps=num_steps,
+                         demand=_WALK_DEMANDS[demand](float(rng.uniform(-2, 2)), rng),
+                         dividend=_WALK_DIVIDENDS[dividend](float(rng.uniform(-2, 2)), rng))
+    doc["solver"] = {"max_iter": 30}
+    root = tmp_path_factory.mktemp("walk")
+    cfg = write_config(root, doc)
+    outputs = []
+    for name, command in (("walk", main), ("reference", reference)):
+        directory = root / name
+        directory.mkdir()
+        with pytest.MonkeyPatch.context() as patch:
+            if blow_up:
+                patch.setattr(bsde_mod, "picard_diagnostics",
+                              _blown_up(bsde_mod.picard_diagnostics))
+            outputs.append(_bsde_outputs(command, directory, cfg, method, dump))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] in (0, 3), outputs[0][1:3]
 
 
 @pytest.mark.parametrize("bounds", [("inf", "1"), ("0.5", "nan"), ("-inf", "inf")])
@@ -997,21 +1118,57 @@ _HUGE_DIVIDEND = {"type": "sign_of_b_t", "scale": 1e200}
      "--points", "1"],
     ["verify", "--suite", "all"],
 ])
-def test_huge_dividends_end_in_a_numeric_failure(tmp_path, command):
+def test_huge_dividends_keep_their_norms_finite(tmp_path, command):
     # centring leaves a residue ~1e184 in the mean, which the old absolute
-    # centring check took for an uncentred variable (a traceback); the norms
-    # of such a dividend overflow the float range
+    # centring check took for an uncentred variable (a traceback); the
+    # quadratic norms, which squared the dividend and overflowed, are taken
+    # of it scaled by a power of two: price, norms and sweep exit 0 with the
+    # dividend's norm, 1e200; verify runs to its gates, where the density at
+    # this tilt underflows and the martingale identity fails (exit 1)
     huge = command[0] != "sweep"
     doc = one_period_doc(num_steps=6, demand={"type": "negative_sign_of_b"},
                          dividend=_HUGE_DIVIDEND if huge else {"type": "sign_of_b_t"})
     cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        result = CliRunner().invoke(main, command + ["--config", cfg,
-                                                     "--out", str(tmp_path / "out")])
-    assert result.exit_code == 3, (result.output, result.exception)
-    assert result.output.startswith("numeric failure: ")
-    assert "overflow the float range" in result.output
+        result = CliRunner().invoke(main, command + ["--config", cfg, "--out", str(out)])
+    if command[0] == "verify":
+        assert result.exit_code == 1, (result.output, result.exception)
+        assert "equilibrium_martingales: fail" in result.output
+        return
+    assert result.exit_code == 0, (result.output, result.exception)
+    if huge:
+        assert json.loads(out.read_text())["norms"]["centered_dividend_bmo"] == 1e200
+    else:
+        (row,) = _csv_rows(out)
+        assert all(math.isfinite(float(v)) for v in (row[1], row[5], row[6])), row
+
+
+@pytest.mark.parametrize("command", [
+    ["price"], ["norms"],
+    ["sweep", "--param", "risk_aversion", "--from", "0.5", "--to", "1.5", "--points", "3"],
+])
+@pytest.mark.parametrize("scale", [1e160, 1e-200])
+def test_quadratic_norms_of_extreme_dividends_are_finite(tmp_path, command, scale):
+    # the quadratic norms squared the data: at 1e160 they were inf (exit 3),
+    # at 1e-200 the centred dividend's norm read 0.0; taken of the data
+    # scaled by a power of two, they scale with the dividend
+    doc = one_period_doc(num_steps=5, dividend={"type": "sign_of_b_t", "scale": scale})
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = CliRunner().invoke(main, command + ["--config", cfg, "--out", str(out)])
+    assert result.exit_code == 0, (result.output, result.exception)
+    if command[0] == "sweep":
+        # smallness product and volatility norm of each point
+        norms = [float(v) for row in _csv_rows(out) for v in (row[1], row[5])]
+    else:
+        doc = json.loads(out.read_text())
+        norms = [doc["norms"]["centered_dividend_bmo"], doc["volatility_bmo"]]
+        assert doc["norms"]["centered_dividend_bmo"] == scale
+    assert all(0.0 < v < math.inf for v in norms), norms
 
 
 def test_huge_demand_gives_an_infinite_growth_bound(tmp_path):
@@ -1183,9 +1340,10 @@ def test_edge_dividends_end_in_an_exit_code(tmp_path, case, command):
                                                  "--out", str(tmp_path / "out")])
     assert result.exception is None or isinstance(result.exception, SystemExit), \
         result.exception
-    if case.startswith("sign_7.77e10") and command[0] == "verify":
+    if case.startswith("sign") and command[0] == "verify":
         # runs to its gates: at gains near 1e11 rounding alone moves the
-        # terminal density identity by 2e-5, above its absolute 1e-10
+        # terminal density identity by 2e-5, above its absolute 1e-10; at
+        # 1e154 the density underflows
         assert result.exit_code == 1
         assert "equilibrium_martingales: fail" in result.output
     else:
@@ -1194,9 +1352,10 @@ def test_edge_dividends_end_in_an_exit_code(tmp_path, case, command):
         assert result.exit_code == 3
         assert result.output.startswith("numeric failure: centring the dividend lost its "
                                         "precision: ")
-    elif case.startswith("sign_1e154"):
-        assert result.exit_code == 3
-        assert "overflow the float range" in result.output
+    elif case.startswith("sign_1e154") and command[0] != "verify":
+        # the quadratic norms, which squared the dividend and overflowed,
+        # are taken of it scaled by a power of two
+        assert result.exit_code == 0, result.output
 
 @pytest.mark.parametrize("scale", [0.5, 2.0])
 def test_sweep_at_extreme_aversion_prints_no_runtime_warning(tmp_path, scale):

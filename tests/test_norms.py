@@ -160,10 +160,16 @@ def test_bmo_rv_midrange_guard_is_relative_to_the_bound(monkeypatch):
     rep = bmo_norm_rv(rows - rows.mean(axis=0), lat)
     bound = rep.extras["midrange_bound"]
     assert bound > 1e11 and rep.value == pytest.approx(bound, rel=1e-15)
-    # an overflowing norm is left to the caller, which reports it
+    # the norm of 1e154 times the sign, whose squares overflowed, is taken of
+    # it scaled by a power of two: 2**512 times the norm of the sign scaled by
+    # 1e154 / 2**512; a norm that is not finite, of an infinite entry, is
+    # left to the caller, which reports it
+    huge = 1e154 * sign
+    unit = np.ldexp(huge, -512)
+    assert bmo_norm_rv(huge - huge.mean(), lat).value == np.ldexp(
+        bmo_norm_rv(unit - unit.mean(), lat).value, 512)
     with np.errstate(over="ignore", invalid="ignore"):
-        huge = 1e154 * sign
-        assert bmo_norm_rv(huge - huge.mean(), lat).value == np.inf
+        assert not np.isfinite(bmo_norm_rv(np.where(sign > 0, np.inf, -1.0), lat).value)
     # the guard itself: 1e-10 of the bound above one, 1e-10 absolute below
     for scale in (1e11, 1.0, 0.25):
         x = scale * sign
@@ -240,6 +246,30 @@ def test_h_bmo_matches_bmo_of_integral():
         direct = h_bmo_norm(zeta).value
         via_integral = bmo_norm(stochastic_integral(zeta, lat.brownian())).value
         assert direct == pytest.approx(via_integral, abs=1e-12)
+
+
+@pytest.mark.parametrize("num_stocks", [1, 3])
+@pytest.mark.parametrize("shift", [600, -600])
+def test_quadratic_norms_scale_by_powers_of_two_exactly(num_stocks, shift):
+    # the quadratic norms square their data: at 2**600 every square used to
+    # overflow to inf, at 2**-600 underflow to 0.  Taken of the data scaled
+    # by a power of two, each is 2**shift times the norm of the data, bit
+    # for bit, at the same node
+    rng = np.random.default_rng(53 + num_stocks)
+    lat = build_lattice(6, 1.0)
+    terminal = rng.uniform(-1, 1, size=(64, num_stocks))
+    terminal -= terminal.mean(axis=0)
+    zeta = PredictableProcess(lat, [rng.uniform(-1, 1, size=(1 << k, num_stocks))
+                                    for k in range(6)])
+    martingale = doob(terminal, lat)
+    pairs = [(bmo_norm(martingale),
+              bmo_norm(AdaptedProcess(lat, [np.ldexp(v, shift) for v in martingale.values]))),
+             (bmo_norm_rv(terminal, lat), bmo_norm_rv(np.ldexp(terminal, shift), lat)),
+             (h_bmo_norm(zeta), h_bmo_norm(zeta.scaled(2.0 ** shift)))]
+    for unit, scaled in pairs:
+        assert 0.0 < scaled.value < np.inf
+        assert scaled.value == np.ldexp(unit.value, shift)
+        assert scaled.achieving_node == unit.achieving_node
 
 
 def test_sup_norm_variants():
