@@ -448,6 +448,33 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _beside(other, here):
+    """Run ``other()`` on a second thread while ``here()`` runs on this one,
+    and return when both have.  The second thread runs under this thread's
+    numpy error state, which does not follow a call into a new thread, and
+    an exception it raises is raised here.  Whatever it runs must call no
+    public function of the package: perfbench's span tracer wraps those and
+    keeps one span stack, which two threads would interleave."""
+    state = np.geterr()
+    errors = []
+
+    def run():
+        try:
+            with np.errstate(**state):
+                other()
+        except BaseException as exc:
+            errors.append(exc)
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    try:
+        here()
+    finally:
+        worker.join()
+    if errors:
+        raise errors[0]
+
+
 def _rows(buffer: np.ndarray, rows: int, *shape: int) -> np.ndarray:
     """The first values of the flat ``buffer`` as a C-contiguous
     ``(rows, *shape)`` array: ufuncs loop over such an array at their
@@ -624,25 +651,7 @@ class _PicardKernel:
         if self.parts == 1:
             self.subtree(job, 0)
         else:
-            state = np.geterr()
-            errors = []
-
-            def other():
-                # numpy's error state does not follow a call into a new thread
-                try:
-                    with np.errstate(**state):
-                        self.subtree(job, 1)
-                except BaseException as exc:
-                    errors.append(exc)
-
-            worker = threading.Thread(target=other)
-            worker.start()
-            try:
-                self.subtree(job, 0)
-            finally:
-                worker.join()
-            if errors:
-                raise errors[0]
+            _beside(lambda: self.subtree(job, 1), lambda: self.subtree(job, 0))
             np.logical_and(self.finite[0, :rows], self.finite[1, :rows], out=self.finite[0, :rows])
         self.backward(job, self.root)
         level_max = self.level_max[:, :, :, :rows]

@@ -88,9 +88,13 @@ def _finite_norm(what: str, norm, *args, **kwargs):
 
 def _centered_bmo(inst: Instance) -> float:
     """Quadratic norm of the instance's dividend, centred."""
+    # a dividend beyond the float range centres to nan, which the norm's
+    # finiteness check reports; numpy's warnings add nothing to it
+    with np.errstate(over="ignore", invalid="ignore"):
+        centred = inst.psi - inst.psi.mean(axis=0)
     try:
-        return _finite_norm("the centred dividend's norm", bmo_norm_rv,
-                            inst.psi - inst.psi.mean(axis=0), inst.lattice).value
+        return _finite_norm("the centred dividend's norm", bmo_norm_rv, centred,
+                            inst.lattice).value
     except ValueError as exc:  # bmo_norm_rv's one refusal: rounding undid the centring
         raise NumericalError(f"centring the dividend lost its precision: {exc}") from exc
 
@@ -422,7 +426,8 @@ def cmd_sweep(config_path, param, start, stop, points, out_path):
             return replace(base, risk_aversion=float(val))
         if param == "demand_scale":
             return replace(base, gamma=base.gamma.scaled(float(val)))
-        return replace(base, psi=base.psi * float(val))
+        with np.errstate(over="ignore"):  # the centred norm reports an overflow
+            return replace(base, psi=base.psi * float(val))
 
     solver = run.solver
     rows, diags = [], []

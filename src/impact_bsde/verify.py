@@ -15,10 +15,24 @@ fixed center x, the profile ``F(|s - x|) exp(g . (s - c))`` is concave in s
 whenever the demand is bounded by one, so conditional Jensen under the
 pricing measure gives the one-step supermartingale inequality with no
 remainder term.
+
+The optimality check is the costliest: it scores its uniform competitors
+in blocks of a fixed byte budget, and given two usable CPUs and at least
+two blocks, a private block pool runs them on the calling thread and one
+worker thread, each claiming the next block from a shared counter (a
+fixed split would wait on a stalled CPU).  Each block draws its values at
+its own position of the seeded stream (``PCG64.advance``), so the report
+is the one-thread report bit for bit; with one usable CPU or one block the
+calling thread takes every block through the same loop.  The calling
+thread allocates both workers' buffers before the worker starts, so the
+worker leaves no pages resident in a malloc arena of its own, and the
+worker calls no public function of the package, which perfbench's span
+tracer wraps.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,12 +40,12 @@ import numpy as np
 from .lattice import (
     PredictableProcess,
     _relative_defect,
+    _stock_sum,
     build_lattice,
     martingale_defect,
     node_max,
     process_gap,
     stock_norm,
-    stock_sum,
 )
 from .norms import bmo_norm_rv, h_bmo_norm, h_norm, orlicz_h, sup_norm
 from .pricer import EquilibriumSolution, localize, price_equilibrium
@@ -320,10 +334,12 @@ def _batch_utilities(a: float, increments, demands, work=None) -> np.ndarray:
     of each predictable demand one after another.  Only the terminal gain
     enters the utility, so each level carries the gains forward with the
     recurrence of ``stochastic_integral`` and drops the level before;
-    ``increments[k]`` pairs the price increments to the two children of
-    each of the nodes of step ``k``.  The stocks are summed by ``stock_sum``,
-    as the integral sums them, so the gains equal its terminal values bit
-    for bit.
+    ``increments[k]``, of shape ``(2, nodes(k), n)``, holds the price
+    increments from the nodes of step ``k`` to their up children, then to
+    their down children, each C-contiguous.  The stocks are summed by
+    ``_stock_sum``, as the integral sums them, so the gains equal its
+    terminal values bit for bit; the check's worker thread runs this
+    function, so it calls no public function of the package.
 
     A level is computed one child at a time: the products of the level's
     demands with that child's increments, their stock sum, and the gains
@@ -331,32 +347,34 @@ def _batch_utilities(a: float, increments, demands, work=None) -> np.ndarray:
     ``(rows, nodes, 2)`` gains, which keep the tree's child order.  Every
     call then runs a long inner loop, where a broadcast child axis made
     numpy loop over two elements at a time, and every element goes through
-    the same float operations.
+    the same float operations.  The utility is ``0 - mean(exp(-a * gain) /
+    a)``: negation is exact and a sum is symmetric under it, so this is the
+    mean of the negated terms bit for bit, the +0 of a row whose every term
+    underflows too, one pass over the leaves fewer.
 
     Every level writes into ``work`` (``_score_work``'s buffers for at least
     ``batch`` rows; allocated here if None), so a caller scoring block after
     block reuses one set of pages instead of mapping fresh ones per level."""
     rows, n = len(demands), demands.shape[-1]
     if work is None:
-        work = _score_work(rows * 2 * len(increments[-1]), n)
+        work = _score_work(rows * 2 * increments[-1].shape[1], n)
     prod_buf, *gain_bufs = work
     gain = np.zeros((rows, 1))
     start = 0  # the first node of the level in each demand
     for k, dx in enumerate(increments):
-        level = demands[:, start:start + len(dx)]
-        start += len(dx)
+        level = demands[:, start:start + dx.shape[1]]
+        start += dx.shape[1]
         prod = prod_buf[:level.size].reshape(level.shape)
         nxt = gain_bufs[k % 2][:2 * gain.size].reshape(rows, -1, 2)
         for c in range(2):
-            p = np.multiply(level, np.ascontiguousarray(dx[:, c]), out=prod)
-            np.add(gain, stock_sum(p, out=nxt[:, :, c]), out=nxt[:, :, c])
+            p = np.multiply(level, dx[c], out=prod)
+            np.add(gain, _stock_sum(p, out=nxt[:, :, c]), out=nxt[:, :, c])
         gain = nxt.reshape(rows, -1)
-    # -exp(-a * gain) / a, in place
+    # exp(-a * gain) / a, in place
     np.multiply(gain, -a, out=gain)
     np.exp(gain, out=gain)
-    np.negative(gain, out=gain)
     np.divide(gain, a, out=gain)
-    return np.mean(gain, axis=1)
+    return 0.0 - np.mean(gain, axis=1)
 
 
 def _score_work(leaves: int, n: int):
@@ -373,35 +391,71 @@ def check_optimality(solution: EquilibriumSolution, num_random: int = 1000,
     two-sided perturbations of the demand itself.
 
     Every demand is scored by ``_batch_utilities`` in blocks: the zero
-    competitor, then the uniform competitors drawn from the seeded stream a
-    block at a time (a block draw fills in stream order, so each competitor
-    gets the values of a per-competitor, per-level draw), then the demand
-    itself with its perturbations, whose random direction is drawn last."""
+    competitor, then the uniform competitors of the seeded stream, then the
+    demand itself with its perturbations, whose random direction is drawn
+    last.  The uniform competitors' blocks run through a block pool: given
+    two usable CPUs and at least two blocks, the calling thread and one
+    worker thread each claim the next block from a shared counter until
+    none is left; otherwise the calling thread takes every block through
+    the same loop.  Block ``i`` of ``block`` competitors draws from its own
+    ``PCG64(seed)`` advanced by ``i * block * nodes * n`` draws (one double
+    is one 64-bit draw) with ``random`` mapped in place to ``2 r - 1``,
+    which is ``uniform(-1, 1)`` bit for bit, and scores into its own slot;
+    the slots join in competitor order and the check's own stream is then
+    advanced past every competitor.  So each competitor gets the values of
+    a per-competitor, per-level draw, and the report and the perturbations'
+    direction are those of one thread drawing the stream in order.
+
+    Both workers' buffers and bit generators are allocated here, before
+    the worker starts: buffers a worker thread allocated would stay
+    resident in its own malloc arena after the check, on top of the calling
+    thread's."""
     lat = solution.lattice
     a = solution.risk_aversion
     n = solution.gamma.dim
     prices = solution.prices.values
-    increments = [np.stack(lat.children(prices[k + 1]), axis=1) - prices[k][:, None]
+    increments = [np.stack(lat.children(prices[k + 1])) - prices[k]
                   for k in range(lat.num_steps)]
-    nodes = sum(map(len, increments))
+    nodes = sum(dx.shape[1] for dx in increments)
     block = max(1, _GAIN_BLOCK_BYTES // (8 * lat.num_leaves))
-
-    work = _score_work(block * lat.num_leaves, n)
+    blocks = -(-num_random // block)
+    workers = 2 if blocks >= 2 and bsde_mod._usable_cpus() >= 2 else 1
+    slots = [(_score_work(block * lat.num_leaves, n), np.empty((block, nodes, n)),
+              np.random.Generator(np.random.PCG64(seed))) for _ in range(workers)]
+    rng = np.random.default_rng(seed)
+    origin = rng.bit_generator.state
+    work = slots[0][0]
 
     def utilities(demands):
         return [u for lo in range(0, len(demands), block)
                 for u in _batch_utilities(a, increments, demands[lo:lo + block],
                                           work).tolist()]
 
-    rng = np.random.default_rng(seed)
+    block_scores = [None] * blocks
+    claims = itertools.count()  # next() on it is one atomic step under the GIL
+
+    def score_blocks(slot):
+        block_work, draws, generator = slot
+        while (i := next(claims)) < blocks:
+            rows = min(block, num_random - i * block)
+            generator.bit_generator.state = origin
+            generator.bit_generator.advance(i * block * nodes * n)
+            uniform = generator.random(out=draws[:rows])
+            uniform *= 2.0
+            uniform -= 1.0
+            block_scores[i] = _batch_utilities(a, increments, uniform, block_work).tolist()
+
     # a hopeless competitor's utility overflows to -inf: its gap is +inf,
     # already the right answer; an overflowing base still fails (gap -inf or
     # nan)
     with np.errstate(over="ignore"):
         scores = utilities(np.zeros((1, nodes, n)))
-        for start in range(0, num_random, block):
-            scores += utilities(rng.uniform(-1.0, 1.0,
-                                            size=(min(block, num_random - start), nodes, n)))
+        if workers == 2:
+            bsde_mod._beside(lambda: score_blocks(slots[1]), lambda: score_blocks(slots[0]))
+        else:
+            score_blocks(slots[0])
+        scores += [u for block_score in block_scores for u in block_score]
+        rng.bit_generator.advance(num_random * nodes * n)
 
         # two-sided perturbations around the demand: the directional slope of
         # the expected utility at the optimum should vanish

@@ -1379,6 +1379,21 @@ def test_sweep_at_extreme_aversion_prints_no_runtime_warning(tmp_path, scale):
     assert row[2:5] == ["False", "1", "nan"]
 
 
+def test_sweep_of_a_dividend_beyond_the_float_range_prints_no_runtime_warning(tmp_path):
+    # the swept dividend overflows to inf at 1e200 x 1e200, and centring
+    # it meets inf - inf: both are the numeric failure its norm reports
+    doc = one_period_doc(num_steps=5, demand={"type": "constant", "value": 0.5},
+                         dividend={"type": "sign_of_b_t", "scale": 1e200})
+    cfg = write_config(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = CliRunner().invoke(main, ["sweep", "--config", cfg, "--param",
+                                           "dividend_scale", "--from", "1", "--to", "1e200",
+                                           "--points", "3", "--out", str(tmp_path / "s.csv")])
+    assert result.exit_code == 3, (result.output, result.exception)
+    assert result.output.startswith("numeric failure: the centred dividend's norm is nan")
+
+
 def _refuse_picard_solutions(monkeypatch):
     """Make any Picard solution fail the command: no ``solve_picard`` call
     and no ``method="picard"`` solution, whatever helper builds it.  Returns

@@ -1,4 +1,7 @@
+import inspect
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +22,8 @@ from impact_bsde import (
     price_equilibrium,
     solve_picard,
 )
+from impact_bsde import bsde
+from impact_bsde import verify as verify_mod
 from impact_bsde.lattice import PredictableProcess, stochastic_integral
 from impact_bsde.scenario import sign_plus
 from impact_bsde.verify import (
@@ -352,9 +357,9 @@ def _expected_utility(sol, demand):
 
 def _scored(sol, demands):
     """``_batch_utilities`` on a stack of demands, levels concatenated."""
-    prices, n = sol.prices.values, sol.gamma.dim
-    increments = [prices[k + 1].reshape(-1, 2, n) - prices[k][:, None]
-                  for k in range(sol.lattice.num_steps)]
+    prices, lat = sol.prices.values, sol.lattice
+    increments = [np.stack(lat.children(prices[k + 1])) - prices[k]
+                  for k in range(lat.num_steps)]
     return _batch_utilities(sol.risk_aversion, increments, demands).tolist()
 
 
@@ -416,21 +421,42 @@ def test_batch_utilities_equal_the_broadcast_kernel(num_steps, num_stocks, rows,
         -1.0, 1.0, size=(rows, sum(map(len, increments)), num_stocks))
     a = float(rng.uniform(0.1, 5.0))
     work = _score_work((rows + spare) * lat.num_leaves, num_stocks)
+    # the kernel reads each child's increments as one contiguous slice
+    by_child = [np.stack((dx[:, 0], dx[:, 1])) for dx in increments]
     with np.errstate(over="ignore"):
         want = scoring_reference._batch_utilities(a, increments, demands)
-        for got in (_batch_utilities(a, increments, demands),
-                    _batch_utilities(a, increments, demands, work)):
-            np.testing.assert_array_equal(got, want)
+        for got in (_batch_utilities(a, by_child, demands),
+                    _batch_utilities(a, by_child, demands, work)):
+            assert got.tobytes() == want.tobytes()
     if log_scale == 3.0:  # the explicit example: utilities overflow
         assert -np.inf in want
 
 
+@pytest.mark.parametrize("num_stocks", [1, 3])
+def test_batch_utilities_keep_the_zero_of_an_underflowing_row(num_stocks):
+    # every increment is +1, so a demand of 1000 gains 1000 N at every leaf
+    # and every term underflows: the mean of the negated zeros is +0
+    lat = build_lattice(4, 1.0)
+    prices = [np.full((lat.nodes(k), num_stocks), float(k)) for k in range(5)]
+    increments = [np.stack(lat.children(prices[k + 1]), axis=1) - prices[k][:, None]
+                  for k in range(4)]
+    by_child = [np.stack((dx[:, 0], dx[:, 1])) for dx in increments]
+    demands = np.full((2, lat.num_leaves - 1, num_stocks), 1e3)
+    demands[1] = 1e-3  # a row of finite terms beside it
+    want = scoring_reference._batch_utilities(1.0, increments, demands)
+    assert want[0] == 0.0 and want[1] < 0.0
+    assert _batch_utilities(1.0, by_child, demands).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("num_stocks", [1, 2, 3, 8])
 @pytest.mark.parametrize("num_random", [0, 1, "blocks"])
-def test_batched_optimality_equals_the_per_competitor_loop(num_stocks, num_random):
+def test_batched_optimality_equals_the_per_competitor_loop(monkeypatch, num_stocks,
+                                                          num_random):
     sol = _priced(10, num_stocks, seed=num_stocks)
-    if num_random == "blocks":  # two whole blocks and a part of one
-        num_random = 2 * (_GAIN_BLOCK_BYTES // (8 << 10)) + 3
+    if num_random == "blocks":  # four whole blocks and a part of one
+        num_random = 4 * _block(10) + 3
+    # two workers whatever the machine, so each scores several blocks
+    monkeypatch.setattr(bsde, "_usable_cpus", lambda: 2)
     report = check_optimality(sol, num_random=num_random, epsilon=1e-4, seed=11)
     # the slopes' random direction is drawn after every competitor, so equal
     # slopes also pin the stream position
@@ -471,6 +497,115 @@ def test_optimality_memory_does_not_grow_with_competitors():
     assert peaks[400] < 1.5 * peaks[50]
 
 
+def _block(depth):
+    """Competitors per scored block at lattice depth ``depth``."""
+    return max(1, _GAIN_BLOCK_BYTES // (8 << depth))
+
+
+@pytest.mark.parametrize("num_stocks", [1, 2, 3, 8])
+@pytest.mark.parametrize("count", [
+    pytest.param(lambda block: 0, id="0"),
+    pytest.param(lambda block: 1, id="1"),
+    pytest.param(lambda block: block - 1, id="block-1"),
+    pytest.param(lambda block: block, id="block"),
+    pytest.param(lambda block: 2 * block + 3, id="2block+3"),
+    pytest.param(lambda block: 5 * block, id="5block")])
+def test_pooled_optimality_equals_one_worker(monkeypatch, num_stocks, count):
+    # the block pool joins each block's scores in competitor order and
+    # leaves the stream where one thread drawing it in order would: every
+    # figure of the report is the one-worker report's, bit for bit
+    for depth in range(1, 11):
+        sol = _priced(depth, num_stocks, seed=depth)
+        num_random = count(_block(depth))
+        reports = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(bsde, "_usable_cpus", lambda: cpus)
+            reports.append(check_optimality(sol, num_random=num_random, seed=depth).to_dict())
+        assert repr(reports[0]) == repr(reports[1])
+        assert reports[0]["details"]["competitors"] == num_random + 7
+
+
+def _worker_scores_first(monkeypatch, depth, fail=False):
+    """Two workers, and the calling thread's first competitor block waits
+    (up to 5 s) until the worker thread has begun a block of its own, which
+    raises if ``fail``.  Returns the event the worker sets."""
+    started = threading.Event()
+    scoring = verify_mod._batch_utilities
+
+    def scheduled(a, increments, demands, work=None):
+        if threading.current_thread() is not threading.main_thread():
+            started.set()
+            if fail:
+                raise ArithmeticError("worker block")
+        elif len(demands) == _block(depth):
+            started.wait(5.0)
+        return scoring(a, increments, demands, work)
+
+    monkeypatch.setattr(bsde, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(verify_mod, "_batch_utilities", scheduled)
+    return started
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_optimality_draws_each_block_at_its_stream_position(monkeypatch, cpus):
+    # the random competitors rarely set the minimum gap, so their draws are
+    # pinned here: the blocks scored, on either thread, are those of one
+    # uniform draw of every competitor from the seeded stream, bit for bit
+    depth, n, seed = 6, 2, 5
+    sol = _priced(depth, n)
+    block, num_random = _block(depth), 4 * _block(depth) + 3
+    scored = []
+    scoring = verify_mod._batch_utilities
+
+    def recording(a, increments, demands, work=None):
+        scored.append(demands.tobytes())
+        return scoring(a, increments, demands, work)
+
+    monkeypatch.setattr(bsde, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(verify_mod, "_batch_utilities", recording)
+    check_optimality(sol, num_random=num_random, seed=seed)
+    draws = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(num_random, (1 << depth) - 1, n))
+    want = [draws[lo:lo + block].tobytes() for lo in range(0, num_random, block)]
+    # the zero competitor first and the demand with its perturbations last
+    assert sorted(scored[1:-1]) == sorted(want)
+
+
+def test_optimality_worker_error_reaches_the_caller(monkeypatch):
+    sol = _priced(10, 1)
+    started = _worker_scores_first(monkeypatch, 10, fail=True)
+    with pytest.raises(ArithmeticError, match="worker block"):
+        check_optimality(sol, num_random=4 * _block(10))
+    assert started.is_set()
+
+
+def test_optimality_runs_no_public_function_off_the_main_thread(monkeypatch):
+    # perfbench's span tracer wraps every public function of the package
+    # under every name bound to it and keeps one span stack: the worker
+    # thread must call none of them
+    sol = _priced(10, 2)
+    want = repr(check_optimality(sol, num_random=6 * _block(10)).to_dict())
+    offenders, guarded = [], set()
+    for name, module in list(sys.modules.items()):
+        if not name.startswith("impact_bsde"):
+            continue
+        for attr, obj in list(vars(module).items()):
+            if (attr.startswith("_") or not inspect.isfunction(obj)
+                    or not obj.__module__.startswith("impact_bsde")):
+                continue
+
+            def guard(*args, _fn=obj, **kwargs):
+                if threading.current_thread() is not threading.main_thread():
+                    offenders.append(_fn.__qualname__)
+                return _fn(*args, **kwargs)
+            guarded.add(obj.__qualname__)
+            monkeypatch.setattr(module, attr, guard)
+    assert "stock_sum" in guarded
+    started = _worker_scores_first(monkeypatch, 10)
+    report = check_optimality(sol, num_random=6 * _block(10))
+    assert started.is_set() and offenders == []
+    assert repr(report.to_dict()) == want
+
+
 def test_overflowing_base_utility_fails_optimality(eligible):
     # an aversion this large overflows the equilibrium demand's own utility:
     # the check must fail, quietly, not pass on an infinite gap
@@ -482,3 +617,18 @@ def test_overflowing_base_utility_fails_optimality(eligible):
     assert report.status == "fail"
     gap = report.details["min_utility_gap"]
     assert math.isnan(gap) or gap == -math.inf
+
+
+def test_overflowing_blocks_stay_quiet_on_the_worker(monkeypatch, eligible):
+    # the worker thread scores under the check's error state: the overflows
+    # of a multi-block hopeless instance raise no RuntimeWarning there
+    _, _, sol = eligible
+    hopeless = replace(sol, risk_aversion=1e6)
+    num_random = 3 * _block(7) + 1
+    started = _worker_scores_first(monkeypatch, 7)
+    report = check_optimality(hopeless, num_random=num_random)
+    assert started.is_set() and report.status == "fail"
+    monkeypatch.undo()
+    monkeypatch.setattr(bsde, "_usable_cpus", lambda: 1)
+    assert repr(check_optimality(hopeless, num_random=num_random).to_dict()) \
+        == repr(report.to_dict())
