@@ -63,17 +63,17 @@ instance and rebuilds the solution from the iterate that row ends on.
 Every reduction is per row, so each row's record is the one its own run
 would give, bit for bit.
 
-The explicit solve and the rebuild are ``_backward`` walks, and
-``_solve`` runs one or both of them leaf to root in lockstep, after any
-Picard loop, so no solution is alive through it.  Both walks read one
-leaf pair, the zero value slice and the scaled dividend.  A walk whose
-solution is kept (``solve_explicit``, ``solve_picard``, the node table of
-``bsde --dump-nodes``) writes its slices into one block per process; any
-other writes each level into one of two rolling level buffers and keeps
-only its root values.  Every check and reduction is taken as the level
-passes: the finiteness checks, the node max of the gap between the two
-prices, and the rebuild's residual, the node-max move of one more map
-step.  ``bsde`` without a node table so holds neither whole solution.
+The explicit solve and the rebuild are ``_backward`` walks, which
+``_solve`` runs leaf to root in lockstep, one loop over the levels, after
+any Picard loop, so no solution is alive through it.  Each walk is the one
+leaf pair (the zero value slice and the scaled dividend), a store for its
+levels and, for the rebuild, the frozen iterate.  A kept walk stores its
+slices in one block per process; any other stores them in two rolling
+level buffers and keeps its root values, so ``bsde`` without a node table
+holds neither whole solution.  The finiteness checks and the node max of
+the gap between the two prices are taken as each level passes.  The
+explicit integrands and the rebuild's residual (the node-max move of one
+more map step) are read off a kept solution's slices after the walk.
 """
 
 from __future__ import annotations
@@ -95,7 +95,6 @@ from .lattice import (
     PredictableProcess,
     _square_sum,
     _stock_sum,
-    node_max,
     stochastic_exponential,
     stock_sum,
 )
@@ -246,52 +245,39 @@ class IterationDiagnostics:
                 "uniqueness_radius": self.uniqueness_radius, "small_ball": self.small_ball}
 
 
-class _Rolling:
-    """The (value, price) slices of a walk that holds ``slots`` levels at a
-    time: level ``k`` is written into buffer ``(N - 1 - k) % slots``, whose
-    first level is its largest; each buffer is one allocation, made when that
-    first level is written.  ``rolling[k]`` is level ``k``'s pair of views."""
-
-    def __init__(self, lattice: Lattice, n: int, slots: int = 2):
-        self.lattice, self.n, self.buffers = lattice, n, [None] * slots
-
-    def __getitem__(self, k: int):
-        nodes, n = self.lattice.nodes(k), self.n
-        slot = (self.lattice.num_steps - 1 - k) % len(self.buffers)
-        if self.buffers[slot] is None:
-            self.buffers[slot] = np.empty(nodes * (1 + n))
-        buffer = self.buffers[slot]
-        return buffer[:nodes], buffer[nodes:nodes * (1 + n)].reshape(nodes, n)
-
-
-def _backward(inst: Instance, value, price, out, scratch, eta=None, theta=None, diffs=None):
+def _backward(inst: Instance, value, price, out, scratch, eta=None, theta=None):
     """The backward recursion from the leaf slices ``(value, price)``:
     yields ``(k, value_k, price_k)`` for ``k`` from ``N - 1`` down to 0, where
     slice ``k`` is the child mean of slice ``k + 1`` plus the drift, taken at
     the child differences of slice ``k + 1`` (the explicit solve) or at a
     frozen pair ``(eta[k], theta[k])`` (a Picard rebuild).
 
-    Level ``k`` is written into the pair ``out[k]``: slices of whole-tree
-    blocks, or a ``_Rolling``'s views for a walk that keeps no solution.  The
-    child differences are written into the pair ``diffs[k]`` when it is
-    given, and left there; otherwise the explicit solve takes them in
-    ``out[k]``, where the child means then overwrite them, and a rebuild
-    takes none.  The drifts and their temporaries go into the flat buffer
-    ``scratch`` of ``nodes(N - 1) * (2 + n)`` values, and ``nodes(N - 1)``
-    more for several stocks; walks in lockstep share it, as it is free
-    between levels.  Overflows are left to the caller's finite checks,
-    without numpy's warnings.
+    Level ``k`` is written into the pair ``out[k]``, slices of whole-tree
+    blocks, or, with ``out`` None, into one of two rolling level buffers:
+    buffer ``(N - 1 - k) % 2``, allocated at its first level, its largest.
+    The explicit solve takes the child differences in level ``k``'s pair
+    too, where the child means then overwrite them.  The drifts and their
+    temporaries go into the flat buffer ``scratch`` of
+    ``nodes(N - 1) * (2 + n)`` values, and ``nodes(N - 1)`` more for several
+    stocks; walks in lockstep share it, as it is free between levels.
+    Overflows are left to the caller's finite checks, without numpy's
+    warnings.
     """
     lattice, gamma, dt, n = inst.lattice, inst.gamma, inst.lattice.dt, inst.num_stocks
-    for k in range(lattice.num_steps - 1, -1, -1):
+    steps, rolling = lattice.num_steps, [None, None]
+    for k in range(steps - 1, -1, -1):
         m = lattice.nodes(k)
-        v, p = out[k]
+        if out is None:
+            slot = (steps - 1 - k) % 2
+            if rolling[slot] is None:
+                rolling[slot] = np.empty(m * (1 + n))
+            v, p = rolling[slot][:m], rolling[slot][m:m * (1 + n)].reshape(m, n)
+        else:
+            v, p = out[k]
         with np.errstate(over="ignore", invalid="ignore"):
-            if diffs is not None or eta is None:
-                e, t = (v, p) if diffs is None else diffs[k]
-                lattice.child_diff(value, out=e)
-                lattice.child_diff(price, out=t)
-            if eta is not None:
+            if eta is None:
+                e, t = lattice.child_diff(value, out=v), lattice.child_diff(price, out=p)
+            else:
                 e, t = eta[k], theta[k]
             vd, work, pd = scratch[:m], scratch[m:2 * m], scratch[2 * m:(2 + n) * m].reshape(m, n)
             tg = scratch[(2 + n) * m:(3 + n) * m] if n > 1 else None
@@ -306,131 +292,110 @@ def _backward(inst: Instance, value, price, out, scratch, eta=None, theta=None, 
 
 def _initial(a: float, value: np.ndarray, price: np.ndarray):
     """The root price and certainty equivalent of a solution whose scaled
-    root slices are ``value`` and ``price``."""
-    return (1.0 / a) * price[0], float((1.0 / a) * value[0])
+    root slices are ``value`` and ``price``; beyond the float range they are
+    not finite, for the caller to check."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (1.0 / a) * price[0], float((1.0 / a) * value[0])
 
 
-def _solve(inst: Instance, explicit: bool = False, ends=None, keep: str | None = None,
-           residual: bool = False):
+def _rebuild_failure(k: int, value, price) -> NumericalError | None:
+    """The error of the first of a rebuild's step-``k`` slices that is not
+    finite, value before price, or None."""
+    try:
+        _check_finite(value, k, "Picard scaled certainty equivalent")
+        _check_finite(price, k, "Picard scaled price")
+    except NumericalError as exc:
+        return exc
+    return None
+
+
+def _solve(inst: Instance, explicit: bool = False, ends=None, keep: bool = False):
     """Leaf to root in lockstep, one ``_backward`` walk each: the explicit
     solve when ``explicit``, and the rebuild at the frozen integrand pair
     ``ends`` when it is given.  Both read one leaf pair: the zero value
     slice and the scaled dividend ``a * psi``.
 
-    The walk named ``keep`` (``"explicit"`` or ``"picard"``) writes its levels
-    into one zeroed block per process and gives a ``BsdeSolution``; a walk
-    not kept writes them into a ``_Rolling`` and gives its root values and
-    residual only (``initial_price``, ``initial_certainty``, ``residual``).
+    With ``keep`` the first walk writes its levels into one zeroed block per
+    process and gives a ``BsdeSolution``, whose residual is 0.0 for the
+    explicit solve and nan for a rebuild (``solve_picard`` takes it).  Every
+    other walk writes them into rolling level buffers; the first then gives
+    its root values only (``initial_price``, ``initial_certainty``,
+    ``residual``).
     As each level passes:
     - the explicit solve's finiteness check raises ``NumericalError`` at once;
     - the rebuild's first failure (``Picard scaled certainty equivalent``,
       then ``Picard scaled price``, steps N down to 0) is kept;
     - with both walks, the node max of |explicit price - rebuilt price|
-      advances, as ``lattice.process_gap`` takes it;
-    - with ``residual``, the largest gap between the rebuild's child
-      differences and ``ends`` (nan if any gap is) advances.
+      advances, as ``lattice.process_gap`` takes it.
 
-    Returns ``(walks, gap, failure)``: the results by walk name, the node
-    max (None unless both walk) and the rebuild's first failure (or None).
+    Returns ``(first, gap, failure)``: the first walk's result, the node max
+    (None unless both walk) and the rebuild's first failure (or None).
     """
-    lattice, a, gamma, n = inst.lattice, inst.risk_aversion, inst.gamma, inst.num_stocks
+    lattice, a, n = inst.lattice, inst.risk_aversion, inst.num_stocks
     steps = lattice.num_steps
     scratch = np.empty(lattice.nodes(steps - 1) * (2 + n + (n > 1)))
-    if keep is None:
-        # a view of one zero: the walks only take its child means and differences
-        leaves = np.broadcast_to(0.0, (lattice.num_leaves,)), np.empty((lattice.num_leaves, n))
-    else:
+    if keep:
         kept = lattice.zero_slices(), lattice.zero_slices(n)
         leaves = kept[0][-1], kept[1][-1]
+    else:
+        # a view of one zero: the walks only take its child means and differences
+        leaves = np.broadcast_to(0.0, (lattice.num_leaves,)), np.empty((lattice.num_leaves, n))
     with np.errstate(over="ignore", invalid="ignore"):
         np.multiply(a, inst.psi, out=leaves[1])
-    def out(name):
-        return list(zip(*kept)) if name == keep else _Rolling(lattice, n)
-
-    walks = {}
-    if explicit:
-        if keep == "explicit":
-            integrands = (lattice.levels(np.empty(lattice.num_leaves - 1)),
-                          lattice.levels(np.empty((lattice.num_leaves - 1, n))))
-        walks["explicit"] = _backward(inst, *leaves, out("explicit"), scratch,
-                                      diffs=list(zip(*integrands)) if keep == "explicit" else None)
-    if ends is not None:
-        diffs = _Rolling(lattice, n, 1) if residual else None
-        walks["picard"] = _backward(inst, *leaves, out("picard"), scratch, *ends, diffs=diffs)
-    failure, rebuilt_residual, roots = None, 0.0, {}
-
-    def check(name, k, value, price):
-        nonlocal failure
-        if name == "explicit":
+    # each walk: the leaves, where its levels go and its frozen pair, if any
+    frozen = ([()] if explicit else []) + ([ends] if ends is not None else [])
+    walks = [_backward(inst, *leaves, list(zip(*kept)) if keep and not i else None,
+                       scratch, *pair) for i, pair in enumerate(frozen)]
+    failure = None if ends is None else _rebuild_failure(steps, *leaves)
+    # the walks hold the leaves only until they have passed level N - 1; they
+    # share them, so the gap is 0 there wherever the explicit solve passes
+    del leaves
+    gap = 0.0
+    for passed in zip(*walks):
+        k, value, price = passed[0]
+        if explicit:
             _check_finite(value, k, "scaled certainty equivalent")
             _check_finite(price, k, "scaled price")
-        elif failure is None:
-            try:
-                _check_finite(value, k, "Picard scaled certainty equivalent")
-                _check_finite(price, k, "Picard scaled price")
-            except NumericalError as exc:
-                failure = exc
-
-    if ends is not None:
-        check("picard", steps, *leaves)
-    # the walks hold the leaves only until they have passed level N - 1
-    del leaves
-
-    def levels():
-        nonlocal rebuilt_residual
-        # the walks share the leaf slices, whose gap is 0 wherever the
-        # explicit solve passes its checks
-        yield steps, np.zeros(1)
-        for passed in zip(*walks.values()):
-            k = passed[0][0]
-            for name, (_, value, price) in zip(walks, passed):
-                check(name, k, value, price)
-                roots[name] = value, price
-            if residual:
-                # the gaps overwrite the child differences, which are not kept;
-                # np.max keeps a nan gap, which the builtin max drops against 0.0
-                with np.errstate(over="ignore", invalid="ignore"):
-                    for x, old in zip(diffs[k], (ends[0][k], ends[1][k])):
-                        rebuilt_residual = np.max([rebuilt_residual, np.abs(
-                            np.subtract(x, old, out=x), out=x).max()])
-            if len(walks) == 2:
-                m = lattice.nodes(k)
-                gap = np.subtract(*(p for _, _, p in passed), out=scratch[:m * n].reshape(m, n))
-                np.abs(gap, out=gap)
-                yield k, gap.max(axis=1, out=scratch[m * n:(n + 1) * m])
-
-    # node_max takes every level; with one walk, only the leaves' zero
-    gap = node_max(levels())[0]
-    # the explicit integrands are the child differences themselves; a
-    # rebuild's residual is nan where it is not taken
-    residual_of = {"explicit": 0.0, "picard": float(rebuilt_residual) if residual else np.nan}
-    results = {}
-    for name, root in roots.items():
-        if name != keep:
-            initial_price, initial_certainty = _initial(a, *root)
-            results[name] = SimpleNamespace(initial_price=initial_price,
-                                            initial_certainty=initial_certainty,
-                                            residual=residual_of[name])
-            continue
-        eta, theta = integrands if name == "explicit" else ends
-        results[name] = BsdeSolution(
-            lattice=lattice,
-            risk_aversion=a,
-            gamma=gamma,
-            scaled_value=AdaptedProcess(lattice, kept[0]),
-            scaled_price=AdaptedProcess(lattice, kept[1]),
-            value_integrand=PredictableProcess(lattice, eta),
-            price_integrand=PredictableProcess(lattice, theta),
-            residual=residual_of[name],
-            method=name,
-        )
-    return results, gap if len(walks) == 2 else None, failure
+        if ends is not None:
+            failure = failure or _rebuild_failure(*passed[-1])
+        if len(walks) == 2:
+            m = lattice.nodes(k)
+            level = np.subtract(price, passed[1][2], out=scratch[:m * n].reshape(m, n))
+            # np.max keeps a nan, as node_max does
+            gap = np.max([gap, np.abs(level, out=level).max()])
+    gap = float(gap) if len(walks) == 2 else None
+    if not keep:
+        initial_price, initial_certainty = _initial(a, value, price)
+        return SimpleNamespace(initial_price=initial_price, initial_certainty=initial_certainty,
+                               residual=0.0 if explicit else np.nan), gap, failure
+    del walks, scratch, passed
+    if explicit:
+        # the integrands are the child differences the walk took
+        eta = lattice.levels(np.empty(lattice.num_leaves - 1))
+        theta = lattice.levels(np.empty((lattice.num_leaves - 1, n)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(steps):
+                lattice.child_diff(kept[0][k + 1], out=eta[k])
+                lattice.child_diff(kept[1][k + 1], out=theta[k])
+    else:
+        eta, theta = ends
+    return BsdeSolution(
+        lattice=lattice,
+        risk_aversion=a,
+        gamma=inst.gamma,
+        scaled_value=AdaptedProcess(lattice, kept[0]),
+        scaled_price=AdaptedProcess(lattice, kept[1]),
+        value_integrand=PredictableProcess(lattice, eta),
+        price_integrand=PredictableProcess(lattice, theta),
+        residual=0.0 if explicit else np.nan,
+        method="explicit" if explicit else "picard",
+    ), gap, failure
 
 
 def solve_explicit(inst: Instance) -> BsdeSolution:
     """One deterministic backward pass; raises ``NumericalError`` naming the
     step and node of the first slice that is not finite."""
-    return _solve(inst, explicit=True, keep="explicit")[0]["explicit"]
+    return _solve(inst, explicit=True, keep=True)[0]
 
 
 # a level slice of more values (rows x nodes x stocks) than this runs in
@@ -869,7 +834,19 @@ def solve_picard(inst: Instance, tol: float = 1e-12, max_iter: int = 100,
     diag.kappa = float(kappa)
     diag.growth_bound = float(growth_bound if growth_bound is not None
                               else driver_growth_bound(inst.gamma_sup))
-    return _solve(inst, ends=ends[0], keep="picard", residual=True)[0]["picard"], diag
+    solution = _solve(inst, ends=ends[0], keep=True)[0]
+    eta, theta = ends[0]
+    value, price = solution.scaled_value.values, solution.scaled_price.values
+    residual = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(inst.lattice.num_steps - 1, -1, -1):
+            for y, old in ((value[k + 1], eta[k]), (price[k + 1], theta[k])):
+                gap = inst.lattice.child_diff(y)
+                np.abs(np.subtract(gap, old, out=gap), out=gap)
+                # np.max keeps a nan gap, which the builtin max drops against 0.0
+                residual = np.max([residual, gap.max()])
+    solution.residual = float(residual)
+    return solution, diag
 
 
 @dataclass

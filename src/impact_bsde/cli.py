@@ -105,6 +105,19 @@ def _smallness_product(a: float, gamma_sup: float, psi_bmo: float) -> float:
     return _finite_norm("the smallness product", lambda: a * gamma_sup * psi_bmo)
 
 
+def _finite_root(solution, a: float) -> dict:
+    """The root price and certainty equivalent ``bsde`` reports, unscaled
+    from the solution's scaled root values.  Below a risk aversion of about
+    1e-308 its reciprocal overflows: a root that is not finite is a numeric
+    failure."""
+    price, certainty = solution.initial_price, solution.initial_certainty
+    if not (np.isfinite(price).all() and np.isfinite(certainty)):
+        raise NumericalError(f"the root price {price.tolist()} or certainty equivalent "
+                             f"{certainty} is not finite once unscaled by the risk "
+                             f"aversion {a!r}")
+    return {"initial_price": price.tolist(), "initial_certainty": certainty}
+
+
 def _bmo(what: str, process) -> float:
     """Integrand norm of one process of a solution."""
     return _finite_norm(f"the {what} norm", h_bmo_norm, process).value
@@ -256,17 +269,15 @@ def cmd_bsde(config_path, out_path, method, diag_path, dump_path):
         diag.kappa, diag.growth_bound = kappa, growth_bound
         (ends,) = ends
     # one walk per method, leaf to root in lockstep; only the node table
-    # needs a whole solution, the one the table is written from
-    chosen = "picard" if method == "picard" else "explicit"
-    walks, gap, failure = bsde_mod._solve(inst, explicit=method != "picard", ends=ends,
-                                          keep=chosen if dump_path else None)
+    # needs a whole solution, that of the first walk, which it is written from
+    first, gap, failure = bsde_mod._solve(inst, explicit=method != "picard", ends=ends,
+                                          keep=bool(dump_path))
     # a diverging run is reported, but its reconstruction must be finite
     if failure is not None:
         raise failure
-    summary["initial_price"] = walks[chosen].initial_price.tolist()
-    summary["initial_certainty"] = walks[chosen].initial_certainty
+    summary.update(_finite_root(first, inst.risk_aversion))
     if method != "picard":
-        summary["residual_explicit"] = walks["explicit"].residual
+        summary["residual_explicit"] = first.residual
     if method != "explicit":
         summary["picard"] = diag.to_dict()
         summary["contraction_report"] = bsde_mod.contraction_report(diag).to_dict()
@@ -281,15 +292,14 @@ def cmd_bsde(config_path, out_path, method, diag_path, dump_path):
         summary["max_node_discrepancy"] = gap
     _write_json(out_path, summary)
     if dump_path:
-        solution = walks[chosen]
         # where the density would lose positivity, its column is nan; the
         # one-step pricing weight has no backward-system analogue: q_up is nan
         try:
-            density = solution.density
+            density = first.density
         except ExponentialGuardError:
             density = None
-        _write_nodes(dump_path, solution.prices, solution.certainty_equivalent, density,
-                     mpr=solution.market_price_of_risk, volatility=solution.volatility)
+        _write_nodes(dump_path, first.prices, first.certainty_equivalent, density,
+                     mpr=first.market_price_of_risk, volatility=first.volatility)
     if "picard" in summary:
         click.echo(f"bsde[{method}]: converged={summary['picard']['converged']} "
                    f"iterations={summary['picard']['iterations']}")

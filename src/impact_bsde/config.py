@@ -234,7 +234,7 @@ _SECTIONS = {
         "growth_bound": _positive_or_null, "kappa": _positive_or_null}),
     "verify": (VerifySettings, {
         "suite": partial(_choice, options=SUITES), "competitors": _NONNEGATIVE_INT,
-        "seed": _integer, "epsilon": _POSITIVE, "x_grid_size": _POSITIVE_INT,
+        "seed": _NONNEGATIVE_INT, "epsilon": _POSITIVE, "x_grid_size": _POSITIVE_INT,
         "counterexample_steps": _depths}),
 }
 

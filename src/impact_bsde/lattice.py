@@ -78,6 +78,8 @@ class Lattice:
         self.num_steps = int(num_steps)
         self.horizon = float(horizon)
         self.dt = self.horizon / self.num_steps
+        if not self.dt > 0:
+            raise ValueError(f"horizon {horizon!r} over {num_steps} steps gives a step of 0")
         self.sqrt_dt = float(np.sqrt(self.dt))
         levels = [np.zeros(1, dtype=np.int32)]
         step = np.array([1, -1], dtype=np.int32)

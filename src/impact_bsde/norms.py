@@ -468,9 +468,13 @@ def measure_kappa(lattice: Lattice, num_random: int = 32, seed: int = 2024,
     ratio = 1.0
     for block in _kappa_corpus(lat, num_random, seed):
         block = block - block.mean(axis=1, keepdims=True)
-        block = block[np.max(np.abs(block), axis=1) != 0.0]
+        top = np.max(np.abs(block), axis=1)
+        block, top = block[top != 0.0], top[top != 0.0]
         if not len(block):
             continue
+        # each row times the power of two that brings its largest entry into
+        # [1/2, 1): the ratio is exact under it, and no square overflows
+        block = np.ldexp(block, -np.frexp(top)[1][:, None])
         two, one = _kappa_block(lat, block)
         for a, b in zip(two.tolist(), one.tolist()):
             if b > 0:

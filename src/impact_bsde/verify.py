@@ -48,7 +48,7 @@ from .lattice import (
     stock_norm,
 )
 from .norms import bmo_norm_rv, h_bmo_norm, h_norm, orlicz_h, sup_norm
-from .pricer import EquilibriumSolution, localize, price_equilibrium
+from .pricer import EquilibriumSolution, NumericalError, localize, price_equilibrium
 from .scenario import Instance, StoppingTime, sign_plus
 from . import bsde as bsde_mod
 
@@ -490,9 +490,12 @@ def check_homogeneity(inst: Instance, b_values=(0.5, 2.0, 10.0),
     dividend scales prices and volatility and leaves the market price of
     risk unchanged.  Node-exact across three pricer runs per factor."""
     def price(scale_g, scale_a, scale_psi):
+        a = inst.risk_aversion * scale_a
+        if not a > 0:
+            raise NumericalError(f"homogeneity: the risk aversion {inst.risk_aversion!r} "
+                                 f"scaled by {scale_a!r} is {a!r}, below the float range")
         return price_equilibrium(Instance(
-            inst.lattice, inst.risk_aversion * scale_a,
-            inst.gamma.scaled(scale_g), inst.psi * scale_psi))
+            inst.lattice, a, inst.gamma.scaled(scale_g), inst.psi * scale_psi))
 
     # at most two solutions are alive at a time: s2 goes before s3 is
     # priced, and a factor's solutions before the next factor's

@@ -13,6 +13,7 @@ import impact_bsde.bsde as bsde_mod
 from impact_bsde.cli import (
     _ErrorExits,
     _evaluate,
+    _finite_root,
     _picard_constants,
     _write_csv,
     _write_json,
@@ -82,8 +83,6 @@ def cmd_bsde(config_path, out_path, method, diag_path, dump_path):
     summary: dict = {"command": "bsde", "method": method}
     if method in ("explicit", "both"):
         exp = explicit_solution(inst)
-        summary["initial_price"] = exp.initial_price.tolist()
-        summary["initial_certainty"] = exp.initial_certainty
         summary["residual_explicit"] = exp.residual
     if method in ("picard", "both"):
         kappa, growth_bound = _picard_constants(run, inst)
@@ -92,8 +91,11 @@ def cmd_bsde(config_path, out_path, method, diag_path, dump_path):
         for k in range(inst.lattice.num_steps, -1, -1):
             _check_finite(pic.scaled_value.values[k], k, "Picard scaled certainty equivalent")
             _check_finite(pic.scaled_price.values[k], k, "Picard scaled price")
-        summary.setdefault("initial_price", pic.initial_price.tolist())
-        summary.setdefault("initial_certainty", pic.initial_certainty)
+    # the root reported is the explicit one where it is solved; one that is
+    # not finite once unscaled is a numeric failure
+    chosen = exp if method in ("explicit", "both") else pic
+    summary.update(_finite_root(chosen, inst.risk_aversion))
+    if method in ("picard", "both"):
         summary["picard"] = diag.to_dict()
         summary["contraction_report"] = bsde_mod.contraction_report(diag).to_dict()
         if diag_path:
@@ -106,7 +108,6 @@ def cmd_bsde(config_path, out_path, method, diag_path, dump_path):
         summary["max_node_discrepancy"] = process_gap(exp.scaled_price, pic.scaled_price)
     _write_json(out_path, summary)
     if dump_path:
-        chosen = exp if method in ("explicit", "both") else pic
         try:
             density = chosen.density
         except ExponentialGuardError:

@@ -158,6 +158,8 @@ SINGLE_ERRORS = {
                          "verify.epsilon: must be positive, got nan"),
     "below_minimum": (_with_section("verify", {"x_grid_size": 0}),
                       "verify.x_grid_size: must be >= 1, got 0"),
+    "negative_seed": (_with_section("verify", {"seed": -1}),
+                      "verify.seed: must be >= 0, got -1"),
     "empty_schedule": (_schedule([]), "market.demand.schedule: expected a non-empty list"),
     "malformed_schedule": (_schedule([[0]]), "market.demand.schedule[0]: expected [step, value]"),
     "schedule_step": (_schedule([[-1, 1.0]]),
@@ -1525,3 +1527,54 @@ def test_readme_config_runs_every_command(tmp_path):
         result = CliRunner().invoke(main, command + ["--config", cfg,
                                                      "--out", str(tmp_path / "out")])
         assert result.exit_code == 0, (command, result.output, result.exception)
+
+
+def _quiet_run(tmp_path, doc, command):
+    """Exit code and printed text of one command, numpy warnings raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = CliRunner().invoke(main, command + ["--config", write_config(tmp_path, doc),
+                                                     "--out", str(tmp_path / "out")])
+    assert result.exception is None or isinstance(result.exception, SystemExit), \
+        result.exception
+    return result.exit_code, result.output
+
+
+@pytest.mark.parametrize("a, command, message", [
+    # 1 / a overflows: the root was written as [Infinity] and NaN with exit 0
+    (1e-320, ["bsde", "--method", "both"],
+     "the root price [inf] or certainty equivalent nan is not finite once unscaled by the "
+     "risk aversion 1e-320"),
+    # homogeneity priced at a * 0.5 = 0, which the instance refused with a traceback
+    (5e-324, ["verify", "--suite", "all"],
+     "homogeneity: the risk aversion 5e-324 scaled by 0.5 is 0.0, below the float range"),
+], ids=["bsde", "verify"])
+def test_risk_aversion_at_the_float_floor_is_a_numeric_failure(tmp_path, a, command, message):
+    doc = one_period_doc(risk_aversion=a, num_steps=4,
+                         dividend={"type": "sign_of_b_t", "scale": 1.0})
+    assert _quiet_run(tmp_path, doc, command) == (3, f"numeric failure: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+_SWEEP = ["sweep", "--param", "risk_aversion", "--from", "0.5", "--to", "1", "--points", "2"]
+_FIVE_COMMANDS = [["price"], ["bsde", "--method", "both"], ["norms"], ["verify", "--suite", "all"],
+                  _SWEEP]
+
+
+@pytest.mark.parametrize("command", _FIVE_COMMANDS, ids=lambda c: c[0])
+def test_step_below_the_float_range_is_a_config_error(tmp_path, command):
+    # dt and sqrt_dt were 0: divide-by-zero warnings, then exit 3 or a traceback
+    doc = one_period_doc(horizon=5e-324, num_steps=3)
+    assert _quiet_run(tmp_path, doc, command) == (
+        2, "config error: market: horizon 5e-324 over 3 steps gives a step of 0\n")
+
+
+@pytest.mark.parametrize("command", _FIVE_COMMANDS, ids=lambda c: c[0])
+def test_huge_horizon_writes_finite_numbers(tmp_path, command):
+    # measure_kappa overflowed: norms wrote "kappa_empirical": Infinity and
+    # bsde NaN and Infinity growth-bound margins, with exit 0
+    doc = one_period_doc(horizon=1.7e308, num_steps=3)
+    code, output = _quiet_run(tmp_path, doc, command)
+    assert code == 0, output
+    text = (tmp_path / "out").read_text()
+    assert "Infinity" not in text and "NaN" not in text, text

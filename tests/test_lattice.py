@@ -70,6 +70,14 @@ def test_invalid_parameters():
         build_lattice(3, -1.0)
 
 
+def test_step_below_the_float_range_is_refused():
+    # 5e-324 / 3 rounds to 0: dt and sqrt_dt were 0, and every child
+    # difference divided by zero
+    with pytest.raises(ValueError, match=r"^horizon 5e-324 over 3 steps gives a step of 0$"):
+        build_lattice(3, 5e-324)
+    assert build_lattice(1, 5e-324).dt == 5e-324
+
+
 def test_brownian_is_martingale():
     lat = build_lattice(6, 1.5)
     assert is_martingale(lat.brownian())

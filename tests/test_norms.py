@@ -468,6 +468,23 @@ def test_measure_kappa_matches_the_per_terminal_loop(depth):
         assert measure_kappa(lat, num_random=0) == measure_kappa_reference(lat, num_random=0)
 
 
+@pytest.mark.parametrize("depth", [1, 3, 8, 12, 14])
+def test_measure_kappa_is_finite_at_huge_horizons(depth):
+    # the walk's squares overflowed: kappa read inf from depth 3 at a horizon
+    # of 1.7e308; a horizon 4**300 times smaller scales every walk row by
+    # exactly 2**-300, which the per-row scaling takes out again
+    kappa = measure_kappa(build_lattice(depth, 1.7e308))
+    assert np.isfinite(kappa)
+    assert kappa == measure_kappa(build_lattice(depth, 1.7e308 / 4.0 ** 300))
+
+
+@pytest.mark.parametrize("horizon", [0.37, 1e-300, 1e300])
+def test_measure_kappa_matches_the_per_terminal_loop_at_any_horizon(horizon):
+    for depth in (1, 3, 8):
+        lat = build_lattice(depth, horizon)
+        assert measure_kappa(lat) == measure_kappa_reference(lat)
+
+
 def _traced_peak(f) -> int:
     f()  # first-call allocations (imports, caches) are not the function's
     tracemalloc.start()
