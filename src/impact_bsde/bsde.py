@@ -32,24 +32,28 @@ the tolerance or the iteration cap, not to step N + 1, and the iteration
 reports distances and ratios as first-class output and treats
 non-convergence as data, not as an error.
 
-Each iteration is one fused pass.  Forward, each level's running sums of
-the drift integrands are its parents' plus its own drift.  Backward, each
-node of level N - 1 puts its sums on both its children, adding the terminal
-data to the price, and from there, leaf to root, level by level, the pass
-takes child means and child differences (the new integrands) and advances
-the integrand norm of the new iterate and of its distance to the old one.
-No full martingale tree, leaf-sized drift array, stacked copy or difference
-list is stored.  A block of rows allocates its memory once: two integrand
-pairs that swap every iteration, two alternating buffers per kind for the
-levels' sums (which the backward pass overwrites with the martingale) and
-remaining loads, and per-thread scratch for one tile.  A level of more than
+Each iteration is one fused pass.  Forward, each level's running sums of the
+drift integrands are its parents' plus its own drift.  Backward, each node
+of level N - 1 puts its sums on both its children, adding the terminal data
+to the price, and from there, leaf to root, level by level, the pass takes
+child means and child differences (the new integrands) and advances the
+integrand norm of the new iterate and of its distance to the old one.  No
+full martingale tree, leaf-sized drift array, stacked copy or difference
+list is stored.  ``_Cut`` plans the pass: a level of more than
 ``_TILE_VALUES`` values runs in tiles of that many, each through the whole
 level body while its operands sit in L2; given two usable CPUs and root
 subtrees of at least ``_SPLIT_VALUES`` leaf values, the two subtrees run at
-the same time, one on a second thread.  The map keeps this forward form:
-through ``_backward`` it would read no level below k in floating point
-either, so every finite run would stop at step N + 1 with distance 0, a
-change of the iteration records of its own.
+the same time, one on a second thread; and the band, the deepest levels a
+subtree holds in several tiles, runs in band tiles, subtrees that each run
+forward and backward from the band's top to level N - 1 on their own.  A
+block of rows allocates its memory once: two integrand pairs that swap
+every iteration, per kind (the levels' sums, which the backward pass
+overwrites with the martingale, and remaining loads) two alternating level
+buffers, which hold no level below the band's top, and per thread the
+scratch of one tile and two alternating band tile buffers.  The map keeps
+this forward form: through ``_backward`` it would read no level below k in
+floating point either, so every finite run would stop at step N + 1 with
+distance 0, a change of the iteration records of its own.
 
 That pass, ``_PicardKernel.step``, carries a leading point axis: every slice
 holds one row per point, and each row is an ``Instance`` on one shared
@@ -63,17 +67,18 @@ instance and rebuilds the solution from the iterate that row ends on.
 Every reduction is per row, so each row's record is the one its own run
 would give, bit for bit.
 
-The explicit solve and the rebuild are ``_backward`` walks, which
-``_solve`` runs leaf to root in lockstep, one loop over the levels, after
-any Picard loop, so no solution is alive through it.  Each walk is the one
-leaf pair (the zero value slice and the scaled dividend), a store for its
-levels and, for the rebuild, the frozen iterate.  A kept walk stores its
-slices in one block per process; any other stores them in two rolling
-level buffers and keeps its root values, so ``bsde`` without a node table
-holds neither whole solution.  The finiteness checks and the node max of
-the gap between the two prices are taken as each level passes.  The
-explicit integrands and the rebuild's residual (the node-max move of one
-more map step) are read off a kept solution's slices after the walk.
+The explicit solve and the rebuild are walks of ``_backward``, one tile at
+a time, which ``_solve`` runs in lockstep after any Picard loop, so no
+solution is alive through it, in the Picard step's cut: each band tile leaf
+to top, then the levels above, a root subtree per thread, and the root
+last.  Both read one leaf pair, the zero value slice and the scaled
+dividend, a tile at a time.  A kept walk writes its slices into one block
+per process; any other writes them into level and band tile buffers and
+keeps its root values, so ``bsde`` without a node table holds no leaf-sized
+array.  The first node of each slice that is not finite and the node max of
+the gap between the two prices are taken as each tile passes.  The explicit
+integrands and the rebuild's residual (the node-max move of one more map
+step) are read off a kept solution's slices after the walk.
 """
 
 from __future__ import annotations
@@ -99,7 +104,7 @@ from .lattice import (
     stock_sum,
 )
 from .norms import _remaining_load
-from .pricer import NumericalError, _check_finite
+from .pricer import NumericalError, _non_finite
 from .scenario import Instance
 
 
@@ -245,49 +250,29 @@ class IterationDiagnostics:
                 "uniqueness_radius": self.uniqueness_radius, "small_ball": self.small_ball}
 
 
-def _backward(inst: Instance, value, price, out, scratch, eta=None, theta=None):
-    """The backward recursion from the leaf slices ``(value, price)``:
-    yields ``(k, value_k, price_k)`` for ``k`` from ``N - 1`` down to 0, where
-    slice ``k`` is the child mean of slice ``k + 1`` plus the drift, taken at
-    the child differences of slice ``k + 1`` (the explicit solve) or at a
-    frozen pair ``(eta[k], theta[k])`` (a Picard rebuild).
-
-    Level ``k`` is written into the pair ``out[k]``, slices of whole-tree
-    blocks, or, with ``out`` None, into one of two rolling level buffers:
-    buffer ``(N - 1 - k) % 2``, allocated at its first level, its largest.
-    The explicit solve takes the child differences in level ``k``'s pair
-    too, where the child means then overwrite them.  The drifts and their
-    temporaries go into the flat buffer ``scratch`` of
-    ``nodes(N - 1) * (2 + n)`` values, and ``nodes(N - 1)`` more for several
-    stocks; walks in lockstep share it, as it is free between levels.
-    Overflows are left to the caller's finite checks, without numpy's
-    warnings.
-    """
-    lattice, gamma, dt, n = inst.lattice, inst.gamma, inst.lattice.dt, inst.num_stocks
-    steps, rolling = lattice.num_steps, [None, None]
-    for k in range(steps - 1, -1, -1):
-        m = lattice.nodes(k)
-        if out is None:
-            slot = (steps - 1 - k) % 2
-            if rolling[slot] is None:
-                rolling[slot] = np.empty(m * (1 + n))
-            v, p = rolling[slot][:m], rolling[slot][m:m * (1 + n)].reshape(m, n)
-        else:
-            v, p = out[k]
-        with np.errstate(over="ignore", invalid="ignore"):
-            if eta is None:
-                e, t = lattice.child_diff(value, out=v), lattice.child_diff(price, out=p)
-            else:
-                e, t = eta[k], theta[k]
-            vd, work, pd = scratch[:m], scratch[m:2 * m], scratch[2 * m:(2 + n) * m].reshape(m, n)
-            tg = scratch[(2 + n) * m:(3 + n) * m] if n > 1 else None
-            vd, pd = _driver(e, t, gamma.values[k], vd, pd, work, tg)
-            # child mean plus drift times dt
-            value = lattice.child_mean(value, out=v)
-            np.add(value, np.multiply(vd, dt, out=vd), out=value)
-            price = lattice.child_mean(price, out=p)
-            np.subtract(price, np.multiply(pd, dt, out=pd), out=price)
-        yield k, value, price
+def _backward(inst: Instance, tile, here, below, frozen, scratch):
+    """One walk's step over one tile of level ``tile.k``: into ``here``, its
+    value and price slices (one row first), the child means of ``below``
+    plus the drift, taken at the child differences of ``below`` (the
+    explicit solve, which takes them in ``here`` too) or at the frozen pair
+    ``frozen`` (a rebuild).  The drifts and their temporaries go into the
+    flat ``scratch``, free between tiles.  It calls no public function."""
+    lattice, k, nodes, n = inst.lattice, tile.k, tile.nodes, inst.num_stocks
+    m = nodes.stop - nodes.start
+    (value, price), (value_below, price_below) = here, below
+    if frozen is None:
+        e = lattice.child_diff(value_below, axis=1, out=value)
+        t = lattice.child_diff(price_below, axis=1, out=price)
+    else:
+        e, t = frozen[0][k][nodes], frozen[1][k][nodes]
+    vd, pd = _driver(e, t, inst.gamma.values[k][nodes], _rows(scratch, 1, m),
+                     _rows(scratch[2 * m:], 1, m, n), _rows(scratch[m:], 1, m),
+                     _rows(scratch[(2 + n) * m:], 1, m) if n > 1 else None)
+    # child mean plus drift times dt
+    np.add(lattice.child_mean(value_below, axis=1, out=value),
+           np.multiply(vd, lattice.dt, out=vd), out=value)
+    np.subtract(lattice.child_mean(price_below, axis=1, out=price),
+                np.multiply(pd, lattice.dt, out=pd), out=price)
 
 
 def _initial(a: float, value: np.ndarray, price: np.ndarray):
@@ -298,77 +283,109 @@ def _initial(a: float, value: np.ndarray, price: np.ndarray):
         return (1.0 / a) * price[0], float((1.0 / a) * value[0])
 
 
-def _rebuild_failure(k: int, value, price) -> NumericalError | None:
-    """The error of the first of a rebuild's step-``k`` slices that is not
-    finite, value before price, or None."""
-    try:
-        _check_finite(value, k, "Picard scaled certainty equivalent")
-        _check_finite(price, k, "Picard scaled price")
-    except NumericalError as exc:
-        return exc
-    return None
+def _note(first, k: int, kind: int, x: np.ndarray, start: int, mask: np.ndarray):
+    """Keep in ``first[k, kind]`` the first node of tile ``x`` (one row first,
+    nodes from ``start``) not finite, if earlier; flags go into ``mask``."""
+    ok = np.isfinite(x, out=mask[:x.size].reshape(x.shape))
+    if not ok.all():
+        node = start + int(np.argmin(ok.reshape(x.shape[1], -1).all(axis=1)))
+        first[k, kind] = min(first[k, kind], node)
+
+
+def _failure(first, what: str, none: int) -> NumericalError | None:
+    """The error of a walk's deepest slice not finite, value before price,
+    from each slice's first such node ``first[k, kind]`` (``none``: none)."""
+    kinds = ("scaled certainty equivalent", "scaled price")
+    return next((_non_finite(what + kind, k, int(node)) for k in range(len(first) - 1, -1, -1)
+                 for node, kind in zip(first[k], kinds) if node < none), None)
 
 
 def _solve(inst: Instance, explicit: bool = False, ends=None, keep: bool = False):
-    """Leaf to root in lockstep, one ``_backward`` walk each: the explicit
-    solve when ``explicit``, and the rebuild at the frozen integrand pair
-    ``ends`` when it is given.  Both read one leaf pair: the zero value
-    slice and the scaled dividend ``a * psi``.
+    """Leaf to root in lockstep, one walk each (see the module docstring):
+    the explicit solve when ``explicit``, and the rebuild at the frozen
+    integrand pair ``ends`` when it is given, in ``_Cut``'s tiles for one
+    row of ``n`` stocks.
 
     With ``keep`` the first walk writes its levels into one zeroed block per
     process and gives a ``BsdeSolution``, whose residual is 0.0 for the
     explicit solve and nan for a rebuild (``solve_picard`` takes it).  Every
-    other walk writes them into rolling level buffers; the first then gives
+    other walk writes them into ``_Store``'s buffers; the first then gives
     its root values only (``initial_price``, ``initial_certainty``,
-    ``residual``).
-    As each level passes:
-    - the explicit solve's finiteness check raises ``NumericalError`` at once;
-    - the rebuild's first failure (``Picard scaled certainty equivalent``,
-      then ``Picard scaled price``, steps N down to 0) is kept;
-    - with both walks, the node max of |explicit price - rebuilt price|
-      advances, as ``lattice.process_gap`` takes it.
+    ``residual``).  Each walk notes the first node of each slice that is not
+    finite, and with both the node max of |explicit price - rebuilt price|
+    advances, as ``lattice.process_gap`` takes it.  After the root, the
+    explicit solve raises ``NumericalError`` for its deepest such slice,
+    value before price; so the rebuild's first failure (``Picard scaled
+    certainty equivalent``, then ``Picard scaled price``) is found.
 
     Returns ``(first, gap, failure)``: the first walk's result, the node max
     (None unless both walk) and the rebuild's first failure (or None).
     """
     lattice, a, n = inst.lattice, inst.risk_aversion, inst.num_stocks
     steps = lattice.num_steps
-    scratch = np.empty(lattice.nodes(steps - 1) * (2 + n + (n > 1)))
-    if keep:
-        kept = lattice.zero_slices(), lattice.zero_slices(n)
-        leaves = kept[0][-1], kept[1][-1]
-    else:
-        # a view of one zero: the walks only take its child means and differences
-        leaves = np.broadcast_to(0.0, (lattice.num_leaves,)), np.empty((lattice.num_leaves, n))
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(a, inst.psi, out=leaves[1])
-    # each walk: the leaves, where its levels go and its frozen pair, if any
-    frozen = ([()] if explicit else []) + ([ends] if ends is not None else [])
-    walks = [_backward(inst, *leaves, list(zip(*kept)) if keep and not i else None,
-                       scratch, *pair) for i, pair in enumerate(frozen)]
-    failure = None if ends is None else _rebuild_failure(steps, *leaves)
-    # the walks hold the leaves only until they have passed level N - 1; they
-    # share them, so the gap is 0 there wherever the explicit solve passes
-    del leaves
-    gap = 0.0
-    for passed in zip(*walks):
-        k, value, price = passed[0]
-        if explicit:
-            _check_finite(value, k, "scaled certainty equivalent")
-            _check_finite(price, k, "scaled price")
-        if ends is not None:
-            failure = failure or _rebuild_failure(*passed[-1])
-        if len(walks) == 2:
-            m = lattice.nodes(k)
-            level = np.subtract(price, passed[1][2], out=scratch[:m * n].reshape(m, n))
+    cut = _Cut(lattice, n)
+    frozen = ([None] if explicit else []) + ([ends] if ends is not None else [])
+    kept = (lattice.zero_slices(), lattice.zero_slices(n)) if keep else (None, None)
+    stores = [(_Store(cut, 1, kept=kept[0] if not i else None),
+               _Store(cut, 1, n, kept=kept[1] if not i else None)) for i in range(len(frozen))]
+    # per part: drifts, temporaries and a tile's leaf prices; finiteness flags
+    lead = cut.width * (2 + n + (n > 1))
+    scratch = [np.empty(lead + 2 * cut.width * n) for _ in range(cut.parts)]
+    masks = [np.empty(2 * cut.width * n, dtype=bool) for _ in range(cut.parts)]
+    # per part and walk, the first node of each slice that is not finite
+    first = np.full((cut.parts, len(frozen), steps + 1, 2), lattice.num_leaves)
+    gaps = [0.0] * cut.parts
+
+    def make(k, q, parts, run, _):
+        nodes, leaves, local, below, _ = run
+
+        def views(level, part):
+            return [tuple(s.view(1, level, q, parts)[:, part] for s in pair) for pair in stores]
+
+        return SimpleNamespace(k=k, nodes=nodes, leaves=leaves, here=views(k, local),
+                               below=None if k == steps - 1 else views(k + 1, below))
+
+    def level(tile, w):
+        k, nodes, leaves, below = tile.k, tile.nodes, tile.leaves, tile.below
+        m = nodes.stop - nodes.start
+        if below is None:
+            # the leaves below the tile, which every walk reads
+            price = (kept[1][-1][None, leaves] if keep
+                     else _rows(scratch[w][lead:], 1, 2 * m, n))
+            np.multiply(a, inst.psi[leaves], out=price)
+            if ends is not None:
+                _note(first[w, -1], steps, 1, price, leaves.start, masks[w])
+            below = [(np.broadcast_to(0.0, (1, 2 * m)), price)] * len(frozen)
+        for i, (pair, here) in enumerate(zip(frozen, tile.here)):
+            _backward(inst, tile, here, below[i], pair, scratch[w])
+            for kind, x in enumerate(here):
+                _note(first[w, i], k, kind, x, nodes.start, masks[w])
+        if len(frozen) == 2:
+            gap = np.subtract(tile.here[0][1], tile.here[1][1], out=_rows(scratch[w], 1, m, n))
             # np.max keeps a nan, as node_max does
-            gap = np.max([gap, np.abs(level, out=level).max()])
-    gap = float(gap) if len(walks) == 2 else None
+            gaps[w] = np.max([gaps[w], np.abs(gap, out=gap).max()])
+
+    plans = [cut.plans(w, make) for w in range(cut.parts)]
+
+    def part(w):
+        for _, tile in _Cut.walk(plans[w], forward=False):
+            level(tile, w)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        _beside(part, cut.parts)
+        level(make(0, 0, 1, next(lattice.tiles(0, 1)), True), 0)
+    failures = [_failure(f, "" if pair is None else "Picard ", lattice.num_leaves)
+                for f, pair in zip(first.min(axis=0), frozen)]
+    if explicit and failures[0] is not None:
+        raise failures[0]
+    failure = failures[-1] if ends is not None else None
+    gap = float(np.max(gaps)) if len(frozen) == 2 else None
     if not keep:
-        initial_price, initial_certainty = _initial(a, value, price)
+        value, price = (s.view(1, 0) for s in stores[0])
+        initial_price, initial_certainty = _initial(a, value[0], price[0])
         return SimpleNamespace(initial_price=initial_price, initial_certainty=initial_certainty,
                                residual=0.0 if explicit else np.nan), gap, failure
-    del walks, scratch, passed
+    del stores, plans, scratch, masks
     if explicit:
         # the integrands are the child differences the walk took
         eta = lattice.levels(np.empty(lattice.num_leaves - 1))
@@ -413,27 +430,30 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _beside(other, here):
-    """Run ``other()`` on a second thread while ``here()`` runs on this one,
-    and return when both have.  The second thread runs under this thread's
+def _beside(run, parts: int):
+    """``run(w)`` for each part ``w`` of ``parts``, one or two: with two,
+    part 1 runs on a second thread while part 0 runs on this one, and the
+    call returns when both have.  The second thread runs under this thread's
     numpy error state, which does not follow a call into a new thread, and
     an exception it raises is raised here.  Whatever it runs must call no
     public function of the package: perfbench's span tracer wraps those and
     keeps one span stack, which two threads would interleave."""
+    if parts == 1:
+        return run(0)
     state = np.geterr()
     errors = []
 
-    def run():
+    def other():
         try:
             with np.errstate(**state):
-                other()
+                run(1)
         except BaseException as exc:
             errors.append(exc)
 
-    worker = threading.Thread(target=run)
+    worker = threading.Thread(target=other)
     worker.start()
     try:
-        here()
+        run(0)
     finally:
         worker.join()
     if errors:
@@ -445,6 +465,100 @@ def _rows(buffer: np.ndarray, rows: int, *shape: int) -> np.ndarray:
     ``(rows, *shape)`` array: ufuncs loop over such an array at their
     lowest cost per call, which the small levels of a step are made of."""
     return buffer[:rows * math.prod(shape)].reshape(rows, *shape)
+
+
+class _Cut:
+    """The one planner of the Picard step and the walks: how a pass over
+    slices of ``values`` values per node (rows times stocks) is cut.  Given
+    two usable CPUs and root subtrees of at least ``_SPLIT_VALUES`` leaf
+    values, its two root subtrees are ``parts``, one per thread.  A part's
+    level runs in tiles of ``size`` nodes, a power of two of at most
+    ``_TILE_VALUES`` values, ``width`` at the widest.  The band, the levels
+    a part holds in several tiles from level 2 on while a band tile keeps a
+    node, is levels ``top`` to N - 1, cut into ``bands`` equal subtrees two
+    tiles wide at level N - 1 (narrower ones cost the two-thread step more
+    in calls than they save), each run on its own, so that of the band only
+    level ``top`` is ever held whole."""
+
+    def __init__(self, lattice: Lattice, values: int):
+        steps = lattice.num_steps
+        self.lattice = lattice
+        self.parts = parts = 2 if (steps >= 2 and _usable_cpus() >= 2 and values
+                                   * lattice.nodes(steps - 1) >= _SPLIT_VALUES) else 1
+        self.size = size = lattice.nodes(max(1, _TILE_VALUES // values).bit_length() - 1)
+        self.width = min(size, lattice.nodes(steps - 1) // parts)
+        bands, self.top = lattice.nodes(steps - 1) // (2 * size), steps
+        while (self.top > 2 and lattice.nodes(self.top - 1) // parts > size
+               and lattice.nodes(self.top - 1) >= bands):
+            self.top -= 1
+        self.bands = bands if self.top < steps else 0
+
+    def plans(self, w: int, make) -> tuple:
+        """Part ``w``'s tiles, each made a plan by ``make(k, q, parts, run,
+        first)`` from the run ``run`` of ``lattice.tiles`` at level ``k``
+        below subtree ``q`` of ``parts``, ``first`` for the part's first
+        tile of the level: levels 1 to ``top - 1``, each a list of its tiles,
+        and the part's band tiles, each such a list of levels from ``top``."""
+        lattice, parts, bands, size = self.lattice, self.parts, self.bands, self.size
+        own = range(w * bands // parts, (w + 1) * bands // parts)
+        return ([[make(k, w, parts, run, not i)
+                  for i, run in enumerate(lattice.tiles(k, size, w, parts))]
+                 for k in range(1, self.top)],
+                [[[make(k, q, bands, run, q == own.start and not i)
+                   for i, run in enumerate(lattice.tiles(k, size, q, bands))]
+                  for k in range(self.top, lattice.num_steps)] for q in own])
+
+    @staticmethod
+    def walk(plans: tuple, forward: bool):
+        """The band walker: a part's tiles in the order a pass runs them, as
+        ``(forward, tile)``.  Given ``forward``, levels 1 to ``top - 1`` run
+        forward first; then each band tile runs its levels forward, if
+        given, and backward, N - 1 to ``top``; last, levels ``top - 1`` to 1
+        run backward."""
+        upper, band = plans
+        yield from ((True, t) for level in upper for t in level if forward)
+        for tile in band:
+            yield from ((True, t) for level in tile for t in level if forward)
+            yield from ((False, t) for level in reversed(tile) for t in level)
+        yield from ((False, t) for level in reversed(upper) for t in level)
+
+
+class _Store:
+    """One kind of slice at every level of a pass cut by ``cut``, for up to
+    ``rows`` rows of ``shape`` values per node, as ``(rows, nodes, *shape)``
+    views: of ``kept``, one array per level, when given; else of the root
+    and level 1 apart, where the root reads both parts, two alternating
+    buffers for levels 2 to ``top``, each part owning half of each, and per
+    part two alternating band tile buffers for the levels below ``top``."""
+
+    def __init__(self, cut: _Cut, rows: int, *shape: int, kept: list | None = None):
+        lattice, steps = cut.lattice, cut.lattice.num_steps
+        self.cut, self.shape, self.kept = cut, shape, kept
+        self.high = high = min(cut.top, steps - 1)
+        size = rows * math.prod(shape)
+        if kept is None:
+            self.root, self.one = np.zeros(size), np.zeros(2 * size)
+            self.whole = [np.empty(lattice.nodes(max(high - i, 0)) * size) for i in (0, 1)]
+            self.band = [[np.empty(lattice.nodes(k) // cut.bands * size)
+                          for k in (steps - 1, steps - 2) if k > cut.top]
+                         for _ in range(cut.parts)]
+
+    def view(self, rows: int, k: int, q: int = 0, parts: int = 1) -> np.ndarray:
+        """Level ``k`` below subtree ``q`` of ``parts`` (``lattice.span``):
+        a part, a band tile or, by default, the whole level."""
+        cut, lattice, shape = self.cut, self.cut.lattice, self.shape
+        inner = lattice.span(k, q, parts)
+        if self.kept is not None:
+            return self.kept[k][None, inner]
+        w = q * cut.parts // parts
+        if k > cut.top:
+            return _rows(self.band[w][(lattice.num_steps - 1 - k) % 2], rows,
+                         inner.stop - inner.start, *shape)
+        if k < 2:
+            return _rows((self.root, self.one)[k], rows, lattice.nodes(k), *shape)[:, inner]
+        part, buffer = lattice.span(k, w, cut.parts), self.whole[(self.high - k) % 2]
+        return _rows(buffer[w * (len(buffer) // cut.parts):], rows, part.stop - part.start,
+                     *shape)[:, inner.start - part.start:inner.stop - part.start]
 
 
 class _IteratePair:
@@ -504,9 +618,8 @@ class _PicardKernel:
     driver and then the sums; backward, child difference and mean, both
     squares, both loads and the tile maxima.  With two parts, levels 1 to
     N - 1 of each root subtree, a contiguous node range, run on their own
-    thread, and the root after both; each part owns half of every level
-    buffer, and levels 0 and 1 live apart, where the root reads both parts.
-    Every operation is elementwise or reduces one row, and the only
+    thread, and the root after both, in ``_Cut``'s order and ``_Store``'s
+    buffers.  Every operation is elementwise or reduces one row, and the only
     reductions across tiles and parts are row maxima and finiteness flags,
     which are exact: each row's iterate and norms are bit-identical to its
     own one-row, one-tile pass.
@@ -517,74 +630,54 @@ class _PicardKernel:
         steps = lattice.num_steps
         self.lattice, self.n = lattice, n
         self.shapes = {"value": (), "price": (n,), "norm": (), "dist": ()}
-        # per kind, flat buffers for level 0, level 1 and, alternating, levels
-        # 2 to N - 1 (the first of the two holds level N - 1)
-        self.buffers = {kind: [np.zeros(rows * math.prod(shape)),
-                               np.zeros(2 * rows * math.prod(shape)),
-                               *(np.empty(rows * lattice.nodes(max(steps - 1 - i, 0))
-                                          * math.prod(shape)) for i in (0, 1))]
-                        for kind, shape in self.shapes.items()}
+        # later steps, of fewer rows, keep the first step's cut and buffers
+        self.cut = _Cut(lattice, rows * n)
+        self.stores = {kind: _Store(self.cut, rows, *shape) for kind, shape in self.shapes.items()}
         self.zero = np.zeros(rows * n)  # the sums above the root
         self.level_max = np.zeros((2, 2, steps, rows))  # (norm, dist) x part x level x row
         self.finite = np.ones((2, rows), dtype=bool)
-        # a tile of rows x width values never exceeds this, however few the rows
-        self.capacity = min(rows * lattice.nodes(steps - 1), max(rows, _TILE_VALUES // n))
+        # a tile of rows x width values never exceeds this
+        self.capacity = rows * self.cut.width
         self.scratch: list = [None, None]
         self.resize(rows)
 
     def resize(self, rows: int):
-        """Run the first ``rows`` rows from the next step on: choose the
-        parts and tiles, and cut every view a tile reads or writes."""
-        lattice, steps, n = self.lattice, self.lattice.num_steps, self.n
+        """Run the first ``rows`` rows from the next step on: cut every view
+        a tile reads or writes."""
+        lattice, steps, n, cut = self.lattice, self.lattice.num_steps, self.n, self.cut
         self.rows = rows
-        self.parts = parts = 2 if (steps >= 2 and _usable_cpus() >= 2 and rows * n
-                                   * lattice.nodes(steps - 1) >= _SPLIT_VALUES) else 1
-        # per kind, each part's view of every level, and last all of level 1
-        levels = {}
-        for kind, shape in self.shapes.items():
-            root, whole, *alternate = self.buffers[kind]
-            whole = _rows(whole, rows, lattice.nodes(1), *shape)
-            share = lattice.nodes(1) // parts
-            levels[kind] = []
-            for w in range(parts):
-                views = [_rows(root, rows, 1, *shape), whole[:, w * share:(w + 1) * share]]
-                for k in range(2, steps):
-                    buffer = alternate[(steps - 1 - k) % 2]
-                    views.append(_rows(buffer[w * (len(buffer) // parts):], rows,
-                                       lattice.nodes(k) // parts, *shape))
-                levels[kind].append(views)
-            levels[kind].append(whole)
         above = {"value": _rows(self.zero, rows, 1), "price": _rows(self.zero, rows, 1, n)}
         tiles: dict = {}
 
-        def plan(k, run, w, first):
+        def plan(k, q, parts, run, first):
             nodes, leaves, local, below, parents = run
-            t = tiles.get((w, local.stop - local.start))
+            w, width = q * cut.parts // parts, local.stop - local.start
+            t = tiles.get((w, width))
             if t is None:
-                t = tiles[w, local.stop - local.start] = self.tile(w, local.stop - local.start)
-            here = {kind: levels[kind][w][k][:, local] for kind in self.shapes}
+                t = tiles[w, width] = self.tile(w, width)
+
+            def view(kind, level):
+                return self.stores[kind].view(rows, level, q, parts)
+
+            here = {kind: view(kind, k)[:, local] for kind in self.shapes}
             last = k == steps - 1
             return SimpleNamespace(
                 k=k, nodes=nodes, leaves=leaves, last=last, first=first, scratch=t, here=here,
                 # the drift of the tile's up children, then of its down ones,
                 # against their parents' sums
-                sums=[(combine, (above[kind] if k == 0 else levels[kind][w][k - 1])[:, parents],
+                sums=[(combine, (above[kind] if k == 0 else view(kind, k - 1))[:, parents],
                        tuple(zip(lattice.children(drift, axis=1),
                                  lattice.children(here[kind], axis=1))))
                       for kind, combine, drift in (("value", np.add, t.a),
                                                    ("price", np.subtract, t.p))],
-                below=None if last else {kind: (levels[kind][parts] if k == 0
-                                                else levels[kind][w][k + 1])[:, below]
+                below=None if last else {kind: view(kind, k + 1)[:, below]
                                          for kind in self.shapes},
                 leaf_value=lattice.children(t.leaf_value, axis=1),
                 level_max=(self.level_max[0, w, k, :rows], self.level_max[1, w, k, :rows]),
                 finite=self.finite[w, :rows])
 
-        self.root = plan(0, next(lattice.tiles(0, 1)), 0, True)
-        size = max(1, _TILE_VALUES // (rows * n))
-        self.plans = [[[plan(k, run, w, i == 0)
-                        for i, run in enumerate(lattice.tiles(k, size, w, parts))]
-                       for k in range(1, steps)] for w in range(parts)]
+        self.root = plan(0, 0, 1, next(lattice.tiles(0, 1)), True)
+        self.plans = [cut.plans(w, plan) for w in range(cut.parts)]
 
     def tile(self, w: int, width: int) -> SimpleNamespace:
         """Part ``w``'s scratch for a tile of ``width`` nodes.  The leaves
@@ -613,14 +706,12 @@ class _PicardKernel:
         job = (points, all(p.gamma is gamma for p in points), eta, theta, eta_new, theta_new)
         self.finite[:, :rows] = True
         self.forward(job, self.root)
-        if self.parts == 1:
-            self.subtree(job, 0)
-        else:
-            _beside(lambda: self.subtree(job, 1), lambda: self.subtree(job, 0))
-            np.logical_and(self.finite[0, :rows], self.finite[1, :rows], out=self.finite[0, :rows])
+        _beside(lambda w: self.subtree(job, w), self.cut.parts)
+        # part 1's flags stay set with one part
+        np.logical_and(self.finite[0, :rows], self.finite[1, :rows], out=self.finite[0, :rows])
         self.backward(job, self.root)
         level_max = self.level_max[:, :, :, :rows]
-        level_max = (np.maximum(level_max[:, 0], level_max[:, 1]) if self.parts == 2
+        level_max = (np.maximum(level_max[:, 0], level_max[:, 1]) if self.cut.parts == 2
                      else level_max[:, 0])
         # fmax keeps the running max over a nan level, as max(best, nan) does;
         # a finite row's load is nan only if its old iterate is
@@ -628,14 +719,10 @@ class _PicardKernel:
         return norm, dist, self.finite[0, :rows].copy()
 
     def subtree(self, job: tuple, w: int):
-        """Levels 1 to N - 1 of root subtree ``w`` of ``self.parts``, forward
-        and then backward."""
-        for level in self.plans[w]:
-            for tile in level:
-                self.forward(job, tile)
-        for level in reversed(self.plans[w]):
-            for tile in level:
-                self.backward(job, tile)
+        """Levels 1 to N - 1 of root subtree ``w``, forward and then
+        backward, each band tile both ways on its own."""
+        for forward, tile in _Cut.walk(self.plans[w], forward=True):
+            (self.forward if forward else self.backward)(job, tile)
 
     def forward(self, job: tuple, tile: SimpleNamespace):
         """The drift sums of one tile of a level: its parents' sums plus the

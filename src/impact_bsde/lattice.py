@@ -157,6 +157,14 @@ class Lattice:
             yield (slice(start + lo, start + hi), slice(2 * (start + lo), 2 * (start + hi)),
                    slice(lo, hi), slice(2 * lo, 2 * hi), slice(lo // 2, (hi + 1) // 2))
 
+    def span(self, k: int, part: int, parts: int) -> slice:
+        """The nodes of step ``k`` below subtree ``part`` of ``parts`` equal
+        ones (``parts`` a power of two), or the one node above it where the
+        step has fewer nodes than ``parts``: the first node is the one
+        ``tiles`` counts that subtree's runs from."""
+        lo = part * self.nodes(k) // parts
+        return slice(lo, max(lo + 1, (part + 1) * self.nodes(k) // parts))
+
     def brownian(self) -> "AdaptedProcess":
         """The driving walk as an adapted process (an exact martingale)."""
         if self._brownian is None:

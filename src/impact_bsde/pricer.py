@@ -84,14 +84,16 @@ class EquilibriumSolution:
         return process_gap(self.market_price_of_risk, self.mpr_from_integrands)
 
 
+def _non_finite(what: str, step: int, node: int) -> NumericalError:
+    """The error of slice ``what`` of step ``step``, not finite at ``node``."""
+    return NumericalError(f"{what} became non-finite at node (step {step}, path {node}); "
+                          f"consider a smaller risk aversion or rescaled inputs")
+
+
 def _check_finite(arr: np.ndarray, step: int, what: str):
     if not np.all(np.isfinite(arr)):
         flat = np.isfinite(arr).all(axis=tuple(range(1, arr.ndim)))
-        node = int(np.argmin(flat))
-        raise NumericalError(
-            f"{what} became non-finite at node (step {step}, path {node}); "
-            f"consider a smaller risk aversion or rescaled inputs"
-        )
+        raise _non_finite(what, step, int(np.argmin(flat)))
 
 
 def price_equilibrium(inst: Instance) -> EquilibriumSolution:

@@ -207,9 +207,12 @@ class LinearClipped:
     bound: float = 1.0
 
     def leaf_values(self, lattice: Lattice, num_stocks: int) -> np.ndarray:
-        col = np.clip(self.slope * lattice.b_int[-1] * lattice.sqrt_dt,
-                      -self.bound, self.bound)
-        return np.tile(col[:, None], (1, num_stocks))
+        # only where slope * b overflows is b scaled first; an overflow clips
+        b, sqrt_dt = lattice.b_int[-1], lattice.sqrt_dt
+        with np.errstate(over="ignore"):
+            col = self.slope * b
+            col = np.where(np.isfinite(col), col * sqrt_dt, self.slope * (b * sqrt_dt))
+        return np.tile(np.clip(col, -self.bound, self.bound)[:, None], (1, num_stocks))
 
 
 @dataclass(frozen=True)
@@ -275,7 +278,9 @@ def evaluate_dividend(spec, lattice: Lattice, num_stocks: int = 1, center: bool 
     vals = spec.leaf_values(lattice, num_stocks)
     if not np.all(np.isfinite(vals)):
         raise ValueError("dividend evaluation produced non-finite values")
-    mean = vals.mean(axis=0)
+    # a mean beyond the float range is not finite, for the callers' checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = vals.mean(axis=0)
     if center:
         vals = vals - mean
     return vals, mean

@@ -450,10 +450,7 @@ def check_optimality(solution: EquilibriumSolution, num_random: int = 1000,
     # nan)
     with np.errstate(over="ignore"):
         scores = utilities(np.zeros((1, nodes, n)))
-        if workers == 2:
-            bsde_mod._beside(lambda: score_blocks(slots[1]), lambda: score_blocks(slots[0]))
-        else:
-            score_blocks(slots[0])
+        bsde_mod._beside(lambda w: score_blocks(slots[w]), workers)
         scores += [u for block_score in block_scores for u in block_score]
         rng.bit_generator.advance(num_random * nodes * n)
 

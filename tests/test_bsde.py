@@ -752,30 +752,6 @@ def test_picard_diagnostics_block_budget():
 
 # --- tiles and two parts at small depth ----------------------------------------
 
-@pytest.fixture
-def tiny_tiles(monkeypatch):
-    """Run every level of more than ``_TILE_VALUES`` values in tiles of that
-    many and both root subtrees on their own thread, as only large levels
-    and deep trees do by default; returns the parts of every step run."""
-    import impact_bsde.bsde as bsde_mod
-
-    def tiles(values):
-        monkeypatch.setattr(bsde_mod, "_TILE_VALUES", values)
-        monkeypatch.setattr(bsde_mod, "_SPLIT_VALUES", 1)
-        monkeypatch.setattr(bsde_mod, "_usable_cpus", lambda: 2)
-        seen = []
-        subtree = bsde_mod._PicardKernel.subtree
-
-        def spy(self, job, w):
-            seen.append((w, self.parts, max((len(level) for level in self.plans[w]), default=0)))
-            return subtree(self, job, w)
-
-        monkeypatch.setattr(bsde_mod._PicardKernel, "subtree", spy)
-        return seen
-
-    return tiles
-
-
 def _reference_run(inst, tol, max_iter):
     """The unbatched loop's last finite iterate (see
     ``test_picard_reconstructs_from_the_iterate_its_loop_ends_on``)."""
@@ -796,8 +772,8 @@ def _reference_run(inst, tol, max_iter):
 @pytest.mark.parametrize("tile", [4, 64])
 @pytest.mark.parametrize("num_stocks", [1, 2, 3])
 def test_tiled_two_part_iteration_is_the_reference_bit_for_bit(tiny_tiles, tile, num_stocks):
-    # many tiles per level on two threads: records, end pairs and rebuilt
-    # solutions are those of the one-instance reference, bit for bit, for a
+    # band tiles on two threads: records, end pairs and rebuilt solutions
+    # are those of the one-instance reference, bit for bit, for a
     # block that mixes a shared demand with a demand per row and rows that
     # converge, run to max_iter, abort mid-block and abort on the first step
     seen = tiny_tiles(tile)
@@ -834,6 +810,170 @@ def test_tiled_two_part_iteration_is_the_reference_bit_for_bit(tiny_tiles, tile,
                                         (sol.scaled_price.values, price)):
             assert [v.tobytes() for v in got_slices] == [v.tobytes() for v in want_slices]
         assert np.float64(sol.residual).tobytes() == np.float64(residual).tobytes()
+
+
+def _root_bits(a, value, price) -> tuple:
+    """The bits of the root price and certainty equivalent of the scaled
+    root slices ``value`` and ``price``."""
+    import impact_bsde.bsde as bsde_mod
+    initial_price, initial_certainty = bsde_mod._initial(a, value, price)
+    return initial_price.tobytes(), np.float64(initial_certainty).tobytes()
+
+
+def _slice_bits(slices) -> list:
+    return [np.asarray(v).tobytes() for v in slices]
+
+
+@pytest.mark.parametrize("per_stock", [4, 16])
+@pytest.mark.parametrize("num_stocks", [1, 2, 3])
+def test_band_walks_are_the_reference_bit_for_bit(tiny_tiles, per_stock, num_stocks):
+    # the Picard step and the explicit and rebuild walks in band tiles of
+    # four levels (eight leaf parents per tile) or two (thirty-two), on two
+    # threads: the record and end pair, both whole solutions, and each
+    # walk's root values and the gap between the two prices, with and
+    # without a kept solution, are the references', bit for bit
+    import impact_bsde.bsde as bsde_mod
+    from bsde_reference import explicit_solution
+    from impact_bsde.lattice import process_gap
+    seen = tiny_tiles(per_stock * num_stocks)
+    lat = build_lattice(8, 1.0)
+    inst = evaluate_market(MarketConfig(1.0, num_stocks, NegativeSignOfB(0.8), SignOfBT(1.0),
+                                        8, 1.0), lat)
+    cut = bsde_mod._Cut(lat, num_stocks)
+    assert (cut.parts, cut.top, cut.bands) == (2, 4 if per_stock == 4 else 6, 64 // per_stock)
+    ends = [None]
+    (diag,) = picard_diagnostics([inst], tol=1e-12, max_iter=30, ends=ends)
+    assert set(seen) == {(0, 2, cut.bands // 2), (1, 2, cut.bands // 2)}
+    assert {k: getattr(diag, k) for k in _RECORD} == picard_record(inst, 1e-12, 30)
+    ((eta, theta),) = ends
+    assert _slice_bits(eta + theta) == _slice_bits(sum(_reference_run(inst, 1e-12, 30), []))
+    want = explicit_solution(inst)
+    value, price, residual = backward_rebuild(inst, eta, theta)
+    sol = solve_explicit(inst)
+    for process in ("scaled_value", "scaled_price", "value_integrand", "price_integrand"):
+        assert _slice_bits(getattr(sol, process).values) == \
+            _slice_bits(getattr(want, process).values)
+    pic, _ = solve_picard(inst, tol=1e-12, max_iter=30)
+    assert _slice_bits(pic.scaled_value.values + pic.scaled_price.values) == \
+        _slice_bits(value + price)
+    assert np.float64(pic.residual).tobytes() == np.float64(residual).tobytes()
+    gap = process_gap(want.scaled_price, AdaptedProcess(lat, price))
+    roots = {True: _root_bits(1.0, want.scaled_value.values[0], want.scaled_price.values[0]),
+             False: _root_bits(1.0, value[0], price[0])}
+    for keep in (False, True):
+        for explicit, pair in ((True, ends[0]), (True, None), (False, ends[0])):
+            first, got_gap, failure = bsde_mod._solve(inst, explicit=explicit, ends=pair,
+                                                      keep=keep)
+            assert (first.initial_price.tobytes(),
+                    np.float64(first.initial_certainty).tobytes()) == roots[explicit]
+            assert failure is None
+            if pair is not None and explicit:
+                assert np.float64(got_gap).tobytes() == np.float64(gap).tobytes()
+            else:
+                assert got_gap is None
+
+
+def _first_rebuild_failure(inst, eta, theta) -> str | None:
+    """The message of the reference's level-by-level check of a rebuilt
+    solution: level N first, value before price."""
+    from impact_bsde.pricer import NumericalError, _check_finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, price, _ = backward_rebuild(inst, eta, theta)
+    try:
+        for k in range(inst.lattice.num_steps, -1, -1):
+            _check_finite(value[k], k, "Picard scaled certainty equivalent")
+            _check_finite(price[k], k, "Picard scaled price")
+    except NumericalError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("num_stocks", [1, 2, 3])
+def test_band_walks_report_the_deepest_failure(tiny_tiles, num_stocks):
+    # band tiles of sixteen leaves over levels 4 to 7, eight per part; the
+    # walks fail in band tile 0 at a shallower level and in later band
+    # tiles, one in each part, at a deeper one: both report the deeper
+    # level at its first node in path order, as the level-by-level
+    # references do, with and without a kept solution
+    import impact_bsde.bsde as bsde_mod
+    from dataclasses import replace
+    from bsde_reference import explicit_solution
+    from impact_bsde.pricer import NumericalError
+    tiny_tiles(4 * num_stocks)
+    lat = build_lattice(8, 1.0)
+    cut = bsde_mod._Cut(lat, num_stocks)
+    assert (cut.parts, cut.top, cut.bands) == (2, 4, 16)
+    base = evaluate_market(MarketConfig(1.0, num_stocks, ConstantDemand(0.5), SignOfBT(0.0),
+                                        8, 1.0), lat)
+    # band tile 0: level 7 finite, the child difference of level 6 overflows;
+    # band tiles 2 and 10: the child difference of level 7 overflows
+    psi = np.zeros((lat.num_leaves, num_stocks))
+    psi[0:4] = np.array([8e307, 8e307, -8e307, -8e307])[:, None]
+    psi[42:44] = psi[166:168] = np.array([8e307, -8e307])[:, None]
+    inst = replace(base, psi=psi)
+    with pytest.raises(NumericalError) as want:
+        explicit_solution(inst)
+    assert "(step 7, path 21)" in str(want.value)
+    for keep in (False, True):
+        with pytest.raises(NumericalError) as got:
+            bsde_mod._solve(inst, explicit=True, keep=keep)
+        assert str(got.value) == str(want.value)
+    # a rebuild at a frozen pair that overflows at level 5 in band tile 0
+    # and at level 7 in band tile 10, or on the leaves of band tile 10
+    eta = [np.zeros(lat.nodes(k)) for k in range(8)]
+    theta = [np.zeros((lat.nodes(k), num_stocks)) for k in range(8)]
+    theta[5][0], theta[7][83] = 1e200, 1e200
+    leaves = replace(base, psi=np.where(np.arange(lat.num_leaves)[:, None] == 166, 1e308, 0.0)
+                     * np.ones(num_stocks), risk_aversion=4.0)
+    for case, pair in ((inst, (eta, theta)), (leaves, (eta, theta))):
+        message = _first_rebuild_failure(case, *pair)
+        assert message is not None
+        for keep in (False, True):
+            *_, failure = bsde_mod._solve(case, ends=pair, keep=keep)
+            assert str(failure) == message
+    assert "(step 8, path 166)" in _first_rebuild_failure(leaves, eta, theta)
+
+
+def test_band_levels_are_never_held_whole(tiny_tiles, monkeypatch):
+    # N=16 in tiles of 2**10 values: the band is levels 12 to 15.  Traced
+    # blocks, sampled at the Picard loop's first step and at the first tile
+    # of each level of the walks: beside its two iterate pairs the loop
+    # holds no whole level of the band below its top, and the walks without
+    # a kept solution hold no array of nodes(15) values or more (no leaf
+    # slice, no level 15)
+    import tracemalloc
+    import impact_bsde.bsde as bsde_mod
+    tiny_tiles(1 << 10)
+    lat = build_lattice(16, 1.0)
+    inst = evaluate_market(MarketConfig(0.3, 1, ConstantDemand(0.5), SignOfBT(1.0), 16, 1.0),
+                           lat)
+    sizes = {}
+
+    def sampled(original, key):
+        def run(*args, **kwargs):
+            if key(*args) not in sizes:
+                sizes[key(*args)] = max(t.size for t in tracemalloc.take_snapshot().traces
+                                        if t.size != pair)
+            return original(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(bsde_mod._PicardKernel, "step",
+                        sampled(bsde_mod._PicardKernel.step, lambda *args: "step"))
+    monkeypatch.setattr(bsde_mod, "_backward",
+                        sampled(bsde_mod._backward, lambda inst, tile, *args: tile.k))
+    pair = 8 * 2 * (lat.num_leaves - 1)  # one iterate pair's block
+    ends = [None]
+    tracemalloc.start()
+    try:
+        (diag,) = picard_diagnostics([inst], tol=1e-12, max_iter=100, ends=ends)
+        assert sizes.pop("step") < 8 * lat.nodes(13) and diag.converged
+        tracemalloc.stop()
+        tracemalloc.start()
+        first, gap, failure = bsde_mod._solve(inst, explicit=True, ends=ends[0])
+    finally:
+        tracemalloc.stop()
+    assert sorted(sizes) == list(range(16)) and max(sizes.values()) < 8 * lat.nodes(15)
+    assert failure is None and gap < 1e-12
 
 
 def test_picard_map_in_tiles_is_the_reference_bit_for_bit(tiny_tiles):
@@ -909,23 +1049,33 @@ def test_diverging_two_part_run_prints_no_warning(tiny_tiles, capfd):
 
 def test_concurrent_two_part_runs_under_fast_thread_switches(tiny_tiles):
     # three callers, each with its own second thread, on two CPUs, switching
-    # threads every microsecond: every record is still its own run's, so no
-    # thread wrote into another's part, tile or block
+    # threads every microsecond: every record, and every walk's root values,
+    # gap and failure after it, is still its own run's, so no thread wrote
+    # into another's part, tile, band tile or block
     import sys
     import threading
+    import impact_bsde.bsde as bsde_mod
     tiny_tiles(16)
     lat = build_lattice(8, 1.0)
     base = evaluate_market(MarketConfig(1.0, 2, NegativeSignOfB(0.8), SignOfBT(1.0), 8, 1.0),
                            lat)
     blocks = [[_variant(base, param, val) for val in _SWEEP_VALUES[param][:4]]
               for param in ("risk_aversion", "demand_scale", "dividend_scale")]
-    want = [[repr(d.to_dict()) for d in picard_diagnostics(points, tol=1e-12, max_iter=12)]
-            for points in blocks]
+
+    def outcome(points):
+        ends = [None] * len(points)
+        records = [repr(d.to_dict())
+                   for d in picard_diagnostics(points, tol=1e-12, max_iter=12, ends=ends)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            walks = [bsde_mod._solve(p, ends=pair) for p, pair in zip(points, ends)]
+        return records + [repr((root.initial_price.tobytes(), root.initial_certainty, gap,
+                                str(failure))) for root, gap, failure in walks]
+
+    want = [outcome(points) for points in blocks]
     got: list = [None] * len(blocks)
 
     def run(i):
-        got[i] = [repr(d.to_dict())
-                  for d in picard_diagnostics(blocks[i], tol=1e-12, max_iter=12)]
+        got[i] = outcome(blocks[i])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

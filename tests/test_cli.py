@@ -905,9 +905,8 @@ def test_bsde_both_holds_no_solution_through_the_picard_loop(tmp_path, dump):
         return loop(*args, **kwargs)
 
     def walk(*args, **kwargs):
-        for level in backward(*args, **kwargs):
-            events.append("level")
-            yield level
+        events.append("level")
+        return backward(*args, **kwargs)
 
     def process(name):
         def build(lattice, values):
@@ -928,7 +927,7 @@ def test_bsde_both_holds_no_solution_through_the_picard_loop(tmp_path, dump):
             patch.setattr(bsde_mod, name, process(name))
         result = CliRunner().invoke(main, argv)
     assert result.exit_code == 0, (result.output, result.exception)
-    # both walks pass each of the 6 levels after the loop
+    # both walks pass each of the 6 levels after the loop, one tile each
     assert events[:13] == ["loop"] + ["level"] * 12
     # the explicit solution kept for the table, its value and price and its
     # two integrands, is the first process built; the table derives its
@@ -1042,6 +1041,42 @@ def test_bsde_walk_equals_the_whole_solutions(tmp_path_factory, num_steps, num_s
             outputs.append(_bsde_outputs(command, directory, cfg, method, dump))
     assert outputs[0] == outputs[1]
     assert outputs[0][0] in (0, 3), outputs[0][1:3]
+
+
+@pytest.mark.parametrize("num_stocks", [1, 2, 3])
+@pytest.mark.parametrize("method, dump, blow_up, risk_aversion, scale, code", [
+    ("both", False, False, 1.0, 1.0, 0), ("both", True, False, 1.0, 1.0, 0),
+    ("picard", True, False, 1.0, 1.0, 0), ("explicit", False, False, 1.0, 1.0, 0),
+    # the rebuild from the scaled iterate overflows, the explicit solve does not
+    ("both", False, True, 0.3, 1.0, 3),
+    # the explicit solve overflows; the scaled dividend overflows on the leaves
+    ("both", True, False, 1.0, 1e160, 3), ("picard", False, False, 4.0, 1e308, 3),
+])
+def test_band_walk_equals_the_whole_solutions(tmp_path, tiny_tiles, num_stocks, method, dump,
+                                              blow_up, risk_aversion, scale, code):
+    # band tiles of three levels over nine, on two threads: the walks give
+    # the files, exit code and message of the command that held both whole
+    # solutions, bit for bit
+    from bsde_reference import main as reference
+    tiny_tiles(16 * num_stocks)
+    doc = one_period_doc(risk_aversion=risk_aversion, num_stocks=num_stocks, num_steps=9,
+                         demand={"type": "negative_sign_of_b", "scale": 0.8},
+                         dividend={"type": "sign_of_b_t", "scale": scale})
+    doc["solver"] = {"max_iter": 30}
+    cfg = write_config(tmp_path, doc)
+    assert (bsde_mod._Cut(build_lattice(9, 1.0), num_stocks).top,
+            bsde_mod._Cut(build_lattice(9, 1.0), num_stocks).parts) == (6, 2)
+    outputs = []
+    for name, command in (("walk", main), ("reference", reference)):
+        directory = tmp_path / name
+        directory.mkdir()
+        with pytest.MonkeyPatch.context() as patch:
+            if blow_up:
+                patch.setattr(bsde_mod, "picard_diagnostics",
+                              _blown_up(bsde_mod.picard_diagnostics))
+            outputs.append(_bsde_outputs(command, directory, cfg, method, dump))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == code, outputs[0][1:3]
 
 
 @pytest.mark.parametrize("bounds", [("inf", "1"), ("0.5", "nan"), ("-inf", "inf")])
@@ -1567,6 +1602,20 @@ def test_step_below_the_float_range_is_a_config_error(tmp_path, command):
     doc = one_period_doc(horizon=5e-324, num_steps=3)
     assert _quiet_run(tmp_path, doc, command) == (
         2, "config error: market: horizon 5e-324 over 3 steps gives a step of 0\n")
+
+
+@pytest.mark.parametrize("command", _FIVE_COMMANDS, ids=lambda c: c[0])
+def test_dividends_at_the_top_of_the_float_range_print_no_warning(tmp_path, command):
+    # a linear_clipped slope of 1.7e308 warned of an overflow in slope * b
+    # (exit 0), and a digital offset of 1.7e308 of one in the dividend's mean
+    # (exit 3, or a traceback with warnings raised)
+    slope = one_period_doc(num_steps=4, dividend={"type": "linear_clipped", "slope": 1.7e308})
+    code, output = _quiet_run(tmp_path, slope, command)
+    assert code == 0, output
+    offset = one_period_doc(num_steps=4, dividend={"type": "digital", "offset": 1.7e308})
+    code, output = _quiet_run(tmp_path, offset, command)
+    assert code == 3 and output.startswith("numeric failure: ") and output.count("\n") == 1, \
+        output
 
 
 @pytest.mark.parametrize("command", _FIVE_COMMANDS, ids=lambda c: c[0])

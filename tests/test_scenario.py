@@ -125,6 +125,21 @@ def test_linear_clipped_active():
     assert psi.min() == -2.5
 
 
+def test_linear_clipped_at_the_top_of_the_float_range():
+    # slope * b overflowed (a RuntimeWarning) and clipped to the bound where
+    # slope * (b * sqrt_dt) is 1e308 (N=4, sqrt_dt = 1/2); where slope * b is
+    # finite the leaves are slope * b * sqrt_dt, bit for bit
+    lat = build_lattice(4, 1.0)
+    b = lat.b_int[-1]
+    psi, _ = evaluate_dividend(LinearClipped(slope=1e308, bound=1.5e308), lat, 1)
+    want = {4: 1.5e308, 2: 1e308, 0: 0.0, -2: -1e308, -4: -1.5e308}
+    assert psi[:, 0].tolist() == [want[x] for x in b.tolist()]
+    for slope, bound in ((0.7, 0.9), (-3.1, 1.7), (1e307, 1e308)):
+        psi, _ = evaluate_dividend(LinearClipped(slope=slope, bound=bound), lat, 2)
+        old = np.clip(slope * b * lat.sqrt_dt, -bound, bound)
+        assert psi.tobytes() == np.stack([old, old], axis=1).tobytes()
+
+
 def test_centering_flag():
     lat = build_lattice(2, 1.0)
     psi, mean = evaluate_dividend(Digital(0.0, 0.0), lat, 1, center=True)
