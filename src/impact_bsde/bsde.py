@@ -957,10 +957,11 @@ class ContractionReport:
         return asdict(self)
 
 
-def contraction_report(diag: IterationDiagnostics, tol: float = 1e-9) -> ContractionReport:
+def contraction_report(diag: IterationDiagnostics) -> ContractionReport:
     """Evaluate the smallness condition, the per-iteration growth bound
     ``|zeta'| <= |L| + 2 kappa Theta |zeta|^2``, and whether a converged
-    solution landed in the guaranteed ball of twice the terminal norm."""
+    solution landed in the guaranteed ball of twice the terminal norm, each
+    bound up to an absolute 1e-9."""
     two_kt = 2.0 * diag.kappa * diag.growth_bound
     ok: list[bool] = []
     margins: list[float] = []
@@ -968,11 +969,11 @@ def contraction_report(diag: IterationDiagnostics, tol: float = 1e-9) -> Contrac
     for norm in diag.iterate_norms:
         bound = diag.terminal_norm + two_kt * prev * prev
         margins.append(bound - norm)
-        ok.append(norm <= bound + tol)
+        ok.append(norm <= bound + 1e-9)
         prev = norm
     in_ball = None
     if diag.converged:
-        in_ball = diag.final_norm <= diag.small_ball + tol
+        in_ball = diag.final_norm <= diag.small_ball + 1e-9
     return ContractionReport(
         within_contraction_radius=diag.terminal_norm < diag.contraction_radius,
         growth_bound_ok=ok,

@@ -19,7 +19,7 @@ import numpy as np
 from . import bsde as bsde_mod
 from . import verify as verify_mod
 from .config import METHODS, SUITES, SWEEP_PARAMS, ConfigError, RunConfig, load_config
-from .lattice import ExponentialGuardError, LatticeSizeError, build_lattice
+from .lattice import ExponentialGuardError, LatticeSizeError, build_lattice, max_steps_cap
 from .norms import bmo_norm_rv, h_bmo_norm, h_norm, measure_kappa, sup_norm
 from .pricer import NumericalError, price_equilibrium
 from .scenario import Instance, MarketConfig, evaluate_market, hitting_time_tau
@@ -186,7 +186,7 @@ def _write_nodes(path: str, prices, certainty, density=None, up_prob=None,
         for k in range(lat.num_steps + 1):
             width = lat.nodes(k)
             columns = [
-                lat.b_int[k] * lat.sqrt_dt, prices.values[k], certainty.values[k],
+                lat.walk(k) * lat.sqrt_dt, prices.values[k], certainty.values[k],
                 _node_slice(density, k, width), _node_slice(up_prob, k, width),
                 _node_slice(mpr, k, width), _node_slice(volatility, k, width, n),
             ]
@@ -413,9 +413,18 @@ def cmd_sweep(config_path, param, start, stop, points, out_path):
         raise ConfigError("--points must be >= 1")
     if not (np.isfinite(start) and np.isfinite(stop)):
         raise ConfigError(f"--from/--to must be finite, got {start}..{stop}")
+    if not np.isfinite(stop - start):  # the grid's step would be inf
+        raise ConfigError(f"--from/--to span {start}..{stop} overflows the float range")
     market = run.market
+    values = np.linspace(start, stop, points)
     if param == "num_steps":
-        values = np.unique(np.linspace(start, stop, points).astype(int))
+        # a depth past the cap is refused before any point is solved, by the
+        # lattice's own size error for the shallowest such depth; the cast
+        # then sees only values in [0, cap], none past the integers (1e30)
+        deeper = values[values >= max_steps_cap() + 1]
+        if len(deeper):
+            build_lattice(int(deeper.min()), market.horizon)
+        values = np.unique(np.maximum(values, 0.0).astype(int))
         values = values[values >= 1].astype(float)
         if not len(values):
             raise ConfigError(f"--from/--to must reach a depth >= 1, got {start}..{stop}")
@@ -423,8 +432,6 @@ def cmd_sweep(config_path, param, start, stop, points, out_path):
             raise ConfigError(f"--points {points} asks for {points} depths, but {start}..{stop} "
                               f"gives {len(values)} distinct depths >= 1: "
                               f"{values.astype(int).tolist()}")
-    else:
-        values = np.linspace(start, stop, points)
     if param == "risk_aversion" and not np.all(values > 0):
         raise ConfigError(f"--from/--to must keep risk_aversion positive, got {start}..{stop}")
     base = None if param == "num_steps" else _evaluate(market)

@@ -10,13 +10,16 @@ representation, stochastic integration and the stochastic exponential a few
 strided array operations per step, exact up to floating point.  That layout
 is read only through ``Lattice``'s methods (node counts, the children of a
 slice, their mean and difference, expanding a slice to its children, the
-descendant leaves of a node), so no other module depends on it.
+descendant leaves of a node, the walk), so no other module depends on it.
+A ``Lattice`` stores only scalars: the walk is computed from the node index.
 
 A one-step martingale increment on this tree takes exactly two values, so
 it is always a multiple of the driving increment: the predictable
-representation property holds with zero error.  This is the reason the
-driving walk is one-dimensional; a multi-dimensional driver would break
-exact representation on a finite tree.
+representation property holds with zero error.  The integrand is
+``Lattice.child_diff`` of the next slice; no other representation function
+is kept.  This is the reason the driving walk is one-dimensional;
+a multi-dimensional driver would break exact representation on a finite
+tree.
 """
 
 from __future__ import annotations
@@ -31,10 +34,6 @@ MAX_STEPS_ENV = "IMPACT_BSDE_MAX_STEPS"
 
 class LatticeSizeError(ValueError):
     """Requested tree depth exceeds the configured node budget."""
-
-
-class MartingaleError(ValueError):
-    """Process offered for representation fails the martingale check."""
 
 
 class ExponentialGuardError(ValueError):
@@ -57,10 +56,11 @@ def max_steps_cap() -> int:
 class Lattice:
     """Full binary tree over ``[0, horizon]`` with ``num_steps`` steps.
 
-    ``b_int[k][p]`` holds the signed count of up minus down moves on the
-    path to node ``(k, p)``, so the walk equals ``b_int * sqrt(dt)``
+    ``walk(k)[p]`` is the signed count of up minus down moves on the path
+    to node ``(k, p)``, so the driving walk equals ``walk(k) * sqrt(dt)``
     exactly; integer bookkeeping keeps level comparisons (hitting times,
-    sign conventions) free of rounding.
+    sign conventions) free of rounding.  The counts are computed from the
+    node index on each call; the lattice stores only its scalars.
     """
 
     def __init__(self, num_steps: int, horizon: float):
@@ -81,12 +81,6 @@ class Lattice:
         if not self.dt > 0:
             raise ValueError(f"horizon {horizon!r} over {num_steps} steps gives a step of 0")
         self.sqrt_dt = float(np.sqrt(self.dt))
-        levels = [np.zeros(1, dtype=np.int32)]
-        step = np.array([1, -1], dtype=np.int32)
-        for k in range(self.num_steps):
-            levels.append(self.to_children(levels[k]) + np.tile(step, self.nodes(k)))
-        self.b_int = levels
-        self._brownian: AdaptedProcess | None = None
 
     @property
     def num_leaves(self) -> int:
@@ -165,13 +159,18 @@ class Lattice:
         lo = part * self.nodes(k) // parts
         return slice(lo, max(lo + 1, (part + 1) * self.nodes(k) // parts))
 
+    def walk(self, k: int) -> np.ndarray:
+        """The int32 up-minus-down count of every node of step ``k``: each
+        set bit of node ``p`` is a down move on its path, so it is ``k - 2 *
+        popcount(p)``, counted on int64 indices (no allowed depth overflows
+        them) and cast first, since ``np.bitwise_count``'s uint8 would wrap."""
+        down = np.bitwise_count(np.arange(self.nodes(k), dtype=np.int64)).astype(np.int32)
+        return k - 2 * down
+
     def brownian(self) -> "AdaptedProcess":
         """The driving walk as an adapted process (an exact martingale)."""
-        if self._brownian is None:
-            self._brownian = AdaptedProcess(
-                self, [b * self.sqrt_dt for b in self.b_int]
-            )
-        return self._brownian
+        return AdaptedProcess(self, [self.walk(k) * self.sqrt_dt
+                                     for k in range(self.num_steps + 1)])
 
     def __repr__(self) -> str:
         return f"Lattice(num_steps={self.num_steps}, horizon={self.horizon})"
@@ -362,27 +361,6 @@ def martingale_defect(proc: AdaptedProcess) -> tuple[float, tuple[int, int]]:
     return _relative_defect(proc, (proc.lattice.child_mean(v) for v in proc.values[1:]))
 
 
-def is_martingale(proc: AdaptedProcess, tol: float = 1e-12) -> bool:
-    return martingale_defect(proc)[0] <= tol
-
-
-def martingale_representation(m: AdaptedProcess, tol: float = 1e-12) -> PredictableProcess:
-    """Integrand with ``M_{k+1} - M_k = zeta_k * dB_k`` exactly at every node.
-
-    The two child values determine it: ``zeta_k = (M_up - M_down) / (2 sqrt(dt))``.
-    Inputs failing the martingale check at relative tolerance ``tol`` are
-    refused, since no exact representation exists for them.
-    """
-    defect, node = martingale_defect(m)
-    if not defect <= tol:  # a nan defect is refused too
-        raise MartingaleError(
-            f"martingale defect {defect:.3e} at node (step {node[0]}, path {node[1]}) "
-            f"exceeds tolerance {tol:.1e}; representation refused"
-        )
-    lat = m.lattice
-    return PredictableProcess(lat, [lat.child_diff(v) for v in m.values[1:]])
-
-
 def stochastic_integral(zeta: PredictableProcess, x: AdaptedProcess) -> AdaptedProcess:
     """Discrete integral ``sum_{j<k} zeta_j (x_{j+1} - x_j)``, started at 0.
 
@@ -431,7 +409,3 @@ def stochastic_exponential(zeta: PredictableProcess) -> AdaptedProcess:
         vals[k + 1] = lat.from_children(vals[k] * (1.0 + move), vals[k] * (1.0 - move))
     return AdaptedProcess(lat, vals)
 
-
-def reflect_adapted(proc: AdaptedProcess) -> AdaptedProcess:
-    """Path reflection (every up/down move swapped): index order reverses."""
-    return AdaptedProcess(proc.lattice, [v[::-1].copy() for v in proc.values])

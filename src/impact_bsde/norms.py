@@ -66,7 +66,7 @@ def _as_terminal_rows(values: np.ndarray) -> np.ndarray:
     return v[:, None] if v.ndim == 1 else v
 
 
-def _require_martingale(m: AdaptedProcess, tol: float):
+def _require_martingale(m: AdaptedProcess, tol: float = 1e-10):
     defect, node = martingale_defect(m)
     # a nan defect passes: the norm then reports nan itself
     if defect > tol:
@@ -94,7 +94,7 @@ def _binary_shift(values) -> int:
     return int(np.frexp(max(float(np.max(np.abs(v))) for v in values))[1])
 
 
-def bmo_norm(m: AdaptedProcess, tol: float = 1e-10) -> NormReport:
+def bmo_norm(m: AdaptedProcess) -> NormReport:
     """Quadratic conditional-moment norm of a martingale.
 
     One backward pass accumulates ``C_k = E_k[|M_N - M_k|^2]`` from the
@@ -102,7 +102,7 @@ def bmo_norm(m: AdaptedProcess, tol: float = 1e-10) -> NormReport:
     the norm is the square root of the node maximum of ``C``, taken of the
     data scaled by a power of two (see ``_binary_shift``) a slice at a time.
     """
-    _require_martingale(m, tol)
+    _require_martingale(m)
     lat = m.lattice
     shift = _binary_shift(m.values)
 
@@ -155,7 +155,7 @@ def bmo_p_norm(m: AdaptedProcess, p: float, tol: float = 1e-10,
                       achieving_node=node)
 
 
-def bmo_norm_rv(xi: np.ndarray, lattice: Lattice, center_tol: float = 1e-12) -> NormReport:
+def bmo_norm_rv(xi: np.ndarray, lattice: Lattice) -> NormReport:
     """Quadratic norm of a centered terminal variable via its conditional-
     expectation martingale.  Also reports the midrange uniform bound
     ``sup |xi - x_mid|`` (per-component midrange), which dominates the norm.
@@ -164,7 +164,7 @@ def bmo_norm_rv(xi: np.ndarray, lattice: Lattice, center_tol: float = 1e-12) -> 
     mean = rows.mean(axis=0)
     # relative to the variable's scale: centring leaves a rounding residue
     # proportional to the entries
-    if float(np.max(np.abs(mean))) > center_tol * max(1.0, float(np.max(np.abs(rows)))):
+    if float(np.max(np.abs(mean))) > 1e-12 * max(1.0, float(np.max(np.abs(rows)))):
         raise ValueError(
             f"terminal variable is not centered: mean has max component {np.max(np.abs(mean)):.3e}"
         )
@@ -263,7 +263,7 @@ def _gauge_threshold(lat: Lattice, leaves, here, lam: float, step_tol: float):
     return lam, live, passes
 
 
-def h_norm(x, lattice: Lattice | None = None, tol: float = 1e-10) -> NormReport:
+def h_norm(x, lattice: Lattice | None = None) -> NormReport:
     """Orlicz gauge norm: the smallest ``lam`` with
     ``max_node E_node[H(|M_N - M_node| / lam)] <= 1``.
 
@@ -287,7 +287,7 @@ def h_norm(x, lattice: Lattice | None = None, tol: float = 1e-10) -> NormReport:
     shift = _binary_shift(values)
     scaled = [np.ldexp(v, -shift) for v in values]
     if isinstance(x, AdaptedProcess):
-        _require_martingale(x, tol)
+        _require_martingale(x)
         m = AdaptedProcess(x.lattice, scaled)
     else:
         m = conditional_expectation(scaled[0], lattice)
@@ -381,17 +381,6 @@ def sup_norm(process) -> NormReport:
     return NormReport(value=best, kind="sup", achieving_node=node)
 
 
-def stacked_integrand(parts: list[PredictableProcess]) -> PredictableProcess:
-    """Stack scalar/vector integrands into one joint vector integrand, so
-    joint norms (e.g. of a value/price integrand pair) are one call."""
-    lat = parts[0].lattice
-    vals = []
-    for k in range(lat.num_steps):
-        cols = [_as_terminal_rows(p.values[k]) for p in parts]
-        vals.append(np.concatenate(cols, axis=1))
-    return PredictableProcess(lat, vals)
-
-
 # corpus terminals per stacked block: a block's Doob tower and sweep
 # temporaries then take no more than the per-terminal loop's list of the
 # whole corpus did (both peak near 1.6 MB at depth 12)
@@ -403,7 +392,7 @@ def _kappa_corpus(lat: Lattice, num_random: int, seed: int):
     """The kappa corpus, one row per terminal, in blocks of at most
     ``_KAPPA_BLOCK`` rows: the walk, its sign, the walk clipped to [-1, 1],
     centered digitals at four strikes, then ``num_random`` uniform draws."""
-    bt = lat.b_int[-1] * lat.sqrt_dt
+    bt = lat.walk(lat.num_steps) * lat.sqrt_dt
     fixed = [bt, np.sign(bt) + (bt == 0), np.clip(bt, -1.0, 1.0)]
     for q in np.quantile(bt, [0.05, 0.25, 0.75, 0.95]):
         ind = (bt > q).astype(float)

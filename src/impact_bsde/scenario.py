@@ -90,16 +90,20 @@ class StoppingTime:
 def hitting_time_tau(lattice: Lattice, level: float, from_step: int = 0) -> StoppingTime:
     """Earliest step ``>= from_step`` at which the walk equals ``level``,
     capped at the horizon.  Levels that are not lattice-attainable (not an
-    integer multiple of ``sqrt(dt)``) are simply never hit."""
+    integer multiple of ``sqrt(dt)``, or more than ``num_steps`` multiples
+    away) are simply never hit."""
     if not 0 <= from_step <= lattice.num_steps:
         raise ValueError(f"from_step={from_step} outside 0..{lattice.num_steps}")
     target = level / lattice.sqrt_dt
-    rounded = int(np.rint(target))
-    attainable = abs(target - rounded) <= 1e-9 * max(1.0, abs(target))
+    # the walk moves one unit a step: a target num_steps + 1 or more units
+    # away (inf among them) is never hit, and is not rounded
+    near = abs(target) < lattice.num_steps + 1
+    rounded = int(np.rint(target)) if near else 0
+    attainable = near and abs(target - rounded) <= 1e-9 * max(1.0, abs(target))
     decisions = []
     for k in range(lattice.num_steps + 1):
         if attainable and k >= from_step:
-            decisions.append(lattice.b_int[k] == rounded)
+            decisions.append(lattice.walk(k) == rounded)
         else:
             decisions.append(np.zeros(lattice.nodes(k), dtype=bool))
     return StoppingTime.from_node_decisions(lattice, decisions)
@@ -124,7 +128,7 @@ class NegativeSignOfB:
 
     def step_values(self, lattice: Lattice, num_stocks: int) -> list[np.ndarray]:
         return [
-            np.tile((-self.scale * sign_plus(lattice.b_int[k]))[:, None], (1, num_stocks))
+            np.tile((-self.scale * sign_plus(lattice.walk(k)))[:, None], (1, num_stocks))
             for k in range(lattice.num_steps)
         ]
 
@@ -196,7 +200,7 @@ class SignOfBT:
     scale: float = 1.0
 
     def leaf_values(self, lattice: Lattice, num_stocks: int) -> np.ndarray:
-        col = self.scale * sign_plus(lattice.b_int[-1])
+        col = self.scale * sign_plus(lattice.walk(lattice.num_steps))
         return np.tile(col[:, None], (1, num_stocks))
 
 
@@ -208,7 +212,7 @@ class LinearClipped:
 
     def leaf_values(self, lattice: Lattice, num_stocks: int) -> np.ndarray:
         # only where slope * b overflows is b scaled first; an overflow clips
-        b, sqrt_dt = lattice.b_int[-1], lattice.sqrt_dt
+        b, sqrt_dt = lattice.walk(lattice.num_steps), lattice.sqrt_dt
         with np.errstate(over="ignore"):
             col = self.slope * b
             col = np.where(np.isfinite(col), col * sqrt_dt, self.slope * (b * sqrt_dt))
@@ -223,7 +227,7 @@ class Digital:
     offset: float = 0.5
 
     def leaf_values(self, lattice: Lattice, num_stocks: int) -> np.ndarray:
-        bt = lattice.b_int[-1] * lattice.sqrt_dt
+        bt = lattice.walk(lattice.num_steps) * lattice.sqrt_dt
         col = (bt > self.strike).astype(float) - self.offset
         return np.tile(col[:, None], (1, num_stocks))
 

@@ -49,7 +49,7 @@ from .lattice import (
 )
 from .norms import bmo_norm_rv, h_bmo_norm, h_norm, orlicz_h, sup_norm
 from .pricer import EquilibriumSolution, NumericalError, localize, price_equilibrium
-from .scenario import Instance, StoppingTime, sign_plus
+from .scenario import Instance, NegativeSignOfB, SignOfBT, StoppingTime, sign_plus
 from . import bsde as bsde_mod
 
 HARD_TOL = 1e-10
@@ -145,20 +145,19 @@ def _node_min(slices):
     return -value, node
 
 
-def check_R_nonneg(solution: EquilibriumSolution, tol: float = 1e-12) -> CheckReport:
+def check_R_nonneg(solution: EquilibriumSolution) -> CheckReport:
     """Certainty equivalent never drops below zero (beyond roundoff)."""
     worst, node = _node_min(enumerate(solution.certainty_equivalent.values))
     return CheckReport(
         name="certainty_equivalent_nonnegative",
-        status="pass" if worst >= -tol else "fail",
-        margin=worst + tol,
+        status="pass" if worst >= -EXACT_TOL else "fail",
+        margin=worst + EXACT_TOL,
         worst_node=node,
         details={"min_value": worst},
     )
 
 
-def check_equilibrium_martingales(solution: EquilibriumSolution,
-                                  tol: float = HARD_TOL) -> CheckReport:
+def check_equilibrium_martingales(solution: EquilibriumSolution) -> CheckReport:
     """Defining identities of the equilibrium: the density is a martingale
     under the reference measure, prices and the gain are martingales under
     the pricing measure, and the terminal density equals the exponential of
@@ -190,11 +189,11 @@ def check_equilibrium_martingales(solution: EquilibriumSolution,
 
     worst_all, _ = node_max(enumerate([worst, s_worst, g_worst,
                                        defects["terminal_density_identity"]]))
-    ok = worst_all <= tol and bool(np.isfinite(log_z_min))
+    ok = worst_all <= HARD_TOL and bool(np.isfinite(log_z_min))
     return CheckReport(
         name="equilibrium_martingales",
         status="pass" if ok else "fail",
-        margin=tol - worst_all,
+        margin=HARD_TOL - worst_all,
         worst_node=node,
         details=defects,
     )
@@ -229,8 +228,8 @@ def _apriori_hypotheses(solution: EquilibriumSolution, psi_h: float) -> dict:
     }
 
 
-def check_apriori(solution: EquilibriumSolution, psi_h_norm: float | None = None,
-                  tol: float = HARD_TOL) -> CheckReport:
+def check_apriori(solution: EquilibriumSolution,
+                  psi_h_norm: float | None = None) -> CheckReport:
     """Exponential of the negated certainty equivalent stays above one minus
     the dividend's gauge norm, and the node-wise conditional inequality that
     produces it (with the conditional dividend mean as center) holds too."""
@@ -260,8 +259,8 @@ def check_apriori(solution: EquilibriumSolution, psi_h_norm: float | None = None
     margin, (which, _) = _node_min(enumerate([worst, mech_worst]))
     return CheckReport(
         name="apriori_bound",
-        status="pass" if margin >= -tol else "fail",
-        margin=margin + tol,
+        status="pass" if margin >= -HARD_TOL else "fail",
+        margin=margin + HARD_TOL,
         worst_node=(node, mech_node)[which],
         hypotheses=hyp,
         details={"floor": floor, "min_gap_to_floor": worst,
@@ -279,8 +278,7 @@ def default_x_grid(solution: EquilibriumSolution, size: int = 5) -> list[np.ndar
 
 
 def check_supermartingale_V(solution: EquilibriumSolution, x_grid=None,
-                            psi_h_norm: float | None = None,
-                            tol: float = HARD_TOL) -> CheckReport:
+                            psi_h_norm: float | None = None) -> CheckReport:
     """For every fixed center x, the profile-weighted certainty process
     ``(1 - H(|S - x|)) exp(-R)`` decreases in conditional mean at every
     node."""
@@ -312,8 +310,8 @@ def check_supermartingale_V(solution: EquilibriumSolution, x_grid=None,
     worst, ((i, k), p) = node_max(defects())
     return CheckReport(
         name="supermartingale_profile",
-        status="pass" if worst <= tol else "fail",
-        margin=tol - worst,
+        status="pass" if worst <= HARD_TOL else "fail",
+        margin=HARD_TOL - worst,
         worst_node=(k, p),
         hypotheses=hyp,
         details={"max_defect": worst, "grid_size": len(x_grid),
@@ -384,8 +382,7 @@ def _score_work(leaves: int, n: int):
 
 
 def check_optimality(solution: EquilibriumSolution, num_random: int = 1000,
-                     epsilon: float = 1e-4, seed: int = 0,
-                     tol: float = 1e-12) -> CheckReport:
+                     epsilon: float = 1e-4, seed: int = 0) -> CheckReport:
     """No competitor demand beats the equilibrium demand's expected
     exponential utility, against random bounded competitors plus structured
     two-sided perturbations of the demand itself.
@@ -456,7 +453,7 @@ def check_optimality(solution: EquilibriumSolution, num_random: int = 1000,
 
         # two-sided perturbations around the demand: the directional slope of
         # the expected utility at the optimum should vanish
-        signs = np.concatenate([sign_plus(lat.b_int[k]) for k in range(lat.num_steps)])
+        signs = np.concatenate([sign_plus(lat.walk(k)) for k in range(lat.num_steps)])
         directions = [np.ones((1, n)), signs[:, None], rng.uniform(-1.0, 1.0, size=(nodes, n))]
         demands = np.empty((1 + 2 * len(directions), nodes, n))
         demands[0] = np.concatenate(solution.gamma.values)
@@ -471,8 +468,8 @@ def check_optimality(solution: EquilibriumSolution, num_random: int = 1000,
 
     return CheckReport(
         name="demand_optimality",
-        status="pass" if worst >= -tol else "fail",
-        margin=worst + tol,
+        status="pass" if worst >= -EXACT_TOL else "fail",
+        margin=worst + EXACT_TOL,
         details={"competitors": len(utility_gaps),
                  "min_utility_gap": worst,
                  "perturbation_slopes": slopes},
@@ -481,8 +478,7 @@ def check_optimality(solution: EquilibriumSolution, num_random: int = 1000,
 
 # --- homogeneity ---------------------------------------------------------------
 
-def check_homogeneity(inst: Instance, b_values=(0.5, 2.0, 10.0),
-                      tol: float = EXACT_TOL) -> CheckReport:
+def check_homogeneity(inst: Instance, b_values=(0.5, 2.0, 10.0)) -> CheckReport:
     """Scaling the demand equals scaling the risk aversion; scaling the
     dividend scales prices and volatility and leaves the market price of
     risk unchanged.  Node-exact across three pricer runs per factor."""
@@ -520,24 +516,23 @@ def check_homogeneity(inst: Instance, b_values=(0.5, 2.0, 10.0),
     worst, _ = node_max((i, list(gaps.values())) for i, gaps in enumerate(per_b.values()))
     return CheckReport(
         name="homogeneity",
-        status="pass" if worst <= tol else "fail",
-        margin=tol - worst,
+        status="pass" if worst <= EXACT_TOL else "fail",
+        margin=EXACT_TOL - worst,
         details={"max_gap": worst, "per_factor": per_b},
     )
 
 
 # --- localization ---------------------------------------------------------------
 
-def check_localization(solution: EquilibriumSolution, tau: StoppingTime,
-                       tol: float = HARD_TOL) -> CheckReport:
+def check_localization(solution: EquilibriumSolution, tau: StoppingTime) -> CheckReport:
     """Killing the dividend off late stops and gating the demand to run
     strictly after the stop leaves prices unchanged on the strict future of
     the stopping time."""
     _, report = localize(solution, tau)
     return CheckReport(
         name="localization",
-        status="pass" if report.max_price_gap <= tol else "fail",
-        margin=tol - report.max_price_gap,
+        status="pass" if report.max_price_gap <= HARD_TOL else "fail",
+        margin=HARD_TOL - report.max_price_gap,
         worst_node=report.worst_node,
         details={"max_price_gap": report.max_price_gap,
                  "nodes_compared": report.nodes_compared},
@@ -547,7 +542,7 @@ def check_localization(solution: EquilibriumSolution, tau: StoppingTime,
 # --- norm bounds (diagnostic) ----------------------------------------------------
 
 def check_norm_bounds(solution: EquilibriumSolution, diagnostics=None,
-                      tol: float = 1e-9, psi_bmo: float | None = None) -> CheckReport:
+                      psi_bmo: float | None = None) -> CheckReport:
     """Volatility bounded by twice the centered dividend norm; market price
     of risk by four times demand-sup times aversion times that norm
     (``psi_bmo``, computed here if None).  Diagnostic: the gate (a converged
@@ -572,8 +567,8 @@ def check_norm_bounds(solution: EquilibriumSolution, diagnostics=None,
                                hypotheses=gate,
                                details={"note": "outside the small-data gate"})
 
-    sigma_ok = sigma_bmo <= 2.0 * psi_bmo + tol
-    alpha_ok = alpha_bmo <= 4.0 * a * gamma_sup * psi_bmo + tol
+    sigma_ok = sigma_bmo <= 2.0 * psi_bmo + 1e-9
+    alpha_ok = alpha_bmo <= 4.0 * a * gamma_sup * psi_bmo + 1e-9
     return CheckReport(
         name="norm_bounds",
         status="diagnostic",
@@ -594,19 +589,10 @@ def check_norm_bounds(solution: EquilibriumSolution, diagnostics=None,
 
 # --- counter-example probe --------------------------------------------------------
 
-def _unit_inputs(lat, sign_zero: int = 1):
-    """Unit-sign demand and dividend with a configurable zero tie-break."""
-    sgn = sign_plus if sign_zero >= 0 else (lambda x: -sign_plus(-x))
-    gamma_vals = [-sgn(lat.b_int[k])[:, None] for k in range(lat.num_steps)]
-    psi = sgn(lat.b_int[-1])[:, None]
-    return gamma_vals, psi
-
-
-def run_counterexample(n_list=(8, 10, 12), sign_zero: int = 1,
-                       horizon: float = 1.0, picard_tol: float = 1e-10,
+def run_counterexample(n_list=(8, 10, 12), picard_tol: float = 1e-10,
                        max_iter: int = 40) -> CheckReport:
     """Probe the boundary instance (unit dividend signs against the opposed
-    unit demand, unit risk aversion) across lattice depths.
+    unit demand, unit risk aversion, horizon 1) across lattice depths.
 
     Each depth records: the exact unit smallness product, the fixed-point
     iteration record with its expansion ratios, the sign pattern of prices
@@ -628,9 +614,10 @@ def run_counterexample(n_list=(8, 10, 12), sign_zero: int = 1,
              "non_contraction": [], "converged": [], "ratios": []}
     unit_product = None
     for num_steps in n_list:
-        lat = build_lattice(num_steps, horizon)
-        gamma_vals, psi = _unit_inputs(lat, sign_zero)
-        inst = Instance(lat, 1.0, PredictableProcess(lat, gamma_vals), psi)
+        lat = build_lattice(num_steps, 1.0)
+        gamma_vals = NegativeSignOfB(1.0).step_values(lat, 1)
+        inst = Instance(lat, 1.0, PredictableProcess(lat, gamma_vals),
+                        SignOfBT(1.0).leaf_values(lat, 1))
         sol = price_equilibrium(inst)
         unit_product = sup_norm(sol.gamma).value * sup_norm(sol.dividend).value
 
@@ -664,14 +651,15 @@ def run_counterexample(n_list=(8, 10, 12), sign_zero: int = 1,
         trend["converged"].append(bool(diag.converged))
         trend["ratios"].append([float(r) for r in diag.ratios])
 
-    one_step = h_norm(np.array([1.0, -1.0]), build_lattice(1, horizon)).value
+    one_step = h_norm(np.array([1.0, -1.0]), build_lattice(1, 1.0)).value
     signature = all(nc or not cv
                     for nc, cv in zip(trend["non_contraction"], trend["converged"]))
     return CheckReport(
         name="counterexample_probe",
         status="diagnostic",
         margin=None,
-        hypotheses={"sign_zero": sign_zero, "unit_risk_aversion": True},
+        # the tie-break of the package's sign convention, sign(0) = +1
+        hypotheses={"sign_zero": 1, "unit_risk_aversion": True},
         details={
             "smallness_product": unit_product,
             "one_step_gauge_norm": one_step,

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from impact_bsde import MarketConfig, TableDemand, TableDividend
+from impact_bsde import MarketConfig, PredictableProcess, TableDemand, TableDividend
 
 
 def leaf_block(leaves: np.ndarray, step: int, path: int, num_steps: int) -> np.ndarray:
@@ -59,6 +59,24 @@ def random_table_config(rng: np.random.Generator, num_steps: int, num_stocks: in
         horizon=horizon,
         center_dividend=center,
     )
+
+
+def martingale_representation(m):
+    """Integrand with ``M_{k+1} - M_k = zeta_k * dB_k`` at every node of the
+    martingale ``m``: ``zeta_k = (M_up - M_down) / (2 sqrt(dt))``."""
+    lat = m.lattice
+    return PredictableProcess(lat, [lat.child_diff(v) for v in m.values[1:]])
+
+
+def stacked_integrand(parts):
+    """Scalar or vector integrands stacked into one joint vector integrand."""
+    lat = parts[0].lattice
+    vals = []
+    for k in range(lat.num_steps):
+        cols = [p.values[k] if p.values[k].ndim == 2 else p.values[k][:, None]
+                for p in parts]
+        vals.append(np.concatenate(cols, axis=1))
+    return PredictableProcess(lat, vals)
 
 
 def max_gap(proc_a, proc_b, scale_b: float = 1.0) -> float:

@@ -92,7 +92,7 @@ def measure_kappa_reference(lattice: Lattice, num_random: int = 32, seed: int = 
     lat = lattice
     if lattice.num_steps > max_steps:
         lat = Lattice(max_steps, lattice.horizon)
-    bt = lat.b_int[-1] * lat.sqrt_dt
+    bt = lat.walk(lat.num_steps) * lat.sqrt_dt
     terminals = [bt, np.sign(bt) + (bt == 0), np.clip(bt, -1.0, 1.0)]
     qs = np.quantile(bt, [0.05, 0.25, 0.75, 0.95])
     for q in qs:

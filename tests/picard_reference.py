@@ -15,14 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from impact_bsde import (
-    PredictableProcess,
-    conditional_expectation,
-    driver,
-    node_max,
-    stacked_integrand,
-)
+from impact_bsde import PredictableProcess, conditional_expectation, driver, node_max
 from impact_bsde.norms import _remaining_load, _square_sum
+
+from helpers import stacked_integrand
 
 
 def pair_norm(lattice, eta: list, theta: list) -> float:

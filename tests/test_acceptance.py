@@ -135,7 +135,7 @@ def test_c04_contraction_theory_bounds(small_data_runs):
         if key not in kappa_cache:
             kappa_cache[key] = measure_kappa(lat)
         diag.kappa = kappa_cache[key]
-        report = contraction_report(diag, tol=1e-9)
+        report = contraction_report(diag)
         growth_ok &= all(report.growth_bound_ok)
 
     # quadratic Lipschitz bound of the fixed-point map on 100 random pairs

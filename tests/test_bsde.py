@@ -29,11 +29,10 @@ from impact_bsde import (
     price_equilibrium,
     solve_explicit,
     solve_picard,
-    stacked_integrand,
     stochastic_integral,
 )
 
-from helpers import max_gap, random_table_config
+from helpers import martingale_representation, max_gap, random_table_config, stacked_integrand
 from picard_reference import (backward_rebuild, pair_distance, pair_norm, picard_record,
                               picard_step, reconstruct, recursion_residual)
 
@@ -126,7 +125,7 @@ def test_picard_map_at_zero_gives_terminal_integrand():
     eta1, theta1 = picard_map(inst, *zero)
     # with a vanishing driver the map returns the representation of the
     # terminal-data martingale: zero value part, scaled-dividend price part
-    from impact_bsde import conditional_expectation, martingale_representation
+    from impact_bsde import conditional_expectation
     want = martingale_representation(conditional_expectation(0.6 * inst.psi, lat))
     for v in eta1:
         np.testing.assert_allclose(v, 0.0, atol=1e-15)

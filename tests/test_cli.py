@@ -462,14 +462,28 @@ def test_spec_not_fitting_the_lattice_is_a_config_error(tmp_path):
     assert "config error: market: piecewise schedule must start at step 0" in result.output
 
 
-def test_sweep_depth_over_cap_is_a_config_error(tmp_path):
+def test_sweep_depth_over_cap_is_a_config_error(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, one_period_doc(num_steps=4))
-    result = CliRunner().invoke(main, ["sweep", "--config", cfg, "--param", "num_steps",
-                                       "--from", "4", "--to", "30", "--points", "2",
-                                       "--out", str(tmp_path / "s.csv")])
-    assert result.exit_code == 2, result.output
-    assert isinstance(result.exception, SystemExit)
-    assert "config error:" in result.output and "num_steps=30" in result.output
+    # the shallowest depth over the cap is named, before any point is solved;
+    # depths beyond the integers (1e19, 1e30) made a RuntimeWarning and a
+    # wrong count of depths
+    calls = []
+    monkeypatch.setattr(bsde_mod, "picard_diagnostics",
+                        lambda *args, **kwargs: calls.append(args))
+    for start, stop, points, depth in (("4", "30", "2", "30"), ("1", "30", "30", "23"),
+                                       ("1", "1e30", "2", "1000000000000000019884624838656"),
+                                       ("1e19", "1e19", "1", "10000000000000000000")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = CliRunner().invoke(main, ["sweep", "--config", cfg, "--param",
+                                               "num_steps", "--from", start, "--to", stop,
+                                               "--points", points,
+                                               "--out", str(tmp_path / "s.csv")])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith(f"config error: num_steps={depth} exceeds the cap "
+                                        f"of 22"), result.output
+    assert not calls and not (tmp_path / "s.csv").exists()
 
 
 @pytest.mark.parametrize("start", ["0", "-1"])
@@ -719,7 +733,7 @@ def _reference_write_nodes(path, prices, certainty, density=None, up_prob=None,
                          "r", "z", "q_up", "alpha", *[f"sigma_{i + 1}" for i in range(n)]])
         for k in range(lat.num_steps + 1):
             width = 1 << k
-            b = lat.b_int[k] * lat.sqrt_dt
+            b = lat.walk(k) * lat.sqrt_dt
             z, q, al = (column(p, k, width) for p in (density, up_prob, mpr))
             sg = column(volatility, k, width, n)
             for p in range(width):
@@ -1079,7 +1093,12 @@ def test_band_walk_equals_the_whole_solutions(tmp_path, tiny_tiles, num_stocks, 
     assert outputs[0][0] == code, outputs[0][1:3]
 
 
-@pytest.mark.parametrize("bounds", [("inf", "1"), ("0.5", "nan"), ("-inf", "inf")])
+# the last pair is finite, but its span overflows: np.linspace made a nan
+# point of it, and the sweep failed on that point as a numeric failure
+@pytest.mark.parametrize("bounds", [("inf", "1", "must be finite"),
+                                    ("0.5", "nan", "must be finite"),
+                                    ("-inf", "inf", "must be finite"),
+                                    ("-1e308", "1e308", "span -1e+308..1e+308 overflows")])
 @pytest.mark.parametrize("param", ["risk_aversion", "demand_scale", "dividend_scale",
                                    "num_steps"])
 def test_sweep_rejects_non_finite_bounds(tmp_path, param, bounds):
@@ -1091,7 +1110,7 @@ def test_sweep_rejects_non_finite_bounds(tmp_path, param, bounds):
                                            "--from", bounds[0], "--to", bounds[1],
                                            "--points", "3", "--out", str(out)])
     assert result.exit_code == 2, (result.output, result.exception)
-    assert "config error: --from/--to must be finite" in result.output
+    assert f"config error: --from/--to {bounds[2]}" in result.output
     assert not out.exists()
 
 
@@ -1616,6 +1635,16 @@ def test_dividends_at_the_top_of_the_float_range_print_no_warning(tmp_path, comm
     code, output = _quiet_run(tmp_path, offset, command)
     assert code == 3 and output.startswith("numeric failure: ") and output.count("\n") == 1, \
         output
+
+
+@pytest.mark.parametrize("command", _FIVE_COMMANDS, ids=lambda c: c[0])
+def test_localization_level_beyond_the_walk_is_never_hit(tmp_path, command):
+    # level / sqrt(dt) overflowed to inf, and rounding it raised OverflowError
+    for spec, inner in (("demand", {"type": "constant"}), ("dividend", {"type": "sign_of_b_t"})):
+        doc = one_period_doc(num_steps=4, **{spec: {"type": "localized", "inner": inner,
+                                                    "level": 1e308, "from_step": 1}})
+        code, output = _quiet_run(tmp_path, doc, command)
+        assert code == 0, output
 
 
 @pytest.mark.parametrize("command", _FIVE_COMMANDS, ids=lambda c: c[0])

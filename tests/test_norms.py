@@ -19,14 +19,13 @@ from impact_bsde import (
     h_norm,
     measure_kappa,
     orlicz_h,
-    stacked_integrand,
     stochastic_integral,
     sup_norm,
 )
 import impact_bsde.norms as norms_mod
 from impact_bsde.norms import NormReport
 
-from helpers import oracle_conditional_moment
+from helpers import oracle_conditional_moment, stacked_integrand
 from norms_reference import _node_moment_sweep as full_sweep
 from norms_reference import h_norm_reference, measure_kappa_reference
 
@@ -137,7 +136,7 @@ def test_bmo_rv_centring_check_is_relative_to_the_scale():
     # centring a large variable leaves a residue in its mean far above an
     # absolute 1e-12, but rounding-sized against its entries
     lat = build_lattice(6, 1.0)
-    sign = np.where(lat.b_int[-1] >= 0, 1.0, -1.0)
+    sign = np.where(lat.walk(6) >= 0, 1.0, -1.0)
     unit = bmo_norm_rv(sign - sign.mean(), lat).value
     for scale in (1e50, 3e100):
         big = scale * sign
@@ -155,7 +154,7 @@ def test_bmo_rv_midrange_guard_is_relative_to_the_bound(monkeypatch):
     # two stocks of the terminal sign at 7.77e10: the norm and its midrange
     # bound agree to the last bits, 2e-5 apart, which an absolute 1e-10 refused
     lat = build_lattice(5, 1.0)
-    sign = np.where(lat.b_int[-1] >= 0, 1.0, -1.0)
+    sign = np.where(lat.walk(5) >= 0, 1.0, -1.0)
     rows = np.tile((7.77e10 * sign)[:, None], (1, 2))
     rep = bmo_norm_rv(rows - rows.mean(axis=0), lat)
     bound = rep.extras["midrange_bound"]
@@ -277,7 +276,7 @@ def test_sup_norm_variants():
     const = PredictableProcess(lat, [np.full(1 << k, -1.5) for k in range(3)])
     assert sup_norm(const).value == 1.5
     signs = PredictableProcess(
-        lat, [np.where(lat.b_int[k] >= 0, -1.0, 1.0) for k in range(3)])
+        lat, [np.where(lat.walk(k) >= 0, -1.0, 1.0) for k in range(3)])
     assert sup_norm(signs).value == 1.0
     clipped = np.clip(build_lattice(4, 4.0).brownian().terminal, -2.5, 2.5)
     assert sup_norm(clipped).value == 2.5
@@ -419,7 +418,7 @@ def test_h_norm_is_the_criterion_root(depth, stocks, log_scale, shape, seed):
 def _report_dividends(lat):
     """The four dividend families of the benchmark's report workload, centered
     as the CLI centers them before taking the gauge norm."""
-    bt = lat.b_int[-1] * lat.sqrt_dt
+    bt = lat.walk(lat.num_steps) * lat.sqrt_dt
     families = [0.2 * np.where(bt >= 0, 1.0, -1.0),
                 np.clip(1.2 * bt, -0.3, 0.3),
                 (bt > 0.05).astype(float) - 0.5,

@@ -130,7 +130,7 @@ def test_linear_clipped_at_the_top_of_the_float_range():
     # slope * (b * sqrt_dt) is 1e308 (N=4, sqrt_dt = 1/2); where slope * b is
     # finite the leaves are slope * b * sqrt_dt, bit for bit
     lat = build_lattice(4, 1.0)
-    b = lat.b_int[-1]
+    b = lat.walk(4)
     psi, _ = evaluate_dividend(LinearClipped(slope=1e308, bound=1.5e308), lat, 1)
     want = {4: 1.5e308, 2: 1e308, 0: 0.0, -2: -1e308, -4: -1.5e308}
     assert psi[:, 0].tolist() == [want[x] for x in b.tolist()]
@@ -180,11 +180,14 @@ def test_hitting_time_after_first_step_two_lattice():
 
 
 def test_unreachable_level_never_hits():
-    lat = build_lattice(4, 1.0)
-    tau = hitting_time_tau(lat, 10.0, from_step=0)
-    np.testing.assert_array_equal(tau.leaf_steps, 4)
-    for k in range(5):
-        assert not tau.stopped_by(k).any()
+    # a level beyond N walk steps is never hit, also where level / sqrt(dt)
+    # overflows to inf (it raised OverflowError on rounding)
+    for horizon, level in ((1.0, 10.0), (1.0, 1e308), (1.0, -1e308), (1e-300, 1e300)):
+        lat = build_lattice(4, horizon)
+        tau = hitting_time_tau(lat, level, from_step=0)
+        np.testing.assert_array_equal(tau.leaf_steps, 4)
+        for k in range(5):
+            assert not tau.stopped_by(k).any()
 
 
 def test_hitting_level_one_step_value():

@@ -285,11 +285,6 @@ def test_counterexample_probe_smoke():
     assert len(d["trend"]["ratios"]) == 2
 
 
-def test_counterexample_alternative_tie_break():
-    report = run_counterexample(n_list=(4,), sign_zero=-1, max_iter=15)
-    assert report.details["smallness_product"] == 1.0
-
-
 def test_mirror_regression_reproduces_margins():
     # running checks on the path-reflected, sign-flipped instance must
     # reproduce the original margins
@@ -378,7 +373,7 @@ def _seed_optimality(sol, num_random, epsilon, seed):
     slopes = []
     directions = [
         [np.ones((1 << k, n)) for k in range(lat.num_steps)],
-        [np.tile(sign_plus(lat.b_int[k])[:, None], (1, n)) for k in range(lat.num_steps)],
+        [np.tile(sign_plus(lat.walk(k))[:, None], (1, n)) for k in range(lat.num_steps)],
         [rng.uniform(-1.0, 1.0, size=(1 << k, n)) for k in range(lat.num_steps)],
     ]
     for d in directions:
