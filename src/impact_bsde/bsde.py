@@ -46,11 +46,13 @@ subtrees of at least ``_SPLIT_VALUES`` leaf values, the two subtrees run at
 the same time, one on a second thread; and the band, the deepest levels a
 subtree holds in several tiles, runs in band tiles, subtrees that each run
 forward and backward from the band's top to level N - 1 on their own.  A
-block of rows allocates its memory once: two integrand pairs that swap
-every iteration, per kind (the levels' sums, which the backward pass
-overwrites with the martingale, and remaining loads) two alternating level
-buffers, which hold no level below the band's top, and per thread the
-scratch of one tile and two alternating band tile buffers.  The map keeps
+block of rows allocates its memory once: one integrand pair, which each
+iteration overwrites (a tile reads its nodes' old integrands forward before
+it writes theirs backward, and no other tile reads them), per kind (the
+levels' sums, which the backward pass overwrites with the martingale, and
+remaining loads) two alternating level buffers, which hold no level below
+the band's top, and per thread the scratch of one tile and two alternating
+band tile buffers.  The map keeps
 this forward form: through ``_backward`` it would read no level below k in
 floating point either, so every finite run would stop at step N + 1 with
 distance 0, a change of the iteration records of its own.
@@ -686,24 +688,25 @@ class _PicardKernel:
         c, n, rows = self.capacity, self.n, self.rows
         if self.scratch[w] is None:
             self.scratch[w] = {"ab": np.empty(2 * c), "pg": np.empty(2 * c * n), "z": np.empty(c),
-                               "tg": np.empty(c) if n > 1 else None,
+                               "tg": np.empty(c) if n > 1 else None, "old": np.empty(c * (1 + n)),
                                "mask": np.empty(c, dtype=bool)}
         s = self.scratch[w]
         return SimpleNamespace(
             a=_rows(s["ab"], rows, width), b=_rows(s["ab"][c:], rows, width),
             z=_rows(s["z"], rows, width), mask=_rows(s["mask"], rows, width),
+            old_eta=_rows(s["old"], rows, width), old_theta=_rows(s["old"][c:], rows, width, n),
             tg=None if s["tg"] is None else _rows(s["tg"], rows, width),
             p=_rows(s["pg"], rows, width, n), gamma=_rows(s["pg"][c * n:], rows, width, n),
             leaf_value=_rows(s["ab"], rows, 2 * width), leaf_price=_rows(s["pg"], rows, 2 * width, n))
 
-    def step(self, points: list, eta: list, theta: list, eta_new: list, theta_new: list):
-        """The map at ``(eta, theta)``, written into ``(eta_new, theta_new)``;
-        returns ``(norm, distance, finite)``, one entry per row.  A row whose
-        new slices are not all finite has ``finite`` False and meaningless
-        norms."""
+    def step(self, points: list, pair: _IteratePair):
+        """The map at the iterate ``pair``, written over it; returns ``(norm,
+        distance, finite)``, one entry per row.  A row whose new slices are
+        not all finite has ``finite`` False, meaningless norms and a pair
+        part old, part new."""
         rows = self.rows
         gamma = points[0].gamma
-        job = (points, all(p.gamma is gamma for p in points), eta, theta, eta_new, theta_new)
+        job = (points, all(p.gamma is gamma for p in points), pair.eta, pair.theta)
         self.finite[:, :rows] = True
         self.forward(job, self.root)
         _beside(lambda w: self.subtree(job, w), self.cut.parts)
@@ -727,7 +730,7 @@ class _PicardKernel:
     def forward(self, job: tuple, tile: SimpleNamespace):
         """The drift sums of one tile of a level: its parents' sums plus the
         tile's drift times dt."""
-        points, shared, eta, theta = job[:4]
+        points, shared, eta, theta = job
         k, nodes, t = tile.k, tile.nodes, tile.scratch
         g = (points[0].gamma.values[k][nodes] if shared
              else np.stack([p.gamma.values[k][nodes] for p in points], out=t.gamma))
@@ -741,7 +744,7 @@ class _PicardKernel:
         """The new integrands, martingale and loads of one tile of a level,
         and its row maxima; the part's row flags drop the rows whose new
         slices are not all finite."""
-        points, _, eta, theta, eta_new, theta_new = job
+        points, _, eta, theta = job
         lattice, dt = self.lattice, self.lattice.dt
         k, nodes, t, here = tile.k, tile.nodes, tile.scratch, tile.here
         if tile.last:
@@ -756,8 +759,11 @@ class _PicardKernel:
                     np.add(here["price"][r], child, out=child)
         else:
             value_below, price_below = tile.below["value"], tile.below["price"]
-        e = lattice.child_diff(value_below, axis=1, out=eta_new[k][:, nodes])
-        th = lattice.child_diff(price_below, axis=1, out=theta_new[k][:, nodes])
+        # the old integrands, for the distance, before the new ones land
+        np.copyto(t.old_eta, eta[k][:, nodes])
+        np.copyto(t.old_theta, theta[k][:, nodes])
+        e = lattice.child_diff(value_below, axis=1, out=eta[k][:, nodes])
+        th = lattice.child_diff(price_below, axis=1, out=theta[k][:, nodes])
         lattice.child_mean(value_below, axis=1, out=here["value"])
         lattice.child_mean(price_below, axis=1, out=here["price"])
         finite = tile.finite
@@ -771,8 +777,8 @@ class _PicardKernel:
             finite &= ok | (np.isfinite(e).all(axis=1) & np.isfinite(th).all(axis=(1, 2)))
             if not finite.any():
                 return
-        sq_dist = _square_sum([np.subtract(e, eta[k][:, nodes], out=t.b),
-                               *np.subtract(th, theta[k][:, nodes], out=t.p).transpose(2, 0, 1)],
+        sq_dist = _square_sum([np.subtract(e, t.old_eta, out=t.b),
+                               *np.subtract(th, t.old_theta, out=t.p).transpose(2, 0, 1)],
                               out=t.b, work=t.z)
         for kind, square, level_max in (("norm", sq, tile.level_max[0]),
                                         ("dist", sq_dist, tile.level_max[1])):
@@ -794,12 +800,12 @@ def picard_map(inst: Instance, eta: list, theta: list):
     conditional-expectation martingale, and returns the representation
     integrands of that martingale as per-step lists ``(eta, theta)``.
     """
-    lattice, n = inst.lattice, inst.num_stocks
-    new = _IteratePair(lattice, 1, n)
-    _PicardKernel([inst]).step([inst], [np.asarray(v, dtype=float)[None] for v in eta],
-                               [np.asarray(v, dtype=float)[None] for v in theta],
-                               new.eta, new.theta)
-    return new.row(0, copy=False)
+    pair = _IteratePair(inst.lattice, 1, inst.num_stocks)
+    for slices, given in ((pair.eta, eta), (pair.theta, theta)):
+        for mine, v in zip(slices, given, strict=True):
+            mine[0] = v
+    _PicardKernel([inst]).step([inst], pair)
+    return pair.row(0, copy=False)
 
 
 # the row state of one block of ``picard_diagnostics``: one integrand pair per
@@ -818,13 +824,14 @@ def picard_diagnostics(points, tol: float = 1e-12, max_iter: int = 100,
 
     The points run as rows of one ``_PicardKernel`` on the shared lattice,
     a block of ``_PICARD_BLOCK_BYTES`` of integrand pairs at a time; the
-    block's two pairs, its current iterate and the spare that the next
-    iterate is written into, swap every step.  A row leaves the block when it converges, reaches ``max_iter``
-    or aborts on a step that is not finite, and the block compacts; the
-    next block is drawn only when every row has left, so at most one block
-    of instances is held.  Given ``ends``, one entry per point, a leaving row
-    stores there the integrand pair it ends on: its last finite iterate,
-    which is the zero pair when the first step aborts.
+    block's one pair takes each new iterate over the old.  A row leaves the
+    block when it converges, reaches ``max_iter`` or aborts on a step that
+    is not finite, and the block compacts; the next block is drawn only
+    when every row has left, so at most one block of instances is held.
+    Given ``ends``, one entry per point, a leaving row stores there the
+    integrand pair it ends on: its last finite iterate, which is the zero
+    pair when the first step aborts.  An aborting step overwrites it, so it
+    is computed again, alone, once the block is freed.
 
     From zero the driver vanishes, so the first iterate is the terminal
     integrand and its norm is the terminal norm bit for bit; a first step
@@ -852,11 +859,9 @@ def picard_diagnostics(points, tol: float = 1e-12, max_iter: int = 100,
                                  "point's lattice and number of stocks")
             live = list(range(len(diags), len(diags) + len(rows)))  # the point of each row
             diags += [IterationDiagnostics() for _ in rows]
-            kernel = _PicardKernel(rows)
-            pair, spare = _IteratePair(lattice, len(rows), n), _IteratePair(lattice, len(rows), n)
+            kernel, pair, redo = _PicardKernel(rows), _IteratePair(lattice, len(rows), n), []
             while rows:
-                # the new iterate goes into the spare pair
-                norm, dist, finite = kernel.step(rows, pair.eta, pair.theta, spare.eta, spare.theta)
+                norm, dist, finite = kernel.step(rows, pair)
                 keep, leaving = [], []
                 for r, i in enumerate(live):
                     diag = diags[i]
@@ -875,20 +880,28 @@ def picard_diagnostics(points, tol: float = 1e-12, max_iter: int = 100,
                     leaving.append((r, i))
                 if ends is not None:
                     # a row the block goes on without keeps a copy: the next
-                    # steps write both pairs again
+                    # steps write the pair again
                     for r, i in leaving:
-                        ends[i] = (spare if finite[r] else pair).row(r, copy=bool(keep))
-                pair, spare = spare, pair
+                        if finite[r]:
+                            ends[i] = pair.row(r, copy=bool(keep))
+                        else:
+                            redo.append((i, rows[r]))
                 if leaving:
                     live = [live[r] for r in keep]
                     rows = [rows[r] for r in keep]
                     if rows:
                         pair.keep(keep)
-                        spare.view(len(keep))
                         kernel.resize(len(keep))
             # every row of the block has left: only now is the next one drawn,
             # and its buffers allocated once these are freed
-            del kernel, pair, spare
+            del kernel, pair
+            # an aborting step overwrote its row's last finite iterate: the
+            # row's own run to that iterate gives it again, bit for bit
+            for i, point in redo:
+                again = [None]
+                if diags[i].iterations:
+                    picard_diagnostics([point], tol, diags[i].iterations, again)
+                ends[i] = again[0] or _IteratePair(lattice, 1, n).row(0, copy=False)
             rows = list(islice(pending, block))
     for diag in diags:
         diag.final_norm = diag.iterate_norms[-1] if diag.iterate_norms else 0.0
@@ -965,12 +978,11 @@ def contraction_report(diag: IterationDiagnostics) -> ContractionReport:
     two_kt = 2.0 * diag.kappa * diag.growth_bound
     ok: list[bool] = []
     margins: list[float] = []
-    prev = 0.0  # iteration starts at the zero integrand
+    bound = diag.terminal_norm  # iteration starts at the zero integrand
     for norm in diag.iterate_norms:
-        bound = diag.terminal_norm + two_kt * prev * prev
         margins.append(bound - norm)
         ok.append(norm <= bound + 1e-9)
-        prev = norm
+        bound = diag.terminal_norm + two_kt * norm * norm
     in_ball = None
     if diag.converged:
         in_ball = diag.final_norm <= diag.small_ball + 1e-9

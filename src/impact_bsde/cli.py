@@ -66,11 +66,20 @@ def _evaluate(market: MarketConfig) -> Instance:
 
 def _picard_constants(run: RunConfig, inst: Instance) -> tuple[float, float]:
     """The ratio and growth constants of a Picard record: the configured
-    ones, else kappa measured on the lattice and the demand's growth bound."""
+    ones, else kappa measured on the lattice and the demand's growth bound.
+    Configured ones must keep the radii, 1 and 2 over 8 * kappa * growth_bound,
+    and that product finite."""
     s = run.solver
-    return (float(s.kappa if s.kappa is not None else measure_kappa(inst.lattice)),
-            float(s.growth_bound if s.growth_bound is not None
-                  else bsde_mod.driver_growth_bound(inst.gamma_sup)))
+    kappa = float(s.kappa if s.kappa is not None else measure_kappa(inst.lattice))
+    growth = float(s.growth_bound if s.growth_bound is not None
+                   else bsde_mod.driver_growth_bound(inst.gamma_sup))
+    product = 8.0 * kappa * growth
+    if ((s.kappa, s.growth_bound) != (None, None)
+            and not 2.0 / sys.float_info.max <= product < np.inf):
+        raise ConfigError(f"solver.kappa {kappa!r} and solver.growth_bound {growth!r} give "
+                          f"8 * kappa * growth_bound = {product!r}, outside the float range "
+                          f"of the contraction radii")
+    return kappa, growth
 
 
 def _finite_norm(what: str, norm, *args, **kwargs):

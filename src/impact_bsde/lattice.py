@@ -167,11 +167,6 @@ class Lattice:
         down = np.bitwise_count(np.arange(self.nodes(k), dtype=np.int64)).astype(np.int32)
         return k - 2 * down
 
-    def brownian(self) -> "AdaptedProcess":
-        """The driving walk as an adapted process (an exact martingale)."""
-        return AdaptedProcess(self, [self.walk(k) * self.sqrt_dt
-                                     for k in range(self.num_steps + 1)])
-
     def __repr__(self) -> str:
         return f"Lattice(num_steps={self.num_steps}, horizon={self.horizon})"
 

@@ -54,6 +54,10 @@ from . import bsde as bsde_mod
 
 HARD_TOL = 1e-10
 EXACT_TOL = 1e-12
+F_IDENTITY_POINTS = 100
+HOMOGENEITY_FACTORS = (0.5, 2.0, 10.0)
+PROBE_TOL = 1e-10
+PROBE_MAX_ITER = 40
 
 
 @dataclass
@@ -116,11 +120,11 @@ def decay_profile_d2(x):
     return float(out) if out.ndim == 0 else out
 
 
-def check_F_identity(num_points: int = 100, seed: int = 0) -> CheckReport:
+def check_F_identity(seed: int = 0) -> CheckReport:
     """The profile satisfies F - 2 F' sign(x) + F'' = 0 away from zero, with
     analytic derivatives; F(0) = 1 and F'(0) = 0."""
     rng = np.random.default_rng(seed)
-    xs = rng.uniform(-5.0, 5.0, size=num_points)
+    xs = rng.uniform(-5.0, 5.0, size=F_IDENTITY_POINTS)
     xs = np.where(xs == 0.0, 0.5, xs)
     xs = np.concatenate([xs, [1.0, -1.0]])
     res = decay_profile(xs) - 2.0 * decay_profile_d1(xs) * np.sign(xs) + decay_profile_d2(xs)
@@ -478,7 +482,7 @@ def check_optimality(solution: EquilibriumSolution, num_random: int = 1000,
 
 # --- homogeneity ---------------------------------------------------------------
 
-def check_homogeneity(inst: Instance, b_values=(0.5, 2.0, 10.0)) -> CheckReport:
+def check_homogeneity(inst: Instance) -> CheckReport:
     """Scaling the demand equals scaling the risk aversion; scaling the
     dividend scales prices and volatility and leaves the market price of
     risk unchanged.  Node-exact across three pricer runs per factor."""
@@ -493,9 +497,7 @@ def check_homogeneity(inst: Instance, b_values=(0.5, 2.0, 10.0)) -> CheckReport:
     # at most two solutions are alive at a time: s2 goes before s3 is
     # priced, and a factor's solutions before the next factor's
     per_b = {}
-    for b in b_values:
-        if b <= 0:
-            raise ValueError("scaling factors must be positive")
+    for b in HOMOGENEITY_FACTORS:
         s1 = price(b, 1.0, 1.0)
         s2 = price(1.0, b, 1.0)
         gaps = {
@@ -589,8 +591,7 @@ def check_norm_bounds(solution: EquilibriumSolution, diagnostics=None,
 
 # --- counter-example probe --------------------------------------------------------
 
-def run_counterexample(n_list=(8, 10, 12), picard_tol: float = 1e-10,
-                       max_iter: int = 40) -> CheckReport:
+def run_counterexample(n_list=(8, 10, 12)) -> CheckReport:
     """Probe the boundary instance (unit dividend signs against the opposed
     unit demand, unit risk aversion, horizon 1) across lattice depths.
 
@@ -621,7 +622,7 @@ def run_counterexample(n_list=(8, 10, 12), picard_tol: float = 1e-10,
         sol = price_equilibrium(inst)
         unit_product = sup_norm(sol.gamma).value * sup_norm(sol.dividend).value
 
-        (diag,) = bsde_mod.picard_diagnostics([inst], picard_tol, max_iter)
+        (diag,) = bsde_mod.picard_diagnostics([inst], PROBE_TOL, PROBE_MAX_ITER)
         explicit = bsde_mod.solve_explicit(inst)
 
         # sign pattern: prices should oppose the demand at every node

@@ -7,7 +7,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from impact_bsde import MarketConfig, PredictableProcess, TableDemand, TableDividend
+from impact_bsde import (AdaptedProcess, MarketConfig, PredictableProcess, TableDemand,
+                         TableDividend)
 
 
 def leaf_block(leaves: np.ndarray, step: int, path: int, num_steps: int) -> np.ndarray:
@@ -59,6 +60,16 @@ def random_table_config(rng: np.random.Generator, num_steps: int, num_stocks: in
         horizon=horizon,
         center_dividend=center,
     )
+
+
+def brownian(lat):
+    """The driving walk as an adapted process, an exact martingale: at each
+    node the up-minus-down count of its path, its parent's plus one (up
+    child, node 2p) or minus one (down child, node 2p + 1), times sqrt(dt)."""
+    counts = [np.zeros(1, dtype=np.int64)]
+    for _ in range(lat.num_steps):
+        counts.append(np.repeat(counts[-1], 2) + np.tile([1, -1], len(counts[-1])))
+    return AdaptedProcess(lat, [c * lat.sqrt_dt for c in counts])
 
 
 def martingale_representation(m):

@@ -42,7 +42,7 @@ from impact_bsde.verify import (
     run_counterexample,
 )
 
-from helpers import equilibrium_defects, max_gap, random_table_config
+from helpers import brownian, equilibrium_defects, max_gap, random_table_config
 from picard_reference import pair_distance, pair_norm
 
 
@@ -293,13 +293,13 @@ def test_c09_discretization_consistency():
 
 
 def test_c10_counterexample_probe():
-    report = run_counterexample(n_list=(8, 10, 12), picard_tol=1e-10, max_iter=40)
+    report = run_counterexample(n_list=(8, 10, 12))
     d = report.details
     product_exact = d["smallness_product"] == 1.0
     gauge_ok = abs(d["one_step_gauge_norm"] - 1.0) <= 1e-9
     per_depth = [nc or not cv for nc, cv in
                  zip(d["trend"]["non_contraction"], d["trend"]["converged"])]
-    identity = check_F_identity(num_points=100, seed=10)
+    identity = check_F_identity(seed=10)
     ok = (product_exact and gauge_ok and all(per_depth)
           and identity.status == "pass"
           and identity.details["max_residual"] <= 1e-12)
@@ -320,7 +320,7 @@ def test_c11_norm_unit_identities():
 
     for horizon in (0.5, 1.0, 2.0):
         lat = build_lattice(6, horizon)
-        val = bmo_norm(lat.brownian()).value
+        val = bmo_norm(brownian(lat)).value
         ok &= abs(val - math.sqrt(horizon)) <= 1e-10
 
     for c in (0.25, 1.0, 2.5):

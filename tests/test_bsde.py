@@ -218,6 +218,24 @@ def test_contraction_report_growth_bound():
             assert report.solution_in_small_ball
 
 
+@pytest.mark.parametrize("kappa", [1.0, 1e308])
+def test_contraction_report_first_bound_is_the_terminal_norm(kappa):
+    # the iteration starts at zero, so the first bound is the terminal norm
+    # itself: with 2 kappa Theta infinite it read terminal + inf * 0 = nan,
+    # a nan margin and a false growth_bound_ok[0]; finite constants give the
+    # bits of terminal + 2 kappa Theta * 0 * 0
+    lat = build_lattice(6, 1.0)
+    inst = evaluate_market(MarketConfig(0.3, 1, ConstantDemand(0.5), SignOfBT(1.0), 6, 1.0), lat)
+    _, diag = solve_picard(inst, tol=1e-12, max_iter=100, kappa=kappa)
+    report = contraction_report(diag)
+    norms = diag.iterate_norms
+    assert report.growth_bound_margins[0] == diag.terminal_norm - norms[0] == 0.0
+    assert report.growth_bound_ok[0] is True
+    two_kt = 2.0 * kappa * diag.growth_bound
+    assert report.growth_bound_margins[1:] == [diag.terminal_norm + two_kt * p * p - norm
+                                               for p, norm in zip(norms, norms[1:])]
+
+
 def test_contraction_lipschitz_bound_on_random_pairs():
     rng = np.random.default_rng(89)
     lat = build_lattice(6, 1.0)
@@ -973,6 +991,39 @@ def test_band_levels_are_never_held_whole(tiny_tiles, monkeypatch):
         tracemalloc.stop()
     assert sorted(sizes) == list(range(16)) and max(sizes.values()) < 8 * lat.nodes(15)
     assert failure is None and gap < 1e-12
+
+
+@pytest.mark.parametrize("num_steps, num_stocks, tile", [(12, 1, 1 << 8), (14, 2, 1 << 9),
+                                                         (16, 1, 1 << 10)])
+def test_picard_loop_holds_one_iterate_pair(tiny_tiles, monkeypatch, num_steps, num_stocks, tile):
+    # each step writes the new iterate over the old one: traced blocks,
+    # sampled at every step of the loop, hold exactly one block of an
+    # iterate pair's size (there were two), and beside it none of a level
+    # N - 1's size or more, so no leaf-sized or level-sized spare either
+    import tracemalloc
+    import impact_bsde.bsde as bsde_mod
+    tiny_tiles(tile)
+    lat = build_lattice(num_steps, 1.0)
+    inst = evaluate_market(MarketConfig(0.3, num_stocks, ConstantDemand(0.5), SignOfBT(1.0),
+                                        num_steps, 1.0), lat)
+    pair = 8 * (1 + num_stocks) * (lat.num_leaves - 1)
+    samples = []
+    step = bsde_mod._PicardKernel.step
+
+    def sampled(*args, **kwargs):
+        sizes = [t.size for t in tracemalloc.take_snapshot().traces]
+        samples.append((sizes.count(pair), max(size for size in sizes if size != pair)))
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(bsde_mod._PicardKernel, "step", sampled)
+    tracemalloc.start()
+    try:
+        (diag,) = picard_diagnostics([inst], tol=1e-12, max_iter=100, ends=[None])
+    finally:
+        tracemalloc.stop()
+    assert diag.converged and len(samples) == diag.iterations > 2
+    assert [count for count, _ in samples] == [1] * diag.iterations
+    assert max(most for _, most in samples) < 8 * num_stocks * lat.nodes(num_steps - 1)
 
 
 def test_picard_map_in_tiles_is_the_reference_bit_for_bit(tiny_tiles):

@@ -1165,6 +1165,31 @@ def test_verify_uses_the_configured_growth_bound(tmp_path):
     assert checks["norm_bounds"]["status"] == "diagnostic"
 
 
+@pytest.mark.parametrize("command", [["bsde", "--method", "both"], ["verify", "--suite", "all"]],
+                         ids=["bsde", "verify"])
+@pytest.mark.parametrize("solver, product", [
+    ({"kappa": 1e308}, "inf"), ({"growth_bound": 1e308}, "inf"),
+    ({"kappa": 1e-300, "growth_bound": 1e-10}, "8.00000000000002e-310"),
+], ids=["kappa", "growth_bound", "tiny"])
+def test_constants_beyond_the_float_range_are_config_errors(tmp_path, command, solver,
+                                                              product):
+    # 8 kappa Theta overflowed: bsde exited 0 with growth_bound_margins
+    # [NaN, Infinity, ...] and a false growth_bound_ok[0]; below 2 / max
+    # the contraction and uniqueness radii were written as Infinity
+    doc = one_period_doc(num_steps=4, dividend={"type": "sign_of_b_t", "scale": 0.2})
+    doc["solver"] = solver
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = CliRunner().invoke(main, command + ["--config", cfg, "--out", str(out)])
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert re.fullmatch(rf"config error: solver\.kappa \S+ and solver\.growth_bound \S+ give "
+                        rf"8 \* kappa \* growth_bound = {re.escape(product)}, outside the float "
+                        rf"range of the contraction radii\n", result.output), result.output
+    assert not out.exists()
+
+
 _HUGE_DIVIDEND = {"type": "sign_of_b_t", "scale": 1e200}
 
 

@@ -23,20 +23,20 @@ from impact_bsde import (
 )
 from impact_bsde.lattice import MAX_STEPS_ENV, Lattice, stock_norm, stock_sum
 
-from helpers import martingale_representation, oracle_conditional_mean
+from helpers import brownian, martingale_representation, oracle_conditional_mean
 
 
 def test_single_step_lattice():
     lat = build_lattice(1, 1.0)
     assert lat.num_leaves == 2
-    np.testing.assert_allclose(lat.brownian().terminal, [1.0, -1.0])
+    np.testing.assert_allclose(brownian(lat).terminal, [1.0, -1.0])
 
 
 def test_two_step_lattice_terminal_values():
     lat = build_lattice(2, 1.0)
     assert lat.num_leaves == 4
     s = np.sqrt(0.5)
-    np.testing.assert_allclose(lat.brownian().terminal, [2 * s, 0.0, 0.0, -2 * s])
+    np.testing.assert_allclose(brownian(lat).terminal, [2 * s, 0.0, 0.0, -2 * s])
 
 
 def test_ten_step_geometry():
@@ -78,7 +78,7 @@ def test_step_below_the_float_range_is_refused():
 
 def test_brownian_is_martingale():
     lat = build_lattice(6, 1.5)
-    assert martingale_defect(lat.brownian())[0] <= 1e-12
+    assert martingale_defect(brownian(lat))[0] <= 1e-12
 
 
 def test_walk_is_the_recurrence_of_its_moves():
@@ -94,7 +94,7 @@ def test_walk_is_the_recurrence_of_its_moves():
             assert lat.walk(k).tobytes() == want.tobytes()
     # the walk is the brownian process in units of sqrt(dt), bit for bit
     lat = build_lattice(5, 0.3)
-    for k, v in enumerate(lat.brownian().values):
+    for k, v in enumerate(brownian(lat).values):
         assert v.tobytes() == (lat.walk(k) * lat.sqrt_dt).tobytes()
 
 
@@ -112,19 +112,19 @@ def test_lattice_stores_no_tree():
 
 def test_conditional_expectation_of_walk_is_zero_at_root():
     lat = build_lattice(1, 1.0)
-    ce = conditional_expectation(lat.brownian())
+    ce = conditional_expectation(brownian(lat))
     assert ce.values[0][0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_conditional_expectation_of_square_is_variance():
     lat = build_lattice(1, 1.0)
-    ce = conditional_expectation(lat.brownian().terminal ** 2, lat)
+    ce = conditional_expectation(brownian(lat).terminal ** 2, lat)
     assert ce.values[0][0] == pytest.approx(1.0)
 
 
 def test_conditional_expectation_sign_three_steps_vs_oracle():
     lat = build_lattice(3, 1.0)
-    x = np.where(lat.brownian().terminal >= 0, 1.0, -1.0)
+    x = np.where(brownian(lat).terminal >= 0, 1.0, -1.0)
     ce = conditional_expectation(x, lat)
     assert ce.values[0][0] == pytest.approx(0.0)
     # node (1, 0) has walk value +sqrt(dt): three of four descendants positive
@@ -155,21 +155,21 @@ def test_representation_completeness(num_steps, seed):
     x = rng.uniform(-5, 5, size=lat.num_leaves)
     mart = conditional_expectation(x, lat)
     zeta = martingale_representation(mart)
-    rebuilt = stochastic_integral(zeta, lat.brownian())
+    rebuilt = stochastic_integral(zeta, brownian(lat))
     np.testing.assert_allclose(mart.values[0][0] + rebuilt.terminal, x,
                                rtol=0, atol=1e-12)
 
 
 def test_representation_of_walk_is_one():
     lat = build_lattice(5, 1.0)
-    zeta = martingale_representation(lat.brownian())
+    zeta = martingale_representation(brownian(lat))
     for v in zeta.values:
         np.testing.assert_allclose(v, 1.0, rtol=0, atol=1e-13)
 
 
 def test_representation_of_compensated_square_one_step():
     lat = build_lattice(1, 1.0)
-    mart = conditional_expectation(lat.brownian().terminal ** 2, lat)
+    mart = conditional_expectation(brownian(lat).terminal ** 2, lat)
     np.testing.assert_allclose(mart.values[1], [1.0, 1.0])
     zeta = martingale_representation(mart)
     assert zeta.values[0][0] == pytest.approx(0.0, abs=1e-15)
@@ -186,7 +186,7 @@ def test_representation_of_constant_is_zero():
 def test_integral_of_zero_is_zero():
     lat = build_lattice(4, 1.0)
     zero = PredictableProcess(lat, [np.zeros(1 << k) for k in range(4)])
-    out = stochastic_integral(zero, lat.brownian())
+    out = stochastic_integral(zero, brownian(lat))
     for v in out.values:
         np.testing.assert_array_equal(v, 0.0)
 
@@ -194,8 +194,8 @@ def test_integral_of_zero_is_zero():
 def test_integral_of_one_against_walk_is_walk():
     lat = build_lattice(5, 2.0)
     one = PredictableProcess(lat, [np.ones(1 << k) for k in range(5)])
-    out = stochastic_integral(one, lat.brownian())
-    for got, want in zip(out.values, lat.brownian().values):
+    out = stochastic_integral(one, brownian(lat))
+    for got, want in zip(out.values, brownian(lat).values):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
 
@@ -203,7 +203,7 @@ def test_integral_walk_against_walk_two_steps_brute_force():
     # predictable shift: the step value is the walk at the step start, so the
     # four paths give +-dt products of the two increments
     lat = build_lattice(2, 1.0)
-    b = lat.brownian()
+    b = brownian(lat)
     zeta = PredictableProcess(lat, b.values[:2])
     out = stochastic_integral(zeta, b)
     np.testing.assert_allclose(out.terminal, [0.5, -0.5, -0.5, 0.5], atol=1e-15)
@@ -350,7 +350,7 @@ def test_node_max_matches_brute_force_argmax(case):
 
 def test_nan_node_fails_the_martingale_checks():
     lat = build_lattice(3, 1.0)
-    walk = lat.brownian()
+    walk = brownian(lat)
     values = [v.copy() for v in walk.values]
     values[2][3] = np.nan
     broken = AdaptedProcess(lat, values)
@@ -362,7 +362,7 @@ def test_nan_node_fails_the_martingale_checks():
 
 def test_process_gap_is_the_node_max_of_the_difference():
     lat = build_lattice(3, 1.0)
-    walk = lat.brownian()
+    walk = brownian(lat)
     assert process_gap(walk, walk) == 0.0
     assert process_gap(walk, walk, 0.5) == pytest.approx(0.5 * np.sqrt(3.0))
     values = [v.copy() for v in walk.values]

@@ -25,7 +25,7 @@ from impact_bsde import (
 import impact_bsde.norms as norms_mod
 from impact_bsde.norms import NormReport
 
-from helpers import oracle_conditional_moment, stacked_integrand
+from helpers import brownian, oracle_conditional_moment, stacked_integrand
 from norms_reference import _node_moment_sweep as full_sweep
 from norms_reference import h_norm_reference, measure_kappa_reference
 
@@ -44,7 +44,7 @@ def test_bmo_one_step_unit():
 @pytest.mark.parametrize("horizon", [0.5, 1.0, 2.0])
 def test_bmo_of_walk_is_sqrt_horizon(horizon):
     lat = build_lattice(6, horizon)
-    rep = bmo_norm(lat.brownian())
+    rep = bmo_norm(brownian(lat))
     assert rep.value == pytest.approx(np.sqrt(horizon), abs=1e-12)
     assert rep.achieving_node == (0, 0)
 
@@ -119,7 +119,7 @@ def test_bmo_rv_zero():
 
 def test_bmo_rv_terminal_walk():
     lat = build_lattice(4, 1.0)
-    rep = bmo_norm_rv(lat.brownian().terminal, lat)
+    rep = bmo_norm_rv(brownian(lat).terminal, lat)
     assert rep.value == pytest.approx(1.0, abs=1e-12)
     # leaves reach +-2 at four half-unit steps, so the midrange bound is 2
     assert rep.extras["midrange_bound"] == pytest.approx(2.0)
@@ -243,7 +243,7 @@ def test_h_bmo_matches_bmo_of_integral():
     for _ in range(5):
         zeta = PredictableProcess(lat, [rng.uniform(-1, 1, size=1 << k) for k in range(6)])
         direct = h_bmo_norm(zeta).value
-        via_integral = bmo_norm(stochastic_integral(zeta, lat.brownian())).value
+        via_integral = bmo_norm(stochastic_integral(zeta, brownian(lat))).value
         assert direct == pytest.approx(via_integral, abs=1e-12)
 
 
@@ -278,7 +278,7 @@ def test_sup_norm_variants():
     signs = PredictableProcess(
         lat, [np.where(lat.walk(k) >= 0, -1.0, 1.0) for k in range(3)])
     assert sup_norm(signs).value == 1.0
-    clipped = np.clip(build_lattice(4, 4.0).brownian().terminal, -2.5, 2.5)
+    clipped = np.clip(brownian(build_lattice(4, 4.0)).terminal, -2.5, 2.5)
     assert sup_norm(clipped).value == 2.5
 
 
@@ -352,7 +352,7 @@ def test_measure_kappa_at_least_one():
 
 def test_nan_node_is_reported_by_the_norms():
     lat = build_lattice(4, 1.0)
-    leaves = lat.brownian().terminal.copy()
+    leaves = brownian(lat).terminal.copy()
     leaves[6] = np.nan
     assert np.isnan(bmo_norm(doob(leaves, lat)).value)
     zeta = [np.ones(1 << k) for k in range(4)]

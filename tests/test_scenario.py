@@ -23,6 +23,8 @@ from impact_bsde import (
     sign_plus,
 )
 
+from helpers import brownian
+
 
 def demand_sup(proc):
     """Node maximum of the demand norm, as an instance derives it."""
@@ -114,7 +116,7 @@ def test_digital_two_steps():
 def test_linear_clipped_inactive_is_symmetric():
     lat = build_lattice(4, 1.0)
     psi, mean = evaluate_dividend(LinearClipped(slope=1.0, bound=10.0), lat, 1)
-    np.testing.assert_allclose(psi[:, 0], lat.brownian().terminal)
+    np.testing.assert_allclose(psi[:, 0], brownian(lat).terminal)
     assert mean[0] == pytest.approx(0.0, abs=1e-15)
 
 

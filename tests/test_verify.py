@@ -194,18 +194,19 @@ def test_martingale_gate_survives_density_underflow(a):
 
 def test_homogeneity_gate(eligible):
     lat, cfg, _ = eligible
-    report = check_homogeneity(evaluate_market(cfg, lat), b_values=(0.5, 2.0, 10.0))
+    report = check_homogeneity(evaluate_market(cfg, lat))
     assert report.status == "pass"
     assert report.details["max_gap"] <= 1e-12
 
 
-def test_homogeneity_holds_few_solutions_at_once():
+def test_homogeneity_holds_few_solutions_at_once(monkeypatch):
     # each factor's solutions are freed before the next factor is priced,
     # so the peak stays a few solutions whatever the number of factors
     import tracemalloc
     lat = build_lattice(12, 1.0)
     inst = evaluate_market(MarketConfig(0.7, 1, NegativeSignOfB(0.8), SignOfBT(0.6), 12, 1.0),
                            lat)
+    monkeypatch.setattr(verify_mod, "HOMOGENEITY_FACTORS", (0.5, 2.0, 10.0, 3.0))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -214,7 +215,7 @@ def test_homogeneity_holds_few_solutions_at_once():
         del sol
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        report = check_homogeneity(inst, b_values=(0.5, 2.0, 10.0, 3.0))
+        report = check_homogeneity(inst)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -222,10 +223,11 @@ def test_homogeneity_holds_few_solutions_at_once():
     assert peak < 4 * solution
 
 
-def test_homogeneity_identity_at_unit_factor():
+def test_homogeneity_identity_at_unit_factor(monkeypatch):
     lat = build_lattice(4, 1.0)
     cfg = MarketConfig(0.7, 1, ConstantDemand(0.3), SignOfBT(), 4, 1.0)
-    report = check_homogeneity(evaluate_market(cfg, lat), b_values=(1.0,))
+    monkeypatch.setattr(verify_mod, "HOMOGENEITY_FACTORS", (1.0,))
+    report = check_homogeneity(evaluate_market(cfg, lat))
     assert report.status == "pass"
     assert report.details["max_gap"] == 0.0
 
@@ -270,13 +272,14 @@ def test_profile_values_and_derivatives():
 
 
 def test_F_identity_report():
-    report = check_F_identity(num_points=100, seed=5)
+    report = check_F_identity(seed=5)
     assert report.status == "pass"
     assert report.details["max_residual"] <= 1e-12
 
 
-def test_counterexample_probe_smoke():
-    report = run_counterexample(n_list=(4, 6), max_iter=20)
+def test_counterexample_probe_smoke(monkeypatch):
+    monkeypatch.setattr(verify_mod, "PROBE_MAX_ITER", 20)
+    report = run_counterexample(n_list=(4, 6))
     assert report.status == "diagnostic"
     d = report.details
     assert d["smallness_product"] == 1.0
