@@ -167,7 +167,6 @@ class BsdeSolution:
     value_integrand: PredictableProcess
     price_integrand: PredictableProcess
     residual: float                   # max node gap |child_diff(Y_{k+1}) - integrand_k|
-    method: str
 
     @property
     def prices(self) -> AdaptedProcess:
@@ -407,7 +406,6 @@ def _solve(inst: Instance, explicit: bool = False, ends=None, keep: bool = False
         value_integrand=PredictableProcess(lattice, eta),
         price_integrand=PredictableProcess(lattice, theta),
         residual=0.0 if explicit else np.nan,
-        method="explicit" if explicit else "picard",
     ), gap, failure
 
 

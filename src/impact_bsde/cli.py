@@ -95,15 +95,16 @@ def _finite_norm(what: str, norm, *args, **kwargs):
     return report
 
 
-def _centered_bmo(inst: Instance) -> float:
-    """Quadratic norm of the instance's dividend, centred."""
+def _centered_bmo(inst: Instance) -> tuple[np.ndarray, float]:
+    """The instance's dividend, centred, and its quadratic norm; a command
+    centres it once and hands the array to any other norm of it."""
     # a dividend beyond the float range centres to nan, which the norm's
     # finiteness check reports; numpy's warnings add nothing to it
     with np.errstate(over="ignore", invalid="ignore"):
         centred = inst.psi - inst.psi.mean(axis=0)
     try:
-        return _finite_norm("the centred dividend's norm", bmo_norm_rv, centred,
-                            inst.lattice).value
+        return centred, _finite_norm("the centred dividend's norm", bmo_norm_rv, centred,
+                                     inst.lattice).value
     except ValueError as exc:  # bmo_norm_rv's one refusal: rounding undid the centring
         raise NumericalError(f"centring the dividend lost its precision: {exc}") from exc
 
@@ -141,9 +142,8 @@ def _solution_norms(inst: Instance) -> list:
 
 
 def _instance_norms(run: RunConfig, inst: Instance) -> dict:
-    psi_bmo = _centered_bmo(inst)
-    gauge = _finite_norm("the centred dividend's gauge norm", h_norm,
-                         inst.psi - inst.psi.mean(axis=0), inst.lattice)
+    centred, psi_bmo = _centered_bmo(inst)
+    gauge = _finite_norm("the centred dividend's gauge norm", h_norm, centred, inst.lattice)
     return {
         "demand_sup": inst.gamma_sup,
         "dividend_mean": inst.psi_mean.tolist(),
@@ -215,6 +215,11 @@ class _ErrorExits(click.Group):
             return super().invoke(ctx)
         except (ConfigError, LatticeSizeError) as exc:
             click.echo(f"config error: {exc}", err=True)
+            sys.exit(EXIT_CONFIG)
+        except MemoryError as exc:  # a size no depth cap bounds: stocks, competitors
+            detail = f": {exc}" if str(exc) else ""
+            click.echo(f"config error: the run needs more memory than is available{detail}",
+                       err=True)
             sys.exit(EXIT_CONFIG)
         except (NumericalError, ExponentialGuardError) as exc:
             click.echo(f"numeric failure: {exc}", err=True)
@@ -349,22 +354,21 @@ def _run_suite(run: RunConfig, inst: Instance) -> list:
     sol = price_equilibrium(inst) if need_solution else None
     # a dividend whose norm overflows the float range, or a gain beyond it,
     # is a numeric failure before any gate is computed from them
-    psi_bmo = _centered_bmo(inst) if need_solution else None
     if need_solution:
+        centred, psi_bmo = _centered_bmo(inst)
         _finite_norm("the gain's sup norm", sup_norm, sol.gain)
     if suite in ("all", "martingale"):
         reports.append(verify_mod.check_R_nonneg(sol))
         reports.append(verify_mod.check_equilibrium_martingales(sol))
     if suite in ("all", "apriori"):
-        psi_h = verify_mod.dividend_gauge_norm(sol)
-        reports.append(verify_mod.check_apriori(sol, psi_h_norm=psi_h))
+        # the gauge norm of the centred dividend: the a-priori bound's constant
+        psi_h = h_norm(centred, lattice).value
+        reports.append(verify_mod.check_apriori(sol, psi_h))
         reports.append(verify_mod.check_supermartingale_V(
-            sol, x_grid=verify_mod.default_x_grid(sol, run.verify.x_grid_size),
-            psi_h_norm=psi_h))
+            sol, verify_mod.default_x_grid(sol), psi_h))
     if suite in ("all", "optimality"):
         reports.append(verify_mod.check_optimality(
-            sol, num_random=run.verify.competitors, epsilon=run.verify.epsilon,
-            seed=run.verify.seed))
+            sol, num_random=run.verify.competitors, seed=run.verify.seed))
     if suite in ("all", "homogeneity"):
         reports.append(verify_mod.check_homogeneity(inst))
     if suite in ("all", "localization"):
@@ -375,10 +379,10 @@ def _run_suite(run: RunConfig, inst: Instance) -> list:
         # the record alone: no solution is rebuilt
         (diag,) = bsde_mod.picard_diagnostics([inst], run.solver.tol, run.solver.max_iter)
         diag.kappa, diag.growth_bound = _picard_constants(run, inst)
-        reports.append(verify_mod.check_norm_bounds(sol, diag, psi_bmo=psi_bmo))
+        reports.append(verify_mod.check_norm_bounds(sol, diag, psi_bmo))
     if suite in ("all", "counterexample"):
         reports.append(verify_mod.check_F_identity(seed=run.verify.seed))
-        reports.append(verify_mod.run_counterexample(n_list=run.verify.counterexample_steps))
+        reports.append(verify_mod.run_counterexample())
     return reports
 
 
@@ -459,7 +463,7 @@ def cmd_sweep(config_path, param, start, stop, points, out_path):
     rows, diags = [], []
     # no column depends on kappa, so none is measured; the dividend's norm
     # is the base's unless the dividend or the depth is swept
-    psi_bmo = _centered_bmo(base) if param in ("risk_aversion", "demand_scale") else None
+    psi_bmo = _centered_bmo(base)[1] if param in ("risk_aversion", "demand_scale") else None
     for val in values:
         inst = point(val)
         # the smallness product scales the base sup by |val| instead of
@@ -467,7 +471,7 @@ def cmd_sweep(config_path, param, start, stop, points, out_path):
         # last bit
         gamma_sup = (base.gamma_sup * abs(float(val)) if param == "demand_scale"
                      else inst.gamma_sup)
-        bmo = _centered_bmo(inst) if psi_bmo is None else psi_bmo
+        bmo = _centered_bmo(inst)[1] if psi_bmo is None else psi_bmo
         # a failure of the pricer is reported before the product's
         norms = _solution_norms(inst)
         rows.append([float(val), _smallness_product(inst.risk_aversion, gamma_sup, bmo),

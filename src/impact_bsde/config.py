@@ -5,6 +5,9 @@ configures (``MarketConfig``, the spec classes, ``SolverSettings``,
 ``VerifySettings``): a constructor parameter without a default is a required
 key, and an absent optional key takes the class's own default.  Unknown keys
 and sections are rejected with the full field path; numbers must be finite.
+Only model inputs and run choices are keys: the checks' numerical
+parameters are constants of ``verify`` and ``norms``, so a ``verify``
+section sets ``suite``, ``competitors`` and ``seed`` alone.
 Example:
 
     {
@@ -151,11 +154,6 @@ def _list(obj, path, of):
     return obj
 
 
-def _depths(obj, path):
-    return tuple(_integer(x, f"{path}[{i}]", minimum=1)
-                 for i, x in enumerate(_list(obj, path, "integers")))
-
-
 def _variant(obj, path: str, what: str, variants: dict):
     """The spec named by ``obj``'s ``type``, built from its other keys."""
     if not isinstance(obj, dict) or "type" not in obj:
@@ -211,9 +209,6 @@ class VerifySettings:
     suite: str = "all"
     competitors: int = 1000
     seed: int = 0
-    epsilon: float = 1e-4
-    x_grid_size: int = 5
-    counterexample_steps: tuple = (8, 10, 12)
 
 
 @dataclass
@@ -234,8 +229,7 @@ _SECTIONS = {
         "growth_bound": _positive_or_null, "kappa": _positive_or_null}),
     "verify": (VerifySettings, {
         "suite": partial(_choice, options=SUITES), "competitors": _NONNEGATIVE_INT,
-        "seed": _NONNEGATIVE_INT, "epsilon": _POSITIVE, "x_grid_size": _POSITIVE_INT,
-        "counterexample_steps": _depths}),
+        "seed": _NONNEGATIVE_INT}),
 }
 
 

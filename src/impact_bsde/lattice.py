@@ -107,9 +107,9 @@ class Lattice:
         up, down = self.children(x, axis)
         return np.divide(np.subtract(up, down, out=out), 2.0 * self.sqrt_dt, out=out)
 
-    def to_children(self, x: np.ndarray, axis: int = 0) -> np.ndarray:
+    def to_children(self, x: np.ndarray) -> np.ndarray:
         """Slice ``x`` one step later: each node's value on both its children."""
-        return np.repeat(x, 2, axis=axis)
+        return np.repeat(x, 2, axis=0)
 
     def from_children(self, up: np.ndarray, down: np.ndarray) -> np.ndarray:
         """The slice whose up and down children are ``up`` and ``down``."""
@@ -127,13 +127,12 @@ class Lattice:
         zeroed block."""
         return self.levels(np.zeros(((2 << self.num_steps) - 1, *shape)))
 
-    def levels(self, block: np.ndarray, axis: int = 0) -> list[np.ndarray]:
-        """``block`` cut along ``axis`` into one view per step from step 0,
-        ``nodes(k)`` entries for step ``k``: an axis of ``nodes(s) - 1``
-        entries holds steps 0 to ``s - 1``."""
-        lead = (slice(None),) * axis
-        steps = (block.shape[axis] + 1).bit_length() - 1
-        return [block[lead + (slice((1 << k) - 1, (2 << k) - 1),)] for k in range(steps)]
+    def levels(self, block: np.ndarray) -> list[np.ndarray]:
+        """``block`` cut along its first axis into one view per step from
+        step 0, ``nodes(k)`` entries for step ``k``: an axis of
+        ``nodes(s) - 1`` entries holds steps 0 to ``s - 1``."""
+        steps = (len(block) + 1).bit_length() - 1
+        return [block[(1 << k) - 1:(2 << k) - 1] for k in range(steps)]
 
     def tiles(self, k: int, size: int, part: int = 0, parts: int = 1):
         """The nodes of step ``k`` below root subtree ``part`` of ``parts``
@@ -269,17 +268,18 @@ class PredictableProcess:
 # The stock axis is the last axis of a vector slice (``dim`` of the process
 # types above); every reduction over it goes through these primitives.
 
-def stock_sum(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``np.sum(x, axis=-1, out=out)``, except that one stock returns the
-    column itself, a view, and ignores ``out``: use the return value."""
-    return _stock_sum(x, out)
+def stock_sum(x: np.ndarray) -> np.ndarray:
+    """``np.sum(x, axis=-1)``, except that one stock returns the column
+    itself, a view."""
+    return _stock_sum(x)
 
 
 def _stock_sum(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``stock_sum`` under a private name.  The Picard kernel's second
-    thread sums through it: perfbench's span tracer wraps the package's
-    public functions and keeps one span stack, which two threads would
-    interleave."""
+    """``stock_sum`` under a private name, into ``out`` when given; one
+    stock returns the column and ignores ``out``: use the return value.  The
+    Picard kernel's second thread sums through it: perfbench's span tracer
+    wraps the package's public functions and keeps one span stack, which two
+    threads would interleave."""
     if x.shape[-1] == 1:
         return x[..., 0]
     return x.sum(axis=-1, out=out)

@@ -385,6 +385,8 @@ def sup_norm(process) -> NormReport:
 # temporaries then take no more than the per-terminal loop's list of the
 # whole corpus did (both peak near 1.6 MB at depth 12)
 _KAPPA_BLOCK = 8
+KAPPA_RANDOM = 32
+KAPPA_SEED = 2024
 KAPPA_MAX_STEPS = 12
 
 
@@ -438,8 +440,7 @@ def _kappa_block(lat: Lattice, terminals: np.ndarray):
     return np.sqrt(two), one
 
 
-def measure_kappa(lattice: Lattice, num_random: int = 32, seed: int = 2024,
-                  max_steps: int = KAPPA_MAX_STEPS) -> float:
+def measure_kappa(lattice: Lattice) -> float:
     """Empirical ratio between the quadratic and first-moment conditional
     norms, maximized over a corpus of lattice martingales.
 
@@ -448,14 +449,14 @@ def measure_kappa(lattice: Lattice, num_random: int = 32, seed: int = 2024,
     terminals.  Its terminals are stacked in blocks of rows, so each block
     takes one Doob averaging, one quadratic pass and one first-moment sweep
     (see ``_kappa_block``); the ratio is the one the two norms give terminal
-    by terminal.  Lattices deeper than ``max_steps`` are measured at that
-    depth.  Diagnostic only; it never gates a solver.
+    by terminal.  Lattices deeper than ``KAPPA_MAX_STEPS`` are measured at
+    that depth.  Diagnostic only; it never gates a solver.
     """
     lat = lattice
-    if lattice.num_steps > max_steps:
-        lat = Lattice(max_steps, lattice.horizon)
+    if lattice.num_steps > KAPPA_MAX_STEPS:
+        lat = Lattice(KAPPA_MAX_STEPS, lattice.horizon)
     ratio = 1.0
-    for block in _kappa_corpus(lat, num_random, seed):
+    for block in _kappa_corpus(lat, KAPPA_RANDOM, KAPPA_SEED):
         block = block - block.mean(axis=1, keepdims=True)
         top = np.max(np.abs(block), axis=1)
         block, top = block[top != 0.0], top[top != 0.0]

@@ -47,7 +47,7 @@ from .lattice import (
     process_gap,
     stock_norm,
 )
-from .norms import bmo_norm_rv, h_bmo_norm, h_norm, orlicz_h, sup_norm
+from .norms import h_bmo_norm, h_norm, orlicz_h, sup_norm
 from .pricer import EquilibriumSolution, NumericalError, localize, price_equilibrium
 from .scenario import Instance, NegativeSignOfB, SignOfBT, StoppingTime, sign_plus
 from . import bsde as bsde_mod
@@ -58,6 +58,9 @@ F_IDENTITY_POINTS = 100
 HOMOGENEITY_FACTORS = (0.5, 2.0, 10.0)
 PROBE_TOL = 1e-10
 PROBE_MAX_ITER = 40
+PROBE_STEPS = (8, 10, 12)
+OPTIMALITY_EPSILON = 1e-4
+X_GRID_SIZE = 5
 
 
 @dataclass
@@ -213,12 +216,6 @@ def _pricing_means(solution: EquilibriumSolution, proc):
 
 # --- a-priori bound and supermartingale mechanism ----------------------------
 
-def dividend_gauge_norm(solution: EquilibriumSolution) -> float:
-    """Gauge norm of the centred dividend: the constant of the a-priori
-    bound, which both of its checks need."""
-    return h_norm(solution.dividend - solution.dividend.mean(axis=0), solution.lattice).value
-
-
 def _apriori_hypotheses(solution: EquilibriumSolution, psi_h: float) -> dict:
     gamma_sup = sup_norm(solution.gamma).value
     mean = solution.dividend.mean(axis=0)
@@ -232,14 +229,11 @@ def _apriori_hypotheses(solution: EquilibriumSolution, psi_h: float) -> dict:
     }
 
 
-def check_apriori(solution: EquilibriumSolution,
-                  psi_h_norm: float | None = None) -> CheckReport:
+def check_apriori(solution: EquilibriumSolution, psi_h_norm: float) -> CheckReport:
     """Exponential of the negated certainty equivalent stays above one minus
     the dividend's gauge norm, and the node-wise conditional inequality that
     produces it (with the conditional dividend mean as center) holds too."""
     lat = solution.lattice
-    if psi_h_norm is None:
-        psi_h_norm = dividend_gauge_norm(solution)
     hyp = _apriori_hypotheses(solution, psi_h_norm)
     if not all(v for k, v in hyp.items() if isinstance(v, (bool, np.bool_))):
         return CheckReport(name="apriori_bound", status="skip", hypotheses=hyp,
@@ -272,29 +266,25 @@ def check_apriori(solution: EquilibriumSolution,
     )
 
 
-def default_x_grid(solution: EquilibriumSolution, size: int = 5) -> list[np.ndarray]:
-    """Per-component price quantiles plus the origin."""
+def default_x_grid(solution: EquilibriumSolution) -> list[np.ndarray]:
+    """Per-component price quantiles, ``X_GRID_SIZE`` of them, plus the origin."""
     all_prices = np.concatenate([v for v in solution.prices.values], axis=0)
-    qs = np.linspace(0.0, 1.0, size)
+    qs = np.linspace(0.0, 1.0, X_GRID_SIZE)
     grid = [np.quantile(all_prices, q, axis=0) for q in qs]
     grid.append(np.zeros(all_prices.shape[1]))
     return grid
 
 
-def check_supermartingale_V(solution: EquilibriumSolution, x_grid=None,
-                            psi_h_norm: float | None = None) -> CheckReport:
-    """For every fixed center x, the profile-weighted certainty process
-    ``(1 - H(|S - x|)) exp(-R)`` decreases in conditional mean at every
-    node."""
+def check_supermartingale_V(solution: EquilibriumSolution, x_grid,
+                            psi_h_norm: float) -> CheckReport:
+    """For every center x of ``x_grid``, the profile-weighted certainty
+    process ``(1 - H(|S - x|)) exp(-R)`` decreases in conditional mean at
+    every node."""
     lat = solution.lattice
-    if psi_h_norm is None:
-        psi_h_norm = dividend_gauge_norm(solution)
     hyp = _apriori_hypotheses(solution, psi_h_norm)
     if not all(v for k, v in hyp.items() if isinstance(v, (bool, np.bool_))):
         return CheckReport(name="supermartingale_profile", status="skip", hypotheses=hyp,
                            details={"note": "hypotheses not satisfied; check skipped"})
-    if x_grid is None:
-        x_grid = default_x_grid(solution)
     centers = [np.atleast_1d(np.asarray(x, dtype=float)) for x in x_grid]
 
     def defects():
@@ -330,7 +320,7 @@ def check_supermartingale_V(solution: EquilibriumSolution, x_grid=None,
 _GAIN_BLOCK_BYTES = 1 << 20
 
 
-def _batch_utilities(a: float, increments, demands, work=None) -> np.ndarray:
+def _batch_utilities(a: float, increments, demands, work) -> np.ndarray:
     """Expected utility at risk aversion ``a`` of each demand in
     ``demands``, an array of shape ``(batch, nodes, n)`` holding the levels
     of each predictable demand one after another.  Only the terminal gain
@@ -355,11 +345,9 @@ def _batch_utilities(a: float, increments, demands, work=None) -> np.ndarray:
     underflows too, one pass over the leaves fewer.
 
     Every level writes into ``work`` (``_score_work``'s buffers for at least
-    ``batch`` rows; allocated here if None), so a caller scoring block after
-    block reuses one set of pages instead of mapping fresh ones per level."""
-    rows, n = len(demands), demands.shape[-1]
-    if work is None:
-        work = _score_work(rows * 2 * increments[-1].shape[1], n)
+    ``batch`` rows), so a caller scoring block after block reuses one set of
+    pages instead of mapping fresh ones per level."""
+    rows = len(demands)
     prod_buf, *gain_bufs = work
     gain = np.zeros((rows, 1))
     start = 0  # the first node of the level in each demand
@@ -386,7 +374,7 @@ def _score_work(leaves: int, n: int):
 
 
 def check_optimality(solution: EquilibriumSolution, num_random: int = 1000,
-                     epsilon: float = 1e-4, seed: int = 0) -> CheckReport:
+                     seed: int = 0) -> CheckReport:
     """No competitor demand beats the equilibrium demand's expected
     exponential utility, against random bounded competitors plus structured
     two-sided perturbations of the demand itself.
@@ -462,12 +450,12 @@ def check_optimality(solution: EquilibriumSolution, num_random: int = 1000,
         demands = np.empty((1 + 2 * len(directions), nodes, n))
         demands[0] = np.concatenate(solution.gamma.values)
         for i, d in enumerate(directions):
-            demands[2 * i + 1] = demands[0] + epsilon * d
-            demands[2 * i + 2] = demands[0] - epsilon * d
+            demands[2 * i + 1] = demands[0] + OPTIMALITY_EPSILON * d
+            demands[2 * i + 2] = demands[0] - OPTIMALITY_EPSILON * d
         base, *perturbed = utilities(demands)
     utility_gaps = [base - u for u in scores + perturbed]
     pairs = iter(perturbed)
-    slopes = [(uu - ud) / (2 * epsilon) for uu, ud in zip(pairs, pairs)]
+    slopes = [(uu - ud) / (2 * OPTIMALITY_EPSILON) for uu, ud in zip(pairs, pairs)]
     worst, _ = _node_min([(0, utility_gaps)])
 
     return CheckReport(
@@ -543,31 +531,22 @@ def check_localization(solution: EquilibriumSolution, tau: StoppingTime) -> Chec
 
 # --- norm bounds (diagnostic) ----------------------------------------------------
 
-def check_norm_bounds(solution: EquilibriumSolution, diagnostics=None,
-                      psi_bmo: float | None = None) -> CheckReport:
-    """Volatility bounded by twice the centered dividend norm; market price
-    of risk by four times demand-sup times aversion times that norm
-    (``psi_bmo``, computed here if None).  Diagnostic: the gate (a converged
-    fixed point inside the contraction radius) uses configured stand-ins for
+def check_norm_bounds(solution: EquilibriumSolution, diagnostics, psi_bmo: float) -> CheckReport:
+    """Volatility bounded by twice the centered dividend norm ``psi_bmo``;
+    market price of risk by four times demand-sup times aversion times that
+    norm.  Diagnostic: the gate (the Picard record ``diagnostics`` converged
+    inside the contraction radius) uses configured stand-ins for
     non-constructive constants."""
-    if psi_bmo is None:
-        centered = solution.dividend - solution.dividend.mean(axis=0)
-        psi_bmo = bmo_norm_rv(centered, solution.lattice).value
     sigma_bmo = h_bmo_norm(solution.volatility).value
     alpha_bmo = h_bmo_norm(solution.market_price_of_risk).value
     gamma_sup = sup_norm(solution.gamma).value
     a = solution.risk_aversion
 
-    gate = {"picard_converged": None, "within_contraction_radius": None}
-    if diagnostics is not None:
-        gate["picard_converged"] = diagnostics.converged
-        gate["within_contraction_radius"] = (
-            diagnostics.terminal_norm < diagnostics.contraction_radius
-        )
-        if not (diagnostics.converged and gate["within_contraction_radius"]):
-            return CheckReport(name="norm_bounds", status="skip",
-                               hypotheses=gate,
-                               details={"note": "outside the small-data gate"})
+    within = diagnostics.terminal_norm < diagnostics.contraction_radius
+    gate = {"picard_converged": diagnostics.converged, "within_contraction_radius": within}
+    if not (diagnostics.converged and within):
+        return CheckReport(name="norm_bounds", status="skip", hypotheses=gate,
+                           details={"note": "outside the small-data gate"})
 
     sigma_ok = sigma_bmo <= 2.0 * psi_bmo + 1e-9
     alpha_ok = alpha_bmo <= 4.0 * a * gamma_sup * psi_bmo + 1e-9
@@ -591,9 +570,10 @@ def check_norm_bounds(solution: EquilibriumSolution, diagnostics=None,
 
 # --- counter-example probe --------------------------------------------------------
 
-def run_counterexample(n_list=(8, 10, 12)) -> CheckReport:
+def run_counterexample() -> CheckReport:
     """Probe the boundary instance (unit dividend signs against the opposed
-    unit demand, unit risk aversion, horizon 1) across lattice depths.
+    unit demand, unit risk aversion, horizon 1) at the lattice depths
+    ``PROBE_STEPS``.
 
     Each depth records: the exact unit smallness product, the fixed-point
     iteration record with its expansion ratios, the sign pattern of prices
@@ -614,7 +594,7 @@ def run_counterexample(n_list=(8, 10, 12)) -> CheckReport:
              "sign_pattern_fraction": [], "mean_price_gap_to_unit": [],
              "non_contraction": [], "converged": [], "ratios": []}
     unit_product = None
-    for num_steps in n_list:
+    for num_steps in PROBE_STEPS:
         lat = build_lattice(num_steps, 1.0)
         gamma_vals = NegativeSignOfB(1.0).step_values(lat, 1)
         inst = Instance(lat, 1.0, PredictableProcess(lat, gamma_vals),

@@ -46,7 +46,7 @@ def explicit_solution(inst) -> bsde_mod.BsdeSolution:
             _check_finite(price[k], k, "scaled price")
     return bsde_mod.BsdeSolution(lattice, a, gamma, AdaptedProcess(lattice, value),
                                  AdaptedProcess(lattice, price), PredictableProcess(lattice, eta),
-                                 PredictableProcess(lattice, theta), 0.0, "explicit")
+                                 PredictableProcess(lattice, theta), 0.0)
 
 
 def picard_solution(inst, tol, max_iter, growth_bound, kappa):
@@ -62,7 +62,7 @@ def picard_solution(inst, tol, max_iter, growth_bound, kappa):
     return bsde_mod.BsdeSolution(lattice, inst.risk_aversion, inst.gamma,
                                  AdaptedProcess(lattice, value), AdaptedProcess(lattice, price),
                                  PredictableProcess(lattice, eta),
-                                 PredictableProcess(lattice, theta), residual, "picard"), diag
+                                 PredictableProcess(lattice, theta), residual), diag
 
 
 @click.group(cls=_ErrorExits)

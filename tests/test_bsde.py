@@ -31,6 +31,7 @@ from impact_bsde import (
     solve_picard,
     stochastic_integral,
 )
+import impact_bsde.norms as norms_mod
 
 from helpers import martingale_representation, max_gap, random_table_config, stacked_integrand
 from picard_reference import (backward_rebuild, pair_distance, pair_norm, picard_record,
@@ -204,10 +205,12 @@ def test_counterexample_regime_reports_expansion():
     assert any(r >= 1.0 for r in diag.ratios) or not diag.converged
 
 
-def test_contraction_report_growth_bound():
+def test_contraction_report_growth_bound(monkeypatch):
     rng = np.random.default_rng(83)
     lat = build_lattice(6, 1.0)
-    kappa = measure_kappa(lat, num_random=16, seed=3)
+    monkeypatch.setattr(norms_mod, "KAPPA_RANDOM", 16)
+    monkeypatch.setattr(norms_mod, "KAPPA_SEED", 3)
+    kappa = measure_kappa(lat)
     for _ in range(5):
         cfg = random_table_config(rng, 6, a_lo=0.01, a_hi=0.1)
         _, diag = solve_picard(evaluate_market(cfg, lat), tol=1e-12, max_iter=100,
@@ -236,12 +239,14 @@ def test_contraction_report_first_bound_is_the_terminal_norm(kappa):
                                                for p, norm in zip(norms, norms[1:])]
 
 
-def test_contraction_lipschitz_bound_on_random_pairs():
+def test_contraction_lipschitz_bound_on_random_pairs(monkeypatch):
     rng = np.random.default_rng(89)
     lat = build_lattice(6, 1.0)
     cfg = random_table_config(np.random.default_rng(4), 6)
     inst = evaluate_market(cfg, lat)
-    kappa = measure_kappa(lat, num_random=16, seed=3)
+    monkeypatch.setattr(norms_mod, "KAPPA_RANDOM", 16)
+    monkeypatch.setattr(norms_mod, "KAPPA_SEED", 3)
+    kappa = measure_kappa(lat)
     bound_const = 2.0 * kappa * driver_growth_bound(inst.gamma_sup)
 
     def rand_pair():
@@ -427,7 +432,6 @@ def test_picard_iteration_stays_fused(monkeypatch):
     # one iteration is one leaf-to-root pass: neither the integrand norm nor
     # the full-tree conditional expectation may run once per iteration
     import impact_bsde.bsde as bsde_mod
-    import impact_bsde.norms as norms_mod
     calls = {"h_bmo_norm": 0, "conditional_expectation": 0}
 
     def counting(name, original):

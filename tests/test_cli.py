@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import impact_bsde.bsde as bsde_mod
+import impact_bsde.verify as verify_mod
 from impact_bsde import ExponentialGuardError, build_lattice, evaluate_market
 from impact_bsde.cli import main
 from impact_bsde.config import (ConfigError, SolverSettings, VerifySettings, load_config,
@@ -154,20 +155,23 @@ SINGLE_ERRORS = {
     "bad_choice": (_with_section("solver", {"method": "newton"}),
                    "solver.method: expected one of ('explicit', 'picard', 'both'), got 'newton'"),
     "non_positive": (one_period_doc(horizon=-1), "market.horizon: must be positive, got -1"),
-    "non_positive_nan": (_with_section("verify", {"epsilon": math.nan}),
-                         "verify.epsilon: must be positive, got nan"),
-    "below_minimum": (_with_section("verify", {"x_grid_size": 0}),
-                      "verify.x_grid_size: must be >= 1, got 0"),
+    "non_positive_nan": (one_period_doc(horizon=math.nan),
+                         "market.horizon: must be positive, got nan"),
+    "below_minimum": (one_period_doc(num_steps=0), "market.num_steps: must be >= 1, got 0"),
     "negative_seed": (_with_section("verify", {"seed": -1}),
                       "verify.seed: must be >= 0, got -1"),
     "empty_schedule": (_schedule([]), "market.demand.schedule: expected a non-empty list"),
     "malformed_schedule": (_schedule([[0]]), "market.demand.schedule[0]: expected [step, value]"),
     "schedule_step": (_schedule([[-1, 1.0]]),
                       "market.demand.schedule[0][0]: must be >= 0, got -1"),
-    "counterexample_steps": (_with_section("verify", {"counterexample_steps": "x"}),
-                             "verify.counterexample_steps: expected a list of integers"),
-    "counterexample_step": (_with_section("verify", {"counterexample_steps": [4, "a"]}),
-                            "verify.counterexample_steps[1]: expected an integer, got 'a'"),
+    # the check parameters are verify's constants, not keys: a grid of 1e12
+    # quantiles once ended in a traceback, and an epsilon of 1e308 in NaN
+    # slopes reported as a pass
+    "counterexample_steps": (_with_section("verify", {"counterexample_steps": [8, 10, 12]}),
+                             "verify.counterexample_steps: unknown key"),
+    "x_grid_size": (_with_section("verify", {"x_grid_size": 10 ** 12}),
+                    "verify.x_grid_size: unknown key"),
+    "epsilon": (_with_section("verify", {"epsilon": 1e308}), "verify.epsilon: unknown key"),
 }
 
 
@@ -381,12 +385,13 @@ def test_norms_command(tmp_path):
     assert doc["kappa_empirical"] >= 1.0
 
 
-def test_verify_command_all_gates(tmp_path):
+def test_verify_command_all_gates(tmp_path, monkeypatch):
     runner = CliRunner()
     doc = one_period_doc(num_steps=5,
                          demand={"type": "negative_sign_of_b"},
                          dividend={"type": "sign_of_b_t", "scale": 0.5})
-    doc["verify"] = {"competitors": 50, "counterexample_steps": [4, 5]}
+    doc["verify"] = {"competitors": 50}
+    monkeypatch.setattr(verify_mod, "PROBE_STEPS", (4, 5))
     doc["solver"] = {"max_iter": 20}
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "v.json"
@@ -499,42 +504,42 @@ def test_sweep_nonpositive_aversion_is_a_config_error(tmp_path, start):
     assert not out.exists()
 
 
-def test_counterexample_depth_over_cap_is_a_config_error(tmp_path):
-    doc = one_period_doc(num_steps=4)
-    doc["verify"] = {"counterexample_steps": [30]}
-    cfg = write_config(tmp_path, doc)
-    result = CliRunner().invoke(main, ["verify", "--config", cfg, "--suite", "counterexample",
-                                       "--out", str(tmp_path / "v.json")])
-    assert result.exit_code == 2, result.output
-    assert isinstance(result.exception, SystemExit)
-    assert "config error:" in result.output and "num_steps=30" in result.output
-
-
-def test_counterexample_depth_zero_is_a_config_error(tmp_path):
-    doc = one_period_doc(num_steps=4)
-    doc["verify"] = {"counterexample_steps": [4, 0]}
-    cfg = write_config(tmp_path, doc)
-    result = CliRunner().invoke(main, ["verify", "--config", cfg, "--suite", "counterexample",
-                                       "--out", str(tmp_path / "v.json")])
-    assert result.exit_code == 2, result.output
-    assert isinstance(result.exception, SystemExit)
-    assert "config error: verify.counterexample_steps[1]" in result.output
-
-
-def test_verify_x_grid_size_reaches_the_supermartingale_check(tmp_path):
+def test_verify_report_reads_the_check_constants(tmp_path):
     # unit aversion, demand in the unit ball and a centred dividend (odd
-    # depth): the check runs instead of skipping, on 3 quantiles + the origin
+    # depth): the supermartingale check runs instead of skipping, on
+    # X_GRID_SIZE quantiles + the origin, and the probe runs at PROBE_STEPS
     doc = one_period_doc(num_steps=5, demand={"type": "negative_sign_of_b"},
                          dividend={"type": "sign_of_b_t", "scale": 0.5})
-    doc["verify"] = {"x_grid_size": 3}
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "v.json"
-    result = CliRunner().invoke(main, ["verify", "--config", cfg, "--suite", "apriori",
+    result = CliRunner().invoke(main, ["verify", "--config", cfg, "--suite", "all",
                                        "--out", str(out)])
     assert result.exit_code == 0, result.output
     checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
     assert checks["supermartingale_profile"]["status"] == "pass"
-    assert checks["supermartingale_profile"]["details"]["grid_size"] == 4
+    assert checks["supermartingale_profile"]["details"]["grid_size"] == 6
+    assert checks["counterexample_probe"]["details"]["trend"]["num_steps"] == [8, 10, 12]
+
+
+@pytest.mark.parametrize("section, key, value, command", [
+    # 10**15 stocks: their first slice is beyond any process's address space,
+    # so the allocation fails whatever the kernel's overcommit policy
+    ("market", "num_stocks", 10 ** 15, ["price"]),
+    ("verify", "competitors", 10 ** 21, ["verify", "--suite", "optimality"]),
+], ids=["stocks", "competitors"])
+def test_a_run_beyond_the_memory_is_a_config_error(tmp_path, section, key, value, command):
+    # both ended in a MemoryError traceback with exit 1
+    doc = one_period_doc(num_steps=3)
+    doc.setdefault(section, {})[key] = value
+    out = tmp_path / "out.json"
+    result = CliRunner().invoke(main, command + ["--config", write_config(tmp_path, doc),
+                                                 "--out", str(out)])
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("config error: the run needs more memory than is "
+                                    "available")
+    assert result.output.count("\n") == 1 and "Traceback" not in result.output
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("param", ["risk_aversion", "demand_scale", "dividend_scale",
@@ -597,7 +602,8 @@ def test_each_command_evaluates_the_market_once(tmp_path, monkeypatch):
     doc = one_period_doc(num_steps=5, demand={"type": "negative_sign_of_b"},
                          dividend={"type": "sign_of_b_t", "scale": 0.5})
     doc["solver"] = {"max_iter": 20}
-    doc["verify"] = {"competitors": 5, "counterexample_steps": [3]}
+    doc["verify"] = {"competitors": 5}
+    monkeypatch.setattr(verify_mod, "PROBE_STEPS", (3,))
     cfg = write_config(tmp_path, doc)
     out = str(tmp_path / "out")
     commands = [["price"], ["norms"], ["bsde", "--method", "both"], ["verify", "--suite", "all"]]
@@ -664,15 +670,16 @@ def test_verify_measures_kappa_once_per_lattice(tmp_path, monkeypatch):
 
 
 def test_verify_apriori_computes_the_gauge_norm_once(tmp_path, monkeypatch):
-    import impact_bsde.verify as verify
+    # the command computes it and hands it to both a-priori checks
+    import impact_bsde.cli as cli
     calls = []
-    original = verify.h_norm
+    original = cli.h_norm
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(verify, "h_norm", counting)
+    monkeypatch.setattr(cli, "h_norm", counting)
     doc = one_period_doc(num_steps=5, demand={"type": "constant", "value": 0.5},
                          dividend={"type": "sign_of_b_t", "scale": 0.2},
                          center_dividend=True)
@@ -1141,13 +1148,14 @@ def test_depth_sweep_that_drops_points_is_a_config_error(tmp_path):
     assert not out.exists()
 
 
-def test_verify_uses_the_configured_growth_bound(tmp_path):
+def test_verify_uses_the_configured_growth_bound(tmp_path, monkeypatch):
     # a tiny configured growth constant widens the contraction radius: bsde
     # and verify read the same constants, so both see the run inside it and
     # verify runs the norm-bound check instead of skipping it
     doc = one_period_doc(num_steps=6, dividend={"type": "sign_of_b_t", "scale": 0.3})
     doc["solver"] = {"growth_bound": 1e-6, "kappa": 1.0}
-    doc["verify"] = {"competitors": 5, "counterexample_steps": [3]}
+    doc["verify"] = {"competitors": 5}
+    monkeypatch.setattr(verify_mod, "PROBE_STEPS", (3,))
     cfg = write_config(tmp_path, doc)
     runner = CliRunner()
     result = runner.invoke(main, ["bsde", "--config", cfg, "--method", "picard",
@@ -1525,7 +1533,8 @@ def test_verify_runs_no_reconstruction(tmp_path, monkeypatch, suite):
     calls = _refuse_picard_solutions(monkeypatch)
     doc = one_period_doc(num_steps=5, demand={"type": "negative_sign_of_b"},
                          dividend={"type": "sign_of_b_t", "scale": 0.5})
-    doc["verify"] = {"competitors": 20, "counterexample_steps": [3, 4]}
+    doc["verify"] = {"competitors": 20}
+    monkeypatch.setattr(verify_mod, "PROBE_STEPS", (3, 4))
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "verify.json"
     result = CliRunner().invoke(main, ["verify", "--config", cfg, "--suite", suite,

@@ -343,9 +343,11 @@ def test_vector_martingale_norms():
     assert h_bmo_norm(pair).value > 0
 
 
-def test_measure_kappa_at_least_one():
+def test_measure_kappa_at_least_one(monkeypatch):
     lat = build_lattice(8, 1.0)
-    kappa = measure_kappa(lat, num_random=8, seed=1)
+    monkeypatch.setattr(norms_mod, "KAPPA_RANDOM", 8)
+    monkeypatch.setattr(norms_mod, "KAPPA_SEED", 1)
+    kappa = measure_kappa(lat)
     assert kappa >= 1.0
     assert kappa < 10.0
 
@@ -458,13 +460,17 @@ def test_h_norm_of_non_finite_input_is_nan_without_warnings(bad):
 
 
 @pytest.mark.parametrize("depth", range(1, 15))
-def test_measure_kappa_matches_the_per_terminal_loop(depth):
+def test_measure_kappa_matches_the_per_terminal_loop(monkeypatch, depth):
     lat = build_lattice(depth, 1.0)
     assert measure_kappa(lat) == measure_kappa_reference(lat)
     if depth in (3, 9, 13):
+        for name, value in (("KAPPA_RANDOM", 13), ("KAPPA_SEED", 7), ("KAPPA_MAX_STEPS", 9)):
+            monkeypatch.setattr(norms_mod, name, value)
         kwargs = {"num_random": 13, "seed": 7, "max_steps": 9}
-        assert measure_kappa(lat, **kwargs) == measure_kappa_reference(lat, **kwargs)
-        assert measure_kappa(lat, num_random=0) == measure_kappa_reference(lat, num_random=0)
+        assert measure_kappa(lat) == measure_kappa_reference(lat, **kwargs)
+        monkeypatch.undo()
+        monkeypatch.setattr(norms_mod, "KAPPA_RANDOM", 0)
+        assert measure_kappa(lat) == measure_kappa_reference(lat, num_random=0)
 
 
 @pytest.mark.parametrize("depth", [1, 3, 8, 12, 14])

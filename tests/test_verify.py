@@ -16,8 +16,10 @@ from impact_bsde import (
     SignOfBT,
     Instance,
     TableDividend,
+    bmo_norm_rv,
     build_lattice,
     evaluate_market,
+    h_norm,
     hitting_time_tau,
     price_equilibrium,
     solve_picard,
@@ -42,6 +44,7 @@ from impact_bsde.verify import (
     decay_profile,
     decay_profile_d1,
     decay_profile_d2,
+    default_x_grid,
     run_counterexample,
 )
 
@@ -83,6 +86,16 @@ def test_R_nonneg_random_sweep():
         assert check_R_nonneg(price_equilibrium(evaluate_market(cfg, lat))).status == "pass"
 
 
+def _gauge(sol):
+    """The a-priori bound's constant: the centred dividend's gauge norm."""
+    return h_norm(sol.dividend - sol.dividend.mean(axis=0), sol.lattice).value
+
+
+def _centred_bmo(sol):
+    """The norm bounds' constant: the centred dividend's quadratic norm."""
+    return bmo_norm_rv(sol.dividend - sol.dividend.mean(axis=0), sol.lattice).value
+
+
 def test_equilibrium_martingales_pass(eligible):
     _, _, sol = eligible
     report = check_equilibrium_martingales(sol)
@@ -92,7 +105,7 @@ def test_equilibrium_martingales_pass(eligible):
 
 def test_apriori_bound(eligible):
     _, _, sol = eligible
-    report = check_apriori(sol)
+    report = check_apriori(sol, _gauge(sol))
     assert report.status == "pass"
     assert report.hypotheses["gauge_norm"] == pytest.approx(0.5, abs=1e-9)
     # the bound says exp(-R) >= 0.5 at every node
@@ -103,7 +116,8 @@ def test_apriori_bound(eligible):
 def test_apriori_skips_on_large_aversion():
     lat = build_lattice(5, 1.0)
     cfg = MarketConfig(2.0, 1, NegativeSignOfB(), SignOfBT(0.5), 5, 1.0)
-    report = check_apriori(price_equilibrium(evaluate_market(cfg, lat)))
+    sol = price_equilibrium(evaluate_market(cfg, lat))
+    report = check_apriori(sol, _gauge(sol))
     assert report.status == "skip"
     assert not report.hypotheses["unit_risk_aversion"]
 
@@ -112,7 +126,8 @@ def test_apriori_skips_on_uncentered_dividend():
     # even depth: the terminal sign is not centered under the tie-break
     lat = build_lattice(6, 1.0)
     cfg = MarketConfig(1.0, 1, NegativeSignOfB(), SignOfBT(0.5), 6, 1.0)
-    report = check_apriori(price_equilibrium(evaluate_market(cfg, lat)))
+    sol = price_equilibrium(evaluate_market(cfg, lat))
+    report = check_apriori(sol, _gauge(sol))
     assert report.status == "skip"
     assert not report.hypotheses["dividend_centered"]
 
@@ -126,7 +141,7 @@ def test_apriori_sweep_toward_boundary():
         lat = build_lattice(5, 1.0)
         cfg = MarketConfig(1.0, 1, NegativeSignOfB(), SignOfBT(scale), 5, 1.0)
         sol = price_equilibrium(evaluate_market(cfg, lat))
-        report = check_apriori(sol)
+        report = check_apriori(sol, _gauge(sol))
         assert report.status == "pass"
         assert report.details["min_gap_to_floor"] >= -1e-10
         floors.append(report.details["floor"])
@@ -138,14 +153,14 @@ def test_apriori_sweep_toward_boundary():
 
 def test_supermartingale_profile(eligible):
     _, _, sol = eligible
-    report = check_supermartingale_V(sol)
+    report = check_supermartingale_V(sol, default_x_grid(sol), _gauge(sol))
     assert report.status == "pass"
     assert report.details["max_defect"] <= 1e-10
 
 
 def test_supermartingale_profile_far_center(eligible):
     _, _, sol = eligible
-    report = check_supermartingale_V(sol, x_grid=[np.array([25.0])])
+    report = check_supermartingale_V(sol, [np.array([25.0])], _gauge(sol))
     assert report.status == "pass"
 
 
@@ -154,7 +169,7 @@ def test_supermartingale_constant_dividend_flat_profile():
     cfg = MarketConfig(1.0, 1, ConstantDemand(0.0),
                        TableDividend(np.zeros(8)), 3, 1.0)
     sol = price_equilibrium(evaluate_market(cfg, lat))
-    report = check_supermartingale_V(sol, x_grid=[np.array([0.0])])
+    report = check_supermartingale_V(sol, [np.array([0.0])], _gauge(sol))
     assert report.status == "pass"
     assert report.details["max_defect"] == pytest.approx(0.0, abs=1e-15)
 
@@ -244,7 +259,7 @@ def test_localization_check(eligible):
 def test_norm_bounds_skips_outside_gate(eligible):
     lat, cfg, sol = eligible
     _, diag = solve_picard(evaluate_market(cfg, lat), tol=1e-10, max_iter=10)
-    report = check_norm_bounds(sol, diag)
+    report = check_norm_bounds(sol, diag, _centred_bmo(sol))
     assert report.status == "skip"
 
 
@@ -254,7 +269,7 @@ def test_norm_bounds_inside_gate():
     lat = build_lattice(6, 1.0)
     sol = price_equilibrium(evaluate_market(cfg, lat))
     _, diag = solve_picard(evaluate_market(cfg, lat), tol=1e-12, max_iter=100)
-    report = check_norm_bounds(sol, diag)
+    report = check_norm_bounds(sol, diag, _centred_bmo(sol))
     assert report.status == "diagnostic"
     assert report.details["volatility_ok"]
     assert report.details["mpr_ok"]
@@ -279,7 +294,8 @@ def test_F_identity_report():
 
 def test_counterexample_probe_smoke(monkeypatch):
     monkeypatch.setattr(verify_mod, "PROBE_MAX_ITER", 20)
-    report = run_counterexample(n_list=(4, 6))
+    monkeypatch.setattr(verify_mod, "PROBE_STEPS", (4, 6))
+    report = run_counterexample()
     assert report.status == "diagnostic"
     d = report.details
     assert d["smallness_product"] == 1.0
@@ -358,7 +374,8 @@ def _scored(sol, demands):
     prices, lat = sol.prices.values, sol.lattice
     increments = [np.stack(lat.children(prices[k + 1])) - prices[k]
                   for k in range(lat.num_steps)]
-    return _batch_utilities(sol.risk_aversion, increments, demands).tolist()
+    work = _score_work(len(demands) * lat.num_leaves, sol.gamma.dim)
+    return _batch_utilities(sol.risk_aversion, increments, demands, work).tolist()
 
 
 def _seed_optimality(sol, num_random, epsilon, seed):
@@ -423,7 +440,8 @@ def test_batch_utilities_equal_the_broadcast_kernel(num_steps, num_stocks, rows,
     by_child = [np.stack((dx[:, 0], dx[:, 1])) for dx in increments]
     with np.errstate(over="ignore"):
         want = scoring_reference._batch_utilities(a, increments, demands)
-        for got in (_batch_utilities(a, by_child, demands),
+        for got in (_batch_utilities(a, by_child, demands,
+                                     _score_work(rows * lat.num_leaves, num_stocks)),
                     _batch_utilities(a, by_child, demands, work)):
             assert got.tobytes() == want.tobytes()
     if log_scale == 3.0:  # the explicit example: utilities overflow
@@ -443,7 +461,8 @@ def test_batch_utilities_keep_the_zero_of_an_underflowing_row(num_stocks):
     demands[1] = 1e-3  # a row of finite terms beside it
     want = scoring_reference._batch_utilities(1.0, increments, demands)
     assert want[0] == 0.0 and want[1] < 0.0
-    assert _batch_utilities(1.0, by_child, demands).tobytes() == want.tobytes()
+    work = _score_work(2 * lat.num_leaves, num_stocks)
+    assert _batch_utilities(1.0, by_child, demands, work).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("num_stocks", [1, 2, 3, 8])
@@ -455,7 +474,7 @@ def test_batched_optimality_equals_the_per_competitor_loop(monkeypatch, num_stoc
         num_random = 4 * _block(10) + 3
     # two workers whatever the machine, so each scores several blocks
     monkeypatch.setattr(bsde, "_usable_cpus", lambda: 2)
-    report = check_optimality(sol, num_random=num_random, epsilon=1e-4, seed=11)
+    report = check_optimality(sol, num_random=num_random, seed=11)
     # the slopes' random direction is drawn after every competitor, so equal
     # slopes also pin the stream position
     worst, slopes = _seed_optimality(sol, num_random, 1e-4, 11)
@@ -530,7 +549,7 @@ def _worker_scores_first(monkeypatch, depth, fail=False):
     started = threading.Event()
     scoring = verify_mod._batch_utilities
 
-    def scheduled(a, increments, demands, work=None):
+    def scheduled(a, increments, demands, work):
         if threading.current_thread() is not threading.main_thread():
             started.set()
             if fail:
@@ -555,7 +574,7 @@ def test_optimality_draws_each_block_at_its_stream_position(monkeypatch, cpus):
     scored = []
     scoring = verify_mod._batch_utilities
 
-    def recording(a, increments, demands, work=None):
+    def recording(a, increments, demands, work):
         scored.append(demands.tobytes())
         return scoring(a, increments, demands, work)
 
