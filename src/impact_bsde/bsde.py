@@ -81,6 +81,13 @@ array.  The first node of each slice that is not finite and the node max of
 the gap between the two prices are taken as each tile passes.  The explicit
 integrands and the rebuild's residual (the node-max move of one more map
 step) are read off a kept solution's slices after the walk.
+
+The walks, and a Picard step whose rows share one demand (every ``bsde``
+run), read the demand a tile at a time through ``PredictableProcess.tile``:
+a Markov demand's state tables are gathered into scratch the tile owns (the
+Picard step's demand row, each walk's price drift), so no tree-sized demand
+is held.  A block of rows with different demands (a ``demand_scale`` sweep)
+stacks the rows' levels, each gathered once, on first read.
 """
 
 from __future__ import annotations
@@ -257,7 +264,9 @@ def _backward(inst: Instance, tile, here, below, frozen, scratch):
     plus the drift, taken at the child differences of ``below`` (the
     explicit solve, which takes them in ``here`` too) or at the frozen pair
     ``frozen`` (a rebuild).  The drifts and their temporaries go into the
-    flat ``scratch``, free between tiles.  It calls no public function."""
+    flat ``scratch``, free between tiles; a demand gathered from its state
+    tables goes where the price drift goes, which overwrites it as the
+    driver reads it.  It calls no public function."""
     lattice, k, nodes, n = inst.lattice, tile.k, tile.nodes, inst.num_stocks
     m = nodes.stop - nodes.start
     (value, price), (value_below, price_below) = here, below
@@ -266,8 +275,13 @@ def _backward(inst: Instance, tile, here, below, frozen, scratch):
         t = lattice.child_diff(price_below, axis=1, out=price)
     else:
         e, t = frozen[0][k][nodes], frozen[1][k][nodes]
-    vd, pd = _driver(e, t, inst.gamma.values[k][nodes], _rows(scratch, 1, m),
-                     _rows(scratch[2 * m:], 1, m, n), _rows(scratch[m:], 1, m),
+    pd = _rows(scratch[2 * m:], 1, m, n)
+    out = pd[0]
+    gamma = inst.gamma.tile(k, nodes, out)
+    # a gathered demand goes in as the very array the driver writes over it,
+    # so numpy sees an exact overlap and copies nothing
+    vd, pd = _driver(e, t, pd if gamma is out else gamma, _rows(scratch, 1, m), pd,
+                     _rows(scratch[m:], 1, m),
                      _rows(scratch[(2 + n) * m:], 1, m) if n > 1 else None)
     # child mean plus drift times dt
     np.add(lattice.child_mean(value_below, axis=1, out=value),
@@ -609,7 +623,8 @@ class _PicardKernel:
     lattice.  Slices carry the rows first: ``eta[k]`` has shape
     ``(rows, nodes(k))`` and ``theta[k]`` ``(rows, nodes(k), n)``, and row
     ``r`` reads the demand of ``points[r]`` (a demand process every row
-    shares is read as it is; otherwise each tile stacks the rows' slices).
+    shares is read a tile at a time; otherwise each tile stacks the rows'
+    levels).
     Per level, the remaining loads of the new pair and of its distance to
     ``(eta, theta)`` advance, summed in the order ``h_bmo_norm`` sums a
     stacked pair, and their row maxima are kept.
@@ -643,11 +658,13 @@ class _PicardKernel:
 
     def resize(self, rows: int):
         """Run the first ``rows`` rows from the next step on: cut every view
-        a tile reads or writes."""
+        a tile reads or writes, from its store's view of the tile's level
+        below its subtree, taken once."""
         lattice, steps, n, cut = self.lattice, self.lattice.num_steps, self.n, self.cut
         self.rows = rows
         above = {"value": _rows(self.zero, rows, 1), "price": _rows(self.zero, rows, 1, n)}
         tiles: dict = {}
+        levels: dict = {}
 
         def plan(k, q, parts, run, first):
             nodes, leaves, local, below, parents = run
@@ -657,7 +674,10 @@ class _PicardKernel:
                 t = tiles[w, width] = self.tile(w, width)
 
             def view(kind, level):
-                return self.stores[kind].view(rows, level, q, parts)
+                key = kind, level, q, parts
+                if key not in levels:
+                    levels[key] = self.stores[kind].view(rows, level, q, parts)
+                return levels[key]
 
             here = {kind: view(kind, k)[:, local] for kind in self.shapes}
             last = k == steps - 1
@@ -730,7 +750,9 @@ class _PicardKernel:
         tile's drift times dt."""
         points, shared, eta, theta = job
         k, nodes, t = tile.k, tile.nodes, tile.scratch
-        g = (points[0].gamma.values[k][nodes] if shared
+        # rows of different demands gather their levels on first read: the
+        # root, on the calling thread before the parts start
+        g = (points[0].gamma.tile(k, nodes, t.gamma[0]) if shared
              else np.stack([p.gamma.values[k][nodes] for p in points], out=t.gamma))
         for drift, (combine, above, pairs) in zip(
                 _driver(eta[k][:, nodes], theta[k][:, nodes], g, t.a, t.p, t.b, t.tg), tile.sums):

@@ -11,7 +11,11 @@ strided array operations per step, exact up to floating point.  That layout
 is read only through ``Lattice``'s methods (node counts, the children of a
 slice, their mean and difference, expanding a slice to its children, the
 descendant leaves of a node, the walk), so no other module depends on it.
-A ``Lattice`` stores only scalars: the walk is computed from the node index.
+A ``Lattice`` stores only scalars: the walk is computed from the node index,
+whose popcount is the number of down moves on its path.  So a Markov
+process, a function of the step and the walk, is stored as one state table
+per step, its value at each number of down moves, and a run of nodes reads
+it by gathering the table's rows by popcount.
 
 A one-step martingale increment on this tree takes exactly two values, so
 it is always a multiple of the driving increment: the predictable
@@ -25,11 +29,26 @@ tree.
 from __future__ import annotations
 
 import os
+from functools import cached_property
 
 import numpy as np
 
 DEFAULT_MAX_STEPS = 22
 MAX_STEPS_ENV = "IMPACT_BSDE_MAX_STEPS"
+# the nodes a state table is gathered for at a time
+_GATHER_NODES = 1 << 12
+
+
+def _downs(lo: int, hi: int) -> np.ndarray:
+    """The number of down moves on the path to each node ``lo`` to ``hi -
+    1`` of a step, ``popcount(p)``, counted in place on int64 indices (no
+    allowed depth overflows them)."""
+    p = np.arange(lo, hi, dtype=np.int64)
+    return np.bitwise_count(p, out=p)
+
+
+# the down moves of each offset into a run of ``Lattice.gather``
+_OFFSET_DOWNS = _downs(0, _GATHER_NODES)
 
 
 class LatticeSizeError(ValueError):
@@ -160,11 +179,31 @@ class Lattice:
 
     def walk(self, k: int) -> np.ndarray:
         """The int32 up-minus-down count of every node of step ``k``: each
-        set bit of node ``p`` is a down move on its path, so it is ``k - 2 *
-        popcount(p)``, counted on int64 indices (no allowed depth overflows
-        them) and cast first, since ``np.bitwise_count``'s uint8 would wrap."""
-        down = np.bitwise_count(np.arange(self.nodes(k), dtype=np.int64)).astype(np.int32)
-        return k - 2 * down
+        down move on the path to node ``p`` is a set bit of ``p``, so it is
+        ``k - 2 * _downs``."""
+        return k - 2 * _downs(0, self.nodes(k)).astype(np.int32)
+
+    def states(self, k: int) -> np.ndarray:
+        """The int32 walk of each state of step ``k``: state ``j``, the nodes
+        with ``j`` down moves, is at ``k - 2 * j``.  Every state occurs at
+        its step."""
+        return k - 2 * np.arange(k + 1, dtype=np.int32)
+
+    def gather(self, table: np.ndarray, nodes: slice, out: np.ndarray) -> np.ndarray:
+        """Into ``out``, row ``table[j]`` of a state table for each node of
+        ``nodes`` (a run of ``tiles`` or a whole step), ``j`` its down moves;
+        a one-row table's row for every node.  No index array is made: the
+        nodes of a run of at most ``_GATHER_NODES`` from a multiple of its
+        power-of-two width have the run start's down moves plus those of
+        their offset."""
+        if len(table) == 1:
+            out[...] = table
+            return out
+        for lo in range(nodes.start, nodes.stop, _GATHER_NODES):
+            hi = min(lo + _GATHER_NODES, nodes.stop)
+            np.take(table[lo.bit_count():], _OFFSET_DOWNS[:hi - lo], axis=0,
+                    mode="clip", out=out[lo - nodes.start:hi - nodes.start])
+        return out
 
     def __repr__(self) -> str:
         return f"Lattice(num_steps={self.num_steps}, horizon={self.horizon})"
@@ -253,15 +292,47 @@ class AdaptedProcess:
 
 class PredictableProcess:
     """One value per (step, node-at-step-start): ``values[k]`` applies on
-    the step from ``k`` to ``k + 1`` and is measurable at ``k``."""
+    the step from ``k`` to ``k + 1`` and is measurable at ``k``.
 
-    def __init__(self, lattice: Lattice, values):
-        vals = [np.asarray(v, dtype=float) for v in values]
-        self.dim = _validate_slices(lattice, vals, lattice.num_steps, "predictable process")
-        self.lattice = lattice
-        self.values = vals
+    A Markov process is built from ``tables`` instead, one ``(k + 1, n)``
+    state table per step (row ``j`` is the value at every node with ``j``
+    down moves) or a ``(1, n)`` row every node of the step shares, and
+    stores only those: ``values`` are gathered on first read and kept, and
+    ``tile`` reads a run of nodes without them."""
+
+    def __init__(self, lattice: Lattice, values=None, tables=None):
+        self.lattice, self.tables = lattice, tables
+        if tables is not None:
+            self.dim = tables[0].shape[-1]
+        else:
+            vals = [np.asarray(v, dtype=float) for v in values]
+            self.dim = _validate_slices(lattice, vals, lattice.num_steps, "predictable process")
+            self.values = vals
+
+    @cached_property
+    def values(self) -> list[np.ndarray]:
+        """The levels of a process built from tables, gathered on first read."""
+        lattice = self.lattice
+        return [lattice.gather(t, slice(0, lattice.nodes(k)),
+                               np.empty((lattice.nodes(k), self.dim)))
+                for k, t in enumerate(self.tables)]
+
+    def tile(self, k: int, nodes: slice, out: np.ndarray) -> np.ndarray:
+        """``values[k][nodes]``, ``nodes`` a run of ``Lattice.tiles`` or the
+        whole step: a slice of the levels where they exist, else a one-row
+        table's row broadcast to the run, or the table's rows gathered into
+        ``out`` (``(nodes, dim)``).  The Picard kernel's second thread reads
+        through it: it calls no public function."""
+        if self.tables is None or "values" in self.__dict__:
+            return self.values[k][nodes]
+        table = self.tables[k]
+        if len(table) == 1:
+            return np.broadcast_to(table, (nodes.stop - nodes.start, self.dim))
+        return self.lattice.gather(table, nodes, out)
 
     def scaled(self, factor: float) -> "PredictableProcess":
+        if self.tables is not None:
+            return PredictableProcess(self.lattice, tables=[factor * t for t in self.tables])
         return PredictableProcess(self.lattice, [factor * v for v in self.values])
 
 

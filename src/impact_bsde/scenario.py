@@ -6,6 +6,15 @@ the continuum, where it is immaterial); it is applied consistently to
 demands, dividends and hitting times.  The demand applied on the step from
 ``k`` to ``k + 1`` is evaluated from the path at ``k`` (left-continuous
 reading of predictability).
+
+The Markov specs, functions of the step and the walk, are evaluated once
+per state, not once per node: each applies its formula to the ``k + 1``
+int32 walk values of step ``k`` (``Lattice.states``), with the float
+operations a per-node evaluation would make, so every node value keeps its
+bits.  A demand becomes a predictable process that stores only these state
+tables (a single row where every state agrees), read tile by tile by the
+backward solvers; a dividend's table is gathered straight into the leaf
+rows, which stay stored.  Localized and table specs stay per node.
 """
 
 from __future__ import annotations
@@ -110,15 +119,19 @@ def hitting_time_tau(lattice: Lattice, level: float, from_step: int = 0) -> Stop
 
 
 # --- demand specifications -------------------------------------------------
+#
+# A Markov spec (``tables``) gives, per step, its value at each state of the
+# walk (``Lattice.states``), or one row where every state agrees; any other
+# spec (``step_values``) gives one value per node.
 
 @dataclass(frozen=True)
 class ConstantDemand:
     """Constant vector demand."""
     value: object = 1.0
 
-    def step_values(self, lattice: Lattice, num_stocks: int) -> list[np.ndarray]:
-        row = _broadcast_vector(self.value, num_stocks, "constant demand")
-        return [np.tile(row, (lattice.nodes(k), 1)) for k in range(lattice.num_steps)]
+    def tables(self, lattice: Lattice, num_stocks: int) -> list[np.ndarray]:
+        row = _broadcast_vector(self.value, num_stocks, "constant demand")[None]
+        return [row] * lattice.num_steps
 
 
 @dataclass(frozen=True)
@@ -126,9 +139,9 @@ class NegativeSignOfB:
     """-scale * sign(walk at step start), same in every component."""
     scale: float = 1.0
 
-    def step_values(self, lattice: Lattice, num_stocks: int) -> list[np.ndarray]:
+    def tables(self, lattice: Lattice, num_stocks: int) -> list[np.ndarray]:
         return [
-            np.tile((-self.scale * sign_plus(lattice.walk(k)))[:, None], (1, num_stocks))
+            np.tile((-self.scale * sign_plus(lattice.states(k)))[:, None], (1, num_stocks))
             for k in range(lattice.num_steps)
         ]
 
@@ -139,21 +152,21 @@ class PiecewiseConstantDemand:
     vector applies from its step up to the next scheduled step."""
     schedule: tuple
 
-    def step_values(self, lattice: Lattice, num_stocks: int) -> list[np.ndarray]:
+    def tables(self, lattice: Lattice, num_stocks: int) -> list[np.ndarray]:
         points = sorted(self.schedule, key=lambda item: item[0])
         if not points or points[0][0] != 0:
             raise ValueError("piecewise schedule must start at step 0")
         steps = [int(s) for s, _ in points]
         if len(set(steps)) != len(steps):
             raise ValueError("piecewise schedule has duplicate steps")
-        rows = [_broadcast_vector(v, num_stocks, f"schedule entry at step {s}")
+        rows = [_broadcast_vector(v, num_stocks, f"schedule entry at step {s}")[None]
                 for s, v in points]
         out = []
         idx = -1
         for k in range(lattice.num_steps):
             while idx + 1 < len(steps) and steps[idx + 1] <= k:
                 idx += 1
-            out.append(np.tile(rows[idx], (lattice.nodes(k), 1)))
+            out.append(rows[idx])
         return out
 
 
@@ -166,7 +179,7 @@ class LocalizedDemand:
     from_step: int = 0
 
     def step_values(self, lattice: Lattice, num_stocks: int) -> list[np.ndarray]:
-        base = self.inner.step_values(lattice, num_stocks)
+        base = _demand(self.inner, lattice, num_stocks).values
         return hitting_time_tau(lattice, self.level, self.from_step).gate_demand(base)
 
 
@@ -192,15 +205,25 @@ class TableDemand:
         return out
 
 
+def _demand(spec, lattice: Lattice, num_stocks: int) -> PredictableProcess:
+    """The spec's process: of a Markov spec, its state tables."""
+    if hasattr(spec, "tables"):
+        return PredictableProcess(lattice, tables=spec.tables(lattice, num_stocks))
+    return PredictableProcess(lattice, spec.step_values(lattice, num_stocks))
+
+
 # --- dividend specifications -------------------------------------------------
+#
+# A Markov spec (``table``) gives its value at each state of the terminal
+# walk; any other spec (``leaf_values``) gives one row per leaf.
 
 @dataclass(frozen=True)
 class SignOfBT:
     """scale * sign(terminal walk), same in every component."""
     scale: float = 1.0
 
-    def leaf_values(self, lattice: Lattice, num_stocks: int) -> np.ndarray:
-        col = self.scale * sign_plus(lattice.walk(lattice.num_steps))
+    def table(self, lattice: Lattice, num_stocks: int) -> np.ndarray:
+        col = self.scale * sign_plus(lattice.states(lattice.num_steps))
         return np.tile(col[:, None], (1, num_stocks))
 
 
@@ -210,9 +233,9 @@ class LinearClipped:
     slope: float = 1.0
     bound: float = 1.0
 
-    def leaf_values(self, lattice: Lattice, num_stocks: int) -> np.ndarray:
+    def table(self, lattice: Lattice, num_stocks: int) -> np.ndarray:
         # only where slope * b overflows is b scaled first; an overflow clips
-        b, sqrt_dt = lattice.walk(lattice.num_steps), lattice.sqrt_dt
+        b, sqrt_dt = lattice.states(lattice.num_steps), lattice.sqrt_dt
         with np.errstate(over="ignore"):
             col = self.slope * b
             col = np.where(np.isfinite(col), col * sqrt_dt, self.slope * (b * sqrt_dt))
@@ -226,8 +249,8 @@ class Digital:
     strike: float = 0.0
     offset: float = 0.5
 
-    def leaf_values(self, lattice: Lattice, num_stocks: int) -> np.ndarray:
-        bt = lattice.walk(lattice.num_steps) * lattice.sqrt_dt
+    def table(self, lattice: Lattice, num_stocks: int) -> np.ndarray:
+        bt = lattice.states(lattice.num_steps) * lattice.sqrt_dt
         col = (bt > self.strike).astype(float) - self.offset
         return np.tile(col[:, None], (1, num_stocks))
 
@@ -241,7 +264,7 @@ class LocalizedDividend:
     from_step: int = 0
 
     def leaf_values(self, lattice: Lattice, num_stocks: int) -> np.ndarray:
-        base = self.inner.leaf_values(lattice, num_stocks)
+        base = _dividend(self.inner, lattice, num_stocks)
         return hitting_time_tau(lattice, self.level, self.from_step).gate_dividend(base)
 
 
@@ -262,12 +285,23 @@ class TableDividend:
         return v
 
 
+def _dividend(spec, lattice: Lattice, num_stocks: int) -> np.ndarray:
+    """The spec's leaf rows; a Markov spec's table is gathered straight into
+    a new leaf array."""
+    if not hasattr(spec, "table"):
+        return spec.leaf_values(lattice, num_stocks)
+    leaves = np.empty((lattice.num_leaves, num_stocks))
+    return lattice.gather(spec.table(lattice, num_stocks), slice(0, len(leaves)), leaves)
+
+
 # --- evaluation -------------------------------------------------------------
 
 def evaluate_demand(spec, lattice: Lattice, num_stocks: int = 1) -> PredictableProcess:
-    """Evaluate a demand spec to a predictable n-vector process."""
-    proc = PredictableProcess(lattice, spec.step_values(lattice, num_stocks))
-    if not all(np.isfinite(v).all() for v in proc.values):
+    """Evaluate a demand spec to a predictable n-vector process: of a Markov
+    spec, its state tables."""
+    proc = _demand(spec, lattice, num_stocks)
+    # every state occurs at its step: a table is finite iff its levels are
+    if not all(np.isfinite(v).all() for v in proc.tables or proc.values):
         raise ValueError("demand evaluation produced non-finite values")
     return proc
 
@@ -279,8 +313,9 @@ def evaluate_dividend(spec, lattice: Lattice, num_stocks: int = 1, center: bool 
     the uniform leaf weights.  With ``center=True`` the mean is subtracted
     (the returned ``mean`` is still the original one).
     """
-    vals = spec.leaf_values(lattice, num_stocks)
-    if not np.all(np.isfinite(vals)):
+    vals = _dividend(spec, lattice, num_stocks)
+    # a nan is its min and max, an infinity one of them: no temporary needed
+    if not (np.isfinite(vals.min()) and np.isfinite(vals.max())):
         raise ValueError("dividend evaluation produced non-finite values")
     # a mean beyond the float range is not finite, for the callers' checks
     with np.errstate(over="ignore", invalid="ignore"):
@@ -353,8 +388,10 @@ class Instance:
 
     @cached_property
     def gamma_sup(self) -> float:
-        """Exact node maximum of the demand's per-node Euclidean norm."""
-        return sup_norm(self.gamma).value
+        """Exact node maximum of the demand's per-node Euclidean norm, taken
+        over its state tables where it has them: every state occurs at its
+        step, so the value is the same."""
+        return sup_norm(self.gamma.tables or self.gamma.values).value
 
 
 def evaluate_market(config: MarketConfig, lattice: Lattice) -> Instance:

@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import (
-    PredictableProcess,
     _relative_defect,
     _stock_sum,
     build_lattice,
@@ -49,7 +48,8 @@ from .lattice import (
 )
 from .norms import h_bmo_norm, h_norm, orlicz_h, sup_norm
 from .pricer import EquilibriumSolution, NumericalError, localize, price_equilibrium
-from .scenario import Instance, NegativeSignOfB, SignOfBT, StoppingTime, sign_plus
+from .scenario import (Instance, NegativeSignOfB, SignOfBT, StoppingTime, evaluate_demand,
+                       evaluate_dividend, sign_plus)
 from . import bsde as bsde_mod
 
 HARD_TOL = 1e-10
@@ -596,9 +596,8 @@ def run_counterexample() -> CheckReport:
     unit_product = None
     for num_steps in PROBE_STEPS:
         lat = build_lattice(num_steps, 1.0)
-        gamma_vals = NegativeSignOfB(1.0).step_values(lat, 1)
-        inst = Instance(lat, 1.0, PredictableProcess(lat, gamma_vals),
-                        SignOfBT(1.0).leaf_values(lat, 1))
+        gamma = evaluate_demand(NegativeSignOfB(1.0), lat)
+        inst = Instance(lat, 1.0, gamma, evaluate_dividend(SignOfBT(1.0), lat)[0])
         sol = price_equilibrium(inst)
         unit_product = sup_norm(sol.gamma).value * sup_norm(sol.dividend).value
 
@@ -610,7 +609,7 @@ def run_counterexample() -> CheckReport:
         total = 0
         for k in range(num_steps):
             s = sign_plus(sol.prices.values[k][:, 0])
-            match += np.count_nonzero(s == -gamma_vals[k][:, 0])
+            match += np.count_nonzero(s == -gamma.values[k][:, 0])
             total += lat.nodes(k)
         # profile-weighted certainty process: a martingale in the continuum
         # mechanism, so its one-step defect measures the discrete signature

@@ -7,8 +7,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from impact_bsde import (AdaptedProcess, MarketConfig, PredictableProcess, TableDemand,
-                         TableDividend)
+from impact_bsde import (AdaptedProcess, ConstantDemand, Digital, LinearClipped, LocalizedDemand,
+                         LocalizedDividend, MarketConfig, NegativeSignOfB,
+                         PiecewiseConstantDemand, PredictableProcess, SignOfBT, TableDemand,
+                         TableDividend, hitting_time_tau, sign_plus)
 
 
 def leaf_block(leaves: np.ndarray, step: int, path: int, num_steps: int) -> np.ndarray:
@@ -117,3 +119,64 @@ def equilibrium_defects(sol):
         ggap = np.abs(qf * gn[0::2] + (1 - qf) * gn[1::2] - g)
         g_def = max(g_def, float(np.max(ggap / np.maximum(1.0, np.abs(g)))))
     return z_def, s_def, g_def
+
+
+# --- per-node oracles of the Markov specs ------------------------------------
+# The evaluation the library made before its Markov specs gave state tables:
+# every spec's formula applied node by node to the int32 walk of each level
+# (here built by doubling, not from the node index), then tiled over the
+# stocks.  Localized specs gate these levels.
+
+def walk_counts(lat, k: int) -> np.ndarray:
+    """The int32 up-minus-down count of every node of step ``k``."""
+    counts = np.zeros(1, dtype=np.int32)
+    for _ in range(k):
+        counts = np.repeat(counts, 2) + np.tile(np.array([1, -1], dtype=np.int32), len(counts))
+    return counts
+
+
+def _row(value, num_stocks: int) -> np.ndarray:
+    row = np.atleast_1d(np.asarray(value, dtype=float))
+    return np.repeat(row, num_stocks) if row.size == 1 else row
+
+
+def oracle_step_values(spec, lat, num_stocks: int) -> list[np.ndarray]:
+    """The per-node demand levels of a constant, negative-sign, piecewise
+    constant or localized spec."""
+    steps = range(lat.num_steps)
+    if isinstance(spec, ConstantDemand):
+        row = _row(spec.value, num_stocks)
+        return [np.tile(row, (lat.nodes(k), 1)) for k in steps]
+    if isinstance(spec, NegativeSignOfB):
+        return [np.tile((-spec.scale * sign_plus(walk_counts(lat, k)))[:, None], (1, num_stocks))
+                for k in steps]
+    if isinstance(spec, PiecewiseConstantDemand):
+        points = sorted(spec.schedule, key=lambda item: item[0])
+        out = []
+        for k in steps:
+            value = [v for s, v in points if s <= k][-1]
+            out.append(np.tile(_row(value, num_stocks), (lat.nodes(k), 1)))
+        return out
+    assert isinstance(spec, LocalizedDemand)
+    base = oracle_step_values(spec.inner, lat, num_stocks)
+    return hitting_time_tau(lat, spec.level, spec.from_step).gate_demand(base)
+
+
+def oracle_leaf_values(spec, lat, num_stocks: int) -> np.ndarray:
+    """The per-leaf dividend rows of a sign, clipped linear, digital or
+    localized spec."""
+    b = walk_counts(lat, lat.num_steps)
+    if isinstance(spec, SignOfBT):
+        col = spec.scale * sign_plus(b)
+    elif isinstance(spec, LinearClipped):
+        with np.errstate(over="ignore"):
+            col = spec.slope * b
+            col = np.where(np.isfinite(col), col * lat.sqrt_dt, spec.slope * (b * lat.sqrt_dt))
+        col = np.clip(col, -spec.bound, spec.bound)
+    elif isinstance(spec, Digital):
+        col = (b * lat.sqrt_dt > spec.strike).astype(float) - spec.offset
+    else:
+        assert isinstance(spec, LocalizedDividend)
+        base = oracle_leaf_values(spec.inner, lat, num_stocks)
+        return hitting_time_tau(lat, spec.level, spec.from_step).gate_dividend(base)
+    return np.tile(col[:, None], (1, num_stocks))

@@ -894,6 +894,34 @@ def test_band_walks_are_the_reference_bit_for_bit(tiny_tiles, per_stock, num_sto
                 assert got_gap is None
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("num_stocks", [1, 2, 3])
+def test_demand_tiles_are_the_levels_bit_for_bit(tiny_tiles, monkeypatch, cpus, num_stocks):
+    # every tile the planner cuts, levels 1 to N - 1 and the band tiles of
+    # each part, and the root: a demand read tile by tile off its state
+    # tables (gathered, or a broadcast row) is its levels' slice, and no
+    # level is gathered
+    import impact_bsde.bsde as bsde_mod
+    from impact_bsde import evaluate_demand
+    tiny_tiles(4 * num_stocks)
+    monkeypatch.setattr(bsde_mod, "_usable_cpus", lambda: cpus)
+    lat = build_lattice(9, 1.0)
+    cut = bsde_mod._Cut(lat, num_stocks)
+    assert (cut.parts, cut.bands > 0) == (cpus, True)
+    runs = [(0, slice(0, 1))]
+    for w in range(cut.parts):
+        cut.plans(w, lambda k, q, parts, run, first: runs.append((k, run[0])))
+    assert sum(nodes.stop - nodes.start for k, nodes in runs if k == 8) == lat.nodes(8)
+    for spec in (ConstantDemand(-0.4), NegativeSignOfB(-0.6),
+                 PiecewiseConstantDemand(((0, 0.2), (4, -1.0)))):
+        levels = evaluate_demand(spec, lat, num_stocks).values
+        gamma = evaluate_demand(spec, lat, num_stocks)
+        for k, nodes in runs:
+            out = np.full((nodes.stop - nodes.start, num_stocks), np.nan)
+            assert gamma.tile(k, nodes, out).tobytes() == levels[k][nodes].tobytes()
+        assert "values" not in vars(gamma)
+
+
 def _first_rebuild_failure(inst, eta, theta) -> str | None:
     """The message of the reference's level-by-level check of a rebuilt
     solution: level N first, value before price."""

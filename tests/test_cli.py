@@ -985,6 +985,62 @@ def test_bsde_walk_peaks_below_the_picard_loop(num_stocks):
     assert walk < loop, (walk, loop)
 
 
+def test_bsde_holds_and_gathers_no_tree_sized_demand(tmp_path, monkeypatch):
+    # a negative-sign demand is read off its state tables through the whole
+    # of bsde --method both: the evaluation's traced peak is about the leaf
+    # rows alone, no demand level is ever gathered, and no tile read
+    # allocates a block of nodes(N - 1) values or more
+    import tracemalloc
+    import impact_bsde.cli as cli_mod
+    from impact_bsde.lattice import PredictableProcess
+    n = 16
+    doc = {"market": {"risk_aversion": 0.3, "num_stocks": 1, "num_steps": n, "horizon": 1.0,
+                      "demand": {"type": "negative_sign_of_b", "scale": 0.5},
+                      "dividend": {"type": "linear_clipped", "slope": 1.0, "bound": 1.0}}}
+    config = write_config(tmp_path, doc)
+    market = load_config(config).market
+    tracemalloc.start()
+    try:
+        inst = cli_mod._evaluate(market)
+        peak = tracemalloc.get_traced_memory()[1]
+        # the per-node demand levels and walks took 5.6 times the leaf rows
+        assert peak < 1.25 * inst.psi.nbytes, (peak, inst.psi.nbytes)
+        del inst
+
+        gathered, reads, instances = [], [], []
+        levels = PredictableProcess.__dict__["values"].func
+
+        def values(self):
+            if "values" not in vars(self):
+                gathered.append(self)
+                vars(self)["values"] = levels(self)
+            return vars(self)["values"]
+
+        def tile(self, k, nodes, out, read=PredictableProcess.tile):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            got = read(self, k, nodes, out)
+            reads.append(tracemalloc.get_traced_memory()[1] - before)
+            return got
+
+        def evaluate(market, evaluate=cli_mod._evaluate):
+            instances.append(evaluate(market))
+            return instances[-1]
+
+        monkeypatch.setattr(PredictableProcess, "values",
+                            property(values, lambda self, v: vars(self).update(values=v)))
+        monkeypatch.setattr(PredictableProcess, "tile", tile)
+        monkeypatch.setattr(cli_mod, "_evaluate", evaluate)
+        main(["bsde", "--config", config, "--out", str(tmp_path / "bsde.json"),
+              "--method", "both"], standalone_mode=False)
+    finally:
+        tracemalloc.stop()
+    (inst,) = instances
+    assert gathered == [] and reads
+    assert max(reads) < 8 * (1 << (n - 1)), max(reads)
+    assert max(t.nbytes for t in inst.gamma.tables) < 8 * (1 << (n - 1))
+
+
 def _blown_up(loop):
     """``picard_diagnostics`` whose rows end on their iterate times 2**600:
     a rebuild from it overflows where the explicit solve does not."""

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from impact_bsde import (
     ConstantDemand,
@@ -21,15 +23,83 @@ from impact_bsde import (
     evaluate_market,
     hitting_time_tau,
     sign_plus,
+    sup_norm,
 )
 
-from helpers import brownian
+from helpers import brownian, oracle_leaf_values, oracle_step_values
 
 
 def demand_sup(proc):
     """Node maximum of the demand norm, as an instance derives it."""
     lat = proc.lattice
     return Instance(lat, 1.0, proc, np.zeros((lat.num_leaves, proc.dim))).gamma_sup
+
+
+# zero of both signs, negatives, and magnitudes at the ends of the float range
+_SCALES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.75, 2.5, 1e-300, -3e300, 1e308])
+
+
+def _bytes(levels):
+    return [(v.shape, v.tobytes()) for v in levels]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), num_steps=st.integers(1, 12), num_stocks=st.integers(1, 3),
+       horizon=st.sampled_from([1.0, 4.0, 0.3]))
+def test_state_tables_are_the_per_node_evaluation_bit_for_bit(data, num_steps, num_stocks,
+                                                              horizon):
+    # every Markov family against the per-node oracle of tests/helpers.py: the
+    # levels, the scaled tables, the leaves and their mean, and localized specs
+    # over each; the walk sits at zero at every even step, where sign(0) = +1
+    lat = build_lattice(num_steps, horizon)
+    vector = st.lists(_SCALES, min_size=num_stocks, max_size=num_stocks).map(tuple)
+    demand = data.draw(st.one_of(
+        st.builds(ConstantDemand, st.one_of(_SCALES, vector)),
+        st.builds(NegativeSignOfB, _SCALES),
+        st.builds(PiecewiseConstantDemand, st.lists(
+            st.tuples(st.integers(1, num_steps), st.one_of(_SCALES, vector)),
+            max_size=3, unique_by=lambda item: item[0]).map(
+                lambda rest: ((0, 0.25), *rest)))))
+    dividend = data.draw(st.one_of(
+        st.builds(SignOfBT, _SCALES),
+        st.builds(LinearClipped, _SCALES, st.sampled_from([0.5, 1.0, 1e308])),
+        st.builds(Digital, st.sampled_from([0.0, 0.1, -0.3]), _SCALES)))
+    level = data.draw(st.sampled_from([0.0, 0.2, -1.0, float(lat.sqrt_dt)]))
+    from_step = data.draw(st.integers(0, num_steps))
+    factor = data.draw(_SCALES)
+
+    want = oracle_step_values(demand, lat, num_stocks)
+    proc = evaluate_demand(demand, lat, num_stocks)
+    with np.errstate(over="ignore"):
+        # the tables are scaled before any level is gathered
+        assert _bytes(proc.scaled(factor).values) == _bytes([factor * v for v in want])
+    assert _bytes(proc.values) == _bytes(want)
+    localized = LocalizedDemand(demand, level, from_step)
+    assert (_bytes(evaluate_demand(localized, lat, num_stocks).values)
+            == _bytes(oracle_step_values(localized, lat, num_stocks)))
+
+    for spec in (dividend, LocalizedDividend(dividend, level, from_step)):
+        leaves = oracle_leaf_values(spec, lat, num_stocks)
+        for center in (False, True):
+            with np.errstate(over="ignore", invalid="ignore"):
+                psi, mean = evaluate_dividend(spec, lat, num_stocks, center=center)
+                want_mean = leaves.mean(axis=0)
+                want_psi = leaves - want_mean if center else leaves
+            assert (mean.tobytes(), psi.shape, psi.tobytes()) == (
+                want_mean.tobytes(), want_psi.shape, want_psi.tobytes())
+
+
+@pytest.mark.parametrize("num_stocks", [1, 2, 3])
+def test_gamma_sup_reads_the_tables_as_the_node_max_of_the_levels(num_stocks):
+    lat = build_lattice(7, 1.0)
+    vector = (0.3, -1.25, 0.5)[:num_stocks]
+    for spec in (ConstantDemand(vector), ConstantDemand(-0.0), NegativeSignOfB(-1.5),
+                 NegativeSignOfB(0.0), PiecewiseConstantDemand(((0, 0.3), (3, vector)))):
+        gamma = evaluate_demand(spec, lat, num_stocks)
+        sup = Instance(lat, 1.0, gamma, np.zeros((lat.num_leaves, num_stocks))).gamma_sup
+        # the sup gathered no level
+        assert gamma.tables is not None and "values" not in vars(gamma)
+        assert np.float64(sup).tobytes() == np.float64(sup_norm(gamma).value).tobytes()
 
 
 def test_sign_convention_at_zero():
