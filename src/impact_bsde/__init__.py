@@ -53,18 +53,14 @@ from .bsde import (
     ContractionReport,
     IterationDiagnostics,
     contraction_report,
-    driver,
     driver_growth_bound,
     picard_diagnostics,
-    picard_map,
     solve_explicit,
-    solve_picard,
 )
 from .norms import (
     NormReport,
     bmo_norm,
     bmo_norm_rv,
-    bmo_p_norm,
     h_bmo_norm,
     h_norm,
     measure_kappa,
@@ -101,11 +97,9 @@ __all__ = [
     "TableDividend",
     "bmo_norm",
     "bmo_norm_rv",
-    "bmo_p_norm",
     "build_lattice",
     "conditional_expectation",
     "contraction_report",
-    "driver",
     "driver_growth_bound",
     "evaluate_demand",
     "evaluate_dividend",
@@ -119,12 +113,10 @@ __all__ = [
     "node_max",
     "orlicz_h",
     "picard_diagnostics",
-    "picard_map",
     "price_equilibrium",
     "process_gap",
     "sign_plus",
     "solve_explicit",
-    "solve_picard",
     "stochastic_exponential",
     "stochastic_integral",
     "sup_norm",

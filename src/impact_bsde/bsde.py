@@ -64,9 +64,9 @@ lattice, such as a sweep's variants of one market.  One loop,
 iterable a block at a time, sized by a fixed byte budget on the integrand
 pairs, keeps the iteration records, and runs each block until every row
 has converged, reached the iteration cap or aborted.
-A sweep runs its points through it; ``solve_picard`` runs it on its one
-instance and rebuilds the solution from the iterate that row ends on.
-Every reduction is per row, so each row's record is the one its own run
+A sweep runs its points through it; ``bsde`` runs it on its one instance
+and rebuilds the solution from the iterate that row ends on.  Every
+reduction is per row, so each row's record is the one its own run
 would give, bit for bit.
 
 The explicit solve and the rebuild are walks of ``_backward``, one tile at
@@ -79,8 +79,7 @@ per process; any other writes them into level and band tile buffers and
 keeps its root values, so ``bsde`` without a node table holds no leaf-sized
 array.  The first node of each slice that is not finite and the node max of
 the gap between the two prices are taken as each tile passes.  The explicit
-integrands and the rebuild's residual (the node-max move of one more map
-step) are read off a kept solution's slices after the walk.
+integrands are read off a kept solution's slices after the walk.
 
 The walks, and a Picard step whose rows share one demand (every ``bsde``
 run), read the demand a tile at a time through ``PredictableProcess.tile``:
@@ -117,25 +116,12 @@ from .pricer import NumericalError, _non_finite
 from .scenario import Instance
 
 
-def driver(eta_k, theta_k, gamma_k):
-    """Pointwise drift integrands of the two equations.
-
-    Arguments broadcast; ``theta_k`` and ``gamma_k`` carry the stock axis
-    last, over which ``stock_sum`` takes their inner product.  Returns
-    ``(value_drift, price_drift)`` where the backward value recursion adds
-    ``+ value_drift * dt`` and the price recursion subtracts
-    ``price_drift * dt`` (the price drift enters its equation with a minus
-    sign).
-    """
-    return _driver(np.asarray(eta_k, dtype=float), np.asarray(theta_k, dtype=float),
-                   np.asarray(gamma_k, dtype=float))
-
-
 def _driver(eta, theta, gamma, value=None, price=None, work=None, tg=None):
-    """``driver`` on float arrays, writing the two drifts into ``value`` and
-    ``price`` and its temporaries into ``work`` (shaped like ``value``) and
-    ``tg`` (the inner product of several stocks) when they are given.  The
-    Picard kernel's threads run it: it calls no public function."""
+    """The drifts ``0.5 ((theta . gamma)^2 - eta^2)``, added times dt in the
+    value recursion, and ``theta (eta + theta . gamma)``, subtracted times dt
+    in the price recursion, stock axis last; into ``value`` and ``price``,
+    temporaries into ``work`` (like ``value``) and ``tg`` (several stocks'
+    inner product), when given.  The Picard kernel's threads run it: it calls no public function."""
     tg = _stock_sum(np.multiply(theta, gamma, out=price), out=tg)
     value = np.multiply(0.5, np.subtract(np.square(tg, out=value), np.square(eta, out=work),
                                          out=value), out=value)
@@ -173,7 +159,7 @@ class BsdeSolution:
     scaled_price: AdaptedProcess      # risk_aversion * prices, n-dim
     value_integrand: PredictableProcess
     price_integrand: PredictableProcess
-    residual: float                   # max node gap |child_diff(Y_{k+1}) - integrand_k|
+    residual: float                   # explicit: 0.0, a rebuild: nan (not computed)
 
     @property
     def prices(self) -> AdaptedProcess:
@@ -323,15 +309,15 @@ def _solve(inst: Instance, explicit: bool = False, ends=None, keep: bool = False
 
     With ``keep`` the first walk writes its levels into one zeroed block per
     process and gives a ``BsdeSolution``, whose residual is 0.0 for the
-    explicit solve and nan for a rebuild (``solve_picard`` takes it).  Every
-    other walk writes them into ``_Store``'s buffers; the first then gives
-    its root values only (``initial_price``, ``initial_certainty``,
-    ``residual``).  Each walk notes the first node of each slice that is not
-    finite, and with both the node max of |explicit price - rebuilt price|
-    advances, as ``lattice.process_gap`` takes it.  After the root, the
-    explicit solve raises ``NumericalError`` for its deepest such slice,
-    value before price; so the rebuild's first failure (``Picard scaled
-    certainty equivalent``, then ``Picard scaled price``) is found.
+    explicit solve and nan for a rebuild.  Every other walk writes them into
+    ``_Store``'s buffers; the first then gives its root values only
+    (``initial_price``, ``initial_certainty``, ``residual``).  Each walk
+    notes the first node of each slice that is not finite, and with both
+    the node max of |explicit price - rebuilt price| advances, as
+    ``lattice.process_gap`` takes it.  After the root, the explicit solve
+    raises ``NumericalError`` for its deepest such slice, value before
+    price; so the rebuild's first failure (``Picard scaled certainty
+    equivalent``, then ``Picard scaled price``) is found.
 
     Returns ``(first, gap, failure)``: the first walk's result, the node max
     (None unless both walk) and the rebuild's first failure (or None).
@@ -812,22 +798,6 @@ class _PicardKernel:
                 np.maximum(level_max, load.max(axis=1), out=level_max)
 
 
-def picard_map(inst: Instance, eta: list, theta: list):
-    """One application of the fixed-point map to a frozen integrand pair,
-    given as per-step lists.
-
-    Builds the per-leaf terminal data plus accumulated drift, takes its
-    conditional-expectation martingale, and returns the representation
-    integrands of that martingale as per-step lists ``(eta, theta)``.
-    """
-    pair = _IteratePair(inst.lattice, 1, inst.num_stocks)
-    for slices, given in ((pair.eta, eta), (pair.theta, theta)):
-        for mine, v in zip(slices, given, strict=True):
-            mine[0] = v
-    _PicardKernel([inst]).step([inst], pair)
-    return pair.row(0, copy=False)
-
-
 # the row state of one block of ``picard_diagnostics``: one integrand pair per
 # row; at least one row per block, so peak memory does not grow with the
 # number of points
@@ -838,8 +808,8 @@ def picard_diagnostics(points, tol: float = 1e-12, max_iter: int = 100,
                        ends: list | None = None) -> list[IterationDiagnostics]:
     """The fixed-point iteration from zero at each of ``points``, an
     iterable of instances on the first one's lattice with its number of
-    stocks: one iteration record per point, equal to that point's own
-    ``solve_picard`` record, with ``kappa`` and ``growth_bound`` at their
+    stocks: one iteration record per point, equal to the record of that
+    point's own one-point run, with ``kappa`` and ``growth_bound`` at their
     defaults.  A point that breaks this raises ``ValueError``.
 
     The points run as rows of one ``_PicardKernel`` on the shared lattice,
@@ -927,46 +897,6 @@ def picard_diagnostics(points, tol: float = 1e-12, max_iter: int = 100,
         diag.final_norm = diag.iterate_norms[-1] if diag.iterate_norms else 0.0
         diag.terminal_norm = diag.iterate_norms[0] if diag.iterate_norms else np.inf
     return diags
-
-
-def solve_picard(inst: Instance, tol: float = 1e-12, max_iter: int = 100,
-                 growth_bound: float | None = None, kappa: float = 1.0):
-    """Iterate the fixed-point map from zero until the integrand-norm
-    distance between successive iterates drops below ``tol``.
-
-    Non-convergence is a reported outcome, not an exception: the counter-
-    example regime is expected to produce expansion ratios, and those are
-    exactly what the diagnostics exist to record.  Returns
-    ``(solution, diagnostics)``.  The iteration is ``picard_diagnostics`` on
-    ``[inst]``; the solution is reconstructed from the iterate that row
-    ends on, the last finite one, either way.  Its slices may still
-    overflow; they are returned as computed, for the caller to check.
-
-    The reconstruction is one more ``_backward`` pass with the driver
-    frozen at that iterate, writing each value and price slice into one
-    block per process.  Its residual is the largest node gap between the
-    child differences of those slices and the iterate: the distance, in
-    node-max form, that one more map step would move.  It is nan if any
-    gap is.
-    """
-    ends = [None]
-    (diag,) = picard_diagnostics([inst], tol, max_iter, ends)
-    diag.kappa = float(kappa)
-    diag.growth_bound = float(growth_bound if growth_bound is not None
-                              else driver_growth_bound(inst.gamma_sup))
-    solution = _solve(inst, ends=ends[0], keep=True)[0]
-    eta, theta = ends[0]
-    value, price = solution.scaled_value.values, solution.scaled_price.values
-    residual = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(inst.lattice.num_steps - 1, -1, -1):
-            for y, old in ((value[k + 1], eta[k]), (price[k + 1], theta[k])):
-                gap = inst.lattice.child_diff(y)
-                np.abs(np.subtract(gap, old, out=gap), out=gap)
-                # np.max keeps a nan gap, which the builtin max drops against 0.0
-                residual = np.max([residual, gap.max()])
-    solution.residual = float(residual)
-    return solution, diag
 
 
 @dataclass

@@ -10,9 +10,9 @@ horizon".  Each function therefore reports the achieving node along with
 the value.
 
 The quadratic conditional moment uses the orthogonality of martingale
-increments (one backward pass); general p-th moments need a per-node sweep
-over descendant leaves, implemented as a reshape so the total work stays
-at one leaf pass per time slice.
+increments (one backward pass); kappa's first moment and the gauge
+criterion sweep each node's descendant leaves, as a reshape, so the total
+work stays at one leaf pass per time slice.
 
 The Orlicz gauge norm is the root of a criterion that falls monotonically
 in its scale: Newton passes find it and the few nodes that can still
@@ -41,9 +41,6 @@ from .lattice import (
     stock_sum,
 )
 
-BMO_P_DEFAULT_MAX_STEPS = 14
-
-
 @dataclass
 class NormReport:
     """A computed norm: value, where it is attained, which norm it is."""
@@ -66,10 +63,10 @@ def _as_terminal_rows(values: np.ndarray) -> np.ndarray:
     return v[:, None] if v.ndim == 1 else v
 
 
-def _require_martingale(m: AdaptedProcess, tol: float = 1e-10):
+def _require_martingale(m: AdaptedProcess):
     defect, node = martingale_defect(m)
     # a nan defect passes: the norm then reports nan itself
-    if defect > tol:
+    if defect > 1e-10:
         raise ValueError(
             f"input is not a martingale: relative defect {defect:.3e} at node {node}"
         )
@@ -119,39 +116,6 @@ def bmo_norm(m: AdaptedProcess) -> NormReport:
 
     best, node = node_max(loads())
     return NormReport(value=float(np.ldexp(np.sqrt(best), shift)), kind="bmo",
-                      achieving_node=node)
-
-
-def _node_moment_sweep(m: AdaptedProcess, moment) -> tuple[float, tuple[int, int]]:
-    """Max over nodes of ``E_node[moment(|M_N - M_node|)]`` via leaf reshapes.
-
-    ``moment`` maps an array of distances to an array of the same shape.
-    Returns ``node_max``'s (value, node).
-    """
-    lat = m.lattice
-    leaves = _as_terminal_rows(m.terminal)
-    return node_max((k, moment(_distances(lat, leaves, _as_terminal_rows(v))).mean(axis=1))
-                    for k, v in enumerate(m.values))
-
-
-def bmo_p_norm(m: AdaptedProcess, p: float, tol: float = 1e-10,
-               max_steps: int = BMO_P_DEFAULT_MAX_STEPS) -> NormReport:
-    """p-th conditional-moment norm: node max of ``E_node[|M_N - M_node|^p]^(1/p)``.
-
-    No orthogonality shortcut exists for p != 2, so this sweeps descendant
-    leaves per slice; refuse depths above ``max_steps`` (override if you
-    accept the cost).
-    """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    if m.lattice.num_steps > max_steps:
-        raise ValueError(
-            f"lattice depth {m.lattice.num_steps} exceeds the p-norm sweep cap "
-            f"{max_steps}; pass max_steps= explicitly to accept the cost"
-        )
-    _require_martingale(m, tol)
-    best, node = _node_moment_sweep(m, lambda d: d ** p)
-    return NormReport(value=float(best ** (1.0 / p)), kind=f"bmo_{p:g}",
                       achieving_node=node)
 
 
@@ -411,10 +375,10 @@ def _kappa_block(lat: Lattice, terminals: np.ndarray):
     """Quadratic and first-moment conditional norms of the Doob martingale
     of every row of ``terminals`` (centered, nonzero, one leaf per column).
 
-    Per row this is ``bmo_norm`` and ``bmo_p_norm(., 1.0)`` with the rows
-    stacked on a leading axis: each row sees the same element operations,
-    and every per-node mean reduces the last axis, so the norms are
-    bit-identical to the per-terminal ones.  The tower is built by child
+    Per row these are ``bmo_norm`` and the node max of E_node|M_N - M_node|,
+    with the rows stacked on a leading axis: each row sees the same element
+    operations, and every per-node mean reduces the last axis, so the norms
+    are bit-identical to the per-terminal ones.  The tower is built by child
     means, a martingale by construction, so it takes no martingale check.
     """
     tower = [terminals]

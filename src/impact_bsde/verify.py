@@ -456,6 +456,10 @@ def check_optimality(solution: EquilibriumSolution, num_random: int = 1000,
     utility_gaps = [base - u for u in scores + perturbed]
     pairs = iter(perturbed)
     slopes = [(uu - ud) / (2 * OPTIMALITY_EPSILON) for uu, ud in zip(pairs, pairs)]
+    # perturbations of a finite base that overflow: nan slopes, +inf gaps
+    if np.isfinite(base) and not np.isfinite(slopes).all():
+        raise NumericalError(f"demand_optimality: the perturbation slopes {slopes} are not "
+                             f"finite: the perturbed utilities overflow the float range")
     worst, _ = _node_min([(0, utility_gaps)])
 
     return CheckReport(

@@ -26,6 +26,13 @@ from impact_bsde.pricer import _check_finite
 from picard_reference import backward_rebuild
 
 
+def driver(eta, theta, gamma):
+    """The drifts ``0.5 ((theta . gamma)^2 - eta^2)`` and ``theta (eta +
+    theta . gamma)``, the stock axis last."""
+    tg = (theta * gamma).sum(axis=-1)
+    return 0.5 * (tg * tg - eta * eta), theta * (eta + tg)[..., None]
+
+
 def explicit_solution(inst) -> bsde_mod.BsdeSolution:
     """The explicit backward pass, one fresh array per slice and step."""
     lattice, a, gamma, dt = inst.lattice, inst.risk_aversion, inst.gamma, inst.lattice.dt
@@ -39,7 +46,7 @@ def explicit_solution(inst) -> bsde_mod.BsdeSolution:
         price[steps] = a * inst.psi
         for k in range(steps - 1, -1, -1):
             eta[k], theta[k] = lattice.child_diff(value[k + 1]), lattice.child_diff(price[k + 1])
-            vd, pd = bsde_mod.driver(eta[k], theta[k], gamma.values[k])
+            vd, pd = driver(eta[k], theta[k], gamma.values[k])
             value[k] = lattice.child_mean(value[k + 1]) + vd * dt
             price[k] = lattice.child_mean(price[k + 1]) - pd * dt
             _check_finite(value[k], k, "scaled certainty equivalent")

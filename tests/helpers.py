@@ -1,12 +1,13 @@
-"""Shared test utilities: independent brute-force oracles and instance
-generators.  The oracles deliberately avoid the library's backward passes:
-they enumerate descendant leaves directly, so the two routes stay
-independent."""
+"""Shared test utilities: independent brute-force oracles, instance
+generators, and two runners of the package's own Picard kernel and walks.
+The oracles deliberately avoid the library's backward passes: they
+enumerate descendant leaves directly, so the two routes stay independent."""
 
 from __future__ import annotations
 
 import numpy as np
 
+import impact_bsde.bsde as bsde_mod
 from impact_bsde import (AdaptedProcess, ConstantDemand, Digital, LinearClipped, LocalizedDemand,
                          LocalizedDividend, MarketConfig, NegativeSignOfB,
                          PiecewiseConstantDemand, PredictableProcess, SignOfBT, TableDemand,
@@ -33,6 +34,30 @@ def oracle_conditional_moment(leaves: np.ndarray, node_value, step: int, path: i
     node_value = np.atleast_1d(np.asarray(node_value, dtype=float))
     dist = np.linalg.norm(rows - node_value, axis=1)
     return float(np.mean(dist ** power))
+
+
+def picard_map(inst, eta: list, theta: list):
+    """One step of the fixed-point map at a frozen integrand pair, given as
+    per-step lists: the pair loaded into a one-row ``_IteratePair`` and one
+    ``_PicardKernel.step`` run over it.  Returns the new pair as per-step
+    lists ``(eta, theta)``."""
+    pair = bsde_mod._IteratePair(inst.lattice, 1, inst.num_stocks)
+    for slices, given in ((pair.eta, eta), (pair.theta, theta)):
+        for mine, v in zip(slices, given, strict=True):
+            mine[0] = v
+    bsde_mod._PicardKernel([inst]).step([inst], pair)
+    return pair.row(0, copy=False)
+
+
+def picard_run(inst, tol: float = 1e-12, max_iter: int = 100, kappa: float = 1.0):
+    """The Picard route as ``bsde --method picard --dump-nodes`` runs it: the
+    iteration record from zero, given ``kappa`` and the demand's growth
+    bound, then the whole solution rebuilt from the iterate the loop ends
+    on, its slices as computed.  Returns ``(solution, diagnostics)``."""
+    ends = [None]
+    (diag,) = bsde_mod.picard_diagnostics([inst], tol, max_iter, ends)
+    diag.kappa, diag.growth_bound = kappa, bsde_mod.driver_growth_bound(inst.gamma_sup)
+    return bsde_mod._solve(inst, ends=ends[0], keep=True)[0], diag
 
 
 def _unit_ball_rows(rng: np.random.Generator, shape, scale: float) -> np.ndarray:

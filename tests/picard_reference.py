@@ -1,11 +1,11 @@
 """Reference copies of the one-instance fused Picard iteration (slices
 without a row axis) and of the integrand-norm helpers the solver used to
-keep, verbatim, so the tests can hold ``bsde.solve_picard`` and
-``bsde.picard_diagnostics`` to them bit for bit; and two references for
-the solution rebuilt from a final integrand pair.
+keep, verbatim, so the tests can hold ``bsde.picard_diagnostics`` to them
+bit for bit; and two references for the solution rebuilt from a final
+integrand pair.  The driver is written out here, apart from the package's.
 
 ``backward_rebuild`` is the backward recursion with the driver frozen at
-that pair, the bit-for-bit reference of ``solve_picard``'s rebuild.
+that pair, the bit-for-bit reference of the rebuild ``bsde._solve`` walks.
 ``reconstruct`` is the rebuild the solver used to run, through the running
 drift sums and the full conditional-expectation martingale, kept verbatim
 with its recursion residual; it sums in another order, so the tests hold
@@ -15,10 +15,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from impact_bsde import PredictableProcess, conditional_expectation, driver, node_max
+from impact_bsde import PredictableProcess, conditional_expectation, node_max
 from impact_bsde.norms import _remaining_load, _square_sum
 
 from helpers import stacked_integrand
+
+
+def driver(eta, theta, gamma):
+    """The drifts ``0.5 ((theta . gamma)^2 - eta^2)`` and ``theta (eta +
+    theta . gamma)``, the stock axis last."""
+    tg = (theta * gamma).sum(axis=-1)
+    return 0.5 * (tg * tg - eta * eta), theta * (eta + tg)[..., None]
 
 
 def pair_norm(lattice, eta: list, theta: list) -> float:

@@ -30,10 +30,8 @@ from impact_bsde import (
     hitting_time_tau,
     localize,
     measure_kappa,
-    picard_map,
     price_equilibrium,
     solve_explicit,
-    solve_picard,
 )
 from impact_bsde.verify import (
     check_F_identity,
@@ -43,7 +41,8 @@ from impact_bsde.verify import (
     run_counterexample,
 )
 
-from helpers import brownian, equilibrium_defects, max_gap, random_table_config
+from helpers import (brownian, equilibrium_defects, max_gap, picard_map, picard_run,
+                     random_table_config)
 from picard_reference import pair_distance, pair_norm
 
 
@@ -102,7 +101,7 @@ def small_data_runs():
         cfg = random_table_config(rng, num_steps, a_lo=0.01, a_hi=0.1)
         lat = build_lattice(num_steps, 1.0)
         inst = evaluate_market(cfg, lat)
-        pic, diag = solve_picard(inst, tol=1e-12, max_iter=150)
+        pic, diag = picard_run(inst, tol=1e-12, max_iter=150)
         exp = solve_explicit(inst)
         runs.append((lat, cfg, pic, diag, exp))
     return runs

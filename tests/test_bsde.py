@@ -18,40 +18,39 @@ from impact_bsde import (
     TableDividend,
     build_lattice,
     contraction_report,
-    driver,
     driver_growth_bound,
     evaluate_market,
     h_bmo_norm,
     martingale_defect,
     measure_kappa,
     picard_diagnostics,
-    picard_map,
     price_equilibrium,
     solve_explicit,
-    solve_picard,
     stochastic_integral,
 )
 import impact_bsde.norms as norms_mod
+from impact_bsde.bsde import _driver
 
-from helpers import martingale_representation, max_gap, random_table_config, stacked_integrand
+from helpers import (martingale_representation, max_gap, picard_map, picard_run,
+                     random_table_config, stacked_integrand)
 from picard_reference import (backward_rebuild, pair_distance, pair_norm, picard_record,
                               picard_step, reconstruct, recursion_residual)
 
 
 def test_driver_vanishes_at_origin():
-    vd, pd = driver(0.0, [0.0], [1.7])
+    vd, pd = _driver(0.0, [0.0], [1.7])
     assert vd == 0.0
     np.testing.assert_array_equal(pd, 0.0)
 
 
 def test_driver_value_component():
-    vd, pd = driver(1.0, [0.0], [1.0])
+    vd, pd = _driver(1.0, [0.0], [1.0])
     assert vd == pytest.approx(-0.5)
     np.testing.assert_allclose(pd, [0.0])
 
 
 def test_driver_price_component():
-    vd, pd = driver(0.0, [2.0], [1.0])
+    vd, pd = _driver(0.0, [2.0], [1.0])
     assert vd == pytest.approx(2.0)
     np.testing.assert_allclose(pd, [4.0])
 
@@ -72,8 +71,8 @@ def test_driver_quadratic_growth_property():
         g /= max(1.0, np.linalg.norm(g))
         u = rng.uniform(-3, 3, size=1 + n)
         v = rng.uniform(-3, 3, size=1 + n)
-        fu = np.concatenate([[driver(u[0], u[1:], g)[0]], -driver(u[0], u[1:], g)[1]])
-        fv = np.concatenate([[driver(v[0], v[1:], g)[0]], -driver(v[0], v[1:], g)[1]])
+        fu = np.concatenate([[_driver(u[0], u[1:], g)[0]], -_driver(u[0], u[1:], g)[1]])
+        fv = np.concatenate([[_driver(v[0], v[1:], g)[0]], -_driver(v[0], v[1:], g)[1]])
         lhs = np.linalg.norm(fu - fv)
         rhs = theta_cap * np.linalg.norm(u - v) * (np.linalg.norm(u) + np.linalg.norm(v))
         assert lhs <= rhs + 1e-12
@@ -165,7 +164,7 @@ def test_picard_zero_demand_two_iterations():
     lat = build_lattice(8, 1.0)
     cfg = MarketConfig(1.0, 1, ConstantDemand(0.0), SignOfBT(0.9), 8, 1.0)
     inst = evaluate_market(cfg, lat)
-    pic, diag = solve_picard(inst, tol=1e-12, max_iter=10)
+    pic, diag = picard_run(inst, tol=1e-12, max_iter=10)
     assert diag.converged
     assert diag.iterations == 2
     exp = solve_explicit(inst)
@@ -180,7 +179,7 @@ def test_picard_matches_explicit_on_small_data():
         cfg = random_table_config(rng, num_steps, a_lo=0.01, a_hi=0.1)
         lat = build_lattice(num_steps, 1.0)
         inst = evaluate_market(cfg, lat)
-        pic, diag = solve_picard(inst, tol=1e-12, max_iter=100)
+        pic, diag = picard_run(inst, tol=1e-12, max_iter=100)
         assert diag.converged
         exp = solve_explicit(inst)
         for attr in ("scaled_value", "scaled_price", "value_integrand", "price_integrand"):
@@ -192,7 +191,7 @@ def test_picard_solution_within_guaranteed_ball():
     for _ in range(5):
         cfg = random_table_config(rng, 6, a_lo=0.01, a_hi=0.08)
         lat = build_lattice(6, 1.0)
-        _, diag = solve_picard(evaluate_market(cfg, lat), tol=1e-12, max_iter=100)
+        (diag,) = picard_diagnostics([evaluate_market(cfg, lat)], tol=1e-12, max_iter=100)
         assert diag.converged
         assert diag.final_norm <= 2.0 * diag.terminal_norm + 1e-9
 
@@ -201,7 +200,7 @@ def test_counterexample_regime_reports_expansion():
     lat = build_lattice(10, 1.0)
     from impact_bsde import NegativeSignOfB
     cfg = MarketConfig(1.0, 1, NegativeSignOfB(), SignOfBT(), 10, 1.0)
-    _, diag = solve_picard(evaluate_market(cfg, lat), tol=1e-10, max_iter=40)
+    (diag,) = picard_diagnostics([evaluate_market(cfg, lat)], tol=1e-10, max_iter=40)
     assert any(r >= 1.0 for r in diag.ratios) or not diag.converged
 
 
@@ -213,8 +212,8 @@ def test_contraction_report_growth_bound(monkeypatch):
     kappa = measure_kappa(lat)
     for _ in range(5):
         cfg = random_table_config(rng, 6, a_lo=0.01, a_hi=0.1)
-        _, diag = solve_picard(evaluate_market(cfg, lat), tol=1e-12, max_iter=100,
-                               kappa=kappa)
+        _, diag = picard_run(evaluate_market(cfg, lat), tol=1e-12, max_iter=100,
+                             kappa=kappa)
         report = contraction_report(diag)
         assert all(report.growth_bound_ok)
         if diag.converged:
@@ -229,7 +228,7 @@ def test_contraction_report_first_bound_is_the_terminal_norm(kappa):
     # bits of terminal + 2 kappa Theta * 0 * 0
     lat = build_lattice(6, 1.0)
     inst = evaluate_market(MarketConfig(0.3, 1, ConstantDemand(0.5), SignOfBT(1.0), 6, 1.0), lat)
-    _, diag = solve_picard(inst, tol=1e-12, max_iter=100, kappa=kappa)
+    _, diag = picard_run(inst, tol=1e-12, max_iter=100, kappa=kappa)
     report = contraction_report(diag)
     norms = diag.iterate_norms
     assert report.growth_bound_margins[0] == diag.terminal_norm - norms[0] == 0.0
@@ -342,14 +341,14 @@ def test_bsde_prices_approach_pricer_prices():
     assert gaps[0] / gaps[1] == pytest.approx(2.0, abs=0.5)
 
 
-def test_solve_picard_argument_validation():
+def test_picard_argument_validation():
     lat = build_lattice(2, 1.0)
     cfg = MarketConfig(1.0, 1, ConstantDemand(0.0), SignOfBT(), 2, 1.0)
     inst = evaluate_market(cfg, lat)
     with pytest.raises(ValueError):
-        solve_picard(inst, tol=0.0)
+        picard_diagnostics([inst], tol=0.0)
     with pytest.raises(ValueError):
-        solve_picard(inst, max_iter=0)
+        picard_diagnostics([inst], max_iter=0)
 
 
 def test_explicit_non_finite_raises_numerical_error():
@@ -363,19 +362,18 @@ def test_explicit_non_finite_raises_numerical_error():
         with pytest.raises(NumericalError, match=r"non-finite at node \(step \d+, path \d+\)"):
             solve_explicit(inst)
         # the fixed-point route reports the same regime as data
-        _, diag = solve_picard(inst, tol=1e-12, max_iter=20)
+        (diag,) = picard_diagnostics([inst], tol=1e-12, max_iter=20)
     assert not diag.converged
     np.testing.assert_allclose(price_equilibrium(inst).initial_price, [-1.0])
     # its rebuild from the last finite iterate has finite and nan node
-    # defects, and the nan one survives the node maximum
+    # defects
     with np.errstate(over="ignore", invalid="ignore"):
-        sol, _ = solve_picard(inst, tol=1e-12, max_iter=20)
+        sol, _ = picard_run(inst, tol=1e-12, max_iter=20)
         defects = [np.max(np.abs(lat.child_diff(proc.values[k + 1]) - integrand.values[k]))
                    for proc, integrand in ((sol.scaled_value, sol.value_integrand),
                                            (sol.scaled_price, sol.price_integrand))
                    for k in range(lat.num_steps)]
     assert np.isnan(defects).any() and np.isfinite(defects).any()
-    assert np.isnan(sol.residual)
 
 
 def _seed_picard_loop(lat, cfg, tol, max_iter):
@@ -419,7 +417,7 @@ def test_fused_iteration_matches_seed_loop(case):
     lat = build_lattice(cfg.num_steps, 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         want = _seed_picard_loop(lat, cfg, tol=1e-12, max_iter=60)
-        _, diag = solve_picard(evaluate_market(cfg, lat), tol=1e-12, max_iter=60)
+        (diag,) = picard_diagnostics([evaluate_market(cfg, lat)], tol=1e-12, max_iter=60)
     got = {key: getattr(diag, key) for key in want}
     assert got == want
     if case == "overflow":
@@ -451,7 +449,8 @@ def test_picard_iteration_stays_fused(monkeypatch):
     counts = []
     for max_iter in (1, 100):
         before = dict(calls)
-        _, diag = solve_picard(evaluate_market(cfg, lat), tol=1e-12, max_iter=max_iter)
+        (diag,) = picard_diagnostics([evaluate_market(cfg, lat)], tol=1e-12,
+                                     max_iter=max_iter)
         counts.append({k: calls[k] - before[k] for k in calls})
     assert diag.converged and diag.iterations > 5
     assert counts[0] == counts[1]
@@ -505,7 +504,7 @@ def test_picard_diagnostics_rows_match_their_own_runs(monkeypatch, param, num_st
     assert len(got) == len(points)
     outcomes = set()
     for inst, diag in zip(points, got):
-        _, own = solve_picard(inst, tol=1e-12, max_iter=12)
+        (own,) = picard_diagnostics([inst], tol=1e-12, max_iter=12)
         assert {k: getattr(diag, k) for k in _RECORD} == {k: getattr(own, k) for k in _RECORD}
         # and the one-row kernel is the unbatched one, bit for bit
         want = picard_record(inst, tol=1e-12, max_iter=12)
@@ -560,8 +559,8 @@ def test_picard_reconstructs_from_the_iterate_its_loop_ends_on(param, num_stocks
     # the solution's integrands are, bit for bit, the last finite iterate of
     # the unbatched loop: the converged one, the one at max_iter, the one
     # before a later step aborts, or the zero pair when the first step does;
-    # its value, price and residual are, bit for bit, those the backward
-    # recursion with the driver frozen at that iterate gives
+    # its value and price are, bit for bit, those the backward recursion
+    # with the driver frozen at that iterate gives
     from impact_bsde import NegativeSignOfB
     lat = build_lattice(7, 1.0)
     base = evaluate_market(MarketConfig(1.0, num_stocks, NegativeSignOfB(0.8), SignOfBT(1.0),
@@ -572,7 +571,7 @@ def test_picard_reconstructs_from_the_iterate_its_loop_ends_on(param, num_stocks
         eta = [np.zeros(1 << k) for k in range(7)]
         theta = [np.zeros((1 << k, num_stocks)) for k in range(7)]
         with np.errstate(over="ignore", invalid="ignore"):
-            sol, diag = solve_picard(inst, tol=1e-12, max_iter=12)
+            sol, diag = picard_run(inst, tol=1e-12, max_iter=12)
             for _ in range(12):
                 eta_new, theta_new, norm, dist = picard_step(inst, eta, theta)
                 if norm is None:
@@ -582,11 +581,10 @@ def test_picard_reconstructs_from_the_iterate_its_loop_ends_on(param, num_stocks
                     break
         for got, want in ((sol.value_integrand, eta), (sol.price_integrand, theta)):
             assert [v.tobytes() for v in got.values] == [v.tobytes() for v in want]
-        value, price, residual = backward_rebuild(inst, eta, theta)
+        value, price, _ = backward_rebuild(inst, eta, theta)
         for got, want in ((sol.scaled_value, value), (sol.scaled_price, price)):
             assert [v.shape for v in got.values] == [v.shape for v in want]
             assert [v.tobytes() for v in got.values] == [v.tobytes() for v in want]
-        assert np.float64(sol.residual).tobytes() == np.float64(residual).tobytes()
         # the root readers scale one node as the whole-tree views do
         assert sol.initial_price.tobytes() == sol.prices.values[0][0].tobytes()
         assert (np.float64(sol.initial_certainty).tobytes()
@@ -617,7 +615,7 @@ def test_picard_rebuild_is_the_forward_reconstruction_to_rounding(num_stocks):
         for val in values:
             inst = _variant(base, param, val)
             with np.errstate(over="ignore", invalid="ignore"):
-                sol, _ = solve_picard(inst, tol=1e-12, max_iter=12)
+                sol, _ = picard_run(inst, tol=1e-12, max_iter=12)
                 eta, theta = sol.value_integrand.values, sol.price_integrand.values
                 value, price, _ = reconstruct(inst, eta, theta)
                 defect = recursion_residual(lat, inst.gamma, sol.scaled_value.values,
@@ -631,35 +629,6 @@ def test_picard_rebuild_is_the_forward_reconstruction_to_rounding(num_stocks):
                 assert np.max(np.abs(got - want)) <= 4 * eps * np.max(np.abs(want))
                 assert defect == 0.0
     assert finite >= 10
-
-
-def test_picard_rebuild_residual_is_the_next_move():
-    # the residual is the node-max move of one more map step from the final
-    # iterate: a few ulps of the solution once the iterate is exact, after
-    # N+1 steps; at most the last distance over sqrt(dt) (an integrand norm
-    # bounds every node's move by that), plus rounding, for a run the
-    # tolerance stopped; large or not finite for a diverging run
-    eps = np.finfo(float).eps
-    rng = np.random.default_rng(101)
-    for _ in range(12):
-        num_steps = int(rng.integers(2, 9))
-        cfg = random_table_config(rng, num_steps, num_stocks=int(rng.integers(1, 4)),
-                                  a_lo=0.01, a_hi=0.5)
-        inst = evaluate_market(cfg, build_lattice(num_steps, 1.0))
-        exp = solve_explicit(inst)
-        scale = max(np.max(np.abs(v)) for proc in (exp.scaled_value, exp.scaled_price)
-                    for v in proc.values)
-        sol, _ = solve_picard(inst, tol=1e-300, max_iter=num_steps + 1)
-        assert sol.residual <= 16 * eps * scale
-        sol, diag = solve_picard(inst, tol=1e-12, max_iter=100)
-        assert diag.converged
-        assert sol.residual <= diag.distances[-1] / inst.lattice.sqrt_dt + 16 * eps * scale
-    inst = evaluate_market(MarketConfig(3.0, 2, NegativeSignOfB(), SignOfBT(), 9, 1.0),
-                           build_lattice(9, 1.0))
-    with np.errstate(over="ignore", invalid="ignore"):
-        sol, diag = solve_picard(inst, tol=1e-12, max_iter=30)
-    assert not diag.converged
-    assert not sol.residual <= 1e-6
 
 
 _DEMANDS = ["constant", "negative_sign_of_b", "piecewise_constant"]
@@ -740,7 +709,7 @@ def test_picard_reconstruction_holds_few_solutions_at_once(num_stocks):
         del sol
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        sol, diag = solve_picard(inst, tol=1e-12, max_iter=100)
+        sol, diag = picard_run(inst, tol=1e-12, max_iter=100)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -819,18 +788,17 @@ def test_tiled_two_part_iteration_is_the_reference_bit_for_bit(tiny_tiles, tile,
                      if diag.aborted and not diag.iterations else "aborted"
                      if diag.aborted else "max_iter")
     assert outcomes == {"converged", "max_iter", "aborted", "first step aborted"}
-    # the one-row runs of solve_picard, and their rebuilt solutions
+    # the one-row runs as ``bsde`` runs them, and their rebuilt solutions
     for inst in points[:3]:
         with np.errstate(over="ignore", invalid="ignore"):
-            sol, diag = solve_picard(inst, tol=1e-12, max_iter=12)
+            sol, diag = picard_run(inst, tol=1e-12, max_iter=12)
         eta, theta = _reference_run(inst, 1e-12, 12)
-        value, price, residual = backward_rebuild(inst, eta, theta)
+        value, price, _ = backward_rebuild(inst, eta, theta)
         for got_slices, want_slices in ((sol.value_integrand.values, eta),
                                         (sol.price_integrand.values, theta),
                                         (sol.scaled_value.values, value),
                                         (sol.scaled_price.values, price)):
             assert [v.tobytes() for v in got_slices] == [v.tobytes() for v in want_slices]
-        assert np.float64(sol.residual).tobytes() == np.float64(residual).tobytes()
 
 
 def _root_bits(a, value, price) -> tuple:
@@ -869,15 +837,14 @@ def test_band_walks_are_the_reference_bit_for_bit(tiny_tiles, per_stock, num_sto
     ((eta, theta),) = ends
     assert _slice_bits(eta + theta) == _slice_bits(sum(_reference_run(inst, 1e-12, 30), []))
     want = explicit_solution(inst)
-    value, price, residual = backward_rebuild(inst, eta, theta)
+    value, price, _ = backward_rebuild(inst, eta, theta)
     sol = solve_explicit(inst)
     for process in ("scaled_value", "scaled_price", "value_integrand", "price_integrand"):
         assert _slice_bits(getattr(sol, process).values) == \
             _slice_bits(getattr(want, process).values)
-    pic, _ = solve_picard(inst, tol=1e-12, max_iter=30)
+    pic, _ = picard_run(inst, tol=1e-12, max_iter=30)
     assert _slice_bits(pic.scaled_value.values + pic.scaled_price.values) == \
         _slice_bits(value + price)
-    assert np.float64(pic.residual).tobytes() == np.float64(residual).tobytes()
     gap = process_gap(want.scaled_price, AdaptedProcess(lat, price))
     roots = {True: _root_bits(1.0, want.scaled_value.values[0], want.scaled_price.values[0]),
              False: _root_bits(1.0, value[0], price[0])}

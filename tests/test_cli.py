@@ -548,7 +548,7 @@ def test_sweep_rows_match_the_library(tmp_path, param):
     from dataclasses import replace
 
     from impact_bsde import (bmo_norm_rv, build_lattice, evaluate_market, h_bmo_norm,
-                             price_equilibrium, solve_picard)
+                             picard_diagnostics, price_equilibrium)
     doc = one_period_doc(num_steps=5, demand={"type": "constant", "value": 0.7},
                          dividend={"type": "linear_clipped", "slope": 1.2, "bound": 0.8},
                          risk_aversion=0.6)
@@ -579,7 +579,7 @@ def test_sweep_rows_match_the_library(tmp_path, param):
         else:
             inst = replace(base, psi=base.psi * val)
         sol = price_equilibrium(inst)
-        _, diag = solve_picard(inst, tol=1e-12, max_iter=30, kappa=1.5)
+        (diag,) = picard_diagnostics([inst], tol=1e-12, max_iter=30)
         psi_bmo = bmo_norm_rv(inst.psi - inst.psi.mean(axis=0), inst.lattice).value
         want = [inst.risk_aversion * gamma_sup * psi_bmo,
                 diag.converged, diag.iterations,
@@ -1539,25 +1539,41 @@ def test_sweep_of_a_dividend_beyond_the_float_range_prints_no_runtime_warning(tm
     assert result.output.startswith("numeric failure: the centred dividend's norm is nan")
 
 
+@pytest.mark.parametrize("market, suite", [
+    ({"risk_aversion": 1e10, "dividend": {"type": "sign_of_b_t", "scale": 1.0}}, "all"),
+    ({"risk_aversion": 1.0, "dividend": {"type": "sign_of_b_t", "scale": 1e200}}, "optimality"),
+])
+def test_optimality_with_overflowing_perturbations_is_a_numeric_failure(tmp_path, market,
+                                                                        suite):
+    # a zero demand with a finite utility whose perturbations overflow to
+    # -inf on both sides: the slopes read nan, their gaps +inf, and the zero
+    # competitor ties the base, so the check passed on a minimum gap of 0.0
+    doc = one_period_doc(num_steps=3, demand={"type": "constant", "value": 0.0}, **market)
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "verify.json"
+    result = CliRunner().invoke(main, ["verify", "--config", cfg, "--suite", suite,
+                                       "--out", str(out)])
+    assert result.exit_code == 3, (result.output, result.exception)
+    assert result.output == ("numeric failure: demand_optimality: the perturbation slopes "
+                             "[nan, nan, nan] are not finite: the perturbed utilities overflow "
+                             "the float range\n")
+    assert not out.exists()
+
+
 def _refuse_picard_solutions(monkeypatch):
-    """Make any Picard solution fail the command: no ``solve_picard`` call
-    and no ``method="picard"`` solution, whatever helper builds it.  Returns
-    the list of refused calls."""
+    """Make any Picard solution fail the command: no ``bsde._solve`` walk
+    rebuilds one from the integrand pair a Picard loop ends on.  Returns the
+    list of refused calls."""
     calls = []
-    original = bsde_mod.BsdeSolution
+    original = bsde_mod._solve
 
-    def solution(*args, **kwargs):
-        if kwargs.get("method") == "picard":
-            calls.append("BsdeSolution")
+    def solve(inst, explicit=False, ends=None, keep=False):
+        if ends is not None:
+            calls.append("_solve")
             raise AssertionError("a Picard solution was rebuilt")
-        return original(*args, **kwargs)
+        return original(inst, explicit=explicit, ends=ends, keep=keep)
 
-    def refuse(*args, **kwargs):
-        calls.append("solve_picard")
-        raise AssertionError("a Picard solution was rebuilt")
-
-    monkeypatch.setattr(bsde_mod, "BsdeSolution", solution)
-    monkeypatch.setattr(bsde_mod, "solve_picard", refuse)
+    monkeypatch.setattr(bsde_mod, "_solve", solve)
     return calls
 
 
@@ -1585,7 +1601,7 @@ def test_sweep_runs_no_reconstruction(tmp_path, monkeypatch):
 @pytest.mark.parametrize("suite", ["all", "counterexample"])
 def test_verify_runs_no_reconstruction(tmp_path, monkeypatch, suite):
     # the norm-bounds gate and the counter-example probe read only the
-    # iteration record, which is the one solve_picard would give
+    # iteration record: no Picard solution is rebuilt
     calls = _refuse_picard_solutions(monkeypatch)
     doc = one_period_doc(num_steps=5, demand={"type": "negative_sign_of_b"},
                          dividend={"type": "sign_of_b_t", "scale": 0.5})

@@ -12,7 +12,6 @@ from impact_bsde import (
     StoppingTime,
     bmo_norm,
     bmo_norm_rv,
-    bmo_p_norm,
     build_lattice,
     conditional_expectation,
     h_bmo_norm,
@@ -76,33 +75,22 @@ def test_bmo_matches_leaf_oracle_on_random_inputs():
 
 
 def test_bmo_p_one_step():
+    # kappa's first-moment norm, E_node|M_N - M_node|, is 1 at the root
     lat = build_lattice(1, 1.0)
-    rep = bmo_p_norm(doob([1.0, -1.0], lat), 1.0)
-    assert rep.value == pytest.approx(1.0)
-
-
-def test_bmo_p_two_agrees_with_quadratic():
-    rng = np.random.default_rng(31)
-    lat = build_lattice(6, 1.0)
-    for _ in range(5):
-        m = doob(rng.uniform(-1, 1, size=64), lat)
-        assert bmo_p_norm(m, 2.0).value == pytest.approx(bmo_norm(m).value, abs=1e-12)
+    two, one = norms_mod._kappa_block(lat, np.array([[1.0, -1.0]]))
+    assert one[0] == pytest.approx(1.0)
+    assert two[0] == pytest.approx(1.0)
 
 
 def test_bmo_one_below_bmo_two():
+    # the first conditional moment is at most the quadratic one, so the
+    # kappa ratio is at least 1
     rng = np.random.default_rng(37)
     lat = build_lattice(7, 1.0)
-    for _ in range(10):
-        m = doob(rng.uniform(-1, 1, size=128), lat)
-        assert bmo_p_norm(m, 1.0).value <= bmo_norm(m).value + 1e-12
-
-
-def test_bmo_p_depth_cap():
-    lat = build_lattice(4, 1.0)
-    m = doob(np.arange(16.0) - 7.5, lat)
-    with pytest.raises(ValueError, match="cap"):
-        bmo_p_norm(m, 1.0, max_steps=3)
-    assert bmo_p_norm(m, 1.0, max_steps=4).value > 0
+    rows = rng.uniform(-1, 1, size=(10, 128))
+    _, one = norms_mod._kappa_block(lat, rows)
+    for row, first in zip(rows, one):
+        assert first <= bmo_norm(doob(row, lat)).value + 1e-12
 
 
 def test_bmo_rv_sign_one_step():

@@ -22,7 +22,6 @@ from impact_bsde import (
     h_norm,
     hitting_time_tau,
     price_equilibrium,
-    solve_picard,
 )
 from impact_bsde import bsde
 from impact_bsde import verify as verify_mod
@@ -49,7 +48,7 @@ from impact_bsde.verify import (
 )
 
 import scoring_reference
-from helpers import random_table_config
+from helpers import picard_run, random_table_config
 
 
 @pytest.fixture(scope="module")
@@ -258,7 +257,7 @@ def test_localization_check(eligible):
 
 def test_norm_bounds_skips_outside_gate(eligible):
     lat, cfg, sol = eligible
-    _, diag = solve_picard(evaluate_market(cfg, lat), tol=1e-10, max_iter=10)
+    _, diag = picard_run(evaluate_market(cfg, lat), tol=1e-10, max_iter=10)
     report = check_norm_bounds(sol, diag, _centred_bmo(sol))
     assert report.status == "skip"
 
@@ -268,7 +267,7 @@ def test_norm_bounds_inside_gate():
     cfg = random_table_config(rng, 6, a_lo=0.005, a_hi=0.01)
     lat = build_lattice(6, 1.0)
     sol = price_equilibrium(evaluate_market(cfg, lat))
-    _, diag = solve_picard(evaluate_market(cfg, lat), tol=1e-12, max_iter=100)
+    _, diag = picard_run(evaluate_market(cfg, lat), tol=1e-12, max_iter=100)
     report = check_norm_bounds(sol, diag, _centred_bmo(sol))
     assert report.status == "diagnostic"
     assert report.details["volatility_ok"]
