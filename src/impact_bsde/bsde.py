@@ -39,23 +39,21 @@ to the price, and from there, leaf to root, level by level, the pass takes
 child means and child differences (the new integrands) and advances the
 integrand norm of the new iterate and of its distance to the old one.  No
 full martingale tree, leaf-sized drift array, stacked copy or difference
-list is stored.  ``_Cut`` plans the pass: a level of more than
-``_TILE_VALUES`` values runs in tiles of that many, each through the whole
-level body while its operands sit in L2; given two usable CPUs and root
-subtrees of at least ``_SPLIT_VALUES`` leaf values, the two subtrees run at
-the same time, one on a second thread; and the band, the deepest levels a
-subtree holds in several tiles, runs in band tiles, subtrees that each run
-forward and backward from the band's top to level N - 1 on their own.  A
-block of rows allocates its memory once: one integrand pair, which each
-iteration overwrites (a tile reads its nodes' old integrands forward before
-it writes theirs backward, and no other tile reads them), per kind (the
-levels' sums, which the backward pass overwrites with the martingale, and
-remaining loads) two alternating level buffers, which hold no level below
-the band's top, and per thread the scratch of one tile and two alternating
-band tile buffers.  The map keeps
-this forward form: through ``_backward`` it would read no level below k in
-floating point either, so every finite run would stop at step N + 1 with
-distance 0, a change of the iteration records of its own.
+list is stored.  ``_Cut`` plans the pass, which runs on the calling thread:
+a level of more than ``_TILE_VALUES`` values runs in tiles of that many,
+each through the whole level body while its operands sit in L2; and the
+band, the deepest levels held in several tiles, runs in band tiles,
+subtrees that each run forward and backward from the band's top to level
+N - 1 on their own.  A block of rows allocates its memory once: one
+integrand pair, which each iteration overwrites (a tile reads its nodes'
+old integrands forward before it writes theirs backward, and no other tile
+reads them), per kind (the levels' sums, which the backward pass overwrites
+with the martingale, and remaining loads) two alternating level buffers,
+which hold no level below the band's top, and two alternating band tile
+buffers, and the scratch of one tile.  The map keeps this forward form:
+through ``_backward`` it would read no level below k in floating point
+either, so every finite run would stop at step N + 1 with distance 0, a
+change of the iteration records of its own.
 
 That pass, ``_PicardKernel.step``, carries a leading point axis: every slice
 holds one row per point, and each row is an ``Instance`` on one shared
@@ -71,15 +69,15 @@ would give, bit for bit.
 
 The explicit solve and the rebuild are walks of ``_backward``, one tile at
 a time, which ``_solve`` runs in lockstep after any Picard loop, so no
-solution is alive through it, in the Picard step's cut: each band tile leaf
-to top, then the levels above, a root subtree per thread, and the root
-last.  Both read one leaf pair, the zero value slice and the scaled
-dividend, a tile at a time.  A kept walk writes its slices into one block
-per process; any other writes them into level and band tile buffers and
-keeps its root values, so ``bsde`` without a node table holds no leaf-sized
-array.  The first node of each slice that is not finite and the node max of
-the gap between the two prices are taken as each tile passes.  The explicit
-integrands are read off a kept solution's slices after the walk.
+solution is alive through it, in the Picard step's cut: each band tile
+leaf to top, then the levels above, the root last.  Both read one leaf
+pair, the zero value slice and the scaled dividend, a tile at a time.  A
+kept walk writes its slices into one block per process; any other writes
+them into level and band tile buffers and keeps its root values, so
+``bsde`` without a node table holds no leaf-sized array.  The first node
+of each slice that is not finite and the node max of the gap between the
+two prices are taken as each tile passes.  The explicit integrands are
+read off a kept solution's slices after the walk.
 
 The walks, and a Picard step whose rows share one demand (every ``bsde``
 run), read the demand a tile at a time through ``PredictableProcess.tile``:
@@ -92,8 +90,6 @@ stacks the rows' levels, each gathered once, on first read.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import islice
@@ -121,7 +117,7 @@ def _driver(eta, theta, gamma, value=None, price=None, work=None, tg=None):
     value recursion, and ``theta (eta + theta . gamma)``, subtracted times dt
     in the price recursion, stock axis last; into ``value`` and ``price``,
     temporaries into ``work`` (like ``value``) and ``tg`` (several stocks'
-    inner product), when given.  The Picard kernel's threads run it: it calls no public function."""
+    inner product), when given."""
     tg = _stock_sum(np.multiply(theta, gamma, out=price), out=tg)
     value = np.multiply(0.5, np.subtract(np.square(tg, out=value), np.square(eta, out=work),
                                          out=value), out=value)
@@ -252,7 +248,7 @@ def _backward(inst: Instance, tile, here, below, frozen, scratch):
     ``frozen`` (a rebuild).  The drifts and their temporaries go into the
     flat ``scratch``, free between tiles; a demand gathered from its state
     tables goes where the price drift goes, which overwrites it as the
-    driver reads it.  It calls no public function."""
+    driver reads it."""
     lattice, k, nodes, n = inst.lattice, tile.k, tile.nodes, inst.num_stocks
     m = nodes.stop - nodes.start
     (value, price), (value_below, price_below) = here, below
@@ -329,13 +325,13 @@ def _solve(inst: Instance, explicit: bool = False, ends=None, keep: bool = False
     kept = (lattice.zero_slices(), lattice.zero_slices(n)) if keep else (None, None)
     stores = [(_Store(cut, 1, kept=kept[0] if not i else None),
                _Store(cut, 1, n, kept=kept[1] if not i else None)) for i in range(len(frozen))]
-    # per part: drifts, temporaries and a tile's leaf prices; finiteness flags
+    # drifts, temporaries and a tile's leaf prices; finiteness flags
     lead = cut.width * (2 + n + (n > 1))
-    scratch = [np.empty(lead + 2 * cut.width * n) for _ in range(cut.parts)]
-    masks = [np.empty(2 * cut.width * n, dtype=bool) for _ in range(cut.parts)]
-    # per part and walk, the first node of each slice that is not finite
-    first = np.full((cut.parts, len(frozen), steps + 1, 2), lattice.num_leaves)
-    gaps = [0.0] * cut.parts
+    scratch = np.empty(lead + 2 * cut.width * n)
+    mask = np.empty(2 * cut.width * n, dtype=bool)
+    # per walk, the first node of each slice that is not finite
+    first = np.full((len(frozen), steps + 1, 2), lattice.num_leaves)
+    gap = 0.0
 
     def make(k, q, parts, run, _):
         nodes, leaves, local, below, _ = run
@@ -346,47 +342,43 @@ def _solve(inst: Instance, explicit: bool = False, ends=None, keep: bool = False
         return SimpleNamespace(k=k, nodes=nodes, leaves=leaves, here=views(k, local),
                                below=None if k == steps - 1 else views(k + 1, below))
 
-    def level(tile, w):
+    def level(tile):
+        nonlocal gap
         k, nodes, leaves, below = tile.k, tile.nodes, tile.leaves, tile.below
         m = nodes.stop - nodes.start
         if below is None:
             # the leaves below the tile, which every walk reads
             price = (kept[1][-1][None, leaves] if keep
-                     else _rows(scratch[w][lead:], 1, 2 * m, n))
+                     else _rows(scratch[lead:], 1, 2 * m, n))
             np.multiply(a, inst.psi[leaves], out=price)
             if ends is not None:
-                _note(first[w, -1], steps, 1, price, leaves.start, masks[w])
+                _note(first[-1], steps, 1, price, leaves.start, mask)
             below = [(np.broadcast_to(0.0, (1, 2 * m)), price)] * len(frozen)
         for i, (pair, here) in enumerate(zip(frozen, tile.here)):
-            _backward(inst, tile, here, below[i], pair, scratch[w])
+            _backward(inst, tile, here, below[i], pair, scratch)
             for kind, x in enumerate(here):
-                _note(first[w, i], k, kind, x, nodes.start, masks[w])
+                _note(first[i], k, kind, x, nodes.start, mask)
         if len(frozen) == 2:
-            gap = np.subtract(tile.here[0][1], tile.here[1][1], out=_rows(scratch[w], 1, m, n))
+            diff = np.subtract(tile.here[0][1], tile.here[1][1], out=_rows(scratch, 1, m, n))
             # np.max keeps a nan, as node_max does
-            gaps[w] = np.max([gaps[w], np.abs(gap, out=gap).max()])
+            gap = np.max([gap, np.abs(diff, out=diff).max()])
 
-    plans = [cut.plans(w, make) for w in range(cut.parts)]
-
-    def part(w):
-        for _, tile in _Cut.walk(plans[w], forward=False):
-            level(tile, w)
-
+    plans = cut.plans(make)
     with np.errstate(over="ignore", invalid="ignore"):
-        _beside(part, cut.parts)
-        level(make(0, 0, 1, next(lattice.tiles(0, 1)), True), 0)
+        for _, tile in _Cut.walk(plans, forward=False):
+            level(tile)
     failures = [_failure(f, "" if pair is None else "Picard ", lattice.num_leaves)
-                for f, pair in zip(first.min(axis=0), frozen)]
+                for f, pair in zip(first, frozen)]
     if explicit and failures[0] is not None:
         raise failures[0]
     failure = failures[-1] if ends is not None else None
-    gap = float(np.max(gaps)) if len(frozen) == 2 else None
+    gap = float(gap) if len(frozen) == 2 else None
     if not keep:
         value, price = (s.view(1, 0) for s in stores[0])
         initial_price, initial_certainty = _initial(a, value[0], price[0])
         return SimpleNamespace(initial_price=initial_price, initial_certainty=initial_certainty,
                                residual=0.0 if explicit else np.nan), gap, failure
-    del stores, plans, scratch, masks
+    del stores, plans, scratch, mask
     if explicit:
         # the integrands are the child differences the walk took
         eta = lattice.levels(np.empty(lattice.num_leaves - 1))
@@ -419,45 +411,6 @@ def solve_explicit(inst: Instance) -> BsdeSolution:
 # tiles of about this many, so that a tile's operands (256 KB each) stay in
 # the L2 cache through the whole level body
 _TILE_VALUES = 1 << 15
-# the two root subtrees run on two threads when two CPUs are usable and each
-# subtree holds at least this many leaf values (rows x nodes x stocks)
-_SPLIT_VALUES = 1 << 16
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _beside(run, parts: int):
-    """``run(w)`` for each part ``w`` of ``parts``, one or two: with two,
-    part 1 runs on a second thread while part 0 runs on this one, and the
-    call returns when both have.  The second thread runs under this thread's
-    numpy error state, which does not follow a call into a new thread, and
-    an exception it raises is raised here.  Whatever it runs must call no
-    public function of the package: perfbench's span tracer wraps those and
-    keeps one span stack, which two threads would interleave."""
-    if parts == 1:
-        return run(0)
-    state = np.geterr()
-    errors = []
-
-    def other():
-        try:
-            with np.errstate(**state):
-                run(1)
-        except BaseException as exc:
-            errors.append(exc)
-
-    worker = threading.Thread(target=other)
-    worker.start()
-    try:
-        run(0)
-    finally:
-        worker.join()
-    if errors:
-        raise errors[0]
 
 
 def _rows(buffer: np.ndarray, rows: int, *shape: int) -> np.ndarray:
@@ -469,51 +422,45 @@ def _rows(buffer: np.ndarray, rows: int, *shape: int) -> np.ndarray:
 
 class _Cut:
     """The one planner of the Picard step and the walks: how a pass over
-    slices of ``values`` values per node (rows times stocks) is cut.  Given
-    two usable CPUs and root subtrees of at least ``_SPLIT_VALUES`` leaf
-    values, its two root subtrees are ``parts``, one per thread.  A part's
+    slices of ``values`` values per node (rows times stocks) is cut.  A
     level runs in tiles of ``size`` nodes, a power of two of at most
     ``_TILE_VALUES`` values, ``width`` at the widest.  The band, the levels
-    a part holds in several tiles from level 2 on while a band tile keeps a
-    node, is levels ``top`` to N - 1, cut into ``bands`` equal subtrees two
-    tiles wide at level N - 1 (narrower ones cost the two-thread step more
-    in calls than they save), each run on its own, so that of the band only
-    level ``top`` is ever held whole."""
+    held in several tiles from level 2 on while a band tile keeps a node, is
+    levels ``top`` to N - 1, cut into ``bands`` equal subtrees two tiles
+    wide at level N - 1 (narrower ones cost more in calls than they save),
+    each run on its own, so that of the band only level ``top`` is ever held
+    whole."""
 
     def __init__(self, lattice: Lattice, values: int):
         steps = lattice.num_steps
         self.lattice = lattice
-        self.parts = parts = 2 if (steps >= 2 and _usable_cpus() >= 2 and values
-                                   * lattice.nodes(steps - 1) >= _SPLIT_VALUES) else 1
         self.size = size = lattice.nodes(max(1, _TILE_VALUES // values).bit_length() - 1)
-        self.width = min(size, lattice.nodes(steps - 1) // parts)
+        self.width = min(size, lattice.nodes(steps - 1))
         bands, self.top = lattice.nodes(steps - 1) // (2 * size), steps
-        while (self.top > 2 and lattice.nodes(self.top - 1) // parts > size
+        while (self.top > 2 and lattice.nodes(self.top - 1) > size
                and lattice.nodes(self.top - 1) >= bands):
             self.top -= 1
         self.bands = bands if self.top < steps else 0
 
-    def plans(self, w: int, make) -> tuple:
-        """Part ``w``'s tiles, each made a plan by ``make(k, q, parts, run,
+    def plans(self, make) -> tuple:
+        """The pass's tiles, each made a plan by ``make(k, q, parts, run,
         first)`` from the run ``run`` of ``lattice.tiles`` at level ``k``
-        below subtree ``q`` of ``parts``, ``first`` for the part's first
-        tile of the level: levels 1 to ``top - 1``, each a list of its tiles,
-        and the part's band tiles, each such a list of levels from ``top``."""
-        lattice, parts, bands, size = self.lattice, self.parts, self.bands, self.size
-        own = range(w * bands // parts, (w + 1) * bands // parts)
-        return ([[make(k, w, parts, run, not i)
-                  for i, run in enumerate(lattice.tiles(k, size, w, parts))]
-                 for k in range(1, self.top)],
-                [[[make(k, q, bands, run, q == own.start and not i)
+        below subtree ``q`` of ``parts``, ``first`` for the level's first
+        tile: levels 0 to ``top - 1``, each a list of its tiles, and the
+        band tiles, each such a list of levels from ``top``."""
+        lattice, bands, size = self.lattice, self.bands, self.size
+        return ([[make(k, 0, 1, run, not i) for i, run in enumerate(lattice.tiles(k, size))]
+                 for k in range(self.top)],
+                [[[make(k, q, bands, run, q == 0 and not i)
                    for i, run in enumerate(lattice.tiles(k, size, q, bands))]
-                  for k in range(self.top, lattice.num_steps)] for q in own])
+                  for k in range(self.top, lattice.num_steps)] for q in range(bands)])
 
     @staticmethod
     def walk(plans: tuple, forward: bool):
-        """The band walker: a part's tiles in the order a pass runs them, as
-        ``(forward, tile)``.  Given ``forward``, levels 1 to ``top - 1`` run
+        """The band walker: the tiles in the order a pass runs them, as
+        ``(forward, tile)``.  Given ``forward``, levels 0 to ``top - 1`` run
         forward first; then each band tile runs its levels forward, if
-        given, and backward, N - 1 to ``top``; last, levels ``top - 1`` to 1
+        given, and backward, N - 1 to ``top``; last, levels ``top - 1`` to 0
         run backward."""
         upper, band = plans
         yield from ((True, t) for level in upper for t in level if forward)
@@ -526,10 +473,9 @@ class _Cut:
 class _Store:
     """One kind of slice at every level of a pass cut by ``cut``, for up to
     ``rows`` rows of ``shape`` values per node, as ``(rows, nodes, *shape)``
-    views: of ``kept``, one array per level, when given; else of the root
-    and level 1 apart, where the root reads both parts, two alternating
-    buffers for levels 2 to ``top``, each part owning half of each, and per
-    part two alternating band tile buffers for the levels below ``top``."""
+    views: of ``kept``, one array per level, when given; else of two
+    alternating buffers for levels 0 to ``top`` and two alternating band
+    tile buffers for the levels below ``top``."""
 
     def __init__(self, cut: _Cut, rows: int, *shape: int, kept: list | None = None):
         lattice, steps = cut.lattice, cut.lattice.num_steps
@@ -537,28 +483,21 @@ class _Store:
         self.high = high = min(cut.top, steps - 1)
         size = rows * math.prod(shape)
         if kept is None:
-            self.root, self.one = np.zeros(size), np.zeros(2 * size)
             self.whole = [np.empty(lattice.nodes(max(high - i, 0)) * size) for i in (0, 1)]
-            self.band = [[np.empty(lattice.nodes(k) // cut.bands * size)
-                          for k in (steps - 1, steps - 2) if k > cut.top]
-                         for _ in range(cut.parts)]
+            self.band = [np.empty(lattice.nodes(k) // cut.bands * size)
+                         for k in (steps - 1, steps - 2) if k > cut.top]
 
     def view(self, rows: int, k: int, q: int = 0, parts: int = 1) -> np.ndarray:
         """Level ``k`` below subtree ``q`` of ``parts`` (``lattice.span``):
-        a part, a band tile or, by default, the whole level."""
-        cut, lattice, shape = self.cut, self.cut.lattice, self.shape
+        a band tile or, by default, the whole level."""
+        lattice, shape = self.cut.lattice, self.shape
         inner = lattice.span(k, q, parts)
         if self.kept is not None:
             return self.kept[k][None, inner]
-        w = q * cut.parts // parts
-        if k > cut.top:
-            return _rows(self.band[w][(lattice.num_steps - 1 - k) % 2], rows,
+        if k > self.cut.top:
+            return _rows(self.band[(lattice.num_steps - 1 - k) % 2], rows,
                          inner.stop - inner.start, *shape)
-        if k < 2:
-            return _rows((self.root, self.one)[k], rows, lattice.nodes(k), *shape)[:, inner]
-        part, buffer = lattice.span(k, w, cut.parts), self.whole[(self.high - k) % 2]
-        return _rows(buffer[w * (len(buffer) // cut.parts):], rows, part.stop - part.start,
-                     *shape)[:, inner.start - part.start:inner.stop - part.start]
+        return _rows(self.whole[(self.high - k) % 2], rows, lattice.nodes(k), *shape)[:, inner]
 
 
 class _IteratePair:
@@ -615,15 +554,13 @@ class _PicardKernel:
     ``(eta, theta)`` advance, summed in the order ``h_bmo_norm`` sums a
     stacked pair, and their row maxima are kept.
 
-    A tile runs the whole level body in per-thread scratch: forward, the
-    driver and then the sums; backward, child difference and mean, both
-    squares, both loads and the tile maxima.  With two parts, levels 1 to
-    N - 1 of each root subtree, a contiguous node range, run on their own
-    thread, and the root after both, in ``_Cut``'s order and ``_Store``'s
-    buffers.  Every operation is elementwise or reduces one row, and the only
-    reductions across tiles and parts are row maxima and finiteness flags,
-    which are exact: each row's iterate and norms are bit-identical to its
-    own one-row, one-tile pass.
+    A tile runs the whole level body in one scratch: forward, the driver
+    and then the sums; backward, child difference and mean, both squares,
+    both loads and the tile maxima, in ``_Cut``'s order and ``_Store``'s
+    buffers.  Every operation is elementwise or reduces one row, and the
+    only reductions across tiles are row maxima and finiteness flags, which
+    are exact: each row's iterate and norms are bit-identical to its own
+    one-row, one-tile pass.
     """
 
     def __init__(self, points: list):
@@ -635,18 +572,20 @@ class _PicardKernel:
         self.cut = _Cut(lattice, rows * n)
         self.stores = {kind: _Store(self.cut, rows, *shape) for kind, shape in self.shapes.items()}
         self.zero = np.zeros(rows * n)  # the sums above the root
-        self.level_max = np.zeros((2, 2, steps, rows))  # (norm, dist) x part x level x row
-        self.finite = np.ones((2, rows), dtype=bool)
+        self.level_max = np.zeros((2, steps, rows))  # (norm, dist) x level x row
+        self.finite = np.ones(rows, dtype=bool)
         # a tile of rows x width values never exceeds this
-        self.capacity = rows * self.cut.width
-        self.scratch: list = [None, None]
+        self.capacity = c = rows * self.cut.width
+        self.scratch = {"ab": np.empty(2 * c), "pg": np.empty(2 * c * n), "z": np.empty(c),
+                        "tg": np.empty(c) if n > 1 else None, "old": np.empty(c * (1 + n)),
+                        "mask": np.empty(c, dtype=bool)}
         self.resize(rows)
 
     def resize(self, rows: int):
         """Run the first ``rows`` rows from the next step on: cut every view
         a tile reads or writes, from its store's view of the tile's level
         below its subtree, taken once."""
-        lattice, steps, n, cut = self.lattice, self.lattice.num_steps, self.n, self.cut
+        lattice, steps, n = self.lattice, self.lattice.num_steps, self.n
         self.rows = rows
         above = {"value": _rows(self.zero, rows, 1), "price": _rows(self.zero, rows, 1, n)}
         tiles: dict = {}
@@ -654,10 +593,10 @@ class _PicardKernel:
 
         def plan(k, q, parts, run, first):
             nodes, leaves, local, below, parents = run
-            w, width = q * cut.parts // parts, local.stop - local.start
-            t = tiles.get((w, width))
+            width = local.stop - local.start
+            t = tiles.get(width)
             if t is None:
-                t = tiles[w, width] = self.tile(w, width)
+                t = tiles[width] = self.tile(width)
 
             def view(kind, level):
                 key = kind, level, q, parts
@@ -679,22 +618,16 @@ class _PicardKernel:
                 below=None if last else {kind: view(kind, k + 1)[:, below]
                                          for kind in self.shapes},
                 leaf_value=lattice.children(t.leaf_value, axis=1),
-                level_max=(self.level_max[0, w, k, :rows], self.level_max[1, w, k, :rows]),
-                finite=self.finite[w, :rows])
+                level_max=(self.level_max[0, k, :rows], self.level_max[1, k, :rows]),
+                finite=self.finite[:rows])
 
-        self.root = plan(0, 0, 1, next(lattice.tiles(0, 1)), True)
-        self.plans = [cut.plans(w, plan) for w in range(cut.parts)]
+        self.plans = self.cut.plans(plan)
 
-    def tile(self, w: int, width: int) -> SimpleNamespace:
-        """Part ``w``'s scratch for a tile of ``width`` nodes.  The leaves
-        below a tile of the last level, read only before anything else is
-        written, overlay ``a`` and ``b``, and ``p`` and the stacked demand."""
-        c, n, rows = self.capacity, self.n, self.rows
-        if self.scratch[w] is None:
-            self.scratch[w] = {"ab": np.empty(2 * c), "pg": np.empty(2 * c * n), "z": np.empty(c),
-                               "tg": np.empty(c) if n > 1 else None, "old": np.empty(c * (1 + n)),
-                               "mask": np.empty(c, dtype=bool)}
-        s = self.scratch[w]
+    def tile(self, width: int) -> SimpleNamespace:
+        """The scratch for a tile of ``width`` nodes.  The leaves below a
+        tile of the last level, read only before anything else is written,
+        overlay ``a`` and ``b``, and ``p`` and the stacked demand."""
+        c, n, rows, s = self.capacity, self.n, self.rows, self.scratch
         return SimpleNamespace(
             a=_rows(s["ab"], rows, width), b=_rows(s["ab"][c:], rows, width),
             z=_rows(s["z"], rows, width), mask=_rows(s["mask"], rows, width),
@@ -711,33 +644,20 @@ class _PicardKernel:
         rows = self.rows
         gamma = points[0].gamma
         job = (points, all(p.gamma is gamma for p in points), pair.eta, pair.theta)
-        self.finite[:, :rows] = True
-        self.forward(job, self.root)
-        _beside(lambda w: self.subtree(job, w), self.cut.parts)
-        # part 1's flags stay set with one part
-        np.logical_and(self.finite[0, :rows], self.finite[1, :rows], out=self.finite[0, :rows])
-        self.backward(job, self.root)
-        level_max = self.level_max[:, :, :, :rows]
-        level_max = (np.maximum(level_max[:, 0], level_max[:, 1]) if self.cut.parts == 2
-                     else level_max[:, 0])
+        self.finite[:rows] = True
+        for forward, tile in _Cut.walk(self.plans, forward=True):
+            (self.forward if forward else self.backward)(job, tile)
         # fmax keeps the running max over a nan level, as max(best, nan) does;
         # a finite row's load is nan only if its old iterate is
-        norm, dist = np.sqrt(np.fmax.reduce(level_max, axis=1, initial=0.0))
-        return norm, dist, self.finite[0, :rows].copy()
-
-    def subtree(self, job: tuple, w: int):
-        """Levels 1 to N - 1 of root subtree ``w``, forward and then
-        backward, each band tile both ways on its own."""
-        for forward, tile in _Cut.walk(self.plans[w], forward=True):
-            (self.forward if forward else self.backward)(job, tile)
+        norm, dist = np.sqrt(np.fmax.reduce(self.level_max[:, :, :rows], axis=1, initial=0.0))
+        return norm, dist, self.finite[:rows].copy()
 
     def forward(self, job: tuple, tile: SimpleNamespace):
         """The drift sums of one tile of a level: its parents' sums plus the
         tile's drift times dt."""
         points, shared, eta, theta = job
         k, nodes, t = tile.k, tile.nodes, tile.scratch
-        # rows of different demands gather their levels on first read: the
-        # root, on the calling thread before the parts start
+        # rows of different demands gather their levels on first read
         g = (points[0].gamma.tile(k, nodes, t.gamma[0]) if shared
              else np.stack([p.gamma.values[k][nodes] for p in points], out=t.gamma))
         for drift, (combine, above, pairs) in zip(
@@ -748,8 +668,8 @@ class _PicardKernel:
 
     def backward(self, job: tuple, tile: SimpleNamespace):
         """The new integrands, martingale and loads of one tile of a level,
-        and its row maxima; the part's row flags drop the rows whose new
-        slices are not all finite."""
+        and its row maxima; the row flags drop the rows whose new slices are
+        not all finite."""
         points, _, eta, theta = job
         lattice, dt = self.lattice, self.lattice.dt
         k, nodes, t, here = tile.k, tile.nodes, tile.scratch, tile.here

@@ -293,6 +293,14 @@ def cmd_bsde(config_path, out_path, method, diag_path, dump_path):
     if method != "picard":
         summary["residual_explicit"] = first.residual
     if method != "explicit":
+        # a derived growth bound beyond the float range (the square of a
+        # demand past about 1.3e154) leaves the record no contraction radius
+        if not diag.contraction_radius > 0.0:
+            raise NumericalError(
+                f"kappa {diag.kappa!r} and the growth bound {diag.growth_bound!r} of demands "
+                f"bounded by {inst.gamma_sup!r} give 8 * kappa * growth_bound = "
+                f"{8.0 * diag.kappa * diag.growth_bound!r}, outside the float range of the "
+                f"contraction radii; rescale the demand")
         summary["picard"] = diag.to_dict()
         summary["contraction_report"] = bsde_mod.contraction_report(diag).to_dict()
         if diag_path:

@@ -154,13 +154,14 @@ class Lattice:
         return [block[(1 << k) - 1:(2 << k) - 1] for k in range(steps)]
 
     def tiles(self, k: int, size: int, part: int = 0, parts: int = 1):
-        """The nodes of step ``k`` below root subtree ``part`` of ``parts``
+        """The nodes of step ``k`` below subtree ``part`` of ``parts``
         equal ones (``parts`` a power of two, at most ``nodes(k)``), in runs
         of ``size`` nodes rounded down to a power of two.  Each run comes as
         five slices: its nodes at step ``k`` and their children at step
         ``k + 1``; then, counted from the subtree's first node at each step,
-        its nodes, their children and their parents at step ``k - 1`` (the
-        root, index 0, for the nodes of step 1)."""
+        its nodes, their children and their parents at step ``k - 1``
+        (index 0, the one node above the subtree, where step ``k - 1`` has
+        fewer nodes than ``parts``)."""
         share = self.nodes(k) // parts
         size = 1 << (min(size, share).bit_length() - 1)
         start = part * share
@@ -321,8 +322,7 @@ class PredictableProcess:
         """``values[k][nodes]``, ``nodes`` a run of ``Lattice.tiles`` or the
         whole step: a slice of the levels where they exist, else a one-row
         table's row broadcast to the run, or the table's rows gathered into
-        ``out`` (``(nodes, dim)``).  The Picard kernel's second thread reads
-        through it: it calls no public function."""
+        ``out`` (``(nodes, dim)``)."""
         if self.tables is None or "values" in self.__dict__:
             return self.values[k][nodes]
         table = self.tables[k]
@@ -348,9 +348,9 @@ def stock_sum(x: np.ndarray) -> np.ndarray:
 def _stock_sum(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``stock_sum`` under a private name, into ``out`` when given; one
     stock returns the column and ignores ``out``: use the return value.  The
-    Picard kernel's second thread sums through it: perfbench's span tracer
-    wraps the package's public functions and keeps one span stack, which two
-    threads would interleave."""
+    optimality check's worker thread sums through it: perfbench's span
+    tracer wraps the package's public functions and keeps one span stack,
+    which two threads would interleave."""
     if x.shape[-1] == 1:
         return x[..., 0]
     return x.sum(axis=-1, out=out)

@@ -18,9 +18,10 @@ remainder term.
 
 The optimality check is the costliest: it scores its uniform competitors
 in blocks of a fixed byte budget, and given two usable CPUs and at least
-two blocks, a private block pool runs them on the calling thread and one
-worker thread, each claiming the next block from a shared counter (a
-fixed split would wait on a stalled CPU).  Each block draws its values at
+two blocks, a private block pool (``_beside``, the package's only second
+thread) runs them on the calling thread and one worker thread, each
+claiming the next block from a shared counter (a fixed split would wait on
+a stalled CPU).  Each block draws its values at
 its own position of the seeded stream (``PCG64.advance``), so the report
 is the one-thread report bit for bit; with one usable CPU or one block the
 calling thread takes every block through the same loop.  The calling
@@ -33,6 +34,8 @@ tracer wraps.
 from __future__ import annotations
 
 import itertools
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -367,6 +370,43 @@ def _batch_utilities(a: float, increments, demands, work) -> np.ndarray:
     return 0.0 - np.mean(gain, axis=1)
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _beside(run, workers: int):
+    """``run(w)`` for each worker ``w`` of ``workers``, one or two: with
+    two, worker 1 runs on a second thread while worker 0 runs on this one,
+    and the call returns when both have.  The second thread runs under this
+    thread's numpy error state, which does not follow a call into a new
+    thread, and an exception it raises is raised here.  Whatever it runs
+    must call no public function of the package: perfbench's span tracer
+    wraps those and keeps one span stack, which two threads would
+    interleave."""
+    if workers == 1:
+        return run(0)
+    state = np.geterr()
+    errors = []
+
+    def other():
+        try:
+            with np.errstate(**state):
+                run(1)
+        except BaseException as exc:
+            errors.append(exc)
+
+    worker = threading.Thread(target=other)
+    worker.start()
+    try:
+        run(0)
+    finally:
+        worker.join()
+    if errors:
+        raise errors[0]
+
+
 def _score_work(leaves: int, n: int):
     """Buffers for ``_batch_utilities`` on ``leaves`` leaf gains in all: the
     products of one child of the last level and two alternating gains."""
@@ -408,7 +448,7 @@ def check_optimality(solution: EquilibriumSolution, num_random: int = 1000,
     nodes = sum(dx.shape[1] for dx in increments)
     block = max(1, _GAIN_BLOCK_BYTES // (8 * lat.num_leaves))
     blocks = -(-num_random // block)
-    workers = 2 if blocks >= 2 and bsde_mod._usable_cpus() >= 2 else 1
+    workers = 2 if blocks >= 2 and _usable_cpus() >= 2 else 1
     slots = [(_score_work(block * lat.num_leaves, n), np.empty((block, nodes, n)),
               np.random.Generator(np.random.PCG64(seed))) for _ in range(workers)]
     rng = np.random.default_rng(seed)
@@ -439,7 +479,7 @@ def check_optimality(solution: EquilibriumSolution, num_random: int = 1000,
     # nan)
     with np.errstate(over="ignore"):
         scores = utilities(np.zeros((1, nodes, n)))
-        bsde_mod._beside(lambda w: score_blocks(slots[w]), workers)
+        _beside(lambda w: score_blocks(slots[w]), workers)
         scores += [u for block_score in block_scores for u in block_score]
         rng.bit_generator.advance(num_random * nodes * n)
 
@@ -487,26 +527,29 @@ def check_homogeneity(inst: Instance) -> CheckReport:
             inst.lattice, a, inst.gamma.scaled(scale_g), inst.psi * scale_psi))
 
     # at most two solutions are alive at a time: s2 goes before s3 is
-    # priced, and a factor's solutions before the next factor's
+    # priced, and a factor's solutions before the next factor's.  Inputs
+    # scaled beyond the float range are the pricer's numeric failure, and
+    # a gap beyond it fails the gate: numpy's warnings add nothing to either
     per_b = {}
-    for b in HOMOGENEITY_FACTORS:
-        s1 = price(b, 1.0, 1.0)
-        s2 = price(1.0, b, 1.0)
-        gaps = {
-            "price_demand_vs_aversion": process_gap(s1.prices, s2.prices),
-            "volatility_demand_vs_aversion": process_gap(s1.volatility, s2.volatility),
-            "mpr_demand_vs_aversion": process_gap(
-                s1.market_price_of_risk, s2.market_price_of_risk),
-        }
-        del s2
-        s3 = price(1.0, 1.0, b)
-        gaps["price_vs_scaled_dividend"] = process_gap(s1.prices, s3.prices, 1.0 / b)
-        gaps["volatility_vs_scaled_dividend"] = process_gap(
-            s1.volatility, s3.volatility, 1.0 / b)
-        gaps["mpr_vs_scaled_dividend"] = process_gap(
-            s1.market_price_of_risk, s3.market_price_of_risk)
-        del s1, s3
-        per_b[b] = gaps
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b in HOMOGENEITY_FACTORS:
+            s1 = price(b, 1.0, 1.0)
+            s2 = price(1.0, b, 1.0)
+            gaps = {
+                "price_demand_vs_aversion": process_gap(s1.prices, s2.prices),
+                "volatility_demand_vs_aversion": process_gap(s1.volatility, s2.volatility),
+                "mpr_demand_vs_aversion": process_gap(
+                    s1.market_price_of_risk, s2.market_price_of_risk),
+            }
+            del s2
+            s3 = price(1.0, 1.0, b)
+            gaps["price_vs_scaled_dividend"] = process_gap(s1.prices, s3.prices, 1.0 / b)
+            gaps["volatility_vs_scaled_dividend"] = process_gap(
+                s1.volatility, s3.volatility, 1.0 / b)
+            gaps["mpr_vs_scaled_dividend"] = process_gap(
+                s1.market_price_of_risk, s3.market_price_of_risk)
+            del s1, s3
+            per_b[b] = gaps
     worst, _ = node_max((i, list(gaps.values())) for i, gaps in enumerate(per_b.values()))
     return CheckReport(
         name="homogeneity",

@@ -740,7 +740,7 @@ def test_picard_diagnostics_block_budget():
         picard_diagnostics([inst, wide])
 
 
-# --- tiles and two parts at small depth ----------------------------------------
+# --- tiles and band tiles at small depth --------------------------------------
 
 def _reference_run(inst, tol, max_iter):
     """The unbatched loop's last finite iterate (see
@@ -762,8 +762,8 @@ def _reference_run(inst, tol, max_iter):
 @pytest.mark.parametrize("tile", [4, 64])
 @pytest.mark.parametrize("num_stocks", [1, 2, 3])
 def test_tiled_two_part_iteration_is_the_reference_bit_for_bit(tiny_tiles, tile, num_stocks):
-    # band tiles on two threads: records, end pairs and rebuilt solutions
-    # are those of the one-instance reference, bit for bit, for a
+    # band tiles: records, end pairs and rebuilt solutions are those of the
+    # one-instance reference, bit for bit, for a
     # block that mixes a shared demand with a demand per row and rows that
     # converge, run to max_iter, abort mid-block and abort on the first step
     seen = tiny_tiles(tile)
@@ -774,8 +774,7 @@ def test_tiled_two_part_iteration_is_the_reference_bit_for_bit(tiny_tiles, tile,
     points += [_variant(base, "risk_aversion", 40.0), _variant(base, "demand_scale", 300.0)]
     ends = [None] * len(points)
     got = picard_diagnostics(points, tol=1e-12, max_iter=12, ends=ends)
-    assert {(w, parts) for w, parts, _ in seen} == {(0, 2), (1, 2)}
-    assert max(most for _, _, most in seen) > 1
+    assert max(seen) > 1
     outcomes = set()
     for inst, diag, (eta, theta) in zip(points, got, ends):
         want = picard_record(inst, tol=1e-12, max_iter=12)
@@ -817,10 +816,10 @@ def _slice_bits(slices) -> list:
 @pytest.mark.parametrize("num_stocks", [1, 2, 3])
 def test_band_walks_are_the_reference_bit_for_bit(tiny_tiles, per_stock, num_stocks):
     # the Picard step and the explicit and rebuild walks in band tiles of
-    # four levels (eight leaf parents per tile) or two (thirty-two), on two
-    # threads: the record and end pair, both whole solutions, and each
-    # walk's root values and the gap between the two prices, with and
-    # without a kept solution, are the references', bit for bit
+    # four levels (eight leaf parents per tile) or three (thirty-two): the
+    # record and end pair, both whole solutions, and each walk's root values
+    # and the gap between the two prices, with and without a kept solution,
+    # are the references', bit for bit
     import impact_bsde.bsde as bsde_mod
     from bsde_reference import explicit_solution
     from impact_bsde.lattice import process_gap
@@ -829,10 +828,10 @@ def test_band_walks_are_the_reference_bit_for_bit(tiny_tiles, per_stock, num_sto
     inst = evaluate_market(MarketConfig(1.0, num_stocks, NegativeSignOfB(0.8), SignOfBT(1.0),
                                         8, 1.0), lat)
     cut = bsde_mod._Cut(lat, num_stocks)
-    assert (cut.parts, cut.top, cut.bands) == (2, 4 if per_stock == 4 else 6, 64 // per_stock)
+    assert (cut.top, cut.bands) == (4 if per_stock == 4 else 5, 64 // per_stock)
     ends = [None]
     (diag,) = picard_diagnostics([inst], tol=1e-12, max_iter=30, ends=ends)
-    assert set(seen) == {(0, 2, cut.bands // 2), (1, 2, cut.bands // 2)}
+    assert set(seen) == {cut.bands}
     assert {k: getattr(diag, k) for k in _RECORD} == picard_record(inst, 1e-12, 30)
     ((eta, theta),) = ends
     assert _slice_bits(eta + theta) == _slice_bits(sum(_reference_run(inst, 1e-12, 30), []))
@@ -861,24 +860,23 @@ def test_band_walks_are_the_reference_bit_for_bit(tiny_tiles, per_stock, num_sto
                 assert got_gap is None
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("rows", [1, 2])
 @pytest.mark.parametrize("num_stocks", [1, 2, 3])
-def test_demand_tiles_are_the_levels_bit_for_bit(tiny_tiles, monkeypatch, cpus, num_stocks):
-    # every tile the planner cuts, levels 1 to N - 1 and the band tiles of
-    # each part, and the root: a demand read tile by tile off its state
-    # tables (gathered, or a broadcast row) is its levels' slice, and no
-    # level is gathered
+def test_demand_tiles_are_the_levels_bit_for_bit(tiny_tiles, rows, num_stocks):
+    # every tile the planner cuts for one or two rows, levels 0 to N - 1 and
+    # the band tiles: a demand read tile by tile off its state tables
+    # (gathered, or a broadcast row) is its levels' slice, and no level is
+    # gathered
     import impact_bsde.bsde as bsde_mod
     from impact_bsde import evaluate_demand
     tiny_tiles(4 * num_stocks)
-    monkeypatch.setattr(bsde_mod, "_usable_cpus", lambda: cpus)
     lat = build_lattice(9, 1.0)
-    cut = bsde_mod._Cut(lat, num_stocks)
-    assert (cut.parts, cut.bands > 0) == (cpus, True)
-    runs = [(0, slice(0, 1))]
-    for w in range(cut.parts):
-        cut.plans(w, lambda k, q, parts, run, first: runs.append((k, run[0])))
-    assert sum(nodes.stop - nodes.start for k, nodes in runs if k == 8) == lat.nodes(8)
+    cut = bsde_mod._Cut(lat, rows * num_stocks)
+    assert cut.bands > 0
+    runs = []
+    cut.plans(lambda k, q, parts, run, first: runs.append((k, run[0])))
+    for k in range(lat.num_steps):
+        assert sum(nodes.stop - nodes.start for j, nodes in runs if j == k) == lat.nodes(k)
     for spec in (ConstantDemand(-0.4), NegativeSignOfB(-0.6),
                  PiecewiseConstantDemand(((0, 0.2), (4, -1.0)))):
         levels = evaluate_demand(spec, lat, num_stocks).values
@@ -887,6 +885,40 @@ def test_demand_tiles_are_the_levels_bit_for_bit(tiny_tiles, monkeypatch, cpus, 
             out = np.full((nodes.stop - nodes.start, num_stocks), np.nan)
             assert gamma.tile(k, nodes, out).tobytes() == levels[k][nodes].tobytes()
         assert "values" not in vars(gamma)
+
+
+@pytest.mark.parametrize("num_steps, layouts", [(18, [(16, 2), (15, 4), (14, 8)]),
+                                                (20, [(16, 8), (15, 16), (14, 32)])])
+def test_deep_cuts_start_the_band_below_the_last_whole_tile(num_steps, layouts):
+    # at the default tile size, for one to three values per node: the band
+    # starts at the deepest level held in one tile, in band tiles two tiles
+    # wide at level N - 1
+    import impact_bsde.bsde as bsde_mod
+    from impact_bsde.lattice import Lattice
+    lat = Lattice(num_steps, 1.0)
+    assert [(cut.top, cut.bands) for cut in (bsde_mod._Cut(lat, values)
+                                             for values in (1, 2, 3))] == layouts
+
+
+def test_picard_loop_and_walks_start_no_thread(tiny_tiles, monkeypatch):
+    # the Picard step and the walks run every tile, band tiles included, on
+    # the calling thread
+    import threading
+    import impact_bsde.bsde as bsde_mod
+    tiny_tiles(4)
+
+    def refused(self):
+        raise AssertionError(f"thread {self.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refused)
+    lat = build_lattice(8, 1.0)
+    inst = evaluate_market(MarketConfig(0.3, 2, NegativeSignOfB(0.8), SignOfBT(1.0), 8, 1.0),
+                           lat)
+    ends = [None, None]
+    diag, _ = picard_diagnostics([inst, inst], tol=1e-12, max_iter=30, ends=ends)
+    _, gap, failure = bsde_mod._solve(inst, explicit=True, ends=ends[0])
+    assert diag.converged and failure is None and gap < 1e-12
+    assert not hasattr(bsde_mod, "threading")
 
 
 def _first_rebuild_failure(inst, eta, theta) -> str | None:
@@ -906,11 +938,10 @@ def _first_rebuild_failure(inst, eta, theta) -> str | None:
 
 @pytest.mark.parametrize("num_stocks", [1, 2, 3])
 def test_band_walks_report_the_deepest_failure(tiny_tiles, num_stocks):
-    # band tiles of sixteen leaves over levels 4 to 7, eight per part; the
-    # walks fail in band tile 0 at a shallower level and in later band
-    # tiles, one in each part, at a deeper one: both report the deeper
-    # level at its first node in path order, as the level-by-level
-    # references do, with and without a kept solution
+    # sixteen band tiles over levels 4 to 7; the walks fail in band tile 0
+    # at a shallower level and in two later band tiles at a deeper one: both
+    # report the deeper level at its first node in path order, as the
+    # level-by-level references do, with and without a kept solution
     import impact_bsde.bsde as bsde_mod
     from dataclasses import replace
     from bsde_reference import explicit_solution
@@ -918,7 +949,7 @@ def test_band_walks_report_the_deepest_failure(tiny_tiles, num_stocks):
     tiny_tiles(4 * num_stocks)
     lat = build_lattice(8, 1.0)
     cut = bsde_mod._Cut(lat, num_stocks)
-    assert (cut.parts, cut.top, cut.bands) == (2, 4, 16)
+    assert (cut.top, cut.bands) == (4, 16)
     base = evaluate_market(MarketConfig(1.0, num_stocks, ConstantDemand(0.5), SignOfBT(0.0),
                                         8, 1.0), lat)
     # band tile 0: level 7 finite, the child difference of level 6 overflows;
@@ -951,7 +982,7 @@ def test_band_walks_report_the_deepest_failure(tiny_tiles, num_stocks):
 
 
 def test_band_levels_are_never_held_whole(tiny_tiles, monkeypatch):
-    # N=16 in tiles of 2**10 values: the band is levels 12 to 15.  Traced
+    # N=16 in tiles of 2**10 values: the band is levels 11 to 15.  Traced
     # blocks, sampled at the Picard loop's first step and at the first tile
     # of each level of the walks: beside its two iterate pairs the loop
     # holds no whole level of the band below its top, and the walks without
@@ -982,7 +1013,7 @@ def test_band_levels_are_never_held_whole(tiny_tiles, monkeypatch):
     tracemalloc.start()
     try:
         (diag,) = picard_diagnostics([inst], tol=1e-12, max_iter=100, ends=ends)
-        assert sizes.pop("step") < 8 * lat.nodes(13) and diag.converged
+        assert sizes.pop("step") < 8 * lat.nodes(12) and diag.converged
         tracemalloc.stop()
         tracemalloc.start()
         first, gap, failure = bsde_mod._solve(inst, explicit=True, ends=ends[0])
@@ -1045,11 +1076,11 @@ def test_picard_map_in_tiles_is_the_reference_bit_for_bit(tiny_tiles):
 
 @pytest.mark.parametrize("half", [0, 1])
 def test_picard_threads_keep_the_callers_error_state(tiny_tiles, half):
-    # the second root subtree runs on a thread of its own, which starts with
-    # numpy's default error state: an overflow below either subtree raises
-    # in the caller under errstate(all="raise"), and no thread is left over
+    # the step runs every band tile on the calling thread, under its numpy
+    # error state: an overflow below either root subtree raises in the
+    # caller under errstate(all="raise"), and no thread is started
     import threading
-    tiny_tiles(1 << 15)
+    tiny_tiles(4)
     from dataclasses import replace
     lat = build_lattice(6, 1.0)
     base = evaluate_market(MarketConfig(1.0, 1, ConstantDemand(0.5), SignOfBT(0.0), 6, 1.0),
@@ -1070,8 +1101,8 @@ def test_picard_threads_keep_the_callers_error_state(tiny_tiles, half):
         _, theta = picard_map(inst, *zero)
     overflowed = ~np.isfinite(theta[-1][:, 0])
     assert overflowed[below.start // 2:below.stop // 2].all() and overflowed.sum() == 16
-    # the subtree's flags reach the row's: its means are finite, so the root
-    # level alone would not see the overflow
+    # the band tiles' flags reach the row's: their means are finite, so the
+    # levels above the band alone would not see the overflow
     (diag,) = picard_diagnostics([inst], tol=1e-12, max_iter=3)
     assert diag.aborted == "non-finite iterate at iteration 1"
     assert threading.active_count() == threads
@@ -1079,7 +1110,7 @@ def test_picard_threads_keep_the_callers_error_state(tiny_tiles, half):
 
 def test_diverging_two_part_run_prints_no_warning(tiny_tiles, capfd):
     # picard_diagnostics silences numpy's warnings for the diverging rows it
-    # reports as data; its second thread must be silenced too
+    # reports as data, in every band tile, and starts no thread
     import threading
     import warnings
     tiny_tiles(4)
@@ -1097,10 +1128,10 @@ def test_diverging_two_part_run_prints_no_warning(tiny_tiles, capfd):
 
 
 def test_concurrent_two_part_runs_under_fast_thread_switches(tiny_tiles):
-    # three callers, each with its own second thread, on two CPUs, switching
-    # threads every microsecond: every record, and every walk's root values,
-    # gap and failure after it, is still its own run's, so no thread wrote
-    # into another's part, tile, band tile or block
+    # three callers on their own threads, switching threads every
+    # microsecond: every record, and every walk's root values, gap and
+    # failure after it, is still its own run's, so no caller wrote into
+    # another's tile, band tile or block
     import sys
     import threading
     import impact_bsde.bsde as bsde_mod

@@ -1131,9 +1131,9 @@ def test_bsde_walk_equals_the_whole_solutions(tmp_path_factory, num_steps, num_s
 ])
 def test_band_walk_equals_the_whole_solutions(tmp_path, tiny_tiles, num_stocks, method, dump,
                                               blow_up, risk_aversion, scale, code):
-    # band tiles of three levels over nine, on two threads: the walks give
-    # the files, exit code and message of the command that held both whole
-    # solutions, bit for bit
+    # band tiles of four levels over nine: the walks give the files, exit
+    # code and message of the command that held both whole solutions, bit
+    # for bit
     from bsde_reference import main as reference
     tiny_tiles(16 * num_stocks)
     doc = one_period_doc(risk_aversion=risk_aversion, num_stocks=num_stocks, num_steps=9,
@@ -1141,8 +1141,8 @@ def test_band_walk_equals_the_whole_solutions(tmp_path, tiny_tiles, num_stocks, 
                          dividend={"type": "sign_of_b_t", "scale": scale})
     doc["solver"] = {"max_iter": 30}
     cfg = write_config(tmp_path, doc)
-    assert (bsde_mod._Cut(build_lattice(9, 1.0), num_stocks).top,
-            bsde_mod._Cut(build_lattice(9, 1.0), num_stocks).parts) == (6, 2)
+    cut = bsde_mod._Cut(build_lattice(9, 1.0), num_stocks)
+    assert (cut.top, cut.bands) == (5, 8)
     outputs = []
     for name, command in (("walk", main), ("reference", reference)):
         directory = tmp_path / name
@@ -1251,6 +1251,48 @@ def test_constants_beyond_the_float_range_are_config_errors(tmp_path, command, s
     assert re.fullmatch(rf"config error: solver\.kappa \S+ and solver\.growth_bound \S+ give "
                         rf"8 \* kappa \* growth_bound = {re.escape(product)}, outside the float "
                         rf"range of the contraction radii\n", result.output), result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["both", "picard"])
+def test_derived_constants_beyond_the_float_range_are_numeric_failures(tmp_path, method):
+    # a demand of 1.7e308 squares to an infinite growth bound: bsde exited 0
+    # and wrote "growth_bound": Infinity with contraction and uniqueness
+    # radii of 0
+    doc = one_period_doc(num_steps=3, demand={"type": "constant", "value": 1.7e308},
+                         dividend={"type": "sign_of_b_t", "scale": 0.0})
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = CliRunner().invoke(main, ["bsde", "--method", method, "--config", cfg,
+                                           "--out", str(out)])
+    assert result.exit_code == 3, (result.output, result.exception)
+    assert re.fullmatch(r"numeric failure: kappa \S+ and the growth bound inf of demands "
+                        r"bounded by 1\.7e\+308 give 8 \* kappa \* growth_bound = inf, "
+                        r"outside the float range of the contraction radii; rescale the "
+                        r"demand\n", result.output), result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("demand, scale", [(0.5, 1e308), (1e308, 1e-300)],
+                         ids=["dividend", "demand"])
+def test_homogeneity_beyond_the_float_range_prints_one_line(tmp_path, demand, scale):
+    # scaling the dividend or the demand past the float range printed
+    # numpy's overflow and invalid-subtract warnings before the pricer's
+    # own numeric failure
+    doc = one_period_doc(num_steps=3, demand={"type": "constant", "value": demand},
+                         dividend={"type": "sign_of_b_t", "scale": scale})
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = CliRunner().invoke(main, ["verify", "--suite", "homogeneity", "--config", cfg,
+                                           "--out", str(out)])
+    assert result.exit_code == 3, (result.output, result.exception)
+    assert [str(w.message) for w in caught] == []
+    assert re.fullmatch(r"numeric failure: price became non-finite at node \(step \d+, "
+                        r"path \d+\)[^\n]*\n", result.output), result.output
     assert not out.exists()
 
 

@@ -23,7 +23,6 @@ from impact_bsde import (
     hitting_time_tau,
     price_equilibrium,
 )
-from impact_bsde import bsde
 from impact_bsde import verify as verify_mod
 from impact_bsde.lattice import PredictableProcess, stochastic_integral
 from impact_bsde.scenario import sign_plus
@@ -472,7 +471,7 @@ def test_batched_optimality_equals_the_per_competitor_loop(monkeypatch, num_stoc
     if num_random == "blocks":  # four whole blocks and a part of one
         num_random = 4 * _block(10) + 3
     # two workers whatever the machine, so each scores several blocks
-    monkeypatch.setattr(bsde, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(verify_mod, "_usable_cpus", lambda: 2)
     report = check_optimality(sol, num_random=num_random, seed=11)
     # the slopes' random direction is drawn after every competitor, so equal
     # slopes also pin the stream position
@@ -535,7 +534,7 @@ def test_pooled_optimality_equals_one_worker(monkeypatch, num_stocks, count):
         num_random = count(_block(depth))
         reports = []
         for cpus in (1, 2):
-            monkeypatch.setattr(bsde, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(verify_mod, "_usable_cpus", lambda: cpus)
             reports.append(check_optimality(sol, num_random=num_random, seed=depth).to_dict())
         assert repr(reports[0]) == repr(reports[1])
         assert reports[0]["details"]["competitors"] == num_random + 7
@@ -557,7 +556,7 @@ def _worker_scores_first(monkeypatch, depth, fail=False):
             started.wait(5.0)
         return scoring(a, increments, demands, work)
 
-    monkeypatch.setattr(bsde, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(verify_mod, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(verify_mod, "_batch_utilities", scheduled)
     return started
 
@@ -577,7 +576,7 @@ def test_optimality_draws_each_block_at_its_stream_position(monkeypatch, cpus):
         scored.append(demands.tobytes())
         return scoring(a, increments, demands, work)
 
-    monkeypatch.setattr(bsde, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(verify_mod, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(verify_mod, "_batch_utilities", recording)
     check_optimality(sol, num_random=num_random, seed=seed)
     draws = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(num_random, (1 << depth) - 1, n))
@@ -645,6 +644,6 @@ def test_overflowing_blocks_stay_quiet_on_the_worker(monkeypatch, eligible):
     report = check_optimality(hopeless, num_random=num_random)
     assert started.is_set() and report.status == "fail"
     monkeypatch.undo()
-    monkeypatch.setattr(bsde, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(verify_mod, "_usable_cpus", lambda: 1)
     assert repr(check_optimality(hopeless, num_random=num_random).to_dict()) \
         == repr(report.to_dict())
