@@ -21,14 +21,13 @@ in blocks of a fixed byte budget, and given two usable CPUs and at least
 two blocks, a private block pool (``_beside``, the package's only second
 thread) runs them on the calling thread and one worker thread, each
 claiming the next block from a shared counter (a fixed split would wait on
-a stalled CPU).  Each block draws its values at
-its own position of the seeded stream (``PCG64.advance``), so the report
-is the one-thread report bit for bit; with one usable CPU or one block the
-calling thread takes every block through the same loop.  The calling
-thread allocates both workers' buffers before the worker starts, so the
-worker leaves no pages resident in a malloc arena of its own, and the
-worker calls no public function of the package, which perfbench's span
-tracer wraps.
+a stalled CPU).  Each block draws its values at its own position of the
+seeded stream (``PCG64.advance``), so the report is the one-thread report
+bit for bit; with one usable CPU or one block the calling thread takes
+every block through the same loop.  The calling thread allocates both
+workers' buffers before the worker starts, so the worker leaves no pages
+resident in a malloc arena of its own, and the worker calls no public
+function of the package, which perfbench's span tracer wraps.
 """
 
 from __future__ import annotations
